@@ -17,14 +17,26 @@
 //!    and every cache is capacity-bounded, so ten times the traffic must
 //!    not mean ten times the memory.
 //!
+//! 4. **Event core** — a no-op `netsim::event::drive` step with 32 768
+//!    flows in flight at one instant may cost at most
+//!    [`DRIVE_RATIO_CEILING`]× the step at 64 in flight. A serving fleet
+//!    member admits its whole query slice at virtual time 0, so a queue
+//!    whose pop cost grows with the window shows up as the driver's
+//!    largest line item; the ratio is independent of host speed.
+//!
 //! Every serving arm also digests its merged tally at 1, 2, and 4
 //! threads and aborts on divergence — the fleet merge is byte-identical
 //! or it is wrong.
 //!
 //! `--smoke --rss-ceiling-mb N [--threads T]` runs a reduced-sample
-//! collapse check plus an absolute RSS ceiling — the CI gate.
+//! collapse check, the event-core gate, and an absolute RSS ceiling —
+//! the CI gate.
 
+use std::hint::black_box;
+
+use heroes_bench::microbench::summarize;
 use heroes_bench::{peak_rss_kb, EXPERIMENT_NOW};
+use netsim::event::{drive, FlowStep};
 use nsec3_core::experiments::{DriverConfig, DEFAULT_LAB_SEED};
 use nsec3_core::serving::{run_serving_cfg, ServingReport, ServingScenario};
 use popgen::domains::{DnssecKind, DomainSpec};
@@ -39,7 +51,11 @@ const FLEET: usize = 4;
 /// Minimum upstream-NXDOMAIN reduction the aggressive fleet must show.
 const COLLAPSE_FLOOR: f64 = 2.0;
 /// Minimum warm-fleet throughput, queries per second of host wall time.
-const QPS_FLOOR: f64 = 10_000.0;
+const QPS_FLOOR: f64 = 150_000.0;
+/// In-flight windows of the `event_core/drive_ns_per_step` rows.
+const DRIVE_WINDOWS: [usize; 3] = [64, 8_192, 32_768];
+/// Most a step may cost at the widest window, relative to the narrowest.
+const DRIVE_RATIO_CEILING: f64 = 8.0;
 
 /// FNV-1a over the rendered report — the cross-thread identity check,
 /// same construction as the census scale sweep.
@@ -71,6 +87,59 @@ fn population() -> Vec<DomainSpec> {
 
 fn traffic(clients: u64, qpc: u64, mix: QueryMix) -> TrafficModel {
     TrafficModel::new(clients, qpc, POPULATION_SEED).with_mix(mix)
+}
+
+/// Nanoseconds per `drive` step over flows that do nothing: each parks
+/// once and finishes, and every admission and wake-up falls on virtual
+/// instant 0, so `window` entries contend for the head of the queue.
+fn drive_ns_per_step(window: usize) -> f64 {
+    const FLOWS: usize = 131_072;
+    const ROUNDS: usize = 7;
+    let rounds: Vec<f64> = (0..ROUNDS)
+        .map(|_| {
+            let mut admitted = 0usize;
+            let t0 = std::time::Instant::now();
+            let stats = drive(
+                window,
+                || {
+                    (admitted < FLOWS).then(|| {
+                        admitted += 1;
+                        false
+                    })
+                },
+                |parked: &mut bool, due| {
+                    if std::mem::replace(parked, true) {
+                        FlowStep::Done
+                    } else {
+                        FlowStep::Park { at_micros: due }
+                    }
+                },
+            );
+            let stats = black_box(stats);
+            assert_eq!(stats.in_flight_high_water, window);
+            t0.elapsed().as_nanos() as f64 / stats.steps as f64
+        })
+        .collect();
+    summarize(&rounds).median_ns
+}
+
+/// Gate 4: measure every [`DRIVE_WINDOWS`] row and fail unless the
+/// widest stays within [`DRIVE_RATIO_CEILING`]× of the narrowest.
+fn event_core_gate() -> [f64; 3] {
+    let ns = DRIVE_WINDOWS.map(drive_ns_per_step);
+    let ratio = ns[2] / ns[0];
+    println!(
+        "  event core: {:.0} / {:.0} / {:.0} ns per no-op step at {} / {} / {} in flight ({ratio:.1}x)",
+        ns[0], ns[1], ns[2], DRIVE_WINDOWS[0], DRIVE_WINDOWS[1], DRIVE_WINDOWS[2]
+    );
+    if ratio > DRIVE_RATIO_CEILING {
+        eprintln!(
+            "error: a drive step at {} in flight costs {ratio:.1}x the step at {} (ceiling {DRIVE_RATIO_CEILING}x)",
+            DRIVE_WINDOWS[2], DRIVE_WINDOWS[0]
+        );
+        std::process::exit(1);
+    }
+    ns
 }
 
 /// Run one arm, timing it and checking the 1/2/4-thread digests agree.
@@ -185,6 +254,7 @@ fn smoke(threads: usize, ceiling_mb: u64) -> ! {
         eprintln!("error: upstream-NXDOMAIN collapse {factor:.2}x is below {COLLAPSE_FLOOR}x");
         std::process::exit(1);
     }
+    event_core_gate();
     if peak_kb > ceiling_mb * 1024 {
         eprintln!(
             "error: serving smoke peak RSS {} MB exceeds the {ceiling_mb} MB ceiling",
@@ -315,6 +385,10 @@ fn main() {
         small.peak_rss_kb
     );
 
+    // Gate 4: the queue's per-step cost must not grow with the window.
+    println!();
+    let drive_ns = event_core_gate();
+
     println!("\n  [digests identical at 1/2/4 threads on every arm]");
 
     let json = format!(
@@ -333,6 +407,9 @@ fn main() {
          {{\"name\": \"cold/p99_us\", \"value\": {}}},\n    \
          {{\"name\": \"rss/peak_kb_100k\", \"value\": {}}},\n    \
          {{\"name\": \"rss/peak_kb_1m\", \"value\": {}}},\n    \
+         {{\"name\": \"event_core/drive_ns_per_step/64\", \"value\": {:.1}}},\n    \
+         {{\"name\": \"event_core/drive_ns_per_step/8192\", \"value\": {:.1}}},\n    \
+         {{\"name\": \"event_core/drive_ns_per_step/32768\", \"value\": {:.1}}},\n    \
          {{\"name\": \"digest/collapse_on\", \"value\": \"{on_digest:#018x}\"}},\n    \
          {{\"name\": \"digest/warm\", \"value\": \"{warm_digest:#018x}\"}}\n  ]\n}}\n",
         off.tally.upstream_nxdomain,
@@ -345,6 +422,9 @@ fn main() {
         cold.tally.p99_micros(),
         small.peak_rss_kb,
         large.peak_rss_kb,
+        drive_ns[0],
+        drive_ns[1],
+        drive_ns[2],
     );
     match std::fs::write("BENCH_serving.json", &json) {
         Ok(()) => println!("  [wrote BENCH_serving.json]"),

@@ -1,5 +1,5 @@
-//! The discrete-event core: a batch timer wheel plus a bounded-window
-//! flow driver (DESIGN.md §8).
+//! The discrete-event core: one `(due, seq)` min-heap plus a
+//! bounded-window flow driver (DESIGN.md §8).
 //!
 //! The blocking scan pipeline walks one probe at a time, so a shard's
 //! wall clock is the *sum* of its probes' virtual waits. The event core
@@ -20,6 +20,7 @@
 //! blocking pipeline: admit one flow, step it to completion, admit the
 //! next.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// What a flow's step tells the driver.
@@ -46,138 +47,71 @@ pub struct DriveStats {
     pub in_flight_high_water: usize,
 }
 
-/// One scheduled wake-up. Orders by `(due_micros, seq)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TimerEntry {
-    due_micros: u64,
-    seq: u64,
-    token: usize,
+/// Pending wake-ups, popped in `(due_micros, seq)` order. `seq` counts
+/// `schedule` calls, so it is unique — the order is total and FIFO among
+/// equal due times — and a pop costs O(log n) however many entries share
+/// one instant.
+#[derive(Debug, Default)]
+struct EventQueue {
+    /// `(due_micros, seq, token)`; `token` never decides a comparison.
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    next_seq: u64,
 }
 
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due_micros, self.seq).cmp(&(other.due_micros, other.seq))
+impl EventQueue {
+    /// Wake `token` at `due_micros`, after everything already scheduled
+    /// for that instant. A due time in the past is fine: it simply sorts
+    /// ahead of everything later.
+    fn schedule(&mut self, due_micros: u64, token: usize) {
+        self.heap.push(Reverse((due_micros, self.next_seq, token)));
+        self.next_seq += 1;
+    }
+
+    /// Remove and return the earliest entry as `(due_micros, token)`.
+    fn pop_next(&mut self) -> Option<(u64, usize)> {
+        let Reverse((due_micros, _, token)) = self.heap.pop()?;
+        Some((due_micros, token))
     }
 }
 
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Everything `drive` tracks between steps: the queue, the flow slab
+/// (`slots` indexed by token, vacated tokens on `free`), and the clock.
+struct DriveState<F> {
+    window: usize,
+    queue: EventQueue,
+    slots: Vec<Option<F>>,
+    free: Vec<usize>,
+    /// Due time of the event being stepped; new flows start here.
+    now_micros: u64,
+    /// `admit` returned `None`; it is never called again.
+    dry: bool,
+    stats: DriveStats,
 }
 
-/// A batch timer wheel: near-term wake-ups hash into a ring of slots
-/// (one per `granularity_micros` of virtual time), far-future ones park
-/// in an overflow heap and migrate into the ring as its horizon sweeps
-/// forward. Pops are globally ordered by `(due_micros, seq)`; the wheel
-/// only changes *where* an entry waits, never *when* it fires.
-#[derive(Debug)]
-pub struct TimerWheel {
-    granularity_micros: u64,
-    slots: Vec<Vec<TimerEntry>>,
-    overflow: BinaryHeap<std::cmp::Reverse<TimerEntry>>,
-    /// Slot index the cursor granule hashes to.
-    cursor_slot: usize,
-    /// Start of the cursor granule (µs, granularity-aligned). Entries due
-    /// at or before this clamp into the cursor slot.
-    cursor_micros: u64,
-    len: usize,
-}
-
-impl TimerWheel {
-    /// A wheel of `slots` granules, `granularity_micros` each. The
-    /// horizon (how far ahead the ring reaches before entries spill to
-    /// the overflow heap) is their product.
-    pub fn new(slots: usize, granularity_micros: u64) -> Self {
-        let slots = slots.max(1);
-        TimerWheel {
-            granularity_micros: granularity_micros.max(1),
-            slots: vec![Vec::new(); slots],
-            overflow: BinaryHeap::new(),
-            cursor_slot: 0,
-            cursor_micros: 0,
-            len: 0,
-        }
+impl<F> DriveState<F> {
+    fn in_flight(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
-    /// A wheel sized for scan traffic: 4096 slots of 1024 µs ≈ a 4.2 s
-    /// horizon, past the default timeout and the early retry backoffs;
-    /// only long adaptive backoffs overflow.
-    pub fn for_scans() -> Self {
-        TimerWheel::new(4096, 1024)
-    }
-
-    /// Entries currently scheduled.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn horizon_micros(&self) -> u64 {
-        self.cursor_micros
-            .saturating_add(self.granularity_micros * self.slots.len() as u64)
-    }
-
-    /// Schedule `token` to fire at `(due_micros, seq)`.
-    pub fn schedule(&mut self, due_micros: u64, seq: u64, token: usize) {
-        let entry = TimerEntry {
-            due_micros,
-            seq,
-            token,
-        };
-        self.len += 1;
-        if due_micros >= self.horizon_micros() {
-            self.overflow.push(std::cmp::Reverse(entry));
-        } else if due_micros <= self.cursor_micros {
-            // Past-due (the virtual clock outran the wheel): the cursor
-            // slot keeps it eligible immediately, and `(due, seq)`
-            // ordering inside the slot still ranks it fairly.
-            self.slots[self.cursor_slot].push(entry);
-        } else {
-            let slot = (due_micros / self.granularity_micros) as usize % self.slots.len();
-            self.slots[slot].push(entry);
-        }
-    }
-
-    /// Remove and return the globally earliest entry as
-    /// `(due_micros, seq, token)`, or `None` when empty.
-    pub fn pop_next(&mut self) -> Option<(u64, u64, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Everything in the cursor slot is due within the cursor
-            // granule (or clamped past-due), so its minimum is the
-            // global minimum.
-            let slot = &mut self.slots[self.cursor_slot];
-            if !slot.is_empty() {
-                let mut best = 0;
-                for i in 1..slot.len() {
-                    if slot[i] < slot[best] {
-                        best = i;
-                    }
+    /// Admit flows until the window is full or the stream runs dry.
+    fn fill(&mut self, admit: &mut impl FnMut() -> Option<F>) {
+        while !self.dry && self.in_flight() < self.window {
+            let Some(flow) = admit() else {
+                self.dry = true;
+                break;
+            };
+            let token = match self.free.pop() {
+                Some(token) => {
+                    self.slots[token] = Some(flow);
+                    token
                 }
-                let entry = slot.swap_remove(best);
-                self.len -= 1;
-                return Some((entry.due_micros, entry.seq, entry.token));
-            }
-            // Empty granule: sweep the cursor forward one slot and pull
-            // overflow entries that just came inside the horizon.
-            self.cursor_slot = (self.cursor_slot + 1) % self.slots.len();
-            self.cursor_micros += self.granularity_micros;
-            let horizon = self.horizon_micros();
-            while let Some(std::cmp::Reverse(entry)) = self.overflow.peek().copied() {
-                if entry.due_micros >= horizon {
-                    break;
+                None => {
+                    self.slots.push(Some(flow));
+                    self.slots.len() - 1
                 }
-                self.overflow.pop();
-                let slot = (entry.due_micros / self.granularity_micros) as usize % self.slots.len();
-                self.slots[slot].push(entry);
-            }
+            };
+            self.queue.schedule(self.now_micros, token);
+            self.stats.in_flight_high_water = self.stats.in_flight_high_water.max(self.in_flight());
         }
     }
 }
@@ -202,118 +136,118 @@ pub fn drive<F>(
     mut admit: impl FnMut() -> Option<F>,
     mut step: impl FnMut(&mut F, u64) -> FlowStep,
 ) -> DriveStats {
-    let window = window.max(1);
-    let mut wheel = TimerWheel::for_scans();
-    let mut slots: Vec<Option<F>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut seq = 0u64;
-    let mut vnow = 0u64;
-    let mut live = 0usize;
-    let mut dry = false;
-    let mut stats = DriveStats::default();
-
-    let mut fill = |wheel: &mut TimerWheel,
-                    slots: &mut Vec<Option<F>>,
-                    free: &mut Vec<usize>,
-                    seq: &mut u64,
-                    live: &mut usize,
-                    dry: &mut bool,
-                    vnow: u64,
-                    stats: &mut DriveStats| {
-        while !*dry && *live < window {
-            match admit() {
-                Some(flow) => {
-                    let token = match free.pop() {
-                        Some(t) => {
-                            slots[t] = Some(flow);
-                            t
-                        }
-                        None => {
-                            slots.push(Some(flow));
-                            slots.len() - 1
-                        }
-                    };
-                    wheel.schedule(vnow, *seq, token);
-                    *seq += 1;
-                    *live += 1;
-                    stats.in_flight_high_water = stats.in_flight_high_water.max(*live);
-                }
-                None => *dry = true,
-            }
-        }
+    let mut st = DriveState {
+        window: window.max(1),
+        queue: EventQueue::default(),
+        slots: Vec::new(),
+        free: Vec::new(),
+        now_micros: 0,
+        dry: false,
+        stats: DriveStats::default(),
     };
-
-    fill(
-        &mut wheel, &mut slots, &mut free, &mut seq, &mut live, &mut dry, vnow, &mut stats,
-    );
-    while let Some((due, _, token)) = wheel.pop_next() {
-        vnow = vnow.max(due);
-        let flow = slots[token].as_mut().expect("scheduled token is live");
-        stats.steps += 1;
+    st.fill(&mut admit);
+    while let Some((due, token)) = st.queue.pop_next() {
+        // Admissions and parks are clamped to `now_micros`, so pops never
+        // run backwards.
+        st.now_micros = due;
+        st.stats.steps += 1;
+        let flow = st.slots[token].as_mut().expect("scheduled token is live");
         match step(flow, due) {
-            FlowStep::Park { at_micros } => {
-                wheel.schedule(at_micros.max(vnow), seq, token);
-                seq += 1;
-            }
+            FlowStep::Park { at_micros } => st.queue.schedule(at_micros.max(due), token),
             FlowStep::Done => {
-                slots[token] = None;
-                free.push(token);
-                live -= 1;
-                stats.completed += 1;
-                fill(
-                    &mut wheel, &mut slots, &mut free, &mut seq, &mut live, &mut dry, vnow,
-                    &mut stats,
-                );
+                st.slots[token] = None;
+                st.free.push(token);
+                st.stats.completed += 1;
+                st.fill(&mut admit);
             }
         }
     }
-    stats
+    st.stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_rng::SplitMix64;
+    use sim_check::{gens, props};
 
-    /// The wheel must pop in exactly `(due, seq)` order for schedules
-    /// that span past-due, near, and far-future times.
-    #[test]
-    fn wheel_pops_in_due_seq_order() {
-        let mut wheel = TimerWheel::new(8, 100);
-        let mut reference: Vec<(u64, u64, usize)> = Vec::new();
-        let mut mix = SplitMix64::new(0x7ee1);
-        for seq in 0..500u64 {
-            // Mix of immediate, near, and far-beyond-horizon dues.
-            let due = match mix.next_u64() % 4 {
-                0 => 0,
-                1 => mix.next_u64() % 800,
-                2 => 800 + mix.next_u64() % 10_000,
-                _ => 100_000 + mix.next_u64() % 1_000_000,
-            };
-            wheel.schedule(due, seq, seq as usize);
-            reference.push((due, seq, seq as usize));
+    props! {
+        /// Any interleaving of `schedule` and `pop_next` pops exactly
+        /// what a plain list ordered by `(due, seq)` yields — same-instant
+        /// bursts, dues below the last popped due, and dues seconds ahead
+        /// included.
+        fn queue_matches_sorted_model(
+            ops in gens::vec_of((gens::u8s(0..8), gens::u64s(..)), 0..300),
+        ) {
+            let mut queue = EventQueue::default();
+            let mut model: Vec<(u64, u64, usize)> = Vec::new();
+            let mut seq = 0u64;
+            let mut last_due = 0u64;
+            fn pop_both(queue: &mut EventQueue, model: &mut Vec<(u64, u64, usize)>) -> Option<u64> {
+                let expected = model.iter().copied().min();
+                model.retain(|m| Some(*m) != expected);
+                assert_eq!(queue.pop_next(), expected.map(|(due, _, token)| (due, token)));
+                expected.map(|(due, _, _)| due)
+            }
+            for (kind, x) in ops {
+                let (due, burst) = match kind {
+                    0..=2 => {
+                        last_due = pop_both(&mut queue, &mut model).unwrap_or(last_due);
+                        continue;
+                    }
+                    3 => (last_due, 1 + x % 40),
+                    4 => (last_due.saturating_sub(x % 5_000), 1),
+                    5 => (last_due + x % 800, 1),
+                    6 => (last_due + 1_000_000 + x % 10_000_000, 1),
+                    _ => (0, 1),
+                };
+                for _ in 0..burst {
+                    // Tokens run against seq, so a queue ordering on the
+                    // token would be caught.
+                    let token = usize::MAX - seq as usize;
+                    queue.schedule(due, token);
+                    model.push((due, seq, token));
+                    seq += 1;
+                }
+            }
+            while pop_both(&mut queue, &mut model).is_some() {}
+            assert!(model.is_empty());
         }
-        reference.sort_unstable();
-        let mut popped = Vec::new();
-        while let Some(e) = wheel.pop_next() {
-            popped.push(e);
-        }
-        assert_eq!(popped, reference);
-        assert!(wheel.is_empty());
     }
 
     #[test]
-    fn wheel_accepts_past_due_entries_immediately() {
-        let mut wheel = TimerWheel::new(4, 100);
-        wheel.schedule(5_000, 0, 0);
-        assert_eq!(wheel.pop_next(), Some((5_000, 0, 0)));
-        // The cursor granule has swept past 0; a past-due entry must
-        // still fire, and before anything later.
-        wheel.schedule(0, 1, 1);
-        wheel.schedule(9_000, 2, 2);
-        assert_eq!(wheel.pop_next(), Some((0, 1, 1)));
-        assert_eq!(wheel.pop_next(), Some((9_000, 2, 2)));
-        assert_eq!(wheel.pop_next(), None);
+    fn queue_fires_past_due_entries_first() {
+        let mut queue = EventQueue::default();
+        queue.schedule(5_000, 0);
+        assert_eq!(queue.pop_next(), Some((5_000, 0)));
+        // Time has moved past 0; a past-due entry must still fire, and
+        // before anything later.
+        queue.schedule(0, 1);
+        queue.schedule(9_000, 2);
+        assert_eq!(queue.pop_next(), Some((0, 1)));
+        assert_eq!(queue.pop_next(), Some((9_000, 2)));
+        assert_eq!(queue.pop_next(), None);
+    }
+
+    /// 10 000 flows sharing one instant: FIFO by admission, all in flight
+    /// at once, and cheap enough to run — the shape a serving fleet
+    /// member's query slice has.
+    #[test]
+    fn drive_steps_a_large_same_instant_burst_in_admission_order() {
+        let mut ids = 0..10_000usize;
+        let mut order: Vec<usize> = Vec::with_capacity(10_000);
+        let stats = drive(
+            32_768,
+            || ids.next(),
+            |id, now| {
+                assert_eq!(now, 0);
+                order.push(*id);
+                FlowStep::Done
+            },
+        );
+        assert_eq!(stats.completed, 10_000);
+        assert_eq!(stats.steps, 10_000);
+        assert_eq!(stats.in_flight_high_water, 10_000);
+        assert!(order.iter().copied().eq(0..10_000));
     }
 
     #[test]
@@ -402,7 +336,7 @@ mod tests {
                     order.push((flow.0, now));
                     flow.1 += 1;
                     // Deterministic, flow-dependent backoffs exercise the
-                    // wheel's ordering (some beyond the horizon).
+                    // queue's ordering across many distinct due times.
                     if flow.1 == 3 {
                         FlowStep::Done
                     } else {

@@ -331,7 +331,7 @@ pub enum ExchangeStep {
 /// This is the *only* implementation of the retry semantics. The
 /// blocking path ([`Network::send_query_with_policy`]) drives the
 /// machine in a tight loop, advancing the clock across each backoff; the
-/// event driver ([`event::drive`]) parks the flow on its timer wheel
+/// event driver ([`event::drive`]) parks the flow on its event queue
 /// instead and resumes the machine when the backoff is due. Both replay
 /// the same `RetryPolicy` decisions — attempt counts, budget checks at
 /// the same clock readings, identical jittered backoffs — so outcomes

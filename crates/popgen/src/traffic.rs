@@ -24,6 +24,8 @@
 //! water-torture shape that only RFC 8198 aggressive NSEC3 caching can
 //! collapse (see `dns_resolver::aggressive`).
 
+use dns_wire::name::Name;
+use dns_wire::WireError;
 use netsim::{Episode, EpisodeKind, FaultSchedule, Scope};
 use sim_rng::{Permutation, Rng, SplitMix64, Xoshiro256pp};
 
@@ -144,6 +146,17 @@ impl ClientQuery {
             QueryKind::Existing => format!("www.{domain}"),
             QueryKind::NxUnique => format!("nx{}.{domain}", self.index),
             QueryKind::NxRepeat => format!("miss.{domain}"),
+        }
+    }
+
+    /// [`ClientQuery::qname`] as a wire name under an already-parsed
+    /// apex: one label prepended, nothing formatted and re-parsed per
+    /// query.
+    pub fn qname_under(&self, apex: &Name) -> Result<Name, WireError> {
+        match self.kind {
+            QueryKind::Existing => apex.prepend(b"www"),
+            QueryKind::NxUnique => apex.prepend(format!("nx{}", self.index).as_bytes()),
+            QueryKind::NxRepeat => apex.prepend(b"miss"),
         }
     }
 }
@@ -507,6 +520,38 @@ mod tests {
             ..q
         };
         assert_eq!(q.qname("d4.com."), "miss.d4.com.");
+    }
+
+    #[test]
+    fn qname_under_parsed_apex_equals_parsed_qname() {
+        let apex = Name::parse("d4.com.").unwrap();
+        for kind in [
+            QueryKind::Existing,
+            QueryKind::NxUnique,
+            QueryKind::NxRepeat,
+        ] {
+            let q = ClientQuery {
+                index: u64::MAX,
+                client: 0,
+                domain: 3,
+                kind,
+            };
+            assert_eq!(
+                q.qname_under(&apex).unwrap(),
+                Name::parse(&q.qname("d4.com.")).unwrap()
+            );
+        }
+        // Both spellings refuse a name the extra label pushes past 255
+        // octets (251 on the wire, plus the 5 of `miss`).
+        let long = format!("{0}.{0}.{0}.{1}.", "a".repeat(63), "a".repeat(57));
+        let q = ClientQuery {
+            index: 0,
+            client: 0,
+            domain: 0,
+            kind: QueryKind::NxRepeat,
+        };
+        assert!(Name::parse(&q.qname(&long)).is_err());
+        assert!(q.qname_under(&Name::parse(&long).unwrap()).is_err());
     }
 
     #[test]

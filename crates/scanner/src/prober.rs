@@ -215,7 +215,7 @@ impl<'a> Prober<'a> {
     }
 
     /// Drive `flow` to completion on the calling thread, advancing the
-    /// virtual clock across each park (what the timer wheel does for
+    /// virtual clock across each park (what the event queue does for
     /// event-driven flows).
     fn drive_flow(&self, mut flow: ProbeFlow<'a>) -> ResolverClassification {
         loop {

@@ -166,7 +166,7 @@ impl ScanSession {
     ///
     /// This is the blocking driver of [`ScanSession::begin_exchange`]:
     /// it advances the virtual clock across every backoff itself, where
-    /// an event-driven flow would park on the timer wheel instead. Both
+    /// an event-driven flow would park on the event queue instead. Both
     /// replay the same breaker and retry transitions.
     pub fn exchange(
         &self,
@@ -263,7 +263,7 @@ impl ScanSession {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionStep {
     /// The attempt failed; send the next one once the virtual clock
-    /// reaches `resume_at_micros` (an event flow parks on the wheel, the
+    /// reaches `resume_at_micros` (an event flow parks on the queue, the
     /// blocking driver advances the clock).
     Park {
         /// Virtual due time of the next attempt, in µs.

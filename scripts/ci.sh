@@ -106,13 +106,24 @@ echo "== serving-driver gate (reduced sample, collapse + RSS)"
 # bench_serving --smoke pushes an NXDOMAIN-heavy Zipf workload through a
 # small resolver fleet twice — aggressive NSEC3 synthesis on and off —
 # and exits nonzero unless RFC 8198 caching collapses upstream NXDOMAIN
-# traffic by at least 2x and peak RSS stays under the ceiling. The
-# reduced sample (1 600 queries) keeps it a smoke test; the full
-# benchmark (1 M queries, latency and flat-memory gates) writes the
-# committed BENCH_serving.json. Gated at 1 and 4 threads so the fleet
-# merge path is exercised both ways.
+# traffic by at least 2x, a no-op event-core step with 32 768 flows in
+# flight costs at most 8x the step at 64 (a ratio, so host speed
+# cancels; a queue that scans for its minimum reads in the hundreds),
+# and peak RSS stays under the ceiling. The reduced sample (1 600
+# queries) keeps it a smoke test; the full benchmark (1 M queries,
+# latency and flat-memory gates) writes the committed
+# BENCH_serving.json. Gated at 1 and 4 threads so the fleet merge path
+# is exercised both ways.
 "$ROOT/target/release/bench_serving" --smoke --rss-ceiling-mb 128 --threads 1
 "$ROOT/target/release/bench_serving" --smoke --rss-ceiling-mb 128 --threads 4
+
+echo "== repository benchmark (BENCHMARK.json): unit tests + smoke run"
+# benchmark/ is its own workspace, so the tier-1 steps above do not
+# reach it. The smoke run drives every workload at tiny sizes with all
+# of the benchmark's correctness checks (accounting invariants, paper
+# landmarks, traced replay == driver) and exits nonzero if one fails.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke >/dev/null
 
 echo "== external-dependency guard"
 if grep -rn --include=Cargo.toml -E '^\s*((rand|proptest|criterion|rayon|crossbeam|threadpool)\b|\[[a-z-]+\.(rand|proptest|criterion|rayon|crossbeam|threadpool)\])' . ; then

@@ -14,14 +14,16 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use dns_wire::message::{unframe_tcp, Message, Question};
+use dns_wire::edns::Edns;
+use dns_wire::message::{unframe_tcp, Flags, Message, MessageHead, Question};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Class, Rcode, RrType};
 use dns_wire::view::MessageView;
-use dns_zone::denial::{self, DenialKind};
+use dns_zone::denial::{self, DenialProof};
 use dns_zone::signer::SignedZone;
+use dns_zone::{Zone, ZoneError};
 use netsim::{Network, Node};
 
 /// One logged query, as the paper's server-side logging captures it.
@@ -126,187 +128,193 @@ impl AuthServer {
         self.log.borrow_mut().clear();
     }
 
-    /// Answer one question against the installed zones. This is the pure
-    /// engine; [`Node::handle`] wraps it in wire encode/decode.
+    /// Answer one question against the installed zones: the owned
+    /// materialisation of [`AuthServer::assemble`], which [`Node::handle`]
+    /// encodes without this copy.
     pub fn answer(&self, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
-        let question = match query.question() {
-            Some(q) => q.clone(),
-            None => {
-                resp.rcode = Rcode::FormErr;
-                return resp;
-            }
-        };
         let zones = self.zones.borrow();
-        let zone = match best_zone(&zones, &question.qname) {
-            Some(z) => z,
-            None => {
-                resp.rcode = Rcode::Refused;
-                return resp;
-            }
+        let mut expanded = Vec::new();
+        let assembled = self.assemble(&zones, query.question(), query.dnssec_ok(), &mut expanded);
+        let owned = |section: &[&Record]| section.iter().copied().cloned().collect();
+        let mut resp = Message::response_to(query);
+        resp.rcode = assembled.rcode;
+        resp.flags.aa = assembled.aa;
+        resp.answers = owned(&assembled.answers);
+        resp.authorities = owned(&assembled.authorities);
+        resp.additionals = owned(&assembled.additionals);
+        resp
+    }
+
+    /// The answer algorithm. Every record of the result is a reference
+    /// into `zones`, except wildcard-expanded answers, which are built
+    /// into the caller's `expanded` buffer and referenced from there.
+    fn assemble<'a>(
+        &self,
+        zones: &'a HashMap<Name, SignedZone>,
+        question: Option<&Question>,
+        dnssec: bool,
+        expanded: &'a mut Vec<Record>,
+    ) -> Assembly<'a> {
+        let mut resp = Assembly::default();
+        let Some(question) = question else {
+            resp.rcode = Rcode::FormErr;
+            return resp;
         };
-        let dnssec = query.dnssec_ok();
-        resp.flags.aa = true;
+        let Some(zone) = best_zone(zones, &question.qname) else {
+            resp.rcode = Rcode::Refused;
+            return resp;
+        };
+        resp.aa = true;
         // Zone transfer: all records, SOA first and last (RFC 5936 §2.2),
         // if the zone's policy allows it.
         if question.qtype == RrType::AXFR {
-            if question.qname == *zone.zone.apex()
-                && self.axfr_allowed.borrow().contains(&question.qname)
-            {
-                let apex = zone.zone.apex().clone();
-                let soa: Vec<Record> = zone
-                    .zone
-                    .rrset(&apex, RrType::SOA)
-                    .map(|s| s.to_vec())
-                    .unwrap_or_default();
-                resp.answers.extend(soa.iter().cloned());
-                resp.answers.extend(
-                    zone.zone
-                        .iter()
-                        .filter(|r| r.rrtype() != RrType::SOA)
-                        .cloned(),
-                );
+            let z = &zone.zone;
+            if question.qname == *z.apex() && self.axfr_allowed.borrow().contains(z.apex()) {
+                let soa = z.rrset(z.apex(), RrType::SOA).unwrap_or_default();
+                resp.answers.extend(soa);
+                resp.answers
+                    .extend(z.iter().filter(|r| r.rrtype() != RrType::SOA));
                 resp.answers.extend(soa);
             } else {
                 resp.rcode = Rcode::Refused;
             }
             return resp;
         }
-        self.answer_in_zone(zone, &question, dnssec, &mut resp);
+        answer_in_zone(zone, question, dnssec, &mut resp, expanded);
         resp
     }
+}
 
-    fn answer_in_zone(
-        &self,
-        zone: &SignedZone,
-        question: &Question,
-        dnssec: bool,
-        resp: &mut Message,
-    ) {
-        let qname = &question.qname;
-        let qtype = question.qtype;
-        let z = &zone.zone;
+/// One assembled response: the verdict bits plus record sections borrowed
+/// from the zone (or the wildcard side buffer) they were found in.
+#[derive(Default)]
+struct Assembly<'a> {
+    rcode: Rcode,
+    aa: bool,
+    answers: Vec<&'a Record>,
+    authorities: Vec<&'a Record>,
+    additionals: Vec<&'a Record>,
+}
 
-        // 1. Referral if qname sits at or under a delegation (but a query
-        //    *for* the DS of a delegation is answered authoritatively by
-        //    the parent).
-        if let Some(cut) = delegation_cut(zone, qname) {
-            if !(cut == *qname && qtype == RrType::DS) {
-                resp.flags.aa = false;
-                push_rrset(resp, z, &cut, RrType::NS, dnssec, Section::Authority);
-                if dnssec {
-                    if z.rrset(&cut, RrType::DS).is_some() {
-                        push_rrset(resp, z, &cut, RrType::DS, true, Section::Authority);
-                    } else if let Ok(proof) = denial::nodata_proof(zone, &cut) {
-                        // Opt-out/insecure delegation: prove DS absence.
-                        resp.authorities.extend(proof.records);
-                    }
-                }
-                // Glue.
-                if let Some(ns_set) = z.rrset(&cut, RrType::NS) {
-                    for ns in ns_set {
-                        if let RData::Ns(target) = &ns.rdata {
-                            for t in [RrType::A, RrType::AAAA] {
-                                if let Some(glue) = z.rrset(target, t) {
-                                    resp.additionals.extend(glue.iter().cloned());
-                                }
-                            }
-                        }
-                    }
-                }
-                return;
-            }
-        }
-
-        // 2. Exact-name cases.
-        if z.has_name(qname) && !z.is_occluded(qname) {
-            if z.rrset(qname, qtype).is_some() {
-                push_rrset(resp, z, qname, qtype, dnssec, Section::Answer);
-                return;
-            }
-            if let Some(cname) = z.rrset(qname, RrType::CNAME) {
-                let _ = cname;
-                push_rrset(resp, z, qname, RrType::CNAME, dnssec, Section::Answer);
-                return;
-            }
-            // NODATA.
-            push_rrset(resp, z, z.apex(), RrType::SOA, dnssec, Section::Authority);
-            if dnssec {
-                if let Ok(proof) = denial::nodata_proof(zone, qname) {
-                    resp.authorities.extend(proof.records);
-                }
-            }
-            return;
-        }
-
-        // 3. Empty non-terminal => NODATA with empty bitmap proof.
-        if z.name_exists(qname) {
-            push_rrset(resp, z, z.apex(), RrType::SOA, dnssec, Section::Authority);
-            if dnssec {
-                if let Ok(proof) = denial::nodata_proof(zone, qname) {
-                    resp.authorities.extend(proof.records);
-                }
-            }
-            return;
-        }
-
-        // 4. Wildcard synthesis.
-        let ce = z.closest_encloser(qname);
-        if let Ok(wildcard) = ce.prepend(b"*") {
-            if z.rrset(&wildcard, qtype).is_some() {
-                // Expand: answers take the query name, signatures keep the
-                // wildcard labels count (that is the expansion signal).
-                let mut expanded: Vec<Record> = Vec::new();
-                for rec in z.rrset(&wildcard, qtype).unwrap() {
-                    expanded.push(Record::new(qname.clone(), rec.ttl, rec.rdata.clone()));
-                }
-                if dnssec {
-                    if let Some(sigs) = z.rrset(&wildcard, RrType::RRSIG) {
-                        for sig in sigs {
-                            if matches!(&sig.rdata, RData::Rrsig { type_covered, .. } if *type_covered == qtype)
-                            {
-                                expanded.push(Record::new(
-                                    qname.clone(),
-                                    sig.ttl,
-                                    sig.rdata.clone(),
-                                ));
-                            }
-                        }
-                    }
-                }
-                resp.answers.extend(expanded);
-                if dnssec {
-                    if let Ok(proof) = denial::wildcard_expansion_proof(zone, qname, &ce) {
-                        debug_assert_eq!(proof.kind, DenialKind::WildcardExpansion);
-                        resp.authorities.extend(proof.records);
-                    }
-                }
-                return;
-            }
-            if z.has_name(&wildcard) {
-                // Wildcard exists but lacks qtype: NODATA via the wildcard.
-                push_rrset(resp, z, z.apex(), RrType::SOA, dnssec, Section::Authority);
-                if dnssec {
-                    if let Ok(proof) = denial::nodata_proof(zone, &wildcard) {
-                        resp.authorities.extend(proof.records);
-                    }
-                    if let Ok(proof) = denial::wildcard_expansion_proof(zone, qname, &ce) {
-                        resp.authorities.extend(proof.records);
-                    }
-                }
-                return;
-            }
-        }
-
-        // 5. NXDOMAIN.
-        resp.rcode = Rcode::NxDomain;
-        push_rrset(resp, z, z.apex(), RrType::SOA, dnssec, Section::Authority);
-        if dnssec {
-            if let Ok(proof) = denial::nxdomain_proof(zone, qname) {
-                resp.authorities.extend(proof.records);
-            }
+/// Attach a denial proof when the query had DO. The proof is built only
+/// then, and one that cannot be built is left out, not an error.
+fn prove<'a>(
+    resp: &mut Assembly<'a>,
+    dnssec: bool,
+    proof: impl FnOnce() -> Result<DenialProof<'a>, ZoneError>,
+) {
+    if dnssec {
+        if let Ok(proof) = proof() {
+            resp.authorities.extend(proof.records);
         }
     }
+}
+
+fn answer_in_zone<'a>(
+    zone: &'a SignedZone,
+    question: &Question,
+    dnssec: bool,
+    resp: &mut Assembly<'a>,
+    expanded: &'a mut Vec<Record>,
+) {
+    let qname = &question.qname;
+    let qtype = question.qtype;
+    let z = &zone.zone;
+    // Negative answers carry the SOA and, with DNSSEC, a denial proof.
+    let soa = |resp: &mut Assembly<'a>| {
+        resp.authorities
+            .extend(z.rrset_with_sigs(z.apex(), RrType::SOA, dnssec));
+    };
+
+    // 1. Referral if qname sits at or under a delegation (but a query
+    //    *for* the DS of a delegation is answered authoritatively by
+    //    the parent).
+    if let Some(cut) = delegation_cut(z, qname) {
+        if !(cut == *qname && qtype == RrType::DS) {
+            resp.aa = false;
+            resp.authorities
+                .extend(z.rrset_with_sigs(&cut, RrType::NS, dnssec));
+            if z.rrset(&cut, RrType::DS).is_none() {
+                // Opt-out/insecure delegation: prove DS absence.
+                prove(resp, dnssec, || denial::nodata_proof(zone, &cut));
+            } else if dnssec {
+                resp.authorities
+                    .extend(z.rrset_with_sigs(&cut, RrType::DS, true));
+            }
+            // Glue.
+            for ns in z.rrset(&cut, RrType::NS).unwrap_or_default() {
+                if let RData::Ns(target) = &ns.rdata {
+                    for t in [RrType::A, RrType::AAAA] {
+                        resp.additionals
+                            .extend(z.rrset(target, t).unwrap_or_default());
+                    }
+                }
+            }
+            return;
+        }
+    }
+
+    // 2. Exact-name cases.
+    if z.has_name(qname) && !z.is_occluded(qname) {
+        let found = [qtype, RrType::CNAME]
+            .into_iter()
+            .find(|t| z.rrset(qname, *t).is_some());
+        match found {
+            Some(t) => resp.answers.extend(z.rrset_with_sigs(qname, t, dnssec)),
+            None => {
+                // NODATA.
+                soa(resp);
+                prove(resp, dnssec, || denial::nodata_proof(zone, qname));
+            }
+        }
+        return;
+    }
+
+    // 3. Empty non-terminal => NODATA with empty bitmap proof.
+    if z.name_exists(qname) {
+        soa(resp);
+        prove(resp, dnssec, || denial::nodata_proof(zone, qname));
+        return;
+    }
+
+    // 4. Wildcard synthesis. `qname` does not exist, so its closest
+    //    encloser is its parent's.
+    let ce = match qname.ancestors().next() {
+        Some(parent) => z.closest_encloser(&parent),
+        None => z.apex().clone(),
+    };
+    if let Ok(wildcard) = ce.prepend(b"*") {
+        if z.rrset(&wildcard, qtype).is_some() {
+            // Expand: answers take the query name, signatures keep the
+            // wildcard labels count (that is the expansion signal).
+            expanded.extend(
+                z.rrset_with_sigs(&wildcard, qtype, dnssec)
+                    .map(|rec| Record::new(qname.clone(), rec.ttl, rec.rdata.clone())),
+            );
+            let expanded: &'a [Record] = expanded;
+            resp.answers.extend(expanded);
+            prove(resp, dnssec, || {
+                denial::wildcard_expansion_proof(zone, qname, &ce)
+            });
+            return;
+        }
+        if z.has_name(&wildcard) {
+            // Wildcard exists but lacks qtype: NODATA via the wildcard.
+            soa(resp);
+            prove(resp, dnssec, || denial::nodata_proof(zone, &wildcard));
+            prove(resp, dnssec, || {
+                denial::wildcard_expansion_proof(zone, qname, &ce)
+            });
+            return;
+        }
+    }
+
+    // 5. NXDOMAIN.
+    resp.rcode = Rcode::NxDomain;
+    soa(resp);
+    prove(resp, dnssec, || {
+        denial::nxdomain_proof_below(zone, qname, ce)
+    });
 }
 
 impl Default for AuthServer {
@@ -315,58 +323,28 @@ impl Default for AuthServer {
     }
 }
 
-enum Section {
-    Answer,
-    Authority,
-}
-
-/// Append the RRset (and, with DNSSEC, its RRSIGs) to a response section.
-fn push_rrset(
-    resp: &mut Message,
-    zone: &dns_zone::Zone,
-    owner: &Name,
-    rrtype: RrType,
-    dnssec: bool,
-    section: Section,
-) {
-    let mut records = Vec::new();
-    if let Some(set) = zone.rrset(owner, rrtype) {
-        records.extend(set.iter().cloned());
-    }
-    if dnssec {
-        if let Some(sigs) = zone.rrset(owner, RrType::RRSIG) {
-            records.extend(
-                sigs.iter()
-                    .filter(|s| {
-                        matches!(&s.rdata, RData::Rrsig { type_covered, .. } if *type_covered == rrtype)
-                    })
-                    .cloned(),
-            );
-        }
-    }
-    match section {
-        Section::Answer => resp.answers.extend(records),
-        Section::Authority => resp.authorities.extend(records),
-    }
-}
-
 /// Zone with the longest apex that is an ancestor-or-self of `qname`.
 fn best_zone<'a>(zones: &'a HashMap<Name, SignedZone>, qname: &Name) -> Option<&'a SignedZone> {
-    qname
-        .self_and_ancestors()
-        .into_iter()
-        .find_map(|candidate| zones.get(&candidate))
+    zones.get(qname).or_else(|| {
+        qname
+            .ancestors()
+            .find_map(|candidate| zones.get(&candidate))
+    })
 }
 
 /// The delegation cut at or above `qname` inside the zone, if any
 /// (nearest to the apex wins — a resolver descends one cut at a time).
-fn delegation_cut(zone: &SignedZone, qname: &Name) -> Option<Name> {
-    let mut ancestors = qname.self_and_ancestors();
-    ancestors.reverse(); // apex-first
-    ancestors
-        .into_iter()
-        .filter(|n| n.is_subdomain_of(zone.zone.apex()) && *n != *zone.zone.apex())
-        .find(|n| zone.zone.is_delegation(n))
+fn delegation_cut(z: &Zone, qname: &Name) -> Option<Name> {
+    // Walking up from `qname`, the last cut seen is the one nearest the
+    // apex; the apex itself is never a cut.
+    let below_apex = z.depth_below_apex(qname).saturating_sub(1);
+    let mut cut = z.is_delegation(qname).then(|| qname.clone());
+    for candidate in qname.ancestors().take(below_apex) {
+        if z.is_delegation(&candidate) {
+            cut = Some(candidate);
+        }
+    }
+    cut
 }
 
 impl Node for AuthServer {
@@ -397,17 +375,17 @@ impl Node for AuthServer {
         if flags.qr {
             return None; // not a query
         }
-        if let Some(q) = view.question() {
-            if let Ok(qname) = q.qname() {
-                let mut log = self.log.borrow_mut();
-                if log.len() < self.log_cap {
-                    log.push(QueryLogEntry {
-                        src,
-                        qname,
-                        qtype: q.qtype(),
-                        dnssec_ok: edns.as_ref().is_some_and(|e| e.dnssec_ok),
-                    });
-                }
+        let questions = view.questions().ok()?;
+        let dnssec = edns.as_ref().is_some_and(|e| e.dnssec_ok);
+        if let Some(q) = questions.first() {
+            let mut log = self.log.borrow_mut();
+            if log.len() < self.log_cap {
+                log.push(QueryLogEntry {
+                    src,
+                    qname: q.qname.clone(),
+                    qtype: q.qtype,
+                    dnssec_ok: dnssec,
+                });
             }
         }
         // A query is template-cacheable when the answer bytes are a pure
@@ -415,18 +393,19 @@ impl Node for AuthServer {
         // question, written literally (no compression pointers — its raw
         // bytes get copied into the template verbatim to preserve 0x20
         // case echoing), and not a zone transfer.
-        let template_key = view.question().and_then(|q| {
-            if view.qdcount() != 1 || q.qtype() == RrType::AXFR {
-                return None;
-            }
-            let raw = q.raw_entry()?;
+        let raw_question = view
+            .question()
+            .filter(|q| view.qdcount() == 1 && q.qtype() != RrType::AXFR)
+            .and_then(|q| q.raw_entry());
+        let template_key = raw_question.map(|raw| {
             debug_assert!(raw.len() >= 5);
             let state = match &edns {
                 None => EdnsState::Absent,
-                Some(e) if e.dnssec_ok => EdnsState::Do,
+                Some(_) if dnssec => EdnsState::Do,
                 Some(_) => EdnsState::Plain,
             };
-            Some((q.qname().ok()?, q.qtype(), q.qclass(), state))
+            let q = &questions[0];
+            (q.qname.clone(), q.qtype, q.qclass, state)
         });
         // UDP truncation bound: the requester's EDNS payload size (512
         // without EDNS) bounds the response; over it, send TC with empty
@@ -437,7 +416,7 @@ impl Node for AuthServer {
             .map(|e| e.udp_payload_size as usize)
             .unwrap_or(512)
             .max(512);
-        if let Some(key) = &template_key {
+        if let (Some(key), Some(raw)) = (&template_key, raw_question) {
             let templates = self.templates.borrow();
             if let Some(wire) = templates.get(key) {
                 if tcp || wire.len() <= limit {
@@ -455,10 +434,6 @@ impl Node for AuthServer {
                     reply[off..off + 2].copy_from_slice(&view.id().to_be_bytes());
                     reply[off + 2] =
                         (reply[off + 2] & !0x79) | (flags.opcode.to_u8() << 3) | u8::from(flags.rd);
-                    let raw = view
-                        .question()
-                        .and_then(|q| q.raw_entry())
-                        .expect("template key implies a literal question");
                     reply[off + 12..off + 12 + raw.len()].copy_from_slice(raw);
                     return Some(());
                 }
@@ -466,27 +441,46 @@ impl Node for AuthServer {
                 // the truncated response fresh (it is tiny).
             }
         }
-        let query = view.to_message().ok()?;
-        let response = self.answer(&query);
+        // Miss: assemble by reference and encode once, straight into
+        // `reply` — no owned query, no owned response.
+        let zones = self.zones.borrow();
+        let mut expanded = Vec::new();
+        let assembled = self.assemble(&zones, questions.first(), dnssec, &mut expanded);
+        let reply_edns = edns.as_ref().map(|_| Edns::default());
+        let mut head = MessageHead {
+            id: view.id(),
+            flags: Flags {
+                qr: true,
+                opcode: flags.opcode,
+                rd: flags.rd,
+                aa: assembled.aa,
+                ..Flags::default()
+            },
+            rcode: assembled.rcode,
+            questions: &questions,
+            edns: reply_edns.as_ref(),
+        };
         let start = reply.len();
         if tcp {
-            response.encode_framed_append(reply);
-            if let Some(key) = template_key {
-                self.store_template(key, &reply[start + 2..]);
-            }
-            return Some(());
+            reply.extend_from_slice(&[0, 0]);
         }
-        response.encode_append(reply);
+        let body = reply.len();
+        head.encode_append(
+            reply,
+            &assembled.answers,
+            &assembled.authorities,
+            &assembled.additionals,
+        );
         if let Some(key) = template_key {
-            self.store_template(key, &reply[start..]);
+            self.store_template(key, &reply[body..]);
         }
-        if reply.len() - start > limit {
-            let mut truncated = Message::response_to(&query);
-            truncated.flags.aa = response.flags.aa;
-            truncated.flags.tc = true;
-            truncated.rcode = response.rcode;
+        let len = reply.len() - body;
+        if tcp {
+            reply[start..body].copy_from_slice(&(len as u16).to_be_bytes());
+        } else if len > limit {
             reply.truncate(start);
-            truncated.encode_append(reply);
+            head.flags.tc = true;
+            head.encode_append::<&Record>(reply, &[], &[], &[]);
         }
         Some(())
     }
@@ -590,6 +584,20 @@ mod tests {
         let resp = s.answer(&q);
         assert_eq!(resp.records_of_type(RrType::A).count(), 1);
         assert!(resp.records_of_type(RrType::RRSIG).next().is_none());
+    }
+
+    #[test]
+    fn plain_dns_negatives_build_no_proof() {
+        use dns_zone::nsec3hash::thread_cache_stats;
+        let s = build_server();
+        let lookups = thread_cache_stats();
+        for qname in ["nx.example.", "deep.sub.example.", "x.wild.example."] {
+            let mut q = Message::query(1, name(qname), RrType::TXT);
+            q.edns = None;
+            let resp = s.answer(&q);
+            assert!(resp.records_of_type(RrType::NSEC3).next().is_none());
+        }
+        assert_eq!(thread_cache_stats(), lookups, "no DO, no NSEC3 hashing");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 use dns_zone::denial::nxdomain_proof;
-use dns_zone::nsec3hash::Nsec3Params;
+use dns_zone::nsec3hash::{Nsec3HashCache, Nsec3Params};
 use dns_zone::signer::{sign_zone, SignedZone, SignerConfig};
 use dns_zone::Zone;
 use heroes_bench::microbench::Suite;
@@ -59,12 +59,30 @@ fn make_signed(iterations: u16) -> SignedZone {
 fn main() {
     let mut suite = Suite::new("denial_proofs");
 
+    let fresh: Vec<Name> = (0..16 * Nsec3HashCache::DEFAULT_CAPACITY)
+        .map(|i| name(&format!("nx{i}.bench.example.")))
+        .collect();
     for iterations in [0u16, 150] {
         let z = make_signed(iterations);
         let qname = name("nx.bench.example.");
         suite.bench(&format!("nxdomain_proof_synthesis/{iterations}"), || {
             nxdomain_proof(black_box(&z), black_box(&qname)).unwrap()
         });
+        // The warm row above re-asks one name, so the thread-local NSEC3
+        // hash cache absorbs all three hashes and the iteration count does
+        // not show. The cold row asks a name it has not hashed: the pool
+        // is 16x the cache's slot count, so by the time a name comes
+        // round again its entry has been overwritten, and the next-closer
+        // hash is computed on every call (the closest encloser and its
+        // wildcard stay cached, as they do for a server under a scan).
+        let mut next = 0usize;
+        suite.bench(
+            &format!("nxdomain_proof_synthesis_cold/{iterations}"),
+            || {
+                next = (next + 1) % fresh.len();
+                nxdomain_proof(black_box(&z), black_box(&fresh[next])).unwrap()
+            },
+        );
     }
 
     let z = make_signed(150);
@@ -75,6 +93,7 @@ fn main() {
         let nsec3s: Vec<&Record> = proof
             .records
             .iter()
+            .copied()
             .filter(|r| r.rrtype() == RrType::NSEC3)
             .collect();
         let (params, views) = parse_nsec3_set(&nsec3s).unwrap();
@@ -101,6 +120,7 @@ fn main() {
         let nsec3s: Vec<&Record> = proof
             .records
             .iter()
+            .copied()
             .filter(|r| r.rrtype() == RrType::NSEC3)
             .collect();
         let (params, views) = parse_nsec3_set(&nsec3s).unwrap();

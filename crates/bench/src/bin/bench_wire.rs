@@ -162,6 +162,27 @@ fn main() {
         black_box(reply.len())
     });
 
+    // The miss path: a name the server has never seen, which is every
+    // query of a scan (`auth_answer_cached` above measures only the hit).
+    // The pool is far larger than the template cache (1,024 entries,
+    // dropped whole when full) and the NSEC3 hash cache (4,096 slots), so
+    // a name that comes round again finds neither.
+    for (row, under) in [
+        ("auth_answer_nxdomain_unique", "bench.example."),
+        ("auth_answer_referral_unique", "secure.bench.example."),
+    ] {
+        let queries: Vec<Vec<u8>> = (0..65_536)
+            .map(|i| Message::query(i as u16, name(&format!("u{i}.{under}")), RrType::A).encode())
+            .collect();
+        let mut next = 0usize;
+        suite.bench(row, || {
+            next = (next + 1) % queries.len();
+            reply.clear();
+            server.handle(&net, src, black_box(&queries[next]), &mut reply);
+            black_box(reply.len())
+        });
+    }
+
     // Same 20 names written with and without compression.
     let names: Vec<_> = (0..20)
         .map(|i| name(&format!("host{i}.sub.department.example.com.")))
@@ -253,6 +274,30 @@ fn auth_fixture() -> dns_auth::AuthServer {
         name("host.bench.example."),
         300,
         RData::A("192.0.2.1".parse().unwrap()),
+    ))
+    .unwrap();
+    // A secure delegation with glue, for the referral row.
+    z.add(Record::new(
+        name("secure.bench.example."),
+        3600,
+        RData::Ns(name("ns1.secure.bench.example.")),
+    ))
+    .unwrap();
+    z.add(Record::new(
+        name("secure.bench.example."),
+        3600,
+        RData::Ds {
+            key_tag: 12345,
+            algorithm: 253,
+            digest_type: 2,
+            digest: vec![7; 32],
+        },
+    ))
+    .unwrap();
+    z.add(Record::new(
+        name("ns1.secure.bench.example."),
+        3600,
+        RData::A("192.0.2.61".parse().unwrap()),
     ))
     .unwrap();
     let signed = sign_zone(

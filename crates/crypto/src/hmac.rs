@@ -58,6 +58,24 @@ impl<D: Digest> HmacKey<D> {
 }
 
 impl HmacKey<crate::sha256::Sha256> {
+    /// The two pad midstates, from which [`HmacKey::from_midstates`]
+    /// rebuilds this key without touching the key bytes again.
+    pub(crate) fn midstates(&self) -> [[u32; 8]; 2] {
+        [
+            self.inner.midstate_aligned().0,
+            self.outer.midstate_aligned().0,
+        ]
+    }
+
+    /// Inverse of [`HmacKey::midstates`]: each pad is exactly one block.
+    pub(crate) fn from_midstates([inner, outer]: [[u32; 8]; 2]) -> Self {
+        let restore = |state| crate::sha256::Sha256::from_midstate(state, 64);
+        HmacKey {
+            inner: restore(inner),
+            outer: restore(outer),
+        }
+    }
+
     /// MAC a batch of messages under this key, interleaving the SHA-256
     /// compressions across lanes (see `sha256::finish_midstate_batch`).
     /// `out[i]` is byte-identical to [`HmacKey::mac`]`(msgs[i])`.

@@ -276,6 +276,19 @@ impl Sha256 {
         (self.state, self.len)
     }
 
+    /// The hasher [`Sha256::midstate_aligned`] was taken from: 40 bytes
+    /// stand in for the 120-byte streaming state wherever many keyed
+    /// hashers are kept for long.
+    pub(crate) fn from_midstate(state: [u32; 8], len: u64) -> Self {
+        debug_assert_eq!(len % 64, 0, "midstate requires block alignment");
+        Sha256 {
+            state,
+            len,
+            compressions: len / 64,
+            ..Self::default()
+        }
+    }
+
     /// Finalize into a fixed-size array.
     pub fn finalize_fixed(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);

@@ -23,6 +23,7 @@
 //! reserved by RFC 4034 §A.1.1 for private algorithms), though the zone signer
 //! may label keys with any algorithm number to mimic populations in the wild.
 
+use crate::ct_eq;
 use crate::hmac::{Hmac, HmacKey};
 use crate::sha256::{sha256, Sha256};
 
@@ -76,23 +77,46 @@ impl KeyPair {
     }
 }
 
-/// Precomputed per-key signing state: the HMAC pad schedule, derived once.
-#[derive(Clone)]
+/// Precomputed per-key state for signing and verifying: the HMAC pad
+/// schedule, derived once and kept as its two SHA-256 midstates (64
+/// bytes — a resolver holds one of these per DNSKEY of every zone it has
+/// validated, so the size is what its key cache costs).
+#[derive(Clone, Debug)]
 pub struct Context {
-    key: HmacKey<Sha256>,
+    pads: [[u32; 8]; 2],
+    /// Whether the key has the SimSig public-key length; a key of any
+    /// other length verifies nothing.
+    well_formed: bool,
 }
 
 impl Context {
     /// Build the context for the key identified by `public_key`.
     pub fn new(public_key: &[u8]) -> Self {
         Context {
-            key: HmacKey::new(public_key),
+            pads: HmacKey::<Sha256>::new(public_key).midstates(),
+            well_formed: public_key.len() == PUBLIC_KEY_LEN,
         }
+    }
+
+    fn key(&self) -> HmacKey<Sha256> {
+        HmacKey::from_midstates(self.pads)
+    }
+
+    /// Verify `signature` over `message`; identical verdict to [`verify`]
+    /// under the key this context was built from, without re-deriving the
+    /// pad schedule or allocating.
+    pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
+        if !self.well_formed || signature.len() != SIGNATURE_LEN {
+            return false;
+        }
+        let mut tag = [0u8; SIGNATURE_LEN];
+        self.key().mac_into(message, &mut tag);
+        ct_eq(&tag, signature)
     }
 
     /// Sign `message`; identical output to [`KeyPair::sign`].
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        self.key.mac(message)
+        self.key().mac(message)
     }
 
     /// Sign a batch of messages, interleaving the HMAC-SHA-256 compressions
@@ -100,7 +124,7 @@ impl Context {
     /// [`Context::sign`]`(messages[i])`. The zone signer's RRSIG pass feeds
     /// each shard's canonical signing buffers through this in one call.
     pub fn sign_batch_into(&self, messages: &[&[u8]], out: &mut [[u8; 32]]) {
-        self.key.mac_batch_into(messages, out);
+        self.key().mac_batch_into(messages, out);
     }
 }
 
@@ -116,10 +140,7 @@ pub fn sign_with_public(public_key: &[u8], message: &[u8]) -> Vec<u8> {
 
 /// Verify `signature` over `message` under `public_key`.
 pub fn verify(public_key: &[u8], message: &[u8], signature: &[u8]) -> bool {
-    if public_key.len() != PUBLIC_KEY_LEN || signature.len() != SIGNATURE_LEN {
-        return false;
-    }
-    Hmac::<Sha256>::verify(public_key, message, signature)
+    Context::new(public_key).verify(message, signature)
 }
 
 #[cfg(test)]
@@ -159,6 +180,21 @@ mod tests {
         let sig = kp.sign(b"m");
         assert!(!verify(&kp.public_key()[..31], b"m", &sig));
         assert!(!verify(kp.public_key(), b"m", &sig[..31]));
+    }
+
+    #[test]
+    fn context_verdicts_match_one_shot_verify() {
+        let kp = KeyPair::from_seed(b"k1");
+        let ctx = kp.signing_context();
+        let sig = ctx.sign(b"message");
+        assert!(ctx.verify(b"message", &sig));
+        assert!(!ctx.verify(b"messagf", &sig));
+        assert!(!ctx.verify(b"message", &sig[..31]));
+        // A 31-byte key can mint a MAC but never verifies one.
+        let short = &kp.public_key()[..31];
+        let forged = sign_with_public(short, b"m");
+        assert!(!Context::new(short).verify(b"m", &forged));
+        assert!(!verify(short, b"m", &forged));
     }
 
     #[test]

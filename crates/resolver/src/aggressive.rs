@@ -337,6 +337,7 @@ mod tests {
         let nsec3s: Vec<&Record> = proof
             .records
             .iter()
+            .copied()
             .filter(|r| r.rrtype() == RrType::NSEC3)
             .collect();
         parse_nsec3_set(&nsec3s).unwrap()

@@ -5,8 +5,10 @@
 //! validation with the RFC 9276 policy knobs applied exactly where real
 //! resolvers apply them (before or while verifying NSEC3 proofs).
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::net::IpAddr;
+use std::rc::Rc;
 
 use dns_crypto::sha256::sha256;
 use dns_wire::edns::{EdeCode, Edns};
@@ -174,8 +176,9 @@ impl ResolveOutcome {
 /// Security state of the validation chain at the current zone.
 #[derive(Clone, Debug)]
 enum Chain {
-    /// Chain of trust intact; we hold validated keys for the zone.
-    Secure(ZoneKeys),
+    /// Chain of trust intact; we hold validated keys for the zone (shared
+    /// with the key cache, not copied out of it).
+    Secure(Rc<ZoneKeys>),
     /// Provably insecure (opt-out or missing DS): no validation expected.
     Insecure,
 }
@@ -188,26 +191,18 @@ pub struct Resolver {
     meter: CostMeter,
     /// Query counter for deterministic message ids.
     next_id: RefCell<u16>,
-    /// Final-answer cache (RFC 2308-style negative caching included).
-    answer_cache: TtlCache<(Name, RrType), CachedAnswer>,
+    /// Final-answer cache (RFC 2308-style negative caching included):
+    /// outcomes with their cost zeroed — a hit costs nothing. Behind an
+    /// `Rc` so the cache's tree nodes hold pointers, not 136-byte
+    /// outcomes (a resolver fleet's peak RSS is mostly these trees).
+    answer_cache: TtlCache<(Name, RrType), Rc<ResolveOutcome>>,
     /// Validated DNSKEY sets per zone (the big recursion saver).
-    key_cache: TtlCache<Name, ZoneKeys>,
+    key_cache: TtlCache<Name, Rc<ZoneKeys>>,
     /// Referral state per zone cut, for warm-restart recursion (inert
     /// unless [`ResolverConfig::delegation_cache`] is set).
     delegations: DelegationCache,
     /// RFC 8198 store of verified NSEC3 chains.
     aggressive: AggressiveCache,
-}
-
-/// What the answer cache stores: an outcome minus its cost.
-#[derive(Clone, Debug)]
-struct CachedAnswer {
-    rcode: Rcode,
-    authenticated: bool,
-    answers: Vec<Record>,
-    authorities: Vec<Record>,
-    ede: Option<(EdeCode, String)>,
-    budget_exceeded: bool,
 }
 
 impl Resolver {
@@ -350,7 +345,7 @@ impl Resolver {
             // dns-0x20: the echoed question must match the sent case
             // exactly; anything else is a spoof or a mangler.
             let echoed = resp.question()?;
-            if echoed.qname.to_wire() != sent_qname.to_wire() {
+            if echoed.qname.wire_bytes() != sent_qname.wire_bytes() {
                 return None;
             }
         }
@@ -399,20 +394,7 @@ impl Resolver {
     ) -> Recursion<'a> {
         let key = (qname.clone(), qtype);
         if let Some(hit) = self.answer_cache.get(&key, net.now_micros()) {
-            return Recursion::settled(
-                self,
-                qname.clone(),
-                qtype,
-                ResolveOutcome {
-                    rcode: hit.rcode,
-                    authenticated: hit.authenticated,
-                    answers: hit.answers,
-                    authorities: hit.authorities,
-                    ede: hit.ede,
-                    budget_exceeded: hit.budget_exceeded,
-                    cost: CostSnapshot::default(),
-                },
-            );
+            return Recursion::settled(self, qname.clone(), qtype, (*hit).clone());
         }
         if self.config.aggressive_nsec3 {
             let before = self.meter.snapshot();
@@ -572,8 +554,9 @@ impl Resolver {
             if next_servers.is_empty() {
                 return fail(None, &self.meter);
             }
-            // The DS set that validated at this cut (empty when the
-            // delegation is insecure or anchor-secured).
+            // The DS set that validated at this cut, kept for the
+            // delegation cache (empty when the delegation is insecure or
+            // anchor-secured).
             let mut validated_ds: Vec<Record> = Vec::new();
             // An anchor configured for the child apex takes precedence
             // over the parent's DS set — this both enables islands of
@@ -596,11 +579,10 @@ impl Resolver {
             } else {
                 match &walk.chain {
                     Chain::Secure(parent_keys) => {
-                        let ds_records: Vec<Record> = resp
+                        let ds_records: Vec<&Record> = resp
                             .authorities
                             .iter()
                             .filter(|r| r.rrtype() == RrType::DS && r.name == cut)
-                            .cloned()
                             .collect();
                         if !ds_records.is_empty() {
                             let sigs = rrsigs_at(&resp.authorities, &cut);
@@ -627,7 +609,9 @@ impl Resolver {
                             }
                             match self.cached_child_keys(net, &next_servers, &cut, &ds_records) {
                                 Ok(keys) => {
-                                    validated_ds = ds_records;
+                                    if self.config.delegation_cache {
+                                        validated_ds = ds_records.into_iter().cloned().collect();
+                                    }
                                     Chain::Secure(keys)
                                 }
                                 Err(e) => {
@@ -698,7 +682,7 @@ impl Resolver {
                 Rcode::NxDomain => {
                     let mut out = self.finish(
                         net,
-                        &resp,
+                        resp,
                         &send_name,
                         send_type,
                         &walk.zone,
@@ -715,7 +699,7 @@ impl Resolver {
         // Final response from the authoritative side.
         LevelOutcome::Finished(self.finish(
             net,
-            &resp,
+            resp,
             qname,
             qtype,
             &walk.zone,
@@ -724,12 +708,14 @@ impl Resolver {
         ))
     }
 
-    /// Validate and classify the authoritative response.
+    /// Validate and classify the authoritative response, then hand its
+    /// sections to the outcome: the records decoded from the wire are the
+    /// records the client (and the answer cache) get, not copies of them.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         net: &Network,
-        resp: &Message,
+        resp: Message,
         qname: &Name,
         qtype: RrType,
         zone: &Name,
@@ -737,25 +723,47 @@ impl Resolver {
         cost_base: &CostSnapshot,
     ) -> ResolveOutcome {
         let cost = |m: &CostMeter| m.snapshot().since(cost_base);
-        let answers: Vec<Record> = resp
-            .answers
-            .iter()
-            .filter(|r| r.rrtype() != RrType::RRSIG)
-            .cloned()
-            .collect();
-        let keys = match chain {
-            Chain::Insecure => {
-                // No validation possible: relay as-is, never authenticated.
-                return ResolveOutcome {
+        match self.judge(net, &resp, qname, qtype, zone, chain) {
+            Ok(Relay { authenticated, ede }) => {
+                let mut answers = resp.answers;
+                answers.retain(|r| r.rrtype() != RrType::RRSIG);
+                ResolveOutcome {
                     rcode: resp.rcode,
-                    authenticated: false,
+                    authenticated,
                     answers,
-                    authorities: resp.authorities.clone(),
-                    ede: None,
+                    authorities: resp.authorities,
+                    ede,
                     budget_exceeded: false,
                     cost: cost(&self.meter),
-                };
+                }
             }
+            Err(Refusal::Limit) => ResolveOutcome::servfail(self.limit_ede(), cost(&self.meter)),
+            Err(Refusal::Invalid(e)) => self.validation_failure(e, cost(&self.meter)),
+        }
+    }
+
+    /// Decide what to do with the authoritative response: relay it
+    /// (authenticated or not) or refuse it.
+    fn judge(
+        &self,
+        net: &Network,
+        resp: &Message,
+        qname: &Name,
+        qtype: RrType,
+        zone: &Name,
+        chain: &Chain,
+    ) -> Result<Relay, Refusal> {
+        const INSECURE: Relay = Relay {
+            authenticated: false,
+            ede: None,
+        };
+        const SECURE: Relay = Relay {
+            authenticated: true,
+            ede: None,
+        };
+        let keys = match chain {
+            // No validation possible: relay as-is, never authenticated.
+            Chain::Insecure => return Ok(INSECURE),
             Chain::Secure(keys) => keys,
         };
 
@@ -771,19 +779,9 @@ impl Resolver {
         } else {
             match parse_nsec3_set(&nsec3_refs) {
                 Ok(x) => Some(x),
-                Err(ValidationError::UnknownNsec3Algorithm) => {
-                    // Unknown algorithm: zone is insecure for us.
-                    return ResolveOutcome {
-                        rcode: resp.rcode,
-                        authenticated: false,
-                        answers,
-                        authorities: resp.authorities.clone(),
-                        ede: None,
-                        budget_exceeded: false,
-                        cost: cost(&self.meter),
-                    };
-                }
-                Err(e) => return self.validation_failure(e, cost(&self.meter)),
+                // Unknown algorithm: zone is insecure for us.
+                Err(ValidationError::UnknownNsec3Algorithm) => return Ok(INSECURE),
+                Err(e) => return Err(Refusal::Invalid(e)),
             }
         };
 
@@ -794,82 +792,61 @@ impl Resolver {
             // strictly more expensive — the cost difference is what the
             // `validation` bench quantifies.
             if !self.config.check_limits_first {
-                if let Err(e) = self.validate_proof_sigs(resp, keys) {
-                    return self.validation_failure(e, cost(&self.meter));
-                }
+                self.validate_proof_sigs(resp, keys)?;
             }
-            match self.apply_limits(params, resp, zone, keys) {
-                Ok(LimitFlow::Continue) => {}
-                Ok(LimitFlow::ServFail) => {
-                    return ResolveOutcome::servfail(self.limit_ede(), cost(&self.meter));
-                }
-                Ok(LimitFlow::Insecure) => {
-                    return ResolveOutcome {
-                        rcode: resp.rcode,
+            match self.apply_limits(params, resp, zone, keys)? {
+                LimitFlow::Continue => {}
+                LimitFlow::ServFail => return Err(Refusal::Limit),
+                LimitFlow::Insecure => {
+                    return Ok(Relay {
                         authenticated: false,
-                        answers,
-                        authorities: resp.authorities.clone(),
-                        ede: if self.config.policy.emit_ede {
-                            self.limit_ede()
-                        } else {
-                            None
-                        },
-                        budget_exceeded: false,
-                        cost: cost(&self.meter),
-                    };
+                        ede: self.limit_ede(),
+                    });
                 }
-                Err(e) => return self.validation_failure(e, cost(&self.meter)),
             }
         }
 
         // Positive answers: validate each RRset.
-        if !answers.is_empty() {
-            let sets = dns_wire::record::group_rrsets(&answers);
-            for set in &sets {
-                let owner = &set[0].name;
-                let sigs = rrsigs_at(&resp.answers, owner);
-                match validate_rrset(owner, set, &sigs, keys, self.config.now, &self.meter) {
-                    Ok(()) => {}
-                    Err(e) => return self.validation_failure(e, cost(&self.meter)),
-                }
-                // Wildcard expansion: labels < owner label count means the
-                // denial part must also be present and valid.
-                if let Some(labels) = wildcard_labels(&sigs, owner, set[0].rrtype()) {
-                    if let Some((params, views)) = &parsed_nsec3 {
-                        let wild = self.validate_proof_sigs(resp, keys).and_then(|()| {
+        let sets = dns_wire::record::group_rrsets(
+            resp.answers.iter().filter(|r| r.rrtype() != RrType::RRSIG),
+        );
+        for set in &sets {
+            let owner = &set[0].name;
+            let sigs = rrsigs_at(&resp.answers, owner);
+            validate_rrset(owner, set, &sigs, keys, self.config.now, &self.meter)?;
+            // Wildcard expansion: labels < owner label count means the
+            // denial part must also be present and valid.
+            if let Some(labels) = wildcard_labels(&sigs, owner, set[0].rrtype()) {
+                if let Some((params, views)) = &parsed_nsec3 {
+                    self.validate_proof_sigs(resp, keys)
+                        .and_then(|()| {
                             verify_wildcard_expansion(owner, labels, params, views, &self.meter)
-                        });
-                        if let Err(e) = wild {
-                            let e = if e == ValidationError::BudgetExceeded {
-                                e
-                            } else {
-                                ValidationError::BadDenialProof
-                            };
-                            return self.validation_failure(e, cost(&self.meter));
-                        }
-                    }
+                        })
+                        .map_err(|e| match e {
+                            ValidationError::BudgetExceeded => e,
+                            _ => ValidationError::BadDenialProof,
+                        })?;
                 }
             }
-            return ResolveOutcome {
-                rcode: resp.rcode,
-                authenticated: true,
-                answers,
-                authorities: resp.authorities.clone(),
-                ede: None,
-                budget_exceeded: false,
-                cost: cost(&self.meter),
-            };
+        }
+        if !sets.is_empty() {
+            return Ok(SECURE);
         }
 
         // Negative answers: validate the denial.
-        let denial_ok = if let Some((params, views)) = &parsed_nsec3 {
-            self.validate_proof_sigs(resp, keys)
-                .and_then(|()| match resp.rcode {
-                    Rcode::NxDomain => {
-                        verify_nxdomain(qname, zone, params, views, &self.meter).map(|_| ())
-                    }
-                    _ => verify_nodata(qname, qtype, params, views, &self.meter),
-                })
+        if let Some((params, views)) = &parsed_nsec3 {
+            self.validate_proof_sigs(resp, keys)?;
+            match resp.rcode {
+                Rcode::NxDomain => {
+                    verify_nxdomain(qname, zone, params, views, &self.meter)?;
+                }
+                _ => verify_nodata(qname, qtype, params, views, &self.meter)?,
+            }
+            // RFC 8198: a verified denial chain is synthesis material.
+            if self.config.aggressive_nsec3 {
+                self.aggressive
+                    .insert(zone, params, views, net.now_micros(), 300);
+            }
         } else {
             // NSEC-based or proofless denial.
             let nsec_refs: Vec<&Record> = resp
@@ -878,36 +855,15 @@ impl Resolver {
                 .filter(|r| r.rrtype() == RrType::NSEC)
                 .collect();
             if nsec_refs.is_empty() {
-                Err(ValidationError::BadDenialProof)
-            } else {
-                self.validate_nsec_sigs(resp, keys)
-                    .and_then(|()| match resp.rcode {
-                        Rcode::NxDomain => validator::nsec::verify_nxdomain(qname, &nsec_refs),
-                        _ => Ok(()), // NODATA via NSEC: bitmap check
-                    })
+                return Err(Refusal::Invalid(ValidationError::BadDenialProof));
             }
-        };
-        match denial_ok {
-            Ok(()) => {
-                // RFC 8198: a verified denial chain is synthesis material.
-                if self.config.aggressive_nsec3 {
-                    if let Some((params, views)) = &parsed_nsec3 {
-                        self.aggressive
-                            .insert(zone, params, views, net.now_micros(), 300);
-                    }
-                }
-                ResolveOutcome {
-                    rcode: resp.rcode,
-                    authenticated: true,
-                    answers,
-                    authorities: resp.authorities.clone(),
-                    ede: None,
-                    budget_exceeded: false,
-                    cost: cost(&self.meter),
-                }
+            self.validate_nsec_sigs(resp, keys)?;
+            // NODATA via NSEC is a bitmap check the signatures cover.
+            if resp.rcode == Rcode::NxDomain {
+                validator::nsec::verify_nxdomain(qname, &nsec_refs)?;
             }
-            Err(e) => self.validation_failure(e, cost(&self.meter)),
         }
+        Ok(SECURE)
     }
 
     /// Apply the iteration/salt limits; the item-7 subtlety lives here.
@@ -946,43 +902,47 @@ impl Resolver {
 
     /// Verify the RRSIGs over every NSEC3 RRset in the response.
     fn validate_proof_sigs(&self, resp: &Message, keys: &ZoneKeys) -> Result<(), ValidationError> {
-        let all: Vec<&Record> = resp.authorities.iter().chain(resp.answers.iter()).collect();
-        let owners: Vec<Name> = {
-            let mut o: Vec<Name> = all
-                .iter()
-                .filter(|r| r.rrtype() == RrType::NSEC3)
-                .map(|r| r.name.clone())
-                .collect();
-            o.dedup();
-            o
-        };
-        for owner in owners {
-            let rrset: Vec<Record> = all
-                .iter()
-                .filter(|r| r.rrtype() == RrType::NSEC3 && r.name == owner)
-                .map(|r| (*r).clone())
-                .collect();
-            let sigs: Vec<Record> = all
-                .iter()
-                .filter(|r| r.rrtype() == RrType::RRSIG && r.name == owner)
-                .map(|r| (*r).clone())
-                .collect();
-            validate_rrset(&owner, &rrset, &sigs, keys, self.config.now, &self.meter)?;
-        }
-        Ok(())
+        self.validate_denial_sigs(
+            resp.authorities.iter().chain(&resp.answers),
+            RrType::NSEC3,
+            keys,
+        )
     }
 
     /// Verify the RRSIGs over every NSEC RRset in the response.
     fn validate_nsec_sigs(&self, resp: &Message, keys: &ZoneKeys) -> Result<(), ValidationError> {
-        let all: Vec<&Record> = resp.authorities.iter().collect();
-        for rec in all.iter().filter(|r| r.rrtype() == RrType::NSEC) {
-            let rrset = vec![(*rec).clone()];
-            let sigs: Vec<Record> = all
-                .iter()
-                .filter(|r| r.rrtype() == RrType::RRSIG && r.name == rec.name)
-                .map(|r| (*r).clone())
-                .collect();
-            validate_rrset(&rec.name, &rrset, &sigs, keys, self.config.now, &self.meter)?;
+        self.validate_denial_sigs(resp.authorities.iter(), RrType::NSEC, keys)
+    }
+
+    /// Verify, owner by owner, the `denial` (NSEC or NSEC3) RRsets among
+    /// `records` against the RRSIGs found at the same owner.
+    fn validate_denial_sigs<'r>(
+        &self,
+        records: impl Iterator<Item = &'r Record> + Clone,
+        denial: RrType,
+        keys: &ZoneKeys,
+    ) -> Result<(), ValidationError> {
+        let at = |owner: &'r Name, rrtype: RrType| -> Vec<&'r Record> {
+            records
+                .clone()
+                .filter(|r| r.rrtype() == rrtype && r.name == *owner)
+                .collect()
+        };
+        let mut previous: Option<&Name> = None;
+        for rec in records.clone().filter(|r| r.rrtype() == denial) {
+            // An owner's records arrive together; check each owner once.
+            if previous.replace(&rec.name) == Some(&rec.name) {
+                continue;
+            }
+            let owner = &rec.name;
+            validate_rrset(
+                owner,
+                &at(owner, denial),
+                &at(owner, RrType::RRSIG),
+                keys,
+                self.config.now,
+                &self.meter,
+            )?;
         }
         Ok(())
     }
@@ -1049,28 +1009,28 @@ impl Resolver {
         net: &Network,
         servers: &[IpAddr],
         anchor: &TrustAnchor,
-    ) -> Result<ZoneKeys, ValidationError> {
+    ) -> Result<Rc<ZoneKeys>, ValidationError> {
         if let Some(keys) = self.key_cache.get(&anchor.zone, net.now_micros()) {
             return Ok(keys);
         }
-        let keys = self.fetch_keys_via_anchor(net, servers, anchor)?;
+        let keys = Rc::new(self.fetch_keys_via_anchor(net, servers, anchor)?);
         self.key_cache
             .put(anchor.zone.clone(), keys.clone(), net.now_micros(), 3600);
         Ok(keys)
     }
 
     /// Key-cache wrapper around [`Resolver::fetch_child_keys`].
-    fn cached_child_keys(
+    fn cached_child_keys<R: Borrow<Record>>(
         &self,
         net: &Network,
         servers: &[IpAddr],
         child: &Name,
-        ds_records: &[Record],
-    ) -> Result<ZoneKeys, ValidationError> {
+        ds_records: &[R],
+    ) -> Result<Rc<ZoneKeys>, ValidationError> {
         if let Some(keys) = self.key_cache.get(child, net.now_micros()) {
             return Ok(keys);
         }
-        let keys = self.fetch_child_keys(net, servers, child, ds_records)?;
+        let keys = Rc::new(self.fetch_child_keys(net, servers, child, ds_records)?);
         self.key_cache
             .put(child.clone(), keys.clone(), net.now_micros(), 3600);
         Ok(keys)
@@ -1089,11 +1049,10 @@ impl Resolver {
         let resp = self
             .ask_any(net, servers, &anchor.zone, RrType::DNSKEY)
             .ok_or(ValidationError::MissingSignature)?;
-        let dnskeys: Vec<Record> = resp
+        let dnskeys: Vec<&Record> = resp
             .answers
             .iter()
             .filter(|r| r.rrtype() == RrType::DNSKEY)
-            .cloned()
             .collect();
         // Anchor match.
         let anchored = dnskeys.iter().any(|r| {
@@ -1123,21 +1082,20 @@ impl Resolver {
 
     /// Fetch the child zone's DNSKEY RRset and validate it against the DS
     /// set obtained from the parent.
-    fn fetch_child_keys(
+    fn fetch_child_keys<R: Borrow<Record>>(
         &self,
         net: &Network,
         servers: &[IpAddr],
         child: &Name,
-        ds_records: &[Record],
+        ds_records: &[R],
     ) -> Result<ZoneKeys, ValidationError> {
         let resp = self
             .ask_any(net, servers, child, RrType::DNSKEY)
             .ok_or(ValidationError::MissingSignature)?;
-        let dnskeys: Vec<Record> = resp
+        let dnskeys: Vec<&Record> = resp
             .answers
             .iter()
             .filter(|r| r.rrtype() == RrType::DNSKEY)
-            .cloned()
             .collect();
         if dnskeys.is_empty() {
             return Err(ValidationError::MissingSignature);
@@ -1145,7 +1103,7 @@ impl Resolver {
         // One DNSKEY must match a DS digest.
         let sep_ok = dnskeys.iter().any(|dnskey| {
             let tag = dns_crypto::keytag::key_tag(&dnskey.rdata.canonical_bytes());
-            ds_records.iter().any(|ds| match &ds.rdata {
+            ds_records.iter().any(|ds| match &ds.borrow().rdata {
                 RData::Ds {
                     key_tag,
                     digest_type: 2,
@@ -1217,6 +1175,28 @@ enum LimitFlow {
     Continue,
     Insecure,
     ServFail,
+}
+
+/// An authoritative response accepted for relay to the client.
+struct Relay {
+    /// Whether the AD bit is earned.
+    authenticated: bool,
+    /// EDE to attach (an RFC 9276 downgrade announces itself).
+    ede: Option<(EdeCode, String)>,
+}
+
+/// Why an authoritative response is answered with SERVFAIL instead.
+enum Refusal {
+    /// The RFC 9276 limit policy says SERVFAIL.
+    Limit,
+    /// Validation failed.
+    Invalid(ValidationError),
+}
+
+impl From<ValidationError> for Refusal {
+    fn from(e: ValidationError) -> Self {
+        Refusal::Invalid(e)
+    }
 }
 
 /// In-flight state of one iterative walk (one hop of CNAME chasing).
@@ -1386,19 +1366,16 @@ impl<'a> Recursion<'a> {
     fn finish_resolution(&mut self, net: &Network, outcome: ResolveOutcome) -> RecursionStep {
         self.resolver.meter.disarm_budget();
         self.armed = false;
-        let ttl = answer_ttl(&outcome);
+        // The cache keeps its own copy of the outcome (minus the cost):
+        // the one clone on this path.
         self.resolver.answer_cache.put(
             (self.qname.clone(), self.qtype),
-            CachedAnswer {
-                rcode: outcome.rcode,
-                authenticated: outcome.authenticated,
-                answers: outcome.answers.clone(),
-                authorities: outcome.authorities.clone(),
-                ede: outcome.ede.clone(),
-                budget_exceeded: outcome.budget_exceeded,
-            },
+            Rc::new(ResolveOutcome {
+                cost: CostSnapshot::default(),
+                ..outcome.clone()
+            }),
             net.now_micros(),
-            ttl,
+            answer_ttl(&outcome),
         );
         RecursionStep::Done(outcome)
     }
@@ -1415,17 +1392,16 @@ impl Drop for Recursion<'_> {
 }
 
 /// RRSIGs at `owner` within a section.
-fn rrsigs_at(section: &[Record], owner: &Name) -> Vec<Record> {
+fn rrsigs_at<'r>(section: &'r [Record], owner: &Name) -> Vec<&'r Record> {
     section
         .iter()
         .filter(|r| r.rrtype() == RrType::RRSIG && r.name == *owner)
-        .cloned()
         .collect()
 }
 
 /// If the RRSIG covering (owner, rrtype) proves wildcard expansion, return
 /// its labels field.
-fn wildcard_labels(sigs: &[Record], owner: &Name, rrtype: RrType) -> Option<u8> {
+fn wildcard_labels(sigs: &[&Record], owner: &Name, rrtype: RrType) -> Option<u8> {
     sigs.iter().find_map(|s| match &s.rdata {
         RData::Rrsig {
             type_covered,

@@ -5,13 +5,16 @@
 //! [`CostMeter`] — verifying a closest-encloser proof is exactly the code
 //! path CVE-2023-50868 abuses.
 
+use std::borrow::Borrow;
+
+use dns_crypto::simsig;
 use dns_wire::base32;
 use dns_wire::name::Name;
 use dns_wire::rdata::{RData, NSEC3_FLAG_OPT_OUT, NSEC3_HASH_SHA1};
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 use dns_zone::nsec3hash::{nsec3_hash_cached, Nsec3Params};
-use dns_zone::signer::verify_rrsig;
+use dns_zone::signer::verify_rrsig_with;
 
 use crate::cost::CostMeter;
 
@@ -20,25 +23,22 @@ use crate::cost::CostMeter;
 pub struct ZoneKeys {
     /// The zone apex these keys belong to.
     pub apex: Name,
-    /// `(key_tag, algorithm, public_key)` triples.
-    pub keys: Vec<(u16, u8, Vec<u8>)>,
+    /// `(key_tag, verification context)` per DNSKEY, in RRset order. The
+    /// context holds the key schedule, derived here once instead of once
+    /// per signature checked.
+    keys: Vec<(u16, simsig::Context)>,
 }
 
 impl ZoneKeys {
     /// Build from a DNSKEY RRset (does not validate it; the caller chains
     /// trust via DS first).
-    pub fn from_dnskeys(apex: Name, records: &[Record]) -> Self {
+    pub fn from_dnskeys<R: Borrow<Record>>(apex: Name, records: &[R]) -> Self {
         let keys = records
             .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Dnskey {
-                    algorithm,
-                    public_key,
-                    ..
-                } => Some((
-                    dns_crypto::keytag::key_tag(&r.rdata.canonical_bytes()),
-                    *algorithm,
-                    public_key.clone(),
+            .filter_map(|r| match &r.borrow().rdata {
+                rdata @ RData::Dnskey { public_key, .. } => Some((
+                    dns_crypto::keytag::key_tag(&rdata.canonical_bytes()),
+                    simsig::Context::new(public_key),
                 )),
                 _ => None,
             })
@@ -76,21 +76,22 @@ pub enum ValidationError {
 
 /// Validate one RRset against `keys`: find a temporally-valid RRSIG from
 /// the zone's signer and verify it.
-pub fn validate_rrset(
+pub fn validate_rrset<R: Borrow<Record>>(
     owner: &Name,
-    records: &[Record],
-    rrsigs: &[Record],
+    records: &[R],
+    rrsigs: &[R],
     keys: &ZoneKeys,
     now: u32,
     meter: &CostMeter,
 ) -> Result<(), ValidationError> {
     let rrtype = match records.first() {
-        Some(r) => r.rrtype(),
+        Some(r) => r.borrow().rrtype(),
         None => return Err(ValidationError::MissingSignature),
     };
     let mut saw_candidate = false;
     let mut saw_expired = false;
     for sig in rrsigs {
+        let sig = sig.borrow();
         let (covered, key_tag, signer, inception, expiration) = match &sig.rdata {
             RData::Rrsig {
                 type_covered,
@@ -116,7 +117,7 @@ pub fn validate_rrset(
             saw_expired = true;
             continue;
         }
-        for (tag, _alg, public_key) in &keys.keys {
+        for (tag, key) in &keys.keys {
             if *tag != key_tag {
                 continue;
             }
@@ -126,7 +127,7 @@ pub fn validate_rrset(
                 return Err(ValidationError::BudgetExceeded);
             }
             meter.add_signature();
-            if verify_rrsig(&sig.rdata, owner, records, public_key) {
+            if verify_rrsig_with(&sig.rdata, owner, records, key) {
                 return Ok(());
             }
         }
@@ -145,8 +146,6 @@ pub fn validate_rrset(
 pub struct Nsec3View {
     /// The hash encoded in the owner name's first label.
     pub owner_hash: Vec<u8>,
-    /// The record itself (owner, rdata).
-    pub record: Record,
     /// Next hashed owner.
     pub next_hash: Vec<u8>,
     /// Opt-out flag.
@@ -162,50 +161,45 @@ pub struct Nsec3View {
 pub fn parse_nsec3_set(
     records: &[&Record],
 ) -> Result<(Nsec3Params, Vec<Nsec3View>), ValidationError> {
-    let mut params: Option<Nsec3Params> = None;
-    let mut views = Vec::new();
+    // The first record's parameters, borrowed; every later record must
+    // repeat them.
+    let mut shared: Option<(u16, &[u8])> = None;
+    let mut views = Vec::with_capacity(records.len());
     for rec in records {
-        let (hash_alg, flags, iterations, salt, next_hashed, types) = match &rec.rdata {
-            RData::Nsec3 {
-                hash_alg,
-                flags,
-                iterations,
-                salt,
-                next_hashed,
-                types,
-            } => (*hash_alg, *flags, *iterations, salt, next_hashed, types),
-            _ => continue,
+        let RData::Nsec3 {
+            hash_alg,
+            flags,
+            iterations,
+            salt,
+            next_hashed,
+            types,
+        } = &rec.rdata
+        else {
+            continue;
         };
-        if hash_alg != NSEC3_HASH_SHA1 {
+        if *hash_alg != NSEC3_HASH_SHA1 {
             return Err(ValidationError::UnknownNsec3Algorithm);
         }
-        let p = Nsec3Params {
-            hash_alg,
-            iterations,
-            salt: salt.clone(),
-        };
-        match &params {
-            None => params = Some(p),
-            Some(existing) if *existing != p => return Err(ValidationError::InconsistentNsec3),
-            _ => {}
+        if *shared.get_or_insert((*iterations, salt.as_slice())) != (*iterations, salt.as_slice()) {
+            return Err(ValidationError::InconsistentNsec3);
         }
-        let label = rec
+        // A label that is not base32hex (non-ASCII included) decodes to
+        // nothing.
+        let owner_hash = rec
             .name
             .labels()
             .next()
-            .map(|l| String::from_utf8_lossy(l).to_string())
-            .unwrap_or_default();
-        let owner_hash = base32::decode(&label).ok_or(ValidationError::BadDenialProof)?;
+            .and_then(base32::decode)
+            .ok_or(ValidationError::BadDenialProof)?;
         views.push(Nsec3View {
             owner_hash,
-            record: (*rec).clone(),
             next_hash: next_hashed.clone(),
             opt_out: flags & NSEC3_FLAG_OPT_OUT != 0,
             types: types.clone(),
         });
     }
-    let params = params.ok_or(ValidationError::BadDenialProof)?;
-    Ok((params, views))
+    let (iterations, salt) = shared.ok_or(ValidationError::BadDenialProof)?;
+    Ok((Nsec3Params::new(iterations, salt.to_vec()), views))
 }
 
 /// Does `hash` fall strictly inside the circular interval
@@ -505,6 +499,7 @@ mod tests {
         let nsec3s: Vec<&Record> = proof
             .records
             .iter()
+            .copied()
             .filter(|r| r.rrtype() == RrType::NSEC3)
             .collect();
         parse_nsec3_set(&nsec3s).unwrap()
@@ -636,6 +631,7 @@ mod tests {
         let nsec3s: Vec<&Record> = proof
             .records
             .iter()
+            .copied()
             .filter(|r| r.rrtype() == RrType::NSEC3)
             .collect();
         let (params, views) = parse_nsec3_set(&nsec3s).unwrap();
@@ -655,7 +651,7 @@ mod tests {
             .records
             .iter()
             .filter(|r| r.rrtype() == RrType::NSEC3)
-            .cloned()
+            .map(|r| (*r).clone())
             .collect();
         if let RData::Nsec3 { iterations, .. } = &mut recs[0].rdata {
             *iterations += 1;
@@ -709,18 +705,6 @@ mod tests {
     fn covers_handles_wraparound() {
         let v = Nsec3View {
             owner_hash: vec![0xf0; 20],
-            record: Record::new(
-                name("x."),
-                0,
-                RData::Nsec3 {
-                    hash_alg: 1,
-                    flags: 0,
-                    iterations: 0,
-                    salt: vec![],
-                    next_hashed: vec![0x10; 20],
-                    types: Default::default(),
-                },
-            ),
             next_hash: vec![0x10; 20],
             opt_out: false,
             types: Default::default(),
@@ -782,6 +766,7 @@ mod tests {
         let nsec3s: Vec<&Record> = proof
             .records
             .iter()
+            .copied()
             .filter(|r| r.rrtype() == RrType::NSEC3)
             .collect();
         let (params, views) = parse_nsec3_set(&nsec3s).unwrap();

@@ -118,7 +118,7 @@ pub fn nsec3_collect(
                 }
                 // Owner hash from the first label…
                 if let Some(label) = rec.name.labels().next() {
-                    if let Some(h) = dns_wire::base32::decode(&String::from_utf8_lossy(label)) {
+                    if let Some(h) = dns_wire::base32::decode(label) {
                         hashes.insert(h);
                     }
                 }

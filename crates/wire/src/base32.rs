@@ -26,9 +26,11 @@ pub fn encode(data: &[u8]) -> String {
     out
 }
 
-/// Decode unpadded base32hex (case-insensitive). Returns `None` on invalid
-/// characters or an impossible length.
-pub fn decode(s: &str) -> Option<Vec<u8>> {
+/// Decode unpadded base32hex (case-insensitive), from text or straight
+/// from label bytes. Returns `None` on invalid characters or an
+/// impossible length.
+pub fn decode(s: impl AsRef<[u8]>) -> Option<Vec<u8>> {
+    let s = s.as_ref();
     // Lengths congruent to 1, 3 or 6 mod 8 cannot occur.
     if matches!(s.len() % 8, 1 | 3 | 6) {
         return None;
@@ -36,7 +38,7 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(s.len() * 5 / 8);
     let mut buffer: u64 = 0;
     let mut bits: u32 = 0;
-    for c in s.bytes() {
+    for &c in s {
         let v = match c {
             b'0'..=b'9' => c - b'0',
             b'a'..=b'v' => c - b'a' + 10,
@@ -94,13 +96,14 @@ mod tests {
         assert!(decode("w").is_none()); // 'w' not in alphabet
         assert!(decode("0").is_none()); // impossible length
         assert!(decode("0!").is_none());
+        assert!(decode([0xc3u8, 0xa9]).is_none()); // non-ASCII label bytes
     }
 
     #[test]
     fn roundtrip_all_lengths() {
         for len in 0..40 {
             let data: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37)).collect();
-            assert_eq!(decode(&encode(&data)).unwrap(), data, "len {len}");
+            assert_eq!(decode(encode(&data)).unwrap(), data, "len {len}");
         }
     }
 }

@@ -77,11 +77,13 @@ impl<'a> Reader<'a> {
     /// Compression pointers must point strictly backwards, which also bounds
     /// the number of jumps and defeats pointer loops.
     pub fn name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        // Labels are gathered in a stack buffer (a valid name never
+        // exceeds it), so decoding allocates once, for the name itself.
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut wire_len = 0usize;
         let mut jumps = 0usize;
         let mut pos = self.pos;
         let mut end_of_name: Option<usize> = None; // position after first pointer
-        let mut total_len = 1usize;
         loop {
             let len = *self.data.get(pos).ok_or(WireError::Truncated)?;
             match len {
@@ -90,18 +92,15 @@ impl<'a> Reader<'a> {
                     break;
                 }
                 1..=63 => {
-                    let len = len as usize;
-                    let start = pos + 1;
-                    let label = self
-                        .data
-                        .get(start..start + len)
-                        .ok_or(WireError::Truncated)?;
-                    total_len += 1 + len;
-                    if total_len > MAX_NAME_LEN {
+                    let end = pos + 1 + len as usize;
+                    let label = self.data.get(pos..end).ok_or(WireError::Truncated)?;
+                    // The root octet counts toward the 255-octet limit.
+                    if wire_len + label.len() + 1 > MAX_NAME_LEN {
                         return Err(WireError::BadName("compressed name too long"));
                     }
-                    labels.push(label.to_vec());
-                    pos = start + len;
+                    wire[wire_len..wire_len + label.len()].copy_from_slice(label);
+                    wire_len += label.len();
+                    pos = end;
                 }
                 0xC0..=0xFF => {
                     let lo = *self.data.get(pos + 1).ok_or(WireError::Truncated)?;
@@ -122,7 +121,7 @@ impl<'a> Reader<'a> {
             }
         }
         self.pos = end_of_name.unwrap_or(pos);
-        Name::from_labels(labels)
+        Ok(Name::from_checked_wire(&wire[..wire_len]))
     }
 }
 

@@ -37,7 +37,7 @@ pub mod view;
 
 pub use buf::{with_pooled, WireBuf};
 pub use edns::{EdeCode, Edns, EdnsOption};
-pub use message::{Flags, Message, Question};
+pub use message::{Flags, Message, MessageHead, Question};
 pub use name::Name;
 pub use rdata::{RData, NSEC3_FLAG_OPT_OUT, NSEC3_HASH_SHA1};
 pub use record::Record;

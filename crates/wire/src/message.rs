@@ -1,5 +1,7 @@
 //! Full DNS messages: header, question, sections, EDNS pseudo-section.
 
+use std::borrow::Borrow;
+
 use crate::buf::{with_pooled, Reader, WireBuf, Writer};
 use crate::edns::Edns;
 use crate::name::Name;
@@ -140,18 +142,30 @@ impl Message {
     /// Serialize into a reusable [`WireBuf`], replacing its contents.
     pub fn encode_into(&self, buf: &mut WireBuf) {
         buf.clear();
-        let mut w = buf.writer();
-        self.encode_body(&mut w);
+        self.head().encode(
+            &mut buf.writer(),
+            &self.answers,
+            &self.authorities,
+            &self.additionals,
+        );
     }
 
     /// Serialize to wire format, appending to `out`. Compression state
     /// comes from a pooled thread-local scratch buffer, so this
     /// allocates nothing beyond what `out` needs to grow.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
-        with_pooled(|scratch| {
-            let mut w = Writer::compressing(out, scratch);
-            self.encode_body(&mut w);
-        });
+        self.head()
+            .encode_append(out, &self.answers, &self.authorities, &self.additionals);
+    }
+
+    fn head(&self) -> MessageHead<'_> {
+        MessageHead {
+            id: self.id,
+            flags: self.flags,
+            rcode: self.rcode,
+            questions: &self.questions,
+            edns: self.edns.as_ref(),
+        }
     }
 
     /// Serialize with the RFC 7766 stream framing in one pass: the
@@ -165,59 +179,6 @@ impl Message {
         self.encode_append(out);
         let len = out.len() - start - 2;
         out[start..start + 2].copy_from_slice(&(len as u16).to_be_bytes());
-    }
-
-    fn encode_body(&self, w: &mut Writer<'_>) {
-        w.u16(self.id);
-        let rcode = self.rcode.to_u16();
-        let mut flags: u16 = 0;
-        if self.flags.qr {
-            flags |= 0x8000;
-        }
-        flags |= (self.flags.opcode.to_u8() as u16) << 11;
-        if self.flags.aa {
-            flags |= 0x0400;
-        }
-        if self.flags.tc {
-            flags |= 0x0200;
-        }
-        if self.flags.rd {
-            flags |= 0x0100;
-        }
-        if self.flags.ra {
-            flags |= 0x0080;
-        }
-        if self.flags.ad {
-            flags |= 0x0020;
-        }
-        if self.flags.cd {
-            flags |= 0x0010;
-        }
-        flags |= rcode & 0x000f;
-        w.u16(flags);
-        w.u16(self.questions.len() as u16);
-        w.u16(self.answers.len() as u16);
-        w.u16(self.authorities.len() as u16);
-        let arcount = self.additionals.len() + usize::from(self.edns.is_some());
-        w.u16(arcount as u16);
-        for q in &self.questions {
-            w.name(&q.qname);
-            w.u16(q.qtype.0);
-            w.u16(q.qclass.0);
-        }
-        for rec in self
-            .answers
-            .iter()
-            .chain(&self.authorities)
-            .chain(&self.additionals)
-        {
-            rec.encode(w);
-        }
-        if let Some(edns) = &self.edns {
-            let mut e = edns.clone();
-            e.extended_rcode_hi = (rcode >> 4) as u8;
-            e.encode(w);
-        }
     }
 
     /// Parse from wire format.
@@ -298,6 +259,97 @@ impl Message {
             additionals,
             edns,
         })
+    }
+}
+
+/// Everything a message carries besides its three record sections.
+#[derive(Clone, Copy, Debug)]
+pub struct MessageHead<'a> {
+    /// Transaction id.
+    pub id: u16,
+    /// Header flags.
+    pub flags: Flags,
+    /// Response code (the high bits travel in the OPT record).
+    pub rcode: Rcode,
+    /// Question section.
+    pub questions: &'a [Question],
+    /// EDNS state, if an OPT record is to be written.
+    pub edns: Option<&'a Edns>,
+}
+
+impl MessageHead<'_> {
+    /// Write a whole message: header, questions, the three record
+    /// sections and the OPT record. This is the only message encoder —
+    /// [`Message`] passes its owned sections, the authoritative server
+    /// passes references into its zones — so the two cannot drift apart
+    /// by a byte.
+    pub fn encode<R: Borrow<Record>>(
+        &self,
+        w: &mut Writer<'_>,
+        answers: &[R],
+        authorities: &[R],
+        additionals: &[R],
+    ) {
+        w.u16(self.id);
+        let rcode = self.rcode.to_u16();
+        let mut flags: u16 = 0;
+        if self.flags.qr {
+            flags |= 0x8000;
+        }
+        flags |= (self.flags.opcode.to_u8() as u16) << 11;
+        if self.flags.aa {
+            flags |= 0x0400;
+        }
+        if self.flags.tc {
+            flags |= 0x0200;
+        }
+        if self.flags.rd {
+            flags |= 0x0100;
+        }
+        if self.flags.ra {
+            flags |= 0x0080;
+        }
+        if self.flags.ad {
+            flags |= 0x0020;
+        }
+        if self.flags.cd {
+            flags |= 0x0010;
+        }
+        flags |= rcode & 0x000f;
+        w.u16(flags);
+        w.u16(self.questions.len() as u16);
+        w.u16(answers.len() as u16);
+        w.u16(authorities.len() as u16);
+        let arcount = additionals.len() + usize::from(self.edns.is_some());
+        w.u16(arcount as u16);
+        for q in self.questions {
+            w.name(&q.qname);
+            w.u16(q.qtype.0);
+            w.u16(q.qclass.0);
+        }
+        for rec in answers.iter().chain(authorities).chain(additionals) {
+            rec.borrow().encode(w);
+        }
+        if let Some(edns) = self.edns {
+            let mut e = edns.clone();
+            e.extended_rcode_hi = (rcode >> 4) as u8;
+            e.encode(w);
+        }
+    }
+
+    /// [`MessageHead::encode`] with name compression, appending to `out`;
+    /// compression state comes from a pooled thread-local scratch buffer.
+    pub fn encode_append<R: Borrow<Record>>(
+        &self,
+        out: &mut Vec<u8>,
+        answers: &[R],
+        authorities: &[R],
+        additionals: &[R],
+    ) {
+        with_pooled(|scratch| {
+            let mut w = Writer::compressing(out, scratch);
+            self.encode(&mut w, answers, authorities, additionals);
+        });
     }
 }
 

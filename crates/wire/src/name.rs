@@ -354,17 +354,24 @@ impl Name {
         a_n.cmp(&b_n)
     }
 
-    /// All ancestor names from `self` up to and including the root, starting
-    /// with `self`. (`a.b.example.` yields `a.b.example.`, `b.example.`,
-    /// `example.`, `.`.)
-    pub fn self_and_ancestors(&self) -> Vec<Name> {
-        let mut out = Vec::with_capacity(self.label_count() + 1);
-        let mut cur = Some(self.clone());
-        while let Some(n) = cur {
-            cur = n.parent();
-            out.push(n);
-        }
-        out
+    /// The strict ancestors of `self`, nearest first, ending with the root
+    /// (`a.b.example.` yields `b.example.`, `example.`, `.`). Each name is
+    /// built only when the iterator reaches it, so a walk that stops at
+    /// the zone apex never pays for the labels above it.
+    pub fn ancestors(&self) -> impl Iterator<Item = Name> + '_ {
+        let mut rest: &[u8] = &self.wire;
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            rest = &tail[len as usize..];
+            Some(Name { wire: rest.into() })
+        })
+    }
+
+    /// A name from wire bytes the caller has already checked: labels of
+    /// 1..=63 octets, no root octet, at most 254 octets in all.
+    pub(crate) fn from_checked_wire(wire: &[u8]) -> Name {
+        debug_assert!(wire.len() < MAX_NAME_LEN);
+        Name { wire: wire.into() }
     }
 }
 
@@ -568,13 +575,14 @@ mod tests {
     }
 
     #[test]
-    fn self_and_ancestors_order() {
-        let chain = name("a.b.example.").self_and_ancestors();
-        let expect = ["a.b.example.", "b.example.", "example.", "."];
+    fn ancestors_order() {
+        let chain: Vec<Name> = name("a.b.example.").ancestors().collect();
+        let expect = ["b.example.", "example.", "."];
         assert_eq!(chain.len(), expect.len());
         for (c, e) in chain.iter().zip(expect.iter()) {
             assert_eq!(&c.to_string(), e);
         }
+        assert_eq!(Name::root().ancestors().count(), 0);
     }
 
     #[test]

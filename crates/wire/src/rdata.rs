@@ -4,7 +4,7 @@
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::buf::{Reader, Writer};
-use crate::name::Name;
+use crate::name::{Name, MAX_NAME_LEN};
 use crate::rrtype::RrType;
 use crate::typebitmap::TypeBitmap;
 use crate::WireError;
@@ -122,9 +122,12 @@ impl RData {
     pub fn encode(&self, w: &mut Writer, canonical: bool) {
         let put_name = |w: &mut Writer, n: &Name| {
             if canonical {
-                w.bytes(&n.to_canonical_wire());
+                let mut buf = [0u8; MAX_NAME_LEN];
+                let len = n.write_canonical_wire(&mut buf);
+                w.bytes(&buf[..len]);
             } else {
-                w.bytes(&n.to_wire());
+                w.bytes(n.wire_bytes());
+                w.u8(0);
             }
         };
         match self {

@@ -155,31 +155,36 @@ impl fmt::Display for Record {
     }
 }
 
-/// Sort records of one RRset into RFC 4034 §6.3 canonical order
-/// (ascending canonical RDATA, duplicates removed), as required before
-/// signing or verifying.
-pub fn canonical_rrset_order(records: &mut Vec<Record>) {
-    records.sort_by_key(|a| a.rdata.canonical_bytes());
-    records.dedup_by(|a, b| a.rdata.canonical_bytes() == b.rdata.canonical_bytes());
+/// The records of one RRset in RFC 4034 §6.3 canonical order (ascending
+/// canonical RDATA, duplicates removed), as required before signing or
+/// verifying. Each record comes paired with the canonical RDATA it was
+/// ordered by, which is also what the signing buffer writes.
+pub fn canonical_rrset_order<'a>(
+    records: impl IntoIterator<Item = &'a Record>,
+) -> Vec<(Vec<u8>, &'a Record)> {
+    let mut set: Vec<(Vec<u8>, &Record)> = records
+        .into_iter()
+        .map(|r| (r.rdata.canonical_bytes(), r))
+        .collect();
+    set.sort_by(|a, b| a.0.cmp(&b.0));
+    set.dedup_by(|a, b| a.0 == b.0);
+    set
 }
 
 /// Group records into RRsets keyed by (owner, type), preserving first-seen
-/// key order.
-pub fn group_rrsets(records: &[Record]) -> Vec<Vec<Record>> {
-    let mut order: Vec<(Name, RrType)> = Vec::new();
-    let mut sets: std::collections::HashMap<(Name, RrType), Vec<Record>> =
-        std::collections::HashMap::new();
+/// key order. The sets borrow the records; responses hold a handful of
+/// RRsets, so a linear scan beats hashing cloned keys.
+pub fn group_rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<Vec<&'a Record>> {
+    let mut sets: Vec<Vec<&Record>> = Vec::new();
     for rec in records {
-        let key = (rec.name.clone(), rec.rrtype());
-        if !sets.contains_key(&key) {
-            order.push(key.clone());
+        let same =
+            |set: &&mut Vec<&Record>| set[0].name == rec.name && set[0].rrtype() == rec.rrtype();
+        match sets.iter_mut().find(same) {
+            Some(set) => set.push(rec),
+            None => sets.push(vec![rec]),
         }
-        sets.entry(key).or_default().push(rec.clone());
     }
-    order
-        .into_iter()
-        .map(|k| sets.remove(&k).unwrap())
-        .collect()
+    sets
 }
 
 #[cfg(test)]
@@ -203,14 +208,15 @@ mod tests {
 
     #[test]
     fn canonical_order_sorts_by_rdata() {
-        let mut set = vec![
+        let set = vec![
             a("x.example.", [10, 0, 0, 2]),
             a("x.example.", [10, 0, 0, 1]),
             a("x.example.", [10, 0, 0, 2]), // duplicate
         ];
-        canonical_rrset_order(&mut set);
-        assert_eq!(set.len(), 2);
-        assert_eq!(set[0].rdata, RData::A(Ipv4Addr::new(10, 0, 0, 1)));
+        let ordered = canonical_rrset_order(&set);
+        assert_eq!(ordered.len(), 2);
+        assert_eq!(ordered[0].1.rdata, RData::A(Ipv4Addr::new(10, 0, 0, 1)));
+        assert_eq!(ordered[1].0, [10, 0, 0, 2]);
     }
 
     #[test]

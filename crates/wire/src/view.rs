@@ -436,24 +436,25 @@ impl<'a> MessageView<'a> {
         Ok(edns)
     }
 
+    /// Decode the whole question section (allocates the owned names).
+    pub fn questions(&self) -> Result<Vec<Question>, WireError> {
+        let mut questions = Vec::with_capacity(self.qdcount as usize);
+        let mut r = Reader::at(self.packet, 12);
+        for _ in 0..self.qdcount {
+            questions.push(Question {
+                qname: r.name()?,
+                qtype: RrType(r.u16()?),
+                qclass: Class(r.u16()?),
+            });
+        }
+        Ok(questions)
+    }
+
     /// Materialize the whole message. Produces exactly what
     /// `Message::decode` on the same packet produces (the CI parity gate
     /// asserts this over a generated corpus).
     pub fn to_message(&self) -> Result<Message, WireError> {
-        let mut questions = Vec::with_capacity(self.qdcount as usize);
-        let mut pos = 12;
-        for _ in 0..self.qdcount {
-            let mut r = Reader::at(self.packet, pos);
-            let qname = r.name()?;
-            let qtype = RrType(r.u16()?);
-            let qclass = Class(r.u16()?);
-            questions.push(Question {
-                qname,
-                qtype,
-                qclass,
-            });
-            pos = r.pos();
-        }
+        let questions = self.questions()?;
         let mut edns: Option<Edns> = None;
         let mut answers = Vec::with_capacity(self.ancount as usize);
         let mut authorities = Vec::with_capacity(self.nscount as usize);

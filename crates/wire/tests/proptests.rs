@@ -180,7 +180,7 @@ props! {
     }
 
     fn base32_roundtrip(data in gens::vec_of(gens::u8s(..), 0..64)) {
-        assert_eq!(base32::decode(&base32::encode(&data)).unwrap(), data);
+        assert_eq!(base32::decode(base32::encode(&data)).unwrap(), data);
     }
 
     fn base64_roundtrip(data in gens::vec_of(gens::u8s(..), 0..96)) {

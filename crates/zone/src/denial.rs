@@ -2,12 +2,15 @@
 //! (RFC 4035 §3.1.3, RFC 5155 §7.2).
 //!
 //! Given a signed zone and a query that has no positive answer, these
-//! functions assemble the NSEC/NSEC3 records (plus their RRSIGs) that prove
+//! functions pick the NSEC/NSEC3 records (plus their RRSIGs) that prove
 //! the negative — the records a validating resolver will burn CPU on when
-//! iteration counts are high.
+//! iteration counts are high. A proof borrows its records from the zone;
+//! nothing is copied until a caller asks for an owned message.
+
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use dns_wire::name::Name;
-use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 
@@ -27,36 +30,37 @@ pub enum DenialKind {
     WildcardExpansion,
 }
 
-/// A denial proof: the authority-section records to attach.
+/// A denial proof: the authority-section records to attach, borrowed from
+/// the zone.
 #[derive(Clone, Debug)]
-pub struct DenialProof {
+pub struct DenialProof<'z> {
     /// Proof classification.
     pub kind: DenialKind,
     /// NSEC/NSEC3 records with their RRSIGs, ready for the authority
     /// section.
-    pub records: Vec<Record>,
+    pub records: Vec<&'z Record>,
     /// The closest encloser used (NSEC3 NXDOMAIN proofs).
     pub closest_encloser: Option<Name>,
 }
 
-/// The record plus every RRSIG at `owner` covering `rrtype`.
-fn with_rrsigs(z: &SignedZone, owner: &Name, rrtype: RrType) -> Vec<Record> {
-    let mut out = Vec::new();
-    if let Some(recs) = z.zone.rrset(owner, rrtype) {
-        out.extend(recs.iter().cloned());
+/// The `rrtype` denial record and its RRSIGs at each distinct owner, in
+/// the order given. A proof names at most three owners and two often
+/// coincide (one NSEC3 covering both the next closer and the wildcard).
+/// Dropping the repeated *owner* is dropping the repeated *records*: the
+/// records of one owner are the same records, and those of two owners
+/// differ in their owner name.
+fn records_at<'z>(z: &'z SignedZone, rrtype: RrType, owners: &[Option<&Name>]) -> Vec<&'z Record> {
+    let mut records = Vec::with_capacity(2 * owners.len());
+    for (i, owner) in owners.iter().enumerate() {
+        if let Some(o) = owner.filter(|_| !owners[..i].contains(owner)) {
+            records.extend(z.zone.rrset_with_sigs(o, rrtype, true));
+        }
     }
-    if let Some(sigs) = z.zone.rrset(owner, RrType::RRSIG) {
-        out.extend(
-            sigs.iter()
-                .filter(|s| matches!(&s.rdata, RData::Rrsig { type_covered, .. } if *type_covered == rrtype))
-                .cloned(),
-        );
-    }
-    out
+    records
 }
 
 /// The NSEC3 owner whose hash equals the hash of `name`, if any.
-pub fn nsec3_matching(z: &SignedZone, name: &Name) -> Option<Name> {
+pub fn nsec3_matching<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
     let params = z.nsec3_params()?;
     // Denial proofs re-hash the same closest enclosers for every negative
     // answer an auth server synthesizes; the thread cache absorbs that.
@@ -64,37 +68,28 @@ pub fn nsec3_matching(z: &SignedZone, name: &Name) -> Option<Name> {
     nsec3_matching_hash(z, &h)
 }
 
-fn nsec3_matching_hash(z: &SignedZone, h: &[u8; 20]) -> Option<Name> {
+fn nsec3_matching_hash<'z>(z: &'z SignedZone, h: &[u8; 20]) -> Option<&'z Name> {
     z.nsec3_index
         .binary_search_by(|(hash, _)| hash.cmp(h))
         .ok()
-        .map(|i| z.nsec3_index[i].1.clone())
+        .map(|i| &z.nsec3_index[i].1)
 }
 
 /// The NSEC3 owner whose (circular) hash interval strictly covers the hash
 /// of `name`. Returns `None` if the hash collides with an existing owner
 /// (then a *matching* record exists instead) or the index is empty.
-pub fn nsec3_covering(z: &SignedZone, name: &Name) -> Option<Name> {
+pub fn nsec3_covering<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
     let params = z.nsec3_params()?;
     let h = nsec3_hash_cached(name, params).digest;
     nsec3_covering_hash(z, &h)
 }
 
-fn nsec3_covering_hash(z: &SignedZone, h: &[u8; 20]) -> Option<Name> {
-    if z.nsec3_index.is_empty() {
-        return None;
-    }
+fn nsec3_covering_hash<'z>(z: &'z SignedZone, h: &[u8; 20]) -> Option<&'z Name> {
     match z.nsec3_index.binary_search_by(|(hash, _)| hash.cmp(h)) {
         Ok(_) => None, // exact match: not "covered", it's "matched"
-        Err(insert_at) => {
-            // Predecessor in circular order; index 0 wraps to the last.
-            let idx = if insert_at == 0 {
-                z.nsec3_index.len() - 1
-            } else {
-                insert_at - 1
-            };
-            Some(z.nsec3_index[idx].1.clone())
-        }
+        // Predecessor in circular order; index 0 wraps to the last.
+        Err(0) => z.nsec3_index.last().map(|(_, owner)| owner),
+        Err(insert_at) => Some(&z.nsec3_index[insert_at - 1].1),
     }
 }
 
@@ -104,111 +99,84 @@ fn nsec3_covering_hash(z: &SignedZone, h: &[u8; 20]) -> Option<Name> {
 /// closest encloser, one *covering* the next-closer name, and one *covering*
 /// the wildcard at the closest encloser. NSEC zones need the NSEC covering
 /// `qname` and the one covering the wildcard.
-pub fn nxdomain_proof(z: &SignedZone, qname: &Name) -> Result<DenialProof, ZoneError> {
-    match &z.denial {
-        Denial::Nsec3 { .. } => {
-            let ce = z.zone.closest_encloser(qname);
-            let next_closer = next_closer_name(qname, &ce)?;
-            let wildcard = ce.prepend(b"*").map_err(|_| ZoneError::NameTooLong)?;
+pub fn nxdomain_proof<'z>(z: &'z SignedZone, qname: &Name) -> Result<DenialProof<'z>, ZoneError> {
+    nxdomain_proof_below(z, qname, z.zone.closest_encloser(qname))
+}
+
+/// [`nxdomain_proof`] for a caller that already knows `qname`'s closest
+/// encloser `ce` (the authoritative server finds it while ruling out a
+/// wildcard answer).
+pub fn nxdomain_proof_below<'z>(
+    z: &'z SignedZone,
+    qname: &Name,
+    ce: Name,
+) -> Result<DenialProof<'z>, ZoneError> {
+    let wildcard = ce.prepend(b"*").map_err(|_| ZoneError::NameTooLong)?;
+    let (records, ce) = match &z.denial {
+        Denial::Nsec3 { params, .. } => {
             // The proof always needs all three hashes (closest encloser,
             // next closer, wildcard at the encloser), so compute them in
             // one batched cache lookup: an adversarial NXDOMAIN storm pays
             // interleaved lanes per answer instead of three serial chains.
-            let params = z.nsec3_params().expect("NSEC3 denial has params");
-            let hashes = nsec3_hash_cached_batch(&[ce.clone(), next_closer, wildcard], params);
-            let mut records = Vec::new();
-            let mut push_owner = |owner: Option<Name>| {
-                if let Some(o) = owner {
-                    records.extend(with_rrsigs(z, &o, RrType::NSEC3));
-                }
-            };
-            push_owner(nsec3_matching_hash(z, &hashes[0].digest));
-            push_owner(nsec3_covering_hash(z, &hashes[1].digest));
-            push_owner(nsec3_covering_hash(z, &hashes[2].digest));
-            dedup_records(&mut records);
-            Ok(DenialProof {
-                kind: DenialKind::NxDomain,
-                records,
-                closest_encloser: Some(ce),
-            })
+            let next_closer = next_closer_name(qname, &ce)?;
+            let names = [ce, next_closer, wildcard];
+            let hashes = nsec3_hash_cached_batch(&names, params);
+            let owners = [
+                nsec3_matching_hash(z, &hashes[0].digest),
+                nsec3_covering_hash(z, &hashes[1].digest),
+                nsec3_covering_hash(z, &hashes[2].digest),
+            ];
+            let [ce, ..] = names;
+            (records_at(z, RrType::NSEC3, &owners), ce)
         }
         Denial::Nsec => {
-            let ce = z.zone.closest_encloser(qname);
-            let wildcard = ce.prepend(b"*").map_err(|_| ZoneError::NameTooLong)?;
-            let mut records = Vec::new();
-            if let Some(owner) = nsec_covering(z, qname) {
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC));
-            }
-            if let Some(owner) = nsec_covering(z, &wildcard) {
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC));
-            }
-            dedup_records(&mut records);
-            Ok(DenialProof {
-                kind: DenialKind::NxDomain,
-                records,
-                closest_encloser: Some(ce),
-            })
+            let owners = [nsec_covering(z, qname), nsec_covering(z, &wildcard)];
+            (records_at(z, RrType::NSEC, &owners), ce)
         }
-    }
+    };
+    Ok(DenialProof {
+        kind: DenialKind::NxDomain,
+        records,
+        closest_encloser: Some(ce),
+    })
 }
 
 /// Assemble the NODATA proof: `qname` exists but lacks `qtype`.
-pub fn nodata_proof(z: &SignedZone, qname: &Name) -> Result<DenialProof, ZoneError> {
-    match &z.denial {
+pub fn nodata_proof<'z>(z: &'z SignedZone, qname: &Name) -> Result<DenialProof<'z>, ZoneError> {
+    let records = match &z.denial {
+        // Opt-out zones may have no NSEC3 for an insecure delegation; the
+        // covering record (with opt-out set) proves the DS absence
+        // instead (RFC 5155 §7.2.4).
         Denial::Nsec3 { .. } => {
-            let mut records = Vec::new();
-            if let Some(owner) = nsec3_matching(z, qname) {
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC3));
-            } else if let Some(owner) = nsec3_covering(z, qname) {
-                // Opt-out zones may have no NSEC3 for an insecure
-                // delegation; the covering record (with opt-out set) proves
-                // the DS absence instead (RFC 5155 §7.2.4).
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC3));
-            }
-            Ok(DenialProof {
-                kind: DenialKind::NoData,
-                records,
-                closest_encloser: None,
-            })
+            let owner = nsec3_matching(z, qname).or_else(|| nsec3_covering(z, qname));
+            records_at(z, RrType::NSEC3, &[owner])
         }
         Denial::Nsec => {
-            let mut records = Vec::new();
-            if let Some(recs) = z.zone.rrset(qname, RrType::NSEC) {
-                let _ = recs;
-                records.extend(with_rrsigs(z, qname, RrType::NSEC));
-            } else if let Some(owner) = nsec_covering(z, qname) {
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC));
-            }
-            Ok(DenialProof {
-                kind: DenialKind::NoData,
-                records,
-                closest_encloser: None,
-            })
+            let own = z.zone.rrset(qname, RrType::NSEC).map(|_| qname);
+            records_at(z, RrType::NSEC, &[own.or_else(|| nsec_covering(z, qname))])
         }
-    }
+    };
+    Ok(DenialProof {
+        kind: DenialKind::NoData,
+        records,
+        closest_encloser: None,
+    })
 }
 
 /// Proof accompanying a wildcard-expanded answer: the exact `qname` does not
 /// exist (NSEC3 covering the next-closer name; NSEC covering `qname`).
-pub fn wildcard_expansion_proof(
-    z: &SignedZone,
+pub fn wildcard_expansion_proof<'z>(
+    z: &'z SignedZone,
     qname: &Name,
     closest_encloser: &Name,
-) -> Result<DenialProof, ZoneError> {
-    let mut records = Vec::new();
-    match &z.denial {
+) -> Result<DenialProof<'z>, ZoneError> {
+    let records = match &z.denial {
         Denial::Nsec3 { .. } => {
             let next_closer = next_closer_name(qname, closest_encloser)?;
-            if let Some(owner) = nsec3_covering(z, &next_closer) {
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC3));
-            }
+            records_at(z, RrType::NSEC3, &[nsec3_covering(z, &next_closer)])
         }
-        Denial::Nsec => {
-            if let Some(owner) = nsec_covering(z, qname) {
-                records.extend(with_rrsigs(z, &owner, RrType::NSEC));
-            }
-        }
-    }
+        Denial::Nsec => records_at(z, RrType::NSEC, &[nsec_covering(z, qname)]),
+    };
     Ok(DenialProof {
         kind: DenialKind::WildcardExpansion,
         records,
@@ -219,55 +187,34 @@ pub fn wildcard_expansion_proof(
 /// The *next closer* name: the ancestor of `qname` exactly one label longer
 /// than the closest encloser (RFC 5155 §1.3).
 pub fn next_closer_name(qname: &Name, closest_encloser: &Name) -> Result<Name, ZoneError> {
-    if qname == closest_encloser {
+    if qname == closest_encloser || !qname.is_subdomain_of(closest_encloser) {
         return Err(ZoneError::NotBelowEncloser);
     }
-    let mut cur = qname.clone();
-    loop {
-        let parent = cur.parent().ok_or(ZoneError::NotBelowEncloser)?;
-        if &parent == closest_encloser {
-            return Ok(cur);
-        }
-        cur = parent;
-    }
+    Ok(match qname.label_count() - closest_encloser.label_count() {
+        1 => qname.clone(),
+        extra => qname
+            .ancestors()
+            .nth(extra - 2)
+            .expect("a name has one ancestor per label"),
+    })
 }
 
-/// The NSEC owner whose (circular, canonical-order) interval covers `name`.
-pub fn nsec_covering(z: &SignedZone, name: &Name) -> Option<Name> {
-    // NSEC owners in canonical order.
-    let owners: Vec<&Name> = z
-        .zone
-        .names()
-        .filter(|n| z.zone.rrset(n, RrType::NSEC).is_some())
-        .collect();
-    if owners.is_empty() {
-        return None;
-    }
-    // Predecessor of `name` (strictly before it). Wrap to last if `name`
-    // precedes every owner.
-    let idx = owners.partition_point(|o| o.canonical_cmp(name) == std::cmp::Ordering::Less);
-    let owner = if idx == 0 {
-        owners[owners.len() - 1]
-    } else {
-        owners[idx - 1]
+/// The NSEC owner whose (circular, canonical-order) interval covers `name`:
+/// its predecessor among the NSEC owners, wrapping to the last one when
+/// `name` precedes them all.
+pub fn nsec_covering<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
+    let owners = z.zone.rrsets();
+    let has_nsec = |(owner, types): (&'z Name, &'z BTreeMap<RrType, Vec<Record>>)| {
+        types.contains_key(&RrType::NSEC).then_some(owner)
     };
-    if owner == name {
-        return None; // name exists: matched, not covered
-    }
-    Some(owner.clone())
-}
-
-fn dedup_records(records: &mut Vec<Record>) {
-    let mut seen: Vec<(Name, Vec<u8>)> = Vec::new();
-    records.retain(|r| {
-        let key = (r.name.clone(), r.rdata.canonical_bytes());
-        if seen.contains(&key) {
-            false
-        } else {
-            seen.push(key);
-            true
-        }
-    });
+    let owner = owners
+        .range::<Name, _>((Bound::Unbounded, Bound::Excluded(name)))
+        .rev()
+        .find_map(has_nsec)
+        .or_else(|| owners.iter().rev().find_map(has_nsec))?;
+    // The wrap can land on `name` itself: it exists, so it is matched,
+    // not covered.
+    (owner != name).then_some(owner)
 }
 
 #[cfg(test)]
@@ -276,6 +223,7 @@ mod tests {
     use crate::signer::{sign_zone, Denial, SignerConfig};
     use crate::zone::Zone;
     use dns_wire::name::name;
+    use dns_wire::rdata::RData;
     use std::net::Ipv4Addr;
 
     const NOW: u32 = 1_710_000_000;
@@ -443,7 +391,7 @@ mod tests {
         // A name canonically before the apex's first successor but "below"
         // everything — e.g. a name after the last owner wraps to last NSEC.
         let covering = nsec_covering(&z, &name("zzz.example.")).unwrap();
-        assert!(z.zone.rrset(&covering, RrType::NSEC).is_some());
+        assert!(z.zone.rrset(covering, RrType::NSEC).is_some());
     }
 
     #[test]

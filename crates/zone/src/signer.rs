@@ -1,6 +1,8 @@
 //! Zone signing: DNSKEY publication, NSEC/NSEC3 chain construction, and
 //! RRSIG generation (RFC 4034/4035/5155), over the SimSig scheme.
 
+use std::borrow::Borrow;
+
 use dns_crypto::keytag::key_tag;
 use dns_crypto::sha256::sha256;
 use dns_crypto::simsig::{self, KeyPair};
@@ -263,10 +265,10 @@ impl SignedZone {
 ///
 /// Shared verbatim by signer and validator, so any disagreement is a bug in
 /// exactly one place.
-pub fn signing_buffer(
+pub fn signing_buffer<R: Borrow<Record>>(
     rrsig_fields: &RData,
     owner: &Name,
-    records: &[Record],
+    records: &[R],
 ) -> Result<Vec<u8>, ZoneError> {
     let (
         type_covered,
@@ -300,7 +302,7 @@ pub fn signing_buffer(
         ),
         _ => return Err(ZoneError::NotAnRrsig),
     };
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(256);
     let mut w = Writer::plain(&mut out);
     w.u16(type_covered.0);
     w.u8(algorithm);
@@ -309,39 +311,40 @@ pub fn signing_buffer(
     w.u32(expiration);
     w.u32(inception);
     w.u16(key_tag);
-    w.bytes(&signer_name.to_canonical_wire());
-    // Single-record RRsets (the overwhelmingly common case) need no sort
-    // and no clone.
-    let sorted: Vec<Record>;
-    let in_order: &[Record] = if records.len() <= 1 {
-        records
-    } else {
-        sorted = {
-            let mut s = records.to_vec();
-            canonical_rrset_order(&mut s);
-            s
-        };
-        &sorted
-    };
+    let mut name_buf = [0u8; dns_wire::name::MAX_NAME_LEN];
+    let len = signer_name.write_canonical_wire(&mut name_buf);
+    w.bytes(&name_buf[..len]);
     // RFC 4035 §5.3.2: if the RRSIG labels field is less than the owner's
     // label count, the owner is replaced by the wildcard-expanded source
     // (`*.<labels rightmost labels>`). The non-wildcard case writes the
     // owner from a stack buffer instead of cloning it.
-    let mut owner_buf = [0u8; dns_wire::name::MAX_NAME_LEN];
     let owner_len = if (labels as usize) < significant_labels(owner) {
-        effective_owner(owner, labels).write_canonical_wire(&mut owner_buf)
+        effective_owner(owner, labels).write_canonical_wire(&mut name_buf)
     } else {
-        owner.write_canonical_wire(&mut owner_buf)
+        owner.write_canonical_wire(&mut name_buf)
     };
-    let owner_wire = &owner_buf[..owner_len];
-    for rec in in_order {
+    let owner_wire = &name_buf[..owner_len];
+    let rr_header = |w: &mut Writer<'_>, rec: &Record| {
         w.bytes(owner_wire);
         w.u16(rec.rrtype().0);
         w.u16(rec.class.0);
         w.u32(original_ttl);
-        let rdata = rec.rdata.canonical_bytes();
+    };
+    // Single-record RRsets (the overwhelmingly common case) need no sort
+    // and no copy: the RDATA is encoded in place, its length patched in.
+    if let [rec] = records {
+        let rec = rec.borrow();
+        rr_header(&mut w, rec);
+        let len_at = w.len();
+        w.u16(0);
+        rec.rdata.encode(&mut w, true);
+        w.patch_u16(len_at, (w.len() - len_at - 2) as u16);
+        return Ok(out);
+    }
+    for (rdata, rec) in &canonical_rrset_order(records.iter().map(Borrow::borrow)) {
+        rr_header(&mut w, rec);
         w.u16(rdata.len() as u16);
-        w.bytes(&rdata);
+        w.bytes(rdata);
     }
     Ok(out)
 }
@@ -466,15 +469,28 @@ fn sign_rrset_prepared(
 ///
 /// Checks the cryptographic binding only; temporal validity and chain
 /// placement are the resolver's job.
-pub fn verify_rrsig(rrsig: &RData, owner: &Name, records: &[Record], public_key: &[u8]) -> bool {
-    let signature = match rrsig {
-        RData::Rrsig { signature, .. } => signature,
-        _ => return false,
+pub fn verify_rrsig<R: Borrow<Record>>(
+    rrsig: &RData,
+    owner: &Name,
+    records: &[R],
+    public_key: &[u8],
+) -> bool {
+    verify_rrsig_with(rrsig, owner, records, &simsig::Context::new(public_key))
+}
+
+/// [`verify_rrsig`] against a key whose [`simsig::Context`] is already
+/// built — what a validator holding a zone's DNSKEY set uses, so the key
+/// schedule is derived once per key and not once per signature.
+pub fn verify_rrsig_with<R: Borrow<Record>>(
+    rrsig: &RData,
+    owner: &Name,
+    records: &[R],
+    key: &simsig::Context,
+) -> bool {
+    let RData::Rrsig { signature, .. } = rrsig else {
+        return false;
     };
-    match signing_buffer(rrsig, owner, records) {
-        Ok(buffer) => simsig::verify(public_key, &buffer, signature),
-        Err(_) => false,
-    }
+    signing_buffer(rrsig, owner, records).is_ok_and(|buffer| key.verify(&buffer, signature))
 }
 
 /// Sign `zone` according to `config`, producing a [`SignedZone`].

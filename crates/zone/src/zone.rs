@@ -2,6 +2,7 @@
 //! structural queries zone signing and denial-of-existence need.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
@@ -237,20 +238,41 @@ impl Zone {
         self.is_delegation(name) && self.rrset(name, RrType::DS).is_some()
     }
 
+    /// The RRset of `rrtype` at `owner` followed, when `with_sigs`, by the
+    /// RRSIGs covering it — the unit DNSSEC response sections and denial
+    /// proofs are assembled from, borrowed from the zone.
+    pub fn rrset_with_sigs<'z>(
+        &'z self,
+        owner: &Name,
+        rrtype: RrType,
+        with_sigs: bool,
+    ) -> impl Iterator<Item = &'z Record> {
+        let types = self.rrsets.get(owner);
+        let of = move |t| types.and_then(|m| m.get(&t)).map_or(&[][..], Vec::as_slice);
+        let sigs = if with_sigs { of(RrType::RRSIG) } else { &[] };
+        of(rrtype).iter().chain(sigs.iter().filter(
+            move |s| matches!(&s.rdata, RData::Rrsig { type_covered, .. } if *type_covered == rrtype),
+        ))
+    }
+
     /// Is `name` occluded — strictly below a delegation point (glue and
     /// anything else under a zone cut), and therefore not authoritative?
     pub fn is_occluded(&self, name: &Name) -> bool {
-        let mut cur = name.parent();
-        while let Some(n) = cur {
-            if !n.is_subdomain_of(&self.apex) || n == self.apex {
-                break;
-            }
-            if self.is_delegation(&n) {
-                return true;
-            }
-            cur = n.parent();
+        // Only the ancestors strictly between `name` and the apex can be
+        // cuts above it; a name directly under the apex has none.
+        name.ancestors()
+            .take(self.depth_below_apex(name).saturating_sub(1))
+            .any(|n| self.is_delegation(&n))
+    }
+
+    /// How many labels `name` sits below the apex (0 for the apex itself
+    /// and for names outside the zone).
+    pub fn depth_below_apex(&self, name: &Name) -> usize {
+        if name.is_subdomain_of(&self.apex) {
+            name.label_count() - self.apex.label_count()
+        } else {
+            0
         }
-        false
     }
 
     /// Empty non-terminals: names with no records of their own that
@@ -283,16 +305,14 @@ impl Zone {
     /// Does `name` "exist" in the zone in the RFC 4035 sense — it has
     /// records, or it is an empty non-terminal?
     pub fn name_exists(&self, name: &Name) -> bool {
-        if self.rrsets.contains_key(name) {
-            return true;
-        }
-        // An ENT exists iff some stored name is strictly below `name`.
+        // Canonical order puts a name's descendants directly after it, so
+        // the first stored name at or after `name` is `name` itself, a
+        // descendant (then `name` is an empty non-terminal), or proof
+        // that neither is stored.
         self.rrsets
-            .range(std::ops::RangeFrom {
-                start: name.clone(),
-            })
-            .take_while(|(n, _)| n.is_subdomain_of(name))
-            .any(|(n, _)| n != name)
+            .range::<Name, _>((Bound::Included(name), Bound::Unbounded))
+            .next()
+            .is_some_and(|(first, _)| first.is_subdomain_of(name))
     }
 
     /// The names that get denial-of-existence records (RFC 5155 §7.1):
@@ -392,15 +412,15 @@ impl Zone {
     /// The closest encloser of `qname`: the longest existing (per
     /// [`Zone::name_exists`]) ancestor-or-self of `qname` inside the zone.
     pub fn closest_encloser(&self, qname: &Name) -> Name {
-        for candidate in qname.self_and_ancestors() {
-            if !candidate.is_subdomain_of(&self.apex) {
-                break;
-            }
-            if self.name_exists(&candidate) {
-                return candidate;
-            }
+        let depth = self.depth_below_apex(qname);
+        if depth > 0 && self.name_exists(qname) {
+            return qname.clone();
         }
-        self.apex.clone()
+        qname
+            .ancestors()
+            .take(depth)
+            .find(|candidate| self.name_exists(candidate))
+            .unwrap_or_else(|| self.apex.clone())
     }
 
     /// The SOA minimum TTL (used as the TTL of denial records, RFC 2308).

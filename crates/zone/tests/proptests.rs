@@ -171,6 +171,7 @@ props! {
             let nsec3s: Vec<&Record> = proof
                 .records
                 .iter()
+            .copied()
                 .filter(|r| r.rrtype() == RrType::NSEC3)
                 .collect();
             assert!(!nsec3s.is_empty());

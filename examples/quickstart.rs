@@ -86,6 +86,7 @@ fn main() {
     let nsec3s: Vec<&Record> = proof
         .records
         .iter()
+        .copied()
         .filter(|r| r.rrtype() == RrType::NSEC3)
         .collect();
     let (proof_params, views) = parse_nsec3_set(&nsec3s).unwrap();

@@ -47,15 +47,20 @@ echo "== bench smoke: engine parity gates (reduced samples)"
 # byte-identically at threads=1/2/4; bench_wire refuses to start unless
 # MessageView's accept/reject decisions (and materialized contents) match
 # Message::decode over a corpus of clean, truncated, and bit-flipped
-# packets. Reduced samples keep this a smoke test; the JSON reports land
-# in a scratch dir, not the repo.
+# packets, and its auth_answer_{nxdomain,referral}_unique rows drive the
+# template-miss path (borrowed assembly, one encode) on 65,536 fresh
+# names; bench_denial_proofs runs the warm and the cold
+# (nxdomain_proof_synthesis_cold/{0,150}: a next closer never hashed
+# before) proof rows. Reduced samples keep this a smoke test; the JSON
+# reports land in a scratch dir, not the repo.
 SMOKE_DIR="$(mktemp -d)"
 ROOT="$(pwd)"
 (
     cd "$SMOKE_DIR" \
         && MICROBENCH_SAMPLES=5 "$ROOT/target/release/bench_nsec3_hash" >/dev/null \
         && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_zone_signing" >/dev/null \
-        && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_wire" >/dev/null
+        && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_wire" >/dev/null \
+        && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_denial_proofs" >/dev/null
 )
 rm -rf "$SMOKE_DIR"
 

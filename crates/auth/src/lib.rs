@@ -13,6 +13,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::rc::Rc;
 
 use dns_wire::edns::Edns;
 use dns_wire::message::{unframe_tcp, Flags, Message, MessageHead, Question};
@@ -23,7 +24,7 @@ use dns_wire::rrtype::{Class, Rcode, RrType};
 use dns_wire::view::MessageView;
 use dns_zone::denial::{self, DenialProof};
 use dns_zone::signer::SignedZone;
-use dns_zone::{Zone, ZoneError};
+use dns_zone::{Zone, ZoneError, ZoneNode};
 use netsim::{Network, Node};
 
 /// One logged query, as the paper's server-side logging captures it.
@@ -65,7 +66,7 @@ const TEMPLATE_CACHE_CAP: usize = 1024;
 
 /// An authoritative name server holding one or more signed zones.
 pub struct AuthServer {
-    zones: RefCell<HashMap<Name, SignedZone>>,
+    zones: RefCell<HashMap<Name, Rc<SignedZone>>>,
     log: RefCell<Vec<QueryLogEntry>>,
     log_cap: usize,
     /// Apexes whose zones may be transferred (the CZDS/open-AXFR TLDs the
@@ -96,12 +97,21 @@ impl AuthServer {
         self.templates.borrow_mut().clear();
     }
 
-    /// Install (or replace) a zone.
-    pub fn add_zone(&self, zone: SignedZone) {
+    /// Install (or replace) a zone. A caller that keeps the zone as well
+    /// (the lab does, for inspection) passes an `Rc` and shares the one
+    /// copy with the server.
+    pub fn add_zone(&self, zone: impl Into<Rc<SignedZone>>) {
+        let zone = zone.into();
         self.zones
             .borrow_mut()
             .insert(zone.zone.apex().clone(), zone);
         self.templates.borrow_mut().clear();
+    }
+
+    /// The installed zone with exactly this apex — the shared copy, not a
+    /// clone of its records.
+    pub fn zone(&self, apex: &Name) -> Option<Rc<SignedZone>> {
+        self.zones.borrow().get(apex).cloned()
     }
 
     /// Remove a zone by apex.
@@ -150,7 +160,7 @@ impl AuthServer {
     /// into the caller's `expanded` buffer and referenced from there.
     fn assemble<'a>(
         &self,
-        zones: &'a HashMap<Name, SignedZone>,
+        zones: &'a HashMap<Name, Rc<SignedZone>>,
         question: Option<&Question>,
         dnssec: bool,
         expanded: &'a mut Vec<Record>,
@@ -228,25 +238,26 @@ fn answer_in_zone<'a>(
 
     // 1. Referral if qname sits at or under a delegation (but a query
     //    *for* the DS of a delegation is answered authoritatively by
-    //    the parent).
-    if let Some(cut) = delegation_cut(z, qname) {
+    //    the parent). NS, DS and their RRSIGs all come from the cut's
+    //    node; A and AAAA glue from one node per target.
+    let own = z.node(qname);
+    if let Some((cut, node)) = delegation_cut(z, qname, own) {
         if !(cut == *qname && qtype == RrType::DS) {
             resp.aa = false;
-            resp.authorities
-                .extend(z.rrset_with_sigs(&cut, RrType::NS, dnssec));
-            if z.rrset(&cut, RrType::DS).is_none() {
+            resp.authorities.extend(node.with_sigs(RrType::NS, dnssec));
+            if node.rrset(RrType::DS).is_none() {
                 // Opt-out/insecure delegation: prove DS absence.
                 prove(resp, dnssec, || denial::nodata_proof(zone, &cut));
             } else if dnssec {
-                resp.authorities
-                    .extend(z.rrset_with_sigs(&cut, RrType::DS, true));
+                resp.authorities.extend(node.with_sigs(RrType::DS, true));
             }
-            // Glue.
-            for ns in z.rrset(&cut, RrType::NS).unwrap_or_default() {
-                if let RData::Ns(target) = &ns.rdata {
+            for ns in node.rrset(RrType::NS).unwrap_or_default() {
+                let RData::Ns(target) = &ns.rdata else {
+                    continue;
+                };
+                if let Some(glue) = z.node(target) {
                     for t in [RrType::A, RrType::AAAA] {
-                        resp.additionals
-                            .extend(z.rrset(target, t).unwrap_or_default());
+                        resp.additionals.extend(glue.rrset(t).unwrap_or_default());
                     }
                 }
             }
@@ -254,13 +265,14 @@ fn answer_in_zone<'a>(
         }
     }
 
-    // 2. Exact-name cases.
-    if z.has_name(qname) && !z.is_occluded(qname) {
+    // 2. Exact-name cases. No cut lies above `qname` (step 1 would have
+    //    referred), so a name stored here is not occluded.
+    if let Some(node) = own {
         let found = [qtype, RrType::CNAME]
             .into_iter()
-            .find(|t| z.rrset(qname, *t).is_some());
+            .find(|t| node.rrset(*t).is_some());
         match found {
-            Some(t) => resp.answers.extend(z.rrset_with_sigs(qname, t, dnssec)),
+            Some(t) => resp.answers.extend(node.with_sigs(t, dnssec)),
             None => {
                 // NODATA.
                 soa(resp);
@@ -283,30 +295,29 @@ fn answer_in_zone<'a>(
         Some(parent) => z.closest_encloser(&parent),
         None => z.apex().clone(),
     };
-    if let Ok(wildcard) = ce.prepend(b"*") {
-        if z.rrset(&wildcard, qtype).is_some() {
+    if let Some((wildcard, node)) = ce
+        .prepend(b"*")
+        .ok()
+        .and_then(|w| z.node(&w).map(|node| (w, node)))
+    {
+        if node.rrset(qtype).is_some() {
             // Expand: answers take the query name, signatures keep the
             // wildcard labels count (that is the expansion signal).
             expanded.extend(
-                z.rrset_with_sigs(&wildcard, qtype, dnssec)
+                node.with_sigs(qtype, dnssec)
                     .map(|rec| Record::new(qname.clone(), rec.ttl, rec.rdata.clone())),
             );
             let expanded: &'a [Record] = expanded;
             resp.answers.extend(expanded);
-            prove(resp, dnssec, || {
-                denial::wildcard_expansion_proof(zone, qname, &ce)
-            });
-            return;
-        }
-        if z.has_name(&wildcard) {
+        } else {
             // Wildcard exists but lacks qtype: NODATA via the wildcard.
             soa(resp);
             prove(resp, dnssec, || denial::nodata_proof(zone, &wildcard));
-            prove(resp, dnssec, || {
-                denial::wildcard_expansion_proof(zone, qname, &ce)
-            });
-            return;
         }
+        prove(resp, dnssec, || {
+            denial::wildcard_expansion_proof(zone, qname, &ce)
+        });
+        return;
     }
 
     // 5. NXDOMAIN.
@@ -324,24 +335,35 @@ impl Default for AuthServer {
 }
 
 /// Zone with the longest apex that is an ancestor-or-self of `qname`.
-fn best_zone<'a>(zones: &'a HashMap<Name, SignedZone>, qname: &Name) -> Option<&'a SignedZone> {
-    zones.get(qname).or_else(|| {
-        qname
-            .ancestors()
-            .find_map(|candidate| zones.get(&candidate))
-    })
+fn best_zone<'a>(zones: &'a HashMap<Name, Rc<SignedZone>>, qname: &Name) -> Option<&'a SignedZone> {
+    zones
+        .get(qname)
+        .or_else(|| {
+            qname
+                .ancestors()
+                .find_map(|candidate| zones.get(&candidate))
+        })
+        .map(Rc::as_ref)
 }
 
-/// The delegation cut at or above `qname` inside the zone, if any
-/// (nearest to the apex wins — a resolver descends one cut at a time).
-fn delegation_cut(z: &Zone, qname: &Name) -> Option<Name> {
+/// The delegation cut at or above `qname` inside the zone, if any, with
+/// the node stored there (nearest to the apex wins — a resolver descends
+/// one cut at a time). `own` is `qname`'s node, which the caller has
+/// looked up already.
+fn delegation_cut<'z>(
+    z: &'z Zone,
+    qname: &Name,
+    own: Option<ZoneNode<'z>>,
+) -> Option<(Name, ZoneNode<'z>)> {
     // Walking up from `qname`, the last cut seen is the one nearest the
     // apex; the apex itself is never a cut.
     let below_apex = z.depth_below_apex(qname).saturating_sub(1);
-    let mut cut = z.is_delegation(qname).then(|| qname.clone());
+    let mut cut = own
+        .filter(|node| qname != z.apex() && node.rrset(RrType::NS).is_some())
+        .map(|node| (qname.clone(), node));
     for candidate in qname.ancestors().take(below_apex) {
-        if z.is_delegation(&candidate) {
-            cut = Some(candidate);
+        if let Some(node) = z.delegation(&candidate) {
+            cut = Some((candidate, node));
         }
     }
     cut

@@ -183,6 +183,24 @@ fn main() {
         });
     }
 
+    // What a zone's owner index and the server's zone map pay per probe:
+    // one canonical comparison of two owners under the same TLD (they
+    // differ in the leftmost label, after one shared label), and one
+    // SipHash of a 20-octet name.
+    let siblings: Vec<_> = (0..64)
+        .map(|i| name(&format!("domain-{i:04}.example.")))
+        .collect();
+    let mut at = 0usize;
+    suite.bench("name_cmp_same_tld", || {
+        at = (at + 1) % (siblings.len() - 1);
+        black_box(&siblings[at]).canonical_cmp(black_box(&siblings[at + 1]))
+    });
+    let hasher = std::collections::hash_map::RandomState::new();
+    let hashed = name("domain-0042.example.");
+    suite.bench("name_hash", || {
+        std::hash::BuildHasher::hash_one(&hasher, black_box(&hashed))
+    });
+
     // Same 20 names written with and without compression.
     let names: Vec<_> = (0..20)
         .map(|i| name(&format!("host{i}.sub.department.example.com.")))

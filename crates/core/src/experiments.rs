@@ -42,6 +42,7 @@
 //! virtual clock within a lab depends on batch composition.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
 
 use analysis::domains::{DomainRecord, DomainStats, DomainTally};
 use analysis::resolvers::Panel;
@@ -227,21 +228,19 @@ impl DriverConfig {
     }
 }
 
-/// Turn a population spec into lab zone contents.
-pub(crate) fn zone_spec_for_domain(spec: &DomainSpec) -> Option<ZoneSpec> {
-    let apex = Name::parse(&spec.name).ok()?;
+/// Turn a population spec into lab zone contents under its parsed name.
+fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
     let mut zone = Zone::new(apex.clone());
     zone.add(Record::new(
         apex.clone(),
         300,
-        RData::A("192.0.2.10".parse().unwrap()),
+        RData::A(Ipv4Addr::new(192, 0, 2, 10)),
     ))
     .ok()?;
-    let www = Name::parse("www").ok()?.concat(&apex).ok()?;
     zone.add(Record::new(
-        www,
+        apex.prepend(b"www").ok()?,
         300,
-        RData::A("192.0.2.11".parse().unwrap()),
+        RData::A(Ipv4Addr::new(192, 0, 2, 11)),
     ))
     .ok()?;
     // Operator attribution travels in the apex NS RRset (child side), as
@@ -249,8 +248,9 @@ pub(crate) fn zone_spec_for_domain(spec: &DomainSpec) -> Option<ZoneSpec> {
     // the lab independently (mismatched parent/child NS is routine in the
     // wild).
     if let Some(op) = spec.operator {
-        for ns in ["ns1", "ns2"] {
-            let target = Name::parse(ns).ok()?.concat(&Name::parse(op).ok()?).ok()?;
+        let op = Name::parse(op).ok()?;
+        for ns in [b"ns1", b"ns2"] {
+            let target = op.prepend(ns).ok()?;
             zone.add(Record::new(apex.clone(), 3600, RData::Ns(target)))
                 .ok()?;
         }
@@ -271,6 +271,34 @@ pub(crate) fn zone_spec_for_domain(spec: &DomainSpec) -> Option<ZoneSpec> {
         ),
     };
     Some(zs)
+}
+
+/// A lab builder holding `specs` as zones under their TLDs (RFC 9276
+/// NSEC3 zones), plus every spec's apex, parsed once for the builder and
+/// the caller alike: `None` where the spec yields no zone.
+pub fn domain_lab(
+    specs: &[DomainSpec],
+    now: u32,
+    lab_seed: u64,
+) -> (LabBuilder, Vec<Option<Name>>) {
+    let mut apexes: Vec<Option<Name>> = specs.iter().map(|s| Name::parse(&s.name).ok()).collect();
+    let tlds: BTreeSet<Name> = apexes
+        .iter()
+        .flatten()
+        .filter_map(Name::parent)
+        .filter(|p| !p.is_root())
+        .collect();
+    let mut builder = LabBuilder::new(now).seed(lab_seed);
+    for tld in &tlds {
+        builder = builder.simple_zone(tld, Denial::nsec3_rfc9276());
+    }
+    for (spec, apex) in specs.iter().zip(&mut apexes) {
+        match apex.as_ref().and_then(|a| zone_spec_for_domain(spec, a)) {
+            Some(zs) => builder = builder.zone(zs),
+            None => *apex = None,
+        }
+    }
+    (builder, apexes)
 }
 
 /// Run the full §4.1 census over `specs`, instantiating real zones in
@@ -347,27 +375,7 @@ fn census_batch(
     session: &ScanSession,
     sink: &mut dyn FnMut(DomainRecord),
 ) -> DriveStats {
-    // TLD zones needed by this batch.
-    let tlds: BTreeSet<Name> = batch
-        .iter()
-        .filter_map(|s| Name::parse(&s.name).ok()?.parent())
-        .filter(|p| !p.is_root())
-        .collect();
-    let mut builder = LabBuilder::new(now).seed(lab_seed);
-    for tld in &tlds {
-        builder = builder.simple_zone(tld, Denial::nsec3_rfc9276());
-    }
-    // Set, not Vec: the per-spec membership probe below would
-    // otherwise make the batch loop quadratic.
-    let mut skipped: BTreeSet<String> = BTreeSet::new();
-    for spec in batch {
-        match zone_spec_for_domain(spec) {
-            Some(zs) => builder = builder.zone(zs),
-            None => {
-                skipped.insert(spec.name.clone());
-            }
-        }
-    }
+    let (builder, mut apexes) = domain_lab(batch, now, lab_seed);
     let mut lab = builder.build();
     lab.net.set_schedule(profile.schedule.clone());
     let raddr = lab.alloc.v4();
@@ -387,15 +395,12 @@ fn census_batch(
     let stats = drive(
         window,
         || {
+            // A spec that yielded no zone gets no probe either.
             while next < batch.len() {
                 let i = next;
                 next += 1;
-                if skipped.contains(&batch[i].name) {
-                    continue;
-                }
-                match Name::parse(&batch[i].name) {
-                    Ok(domain) => return Some((i, Some(CensusProbe::new(domain)))),
-                    Err(_) => continue,
+                if let Some(domain) = apexes[i].take() {
+                    return Some((i, Some(CensusProbe::new(domain))));
                 }
             }
             None
@@ -1014,21 +1019,7 @@ fn unreachability_shard(
         lost: 0,
     };
     for batch in sample.chunks(batch_size.max(1)) {
-        let tlds: BTreeSet<Name> = batch
-            .iter()
-            .filter_map(|s| Name::parse(&s.name).ok()?.parent())
-            .filter(|p| !p.is_root())
-            .collect();
-        let mut builder = LabBuilder::new(now).seed(lab_seed);
-        for tld in &tlds {
-            builder = builder.simple_zone(tld, Denial::nsec3_rfc9276());
-        }
-        for spec in batch {
-            if let Some(zs) = zone_spec_for_domain(spec) {
-                builder = builder.zone(zs);
-            }
-        }
-        let mut lab = builder.build();
+        let mut lab = domain_lab(batch, now, lab_seed).0.build();
         lab.net.set_schedule(profile.schedule.clone());
         let raddr = lab.alloc.v4();
         let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());

@@ -32,21 +32,19 @@
 //! holds, and virtual latency percentiles come from an exact
 //! microsecond histogram that merges across shards by summation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use dns_resolver::lab::LabBuilder;
 use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_resolver::Rfc9276Policy;
 use dns_scanner::retry::{ProbeStats, ScanSession};
 use dns_wire::name::Name;
 use dns_wire::rrtype::{Rcode, RrType};
-use dns_zone::signer::Denial;
 use netsim::event::{drive, FlowStep};
 use popgen::domains::DomainSpec;
 use popgen::traffic::{TrafficGenerator, TrafficModel};
 use sim_rng::SplitMix64;
 
-use crate::experiments::{zone_spec_for_domain, DriverConfig, ScanProfile};
+use crate::experiments::{domain_lab, DriverConfig, ScanProfile};
 
 /// One serving run: the domain population, who queries it, and how the
 /// fleet caches.
@@ -360,22 +358,7 @@ fn serving_unit(
     // the shard plan — thread counts must not move a member's stream.
     let member_seed =
         SplitMix64::new(lab_seed ^ member.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
-    let tlds: BTreeSet<Name> = scenario
-        .domains
-        .iter()
-        .filter_map(|s| Name::parse(&s.name).ok()?.parent())
-        .filter(|p| !p.is_root())
-        .collect();
-    let mut builder = LabBuilder::new(now).seed(member_seed);
-    for tld in &tlds {
-        builder = builder.simple_zone(tld, Denial::nsec3_rfc9276());
-    }
-    for spec in &scenario.domains {
-        if let Some(zs) = zone_spec_for_domain(spec) {
-            builder = builder.zone(zs);
-        }
-    }
-    let mut lab = builder.build();
+    let mut lab = domain_lab(&scenario.domains, now, member_seed).0.build();
     lab.net.set_schedule(profile.schedule.clone());
     let raddr = lab.alloc.v4();
     let mut rcfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());

@@ -91,8 +91,9 @@ pub struct Lab {
     pub servers: HashMap<Name, (IpAddr, IpAddr)>,
     /// Per-zone authoritative server handles (query logs etc.).
     pub auths: HashMap<Name, Rc<AuthServer>>,
-    /// The signed zones, by apex.
-    pub zones: HashMap<Name, SignedZone>,
+    /// The signed zones, by apex — each the very copy its [`AuthServer`]
+    /// answers from.
+    pub zones: HashMap<Name, Rc<SignedZone>>,
     /// Address allocator for clients/resolvers joining the lab.
     pub alloc: AddrAlloc,
     /// The `now` timestamp the lab was signed at.
@@ -148,65 +149,40 @@ impl LabBuilder {
             );
         }
 
-        // Allocate servers and index specs by apex.
-        let mut addrs: HashMap<Name, (IpAddr, IpAddr)> = HashMap::new();
-        for spec in &self.specs {
+        // Allocate servers and index specs by apex (the first spec wins a
+        // repeated apex).
+        let mut addrs: HashMap<Name, (IpAddr, IpAddr)> = HashMap::with_capacity(self.specs.len());
+        let mut by_apex: HashMap<Name, usize> = HashMap::with_capacity(self.specs.len());
+        for (i, spec) in self.specs.iter().enumerate() {
             addrs.insert(spec.zone.apex().clone(), (alloc.v4(), alloc.v6()));
+            by_apex.entry(spec.zone.apex().clone()).or_insert(i);
         }
 
-        // Sort apexes so parents come before children.
-        let mut order: Vec<usize> = (0..self.specs.len()).collect();
-        order.sort_by_key(|&i| self.specs[i].zone.apex().label_count());
-
         // Add SOA/NS/glue to every zone, then delegations into parents.
-        let apexes: Vec<Name> = self.specs.iter().map(|s| s.zone.apex().clone()).collect();
         for spec in &mut self.specs {
             let apex = spec.zone.apex().clone();
             let (v4, v6) = addrs[&apex];
             ensure_infrastructure(&mut spec.zone, &apex, v4, v6);
         }
-        // Delegations: each non-root zone gets NS+glue(+DS) in its parent.
+        // Delegations: each non-root zone gets NS+glue(+DS) in its parent,
+        // the nearest enclosing apex among the specs.
         for i in 0..self.specs.len() {
-            let apex = self.specs[i].zone.apex().clone();
+            let spec = &self.specs[i];
+            let apex = spec.zone.apex().clone();
             if apex.is_root() {
                 continue;
             }
-            let parent_apex = apexes
-                .iter()
-                .filter(|a| **a != apex && apex.is_subdomain_of(a))
-                .max_by_key(|a| a.label_count())
-                .cloned()
+            let parent = apex
+                .ancestors()
+                .find_map(|a| by_apex.get(&a).copied())
                 .expect("root exists");
-            let (v4, v6) = addrs[&apex];
-            let ns_name = Name::parse("ns1").unwrap().concat(&apex).unwrap();
-            let insecure = self.specs[i].unsigned_delegation || self.specs[i].unsigned;
-            let broken_ds = self.specs[i].broken_ds;
-            let ksk = SigningKey::ksk(&apex);
-            let parent = self
-                .specs
-                .iter_mut()
-                .find(|s| *s.zone.apex() == parent_apex)
-                .expect("parent spec");
-            parent
-                .zone
-                .add(Record::new(apex.clone(), 3600, RData::Ns(ns_name.clone())))
-                .unwrap();
-            match (v4, v6) {
-                (IpAddr::V4(a4), IpAddr::V6(a6)) => {
-                    parent
-                        .zone
-                        .add(Record::new(ns_name.clone(), 3600, RData::A(a4)))
-                        .unwrap();
-                    parent
-                        .zone
-                        .add(Record::new(ns_name.clone(), 3600, RData::Aaaa(a6)))
-                        .unwrap();
-                }
-                _ => unreachable!("alloc order"),
-            }
-            if !insecure {
-                let mut ds = ds_record(&apex, &ksk);
-                if broken_ds {
+            let (IpAddr::V4(a4), IpAddr::V6(a6)) = addrs[&apex] else {
+                unreachable!("alloc order");
+            };
+            let ns_name = ns1_of(&apex);
+            let ds = (!spec.unsigned_delegation && !spec.unsigned).then(|| {
+                let mut ds = ds_record(&apex, &SigningKey::ksk(&apex));
+                if spec.broken_ds {
                     // Flip one digest byte: the DS RRset still validates
                     // under the parent's signatures (it is what the
                     // parent serves), but no child DNSKEY can match it.
@@ -214,26 +190,35 @@ impl LabBuilder {
                         digest[0] ^= 0xFF;
                     }
                 }
-                parent.zone.add(ds).unwrap();
+                ds
+            });
+            let delegation = [
+                Record::new(apex, 3600, RData::Ns(ns_name.clone())),
+                Record::new(ns_name.clone(), 3600, RData::A(a4)),
+                Record::new(ns_name, 3600, RData::Aaaa(a6)),
+            ];
+            let parent = &mut self.specs[parent].zone;
+            for record in delegation.into_iter().chain(ds) {
+                parent.add(record).expect("a parent encloses its child");
             }
         }
 
         // Sign (parents before children is irrelevant for signing itself).
-        let mut zones: HashMap<Name, SignedZone> = HashMap::new();
-        let mut auths: HashMap<Name, Rc<AuthServer>> = HashMap::new();
-        for spec in self.specs.drain(..) {
+        let mut zones: HashMap<Name, Rc<SignedZone>> = HashMap::with_capacity(self.specs.len());
+        let mut auths: HashMap<Name, Rc<AuthServer>> = HashMap::with_capacity(self.specs.len());
+        for spec in self.specs {
             let apex = spec.zone.apex().clone();
             let mut signed = if spec.unsigned {
                 SignedZone {
                     zone: spec.zone,
-                    denial: spec.denial.clone(),
+                    denial: spec.denial,
                     keys: Vec::new(),
                     nsec3_index: Vec::new(),
                 }
             } else {
                 let mut cfg = SignerConfig {
-                    denial: spec.denial.clone(),
-                    extra_dnskeys: spec.extra_dnskeys.clone(),
+                    denial: spec.denial,
+                    extra_dnskeys: spec.extra_dnskeys,
                     ..SignerConfig::standard(&apex, now)
                 };
                 if spec.expired {
@@ -245,6 +230,7 @@ impl LabBuilder {
             if let Some(post) = spec.post_sign {
                 post(&mut signed);
             }
+            let signed = Rc::new(signed);
             let server = Rc::new(AuthServer::new());
             server.add_zone(signed.clone());
             let (v4, v6) = addrs[&apex];
@@ -281,17 +267,24 @@ impl LabBuilder {
     }
 }
 
+/// The name every lab zone's primary server goes by: `ns1.<apex>`.
+fn ns1_of(apex: &Name) -> Name {
+    apex.prepend(b"ns1").expect("lab apexes leave room for ns1")
+}
+
 /// Give a zone SOA, apex NS and glue if it lacks them.
 fn ensure_infrastructure(zone: &mut Zone, apex: &Name, v4: IpAddr, v6: IpAddr) {
     use dns_wire::rrtype::RrType;
-    let ns_name = Name::parse("ns1").unwrap().concat(apex).unwrap();
+    let ns_name = ns1_of(apex);
     if zone.rrset(apex, RrType::SOA).is_none() {
         zone.add(Record::new(
             apex.clone(),
             3600,
             RData::Soa {
                 mname: ns_name.clone(),
-                rname: Name::parse("hostmaster").unwrap().concat(apex).unwrap(),
+                rname: apex
+                    .prepend(b"hostmaster")
+                    .expect("lab apexes leave room for hostmaster"),
                 serial: 2024030501,
                 refresh: 7200,
                 retry: 3600,

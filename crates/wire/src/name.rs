@@ -37,24 +37,46 @@ pub struct Name {
     wire: Box<[u8]>,
 }
 
-/// Label start offsets of a wire buffer, on the stack. Every label takes
-/// at least two bytes and the buffer is at most 254 long, so 128 slots
-/// always fit and every offset fits in a `u8`.
-fn label_offsets(wire: &[u8]) -> ([u8; 128], usize) {
-    let mut offsets = [0u8; 128];
+/// Labels a name may have for the comparison kernel to gather its offsets
+/// into one 16-byte array — every name a census or a resolver study
+/// compares. Deeper names take a [`MAX_LABELS`] table.
+const INLINE_LABELS: usize = 16;
+
+/// Every label takes at least two bytes and the buffer is at most 254
+/// long, so a table of this many offsets fits any name.
+const MAX_LABELS: usize = 128;
+
+/// Label start offsets of a wire buffer, on the stack (every offset fits
+/// in a `u8`), or `None` for a name of more than `N` labels. The table is
+/// zero-filled first, which is why the common case asks for a small one.
+fn label_offsets<const N: usize>(wire: &[u8]) -> Option<([u8; N], usize)> {
+    let mut offsets = [0u8; N];
     let mut count = 0;
     let mut pos = 0usize;
     while pos < wire.len() {
-        offsets[count] = pos as u8;
+        *offsets.get_mut(count)? = pos as u8;
         count += 1;
         pos += 1 + wire[pos] as usize;
     }
-    (offsets, count)
+    Some((offsets, count))
 }
 
 fn label_at(wire: &[u8], offset: u8) -> &[u8] {
     let pos = offset as usize;
     &wire[pos + 1..pos + 1 + wire[pos] as usize]
+}
+
+/// RFC 4034 §6.1 over two wire buffers and their label offsets: labels
+/// compared right to left, a missing label sorting first.
+fn cmp_labels_from_right(a: &[u8], a_offs: &[u8], b: &[u8], b_offs: &[u8]) -> std::cmp::Ordering {
+    for (&ao, &bo) in a_offs.iter().rev().zip(b_offs.iter().rev()) {
+        let (x, y) = (label_at(a, ao), label_at(b, bo));
+        let ord = cmp_label(x, y);
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    a_offs.len().cmp(&b_offs.len())
 }
 
 struct LabelIter<'a> {
@@ -167,7 +189,7 @@ impl Name {
 
     /// Number of labels (the root has 0, `example.com` has 2).
     pub fn label_count(&self) -> usize {
-        label_offsets(&self.wire).1
+        self.labels().count()
     }
 
     /// The labels, leftmost (least significant) first.
@@ -340,18 +362,16 @@ impl Name {
     /// label sorts before any label; labels compare as case-folded byte
     /// strings.
     pub fn canonical_cmp(&self, other: &Name) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        let (a_offs, a_n) = label_offsets(&self.wire);
-        let (b_offs, b_n) = label_offsets(&other.wire);
-        for i in 1..=a_n.min(b_n) {
-            let x = label_at(&self.wire, a_offs[a_n - i]);
-            let y = label_at(&other.wire, b_offs[b_n - i]);
-            let ord = cmp_label(x, y);
-            if ord != Ordering::Equal {
-                return ord;
-            }
+        let (a, b) = (&*self.wire, &*other.wire);
+        if let (Some((a_offs, a_n)), Some((b_offs, b_n))) = (
+            label_offsets::<INLINE_LABELS>(a),
+            label_offsets::<INLINE_LABELS>(b),
+        ) {
+            return cmp_labels_from_right(a, &a_offs[..a_n], b, &b_offs[..b_n]);
         }
-        a_n.cmp(&b_n)
+        let table = |wire| label_offsets::<MAX_LABELS>(wire).expect("MAX_LABELS fits any name");
+        let ((a_offs, a_n), (b_offs, b_n)) = (table(a), table(b));
+        cmp_labels_from_right(a, &a_offs[..a_n], b, &b_offs[..b_n])
     }
 
     /// The strict ancestors of `self`, nearest first, ending with the root
@@ -376,9 +396,17 @@ impl Name {
 }
 
 fn cmp_label(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
-    let la = a.iter().map(|c| c.to_ascii_lowercase());
-    let lb = b.iter().map(|c| c.to_ascii_lowercase());
-    la.cmp(lb)
+    // Case is folded only where the octets differ as stored: names probed
+    // against one zone share their rightmost labels byte for byte.
+    for (x, y) in a.iter().zip(b) {
+        if x != y {
+            let (x, y) = (x.to_ascii_lowercase(), y.to_ascii_lowercase());
+            if x != y {
+                return x.cmp(&y);
+            }
+        }
+    }
+    a.len().cmp(&b.len())
 }
 
 impl PartialEq for Name {
@@ -396,8 +424,16 @@ impl PartialEq for Name {
 
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for &b in self.wire.iter() {
-            state.write_u8(b.to_ascii_lowercase());
+        // One `write` per 64 octets, not one per octet. Names equal under
+        // the case-insensitive `Eq` are equally long, so they are cut into
+        // the same chunks and feed the hasher the same bytes.
+        let mut lower = [0u8; 64];
+        for chunk in self.wire.chunks(lower.len()) {
+            let lower = &mut lower[..chunk.len()];
+            for (dst, b) in lower.iter_mut().zip(chunk) {
+                *dst = b.to_ascii_lowercase();
+            }
+            state.write(lower);
         }
     }
 }

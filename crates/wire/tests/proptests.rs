@@ -38,6 +38,54 @@ fn name() -> impl Gen<Name> {
     )
 }
 
+/// Labels of 1–3 arbitrary-looking octets: both letter cases, digits and
+/// the two extremes of the byte range.
+fn odd_label() -> impl Gen<Vec<u8>> {
+    gens::vec_of(
+        gens::map(gens::usizes(0..=7), |i| b"aAbZz0\x00\xFF"[i]),
+        1..=3,
+    )
+}
+
+/// Two names that share a suffix, with the case of the second one's
+/// copy flipped at random — the pairs a zone's owner index compares. Up
+/// to 24 labels each, past the 16 the comparison kernel gathers inline.
+fn suffix_sharing_names() -> impl Gen<(Name, Name)> {
+    gens::filter_map(
+        (
+            gens::vec_of(odd_label(), 0..=12),
+            gens::vec_of(odd_label(), 0..=12),
+            gens::vec_of(odd_label(), 0..=12),
+            gens::vec_of(gens::bools(), 36..=36),
+        ),
+        |(suffix, left, right, flips)| {
+            let mut flips = flips.iter();
+            let flipped = suffix.iter().map(|label| {
+                label
+                    .iter()
+                    .map(|b| match flips.next() {
+                        Some(true) if b.is_ascii_lowercase() => b.to_ascii_uppercase(),
+                        Some(true) => b.to_ascii_lowercase(),
+                        _ => *b,
+                    })
+                    .collect::<Vec<u8>>()
+            });
+            let a = Name::from_labels(left.iter().chain(&suffix)).ok()?;
+            let b = Name::from_labels(right.into_iter().chain(flipped)).ok()?;
+            Some((a, b))
+        },
+        "name too long",
+    )
+}
+
+/// RFC 4034 §6.1 written down naively: the lower-cased labels, most
+/// significant first, compared as a sequence of byte strings.
+fn reversed_lowercase_labels(n: &Name) -> Vec<Vec<u8>> {
+    let mut labels: Vec<Vec<u8>> = n.labels().map(<[u8]>::to_ascii_lowercase).collect();
+    labels.reverse();
+    labels
+}
+
 fn rdata() -> impl Gen<RData> {
     gens::one_of(vec![
         gens::boxed(gens::map(gens::array_of::<u8, 4>(gens::u8s(..)), |o| {
@@ -140,6 +188,29 @@ props! {
         for n in &names {
             assert_eq!(n.canonical_cmp(&n.to_lowercase()), std::cmp::Ordering::Equal);
         }
+    }
+
+    fn canonical_cmp_matches_the_naive_reference(pair in suffix_sharing_names()) {
+        let (a, b) = pair;
+        let expect = reversed_lowercase_labels(&a).cmp(&reversed_lowercase_labels(&b));
+        assert_eq!(a.canonical_cmp(&b), expect, "{a} vs {b}");
+        assert_eq!(b.canonical_cmp(&a), expect.reverse(), "{b} vs {a}");
+        assert_eq!(a == b, expect == std::cmp::Ordering::Equal);
+    }
+
+    fn hash_agrees_with_case_insensitive_eq(pair in suffix_sharing_names()) {
+        use std::hash::{Hash, Hasher};
+        let hash = |n: &Name| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            n.hash(&mut h);
+            h.finish()
+        };
+        // Long enough to cross the hasher's 64-octet staging buffer.
+        let (a, _) = pair;
+        let upper = Name::from_labels(a.labels().map(<[u8]>::to_ascii_uppercase)).unwrap();
+        assert_eq!(a, upper);
+        assert_eq!(hash(&a), hash(&upper), "{a}");
+        assert_eq!(hash(&a), hash(&a.to_lowercase()), "{a}");
     }
 
     fn subdomain_of_concat_holds(a in name(), b in name()) {

@@ -52,8 +52,9 @@ pub struct DenialProof<'z> {
 fn records_at<'z>(z: &'z SignedZone, rrtype: RrType, owners: &[Option<&Name>]) -> Vec<&'z Record> {
     let mut records = Vec::with_capacity(2 * owners.len());
     for (i, owner) in owners.iter().enumerate() {
-        if let Some(o) = owner.filter(|_| !owners[..i].contains(owner)) {
-            records.extend(z.zone.rrset_with_sigs(o, rrtype, true));
+        let fresh = owner.filter(|_| !owners[..i].contains(owner));
+        if let Some(node) = fresh.and_then(|o| z.zone.node(o)) {
+            records.extend(node.with_sigs(rrtype, true));
         }
     }
     records

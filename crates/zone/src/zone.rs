@@ -20,6 +20,33 @@ pub struct Zone {
     rrsets: BTreeMap<Name, BTreeMap<RrType, Vec<Record>>>,
 }
 
+/// The records of one owner name, borrowed from the zone: what
+/// [`Zone::node`] finds in one descent of the owner index, so a caller
+/// that needs several RRsets of one owner (a referral takes NS, DS and
+/// their RRSIGs from the cut) pays for the name comparisons once.
+#[derive(Clone, Copy, Debug)]
+pub struct ZoneNode<'z> {
+    types: &'z BTreeMap<RrType, Vec<Record>>,
+}
+
+impl<'z> ZoneNode<'z> {
+    /// The RRset of `rrtype` at this owner, if present.
+    pub fn rrset(self, rrtype: RrType) -> Option<&'z [Record]> {
+        self.types.get(&rrtype).map(Vec::as_slice)
+    }
+
+    /// The RRset of `rrtype` followed, when `with_sigs`, by the RRSIGs
+    /// covering it — the unit DNSSEC response sections and denial proofs
+    /// are assembled from.
+    pub fn with_sigs(self, rrtype: RrType, with_sigs: bool) -> impl Iterator<Item = &'z Record> {
+        let of = |t| self.rrset(t).unwrap_or_default();
+        let sigs = if with_sigs { of(RrType::RRSIG) } else { &[] };
+        of(rrtype).iter().chain(sigs.iter().filter(
+            move |s| matches!(&s.rdata, RData::Rrsig { type_covered, .. } if *type_covered == rrtype),
+        ))
+    }
+}
+
 /// One member of the denial chain, with the per-name facts the signer
 /// needs to build its NSEC3 record without further zone lookups.
 pub(crate) struct DenialEntry {
@@ -171,12 +198,14 @@ impl Zone {
         }
     }
 
+    /// Everything stored at exactly `owner`, if any record is.
+    pub fn node(&self, owner: &Name) -> Option<ZoneNode<'_>> {
+        self.rrsets.get(owner).map(|types| ZoneNode { types })
+    }
+
     /// The RRset of `rrtype` at `name`, if present.
     pub fn rrset(&self, name: &Name, rrtype: RrType) -> Option<&[Record]> {
-        self.rrsets
-            .get(name)
-            .and_then(|t| t.get(&rrtype))
-            .map(|v| v.as_slice())
+        self.node(name)?.rrset(rrtype)
     }
 
     /// Mutable access to an RRset (used by fault injectors).
@@ -228,31 +257,35 @@ impl Zone {
         self.rrsets.is_empty()
     }
 
+    /// The node at `name` if it is a delegation point (an NS RRset below
+    /// the apex).
+    pub fn delegation(&self, name: &Name) -> Option<ZoneNode<'_>> {
+        self.node(name)
+            .filter(|node| name != &self.apex && node.rrset(RrType::NS).is_some())
+    }
+
     /// Is `name` a delegation point (NS RRset below the apex)?
     pub fn is_delegation(&self, name: &Name) -> bool {
-        name != &self.apex && self.rrset(name, RrType::NS).is_some()
+        self.delegation(name).is_some()
     }
 
     /// Is `name` a *secure* delegation (has a DS RRset)?
     pub fn is_signed_delegation(&self, name: &Name) -> bool {
-        self.is_delegation(name) && self.rrset(name, RrType::DS).is_some()
+        self.delegation(name)
+            .is_some_and(|node| node.rrset(RrType::DS).is_some())
     }
 
-    /// The RRset of `rrtype` at `owner` followed, when `with_sigs`, by the
-    /// RRSIGs covering it — the unit DNSSEC response sections and denial
-    /// proofs are assembled from, borrowed from the zone.
+    /// [`ZoneNode::with_sigs`] at `owner`; empty when nothing is stored
+    /// there.
     pub fn rrset_with_sigs<'z>(
         &'z self,
         owner: &Name,
         rrtype: RrType,
         with_sigs: bool,
     ) -> impl Iterator<Item = &'z Record> {
-        let types = self.rrsets.get(owner);
-        let of = move |t| types.and_then(|m| m.get(&t)).map_or(&[][..], Vec::as_slice);
-        let sigs = if with_sigs { of(RrType::RRSIG) } else { &[] };
-        of(rrtype).iter().chain(sigs.iter().filter(
-            move |s| matches!(&s.rdata, RData::Rrsig { type_covered, .. } if *type_covered == rrtype),
-        ))
+        self.node(owner)
+            .into_iter()
+            .flat_map(move |node| node.with_sigs(rrtype, with_sigs))
     }
 
     /// Is `name` occluded — strictly below a delegation point (glue and

@@ -116,6 +116,52 @@ props! {
         }
     }
 
+    /// `Zone::node` is one descent standing in for several: at every
+    /// owner of a signed zone it hands out exactly the records a scan of
+    /// the whole zone finds for each type, with and without signatures,
+    /// and the by-name lookups built on it agree.
+    fn node_agrees_with_a_scan_of_the_zone(
+        names in gens::vec_of(in_zone_name(), 1..8),
+        absent in in_zone_name(),
+        p in params(),
+        opt_out in gens::bools(),
+    ) {
+        let zone = build_signed(&names, p, opt_out).zone;
+        let covers = |r: &Record, t: RrType| {
+            matches!(&r.rdata, RData::Rrsig { type_covered, .. } if *type_covered == t)
+        };
+        for owner in zone.names() {
+            let node = zone.node(owner).expect("a stored owner has a node");
+            let here: Vec<&Record> = zone.iter().filter(|r| r.name == *owner).collect();
+            let mut types = zone.types_at(owner);
+            types.push(RrType::TXT); // a type no generated zone holds
+            for t in types {
+                let plain: Vec<&Record> =
+                    here.iter().copied().filter(|r| r.rrtype() == t).collect();
+                let signed: Vec<&Record> = plain
+                    .iter()
+                    .copied()
+                    .chain(here.iter().copied().filter(|r| covers(r, t)))
+                    .collect();
+                let found = node.rrset(t).map(|rs| rs.iter().collect::<Vec<_>>());
+                assert_eq!(found, (!plain.is_empty()).then_some(plain.clone()), "{owner} {t:?}");
+                assert_eq!(node.rrset(t), zone.rrset(owner, t));
+                for (with_sigs, expect) in [(false, &plain), (true, &signed)] {
+                    assert_eq!(&node.with_sigs(t, with_sigs).collect::<Vec<_>>(), expect);
+                    assert_eq!(
+                        &zone.rrset_with_sigs(owner, t, with_sigs).collect::<Vec<_>>(),
+                        expect
+                    );
+                }
+            }
+        }
+        if !zone.has_name(&absent) {
+            assert!(zone.node(&absent).is_none());
+            assert!(zone.rrset(&absent, RrType::A).is_none());
+            assert_eq!(zone.rrset_with_sigs(&absent, RrType::A, true).count(), 0);
+        }
+    }
+
     /// Every RRSIG the signer produces verifies against the matching key,
     /// regardless of zone contents.
     fn all_signatures_verify(

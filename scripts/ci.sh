@@ -23,6 +23,13 @@ echo "== fault matrix: lossy profile smoke (HEROES_FAULTS=lossy)"
 HEROES_FAULTS=lossy HEROES_THREADS=2 cargo test -q --offline --test determinism --test fault_tolerance
 cargo test -q --offline -p nsec3-core --test fault_props
 
+echo "== allocation counts (counting allocator, one test per binary)"
+# Printed, not only asserted: allocations per fresh-name NXDOMAIN reply
+# and secure referral, per forwarded NXDOMAIN resolve, and per zone a
+# batch lab stands up (equal within one at 64 and 2,048 zones).
+cargo test -q --offline -p dns-auth -p dns-resolver \
+    --test alloc_budget --test lab_alloc_budget -- --nocapture | grep '^allocations'
+
 if command -v rustfmt >/dev/null 2>&1; then
     echo "== rustfmt --check"
     cargo fmt --all -- --check
@@ -101,11 +108,19 @@ echo "== streaming-census memory gate (100 K domains, fixed RSS ceiling)"
 # The streaming census must hold memory flat regardless of population:
 # shards pull domains from the O(1) generator one batch at a time and
 # fold records straight into tallies. A 100 K-domain run peaks around
-# 11 MB; the 128 MB ceiling is an order of magnitude of headroom, while
+# 9 MB; the 128 MB ceiling is an order of magnitude of headroom, while
 # any regression to materialising the population (specs, labs, or
 # records) blows straight through it. Gated at 1 and 4 threads.
 HEROES_THREADS=1 "$ROOT/target/release/bench_census_scale" --smoke --rss-ceiling-mb 128
 HEROES_THREADS=4 "$ROOT/target/release/bench_census_scale" --smoke --rss-ceiling-mb 128
+
+echo "== lab stand-up gate (64 vs 2,048 domains, build cost per zone)"
+# bench_census --smoke builds the census batch lab for the first 64 and
+# the first 2,048 domains of the population and exits nonzero if a zone
+# costs more than twice as much to build in the large lab as in the
+# small one (a ratio, so host speed cancels; the ratio is 1.1x, and
+# wiring delegations by scanning every apex per zone read 2.7x).
+"$ROOT/target/release/bench_census" --smoke
 
 echo "== serving-driver gate (reduced sample, collapse + RSS)"
 # bench_serving --smoke pushes an NXDOMAIN-heavy Zipf workload through a

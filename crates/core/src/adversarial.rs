@@ -21,20 +21,17 @@
 use std::collections::BTreeMap;
 
 use dns_resolver::lab::{LabBuilder, ZoneSpec};
-use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_resolver::{Rfc9276Policy, WorkBudget};
-use dns_scanner::retry::{ProbeStats, ScanSession};
+use dns_scanner::retry::ProbeStats;
 use dns_wire::name::Name;
-use dns_wire::rdata::RData;
-use dns_wire::record::Record;
-use dns_wire::rrtype::{Rcode, RrType};
+use dns_wire::rrtype::RrType;
 use dns_zone::nsec3hash::Nsec3Params;
 use dns_zone::signer::{decoy_dnskeys, Denial};
-use dns_zone::Zone;
-use netsim::event::{drive, FlowStep};
+use netsim::event::FlowStep;
 use popgen::adversarial::{attack_qname, AdversarialZoneSpec, AttackFamily};
 
-use crate::experiments::{DriverConfig, ScanProfile};
+use crate::experiments::{apex_zone, lab_apex, ratio, DriverConfig};
+use crate::study::{run_study, ShardRun};
 
 /// How the resolver under test defends itself.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,55 +121,38 @@ impl FamilyTally {
 
     /// SHA-1 compressions per completed query.
     pub fn compressions_per_query(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.compressions as f64 / self.completed as f64
-        }
+        ratio(self.compressions, self.completed)
     }
 
     /// Signature verifications per completed query.
     pub fn signatures_per_query(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.signatures as f64 / self.completed as f64
-        }
+        ratio(self.signatures, self.completed)
     }
 
     /// Work units (compressions + [`SIGNATURE_WORK_UNITS`] × signature
     /// verifications) per completed query.
     pub fn work_units_per_query(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            (self.compressions + SIGNATURE_WORK_UNITS * self.signatures) as f64
-                / self.completed as f64
-        }
+        ratio(
+            self.compressions + SIGNATURE_WORK_UNITS * self.signatures,
+            self.completed,
+        )
     }
 
     /// SHA-1 compressions per issued query, budget-aborted spend
     /// included.
     pub fn total_compressions_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            (self.compressions + self.exceeded_compressions) as f64 / self.queries as f64
-        }
+        ratio(self.compressions + self.exceeded_compressions, self.queries)
     }
 
     /// Total CPU actually spent per issued query, budget-aborted spend
     /// included — the defender's bill, which is what the defense bounds.
     pub fn total_work_units_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            (self.compressions
+        ratio(
+            self.compressions
                 + self.exceeded_compressions
-                + SIGNATURE_WORK_UNITS * (self.signatures + self.exceeded_signatures))
-                as f64
-                / self.queries as f64
-        }
+                + SIGNATURE_WORK_UNITS * (self.signatures + self.exceeded_signatures),
+            self.queries,
+        )
     }
 }
 
@@ -197,143 +177,85 @@ impl AdversarialReport {
     }
 }
 
-/// Lab zone contents for one attack spec.
-fn zone_spec_for_attack(spec: &AdversarialZoneSpec) -> Option<ZoneSpec> {
-    let apex = Name::parse(&spec.name).ok()?;
-    let mut zone = Zone::new(apex.clone());
-    zone.add(Record::new(
-        apex.clone(),
-        300,
-        RData::A("192.0.2.66".parse().unwrap()),
-    ))
-    .ok()?;
+/// Lab zone contents for one attack spec under its parsed name.
+fn zone_spec_for_attack(spec: &AdversarialZoneSpec, apex: &Name) -> ZoneSpec {
     let mut zs = ZoneSpec::new(
-        zone,
+        apex_zone(apex, 66),
         Denial::Nsec3 {
             params: Nsec3Params::new(spec.iterations, vec![0x5a; spec.salt_len]),
             opt_out: false,
         },
     );
     if spec.decoy_keys > 0 {
-        zs.extra_dnskeys = decoy_dnskeys(&apex, spec.decoy_keys);
+        zs.extra_dnskeys = decoy_dnskeys(apex, spec.decoy_keys);
     }
-    Some(zs)
+    zs
 }
 
-/// Run `scenario` with environment-driven parallelism
-/// (`HEROES_THREADS`/`HEROES_FAULTS`; see [`DriverConfig::from_env`]).
-pub fn run_adversarial(scenario: &AdversarialScenario, now: u32) -> AdversarialReport {
-    run_adversarial_cfg(scenario, &DriverConfig::from_env(now))
-}
-
-/// [`run_adversarial`] under an explicit [`DriverConfig`]. Zones shard
-/// like every other driver; each zone gets its **own** lab (root +
-/// parent TLD + the attack zone), so no observation depends on which
-/// zones share a shard and every thread count produces identical
-/// tallies. Within a zone, queries run as single-step flows on the
-/// event core in issue order.
+/// Run `scenario` under `cfg`. Zones shard like every other driver; each
+/// zone gets its **own** lab (root + parent TLD + the attack zone), so
+/// no observation depends on which zones share a shard and every thread
+/// count produces identical tallies. Within a zone, queries run as
+/// single-step flows on the event core in issue order.
 pub fn run_adversarial_cfg(
     scenario: &AdversarialScenario,
     cfg: &DriverConfig,
 ) -> AdversarialReport {
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded(
-        &scenario.zones,
-        cfg.threads,
-        cfg.lab_seed,
-        |shard, slice| {
-            vec![adversarial_shard(
-                slice,
-                scenario,
-                cfg.now,
-                shard.seed,
-                &cfg.profile,
-                window,
-            )]
-        },
-    );
+    let run = run_study(scenario.zones.len(), cfg, |shard, range| {
+        adversarial_shard(shard, &scenario.zones[range], scenario)
+    });
     let mut per_family: BTreeMap<String, FamilyTally> = BTreeMap::new();
-    let mut probe_stats = ProbeStats::default();
-    for (shard_tallies, shard_stats) in partials {
-        for (label, tally) in shard_tallies {
-            per_family.entry(label).or_default().merge(&tally);
-        }
-        probe_stats.merge(&shard_stats);
+    for (label, tally) in run.parts.into_iter().flatten() {
+        per_family.entry(label).or_default().merge(&tally);
     }
     AdversarialReport {
         per_family,
-        probe_stats,
+        probe_stats: run.probe_stats,
     }
 }
 
 /// One shard: every zone in `slice`, each in a private lab.
 fn adversarial_shard(
+    shard: &ShardRun<'_>,
     slice: &[AdversarialZoneSpec],
     scenario: &AdversarialScenario,
-    now: u32,
-    lab_seed: u64,
-    profile: &ScanProfile,
-    window: usize,
-) -> (BTreeMap<String, FamilyTally>, ProbeStats) {
-    let session = ScanSession::new(profile.breaker);
+) -> BTreeMap<String, FamilyTally> {
     let mut tallies: BTreeMap<String, FamilyTally> = BTreeMap::new();
     for spec in slice {
-        let Some(zs) = zone_spec_for_attack(spec) else {
+        let apex_and_parent = lab_apex(&spec.name).and_then(|a| a.parent().map(|p| (a, p)));
+        let Some((apex, parent)) = apex_and_parent else {
             continue;
         };
-        let Some(parent) = Name::parse(&spec.name).ok().and_then(|n| n.parent()) else {
-            continue;
-        };
-        let mut builder = LabBuilder::new(now).seed(lab_seed);
+        let mut builder = LabBuilder::new(shard.cfg.now).seed(shard.seed);
         if !parent.is_root() {
             builder = builder.simple_zone(&parent, Denial::nsec3_rfc9276());
         }
-        let mut lab = builder.zone(zs).build();
-        lab.net.set_schedule(profile.schedule.clone());
-        let raddr = lab.alloc.v4();
-        let mut rcfg =
-            ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-        rcfg.now = lab.now;
-        rcfg.policy = scenario.defense.policy.clone();
-        rcfg.budget = scenario.defense.budget;
-        rcfg.retry = profile.retry;
-        let resolver = Resolver::new(rcfg);
+        let mut lab = builder.zone(zone_spec_for_attack(spec, &apex)).build();
+        let resolver = shard.resolver(&mut lab, |rcfg| {
+            rcfg.policy = scenario.defense.policy.clone();
+            rcfg.budget = scenario.defense.budget;
+        });
         let tally = tallies.entry(spec.family.label().to_string()).or_default();
         // One single-step flow per query: the whole resolution runs
         // inside its first step (see the unreachability driver for the
         // window-invariance argument).
-        let mut next = 0u64;
-        let net = &lab.net;
-        drive(
-            window,
-            || {
-                if next >= scenario.queries_per_zone {
-                    return None;
-                }
-                let q = next;
-                next += 1;
-                Name::parse(&attack_qname(&spec.name, spec.label_depth, q)).ok()
-            },
-            |qname: &mut Name, due| {
-                let vnow = net.now_micros();
-                if due > vnow {
-                    net.advance(due - vnow);
-                }
-                let out = resolver.resolve(net, qname, RrType::A);
+        let mut qnames = (0..scenario.queries_per_zone)
+            .filter_map(|q| Name::parse(&attack_qname(&spec.name, spec.label_depth, q)).ok());
+        shard.drive(
+            &lab.net,
+            || qnames.next(),
+            |qname: &mut Name| {
+                let out = resolver.resolve(&lab.net, qname, RrType::A);
                 tally.queries += 1;
-                if out.budget_exceeded {
+                if shard.lost(&out) {
+                    tally.lost += 1;
+                } else if out.budget_exceeded {
                     // Degraded, not lost: the resolver answered (with
                     // SERVFAIL + EDE), it just refused to keep paying.
-                    session.note_answered(out.cost.retries);
                     tally.budget_exceeded += 1;
                     tally.exceeded_compressions += out.cost.sha1_compressions;
                     tally.exceeded_signatures += out.cost.signatures_verified;
-                } else if out.rcode == Rcode::ServFail && out.cost.timeouts > 0 {
-                    // Probe loss, same rule as every other driver.
-                    session.note_timed_out(out.cost.retries);
-                    tally.lost += 1;
                 } else {
-                    session.note_answered(out.cost.retries);
                     tally.completed += 1;
                     tally.compressions += out.cost.sha1_compressions;
                     tally.signatures += out.cost.signatures_verified;
@@ -342,16 +264,17 @@ fn adversarial_shard(
             },
         );
     }
-    let stats = session.stats();
-    (tallies, stats)
+    tallies
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::DEFAULT_LAB_SEED;
+    use dns_resolver::resolver::{Resolver, ResolverConfig};
     use dns_wire::edns::EdeCode;
     use dns_wire::message::Message;
+    use dns_wire::rrtype::Rcode;
     use dns_wire::view::MessageView;
     use popgen::generate_attack_zones;
     use std::rc::Rc;
@@ -368,7 +291,10 @@ mod tests {
 
     #[test]
     fn undefended_attacks_dwarf_baseline() {
-        let report = run_adversarial(&scenario(DefenseProfile::undefended()), NOW);
+        let report = run_adversarial_cfg(
+            &scenario(DefenseProfile::undefended()),
+            &DriverConfig::from_env(NOW),
+        );
         let base = report.family(AttackFamily::Baseline);
         assert_eq!(base.completed, base.queries, "baseline all complete");
         assert_eq!(base.budget_exceeded, 0);
@@ -398,7 +324,10 @@ mod tests {
 
     #[test]
     fn defense_bounds_every_family_and_accounts_aborts() {
-        let report = run_adversarial(&scenario(DefenseProfile::defended()), NOW);
+        let report = run_adversarial_cfg(
+            &scenario(DefenseProfile::defended()),
+            &DriverConfig::from_env(NOW),
+        );
         for (label, tally) in &report.per_family {
             assert_eq!(
                 tally.queries,
@@ -456,7 +385,10 @@ mod tests {
         let mut lab = LabBuilder::new(NOW)
             .seed(DEFAULT_LAB_SEED)
             .simple_zone(&Name::parse("example.").unwrap(), Denial::nsec3_rfc9276())
-            .zone(zone_spec_for_attack(spec).unwrap())
+            .zone(zone_spec_for_attack(
+                spec,
+                &Name::parse(&spec.name).unwrap(),
+            ))
             .build();
         let raddr = lab.alloc.v4();
         let mut rcfg =

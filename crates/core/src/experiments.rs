@@ -5,14 +5,13 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Each driver comes in two flavors: the plain entry point (a
-//! [`DriverConfig::from_env`]: thread count from `HEROES_THREADS`, lab
-//! seed [`DEFAULT_LAB_SEED`], profile from `HEROES_FAULTS`) and a `_cfg`
-//! variant taking an explicit [`DriverConfig`]. Work is split into contiguous
-//! index-range shards via [`sim_par`]; every shard builds its **own** lab
-//! (the `Rc`-based simulation is deliberately not `Send`) from a
-//! per-shard seed, and results merge strictly in spec-index order. Three
-//! invariants make `threads = 1` and `threads = N` byte-identical:
+//! Every driver is a `run_*_cfg` function taking an explicit
+//! [`DriverConfig`]; [`DriverConfig::from_env`] is the one place the
+//! environment (`HEROES_THREADS`, `HEROES_FAULTS`) is read. Work is split
+//! into contiguous index-range shards via [`sim_par`]; every shard builds
+//! its **own** lab (the `Rc`-based simulation is deliberately not `Send`)
+//! from a per-shard seed, and results merge strictly in spec-index order.
+//! Three invariants make `threads = 1` and `threads = N` byte-identical:
 //!
 //! 1. per-spec observations never depend on which other specs share a
 //!    batch or lab (each domain/TLD/resolver is probed in isolation);
@@ -29,8 +28,8 @@
 //! for every probe, and a circuit-breaker config. Probe traffic is
 //! accounted in a [`ProbeStats`] (merged shard-wise; plain sums, so
 //! order-independent) satisfying
-//! `sent = answered + timed_out + circuit_skipped`. The plain entry
-//! points consult `HEROES_FAULTS` (see [`fault_profile_from_env`]);
+//! `sent = answered + timed_out + circuit_skipped`.
+//! [`DriverConfig::from_env`] consults `HEROES_FAULTS`;
 //! [`DriverConfig::clean`] stays explicitly clean so golden outputs
 //! never move.
 //! Fault *episodes* key their decisions off the schedule seed and
@@ -43,6 +42,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use analysis::domains::{DomainRecord, DomainStats, DomainTally};
 use analysis::resolvers::Panel;
@@ -52,21 +52,23 @@ use dns_resolver::Rfc9276Policy;
 use dns_scanner::atlas::classification_flow_via_probe;
 use dns_scanner::census::{exclusive_operator, Census, CensusProbe, DomainObservation};
 use dns_scanner::prober::{ProbeFlow, Prober, ResolverClassification};
-use dns_scanner::retry::{BreakerConfig, ProbeStats, ScanSession};
-use dns_wire::name::Name;
+use dns_scanner::retry::{BreakerConfig, ProbeStats};
+use dns_wire::name::{Name, MAX_NAME_LEN};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
-use dns_wire::rrtype::RrType;
+use dns_wire::rrtype::{Rcode, RrType};
 use dns_zone::nsec3hash::Nsec3Params;
 use dns_zone::signer::Denial;
 use dns_zone::Zone;
-use netsim::event::{drive, DriveStats, FlowStep};
-use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
+use netsim::event::FlowStep;
+use netsim::{Episode, EpisodeKind, FaultSchedule, Network, RetryPolicy, Scope};
 use popgen::domains::{DnssecKind, DomainGenerator, DomainSpec};
 use popgen::resolvers::{Access, Family, ResolverSpec};
+use popgen::tlds::TldSpec;
 use popgen::Scale;
 
 use crate::fleet::deploy_fleet;
+use crate::study::{run_study, ShardRun};
 use crate::testbed::build_testbed_seeded;
 
 /// Default lab-network seed for every experiment driver — the value the
@@ -132,21 +134,8 @@ impl ScanProfile {
     }
 }
 
-/// The profile the plain (non-`_cfg`) drivers run under:
-/// `HEROES_FAULTS=lossy` selects [`ScanProfile::lossy`] (seeded from
-/// [`DEFAULT_LAB_SEED`]), anything else — including unset — the clean
-/// profile.
-pub fn fault_profile_from_env() -> ScanProfile {
-    match std::env::var("HEROES_FAULTS") {
-        Ok(v) if v.trim() == "lossy" => ScanProfile::lossy(DEFAULT_LAB_SEED),
-        _ => ScanProfile::clean(),
-    }
-}
-
-/// Every knob the experiment drivers share. One `_cfg` entry point per
-/// experiment takes this instead of the historical `now, threads,
-/// lab_seed[, profile]` positional sprawl (`_with`/`_profiled`, now
-/// deprecated thin wrappers).
+/// Every knob the experiment drivers share: each `run_*_cfg` entry point
+/// takes one of these.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
     /// Validation epoch the labs are built at.
@@ -167,8 +156,7 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// Explicit parallelism on a clean network — what the `_with`
-    /// drivers hard-coded.
+    /// Explicit parallelism on a clean network.
     pub fn clean(now: u32, threads: usize, lab_seed: u64) -> Self {
         DriverConfig {
             now,
@@ -179,23 +167,17 @@ impl DriverConfig {
         }
     }
 
-    /// Environment-driven configuration, matching the plain drivers:
-    /// `HEROES_THREADS` picks the worker count, `HEROES_FAULTS` the
-    /// profile, `HEROES_WINDOW` the in-flight window (default
-    /// [`DEFAULT_WINDOW`]), and the lab seed is [`DEFAULT_LAB_SEED`].
+    /// Environment-driven configuration: `HEROES_THREADS` picks the
+    /// worker count (default 1), `HEROES_FAULTS=lossy` selects
+    /// [`ScanProfile::lossy`] seeded from [`DEFAULT_LAB_SEED`] (anything
+    /// else, including unset, the clean profile); the lab seed is
+    /// [`DEFAULT_LAB_SEED`] and the window [`DEFAULT_WINDOW`].
     pub fn from_env(now: u32) -> Self {
-        let window = std::env::var("HEROES_WINDOW")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|w| w.max(1))
-            .unwrap_or(DEFAULT_WINDOW);
-        DriverConfig {
-            now,
-            threads: sim_par::default_threads(),
-            lab_seed: DEFAULT_LAB_SEED,
-            profile: fault_profile_from_env(),
-            window,
-        }
+        let profile = match std::env::var("HEROES_FAULTS") {
+            Ok(v) if v.trim() == "lossy" => ScanProfile::lossy(DEFAULT_LAB_SEED),
+            _ => ScanProfile::clean(),
+        };
+        DriverConfig::clean(now, sim_par::default_threads(), DEFAULT_LAB_SEED).with_profile(profile)
     }
 
     /// The same configuration under `profile`.
@@ -228,15 +210,57 @@ impl DriverConfig {
     }
 }
 
+/// `num / den`, or 0 when nothing was counted — every per-query average
+/// and share the reports offer.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// `name` as the apex of a lab zone, or `None` when it cannot be one: it
+/// has to parse, and it has to leave room for a 32-octet label, because
+/// an NSEC3-signed zone owns `<base32 hash>.<apex>` names (which also
+/// covers the `ns1` and `hostmaster` names every lab zone gets).
+pub(crate) fn lab_apex(name: &str) -> Option<Name> {
+    let apex = Name::parse(name).ok()?;
+    (apex.wire_len() + 33 <= MAX_NAME_LEN).then_some(apex)
+}
+
+/// `zone` as lab zone contents, signed (or not) the way `dnssec` says.
+pub(crate) fn zone_spec(zone: Zone, dnssec: &DnssecKind) -> ZoneSpec {
+    match dnssec {
+        DnssecKind::None => ZoneSpec::unsigned(zone),
+        DnssecKind::Nsec => ZoneSpec::new(zone, Denial::Nsec),
+        DnssecKind::Nsec3 {
+            iterations,
+            salt_len,
+            opt_out,
+        } => ZoneSpec::new(
+            zone,
+            Denial::Nsec3 {
+                params: Nsec3Params::new(*iterations, vec![0xA5; *salt_len as usize]),
+                opt_out: *opt_out,
+            },
+        ),
+    }
+}
+
+/// The zone every lab zone starts from: `apex` with one address record,
+/// `192.0.2.<host>`.
+pub(crate) fn apex_zone(apex: &Name, host: u8) -> Zone {
+    let mut zone = Zone::new(apex.clone());
+    let address = RData::A(Ipv4Addr::new(192, 0, 2, host));
+    zone.add(Record::new(apex.clone(), 300, address))
+        .expect("an apex is inside its own zone");
+    zone
+}
+
 /// Turn a population spec into lab zone contents under its parsed name.
 fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
-    let mut zone = Zone::new(apex.clone());
-    zone.add(Record::new(
-        apex.clone(),
-        300,
-        RData::A(Ipv4Addr::new(192, 0, 2, 10)),
-    ))
-    .ok()?;
+    let mut zone = apex_zone(apex, 10);
     zone.add(Record::new(
         apex.prepend(b"www").ok()?,
         300,
@@ -255,33 +279,19 @@ fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
                 .ok()?;
         }
     }
-    let zs = match &spec.dnssec {
-        DnssecKind::None => ZoneSpec::unsigned(zone),
-        DnssecKind::Nsec => ZoneSpec::new(zone, Denial::Nsec),
-        DnssecKind::Nsec3 {
-            iterations,
-            salt_len,
-            opt_out,
-        } => ZoneSpec::new(
-            zone,
-            Denial::Nsec3 {
-                params: Nsec3Params::new(*iterations, vec![0xA5; *salt_len as usize]),
-                opt_out: *opt_out,
-            },
-        ),
-    };
-    Some(zs)
+    Some(zone_spec(zone, &spec.dnssec))
 }
 
 /// A lab builder holding `specs` as zones under their TLDs (RFC 9276
 /// NSEC3 zones), plus every spec's apex, parsed once for the builder and
-/// the caller alike: `None` where the spec yields no zone.
+/// the caller alike: `None` where the spec yields no zone (its name does
+/// not parse, or leaves no room for a 32-octet NSEC3 owner label).
 pub fn domain_lab(
     specs: &[DomainSpec],
     now: u32,
     lab_seed: u64,
 ) -> (LabBuilder, Vec<Option<Name>>) {
-    let mut apexes: Vec<Option<Name>> = specs.iter().map(|s| Name::parse(&s.name).ok()).collect();
+    let mut apexes: Vec<Option<Name>> = specs.iter().map(|s| lab_apex(&s.name)).collect();
     let tlds: BTreeSet<Name> = apexes
         .iter()
         .flatten()
@@ -304,42 +314,24 @@ pub fn domain_lab(
 /// Run the full §4.1 census over `specs`, instantiating real zones in
 /// batches of `batch_size` and scanning them through a validating
 /// resolver on the simulated network. Returns one [`DomainRecord`] per
-/// domain, as measured (not as declared).
-///
-/// Thread count from `HEROES_THREADS` (default 1); output is identical
-/// for every thread count.
-pub fn run_domain_census(specs: &[DomainSpec], now: u32, batch_size: usize) -> Vec<DomainRecord> {
-    run_domain_census_cfg(specs, batch_size, &DriverConfig::from_env(now)).0
-}
-
-/// [`run_domain_census`] under an explicit [`DriverConfig`], with probe
-/// traffic loss-accounted: returns the records plus the merged
-/// [`ProbeStats`] of every shard. Specs are split into contiguous
-/// shards, one worker per shard; each worker runs the batched census on
-/// its own labs and results merge in spec order.
+/// domain, as measured (not as declared), plus the merged [`ProbeStats`]
+/// of every shard. Specs are split into contiguous shards, one worker
+/// per shard; each worker runs the batched census on its own labs and
+/// results merge in spec order, so output is identical for every thread
+/// count.
 pub fn run_domain_census_cfg(
     specs: &[DomainSpec],
     batch_size: usize,
     cfg: &DriverConfig,
 ) -> (Vec<DomainRecord>, ProbeStats) {
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded(specs, cfg.threads, cfg.lab_seed, |shard, slice| {
-        vec![census_shard(
-            slice,
-            cfg.now,
-            batch_size,
-            shard.seed,
-            &cfg.profile,
-            window,
-        )]
+    let run = run_study(specs.len(), cfg, |shard, range| {
+        let mut records = Vec::with_capacity(range.len());
+        for batch in specs[range].chunks(batch_size.max(1)) {
+            records.extend(census_batch(shard, batch));
+        }
+        records
     });
-    let mut records = Vec::with_capacity(specs.len());
-    let mut stats = ProbeStats::default();
-    for (shard_records, shard_stats) in partials {
-        records.extend(shard_records);
-        stats.merge(&shard_stats);
-    }
-    (records, stats)
+    (run.parts.into_iter().flatten().collect(), run.probe_stats)
 }
 
 /// The analysis record one census observation yields for `spec`.
@@ -357,110 +349,38 @@ fn record_from_observation(spec: &DomainSpec, obs: DomainObservation) -> DomainR
     }
 }
 
-/// Run one census batch through the event core: instantiate the batch's
-/// zones in a private lab, admit one [`CensusProbe`] flow per domain
-/// with at most `window` in flight, and hand each finished record to
-/// `sink` **in batch order** (completion order never leaks out — records
-/// land in per-index slots and drain sequentially).
-///
-/// With `window = 1` the event queue degenerates to the exact sequential
-/// schedule of the historical blocking loop: admit one probe, step it to
-/// completion, admit the next.
-fn census_batch(
-    batch: &[DomainSpec],
-    now: u32,
-    lab_seed: u64,
-    profile: &ScanProfile,
-    window: usize,
-    session: &ScanSession,
-    sink: &mut dyn FnMut(DomainRecord),
-) -> DriveStats {
-    let (builder, mut apexes) = domain_lab(batch, now, lab_seed);
-    let mut lab = builder.build();
-    lab.net.set_schedule(profile.schedule.clone());
-    let raddr = lab.alloc.v4();
-    let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-    cfg.now = lab.now;
-    cfg.policy = Rfc9276Policy::unlimited();
-    cfg.retry = profile.retry;
-    let resolver = Resolver::new(cfg);
-    let census = Census::new(&lab.net, &resolver, "census").with_session(session);
-
-    // Completed records parked by batch index until the drain below —
-    // bounded by the batch size, never the population.
-    let mut slots: Vec<Option<DomainRecord>> = Vec::new();
-    slots.resize_with(batch.len(), || None);
-    let mut next = 0usize;
-    let net = &lab.net;
-    let stats = drive(
-        window,
-        || {
-            // A spec that yielded no zone gets no probe either.
-            while next < batch.len() {
-                let i = next;
-                next += 1;
-                if let Some(domain) = apexes[i].take() {
-                    return Some((i, Some(CensusProbe::new(domain))));
-                }
-            }
-            None
-        },
-        |(i, probe): &mut (usize, Option<CensusProbe>), due| {
-            let vnow = net.now_micros();
-            if due > vnow {
-                net.advance(due - vnow);
-            }
-            let p = probe.as_mut().expect("live census probe");
-            if p.step(&census) {
-                let obs = probe
-                    .take()
-                    .expect("finished census probe")
-                    .into_observation();
-                slots[*i] = Some(record_from_observation(&batch[*i], obs));
-                FlowStep::Done
-            } else {
-                FlowStep::Park {
-                    at_micros: net.now_micros(),
-                }
-            }
-        },
-    );
-    for slot in &mut slots {
-        if let Some(record) = slot.take() {
-            sink(record);
+/// One event-core step of a census probe: run its next phase, and park
+/// it at the lab's current time unless that was the last one.
+fn census_step(census: &Census<'_>, net: &Network, probe: &mut CensusProbe) -> FlowStep {
+    if probe.step(census) {
+        FlowStep::Done
+    } else {
+        FlowStep::Park {
+            at_micros: net.now_micros(),
         }
     }
-    stats
 }
 
-/// One shard of the domain census: the batched event-driven pipeline
-/// over `specs`, with every lab seeded from `lab_seed` and carrying
-/// `profile`'s fault schedule.
-fn census_shard(
-    specs: &[DomainSpec],
-    now: u32,
-    batch_size: usize,
-    lab_seed: u64,
-    profile: &ScanProfile,
-    window: usize,
-) -> (Vec<DomainRecord>, ProbeStats) {
-    let session = ScanSession::new(profile.breaker);
-    let mut records = Vec::with_capacity(specs.len());
-    for batch in specs.chunks(batch_size.max(1)) {
-        census_batch(
-            batch,
-            now,
-            lab_seed,
-            profile,
-            window,
-            &session,
-            &mut |rec| {
-                records.push(rec);
-            },
-        );
-    }
-    let stats = session.stats();
-    (records, stats)
+/// Run one census batch through the event core: instantiate the batch's
+/// zones in a private lab, admit one [`CensusProbe`] flow per domain
+/// under the run's window, and return the finished records **in batch
+/// order**. A spec that yielded no zone gets no probe either.
+///
+/// With a window of 1 the event queue degenerates to the exact
+/// sequential schedule of the historical blocking loop: admit one probe,
+/// step it to completion, admit the next.
+fn census_batch(shard: &ShardRun<'_>, batch: &[DomainSpec]) -> Vec<DomainRecord> {
+    let (builder, mut apexes) = domain_lab(batch, shard.cfg.now, shard.seed);
+    let mut lab = builder.build();
+    let resolver = shard.resolver(&mut lab, |_| {});
+    let census = Census::new(&lab.net, &resolver, "census").with_session(&shard.session);
+    shard.drive_indexed(
+        &lab.net,
+        batch.len(),
+        |i| apexes[i].take().map(CensusProbe::new),
+        |probe| census_step(&census, &lab.net, probe),
+        |i, probe| record_from_observation(&batch[i], probe.into_observation()),
+    )
 }
 
 /// Fast path: convert declared specs directly into analysis records
@@ -514,44 +434,27 @@ pub fn run_domain_census_stream(
     batch_size: usize,
     cfg: &DriverConfig,
 ) -> StreamCensusReport {
-    let total = popgen::domain_count(scale);
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded_range(total, cfg.threads, cfg.lab_seed, |shard| {
+    let total = usize::try_from(popgen::domain_count(scale)).expect("population fits in memory");
+    let run = run_study(total, cfg, |shard, range| {
         let generator = DomainGenerator::new(scale, population_seed);
-        let session = ScanSession::new(cfg.profile.breaker);
         let mut tally = DomainTally::new();
-        let mut high_water = 0usize;
-        let batch_size = batch_size.max(1) as u64;
-        let mut start = shard.start;
-        while start < shard.end {
-            let end = (start + batch_size).min(shard.end);
-            let batch: Vec<DomainSpec> = (start..end).map(|i| generator.get(i)).collect();
-            let drive_stats = census_batch(
-                &batch,
-                cfg.now,
-                shard.seed,
-                &cfg.profile,
-                window,
-                &session,
-                &mut |rec| tally.add(&rec),
-            );
-            high_water = high_water.max(drive_stats.in_flight_high_water);
-            start = end;
+        for start in range.clone().step_by(batch_size.max(1)) {
+            let end = (start + batch_size.max(1)).min(range.end);
+            let batch: Vec<DomainSpec> = (start..end).map(|i| generator.get(i as u64)).collect();
+            for record in census_batch(shard, &batch) {
+                tally.add(&record);
+            }
         }
-        (tally, session.stats(), high_water)
+        tally
     });
     let mut tally = DomainTally::new();
-    let mut probe_stats = ProbeStats::default();
-    let mut in_flight_high_water = 0usize;
-    for (shard_tally, shard_stats, shard_high) in partials {
-        tally.merge(shard_tally);
-        probe_stats.merge(&shard_stats);
-        in_flight_high_water = in_flight_high_water.max(shard_high);
+    for part in run.parts {
+        tally.merge(part);
     }
     StreamCensusReport {
         stats: tally.finish(),
-        probe_stats,
-        in_flight_high_water,
+        probe_stats: run.probe_stats,
+        in_flight_high_water: run.in_flight_high_water,
     }
 }
 
@@ -575,168 +478,86 @@ pub struct TldObservation {
 /// Run the TLD census end to end: instantiate every TLD as a real signed
 /// zone under the root (with `domains_scale`-scaled delegations inside),
 /// scan each one, and attempt the paper's zone-file collection via AXFR
-/// for the TLDs that share zone data.
-///
-/// Thread count from `HEROES_THREADS` (default 1); output is identical
-/// for every thread count.
-pub fn run_tld_census(
-    tlds: &[popgen::tlds::TldSpec],
-    now: u32,
-    domains_scale: f64,
-) -> Vec<TldObservation> {
-    run_tld_census_cfg(tlds, domains_scale, &DriverConfig::from_env(now)).0
-}
-
-/// [`run_tld_census`] under an explicit [`DriverConfig`], returning the
-/// merged per-shard [`ProbeStats`] alongside the observations. Each
-/// shard instantiates only its own TLDs (plus the root) in a private
-/// lab; a TLD's observation never depends on which siblings share the
-/// root, so the merged output equals the sequential one.
+/// for the TLDs that share zone data. Returns the merged per-shard
+/// [`ProbeStats`] alongside the observations. Each shard instantiates
+/// only its own TLDs (plus the root) in a private lab; a TLD's
+/// observation never depends on which siblings share the root, so the
+/// merged output equals the sequential one at every thread count.
 pub fn run_tld_census_cfg(
-    tlds: &[popgen::tlds::TldSpec],
+    tlds: &[TldSpec],
     domains_scale: f64,
     cfg: &DriverConfig,
 ) -> (Vec<TldObservation>, ProbeStats) {
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded(tlds, cfg.threads, cfg.lab_seed, |shard, slice| {
-        vec![tld_shard(
-            slice,
-            cfg.now,
-            domains_scale,
-            shard.seed,
-            &cfg.profile,
-            window,
-        )]
+    let run = run_study(tlds.len(), cfg, |shard, range| {
+        tld_shard(shard, &tlds[range], domains_scale)
     });
-    let mut out = Vec::with_capacity(tlds.len());
-    let mut stats = ProbeStats::default();
-    for (shard_out, shard_stats) in partials {
-        out.extend(shard_out);
-        stats.merge(&shard_stats);
+    (run.parts.into_iter().flatten().collect(), run.probe_stats)
+}
+
+/// Lab zone contents for one TLD under its parsed name: an apex address
+/// plus the scaled registry contents — insecure delegations, the bulk of
+/// a real TLD zone (and what opt-out exists for).
+fn zone_spec_for_tld(tld: &TldSpec, apex: &Name, domains_scale: f64) -> Option<ZoneSpec> {
+    let mut zone = apex_zone(apex, 77);
+    let delegations = ((tld.est_domains as f64 * domains_scale).round() as u64).min(200);
+    for i in 0..delegations {
+        let child = apex.prepend(format!("reg{i}").as_bytes()).ok()?;
+        let ns = child.prepend(b"ns").ok()?;
+        zone.add(Record::new(child, 3600, RData::Ns(ns))).ok()?;
     }
-    (out, stats)
+    Some(zone_spec(zone, &tld.dnssec))
 }
 
 /// One shard of the TLD census: the event-driven pipeline over `tlds`.
-fn tld_shard(
-    tlds: &[popgen::tlds::TldSpec],
-    now: u32,
-    domains_scale: f64,
-    lab_seed: u64,
-    profile: &ScanProfile,
-    window: usize,
-) -> (Vec<TldObservation>, ProbeStats) {
-    let mut builder = LabBuilder::new(now).seed(lab_seed);
-    for tld in tlds {
-        let apex = match Name::parse(&tld.name) {
-            Ok(n) => n,
-            Err(_) => continue,
-        };
-        let mut zone = Zone::new(apex.clone());
-        zone.add(Record::new(
-            apex.clone(),
-            300,
-            RData::A("192.0.2.77".parse().unwrap()),
-        ))
-        .unwrap();
-        // Scaled registry contents: insecure delegations, the bulk of a
-        // real TLD zone (and what opt-out exists for).
-        let delegations = ((tld.est_domains as f64 * domains_scale).round() as u64).min(200);
-        for i in 0..delegations {
-            let child = Name::parse(&format!("reg{i}"))
-                .unwrap()
-                .concat(&apex)
-                .unwrap();
-            let ns = Name::parse("ns").unwrap().concat(&child).unwrap();
-            zone.add(Record::new(child, 3600, RData::Ns(ns))).unwrap();
+fn tld_shard(shard: &ShardRun<'_>, tlds: &[TldSpec], domains_scale: f64) -> Vec<TldObservation> {
+    // Every TLD name is parsed once; a TLD that yields no zone gets no
+    // probe either.
+    let mut apexes: Vec<Option<Name>> = tlds.iter().map(|t| lab_apex(&t.name)).collect();
+    let mut builder = LabBuilder::new(shard.cfg.now).seed(shard.seed);
+    for (tld, apex) in tlds.iter().zip(&mut apexes) {
+        let zs = apex
+            .as_ref()
+            .and_then(|a| zone_spec_for_tld(tld, a, domains_scale));
+        match zs {
+            Some(zs) => builder = builder.zone(zs),
+            None => *apex = None,
         }
-        let spec = match &tld.dnssec {
-            DnssecKind::None => ZoneSpec::unsigned(zone),
-            DnssecKind::Nsec => ZoneSpec::new(zone, Denial::Nsec),
-            DnssecKind::Nsec3 {
-                iterations,
-                salt_len,
-                opt_out,
-            } => ZoneSpec::new(
-                zone,
-                Denial::Nsec3 {
-                    params: Nsec3Params::new(*iterations, vec![0xA5; *salt_len as usize]),
-                    opt_out: *opt_out,
-                },
-            ),
-        };
-        builder = builder.zone(spec);
     }
     let mut lab = builder.build();
     // Enable AXFR on the sharing TLDs' servers.
-    for tld in tlds {
-        if tld.shares_zone {
-            if let Ok(apex) = Name::parse(&tld.name) {
-                if let Some(auth) = lab.auths.get(&apex) {
-                    auth.allow_axfr(&apex);
-                }
-            }
+    for (tld, apex) in tlds.iter().zip(&apexes) {
+        if let (true, Some(apex)) = (tld.shares_zone, apex) {
+            lab.auths[apex].allow_axfr(apex);
         }
     }
-    lab.net.set_schedule(profile.schedule.clone());
-    let session = ScanSession::new(profile.breaker);
-    let raddr = lab.alloc.v4();
-    let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-    cfg.now = lab.now;
-    cfg.policy = Rfc9276Policy::unlimited();
-    cfg.retry = profile.retry;
-    let resolver = Resolver::new(cfg);
-    let census = Census::new(&lab.net, &resolver, "tlds").with_session(&session);
+    let resolver = shard.resolver(&mut lab, |_| {});
+    let census = Census::new(&lab.net, &resolver, "tlds").with_session(&shard.session);
     let xfer_src = lab.alloc.v4();
-    // Completed observations parked by shard index, drained in order.
-    let mut slots: Vec<Option<TldObservation>> = Vec::new();
-    slots.resize_with(tlds.len(), || None);
-    let mut next = 0usize;
-    let net = &lab.net;
     // One flow per TLD: the census probe phases, then — preserving the
-    // blocking pipeline's per-TLD order — the AXFR attempt as the final
-    // step before completion.
-    drive(
-        window,
-        || {
-            while next < tlds.len() {
-                let i = next;
-                next += 1;
-                match Name::parse(&tlds[i].name) {
-                    Ok(apex) => {
-                        let probe = CensusProbe::new(apex.clone());
-                        return Some((i, apex, Some(probe)));
-                    }
-                    Err(_) => continue,
-                }
-            }
-            None
+    // blocking pipeline's per-TLD order — the AXFR attempt inside the
+    // step that completes the probe.
+    shard.drive_indexed(
+        &lab.net,
+        tlds.len(),
+        |i| {
+            let apex = apexes[i].take()?;
+            Some((CensusProbe::new(apex.clone()), apex))
         },
-        |(i, apex, probe): &mut (usize, Name, Option<CensusProbe>), due| {
-            let vnow = net.now_micros();
-            if due > vnow {
-                net.advance(due - vnow);
-            }
-            let p = probe.as_mut().expect("live tld probe");
-            if !p.step(&census) {
-                return FlowStep::Park {
-                    at_micros: net.now_micros(),
-                };
-            }
-            let obs = probe.take().expect("finished tld probe").into_observation();
-            let (v4, _) = lab.servers[apex];
-            let transferred = dns_scanner::walk::axfr(net, xfer_src, v4, apex);
+        |(probe, _)| census_step(&census, &lab.net, probe),
+        |i, (probe, apex)| {
+            let obs = probe.into_observation();
+            let (v4, _) = lab.servers[&apex];
+            let transferred = dns_scanner::walk::axfr(&lab.net, xfer_src, v4, &apex);
             let delegations = transferred.as_ref().map(|records| {
-                let mut cuts: std::collections::BTreeSet<Name> = Default::default();
-                for rec in records {
-                    if rec.rrtype() == RrType::NS && rec.name != *apex {
-                        cuts.insert(rec.name.clone());
-                    }
-                }
+                let cuts: BTreeSet<&Name> = records
+                    .iter()
+                    .filter(|rec| rec.rrtype() == RrType::NS && rec.name != apex)
+                    .map(|rec| &rec.name)
+                    .collect();
                 cuts.len() as u64
             });
-            slots[*i] = Some(TldObservation {
-                name: tlds[*i].name.clone(),
+            TldObservation {
+                name: tlds[i].name.clone(),
                 dnssec: obs.dnssec_enabled,
                 nsec3: obs
                     .class
@@ -745,13 +566,9 @@ fn tld_shard(
                 opt_out: obs.opt_out,
                 axfr_ok: transferred.is_some(),
                 delegations,
-            });
-            FlowStep::Done
+            }
         },
-    );
-    let out = slots.into_iter().flatten().collect();
-    let stats = session.stats();
-    (out, stats)
+    )
 }
 
 /// Results of the §4.2 resolver study, grouped into Figure 3 panels.
@@ -790,17 +607,9 @@ fn fleet_addr_consumption(specs: &[ResolverSpec]) -> (u32, u128) {
     (v4, v6)
 }
 
-/// Build a fresh `rfc9276-in-the-wild.com` testbed at `now`, deploy
+/// Build a fresh `rfc9276-in-the-wild.com` testbed at `cfg.now`, deploy
 /// `specs` against it, and classify every resolver: open ones from the
-/// scanner's vantage, closed ones through their Atlas probes.
-///
-/// Thread count from `HEROES_THREADS` (default 1); output is identical
-/// for every thread count.
-pub fn run_resolver_study(now: u32, specs: &[ResolverSpec]) -> ResolverStudy {
-    run_resolver_study_cfg(specs, &DriverConfig::from_env(now))
-}
-
-/// [`run_resolver_study`] under an explicit [`DriverConfig`]. Each
+/// scanner's vantage, closed ones through their Atlas probes. Each
 /// shard builds its own testbed (identical zone hierarchy and address
 /// allocation), allocates the scanner vantage addresses, pre-skips the
 /// fleet addresses consumed by the specs before its range
@@ -811,117 +620,83 @@ pub fn run_resolver_study(now: u32, specs: &[ResolverSpec]) -> ResolverStudy {
 /// back `unreachable`, partially-covered ones `partial` — and the merged
 /// [`ProbeStats`] ride along in [`ResolverStudy::stats`].
 pub fn run_resolver_study_cfg(specs: &[ResolverSpec], cfg: &DriverConfig) -> ResolverStudy {
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded(specs, cfg.threads, cfg.lab_seed, |shard, slice| {
-        vec![resolver_shard(
-            cfg.now,
-            shard.seed,
-            specs,
-            shard.start,
-            slice,
-            &cfg.profile,
-            window,
-        )]
+    let run = run_study(specs.len(), cfg, |shard, range| {
+        resolver_shard(shard, specs, range)
     });
     let mut per_panel: BTreeMap<Panel, Vec<ResolverClassification>> = BTreeMap::new();
-    let mut stats = ProbeStats::default();
-    for (shard_pairs, shard_stats) in partials {
-        for (panel, classification) in shard_pairs {
-            per_panel.entry(panel).or_default().push(classification);
-        }
-        stats.merge(&shard_stats);
+    for (panel, classification) in run.parts.into_iter().flatten() {
+        per_panel.entry(panel).or_default().push(classification);
     }
-    ResolverStudy { per_panel, stats }
+    ResolverStudy {
+        per_panel,
+        stats: run.probe_stats,
+    }
 }
 
-/// One shard of the resolver study: classify `slice`
-/// (= `specs[start..start + slice.len()]`) on a private testbed, every
-/// classification a [`ProbeFlow`] stepped through the event core at
-/// wire-attempt granularity.
+/// One shard of the resolver study: classify `specs[range]` on a private
+/// testbed, every classification a [`ProbeFlow`] stepped through the
+/// event core at wire-attempt granularity.
 fn resolver_shard(
-    now: u32,
-    lab_seed: u64,
+    shard: &ShardRun<'_>,
     specs: &[ResolverSpec],
-    start: usize,
-    slice: &[ResolverSpec],
-    profile: &ScanProfile,
-    window: usize,
-) -> (Vec<(Panel, ResolverClassification)>, ProbeStats) {
-    let mut tb = build_testbed_seeded(now, lab_seed);
+    range: Range<usize>,
+) -> Vec<(Panel, ResolverClassification)> {
+    let profile = &shard.cfg.profile;
+    let mut tb = build_testbed_seeded(shard.cfg.now, shard.seed);
     tb.lab.net.set_schedule(profile.schedule.clone());
-    let session = ScanSession::new(profile.breaker);
     // Scanner vantages first (before the fleet, at a fixed offset), then
     // pre-skip the predecessors' fleet allocations: both keep every
     // address shard-invariant. Scanner source addresses never appear in
     // the output, only resolver addresses do.
     let scanner_v4 = tb.lab.alloc.v4();
     let scanner_v6 = tb.lab.alloc.v6();
-    let (consumed_v4, consumed_v6) = fleet_addr_consumption(&specs[..start]);
+    let (consumed_v4, consumed_v6) = fleet_addr_consumption(&specs[..range.start]);
     tb.lab.alloc.skip_v4(consumed_v4);
     tb.lab.alloc.skip_v6(consumed_v6);
-    let deployed = deploy_fleet(&mut tb.lab, slice);
-    let mut slots: Vec<Option<(Panel, ResolverClassification)>> = Vec::new();
-    slots.resize_with(deployed.len(), || None);
-    let mut next = 0usize;
+    let deployed = deploy_fleet(&mut tb.lab, &specs[range]);
     let net = &tb.lab.net;
-    drive(
-        window,
-        || {
-            if next >= deployed.len() {
-                return None;
-            }
-            let i = next;
-            next += 1;
+    shard.drive_indexed(
+        net,
+        deployed.len(),
+        |i| {
             let d = &deployed[i];
-            let panel = match (d.spec.access, d.spec.family) {
-                (Access::Open, Family::V4) => Panel::OpenV4,
-                (Access::Open, Family::V6) => Panel::OpenV6,
-                (Access::Closed, Family::V4) => Panel::ClosedV4,
-                (Access::Closed, Family::V6) => Panel::ClosedV6,
-            };
-            let flow = match &d.probe {
-                Some(probe) => {
-                    classification_flow_via_probe(net, probe, &tb.plan, profile.retry, &session)
-                }
+            Some(match &d.probe {
+                Some(probe) => classification_flow_via_probe(
+                    net,
+                    probe,
+                    &tb.plan,
+                    profile.retry,
+                    &shard.session,
+                ),
                 None => {
                     let src = match d.spec.family {
                         Family::V4 => scanner_v4,
                         Family::V6 => scanner_v6,
                     };
                     Prober::new(net, src, &tb.plan)
-                        .with_session(&session, profile.retry)
+                        .with_session(&shard.session, profile.retry)
                         .classification_flow(d.addr)
                 }
+            })
+        },
+        ProbeFlow::step,
+        |i, flow| {
+            let spec = &deployed[i].spec;
+            let panel = match (spec.access, spec.family) {
+                (Access::Open, Family::V4) => Panel::OpenV4,
+                (Access::Open, Family::V6) => Panel::OpenV6,
+                (Access::Closed, Family::V4) => Panel::ClosedV4,
+                (Access::Closed, Family::V6) => Panel::ClosedV6,
             };
-            Some((i, panel, Some(flow)))
+            (panel, flow.into_classification())
         },
-        |(i, panel, flow): &mut (usize, Panel, Option<ProbeFlow<'_>>), due| {
-            let vnow = net.now_micros();
-            if due > vnow {
-                net.advance(due - vnow);
-            }
-            match flow.as_mut().expect("live classification flow").step() {
-                FlowStep::Park { at_micros } => FlowStep::Park { at_micros },
-                FlowStep::Done => {
-                    let classification = flow
-                        .take()
-                        .expect("finished classification flow")
-                        .into_classification();
-                    slots[*i] = Some((*panel, classification));
-                    FlowStep::Done
-                }
-            }
-        },
-    );
-    let pairs = slots.into_iter().flatten().collect();
-    let stats = session.stats();
-    (pairs, stats)
+    )
 }
 
 /// Result of the unreachability experiment (§5.2 / abstract: "as 418
 /// resolvers do not accept any additional iteration count higher than 0,
 /// they potentially render 13.6 M domains unavailable to end users").
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Unreachability {
     /// NSEC3-enabled domains probed.
     pub probed: u64,
@@ -938,30 +713,18 @@ pub struct Unreachability {
 impl Unreachability {
     /// Share of NSEC3-enabled domains rendered unreachable (paper: 87.8 %).
     pub fn unreachable_pct(&self) -> f64 {
-        if self.probed == 0 {
-            0.0
-        } else {
-            self.unreachable as f64 / self.probed as f64 * 100.0
-        }
+        ratio(self.unreachable, self.probed) * 100.0
     }
 }
 
 /// Measure the abstract's unreachability claim end to end: instantiate a
 /// sample of NSEC3-enabled domains as real zones, resolve a nonexistent
 /// name under each through a SERVFAIL-from-it-1 resolver (the 418
-/// query-copier class), and count the failures.
-///
-/// Thread count from `HEROES_THREADS` (default 1); counts are identical
-/// for every thread count.
-pub fn run_unreachability(specs: &[DomainSpec], now: u32, batch_size: usize) -> Unreachability {
-    run_unreachability_cfg(specs, batch_size, &DriverConfig::from_env(now)).0
-}
-
-/// [`run_unreachability`] under an explicit [`DriverConfig`]: lost
-/// probes land in [`Unreachability::lost`] instead of inflating the
-/// unreachable count, and the merged [`ProbeStats`] ride along. Shards
-/// return partial counts which sum to the sequential totals (addition
-/// is order-independent, so this driver needs no merge-order argument).
+/// query-copier class), and count the failures. Lost probes land in
+/// [`Unreachability::lost`] instead of inflating the unreachable count,
+/// and the merged [`ProbeStats`] ride along. Shards return partial
+/// counts which sum to the sequential totals (addition is
+/// order-independent, so this driver needs no merge-order argument).
 pub fn run_unreachability_cfg(
     specs: &[DomainSpec],
     batch_size: usize,
@@ -972,113 +735,60 @@ pub fn run_unreachability_cfg(
         .filter(|s| s.nsec3().is_some())
         .cloned()
         .collect();
-    let window = cfg.effective_window();
-    let partials =
-        sim_par::run_sharded(&nsec3_sample, cfg.threads, cfg.lab_seed, |shard, slice| {
-            vec![unreachability_shard(
-                slice,
-                cfg.now,
-                batch_size,
-                shard.seed,
-                &cfg.profile,
-                window,
-            )]
-        });
-    let mut result = Unreachability {
-        probed: 0,
-        unreachable: 0,
-        reachable: 0,
-        lost: 0,
-    };
-    let mut stats = ProbeStats::default();
-    for (p, shard_stats) in partials {
-        result.probed += p.probed;
-        result.unreachable += p.unreachable;
-        result.reachable += p.reachable;
-        result.lost += p.lost;
-        stats.merge(&shard_stats);
+    let run = run_study(nsec3_sample.len(), cfg, |shard, range| {
+        unreachability_shard(shard, &nsec3_sample[range], batch_size)
+    });
+    let mut result = Unreachability::default();
+    for part in run.parts {
+        result.probed += part.probed;
+        result.unreachable += part.unreachable;
+        result.reachable += part.reachable;
+        result.lost += part.lost;
     }
-    (result, stats)
+    (result, run.probe_stats)
 }
 
 /// One shard of the unreachability probe: the event-driven batched
 /// pipeline over `sample` (already filtered to NSEC3-enabled specs).
 fn unreachability_shard(
+    shard: &ShardRun<'_>,
     sample: &[DomainSpec],
-    now: u32,
     batch_size: usize,
-    lab_seed: u64,
-    profile: &ScanProfile,
-    window: usize,
-) -> (Unreachability, ProbeStats) {
-    let session = ScanSession::new(profile.breaker);
-    let mut result = Unreachability {
-        probed: 0,
-        unreachable: 0,
-        reachable: 0,
-        lost: 0,
-    };
+) -> Unreachability {
+    let mut result = Unreachability::default();
     for batch in sample.chunks(batch_size.max(1)) {
-        let mut lab = domain_lab(batch, now, lab_seed).0.build();
-        lab.net.set_schedule(profile.schedule.clone());
-        let raddr = lab.alloc.v4();
-        let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-        cfg.now = lab.now;
+        let (builder, apexes) = domain_lab(batch, shard.cfg.now, shard.seed);
+        let mut lab = builder.build();
         // The strict class: SERVFAIL for any NSEC3 iteration count > 0.
-        cfg.policy = Rfc9276Policy::servfail_above(0);
-        cfg.retry = profile.retry;
-        let resolver = Resolver::new(cfg);
-        // One single-step flow per domain: the whole strict-resolver
-        // lookup runs inside its first step, so any window yields the
-        // sequential order (all flows are due at admission time and the
-        // queue is FIFO at equal times) — the counts are plain sums
-        // regardless.
-        let mut next = 0usize;
-        let net = &lab.net;
-        drive(
-            window,
-            || {
-                while next < batch.len() {
-                    let i = next;
-                    next += 1;
-                    match Name::parse(&batch[i].name) {
-                        Ok(domain) => return Some(domain),
-                        Err(_) => continue,
-                    }
-                }
-                None
-            },
-            |domain: &mut Name, due| {
-                let vnow = net.now_micros();
-                if due > vnow {
-                    net.advance(due - vnow);
-                }
-                let probe = Name::parse("does-not-exist")
-                    .unwrap()
-                    .concat(domain)
-                    .unwrap();
-                let out = resolver.resolve(net, &probe, RrType::A);
+        let strict = |rcfg: &mut ResolverConfig| rcfg.policy = Rfc9276Policy::servfail_above(0);
+        let resolver = shard.resolver(&mut lab, strict);
+        // One single-step flow per domain that got a zone: the whole
+        // strict-resolver lookup runs inside its first step, so any
+        // window yields the sequential order (all flows are due at
+        // admission time and the queue is FIFO at equal times) — the
+        // counts are plain sums regardless.
+        let mut probes = apexes
+            .iter()
+            .flatten()
+            .filter_map(|apex| apex.prepend(b"does-not-exist").ok());
+        shard.drive(
+            &lab.net,
+            || probes.next(),
+            |probe: &mut Name| {
+                let out = resolver.resolve(&lab.net, probe, RrType::A);
                 result.probed += 1;
-                // A SERVFAIL that spent upstream timeouts is probe loss,
-                // not a policy verdict (clean networks never spend
-                // timeouts).
-                let lost = out.rcode == dns_wire::rrtype::Rcode::ServFail && out.cost.timeouts > 0;
-                if lost {
-                    session.note_timed_out(out.cost.retries);
+                if shard.lost(&out) {
                     result.lost += 1;
+                } else if out.rcode == Rcode::ServFail {
+                    result.unreachable += 1;
                 } else {
-                    session.note_answered(out.cost.retries);
-                    match out.rcode {
-                        dns_wire::rrtype::Rcode::ServFail => result.unreachable += 1,
-                        _ => result.reachable += 1,
-                    }
+                    result.reachable += 1;
                 }
                 FlowStep::Done
             },
         );
     }
-    let stats = session.stats();
-    (result, stats)
+    result
 }
 
 /// One point of the CVE-2023-50868 cost sweep.
@@ -1106,16 +816,7 @@ pub fn cve_cost_sweep(points: &[(u16, u8)], now: u32) -> Vec<CvePoint> {
         let lab_builder = LabBuilder::new(now)
             .simple_zone(&Name::parse("example.").unwrap(), Denial::nsec3_rfc9276())
             .zone(ZoneSpec::new(
-                {
-                    let mut z = Zone::new(apex.clone());
-                    z.add(Record::new(
-                        apex.clone(),
-                        300,
-                        RData::A("192.0.2.10".parse().unwrap()),
-                    ))
-                    .unwrap();
-                    z
-                },
+                apex_zone(&apex, 10),
                 Denial::Nsec3 {
                     params: Nsec3Params::new(iterations, vec![0x5a; salt_len as usize]),
                     opt_out: false,
@@ -1153,7 +854,7 @@ mod tests {
     fn census_measures_what_popgen_declares() {
         let specs = popgen::generate_domains(Scale(1.0 / 2_000_000.0), 3);
         let sample: Vec<DomainSpec> = specs.into_iter().take(60).collect();
-        let measured = run_domain_census(&sample, NOW, 40);
+        let measured = run_domain_census_cfg(&sample, 40, &DriverConfig::from_env(NOW)).0;
         assert_eq!(measured.len(), sample.len());
         let declared = records_from_specs(&sample);
         for (m, d) in measured.iter().zip(declared.iter()) {
@@ -1176,7 +877,7 @@ mod tests {
         let nsec3: Vec<_> = specs.iter().filter(|s| s.nsec3().is_some()).collect();
         assert!(nsec3.len() >= 10, "sample large enough: {}", nsec3.len());
         let expected_unreachable = nsec3.iter().filter(|s| s.nsec3().unwrap().0 > 0).count() as u64;
-        let result = run_unreachability(&specs, NOW, 100);
+        let result = run_unreachability_cfg(&specs, 100, &DriverConfig::from_env(NOW)).0;
         assert_eq!(result.probed, nsec3.len() as u64);
         assert_eq!(result.unreachable, expected_unreachable);
         assert_eq!(result.lost, 0, "clean network loses nothing");
@@ -1243,7 +944,7 @@ mod tests {
     fn tld_census_measures_declared_parameters() {
         // A slice of the real TLD population, scanned end to end.
         let tlds: Vec<_> = popgen::generate_tlds().into_iter().step_by(37).collect();
-        let observed = run_tld_census(&tlds, NOW, 1.0 / 100_000.0);
+        let observed = run_tld_census_cfg(&tlds, 1.0 / 100_000.0, &DriverConfig::from_env(NOW)).0;
         assert_eq!(observed.len(), tlds.len());
         for (obs, spec) in observed.iter().zip(tlds.iter()) {
             assert_eq!(obs.name, spec.name);

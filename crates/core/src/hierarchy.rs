@@ -20,21 +20,20 @@
 
 use std::collections::BTreeMap;
 
-use dns_resolver::lab::{ds_record, simple_zone_contents, Lab, LabBuilder, ZoneSpec};
-use dns_resolver::resolver::{RecursionStep, Resolver, ResolverConfig, TrustAnchor};
-use dns_scanner::retry::{ProbeStats, ScanSession};
+use dns_resolver::lab::{ds_record, simple_zone_contents, Lab, LabBuilder};
+use dns_resolver::resolver::{RecursionStep, TrustAnchor};
+use dns_scanner::retry::ProbeStats;
 use dns_wire::edns::EdeCode;
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::rrtype::{Rcode, RrType};
-use dns_zone::nsec3hash::Nsec3Params;
-use dns_zone::signer::{Denial, SigningKey};
+use dns_zone::signer::SigningKey;
 use dns_zone::Zone;
-use netsim::event::{drive, FlowStep};
+use netsim::event::FlowStep;
 use popgen::hierarchy::{ChainScenario, HierarchyGenerator, HierarchyModel, HierarchyTld};
-use popgen::DnssecKind;
 
-use crate::experiments::DriverConfig;
+use crate::experiments::{zone_spec, DriverConfig};
+use crate::study::{run_study, ShardRun};
 
 /// The EDE text [`dns_resolver`] attaches to anchor-mismatch SERVFAILs —
 /// the classification hook for the mis-anchored bucket.
@@ -143,31 +142,12 @@ impl ChainReport {
     }
 }
 
-/// Lab zone spec for a zone signed (or not) per `dnssec`.
-fn zone_spec_for(zone: Zone, dnssec: &DnssecKind) -> ZoneSpec {
-    match dnssec {
-        DnssecKind::None => ZoneSpec::unsigned(zone),
-        DnssecKind::Nsec => ZoneSpec::new(zone, Denial::Nsec),
-        DnssecKind::Nsec3 {
-            iterations,
-            salt_len,
-            opt_out,
-        } => ZoneSpec::new(
-            zone,
-            Denial::Nsec3 {
-                params: Nsec3Params::new(*iterations, vec![0xA5; *salt_len as usize]),
-                opt_out: *opt_out,
-            },
-        ),
-    }
-}
-
 /// Queue one TLD and its leaves onto a lab builder, applying the TLD's
 /// chain scenario (the mis-anchor scenario is resolver-side; see
 /// [`mis_anchor`]).
 fn add_tld_to_lab(mut builder: LabBuilder, tld: &HierarchyTld) -> LabBuilder {
     let apex = Name::parse(&tld.spec.name).expect("TLD apex parses");
-    let mut zs = zone_spec_for(Zone::new(apex), &tld.spec.dnssec);
+    let mut zs = zone_spec(Zone::new(apex), &tld.spec.dnssec);
     match tld.scenario {
         ChainScenario::BrokenDs => zs.broken_ds = true,
         ChainScenario::InsecureDelegation => zs.unsigned_delegation = true,
@@ -177,10 +157,7 @@ fn add_tld_to_lab(mut builder: LabBuilder, tld: &HierarchyTld) -> LabBuilder {
     builder = builder.zone(zs);
     for leaf in &tld.leaves {
         let leaf_apex = Name::parse(&leaf.name).expect("leaf apex parses");
-        builder = builder.zone(zone_spec_for(
-            simple_zone_contents(&leaf_apex),
-            &leaf.dnssec,
-        ));
+        builder = builder.zone(zone_spec(simple_zone_contents(&leaf_apex), &leaf.dnssec));
     }
     builder
 }
@@ -248,140 +225,91 @@ fn probes_for(tld: &HierarchyTld, probe_nxdomain: bool) -> Vec<Name> {
     probes
 }
 
-/// Run `study` with environment-driven parallelism
-/// (`HEROES_THREADS`/`HEROES_FAULTS`; see [`DriverConfig::from_env`]).
-pub fn run_chain_study(study: &ChainStudy, now: u32) -> ChainReport {
-    run_chain_study_cfg(study, &DriverConfig::from_env(now))
-}
-
-/// [`run_chain_study`] under an explicit [`DriverConfig`]. TLDs shard
-/// like every other driver; each TLD gets its **own** private lab
-/// (root plus TLD plus leaves) and its own resolver, so no observation
-/// depends on which TLDs share a shard and every thread count produces
-/// identical tallies. Within a TLD, the probes run as ONE multi-step
-/// flow that steps the resolver's [`dns_resolver::Recursion`] machine
-/// through the event core — one delegation level per event — so the
-/// walk itself is scheduled by the bounded window, not hidden inside a
-/// blocking call.
+/// Run `study` under `cfg`. TLDs shard like every other driver; each TLD
+/// gets its **own** private lab (root plus TLD plus leaves) and its own
+/// resolver, so no observation depends on which TLDs share a shard and
+/// every thread count produces identical tallies. Within a TLD, the
+/// probes run as ONE multi-step flow that steps the resolver's
+/// [`dns_resolver::Recursion`] machine through the event core — one
+/// delegation level per event — so the walk itself is scheduled by the
+/// bounded window, not hidden inside a blocking call.
 pub fn run_chain_study_cfg(study: &ChainStudy, cfg: &DriverConfig) -> ChainReport {
-    let generator = HierarchyGenerator::new(study.model.clone());
-    let tlds = generator.tlds();
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded(&tlds, cfg.threads, cfg.lab_seed, |shard, slice| {
-        vec![chain_shard(slice, study, cfg, shard.seed, window)]
+    let tlds = HierarchyGenerator::new(study.model.clone()).tlds();
+    let run = run_study(tlds.len(), cfg, |shard, range| {
+        chain_shard(shard, &tlds[range], study)
     });
     let mut per_scenario: BTreeMap<String, ChainTally> = BTreeMap::new();
-    let mut probe_stats = ProbeStats::default();
-    for (shard_tallies, shard_stats) in partials {
-        for (key, tally) in shard_tallies {
-            per_scenario.entry(key).or_default().merge(&tally);
-        }
-        probe_stats.merge(&shard_stats);
+    for (key, tally) in run.parts.into_iter().flatten() {
+        per_scenario.entry(key).or_default().merge(&tally);
     }
     ChainReport {
         per_scenario,
-        probe_stats,
+        probe_stats: run.probe_stats,
     }
 }
 
 /// One shard: every TLD in `slice`, each in a private lab with its own
 /// recursing resolver.
 fn chain_shard(
+    shard: &ShardRun<'_>,
     slice: &[HierarchyTld],
     study: &ChainStudy,
-    cfg: &DriverConfig,
-    lab_seed: u64,
-    window: usize,
-) -> (BTreeMap<String, ChainTally>, ProbeStats) {
-    let session = ScanSession::new(cfg.profile.breaker);
+) -> BTreeMap<String, ChainTally> {
     let mut tallies: BTreeMap<String, ChainTally> = BTreeMap::new();
     for tld in slice {
-        let builder = LabBuilder::new(cfg.now).seed(lab_seed);
+        let builder = LabBuilder::new(shard.cfg.now).seed(shard.seed);
         let mut lab = add_tld_to_lab(builder, tld).build();
-        lab.net.set_schedule(cfg.profile.schedule.clone());
-        let raddr = lab.alloc.v4();
-        let mut rcfg =
-            ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-        rcfg.now = lab.now;
-        rcfg.retry = cfg.profile.retry;
-        rcfg.delegation_cache = true;
-        if tld.scenario == ChainScenario::MisAnchoredTld {
-            let apex = Name::parse(&tld.spec.name).expect("TLD apex parses");
-            rcfg.trust_anchors.push(mis_anchor(&apex));
-        }
-        let resolver = Resolver::new(rcfg);
+        let resolver = shard.resolver(&mut lab, |rcfg| {
+            rcfg.delegation_cache = true;
+            if tld.scenario == ChainScenario::MisAnchoredTld {
+                let apex = Name::parse(&tld.spec.name).expect("TLD apex parses");
+                rcfg.trust_anchors.push(mis_anchor(&apex));
+            }
+        });
         let probes = probes_for(tld, study.probe_nxdomain);
         let tally = tallies.entry(tld.scenario.key().to_string()).or_default();
         let net = &lab.net;
-        // One multi-step flow walks the whole probe list, one recursion
-        // level per event-core step. A single flow per independent net
-        // makes window-invariance trivial while still exercising the
-        // park/resume machinery of the scheduler.
-        let mut machine = None;
-        let mut probe_idx = 0usize;
-        let mut admitted = false;
-        drive(
-            window,
-            || {
-                if admitted || probes.is_empty() {
-                    return None;
-                }
-                admitted = true;
-                Some(())
-            },
-            |_flow: &mut (), due| {
-                let vnow = net.now_micros();
-                if due > vnow {
-                    net.advance(due - vnow);
-                }
-                if machine.is_none() {
-                    machine = Some(resolver.begin_recursion(net, &probes[probe_idx], RrType::A));
-                }
-                match machine.as_mut().expect("machine in place").step(net) {
-                    RecursionStep::Pending => FlowStep::Park {
-                        at_micros: net.now_micros(),
-                    },
-                    RecursionStep::Done(out) => {
-                        machine = None;
-                        tally.queries += 1;
-                        tally.upstream_messages += out.cost.messages_sent;
-                        if out.budget_exceeded {
-                            session.note_answered(out.cost.retries);
-                            tally.budget_exceeded += 1;
-                        } else if out.rcode == Rcode::ServFail {
-                            if out.cost.timeouts > 0 {
-                                session.note_timed_out(out.cost.retries);
-                                tally.lost += 1;
-                            } else {
-                                session.note_answered(out.cost.retries);
-                                match &out.ede {
-                                    Some((_, text)) if text.as_str() == ANCHOR_MISMATCH_TEXT => {
-                                        tally.bogus_anchor += 1
-                                    }
-                                    Some((code, _)) if *code == EdeCode::DNSKEY_MISSING => {
-                                        tally.lame += 1
-                                    }
-                                    Some(_) => tally.bogus += 1,
-                                    None => tally.lame += 1,
-                                }
-                            }
+        // One multi-step flow (next probe, its machine) walks the whole
+        // probe list, one recursion level per event-core step. A single
+        // flow per independent net makes window-invariance trivial while
+        // still exercising the park/resume machinery of the scheduler.
+        let mut walk = (!probes.is_empty()).then_some((0usize, None));
+        shard.drive(
+            net,
+            || walk.take(),
+            |(probe_idx, machine)| {
+                let begin = || resolver.begin_recursion(net, &probes[*probe_idx], RrType::A);
+                let step = machine.get_or_insert_with(begin).step(net);
+                if let RecursionStep::Done(out) = step {
+                    *machine = None;
+                    *probe_idx += 1;
+                    tally.queries += 1;
+                    tally.upstream_messages += out.cost.messages_sent;
+                    if shard.lost(&out) {
+                        tally.lost += 1;
+                    } else if out.budget_exceeded {
+                        tally.budget_exceeded += 1;
+                    } else if out.rcode != Rcode::ServFail {
+                        if out.authenticated {
+                            tally.secure += 1;
                         } else {
-                            session.note_answered(out.cost.retries);
-                            if out.authenticated {
-                                tally.secure += 1;
-                            } else {
-                                tally.insecure += 1;
-                            }
+                            tally.insecure += 1;
                         }
-                        probe_idx += 1;
-                        if probe_idx >= probes.len() {
-                            FlowStep::Done
-                        } else {
-                            FlowStep::Park {
-                                at_micros: net.now_micros(),
+                    } else {
+                        match &out.ede {
+                            Some((_, text)) if text.as_str() == ANCHOR_MISMATCH_TEXT => {
+                                tally.bogus_anchor += 1
                             }
+                            Some((code, _)) if *code != EdeCode::DNSKEY_MISSING => tally.bogus += 1,
+                            _ => tally.lame += 1,
                         }
                     }
+                    if *probe_idx >= probes.len() {
+                        return FlowStep::Done;
+                    }
+                }
+                FlowStep::Park {
+                    at_micros: net.now_micros(),
                 }
             },
         );
@@ -389,13 +317,14 @@ fn chain_shard(
         tally.delegation_misses += resolver.delegation_misses();
         tally.delegation_evictions += resolver.delegation_evictions();
     }
-    (tallies, session.stats())
+    tallies
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::DEFAULT_LAB_SEED;
+    use dns_resolver::resolver::{Resolver, ResolverConfig};
 
     const NOW: u32 = 1_710_000_000;
 
@@ -407,7 +336,7 @@ mod tests {
 
     #[test]
     fn scenarios_classify_into_distinct_buckets() {
-        let report = run_chain_study(&faulted_study(), NOW);
+        let report = run_chain_study_cfg(&faulted_study(), &DriverConfig::from_env(NOW));
         let intact = report.scenario(ChainScenario::Intact);
         assert!(intact.secure > 0, "signed intact TLDs authenticate");
         assert!(
@@ -455,7 +384,7 @@ mod tests {
 
     #[test]
     fn delegation_cache_warms_within_a_tld() {
-        let report = run_chain_study(&faulted_study(), NOW);
+        let report = run_chain_study_cfg(&faulted_study(), &DriverConfig::from_env(NOW));
         let total = report.total();
         // First walk per TLD misses, later leaf walks hit the cached cut.
         assert!(total.delegation_hits > 0, "{total:?}");

@@ -17,17 +17,17 @@
 //!   a signed root→TLD→leaf delegation graph with per-delegation fault
 //!   scenarios (mis-anchored, broken DS, insecure, lame).
 //!
-//! Every driver also has a `_cfg` variant taking an explicit
-//! [`DriverConfig`] (thread count, lab seed, fault profile); the plain
-//! drivers read `HEROES_THREADS`/`HEROES_FAULTS` from the environment.
-//! Output is byte-identical for every thread count.
+//! Every driver is a `run_*_cfg` function taking an explicit
+//! [`DriverConfig`] (thread count, lab seed, fault profile);
+//! [`DriverConfig::from_env`] reads `HEROES_THREADS`/`HEROES_FAULTS` from
+//! the environment. Output is byte-identical for every thread count.
 //!
 //! ```no_run
-//! use nsec3_core::experiments::run_resolver_study;
+//! use nsec3_core::experiments::{run_resolver_study_cfg, DriverConfig};
 //! use popgen::{generate_fleet, Scale};
 //!
 //! let fleet = generate_fleet(Scale(1.0 / 10_000.0), 42);
-//! let study = run_resolver_study(1_710_000_000, &fleet);
+//! let study = run_resolver_study_cfg(&fleet, &DriverConfig::from_env(1_710_000_000));
 //! let stats = analysis::ResolverStats::compute(&study.all());
 //! println!("item 6: {:.1} % (paper: 59.9 %)", stats.item6_pct());
 //! ```
@@ -40,23 +40,22 @@ pub mod experiments;
 pub mod fleet;
 pub mod hierarchy;
 pub mod serving;
+mod study;
 pub mod testbed;
 
 pub use adversarial::{
-    run_adversarial, run_adversarial_cfg, AdversarialReport, AdversarialScenario, DefenseProfile,
-    FamilyTally,
+    run_adversarial_cfg, AdversarialReport, AdversarialScenario, DefenseProfile, FamilyTally,
 };
 pub use experiments::{
-    cve_cost_sweep, records_from_specs, run_domain_census, run_domain_census_cfg,
-    run_domain_census_stream, run_resolver_study, run_resolver_study_cfg, run_tld_census,
-    run_tld_census_cfg, run_unreachability, run_unreachability_cfg, CvePoint, DriverConfig,
+    cve_cost_sweep, records_from_specs, run_domain_census_cfg, run_domain_census_stream,
+    run_resolver_study_cfg, run_tld_census_cfg, run_unreachability_cfg, CvePoint, DriverConfig,
     ResolverStudy, StreamCensusReport, TldObservation, Unreachability, DEFAULT_LAB_SEED,
     DEFAULT_WINDOW,
 };
 pub use fleet::{deploy_fleet, policy_for, DeployedResolver};
 pub use hierarchy::{
-    build_hierarchy, mis_anchor, run_chain_study, run_chain_study_cfg, ChainReport, ChainStudy,
-    ChainTally, Hierarchy,
+    build_hierarchy, mis_anchor, run_chain_study_cfg, ChainReport, ChainStudy, ChainTally,
+    Hierarchy,
 };
-pub use serving::{run_serving, run_serving_cfg, ServingReport, ServingScenario, ServingTally};
+pub use serving::{run_serving_cfg, ServingReport, ServingScenario, ServingTally};
 pub use testbed::{build_testbed, build_testbed_seeded, iteration_values, Testbed, TEST_DOMAIN};

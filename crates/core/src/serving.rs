@@ -34,17 +34,16 @@
 
 use std::collections::BTreeMap;
 
-use dns_resolver::resolver::{Resolver, ResolverConfig};
-use dns_resolver::Rfc9276Policy;
-use dns_scanner::retry::{ProbeStats, ScanSession};
+use dns_scanner::retry::ProbeStats;
 use dns_wire::name::Name;
 use dns_wire::rrtype::{Rcode, RrType};
-use netsim::event::{drive, FlowStep};
+use netsim::event::FlowStep;
 use popgen::domains::DomainSpec;
 use popgen::traffic::{TrafficGenerator, TrafficModel};
 use sim_rng::SplitMix64;
 
-use crate::experiments::{domain_lab, DriverConfig, ScanProfile};
+use crate::experiments::{domain_lab, ratio, DriverConfig};
+use crate::study::{run_study, ShardRun};
 
 /// One serving run: the domain population, who queries it, and how the
 /// fleet caches.
@@ -235,19 +234,7 @@ impl ServingTally {
 
     /// Upstream messages per client query — the load the fleet exports.
     pub fn upstream_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.upstream_messages as f64 / self.queries as f64
-        }
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        ratio(self.upstream_messages, self.queries)
     }
 }
 
@@ -272,52 +259,27 @@ impl ServingReport {
     }
 }
 
-/// Run `scenario` with environment-driven parallelism
-/// (`HEROES_THREADS`/`HEROES_FAULTS`/`HEROES_WINDOW`; see
-/// [`DriverConfig::from_env`]).
-pub fn run_serving(scenario: &ServingScenario, now: u32) -> ServingReport {
-    run_serving_cfg(scenario, &DriverConfig::from_env(now))
-}
-
-/// [`run_serving`] under an explicit [`DriverConfig`]. Fleet members
-/// shard across threads; each member's lab seed derives from
-/// `(lab_seed, member index)` — never the shard — so every thread count
-/// produces identical tallies.
+/// Run `scenario` under `cfg`. Fleet members shard across threads; each
+/// member's lab seed derives from `(lab_seed, member index)` — never the
+/// shard — so every thread count produces identical tallies.
 pub fn run_serving_cfg(scenario: &ServingScenario, cfg: &DriverConfig) -> ServingReport {
     assert!(!scenario.domains.is_empty(), "serving needs zones");
-    let fleet = scenario.fleet.max(1) as u64;
-    let window = cfg.effective_window();
-    let partials = sim_par::run_sharded_range(fleet, cfg.threads, cfg.lab_seed, |shard| {
-        let session = ScanSession::new(cfg.profile.breaker);
+    let fleet = scenario.fleet.max(1);
+    let run = run_study(fleet, cfg, |shard, range| {
         let mut tally = ServingTally::default();
-        let mut high_water = 0usize;
-        for member in shard.start..shard.end {
-            high_water = high_water.max(serving_unit(
-                scenario,
-                member,
-                fleet,
-                cfg.now,
-                cfg.lab_seed,
-                &cfg.profile,
-                window,
-                &session,
-                &mut tally,
-            ));
+        for member in range {
+            serving_unit(shard, scenario, member as u64, fleet as u64, &mut tally);
         }
-        (tally, session.stats(), high_water)
+        tally
     });
     let mut tally = ServingTally::default();
-    let mut probe_stats = ProbeStats::default();
-    let mut in_flight_high_water = 0usize;
-    for (shard_tally, shard_stats, shard_hw) in partials {
-        tally.merge(&shard_tally);
-        probe_stats.merge(&shard_stats);
-        in_flight_high_water = in_flight_high_water.max(shard_hw);
+    for part in &run.parts {
+        tally.merge(part);
     }
     ServingReport {
         tally,
-        probe_stats,
-        in_flight_high_water,
+        probe_stats: run.probe_stats,
+        in_flight_high_water: run.in_flight_high_water,
     }
 }
 
@@ -334,72 +296,47 @@ fn client_block(clients: u64, fleet: u64, member: u64) -> (u64, u64) {
 
 /// One fleet member: a private lab with the whole zone population, one
 /// caching resolver, and its client block's query slice in stream order
-/// as single-step flows on the event core. Returns the drive's
-/// high-water mark.
-#[allow(clippy::too_many_arguments)]
+/// as single-step flows on the event core.
 fn serving_unit(
+    shard: &ShardRun<'_>,
     scenario: &ServingScenario,
     member: u64,
     fleet: u64,
-    now: u32,
-    lab_seed: u64,
-    profile: &ScanProfile,
-    window: usize,
-    session: &ScanSession,
     tally: &mut ServingTally,
-) -> usize {
+) {
     let (c_lo, c_hi) = client_block(scenario.traffic.clients, fleet, member);
     let qpc = scenario.traffic.queries_per_client;
     let (q_lo, q_hi) = (c_lo * qpc, c_hi * qpc);
     if q_lo >= q_hi {
-        return 0;
+        return;
     }
     // Per-member lab seed: a function of (lab_seed, member), never of
     // the shard plan — thread counts must not move a member's stream.
     let member_seed =
-        SplitMix64::new(lab_seed ^ member.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
-    let mut lab = domain_lab(&scenario.domains, now, member_seed).0.build();
-    lab.net.set_schedule(profile.schedule.clone());
-    let raddr = lab.alloc.v4();
-    let mut rcfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-    rcfg.now = lab.now;
-    rcfg.policy = Rfc9276Policy::unlimited();
-    rcfg.retry = profile.retry;
-    rcfg.cache_size = scenario.cache_size;
-    rcfg.aggressive_nsec3 = scenario.aggressive;
-    rcfg.delegation_cache = scenario.delegation_cache;
-    let resolver = Resolver::new(rcfg);
+        SplitMix64::new(shard.cfg.lab_seed ^ member.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
+    // Each zone's apex comes parsed from the lab stand-up, once per
+    // member rather than once per query. A spec that got no zone (and
+    // the root, which is no domain) serves no queries.
+    let (builder, apexes) = domain_lab(&scenario.domains, shard.cfg.now, member_seed);
+    let mut lab = builder.build();
+    let resolver = shard.resolver(&mut lab, |rcfg| {
+        rcfg.cache_size = scenario.cache_size;
+        rcfg.aggressive_nsec3 = scenario.aggressive;
+        rcfg.delegation_cache = scenario.delegation_cache;
+    });
     let generator = TrafficGenerator::new(scenario.traffic.clone(), scenario.domains.len() as u64);
-    // Each zone's apex, parsed once per member rather than once per
-    // query. Names that do not parse (and the root, which is no domain)
-    // serve no queries.
-    let apexes: Vec<Option<Name>> = scenario
-        .domains
-        .iter()
-        .map(|s| Name::parse(&s.name).ok().filter(|apex| !apex.is_root()))
-        .collect();
-    let mut next = q_lo;
     let net = &lab.net;
-    let stats = drive(
-        window,
-        || {
-            while next < q_hi {
-                let q = generator.get(next);
-                next += 1;
-                let qname = apexes[q.domain as usize]
-                    .as_ref()
-                    .and_then(|apex| q.qname_under(apex).ok());
-                if qname.is_some() {
-                    return qname;
-                }
-            }
-            None
-        },
-        |qname: &mut Name, due| {
-            let vnow = net.now_micros();
-            if due > vnow {
-                net.advance(due - vnow);
-            }
+    let mut qnames = (q_lo..q_hi).filter_map(|i| {
+        let q = generator.get(i);
+        let apex = apexes[q.domain as usize]
+            .as_ref()
+            .filter(|a| !a.is_root())?;
+        q.qname_under(apex).ok()
+    });
+    shard.drive(
+        net,
+        || qnames.next(),
+        |qname: &mut Name| {
             let hits_before = resolver.cache_hits();
             let synth_before = resolver.synthesized_nxdomains();
             let issued_at = net.now_micros();
@@ -415,22 +352,20 @@ fn serving_unit(
                 Rcode::NxDomain => tally.nxdomain += 1,
                 _ => tally.servfail += 1,
             }
+            // A cache hit or a synthesized answer spent nothing on the
+            // network, so it is never lost.
+            let lost = shard.lost(&out);
             if resolver.cache_hits() > hits_before {
                 tally.served_cache += 1;
-                session.note_answered(out.cost.retries);
             } else if resolver.synthesized_nxdomains() > synth_before {
                 tally.synthesized += 1;
-                session.note_answered(out.cost.retries);
-            } else if out.rcode == Rcode::ServFail && out.cost.timeouts > 0 {
-                // Probe loss, same rule as every other driver.
-                session.note_timed_out(out.cost.retries);
+            } else if lost {
                 tally.lost += 1;
             } else {
                 tally.forwarded += 1;
                 if out.rcode == Rcode::NxDomain {
                     tally.upstream_nxdomain += 1;
                 }
-                session.note_answered(out.cost.retries);
             }
             FlowStep::Done
         },
@@ -442,7 +377,6 @@ fn serving_unit(
     tally.delegation_hits += resolver.delegation_hits();
     tally.delegation_misses += resolver.delegation_misses();
     tally.delegation_evictions += resolver.delegation_evictions();
-    stats.in_flight_high_water
 }
 
 #[cfg(test)]

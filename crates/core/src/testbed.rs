@@ -34,6 +34,8 @@ use dns_zone::nsec3hash::Nsec3Params;
 use dns_zone::signer::Denial;
 use dns_zone::Zone;
 
+use crate::experiments::apex_zone;
+
 /// The test domain, as in the paper.
 pub const TEST_DOMAIN: &str = "rfc9276-in-the-wild.com.";
 
@@ -61,13 +63,7 @@ pub fn iteration_values() -> Vec<u16> {
 /// Contents of one testbed child zone: website A record, `www`, and a
 /// wildcard branch.
 fn testbed_zone(apex: &Name) -> Zone {
-    let mut z = Zone::new(apex.clone());
-    z.add(Record::new(
-        apex.clone(),
-        300,
-        RData::A("192.0.2.80".parse().unwrap()),
-    ))
-    .unwrap();
+    let mut z = apex_zone(apex, 80);
     let www = name("www").concat(apex).unwrap();
     z.add(Record::new(
         www,

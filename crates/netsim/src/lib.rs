@@ -625,6 +625,15 @@ impl Network {
         self.clock.set(self.clock.get() + micros);
     }
 
+    /// Bring the virtual clock up to `due_micros`; a due time already
+    /// in the past leaves it alone (the clock never runs backwards).
+    /// This is how a blocking caller waits out a backoff and how an
+    /// event-driven flow catches its lab up to the event it was woken
+    /// for.
+    pub fn advance_to(&self, due_micros: u64) {
+        self.clock.set(self.clock.get().max(due_micros));
+    }
+
     /// Datagrams delivered so far.
     pub fn delivered_count(&self) -> u64 {
         self.delivered.get()
@@ -735,20 +744,6 @@ impl Network {
         }
     }
 
-    /// A sender-side retry loop: up to `attempts` tries, returning the
-    /// first response. Equivalent to [`Network::send_query_with_policy`]
-    /// with [`RetryPolicy::fixed`].
-    pub fn send_query_with_retries(
-        &self,
-        src: IpAddr,
-        dst: IpAddr,
-        payload: &[u8],
-        attempts: u32,
-    ) -> Outcome {
-        self.send_query_with_policy(src, dst, payload, &RetryPolicy::fixed(attempts))
-            .outcome
-    }
-
     /// Policy-driven exchange: up to `policy.max_attempts` tries with
     /// exponential, deterministically-jittered backoff between failed
     /// attempts (backoff advances the virtual clock), stopping early on
@@ -764,12 +759,7 @@ impl Network {
         loop {
             match machine.step(self, payload) {
                 ExchangeStep::Finished => return machine.into_report(),
-                ExchangeStep::Backoff { resume_at_micros } => {
-                    let now = self.clock.get();
-                    if resume_at_micros > now {
-                        self.advance(resume_at_micros - now);
-                    }
-                }
+                ExchangeStep::Backoff { resume_at_micros } => self.advance_to(resume_at_micros),
             }
         }
     }
@@ -1214,6 +1204,20 @@ mod tests {
     }
 
     #[test]
+    fn advance_to_never_moves_the_clock_backwards() {
+        let net = Network::new(42);
+        net.advance_to(5_000);
+        assert_eq!(net.now_micros(), 5_000);
+        net.advance_to(1_000);
+        assert_eq!(net.now_micros(), 5_000, "a due time in the past is a no-op");
+        net.advance_to(5_000);
+        assert_eq!(net.now_micros(), 5_000);
+        net.advance(10);
+        net.advance_to(u64::MAX);
+        assert_eq!(net.now_micros(), u64::MAX);
+    }
+
+    #[test]
     fn retries_can_survive_partial_loss() {
         let net = Network::new(42);
         net.register(addr(2), Rc::new(Echo));
@@ -1223,9 +1227,9 @@ mod tests {
         });
         let mut got = 0;
         for _ in 0..50 {
-            if let Outcome::Response { .. } =
-                net.send_query_with_retries(addr(1), addr(2), b"x", 10)
-            {
+            let report =
+                net.send_query_with_policy(addr(1), addr(2), b"x", &RetryPolicy::fixed(10));
+            if let Outcome::Response { .. } = report.outcome {
                 got += 1;
             }
         }
@@ -1521,8 +1525,15 @@ mod tests {
             });
             (0..30)
                 .map(|_| {
-                    let out = net.send_query_with_retries(addr(1), addr(2), b"x", 4);
-                    (matches!(out, Outcome::Response { .. }), net.now_micros())
+                    // The legacy loop, written out: up to four tries,
+                    // first response wins, no waiting in between.
+                    let answered = (0..4).any(|_| {
+                        matches!(
+                            net.send_query(addr(1), addr(2), b"x"),
+                            Outcome::Response { .. }
+                        )
+                    });
+                    (answered, net.now_micros())
                 })
                 .collect::<Vec<_>>()
         };

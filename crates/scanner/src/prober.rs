@@ -220,12 +220,7 @@ impl<'a> Prober<'a> {
     fn drive_flow(&self, mut flow: ProbeFlow<'a>) -> ResolverClassification {
         loop {
             match flow.step() {
-                FlowStep::Park { at_micros } => {
-                    let now = self.net.now_micros();
-                    if at_micros > now {
-                        self.net.advance(at_micros - now);
-                    }
-                }
+                FlowStep::Park { at_micros } => self.net.advance_to(at_micros),
                 FlowStep::Done => return flow.into_classification(),
             }
         }

@@ -178,10 +178,7 @@ impl ScanSession {
     ) -> Outcome {
         let mut ex = self.begin_exchange(net, src, dst, policy);
         while let SessionStep::Park { resume_at_micros } = ex.step(net, payload) {
-            let now = net.now_micros();
-            if resume_at_micros > now {
-                net.advance(resume_at_micros - now);
-            }
+            net.advance_to(resume_at_micros);
         }
         ex.finish(self, net)
     }

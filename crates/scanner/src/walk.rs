@@ -13,7 +13,7 @@ use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Rcode, RrType};
 use dns_zone::nsec3hash::{nsec3_hash_cached_batch, Nsec3Params};
-use netsim::{Network, Outcome};
+use netsim::{Network, Outcome, RetryPolicy};
 
 fn query(
     net: &Network,
@@ -25,7 +25,10 @@ fn query(
     let msg = Message::query(0x4a1d, qname.clone(), qtype);
     dns_wire::with_pooled(|buf| {
         msg.encode_into(buf);
-        match net.send_query_with_retries(src, server, buf.as_slice(), 2) {
+        match net
+            .send_query_with_policy(src, server, buf.as_slice(), &RetryPolicy::fixed(2))
+            .outcome
+        {
             Outcome::Response { payload, .. } => Message::decode(&payload).ok(),
             _ => None,
         }
@@ -38,7 +41,10 @@ fn query(
 pub fn axfr(net: &Network, src: IpAddr, server: IpAddr, apex: &Name) -> Option<Vec<Record>> {
     let mut q = Vec::new();
     Message::query(0xaf42, apex.clone(), RrType::AXFR).encode_framed_append(&mut q);
-    let resp = match net.send_query_with_retries(src, server, &q, 2) {
+    let resp = match net
+        .send_query_with_policy(src, server, &q, &RetryPolicy::fixed(2))
+        .outcome
+    {
         Outcome::Response { payload, .. } => Message::decode(unframe_tcp(&payload)?).ok()?,
         _ => return None,
     };

@@ -151,4 +151,25 @@ if grep -rn --include=Cargo.toml -E '^\s*((rand|proptest|criterion|rayon|crossbe
     exit 1
 fi
 
+echo "== driver-shape guard (crates/core/src)"
+# One study skeleton (DESIGN.md §8): the event core is entered from
+# study.rs alone and the environment is read in DriverConfig::from_env
+# alone. A second `drive(...)` loop or a second env-reading entry point
+# fails here; the non-test line count (each file up to its first
+# #[cfg(test)]) is printed so drift shows in the log.
+drive_users="$(grep -lE 'netsim::event::(drive\b|\{[^}]*\bdrive\b)' crates/core/src/*.rs || true)"
+if [ "$drive_users" != "crates/core/src/study.rs" ]; then
+    echo "error: netsim::event::drive is named outside study.rs:" $drive_users >&2
+    exit 1
+fi
+env_readers="$(awk '
+    /^ *(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { fn = $0; sub(/^.*fn /, "", fn); sub(/[^a-z0-9_].*$/, "", fn) }
+    /env::var/ { print FILENAME ":" fn }' crates/core/src/*.rs | sort -u)"
+if [ "$env_readers" != "crates/core/src/experiments.rs:from_env" ]; then
+    echo "error: std::env::var is read outside DriverConfig::from_env:" $env_readers >&2
+    exit 1
+fi
+awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
+    END { print "crates/core/src: " n " non-test lines" }' crates/core/src/*.rs
+
 echo "ci.sh: all checks passed"

@@ -16,9 +16,8 @@ use analysis::ResolverStats;
 use dns_scanner::retry::BreakerConfig;
 use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
 use nsec3_core::experiments::{
-    run_domain_census, run_domain_census_cfg, run_domain_census_stream, run_resolver_study,
-    run_resolver_study_cfg, run_tld_census_cfg, run_unreachability_cfg, DriverConfig, ScanProfile,
-    DEFAULT_LAB_SEED,
+    run_domain_census_cfg, run_domain_census_stream, run_resolver_study_cfg, run_tld_census_cfg,
+    run_unreachability_cfg, DriverConfig, ScanProfile, DEFAULT_LAB_SEED,
 };
 use popgen::{generate_domains, generate_fleet, generate_tlds, Scale};
 
@@ -51,7 +50,7 @@ const NOW: u32 = 1_710_000_000;
 /// aggregate stats.
 fn census_report(seed: u64) -> String {
     let specs = generate_domains(Scale(1.0 / 50_000.0), seed);
-    let records = run_domain_census(&specs, NOW, 64);
+    let records = run_domain_census_cfg(&specs, 64, &DriverConfig::from_env(NOW)).0;
     let stats = DomainStats::compute(&records);
     format!("{records:?}\n{stats:?}")
 }
@@ -59,7 +58,7 @@ fn census_report(seed: u64) -> String {
 /// A resolver study rendered to one comparable string.
 fn resolver_report(seed: u64) -> String {
     let fleet = generate_fleet(Scale(1.0 / 20_000.0), seed);
-    let study = run_resolver_study(NOW, &fleet);
+    let study = run_resolver_study_cfg(&fleet, &DriverConfig::from_env(NOW));
     let all = study.all();
     let stats = ResolverStats::compute(&all);
     format!("{all:?}\n{stats:?}")

@@ -2,7 +2,7 @@
 //! fleet, probing, classification, aggregation — on one small network.
 
 use analysis::{figure3_series, ResolverStats};
-use nsec3_core::experiments::run_resolver_study;
+use nsec3_core::experiments::{run_resolver_study_cfg, DriverConfig};
 use nsec3_core::testbed::build_testbed;
 use popgen::resolvers::{Access, Behavior, Family, ResolverSpec};
 
@@ -61,7 +61,7 @@ fn mixed_fleet_classifies_exactly() {
         spec(7, Behavior::Item7Violator { limit: 150 }),
         spec(8, Behavior::NonValidator),
     ];
-    let study = run_resolver_study(NOW, &fleet);
+    let study = run_resolver_study_cfg(&fleet, &DriverConfig::from_env(NOW));
     let all = study.all();
     assert_eq!(all.len(), 9, "every resolver answered the prober");
 
@@ -122,7 +122,7 @@ fn figure3_curves_have_paper_shape() {
             },
         ));
     }
-    let study = run_resolver_study(NOW, &fleet);
+    let study = run_resolver_study_cfg(&fleet, &DriverConfig::from_env(NOW));
     let series = figure3_series(&study.all());
     let at = |n: u16| series.iter().find(|p| p.n == n).copied().unwrap();
 

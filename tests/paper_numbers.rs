@@ -3,7 +3,7 @@
 //! scales; this test keeps the calibration honest in CI.
 
 use analysis::{DomainStats, ResolverStats};
-use nsec3_core::experiments::{records_from_specs, run_resolver_study};
+use nsec3_core::experiments::{records_from_specs, run_resolver_study_cfg, DriverConfig};
 use popgen::{generate_domains, generate_fleet, generate_tlds, Scale};
 
 const NOW: u32 = 1_710_000_000;
@@ -61,7 +61,7 @@ fn section_5_2_resolver_shares_end_to_end() {
     // Full pipeline at a scale that still finishes quickly: ~1 K
     // resolvers, ~115 validators, each probed with 50 testbed queries.
     let fleet = generate_fleet(Scale(1.0 / 2_000.0), 7);
-    let study = run_resolver_study(NOW, &fleet);
+    let study = run_resolver_study_cfg(&fleet, &DriverConfig::from_env(NOW));
     let stats = ResolverStats::compute(&study.all());
     assert!(
         stats.validators >= 40,

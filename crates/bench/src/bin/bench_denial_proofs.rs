@@ -6,12 +6,12 @@
 use std::hint::black_box;
 
 use dns_resolver::cost::CostMeter;
-use dns_resolver::validator::{parse_nsec3_set, verify_nxdomain};
+use dns_resolver::validator::{parse_nsec3_set, verify_nxdomain, Nsec3View};
 use dns_wire::name::{name, Name};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
-use dns_zone::denial::nxdomain_proof;
+use dns_zone::denial::{nsec3_covering, nxdomain_proof};
 use dns_zone::nsec3hash::{Nsec3HashCache, Nsec3Params};
 use dns_zone::signer::{sign_zone, SignedZone, SignerConfig};
 use dns_zone::Zone;
@@ -56,8 +56,22 @@ fn make_signed(iterations: u16) -> SignedZone {
     .unwrap()
 }
 
+/// The NXDOMAIN proof for `qname` as a validator holds it: the shared
+/// parameters and one parsed view per NSEC3 record.
+fn parsed_proof(z: &SignedZone, qname: &Name) -> (Nsec3Params, Vec<Nsec3View>) {
+    let proof = nxdomain_proof(z, qname).unwrap();
+    let nsec3s: Vec<&Record> = proof
+        .records
+        .iter()
+        .copied()
+        .filter(|r| r.rrtype() == RrType::NSEC3)
+        .collect();
+    parse_nsec3_set(&nsec3s).unwrap()
+}
+
 fn main() {
     let mut suite = Suite::new("denial_proofs");
+    let apex = name("bench.example.");
 
     let fresh: Vec<Name> = (0..16 * Nsec3HashCache::DEFAULT_CAPACITY)
         .map(|i| name(&format!("nx{i}.bench.example.")))
@@ -89,26 +103,12 @@ fn main() {
     for depth in [1usize, 3, 6, 10] {
         let labels: Vec<String> = (0..depth).map(|i| format!("l{i}")).collect();
         let qname = Name::parse(&format!("{}.bench.example.", labels.join("."))).unwrap();
-        let proof = nxdomain_proof(&z, &qname).unwrap();
-        let nsec3s: Vec<&Record> = proof
-            .records
-            .iter()
-            .copied()
-            .filter(|r| r.rrtype() == RrType::NSEC3)
-            .collect();
-        let (params, views) = parse_nsec3_set(&nsec3s).unwrap();
+        let (params, views) = parsed_proof(&z, &qname);
         suite.bench(
             &format!("nxdomain_verify_by_label_depth_it150/{depth}"),
             || {
                 let meter = CostMeter::new();
-                verify_nxdomain(
-                    black_box(&qname),
-                    &name("bench.example."),
-                    &params,
-                    &views,
-                    &meter,
-                )
-                .unwrap()
+                verify_nxdomain(black_box(&qname), &apex, &params, &views, &meter).unwrap()
             },
         );
     }
@@ -116,26 +116,43 @@ fn main() {
     for iterations in [0u16, 50, 150, 500] {
         let z = make_signed(iterations);
         let qname = name("a.b.c.nx.bench.example.");
-        let proof = nxdomain_proof(&z, &qname).unwrap();
-        let nsec3s: Vec<&Record> = proof
-            .records
-            .iter()
-            .copied()
-            .filter(|r| r.rrtype() == RrType::NSEC3)
-            .collect();
-        let (params, views) = parse_nsec3_set(&nsec3s).unwrap();
+        let (params, views) = parsed_proof(&z, &qname);
         suite.bench(
             &format!("nxdomain_verify_by_iterations/{iterations}"),
             || {
                 let meter = CostMeter::new();
-                verify_nxdomain(
-                    black_box(&qname),
-                    &name("bench.example."),
-                    &params,
-                    &views,
-                    &meter,
-                )
-                .unwrap()
+                verify_nxdomain(black_box(&qname), &apex, &params, &views, &meter).unwrap()
+            },
+        );
+    }
+
+    // The rows above re-verify one proof, so the thread-local NSEC3 hash
+    // cache absorbs every hash and the iteration count does not show. The
+    // cold rows verify a name never hashed before, from the same pool as
+    // the cold synthesis rows: the next closer's chain is computed on
+    // every call, the closest encloser and its wildcard stay cached. Which
+    // proof a name needs depends only on the NSEC3 record covering it, so
+    // one parsed proof per record of the chain serves the whole pool.
+    for iterations in [0u16, 150, 500] {
+        let z = make_signed(iterations);
+        let mut proofs = vec![None; z.nsec3_index.len()];
+        let cover: Vec<usize> = fresh
+            .iter()
+            .map(|qname| {
+                let owner = nsec3_covering(&z, qname).expect("a fresh name is covered");
+                let at = z.nsec3_index.iter().position(|(_, o)| o == owner).unwrap();
+                proofs[at].get_or_insert_with(|| parsed_proof(&z, qname));
+                at
+            })
+            .collect();
+        let mut next = 0usize;
+        suite.bench(
+            &format!("nxdomain_verify_by_iterations_cold/{iterations}"),
+            || {
+                next = (next + 1) % fresh.len();
+                let (params, views) = proofs[cover[next]].as_ref().unwrap();
+                let meter = CostMeter::new();
+                verify_nxdomain(black_box(&fresh[next]), &apex, params, views, &meter).unwrap()
             },
         );
     }

@@ -7,10 +7,9 @@
 
 use std::hint::black_box;
 
-use dns_wire::name::{name, Name};
+use dns_wire::name::name;
 use dns_zone::nsec3hash::{
-    clear_thread_cache, nsec3_hash, nsec3_hash_batch, nsec3_hash_cached, nsec3_hash_cached_batch,
-    nsec3_hash_reference, Nsec3Params,
+    clear_thread_cache, nsec3_hash, nsec3_hash_cached, nsec3_hash_reference, Nsec3Params,
 };
 use heroes_bench::microbench::Suite;
 
@@ -33,30 +32,6 @@ fn main() {
         }
     }
     println!("  parity: fast engine == streaming reference on all measured parameter sets");
-
-    // Batch parity gate: the interleaved lanes must agree with the scalar
-    // engine — digest *and* compressions — on every measured shape, ragged
-    // batch sizes included. A lane that drifted would invalidate the batch
-    // rows below (and the signer/scanner/census paths that use them).
-    let batch_names: Vec<Name> = (0..16)
-        .map(|i| name(&format!("lane{i:02}-some-average-label.example.com.")))
-        .collect();
-    for iterations in [0u16, 1, 150, 500, 2500] {
-        for salt_len in [0usize, 8, 35, 36, 64] {
-            let params = Nsec3Params::new(iterations, vec![0xab; salt_len]);
-            for size in [1usize, 3, 7, 8, 16] {
-                let batch = nsec3_hash_batch(&batch_names[..size], &params);
-                for (bn, got) in batch_names[..size].iter().zip(&batch) {
-                    assert_eq!(
-                        *got,
-                        nsec3_hash(bn, &params),
-                        "batch lane diverged at iterations={iterations} salt_len={salt_len} size={size}"
-                    );
-                }
-            }
-        }
-    }
-    println!("  parity: batch lanes == scalar engine on all measured batch shapes");
 
     for iterations in [0u16, 1, 10, 50, 150, 500, 2500] {
         let params = Nsec3Params::new(iterations, vec![]);
@@ -109,35 +84,6 @@ fn main() {
     clear_thread_cache();
     suite.bench("fastpath_vs_reference/cached_500", || {
         nsec3_hash_cached(black_box(&n), black_box(&params))
-    });
-
-    // Batch rows: eight independent names — the signer's shard shape —
-    // hashed one at a time vs through the interleaved lanes. `scalar8_*`
-    // and `batch8_*` medians are directly comparable (same eight names,
-    // same total work); the ragged and 16-lane rows pin the fallback and
-    // the two-pass shapes.
-    let eight = &batch_names[..8];
-    for iterations in [0u16, 150, 500] {
-        let params = Nsec3Params::new(iterations, vec![]);
-        suite.bench(&format!("batch/scalar8_{iterations}"), || {
-            for bn in eight {
-                black_box(nsec3_hash(black_box(bn), &params));
-            }
-        });
-        suite.bench(&format!("batch/batch8_{iterations}"), || {
-            nsec3_hash_batch(black_box(eight), black_box(&params))
-        });
-    }
-    let params = Nsec3Params::new(500, vec![]);
-    suite.bench("batch/batch16_500", || {
-        nsec3_hash_batch(black_box(&batch_names), black_box(&params))
-    });
-    suite.bench("batch/batch7_ragged_500", || {
-        nsec3_hash_batch(black_box(&batch_names[..7]), black_box(&params))
-    });
-    clear_thread_cache();
-    suite.bench("batch/cached_batch8_500", || {
-        nsec3_hash_cached_batch(black_box(eight), black_box(&params))
     });
 
     suite.finish();

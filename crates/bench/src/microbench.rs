@@ -130,10 +130,13 @@ impl Suite {
     }
 
     /// Render the suite as JSON (stable key order, no external deps).
+    /// `host_cores` records where the numbers came from: rows from hosts
+    /// of different widths are not comparable.
     pub fn to_json(&self) -> String {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\n  \"suite\": \"{}\",\n  \"results\": [\n",
+            "{{\n  \"suite\": \"{}\",\n  \"host_cores\": {cores},\n  \"results\": [\n",
             self.name
         ));
         for (i, r) in self.results.iter().enumerate() {
@@ -220,6 +223,7 @@ mod tests {
         suite.results.push(suite.results[0].clone());
         let json = suite.to_json();
         assert!(json.contains("\"suite\": \"unit\""));
+        assert!(json.contains("\"host_cores\": "));
         assert!(json.contains("\"name\": \"op/1\""));
         assert!(json.contains("\"median_ns\": 2.0"));
         assert_eq!(json.matches("{\"name\"").count(), 2);

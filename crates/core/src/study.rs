@@ -14,7 +14,6 @@ use std::ops::Range;
 use dns_resolver::lab::Lab;
 use dns_resolver::resolver::{ResolveOutcome, Resolver, ResolverConfig};
 use dns_scanner::retry::{ProbeStats, ScanSession};
-use dns_wire::rrtype::Rcode;
 use netsim::event::{drive, FlowStep};
 use netsim::Network;
 
@@ -139,13 +138,10 @@ impl ShardRun<'_> {
         slots.into_iter().flatten().collect()
     }
 
-    /// Book one resolution in the session and say whether it was lost.
-    /// The rule, for every driver: a SERVFAIL that spent upstream
-    /// timeouts is probe loss, not a verdict on the zone — except a
-    /// work-budget abort, which the resolver answered on purpose. Clean
-    /// networks never spend timeouts, so nothing is lost on them.
+    /// Book one resolution in the session and say whether it was lost
+    /// (the rule is [`ResolveOutcome::probe_lost`]).
     pub fn lost(&self, out: &ResolveOutcome) -> bool {
-        let lost = !out.budget_exceeded && out.rcode == Rcode::ServFail && out.cost.timeouts > 0;
+        let lost = out.probe_lost();
         if lost {
             self.session.note_timed_out(out.cost.retries);
         } else {
@@ -160,6 +156,7 @@ mod tests {
     use super::*;
     use crate::experiments::{DEFAULT_LAB_SEED, DEFAULT_WINDOW};
     use dns_resolver::CostSnapshot;
+    use dns_wire::rrtype::Rcode;
 
     fn cfg(threads: usize) -> DriverConfig {
         DriverConfig::clean(1_710_000_000, threads, DEFAULT_LAB_SEED)

@@ -96,166 +96,6 @@ pub const fn padded_blocks(len: usize) -> u64 {
     (len + 9).div_ceil(64) as u64
 }
 
-// ---------------------------------------------------------------------------
-// Multi-lane (interleaved) compression.
-//
-// One SHA-1 compression is a chain of dependent rotate/add/xor steps, so a
-// single instance leaves most of a superscalar core's ALU ports idle. When a
-// caller has a *batch* of independent messages (zone signing, zone walks,
-// the census), interleaving L compressions SWAR-style — every variable
-// becomes `[u32; L]`, every operation an element-wise loop the compiler
-// vectorizes — hides that latency without unsafe code or intrinsics.
-// Lane j of the interleaved kernel performs bit-for-bit the same arithmetic
-// as the scalar kernel on lane j's words, so digests are byte-identical by
-// construction (and pinned by differential proptests).
-// ---------------------------------------------------------------------------
-
-/// Widest interleave the batched engines use. Eight lanes of `u32` fill two
-/// 128-bit SSE registers (or one 256-bit AVX register) per operation and
-/// give the out-of-order core the deepest independent-chain supply.
-pub const MAX_LANES: usize = 8;
-
-/// Run L independent SHA-1 compressions in lockstep over lane-major state.
-///
-/// `states[v][j]` is state word `v` of lane `j`; `words[w][j]` is schedule
-/// word `w` of lane `j`. Identical per-lane math to [`compress_words`].
-fn compress_words_lanes<const L: usize>(states: &mut [[u32; L]; 5], words: &[[u32; L]; 16]) {
-    let mut w = *words;
-    let [mut a, mut b, mut c, mut d, mut e] = *states;
-
-    macro_rules! schedule {
-        ($i:expr) => {{
-            let mut t = [0u32; L];
-            let i13 = w[($i + 13) & 15];
-            let i8 = w[($i + 8) & 15];
-            let i2 = w[($i + 2) & 15];
-            let i0 = w[$i & 15];
-            for j in 0..L {
-                t[j] = (i13[j] ^ i8[j] ^ i2[j] ^ i0[j]).rotate_left(1);
-            }
-            w[$i & 15] = t;
-            t
-        }};
-    }
-    macro_rules! round {
-        ($f:expr, $k:expr, $wi:expr) => {{
-            let wi = $wi;
-            let mut tmp = [0u32; L];
-            for j in 0..L {
-                let f: u32 = $f(b[j], c[j], d[j]);
-                tmp[j] = a[j]
-                    .rotate_left(5)
-                    .wrapping_add(f)
-                    .wrapping_add(e[j])
-                    .wrapping_add($k)
-                    .wrapping_add(wi[j]);
-            }
-            e = d;
-            d = c;
-            let mut rb = [0u32; L];
-            for j in 0..L {
-                rb[j] = b[j].rotate_left(30);
-            }
-            c = rb;
-            b = a;
-            a = tmp;
-        }};
-    }
-
-    let ch = |b: u32, c: u32, d: u32| (b & c) | ((!b) & d);
-    let parity = |b: u32, c: u32, d: u32| b ^ c ^ d;
-    let maj = |b: u32, c: u32, d: u32| (b & c) | (b & d) | (c & d);
-
-    for &wi in words.iter() {
-        round!(ch, 0x5A827999, wi);
-    }
-    for i in 16..20 {
-        round!(ch, 0x5A827999, schedule!(i));
-    }
-    for i in 20..40 {
-        round!(parity, 0x6ED9EBA1, schedule!(i));
-    }
-    for i in 40..60 {
-        round!(maj, 0x8F1BBCDC, schedule!(i));
-    }
-    for i in 60..80 {
-        round!(parity, 0xCA62C1D6, schedule!(i));
-    }
-    for j in 0..L {
-        states[0][j] = states[0][j].wrapping_add(a[j]);
-        states[1][j] = states[1][j].wrapping_add(b[j]);
-        states[2][j] = states[2][j].wrapping_add(c[j]);
-        states[3][j] = states[3][j].wrapping_add(d[j]);
-        states[4][j] = states[4][j].wrapping_add(e[j]);
-    }
-}
-
-/// Interleave L independent single-block compressions given per-lane state
-/// and raw 64-byte blocks (the ergonomic, lane-minor API).
-fn compress_blocks_lanes<const L: usize>(states: &mut [[u32; 5]; L], blocks: &[&[u8; 64]; L]) {
-    let mut lane_states = transpose_states(states);
-    let mut words = [[0u32; L]; 16];
-    for (j, block) in blocks.iter().enumerate() {
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            words[i][j] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-    }
-    compress_words_lanes(&mut lane_states, &words);
-    untranspose_states(&lane_states, states);
-}
-
-/// Four independent SHA-1 compressions, interleaved. Lane `j` of `states`
-/// updates exactly as [`compress_block`] would on `blocks[j]`.
-pub fn compress_blocks_x4(states: &mut [[u32; 5]; 4], blocks: &[&[u8; 64]; 4]) {
-    compress_blocks_lanes(states, blocks);
-}
-
-/// Eight independent SHA-1 compressions, interleaved (see
-/// [`compress_blocks_x4`]).
-pub fn compress_blocks_x8(states: &mut [[u32; 5]; 8], blocks: &[&[u8; 64]; 8]) {
-    compress_blocks_lanes(states, blocks);
-}
-
-fn transpose_states<const L: usize>(states: &[[u32; 5]; L]) -> [[u32; L]; 5] {
-    let mut out = [[0u32; L]; 5];
-    for (j, s) in states.iter().enumerate() {
-        for (v, word) in s.iter().enumerate() {
-            out[v][j] = *word;
-        }
-    }
-    out
-}
-
-fn untranspose_states<const L: usize>(lanes: &[[u32; L]; 5], states: &mut [[u32; 5]; L]) {
-    for (j, s) in states.iter_mut().enumerate() {
-        for (v, word) in s.iter_mut().enumerate() {
-            *word = lanes[v][j];
-        }
-    }
-}
-
-/// Compress L pending `(input index, padded block)` pairs from [`H0`] in
-/// lockstep and scatter the resulting states back by index.
-fn flush_initial_lanes<const L: usize>(pending: &[(usize, [u8; 64])], states: &mut [[u32; 5]]) {
-    debug_assert_eq!(pending.len(), L);
-    let mut lanes = [[0u32; L]; 5];
-    for (v, h) in H0.iter().enumerate() {
-        lanes[v] = [*h; L];
-    }
-    let mut words = [[0u32; L]; 16];
-    for (j, (_, block)) in pending.iter().enumerate() {
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            words[i][j] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-    }
-    compress_words_lanes(&mut lanes, &words);
-    for (j, (idx, _)) in pending.iter().enumerate() {
-        for v in 0..5 {
-            states[*idx][v] = lanes[v][j];
-        }
-    }
-}
-
 fn digest_bytes(state: &[u32; 5]) -> [u8; 20] {
     let mut out = [0u8; 20];
     for (i, word) in state.iter().enumerate() {
@@ -389,120 +229,6 @@ impl IteratedSha1 {
             }
         }
         (digest_bytes(&dw), compressions)
-    }
-
-    /// [`IteratedSha1::hash`] over a batch of independent inputs, driving up
-    /// to [`MAX_LANES`] iterated chains through the interleaved compression
-    /// kernel simultaneously.
-    ///
-    /// Results are in input order, and every `(digest, compressions)` pair is
-    /// byte-identical to what the scalar [`IteratedSha1::hash`] returns for
-    /// the same input: lanes run the same arithmetic, ragged inputs (initial
-    /// block > 55 bytes) seed their lane through the scalar one-shot, batch
-    /// remainders shorter than four lanes finish on the scalar loop, and
-    /// multi-block salts (> [`IteratedSha1::MAX_SINGLE_BLOCK_SALT`]) fall
-    /// back to per-lane scalar hashing entirely.
-    pub fn hash_batch(&self, inputs: &[&[u8]], iterations: u16) -> Vec<([u8; 20], u64)> {
-        if !self.single_block {
-            return inputs.iter().map(|i| self.hash(i, iterations)).collect();
-        }
-        let mut states = self.initial_batch(inputs);
-        let mut rest: &mut [[u32; 5]] = &mut states;
-        while rest.len() >= 8 {
-            let (chunk, tail) = rest.split_at_mut(8);
-            self.iterate_lanes::<8>(chunk.try_into().expect("split_at_mut(8)"), iterations);
-            rest = tail;
-        }
-        if rest.len() >= 4 {
-            let (chunk, tail) = rest.split_at_mut(4);
-            self.iterate_lanes::<4>(chunk.try_into().expect("split_at_mut(4)"), iterations);
-            rest = tail;
-        }
-        for dw in rest {
-            self.iterate_scalar(dw, iterations);
-        }
-        inputs
-            .iter()
-            .zip(states)
-            .map(|(input, dw)| {
-                let compressions = padded_blocks(input.len() + self.salt_len)
-                    + u64::from(iterations) * self.blocks_per_iteration;
-                (digest_bytes(&dw), compressions)
-            })
-            .collect()
-    }
-
-    /// `H(input || salt)` for every input, interleaving the single-padded-
-    /// block compressions (the common case: wire name + short salt ≤ 55
-    /// bytes) across lanes; longer inputs seed through the scalar one-shot.
-    fn initial_batch(&self, inputs: &[&[u8]]) -> Vec<[u32; 5]> {
-        let mut states = vec![H0; inputs.len()];
-        let mut pending: [(usize, [u8; 64]); MAX_LANES] = [(0, [0u8; 64]); MAX_LANES];
-        let mut n_pending = 0;
-        for (idx, input) in inputs.iter().enumerate() {
-            let total = input.len() + self.salt_len;
-            if total <= 55 {
-                let (slot_idx, block) = &mut pending[n_pending];
-                *slot_idx = idx;
-                block.fill(0);
-                block[..input.len()].copy_from_slice(input);
-                block[input.len()..total].copy_from_slice(self.salt());
-                block[total] = 0x80;
-                let bit_len = (total as u64) * 8;
-                block[56..].copy_from_slice(&bit_len.to_be_bytes());
-                n_pending += 1;
-                if n_pending == MAX_LANES {
-                    flush_initial_lanes::<MAX_LANES>(&pending, &mut states);
-                    n_pending = 0;
-                }
-            } else {
-                states[idx] = self.initial(input);
-            }
-        }
-        if n_pending >= 4 {
-            flush_initial_lanes::<4>(&pending[..4], &mut states);
-            pending.copy_within(4..n_pending, 0);
-            n_pending -= 4;
-        }
-        for (idx, block) in &pending[..n_pending] {
-            let mut state = H0;
-            compress_block(&mut state, block);
-            states[*idx] = state;
-        }
-        states
-    }
-
-    /// Run L single-block-salt iterated chains in lockstep: schedule words
-    /// 5–15 are the shared salt/padding template broadcast across lanes,
-    /// words 0–4 are each lane's carried digest.
-    fn iterate_lanes<const L: usize>(&self, states: &mut [[u32; 5]; L], iterations: u16) {
-        let mut w = [[0u32; L]; 16];
-        for (wv, tw) in w.iter_mut().zip(self.template_words).skip(5) {
-            *wv = [tw; L];
-        }
-        let mut lanes = transpose_states(states);
-        for _ in 0..iterations {
-            w[..5].copy_from_slice(&lanes[..5]);
-            for (v, h) in H0.iter().enumerate() {
-                lanes[v] = [*h; L];
-            }
-            compress_words_lanes(&mut lanes, &w);
-        }
-        untranspose_states(&lanes, states);
-    }
-
-    /// The scalar single-block iteration loop (shared by [`hash`] remainder
-    /// lanes), updating the carried digest words in place.
-    ///
-    /// [`hash`]: IteratedSha1::hash
-    fn iterate_scalar(&self, dw: &mut [u32; 5], iterations: u16) {
-        let mut w = self.template_words;
-        for _ in 0..iterations {
-            w[..5].copy_from_slice(dw);
-            let mut state = H0;
-            compress_words(&mut state, &w);
-            *dw = state;
-        }
     }
 
     /// `H(input || salt)` — the iteration-0 hash, as state words.
@@ -758,47 +484,6 @@ mod tests {
                 }
                 assert_eq!(digest, expected, "salt {salt_len}, it {iterations}");
                 assert_eq!(cost, expected_cost, "salt {salt_len}, it {iterations}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_compress_matches_scalar() {
-        let blocks: Vec<[u8; 64]> = (0..8u8)
-            .map(|j| core::array::from_fn(|i| (i as u8).wrapping_mul(j + 1).wrapping_add(j)))
-            .collect();
-        let mut scalar: Vec<[u32; 5]> = (0..8u32)
-            .map(|j| [H0[0] ^ j, H0[1], H0[2], H0[3], H0[4]])
-            .collect();
-        let mut x8: [[u32; 5]; 8] = scalar.clone().try_into().unwrap();
-        let mut x4: [[u32; 5]; 4] = scalar[..4].to_vec().try_into().unwrap();
-        compress_blocks_x8(&mut x8, &core::array::from_fn(|j| &blocks[j]));
-        compress_blocks_x4(&mut x4, &core::array::from_fn(|j| &blocks[j]));
-        for (j, s) in scalar.iter_mut().enumerate() {
-            compress_block(s, &blocks[j]);
-        }
-        assert_eq!(x8.to_vec(), scalar);
-        assert_eq!(x4.to_vec(), scalar[..4]);
-    }
-
-    #[test]
-    fn hash_batch_matches_scalar() {
-        // Batch sizes cover the x8 chunks, the x4 tail, and scalar leftovers;
-        // input lengths cross the 55-byte single-initial-block boundary.
-        for salt_len in [0usize, 8, 35, 36, 64] {
-            let salt: Vec<u8> = (0..salt_len as u8).collect();
-            let engine = IteratedSha1::new(&salt);
-            let inputs: Vec<Vec<u8>> = (0..15u8).map(|i| vec![i ^ 0x5a; i as usize * 7]).collect();
-            for size in [0usize, 1, 3, 4, 7, 8, 9, 12, 15] {
-                let refs: Vec<&[u8]> = inputs[..size].iter().map(|v| v.as_slice()).collect();
-                for iterations in [0u16, 1, 150] {
-                    let batch = engine.hash_batch(&refs, iterations);
-                    assert_eq!(batch.len(), size);
-                    for (input, got) in refs.iter().zip(&batch) {
-                        let want = engine.hash(input, iterations);
-                        assert_eq!(*got, want, "salt {salt_len}, n {size}, it {iterations}");
-                    }
-                }
             }
         }
     }

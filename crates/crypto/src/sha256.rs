@@ -62,9 +62,8 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
 }
 
 /// Run L independent SHA-256 compressions in lockstep over lane-major state
-/// (`states[v][j]` = state word `v` of lane `j`). Same SWAR layout as the
-/// SHA-1 lane kernel (see `sha1::compress_words_lanes`): element-wise loops
-/// over `[u32; L]` that LLVM vectorizes, with the schedule kept as a rolling
+/// (`states[v][j]` = state word `v` of lane `j`): element-wise loops over
+/// `[u32; L]` that LLVM vectorizes, with the schedule kept as a rolling
 /// 16-word window. Per-lane arithmetic is identical to [`compress_block`].
 fn compress_words_lanes<const L: usize>(states: &mut [[u32; L]; 8], words: &[[u32; L]; 16]) {
     let mut w = *words;

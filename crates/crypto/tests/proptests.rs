@@ -4,7 +4,7 @@ use sim_check::{gens, props};
 
 use dns_crypto::hmac::{Hmac, HmacKey};
 use dns_crypto::keytag::key_tag;
-use dns_crypto::sha1::{sha1, IteratedSha1, Sha1};
+use dns_crypto::sha1::{sha1, Sha1};
 use dns_crypto::sha256::{sha256, Sha256};
 use dns_crypto::simsig::{verify, KeyPair};
 use dns_crypto::{ct_eq, hex_lower, hex_parse, Digest};
@@ -105,32 +105,6 @@ props! {
     fn ct_eq_matches_eq(a in gens::vec_of(gens::u8s(..), 0..32),
                         b in gens::vec_of(gens::u8s(..), 0..32)) {
         assert_eq!(ct_eq(&a, &b), a == b);
-    }
-
-    /// The interleaved batch engine is digest- and cost-identical to the
-    /// scalar iterated engine for every ragged batch shape, salt length
-    /// (crossing the 35→36 single/two-block template boundary), and
-    /// iteration count, input lengths crossing the one-initial-block edge.
-    fn iterated_sha1_batch_matches_scalar(
-        inputs in gens::vec_of(gens::vec_of(gens::u8s(..), 0..64), 1..17),
-        salt_len in gens::usizes(0..41),
-        salt_fill in gens::u8s(..),
-        it_idx in gens::usizes(0..5),
-    ) {
-        let iterations = [0u16, 1, 150, 500, 2500][it_idx];
-        let salt = vec![salt_fill; salt_len];
-        let engine = IteratedSha1::new(&salt);
-        let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let batch = engine.hash_batch(&refs, iterations);
-        assert_eq!(batch.len(), refs.len());
-        for (input, got) in refs.iter().zip(&batch) {
-            assert_eq!(
-                *got,
-                engine.hash(input, iterations),
-                "lane diverged: {} inputs, salt {salt_len}B, {iterations} it",
-                refs.len()
-            );
-        }
     }
 
     /// Batched HMAC-SHA-256 (the signer's RRSIG engine) equals scalar MACs

@@ -160,6 +160,17 @@ pub struct ResolveOutcome {
 }
 
 impl ResolveOutcome {
+    /// Did this resolution lose its probe, rather than observe a genuine
+    /// answer? The rule, for every scan and driver: a SERVFAIL that spent
+    /// upstream timeouts is probe loss, not a verdict on the zone — except
+    /// a work-budget abort, which the resolver answered on purpose. A
+    /// SERVFAIL resolved entirely from answered traffic (validation
+    /// failure, policy SERVFAIL) is a real observation, and fault-free
+    /// networks never spend timeouts, so nothing is lost on them.
+    pub fn probe_lost(&self) -> bool {
+        !self.budget_exceeded && self.rcode == Rcode::ServFail && self.cost.timeouts > 0
+    }
+
     fn servfail(ede: Option<(EdeCode, String)>, cost: CostSnapshot) -> Self {
         ResolveOutcome {
             rcode: Rcode::ServFail,

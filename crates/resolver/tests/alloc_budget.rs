@@ -42,9 +42,9 @@ static ALLOCATOR: Counting = Counting;
 
 const NOW: u32 = 1_710_000_000;
 
-/// Parent-commit count (cloned proof records, per-call HMAC key
-/// schedule, double cache copy), same lab, same host.
-const PARENT_RESOLVE: u64 = 582;
+/// A cap just above what this lab reads (180), so that a handful of
+/// allocations creeping back into the hop or the proof path fails the test.
+const RESOLVE_BUDGET: u64 = 182;
 
 #[test]
 fn forwarded_nxdomain_stays_within_its_allocation_budget() {
@@ -77,7 +77,7 @@ fn forwarded_nxdomain_stays_within_its_allocation_budget() {
     let resolve = counts[counts.len() / 2];
     println!("allocations per forwarded NXDOMAIN resolve: {resolve}");
     assert!(
-        resolve * 100 <= PARENT_RESOLVE * 60,
-        "resolve: {resolve} allocations, budget 60 % of {PARENT_RESOLVE}"
+        resolve <= RESOLVE_BUDGET,
+        "resolve: {resolve} allocations, budget {RESOLVE_BUDGET}"
     );
 }

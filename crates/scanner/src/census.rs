@@ -109,17 +109,10 @@ impl<'a> Census<'a> {
         self
     }
 
-    /// Did this resolution lose its probe, rather than observe a genuine
-    /// answer? A SERVFAIL that spent upstream timeouts is probe loss; a
-    /// SERVFAIL resolved entirely from answered traffic (validation
-    /// failure, policy SERVFAIL) is a real observation. Fault-free
-    /// networks never spend timeouts, so this is always `false` there.
-    fn phase_lost(out: &ResolveOutcome) -> bool {
-        out.rcode == Rcode::ServFail && out.cost.timeouts > 0
-    }
-
-    /// Account one phase's outcome in the session, if any.
-    fn note_phase(&self, out: &ResolveOutcome, lost: bool) {
+    /// Account one phase's outcome in the session, if any, and say whether
+    /// its probe was lost (the rule is [`ResolveOutcome::probe_lost`]).
+    fn note_phase(&self, out: &ResolveOutcome) -> bool {
+        let lost = out.probe_lost();
         if let Some(session) = self.session {
             if lost {
                 session.note_timed_out(out.cost.retries);
@@ -127,6 +120,7 @@ impl<'a> Census<'a> {
                 session.note_answered(out.cost.retries);
             }
         }
+        lost
     }
 
     /// Run the three-phase §4.1 scan for one domain: drive a
@@ -200,13 +194,12 @@ impl CensusProbe {
                 let dnskey = census
                     .resolver
                     .resolve(census.net, &obs.domain, RrType::DNSKEY);
-                if Census::phase_lost(&dnskey) {
+                if census.note_phase(&dnskey) {
                     // The bootstrap phase never completed: without it we
                     // cannot even tell DNSSEC from plain DNS, so the
                     // domain is lost coverage, not "NotDnssec". The
                     // remaining phases are given up on (accounted as
                     // skipped, not silently dropped).
-                    census.note_phase(&dnskey, true);
                     if let Some(session) = census.session {
                         for _ in 0..3 {
                             session.note_skipped();
@@ -216,7 +209,6 @@ impl CensusProbe {
                     obs.class = DomainClass::Unprobed;
                     self.phase = CensusPhase::Done;
                 } else {
-                    census.note_phase(&dnskey, false);
                     obs.dnssec_enabled =
                         dnskey.answers.iter().any(|r| r.rrtype() == RrType::DNSKEY);
                     // A plain-DNS domain needs no further phases and
@@ -233,9 +225,7 @@ impl CensusProbe {
                 let params = census
                     .resolver
                     .resolve(census.net, &obs.domain, RrType::NSEC3PARAM);
-                let params_lost = Census::phase_lost(&params);
-                census.note_phase(&params, params_lost);
-                obs.probe_loss |= params_lost;
+                obs.probe_loss |= census.note_phase(&params);
                 for rec in &params.answers {
                     if let Some(p) = Nsec3Params::from_rdata(&rec.rdata) {
                         obs.nsec3params.push(p);
@@ -246,9 +236,7 @@ impl CensusProbe {
             CensusPhase::Ns => {
                 census.rate.pace(census.net);
                 let ns = census.resolver.resolve(census.net, &obs.domain, RrType::NS);
-                let ns_lost = Census::phase_lost(&ns);
-                census.note_phase(&ns, ns_lost);
-                obs.probe_loss |= ns_lost;
+                obs.probe_loss |= census.note_phase(&ns);
                 for rec in &ns.answers {
                     if let RData::Ns(target) = &rec.rdata {
                         obs.ns_targets.push(target.clone());
@@ -262,9 +250,7 @@ impl CensusProbe {
                     .and_then(|p| p.concat(&obs.domain))
                     .unwrap_or_else(|_| obs.domain.clone());
                 let neg = census.resolver.resolve(census.net, &probe, RrType::A);
-                let neg_lost = Census::phase_lost(&neg);
-                census.note_phase(&neg, neg_lost);
-                obs.probe_loss |= neg_lost;
+                obs.probe_loss |= census.note_phase(&neg);
                 let denial_records = neg.authorities.iter().chain(neg.answers.iter());
                 for rec in denial_records {
                     match &rec.rdata {
@@ -446,6 +432,40 @@ mod tests {
         lossy.probe_loss = true;
         assert_eq!(classify(&lossy), DomainClass::Unprobed);
         assert!(classify(&lossy).nsec3_enabled().is_none());
+    }
+
+    #[test]
+    fn a_budget_abort_that_spent_timeouts_is_booked_as_answered() {
+        use dns_resolver::{CostSnapshot, LabBuilder, ResolverConfig};
+        let lab = LabBuilder::new(1_710_000_000).build();
+        let resolver = Resolver::new(ResolverConfig::validating(
+            "192.0.2.9".parse().unwrap(),
+            lab.root_hints.clone(),
+            lab.anchor.clone(),
+        ));
+        let session = ScanSession::default();
+        let census = Census::new(&lab.net, &resolver, "t").with_session(&session);
+        let servfail = |budget_exceeded| ResolveOutcome {
+            rcode: Rcode::ServFail,
+            authenticated: false,
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            ede: None,
+            budget_exceeded,
+            cost: CostSnapshot {
+                timeouts: 2,
+                retries: 3,
+                ..CostSnapshot::default()
+            },
+        };
+        // The resolver answered on purpose: an observation, not loss.
+        assert!(!census.note_phase(&servfail(true)));
+        let stats = session.stats();
+        assert_eq!((stats.answered, stats.timed_out), (1, 0));
+        // The same outcome without the budget abort is probe loss.
+        assert!(census.note_phase(&servfail(false)));
+        let stats = session.stats();
+        assert_eq!((stats.answered, stats.timed_out), (1, 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Rcode, RrType};
-use dns_zone::nsec3hash::{nsec3_hash_cached_batch, Nsec3Params};
+use dns_zone::nsec3hash::{nsec3_hash_cached, Nsec3Params};
 use netsim::{Network, Outcome, RetryPolicy};
 
 fn query(
@@ -154,14 +154,12 @@ pub fn dictionary_attack(
             }
         }
     }
-    // Hash the whole candidate list through the batched thread-cache entry
-    // point: repeat attacks against the same zone (or shared dictionary
-    // words) replay memoized chains, and fresh candidates run the iterated
-    // SHA-1 up to eight lanes at a time. `work` still accounts the full
-    // attacker cost in candidate order — a cache hit replays the stored
-    // compressions, and batching never changes a per-name count.
-    let hashes = nsec3_hash_cached_batch(&candidates, &harvest.params);
-    for (candidate, h) in candidates.into_iter().zip(hashes) {
+    // Through the thread cache: repeat attacks against the same zone (or
+    // shared dictionary words) replay memoized chains. `work` still accounts
+    // the full attacker cost in candidate order — a cache hit replays the
+    // stored compressions.
+    for candidate in candidates {
+        let h = nsec3_hash_cached(&candidate, &harvest.params);
         work += h.compressions;
         if harvest.hashes.contains(h.digest.as_slice()) {
             cracked.push((candidate, work));

@@ -14,7 +14,7 @@ use dns_wire::name::Name;
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 
-use crate::nsec3hash::{nsec3_hash_cached, nsec3_hash_cached_batch};
+use crate::nsec3hash::nsec3_hash_cached;
 use crate::signer::{Denial, SignedZone};
 use crate::ZoneError;
 
@@ -66,12 +66,8 @@ pub fn nsec3_matching<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
     // Denial proofs re-hash the same closest enclosers for every negative
     // answer an auth server synthesizes; the thread cache absorbs that.
     let h = nsec3_hash_cached(name, params).digest;
-    nsec3_matching_hash(z, &h)
-}
-
-fn nsec3_matching_hash<'z>(z: &'z SignedZone, h: &[u8; 20]) -> Option<&'z Name> {
     z.nsec3_index
-        .binary_search_by(|(hash, _)| hash.cmp(h))
+        .binary_search_by(|(hash, _)| hash.cmp(&h))
         .ok()
         .map(|i| &z.nsec3_index[i].1)
 }
@@ -82,11 +78,7 @@ fn nsec3_matching_hash<'z>(z: &'z SignedZone, h: &[u8; 20]) -> Option<&'z Name> 
 pub fn nsec3_covering<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
     let params = z.nsec3_params()?;
     let h = nsec3_hash_cached(name, params).digest;
-    nsec3_covering_hash(z, &h)
-}
-
-fn nsec3_covering_hash<'z>(z: &'z SignedZone, h: &[u8; 20]) -> Option<&'z Name> {
-    match z.nsec3_index.binary_search_by(|(hash, _)| hash.cmp(h)) {
+    match z.nsec3_index.binary_search_by(|(hash, _)| hash.cmp(&h)) {
         Ok(_) => None, // exact match: not "covered", it's "matched"
         // Predecessor in circular order; index 0 wraps to the last.
         Err(0) => z.nsec3_index.last().map(|(_, owner)| owner),
@@ -114,20 +106,13 @@ pub fn nxdomain_proof_below<'z>(
 ) -> Result<DenialProof<'z>, ZoneError> {
     let wildcard = ce.prepend(b"*").map_err(|_| ZoneError::NameTooLong)?;
     let (records, ce) = match &z.denial {
-        Denial::Nsec3 { params, .. } => {
-            // The proof always needs all three hashes (closest encloser,
-            // next closer, wildcard at the encloser), so compute them in
-            // one batched cache lookup: an adversarial NXDOMAIN storm pays
-            // interleaved lanes per answer instead of three serial chains.
+        Denial::Nsec3 { .. } => {
             let next_closer = next_closer_name(qname, &ce)?;
-            let names = [ce, next_closer, wildcard];
-            let hashes = nsec3_hash_cached_batch(&names, params);
             let owners = [
-                nsec3_matching_hash(z, &hashes[0].digest),
-                nsec3_covering_hash(z, &hashes[1].digest),
-                nsec3_covering_hash(z, &hashes[2].digest),
+                nsec3_matching(z, &ce),
+                nsec3_covering(z, &next_closer),
+                nsec3_covering(z, &wildcard),
             ];
-            let [ce, ..] = names;
             (records_at(z, RrType::NSEC3, &owners), ce)
         }
         Denial::Nsec => {

@@ -12,14 +12,14 @@
 //!
 //! Two engines compute the same function:
 //!
-//! * [`nsec3_hash`] / [`nsec3_hash_wire`] — the fast path, built on
+//! * [`nsec3_hash`] — the fast path, built on
 //!   [`dns_crypto::sha1::IteratedSha1`]: one prebuilt padded block per
 //!   parameter set, no per-iteration hasher construction, no allocation for
 //!   the canonical wire form.
-//! * [`nsec3_hash_reference`] / [`nsec3_hash_wire_reference`] — the original
-//!   streaming construction, kept as the differential-testing oracle
-//!   (`crates/zone/tests/proptests.rs` pins byte identity and
-//!   compression-count equality across salt lengths and iteration counts).
+//! * [`nsec3_hash_reference`] — the original streaming construction, kept
+//!   as the differential-testing oracle (`crates/zone/tests/proptests.rs`
+//!   pins byte identity and compression-count equality across salt lengths
+//!   and iteration counts).
 //!
 //! [`Nsec3HashCache`] memoizes results across a signing run or a resolver's
 //! closest-encloser search. Cache hits return the stored [`Nsec3Hash`]
@@ -27,19 +27,13 @@
 //! cost model sees identical numbers whether or not a cache sat in front of
 //! the engine.
 //!
-//! # Which entry point each layer should use
+//! # Entry points
 //!
-//! Every entry point computes the same function; they differ in what they
-//! amortize. Production code should take the highest row its call shape
-//! allows; the plain uncached functions exist for the oracle tests, the
-//! benches' scalar baselines, and one-off lookups.
-//!
-//! | entry point | amortizes | used by |
+//! | entry point | what it is | used by |
 //! |---|---|---|
-//! | [`Nsec3HashCache::lookup_wire_batch`] / [`nsec3_hash_wire_cached_batch`] | cache probe + multi-lane hashing of misses | signer denial pass, scanner walk candidates |
-//! | [`nsec3_hash_wire_batch`] / [`nsec3_hash_batch`] | multi-lane hashing (no cache) | batch workloads with no reuse across calls |
-//! | [`nsec3_hash_cached`] / [`nsec3_hash_wire_cached`] | per-thread memoization | validator closest-encloser loops, denial proof synthesis |
-//! | [`nsec3_hash`] / [`nsec3_hash_wire`] | single-block engine only | tests, oracle comparisons, cold one-offs |
+//! | [`nsec3_hash_cached`] | [`nsec3_hash`] behind this thread's [`Nsec3HashCache`] | the signer's denial pass, denial proof synthesis, validator closest-encloser loops, zone walks — what the signer inserts is what the proofs and the validator hit afterwards |
+//! | [`nsec3_hash`] | the engine, uncached | benches, cold one-offs, and [`Nsec3HashCache::lookup`] on a miss |
+//! | [`nsec3_hash_reference`] | the RFC 5155 §5 recurrence as written | tests and the bench parity gate |
 
 use std::cell::{Cell, RefCell};
 
@@ -138,91 +132,21 @@ pub struct Nsec3Hash {
 pub fn nsec3_hash(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
     let mut buf = [0u8; MAX_NAME_LEN];
     let len = name.write_canonical_wire(&mut buf);
-    nsec3_hash_wire(&buf[..len], params)
-}
-
-/// Compute the NSEC3 hash of a name already in canonical wire form.
-///
-/// Callers that hold wire bytes (the signer, zone walking) skip the
-/// per-call canonical-wire conversion entirely.
-pub fn nsec3_hash_wire(wire: &[u8], params: &Nsec3Params) -> Nsec3Hash {
     let engine = IteratedSha1::new(&params.salt);
-    let (digest, compressions) = engine.hash(wire, params.iterations);
+    let (digest, compressions) = engine.hash(&buf[..len], params.iterations);
     Nsec3Hash {
         digest,
         compressions,
     }
 }
 
-/// Compute NSEC3 hashes for a batch of canonical-wire names, driving the
-/// misses-free batch through [`IteratedSha1::hash_batch`]'s interleaved
-/// lanes. `out[i]` is byte-identical (digest *and* `compressions`) to
-/// [`nsec3_hash_wire`]`(wires[i], params)`.
-pub fn nsec3_hash_wire_batch(wires: &[&[u8]], params: &Nsec3Params) -> Vec<Nsec3Hash> {
-    let engine = IteratedSha1::new(&params.salt);
-    engine
-        .hash_batch(wires, params.iterations)
-        .into_iter()
-        .map(|(digest, compressions)| Nsec3Hash {
-            digest,
-            compressions,
-        })
-        .collect()
-}
-
-/// [`nsec3_hash_wire_batch`] over [`Name`]s: canonical wire forms are packed
-/// into one arena (no per-name allocation) and hashed multi-lane.
-pub fn nsec3_hash_batch(names: &[Name], params: &Nsec3Params) -> Vec<Nsec3Hash> {
-    let (arena, ends) = pack_canonical_wires(names);
-    let wires = unpack_spans(&arena, &ends);
-    nsec3_hash_wire_batch(&wires, params)
-}
-
-/// Pack canonical wire forms contiguously; returns the arena and each
-/// name's end offset (entry `i` spans `ends[i-1]..ends[i]`). `pub(crate)`
-/// so batch consumers holding non-`Name` collections (the signer's denial
-/// entries) can pack without cloning names into a temporary `Vec`.
-pub(crate) fn pack_canonical_wires<'a, I>(names: I) -> (Vec<u8>, Vec<usize>)
-where
-    I: IntoIterator<Item = &'a Name>,
-{
-    let iter = names.into_iter();
-    let hint = iter.size_hint().0;
-    let mut arena = Vec::with_capacity(hint * 24);
-    let mut ends = Vec::with_capacity(hint);
-    let mut buf = [0u8; MAX_NAME_LEN];
-    for name in iter {
-        let len = name.write_canonical_wire(&mut buf);
-        arena.extend_from_slice(&buf[..len]);
-        ends.push(arena.len());
-    }
-    (arena, ends)
-}
-
-pub(crate) fn unpack_spans<'a>(arena: &'a [u8], ends: &[usize]) -> Vec<&'a [u8]> {
-    let mut start = 0;
-    ends.iter()
-        .map(|&end| {
-            let span = &arena[start..end];
-            start = end;
-            span
-        })
-        .collect()
-}
-
 /// The streaming reference implementation of [`nsec3_hash`]: a fresh
 /// [`Sha1`] per step, exactly as RFC 5155 §5 writes the recurrence. Kept as
 /// the oracle for differential tests and the CI perf-correctness smoke.
 pub fn nsec3_hash_reference(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
-    nsec3_hash_wire_reference(&name.to_canonical_wire(), params)
-}
-
-/// Streaming reference over canonical wire bytes (see
-/// [`nsec3_hash_reference`]).
-pub fn nsec3_hash_wire_reference(wire: &[u8], params: &Nsec3Params) -> Nsec3Hash {
     let mut compressions = 0u64;
     let mut h = Sha1::new();
-    h.update(wire);
+    h.update(&name.to_canonical_wire());
     h.update(&params.salt);
     compressions += h.padded_compressions();
     let mut digest = h.finalize_fixed();
@@ -280,8 +204,11 @@ struct CacheEntry {
     cheap: bool,
 }
 
+/// Longest salt the one-octet length field of an NSEC3 record can carry.
+const MAX_SALT_LEN: usize = 255;
+
 /// Longest cacheable key: algorithm byte + maximal wire name + maximal salt.
-const MAX_KEY_LEN: usize = 1 + MAX_NAME_LEN + 255;
+const MAX_KEY_LEN: usize = 1 + MAX_NAME_LEN + MAX_SALT_LEN;
 
 impl Nsec3HashCache {
     /// Default slot count (a power of two).
@@ -308,22 +235,16 @@ impl Nsec3HashCache {
 
     /// Hash `name` under `params`, memoized.
     pub fn lookup(&self, name: &Name, params: &Nsec3Params) -> Nsec3Hash {
-        let mut buf = [0u8; MAX_NAME_LEN];
-        let len = name.write_canonical_wire(&mut buf);
-        self.lookup_wire(&buf[..len], params)
-    }
-
-    /// Hash a canonical-wire name under `params`, memoized.
-    pub fn lookup_wire(&self, wire: &[u8], params: &Nsec3Params) -> Nsec3Hash {
-        let key_len = 1 + wire.len() + params.salt.len();
-        if key_len > MAX_KEY_LEN {
-            // Oversized (non-protocol) input: compute without caching.
-            return nsec3_hash_wire(wire, params);
+        if params.salt.len() > MAX_SALT_LEN {
+            // A salt no NSEC3 record can carry: compute without caching or
+            // counting.
+            return nsec3_hash(name, params);
         }
         let mut key_buf = [0u8; MAX_KEY_LEN];
         key_buf[0] = params.hash_alg;
-        key_buf[1..1 + wire.len()].copy_from_slice(wire);
-        key_buf[1 + wire.len()..key_len].copy_from_slice(&params.salt);
+        let wire_end = 1 + name.write_canonical_wire(&mut key_buf[1..]);
+        let key_len = wire_end + params.salt.len();
+        key_buf[wire_end..key_len].copy_from_slice(&params.salt);
         let key = &key_buf[..key_len];
         let idx = self.slot(key, params.iterations);
         let mut slots = self.slots.borrow_mut();
@@ -333,7 +254,7 @@ impl Nsec3HashCache {
                 return entry.hash;
             }
         }
-        let hash = nsec3_hash_wire(wire, params);
+        let hash = nsec3_hash(name, params);
         self.misses.set(self.misses.get() + 1);
         let cheap = params.rfc9276_compliant();
         if cheap || !slots[idx].as_ref().is_some_and(|e| e.cheap) {
@@ -345,94 +266,6 @@ impl Nsec3HashCache {
             });
         }
         hash
-    }
-
-    /// Hash a batch of names under `params`, memoized (see
-    /// [`Nsec3HashCache::lookup_wire_batch`]).
-    pub fn lookup_batch(&self, names: &[Name], params: &Nsec3Params) -> Vec<Nsec3Hash> {
-        let (arena, ends) = pack_canonical_wires(names);
-        let wires = unpack_spans(&arena, &ends);
-        self.lookup_wire_batch(&wires, params)
-    }
-
-    /// Hash a batch of canonical-wire names under `params`, memoized: the
-    /// batch is partitioned into cache hits and misses with one probe pass,
-    /// the misses are hashed together through the interleaved lanes of
-    /// [`IteratedSha1::hash_batch`], and the table is refilled.
-    ///
-    /// `out[i]` is byte-identical to [`Nsec3HashCache::lookup_wire`]
-    /// `(wires[i], params)` — digest and `compressions` both. Hit/miss
-    /// counters also match the scalar sequence, with one carve-out:
-    /// duplicates of the same *uncached* name inside a single batch each
-    /// count (and hash) as misses, where the scalar sequence would hit from
-    /// the second occurrence on. Results are unaffected.
-    pub fn lookup_wire_batch(&self, wires: &[&[u8]], params: &Nsec3Params) -> Vec<Nsec3Hash> {
-        const PENDING: Nsec3Hash = Nsec3Hash {
-            digest: [0; 20],
-            compressions: 0,
-        };
-        let mut out = vec![PENDING; wires.len()];
-        let mut miss_idx: Vec<u32> = Vec::new();
-        {
-            let slots = self.slots.borrow();
-            let mut key_buf = [0u8; MAX_KEY_LEN];
-            for (i, wire) in wires.iter().enumerate() {
-                let key_len = 1 + wire.len() + params.salt.len();
-                if key_len <= MAX_KEY_LEN {
-                    key_buf[0] = params.hash_alg;
-                    key_buf[1..1 + wire.len()].copy_from_slice(wire);
-                    key_buf[1 + wire.len()..key_len].copy_from_slice(&params.salt);
-                    let key = &key_buf[..key_len];
-                    let idx = self.slot(key, params.iterations);
-                    if let Some(entry) = &slots[idx] {
-                        if entry.iterations == params.iterations && entry.key.as_ref() == key {
-                            self.hits.set(self.hits.get() + 1);
-                            out[i] = entry.hash;
-                            continue;
-                        }
-                    }
-                }
-                miss_idx.push(i as u32);
-            }
-        }
-        if miss_idx.is_empty() {
-            return out;
-        }
-        let engine = IteratedSha1::new(&params.salt);
-        let miss_wires: Vec<&[u8]> = miss_idx.iter().map(|&i| wires[i as usize]).collect();
-        let hashed = engine.hash_batch(&miss_wires, params.iterations);
-        let mut slots = self.slots.borrow_mut();
-        let mut key_buf = [0u8; MAX_KEY_LEN];
-        for (&i, (digest, compressions)) in miss_idx.iter().zip(hashed) {
-            let wire = wires[i as usize];
-            let hash = Nsec3Hash {
-                digest,
-                compressions,
-            };
-            out[i as usize] = hash;
-            let key_len = 1 + wire.len() + params.salt.len();
-            if key_len > MAX_KEY_LEN {
-                // Oversized (non-protocol) input: computed, never cached or
-                // counted — as in the scalar path.
-                continue;
-            }
-            self.misses.set(self.misses.get() + 1);
-            key_buf[0] = params.hash_alg;
-            key_buf[1..1 + wire.len()].copy_from_slice(wire);
-            key_buf[1 + wire.len()..key_len].copy_from_slice(&params.salt);
-            let key = &key_buf[..key_len];
-            let idx = self.slot(key, params.iterations);
-            let cheap = params.rfc9276_compliant();
-            if cheap || !slots[idx].as_ref().is_some_and(|e| e.cheap) {
-                slots[idx] = Some(CacheEntry {
-                    key: key.into(),
-                    iterations: params.iterations,
-                    hash,
-                    cheap,
-                });
-            }
-        }
-        out
     }
 
     /// Lookups answered from the table.
@@ -485,23 +318,6 @@ thread_local! {
 /// [`nsec3_hash`] through this thread's shared [`Nsec3HashCache`].
 pub fn nsec3_hash_cached(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
     THREAD_CACHE.with(|c| c.lookup(name, params))
-}
-
-/// [`nsec3_hash_wire`] through this thread's shared [`Nsec3HashCache`].
-pub fn nsec3_hash_wire_cached(wire: &[u8], params: &Nsec3Params) -> Nsec3Hash {
-    THREAD_CACHE.with(|c| c.lookup_wire(wire, params))
-}
-
-/// [`Nsec3HashCache::lookup_wire_batch`] through this thread's shared
-/// [`Nsec3HashCache`] — the entry point for batch consumers (signer shards,
-/// scanner walks) that want memoization *and* multi-lane hashing.
-pub fn nsec3_hash_wire_cached_batch(wires: &[&[u8]], params: &Nsec3Params) -> Vec<Nsec3Hash> {
-    THREAD_CACHE.with(|c| c.lookup_wire_batch(wires, params))
-}
-
-/// [`Nsec3HashCache::lookup_batch`] through this thread's shared cache.
-pub fn nsec3_hash_cached_batch(names: &[Name], params: &Nsec3Params) -> Vec<Nsec3Hash> {
-    THREAD_CACHE.with(|c| c.lookup_batch(names, params))
 }
 
 /// `(hits, misses)` of this thread's shared cache — observability for
@@ -614,18 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_api_matches_name_api() {
-        let p = Nsec3Params::new(7, vec![0xaa, 0xbb]);
-        let n = name("MiXeD.Case.Example.");
-        let wire = n.to_canonical_wire();
-        assert_eq!(nsec3_hash_wire(&wire, &p), nsec3_hash(&n, &p));
-        assert_eq!(
-            nsec3_hash_wire_reference(&wire, &p),
-            nsec3_hash_reference(&n, &p)
-        );
-    }
-
-    #[test]
     fn cache_hit_returns_identical_hash_and_compressions() {
         let cache = Nsec3HashCache::with_capacity_and_seed(64, 1);
         let p = Nsec3Params::new(150, vec![0xab; 8]);
@@ -722,108 +526,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_inserts_respect_cheap_admission() {
-        // Same protection through the batch refill path.
-        let cache = Nsec3HashCache::with_capacity_and_seed(32, 11);
-        let cheap = Nsec3Params::rfc9276();
-        let warm: Vec<Name> = (0..16).map(|i| name(&format!("wb{i}.example."))).collect();
-        let warm_pass = |c: &Nsec3HashCache| {
-            let before = c.hits();
-            for n in &warm {
-                assert_eq!(c.lookup(n, &cheap), nsec3_hash(n, &cheap));
-            }
-            c.hits() - before
-        };
-        warm_pass(&cache);
-        let baseline_hits = warm_pass(&cache);
-        assert!(baseline_hits > 0);
-        let expensive = Nsec3Params::new(500, vec![0xaa; 8]);
-        let flood: Vec<Name> = (0..512)
-            .map(|i| name(&format!("fb{i}.attack.example.")))
-            .collect();
-        let got = cache.lookup_batch(&flood, &expensive);
-        for (n, g) in flood.iter().zip(&got) {
-            assert_eq!(*g, nsec3_hash(n, &expensive));
-        }
-        assert_eq!(warm_pass(&cache), baseline_hits);
-    }
-
-    #[test]
     fn thread_cache_matches_uncached() {
         let p = Nsec3Params::new(5, vec![0xcd; 4]);
         let n = name("tls.example.");
         assert_eq!(nsec3_hash_cached(&n, &p), nsec3_hash(&n, &p));
         assert_eq!(nsec3_hash_cached(&n, &p), nsec3_hash(&n, &p));
-        let wire = n.to_canonical_wire();
-        assert_eq!(nsec3_hash_wire_cached(&wire, &p), nsec3_hash(&n, &p));
     }
 
     #[test]
-    fn rfc5155_appendix_a_vectors_through_batch_api() {
-        // The same eleven published vectors, in one batch call, through both
-        // the uncached batch engine and the cache partition path.
-        let p = appendix_a_params();
-        let names: Vec<Name> = [
-            "example.",
-            "a.example.",
-            "ai.example.",
-            "ns1.example.",
-            "ns2.example.",
-            "w.example.",
-            "*.w.example.",
-            "x.w.example.",
-            "y.w.example.",
-            "x.y.w.example.",
-            "xx.example.",
-        ]
-        .iter()
-        .map(|n| name(n))
-        .collect();
-        let expected: Vec<Nsec3Hash> = names.iter().map(|n| nsec3_hash(n, &p)).collect();
-        assert_eq!(nsec3_hash_batch(&names, &p), expected);
-        let cache = Nsec3HashCache::with_capacity_and_seed(64, 3);
-        assert_eq!(cache.lookup_batch(&names, &p), expected, "all misses");
-        assert_eq!(cache.lookup_batch(&names, &p), expected, "all hits");
-        assert_eq!((cache.hits(), cache.misses()), (11, 11));
-    }
-
-    #[test]
-    fn batch_partition_mixes_hits_and_misses() {
-        let p = Nsec3Params::new(13, vec![0xee; 6]);
-        let cache = Nsec3HashCache::with_capacity_and_seed(256, 7);
-        let warm: Vec<Name> = (0..5).map(|i| name(&format!("warm{i}.example."))).collect();
-        for n in &warm {
-            cache.lookup(n, &p);
-        }
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let batch: Vec<Name> = (0..12)
-            .map(|i| {
-                if i % 3 == 0 {
-                    warm[i / 3].clone()
-                } else {
-                    name(&format!("cold{i}.example."))
-                }
-            })
-            .collect();
-        let got = cache.lookup_batch(&batch, &p);
-        for (n, g) in batch.iter().zip(&got) {
-            assert_eq!(*g, nsec3_hash(n, &p), "{n:?}");
-        }
-        assert_eq!(cache.hits() - h0, 4, "warm0/1/2/3 hit");
-        assert_eq!(cache.misses() - m0, 8, "eight cold misses");
-    }
-
-    #[test]
-    fn thread_cache_batch_matches_scalar() {
-        let p = Nsec3Params::new(2, vec![0x11; 3]);
-        let names: Vec<Name> = (0..9).map(|i| name(&format!("b{i}.example."))).collect();
-        let wires: Vec<Vec<u8>> = names.iter().map(|n| n.to_canonical_wire()).collect();
-        let refs: Vec<&[u8]> = wires.iter().map(|w| w.as_slice()).collect();
-        let batch = nsec3_hash_wire_cached_batch(&refs, &p);
-        let named = nsec3_hash_cached_batch(&names, &p);
-        for ((n, a), b) in names.iter().zip(&batch).zip(&named) {
-            assert_eq!(*a, nsec3_hash(n, &p));
-            assert_eq!(a, b);
+    fn oversized_salt_is_computed_uncached_and_uncounted() {
+        // 256 bytes is one more than an NSEC3 record's salt field holds.
+        let cache = Nsec3HashCache::with_capacity_and_seed(64, 1);
+        let p = Nsec3Params::new(3, vec![0x5a; 256]);
+        let n = name("oversized.example.");
+        for _ in 0..2 {
+            assert_eq!(cache.lookup(&n, &p), nsec3_hash(&n, &p));
+            assert_eq!((cache.hits(), cache.misses()), (0, 0));
         }
     }
 

@@ -14,32 +14,9 @@ use dns_wire::record::{canonical_rrset_order, Record};
 use dns_wire::rrtype::RrType;
 use dns_wire::typebitmap::TypeBitmap;
 
-use crate::nsec3hash::{nsec3_hash_wire_cached_batch, Nsec3Params};
+use crate::nsec3hash::{nsec3_hash_cached, Nsec3Params};
 use crate::zone::Zone;
 use crate::ZoneError;
-
-/// Seed for the signer's [`sim_par::run_sharded`] calls. Signing is a pure
-/// function of the zone and keys, so the seed only names the shard plan; it
-/// never reaches an RNG.
-const SIGNING_SHARD_SEED: u64 = 0x5155_9276;
-
-/// Below this many work items a zone signs inline: the census populations
-/// sign thousands of small zones from already-sharded worker threads, and
-/// per-zone thread spawns would cost more than they save.
-const SHARD_MIN_ITEMS: usize = 64;
-
-fn shard_threads(items: usize, threads: usize) -> usize {
-    if items < SHARD_MIN_ITEMS {
-        return 1;
-    }
-    // Never run more workers than the host has execution units: the output
-    // is byte-identical at every thread count (fixed contiguous shards,
-    // index-order merge), so oversubscription buys nothing and costs spawn
-    // and context-switch overhead — on a single-core host, asking for 4
-    // threads used to make signing ~16% *slower* than 1.
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    threads.clamp(1, available)
-}
 
 /// DNSKEY flags value for a zone-signing key.
 pub const FLAGS_ZSK: u16 = 256;
@@ -495,25 +472,9 @@ pub fn verify_rrsig_with<R: Borrow<Record>>(
 
 /// Sign `zone` according to `config`, producing a [`SignedZone`].
 ///
-/// Large zones shard NSEC3 hashing and RRSIG generation over
-/// [`sim_par::run_sharded`] with the thread count from
-/// [`sim_par::default_threads`] (the `HEROES_THREADS` environment variable);
-/// the output is byte-identical at every thread count.
+/// Runs on the calling thread and reads no environment: the drivers shard
+/// across zones, nothing shards inside one.
 pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneError> {
-    sign_zone_with_threads(zone, config, sim_par::default_threads())
-}
-
-/// [`sign_zone`] with an explicit worker-thread count.
-///
-/// Work splits into fixed contiguous shards merged in index order
-/// (`sim-par`), and signatures are pure functions of the RRset and key, so
-/// `threads = 1` and `threads = N` produce the same signed zone byte for
-/// byte — pinned by `tests/determinism.rs`.
-pub fn sign_zone_with_threads(
-    zone: &Zone,
-    config: &SignerConfig,
-    threads: usize,
-) -> Result<SignedZone, ZoneError> {
     if config.keys.is_empty() {
         return Err(ZoneError::NoKeys);
     }
@@ -550,77 +511,43 @@ pub fn sign_zone_with_threads(
             // with their type lists and signability, so record assembly
             // below needs no per-name tree lookups.
             let entries = out.denial_entries(*opt_out);
-            // Hash the denial names sharded; each shard packs its owner
-            // names into one canonical-wire arena and feeds them through
-            // the batched thread-cache entry point: hits replay memoized
-            // digests (re-signing, key rollover), misses hash up to eight
-            // SHA-1 lanes at a time.
-            let digests: Vec<[u8; 20]> = sim_par::run_sharded(
-                &entries,
-                shard_threads(entries.len(), threads),
-                SIGNING_SHARD_SEED,
-                |_, slice| {
-                    let (arena, ends) =
-                        crate::nsec3hash::pack_canonical_wires(slice.iter().map(|e| &e.name));
-                    let wires = crate::nsec3hash::unpack_spans(&arena, &ends);
-                    nsec3_hash_wire_cached_batch(&wires, params)
-                        .into_iter()
-                        .map(|h| h.digest)
-                        .collect()
-                },
-            );
-            let mut hashed: Vec<([u8; 20], &crate::zone::DenialEntry)> =
-                digests.into_iter().zip(entries.iter()).collect();
+            // Hash through the thread cache: what is inserted here is what
+            // denial proofs and validators on this thread hit afterwards,
+            // and re-signing (key rollover) replays memoized digests.
+            let mut hashed: Vec<([u8; 20], &crate::zone::DenialEntry)> = entries
+                .iter()
+                .map(|e| (nsec3_hash_cached(&e.name, params).digest, e))
+                .collect();
             hashed.sort_by_key(|a| a.0);
             let count = hashed.len();
-            // Build the NSEC3 records sharded (owner-name construction,
-            // type bitmaps, and RDATA assembly are per-entry pure reads of
-            // `out`); only the chain-order merge into the zone is serial.
             let flags = if *opt_out { NSEC3_FLAG_OPT_OUT } else { 0 };
-            let indices: Vec<usize> = (0..count).collect();
-            let built: Vec<([u8; 20], Name, Record)> = sim_par::run_sharded(
-                &indices,
-                shard_threads(count, threads),
-                SIGNING_SHARD_SEED ^ 2,
-                |_, slice| {
-                    slice
-                        .iter()
-                        .map(|&i| {
-                            let (hash, entry) = &hashed[i];
-                            let next = &hashed[(i + 1) % count].0;
-                            let owner = apex
-                                .prepend(base32::encode(hash).as_bytes())
-                                .expect("base32 label fits");
-                            let mut types = TypeBitmap::from_types(entry.types.iter().copied());
-                            if entry.will_sign {
-                                types.insert(RrType::RRSIG);
-                            }
-                            let record = Record::new(
-                                owner.clone(),
-                                negative_ttl,
-                                RData::Nsec3 {
-                                    hash_alg: params.hash_alg,
-                                    flags,
-                                    iterations: params.iterations,
-                                    salt: params.salt.clone(),
-                                    next_hashed: next.to_vec(),
-                                    types,
-                                },
-                            );
-                            (*hash, owner, record)
-                        })
-                        .collect()
-                },
-            );
-            let mut chain: Vec<Record> = Vec::with_capacity(built.len());
-            for (hash, owner, record) in built {
-                chain.push(record);
-                nsec3_index.push((hash, owner));
+            let mut chain: Vec<Record> = Vec::with_capacity(count);
+            for (i, (hash, entry)) in hashed.iter().enumerate() {
+                let next = &hashed[(i + 1) % count].0;
+                let owner = apex
+                    .prepend(base32::encode(hash).as_bytes())
+                    .expect("base32 label fits");
+                let mut types = TypeBitmap::from_types(entry.types.iter().copied());
+                if entry.will_sign {
+                    types.insert(RrType::RRSIG);
+                }
+                chain.push(Record::new(
+                    owner.clone(),
+                    negative_ttl,
+                    RData::Nsec3 {
+                        hash_alg: params.hash_alg,
+                        flags,
+                        iterations: params.iterations,
+                        salt: params.salt.clone(),
+                        next_hashed: next.to_vec(),
+                        types,
+                    },
+                ));
+                nsec3_index.push((*hash, owner));
             }
             // The chain is sorted by hash, hence (base32hex) by owner:
             // merge it into the zone with one linear walk.
             out.merge_sorted_owners(chain)?;
-            nsec3_index.sort_by_key(|a| a.0);
         }
         Denial::Nsec => {
             let names = out.denial_names(false);
@@ -643,9 +570,9 @@ pub fn sign_zone_with_threads(
     // 3. Sign every authoritative RRset. Key tags and HMAC pad schedules
     // are hoisted (one DNSKEY serialization and one pad derivation per key,
     // not per RRset), the work list carries each RRset's record slice so
-    // the signing shards never walk the zone tree, and every shard builds
-    // its canonical signing buffers first, then signs them per key through
-    // the interleaved batch HMAC engine.
+    // signing never walks the zone tree, and the canonical signing buffers
+    // are all built first, then signed per key through the interleaved
+    // batch HMAC engine.
     let signers: Vec<(&SigningKey, u16, simsig::Context)> = config
         .keys
         .iter()
@@ -681,93 +608,65 @@ pub fn sign_zone_with_threads(
             work.push((owner, rrtype, rrset.as_slice()));
         }
     }
-    let signed: Vec<Result<Record, ZoneError>> = sim_par::run_sharded(
-        &work,
-        shard_threads(work.len(), threads),
-        SIGNING_SHARD_SEED ^ 1,
-        |_, slice| {
-            // Phase 1: one RRSIG template and canonical signing buffer per
-            // (RRset, key) pair, in work order.
-            let mut slots: Vec<Result<(RData, &Name, u32), ZoneError>> =
-                Vec::with_capacity(slice.len() * 2);
-            let mut buffers: Vec<Vec<u8>> = Vec::with_capacity(slice.len() * 2);
-            let mut buf_key: Vec<usize> = Vec::with_capacity(slice.len() * 2);
-            for &(owner, rrtype, rrset) in slice {
-                let chosen: &[usize] = if rrtype == RrType::DNSKEY && !kss_idx.is_empty() {
-                    &kss_idx
-                } else if !zss_idx.is_empty() {
-                    &zss_idx
-                } else {
-                    &kss_idx
-                };
-                let first = match rrset.first() {
-                    Some(f) => f,
-                    None => {
-                        slots.push(Err(ZoneError::EmptyRrset));
-                        continue;
-                    }
-                };
-                for &ki in chosen {
-                    let (key, tag, _) = &signers[ki];
-                    let fields = RData::Rrsig {
-                        type_covered: rrtype,
-                        algorithm: key.algorithm,
-                        labels: significant_labels(owner) as u8,
-                        original_ttl: first.ttl,
-                        expiration: config.expiration,
-                        inception: config.inception,
-                        key_tag: *tag,
-                        signer_name: apex.clone(),
-                        signature: Vec::new(),
-                    };
-                    match signing_buffer(&fields, owner, rrset) {
-                        Ok(buffer) => {
-                            buffers.push(buffer);
-                            buf_key.push(ki);
-                            slots.push(Ok((fields, owner, first.ttl)));
-                        }
-                        Err(e) => slots.push(Err(e)),
-                    }
-                }
-            }
-            // Phase 2: sign each key's buffers in one interleaved batch.
-            let mut sigs = vec![[0u8; 32]; buffers.len()];
-            for (ki, (_, _, ctx)) in signers.iter().enumerate() {
-                let idx: Vec<usize> = (0..buffers.len()).filter(|&i| buf_key[i] == ki).collect();
-                if idx.is_empty() {
-                    continue;
-                }
-                let refs: Vec<&[u8]> = idx.iter().map(|&i| buffers[i].as_slice()).collect();
-                let mut out_sigs = vec![[0u8; 32]; idx.len()];
-                ctx.sign_batch_into(&refs, &mut out_sigs);
-                for (&i, s) in idx.iter().zip(&out_sigs) {
-                    sigs[i] = *s;
-                }
-            }
-            // Phase 3: patch the signatures into the templates, still in
-            // work order.
-            let mut next = 0usize;
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.map(|(mut fields, owner, ttl)| {
-                        if let RData::Rrsig { signature, .. } = &mut fields {
-                            *signature = sigs[next].to_vec();
-                        }
-                        next += 1;
-                        Record::new(owner.clone(), ttl, fields)
-                    })
-                })
-                .collect()
-        },
-    );
-    // The work list was produced by an in-order scan of `out`, and
-    // `run_sharded` merges shards in index order, so the signature stream
-    // is already in canonical owner order: merge it with one linear walk.
-    let mut sigs: Vec<Record> = Vec::with_capacity(signed.len());
-    for item in signed {
-        sigs.push(item?);
+    // Phase 1: one RRSIG template and canonical signing buffer per
+    // (RRset, key) pair, in work order.
+    let mut templates: Vec<(RData, &Name, u32)> = Vec::with_capacity(work.len() * 2);
+    let mut buffers: Vec<Vec<u8>> = Vec::with_capacity(work.len() * 2);
+    let mut buf_key: Vec<usize> = Vec::with_capacity(work.len() * 2);
+    for &(owner, rrtype, rrset) in &work {
+        let chosen: &[usize] = if rrtype == RrType::DNSKEY && !kss_idx.is_empty() {
+            &kss_idx
+        } else if !zss_idx.is_empty() {
+            &zss_idx
+        } else {
+            &kss_idx
+        };
+        let first = rrset.first().ok_or(ZoneError::EmptyRrset)?;
+        for &ki in chosen {
+            let (key, tag, _) = &signers[ki];
+            let fields = RData::Rrsig {
+                type_covered: rrtype,
+                algorithm: key.algorithm,
+                labels: significant_labels(owner) as u8,
+                original_ttl: first.ttl,
+                expiration: config.expiration,
+                inception: config.inception,
+                key_tag: *tag,
+                signer_name: apex.clone(),
+                signature: Vec::new(),
+            };
+            buffers.push(signing_buffer(&fields, owner, rrset)?);
+            buf_key.push(ki);
+            templates.push((fields, owner, first.ttl));
+        }
     }
+    // Phase 2: sign each key's buffers in one interleaved batch.
+    let mut signatures = vec![[0u8; 32]; buffers.len()];
+    for (ki, (_, _, ctx)) in signers.iter().enumerate() {
+        let idx: Vec<usize> = (0..buffers.len()).filter(|&i| buf_key[i] == ki).collect();
+        if idx.is_empty() {
+            continue;
+        }
+        let refs: Vec<&[u8]> = idx.iter().map(|&i| buffers[i].as_slice()).collect();
+        let mut out_sigs = vec![[0u8; 32]; idx.len()];
+        ctx.sign_batch_into(&refs, &mut out_sigs);
+        for (&i, s) in idx.iter().zip(&out_sigs) {
+            signatures[i] = *s;
+        }
+    }
+    // Phase 3: patch the signatures into the templates. The work list was
+    // produced by an in-order scan of `out`, so the signature stream is
+    // already in canonical owner order: merge it with one linear walk.
+    let sigs: Vec<Record> = templates
+        .into_iter()
+        .zip(&signatures)
+        .map(|((mut fields, owner, ttl), sig)| {
+            if let RData::Rrsig { signature, .. } = &mut fields {
+                *signature = sig.to_vec();
+            }
+            Record::new(owner.clone(), ttl, fields)
+        })
+        .collect();
     out.merge_in_order(sigs)?;
 
     Ok(SignedZone {

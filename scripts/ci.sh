@@ -47,19 +47,17 @@ fi
 echo "== bench smoke: engine parity gates (reduced samples)"
 # bench_nsec3_hash refuses to start unless the single-block engine agrees
 # with the streaming reference (digests and compression counts) across the
-# salt-length boundary, and the interleaved batch lanes agree with the
-# scalar engine over ragged batch sizes, the 35→36-byte salt boundary,
-# and every measured iteration count; bench_zone_signing asserts the
-# signed zone renders
-# byte-identically at threads=1/2/4; bench_wire refuses to start unless
-# MessageView's accept/reject decisions (and materialized contents) match
-# Message::decode over a corpus of clean, truncated, and bit-flipped
-# packets, and its auth_answer_{nxdomain,referral}_unique rows drive the
-# template-miss path (borrowed assembly, one encode) on 65,536 fresh
-# names; bench_denial_proofs runs the warm and the cold
-# (nxdomain_proof_synthesis_cold/{0,150}: a next closer never hashed
-# before) proof rows. Reduced samples keep this a smoke test; the JSON
-# reports land in a scratch dir, not the repo.
+# salt-length boundary and every measured iteration count; bench_wire
+# refuses to start unless MessageView's accept/reject decisions (and
+# materialized contents) match Message::decode over a corpus of clean,
+# truncated, and bit-flipped packets, and its
+# auth_answer_{nxdomain,referral}_unique rows drive the template-miss
+# path (borrowed assembly, one encode) on 65,536 fresh names;
+# bench_zone_signing and bench_denial_proofs carry no gate and run so
+# their rows cannot rot — the latter with the warm and the cold
+# (nxdomain_proof_synthesis_cold, nxdomain_verify_by_iterations_cold: a
+# next closer never hashed before) proof rows. Reduced samples keep this
+# a smoke test; the JSON reports land in a scratch dir, not the repo.
 SMOKE_DIR="$(mktemp -d)"
 ROOT="$(pwd)"
 (
@@ -171,5 +169,25 @@ if [ "$env_readers" != "crates/core/src/experiments.rs:from_env" ]; then
 fi
 awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
     END { print "crates/core/src: " n " non-test lines" }' crates/core/src/*.rs
+
+echo "== hash-path shape guard (crates/zone/src, crates/crypto/src)"
+# One NSEC3 hash route (DESIGN.md §6): the engine, this thread's cache in
+# front of it, and the RFC 5155 oracle — three entry points, no batch or
+# wire variants; and the signer runs on the calling thread, so nothing
+# under the two crates shards or reads the environment (drivers shard
+# across zones, nothing shards inside one). Non-test line counts (each
+# file up to its `mod tests`) are printed so drift shows in the log.
+hash_fns="$(grep -cE '^pub fn nsec3_hash' crates/zone/src/nsec3hash.rs || true)"
+if [ "$hash_fns" != "3" ]; then
+    echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
+    exit 1
+fi
+if grep -rnE 'sim_par|default_threads|env::var' crates/zone/src crates/crypto/src; then
+    echo "error: sharding or an environment read inside dns-zone/dns-crypto" >&2
+    exit 1
+fi
+for f in crates/crypto/src/sha1.rs crates/zone/src/nsec3hash.rs crates/zone/src/signer.rs; do
+    awk '/^mod tests/ { exit } { n++ } END { print FILENAME ": " n " non-test lines" }' "$f"
+done
 
 echo "ci.sh: all checks passed"

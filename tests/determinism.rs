@@ -310,15 +310,15 @@ fn faulty_streaming_census_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn signed_zone_is_identical_across_thread_counts() {
-    // The zone signer shards NSEC3 hashing and RRSIG generation over
-    // sim-par once a zone crosses the inline threshold; with thread-local
-    // hash caches warm or cold, the output must not depend on the thread
-    // count. 300 names is well past the threshold.
+fn signed_zone_is_identical_with_hash_cache_cold_and_warm() {
+    // The signer hashes its denial names through this thread's NSEC3 hash
+    // cache; whether the cache is empty or already holds every name, the
+    // signed zone must come out the same.
     use dns_wire::name::Name;
     use dns_wire::rdata::RData;
     use dns_wire::record::Record;
-    use dns_zone::signer::{sign_zone_with_threads, SignerConfig};
+    use dns_zone::nsec3hash::{clear_thread_cache, thread_cache_stats};
+    use dns_zone::signer::{sign_zone, SignerConfig};
     use dns_zone::Zone;
 
     let apex = Name::parse("big.example.").unwrap();
@@ -350,20 +350,23 @@ fn signed_zone_is_identical_across_thread_counts() {
         .unwrap();
     }
     let config = SignerConfig::standard(&apex, NOW);
-    let renders: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&threads| {
-            let signed = sign_zone_with_threads(&zone, &config, threads).unwrap();
-            format!("{:?}", signed.zone)
-        })
-        .collect();
+    let render = || format!("{:?}", sign_zone(&zone, &config).unwrap().zone);
+    clear_thread_cache();
+    let cold = render();
     assert_eq!(
-        renders[0], renders[1],
-        "signed zone must render byte-identically at threads=1 and 2"
+        thread_cache_stats(),
+        (0, 301),
+        "a cold cache hashes every denial name"
     );
+    let warm = render();
+    let (hits, misses) = thread_cache_stats();
+    assert_eq!(hits + misses, 602);
+    // Not all 301: names sharing a slot of the direct-mapped table evict
+    // each other.
+    assert!(hits > 250, "a warm cache replays most names ({hits} hits)");
     assert_eq!(
-        renders[0], renders[2],
-        "signed zone must render byte-identically at threads=1 and 4"
+        cold, warm,
+        "signed zone must render byte-identically with the hash cache cold and warm"
     );
 }
 

@@ -21,7 +21,6 @@ use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Class, Rcode, RrType};
-use dns_wire::view::MessageView;
 use dns_zone::denial::{self, DenialProof};
 use dns_zone::signer::SignedZone;
 use dns_zone::{Zone, ZoneError, ZoneNode};
@@ -381,25 +380,21 @@ impl Node for AuthServer {
         // no size limit and a framed response. The length prefix is the
         // only framing signal, and a UDP message whose ID bytes happen to
         // equal its length minus two looks framed as well — so fall back
-        // to a raw parse when the framed interpretation does not hold,
-        // instead of answering such queries with silence. `parse` +
-        // `validate` accept exactly the packets `Message::decode` accepts,
-        // without materializing any record.
-        let (datagram, tcp) = match unframe_tcp(payload) {
-            Some(inner) if MessageView::parse(inner).is_ok_and(|v| v.validate().is_ok()) => {
-                (inner, true)
-            }
-            _ => (payload, false),
+        // to the raw reading when the framed one does not decode, instead
+        // of answering such queries with silence.
+        let framed = unframe_tcp(payload)
+            .and_then(|inner| Message::decode(inner).ok().map(|query| (query, inner)));
+        let (query, datagram, tcp) = match framed {
+            Some((query, inner)) => (query, inner, true),
+            None => (Message::decode(payload).ok()?, payload, false),
         };
-        let view = MessageView::parse(datagram).ok()?;
-        let edns = view.validate().ok()?;
-        let flags = view.flags();
+        let flags = query.flags;
         if flags.qr {
             return None; // not a query
         }
-        let questions = view.questions().ok()?;
-        let dnssec = edns.as_ref().is_some_and(|e| e.dnssec_ok);
-        if let Some(q) = questions.first() {
+        let edns = query.edns.as_ref();
+        let dnssec = query.dnssec_ok();
+        if let Some(q) = query.question() {
             let mut log = self.log.borrow_mut();
             if log.len() < self.log_cap {
                 log.push(QueryLogEntry {
@@ -414,31 +409,36 @@ impl Node for AuthServer {
         // function of (qname, qtype, qclass, EDNS state): exactly one
         // question, written literally (no compression pointers — its raw
         // bytes get copied into the template verbatim to preserve 0x20
-        // case echoing), and not a zone transfer.
-        let raw_question = view
-            .question()
-            .filter(|q| view.qdcount() == 1 && q.qtype() != RrType::AXFR)
-            .and_then(|q| q.raw_entry());
-        let template_key = raw_question.map(|raw| {
-            debug_assert!(raw.len() >= 5);
-            let state = match &edns {
-                None => EdnsState::Absent,
-                Some(_) if dnssec => EdnsState::Do,
-                Some(_) => EdnsState::Plain,
-            };
-            let q = &questions[0];
-            (q.qname.clone(), q.qtype, q.qclass, state)
-        });
+        // case echoing), and not a zone transfer. The name is literal
+        // exactly when the datagram spells the decoded name's own bytes
+        // and then the root octet: a pointer octet (>= 0xC0) is never a
+        // label length.
+        let template = match query.questions.as_slice() {
+            [q] if q.qtype != RrType::AXFR => {
+                let spelled = q.qname.wire_bytes();
+                let entry = &datagram[12..];
+                let literal = entry.starts_with(spelled) && entry.get(spelled.len()) == Some(&0);
+                literal.then(|| {
+                    let state = match edns {
+                        None => EdnsState::Absent,
+                        Some(_) if dnssec => EdnsState::Do,
+                        Some(_) => EdnsState::Plain,
+                    };
+                    let key = (q.qname.clone(), q.qtype, q.qclass, state);
+                    (key, &entry[..spelled.len() + 5])
+                })
+            }
+            _ => None,
+        };
         // UDP truncation bound: the requester's EDNS payload size (512
         // without EDNS) bounds the response; over it, send TC with empty
         // sections. Payload size is per-query, so the check runs against
         // the template length on hits too.
         let limit = edns
-            .as_ref()
             .map(|e| e.udp_payload_size as usize)
             .unwrap_or(512)
             .max(512);
-        if let (Some(key), Some(raw)) = (&template_key, raw_question) {
+        if let Some((key, raw)) = &template {
             let templates = self.templates.borrow();
             if let Some(wire) = templates.get(key) {
                 if tcp || wire.len() <= limit {
@@ -453,7 +453,7 @@ impl Node for AuthServer {
                     // the packet — counts, sections, OPT — is fixed by the
                     // key, and compression pointers into the question stay
                     // valid because the name's length is part of the key.
-                    reply[off..off + 2].copy_from_slice(&view.id().to_be_bytes());
+                    reply[off..off + 2].copy_from_slice(&query.id.to_be_bytes());
                     reply[off + 2] =
                         (reply[off + 2] & !0x79) | (flags.opcode.to_u8() << 3) | u8::from(flags.rd);
                     reply[off + 12..off + 12 + raw.len()].copy_from_slice(raw);
@@ -464,13 +464,13 @@ impl Node for AuthServer {
             }
         }
         // Miss: assemble by reference and encode once, straight into
-        // `reply` — no owned query, no owned response.
+        // `reply` — no owned response.
         let zones = self.zones.borrow();
         let mut expanded = Vec::new();
-        let assembled = self.assemble(&zones, questions.first(), dnssec, &mut expanded);
-        let reply_edns = edns.as_ref().map(|_| Edns::default());
+        let assembled = self.assemble(&zones, query.question(), dnssec, &mut expanded);
+        let reply_edns = edns.map(|_| Edns::default());
         let mut head = MessageHead {
-            id: view.id(),
+            id: query.id,
             flags: Flags {
                 qr: true,
                 opcode: flags.opcode,
@@ -479,7 +479,7 @@ impl Node for AuthServer {
                 ..Flags::default()
             },
             rcode: assembled.rcode,
-            questions: &questions,
+            questions: &query.questions,
             edns: reply_edns.as_ref(),
         };
         let start = reply.len();
@@ -493,7 +493,7 @@ impl Node for AuthServer {
             &assembled.authorities,
             &assembled.additionals,
         );
-        if let Some(key) = template_key {
+        if let Some((key, _)) = template {
             self.store_template(key, &reply[body..]);
         }
         let len = reply.len() - body;
@@ -932,6 +932,53 @@ mod tests {
         assert_eq!(s.templates.borrow().len(), 2);
         let decoded = Message::decode(&plain_resp).unwrap();
         assert!(decoded.records_of_type(RrType::RRSIG).next().is_none());
+    }
+
+    #[test]
+    fn pointer_written_question_is_answered_and_never_templated() {
+        let s = build_server();
+        let net = Network::new(1);
+        // A query for `.` with the name written as a pointer to header
+        // octet 4: QDCOUNT is `00 01`, so the pointer lands on a root
+        // octet. Its question bytes cannot be patched into a template.
+        let literal_q = Message::query(11, Name::root(), RrType::NS);
+        let literal = literal_q.encode();
+        assert_eq!(literal[12], 0, "literal root name");
+        let mut pointed = literal[..12].to_vec();
+        pointed.extend_from_slice(&[0xC0, 0x04]);
+        pointed.extend_from_slice(&literal[13..]);
+        assert_eq!(Message::decode(&pointed).unwrap(), literal_q);
+        let reply = handle_raw(&s, &net, &pointed).unwrap();
+        assert_eq!(reply, s.answer(&literal_q).encode());
+        assert!(s.templates.borrow().is_empty(), "pointer query not cached");
+        let again = handle_raw(&s, &net, &pointed).unwrap();
+        assert_eq!(again, reply);
+        assert!(s.templates.borrow().is_empty());
+        // The literal spelling is templated as usual, miss and hit.
+        for id in [12, 13] {
+            let q = Message::query(id, Name::root(), RrType::NS);
+            let reply = handle_raw(&s, &net, &q.encode()).unwrap();
+            assert_eq!(reply, s.answer(&q).encode());
+            assert_eq!(s.templates.borrow().len(), 1);
+        }
+    }
+
+    #[test]
+    fn framed_looking_datagram_falls_back_to_the_raw_reading() {
+        let s = build_server();
+        let net = Network::new(1);
+        // A UDP query whose ID equals its length minus two passes for an
+        // RFC 7766 frame, but what follows the "prefix" is no message.
+        let mut q = Message::query(0, name("www.example."), RrType::A);
+        q.id = q.encode().len() as u16 - 2;
+        let wire = q.encode();
+        assert!(dns_wire::message::unframe_tcp(&wire).is_some());
+        let reply = handle_raw(&s, &net, &wire).unwrap();
+        assert_eq!(reply, s.answer(&q).encode(), "answered raw, unframed");
+        // Undecodable under either reading: dropped.
+        assert!(handle_raw(&s, &net, &wire[..wire.len() - 1]).is_none());
+        let framed_junk = dns_wire::message::frame_tcp(&wire[..wire.len() - 1]);
+        assert!(handle_raw(&s, &net, &framed_junk).is_none());
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Bench: message encode/decode throughput, the zero-copy view and
-//! pooled-buffer paths, the auth answer-template cache, and the name
-//! compression trade-off (DESIGN.md ablation 3). Writes `BENCH_wire.json`.
-//!
-//! Before timing anything, a parity gate asserts that the lazy
-//! [`MessageView`] accepts exactly the packets `Message::decode` accepts
-//! (and materializes identical messages) over a generated corpus of
-//! clean, truncated, and bit-flipped packets. CI runs this binary with
-//! reduced samples, so the gate runs on every push.
+//! Bench: message encode/decode throughput, the pooled-buffer encode
+//! path, the auth server's answer-template hit and its two miss paths,
+//! and the name compression trade-off (DESIGN.md ablation 3). Writes
+//! `BENCH_wire.json`.
 
 use std::hint::black_box;
 use std::net::IpAddr;
@@ -18,10 +13,8 @@ use dns_wire::name::name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
-use dns_wire::view::MessageView;
 use heroes_bench::microbench::Suite;
 use netsim::{Network, Node};
-use sim_rng::{Rng, Xoshiro256pp};
 
 fn sample_response() -> Message {
     let q = Message::query(7, name("host.service.dept.example.com."), RrType::A);
@@ -49,71 +42,7 @@ fn sample_response() -> Message {
     resp
 }
 
-/// `MessageView` must agree with `Message::decode` — same accept/reject
-/// decision, and identical materialized messages on accept — for every
-/// packet in a corpus of clean encodings, every truncation prefix, and
-/// seeded random bit flips.
-fn view_decode_parity_gate() {
-    let mut corpus: Vec<Vec<u8>> = Vec::new();
-    corpus.push(Message::query(1, name("www.example.com."), RrType::A).encode());
-    let mut plain = Message::query(2, name("a.b.c.d.example."), RrType::TXT);
-    plain.edns = None;
-    corpus.push(plain.encode());
-    corpus.push(sample_response().encode());
-    let mut rng = Xoshiro256pp::seed_from_u64(0x9276_2024);
-    let mut candidates: Vec<Vec<u8>> = Vec::new();
-    for packet in &corpus {
-        for cut in 0..packet.len() {
-            candidates.push(packet[..cut].to_vec());
-        }
-        for _ in 0..256 {
-            let mut mutated = packet.clone();
-            let flips = 1 + (rng.next_u64() % 4) as usize;
-            for _ in 0..flips {
-                let idx = (rng.next_u64() % mutated.len() as u64) as usize;
-                mutated[idx] ^= 1u8 << (rng.next_u64() % 8);
-            }
-            candidates.push(mutated);
-        }
-        candidates.push(packet.clone());
-    }
-    let mut accepted = 0usize;
-    for c in &candidates {
-        let via_decode = Message::decode(c);
-        let via_view = MessageView::parse(c).and_then(|v| v.to_message());
-        match (&via_decode, &via_view) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "view and decode disagree on contents");
-                // validate() must accept too, without materializing.
-                let v = MessageView::parse(c).expect("parse succeeded above");
-                assert!(v.validate().is_ok(), "validate rejects a decodable packet");
-                accepted += 1;
-            }
-            (Err(_), Err(_)) => {
-                if let Ok(v) = MessageView::parse(c) {
-                    assert!(
-                        v.validate().is_err(),
-                        "validate accepts a packet decode rejects"
-                    );
-                }
-            }
-            _ => panic!(
-                "acceptance mismatch: decode={:?} view={:?}",
-                via_decode.is_ok(),
-                via_view.is_ok()
-            ),
-        }
-    }
-    eprintln!(
-        "parity gate: {} candidates ({} accepted) — view == decode",
-        candidates.len(),
-        accepted
-    );
-}
-
 fn main() {
-    view_decode_parity_gate();
-
     let mut suite = Suite::new("wire");
 
     let resp = sample_response();
@@ -121,21 +50,6 @@ fn main() {
     let encoded = resp.encode();
     suite.bench("decode_response", || {
         Message::decode(black_box(&encoded)).unwrap()
-    });
-    // The zero-copy read path: parse the header + question, then walk
-    // every record structurally (type, class, TTL, RDATA bounds) without
-    // materializing names or RDATA. Full RDATA validation (`validate()`)
-    // costs about as much as `decode_response` — it decodes every RDATA —
-    // and is measured implicitly through `auth_answer_cached` below.
-    suite.bench("decode_view", || {
-        let v = MessageView::parse(black_box(&encoded)).unwrap();
-        let q = v.question().unwrap();
-        let mut rdata_bytes = 0usize;
-        for item in v.records() {
-            let (_, rec) = item.unwrap();
-            rdata_bytes += rec.rdata_bytes().len();
-        }
-        black_box((v.id(), q.qtype(), v.ancount(), rdata_bytes))
     });
     // Encode through the thread-local buffer pool instead of a fresh Vec.
     suite.bench("encode_pooled", || {

@@ -172,10 +172,11 @@ pub fn range_shards(len: u64, threads: usize, experiment_seed: u64) -> Vec<Range
 
 /// Run `work` over the virtual range `0..len` split into at most
 /// `threads` contiguous [`RangeShard`]s, merging per-shard outputs **in
-/// shard order** — the streaming counterpart of [`run_sharded`] for
-/// populations that are never materialised. With one shard the closure
-/// runs inline; a panic in any worker is re-raised after the scope
-/// unwinds.
+/// shard order** (never in completion order). A driver over a
+/// materialised list indexes it with the shard's range. With one shard
+/// the closure runs inline on the caller's thread; otherwise each shard
+/// gets its own scoped thread, and a panic in any worker is re-raised
+/// on the calling thread after the scope unwinds.
 pub fn run_sharded_range<R, F>(len: u64, threads: usize, experiment_seed: u64, work: F) -> Vec<R>
 where
     R: Send,
@@ -195,8 +196,9 @@ where
                         scope.spawn(move || work(shard))
                     })
                     .collect();
-                // Joining in spawn order IS the merge contract, exactly
-                // as in `run_sharded`.
+                // Joining in spawn order IS the merge contract: parts
+                // come out in shard order because ranges are contiguous
+                // and ascending.
                 for handle in handles {
                     match handle.join() {
                         Ok(part) => merged.push(part),
@@ -219,51 +221,6 @@ pub fn default_threads() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .map(|n| n.clamp(1, MAX_THREADS))
         .unwrap_or(1)
-}
-
-/// Run `work` over `items` split into at most `threads` contiguous
-/// shards, merging the per-shard outputs **in shard order** (never in
-/// completion order). With one shard the closure runs inline on the
-/// caller's thread; otherwise each shard gets its own scoped thread.
-///
-/// `work` receives the [`Shard`] descriptor (seed, index range) plus the
-/// shard's slice of `items`, and returns that shard's results in item
-/// order. A panic in any worker is re-raised on the calling thread after
-/// the scope unwinds.
-pub fn run_sharded<T, R, F>(items: &[T], threads: usize, experiment_seed: u64, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&Shard, &[T]) -> Vec<R> + Sync,
-{
-    let plan = shards(items.len(), threads, experiment_seed);
-    match plan.len() {
-        0 => Vec::new(),
-        1 => work(&plan[0], items),
-        _ => {
-            let mut merged = Vec::with_capacity(items.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = plan
-                    .iter()
-                    .map(|shard| {
-                        let slice = &items[shard.start..shard.end];
-                        let work = &work;
-                        scope.spawn(move || work(shard, slice))
-                    })
-                    .collect();
-                // Joining in spawn order IS the merge contract: shard
-                // outputs concatenate into item order because ranges are
-                // contiguous and ascending.
-                for handle in handles {
-                    match handle.join() {
-                        Ok(part) => merged.extend(part),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-            });
-            merged
-        }
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +263,7 @@ mod tests {
         }
         // And the degenerate empty list.
         assert!(shards(0, 8, 42).is_empty());
-        assert_eq!(run_sharded(&[] as &[u8], 8, 42, |_, _| vec![0u8]), vec![]);
+        assert_eq!(run_sharded_range(0, 8, 42, |_| 0u8), vec![]);
     }
 
     #[test]
@@ -325,19 +282,6 @@ mod tests {
         assert!(plan.iter().zip(&other).all(|(a, b)| a.seed != b.seed));
         // And the shard seed matches the documented derivation.
         assert_eq!(plan[3].seed, shard_seed(7, 3));
-    }
-
-    #[test]
-    fn merge_is_in_item_order_for_any_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in 1..=9 {
-            let merged = run_sharded(&items, threads, 42, |shard, slice| {
-                assert_eq!(slice.len(), shard.len());
-                slice.iter().map(|x| x * 3 + 1).collect()
-            });
-            assert_eq!(merged, expected, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -377,13 +321,12 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate() {
-        let items: Vec<u64> = (0..16).collect();
         let result = std::panic::catch_unwind(|| {
-            run_sharded(&items, 4, 42, |shard, slice| {
+            run_sharded_range(16, 4, 42, |shard| {
                 if shard.index == 2 {
                     panic!("shard 2 exploded");
                 }
-                slice.to_vec()
+                shard.len()
             })
         });
         assert!(result.is_err());

@@ -4,15 +4,15 @@
 //! byte-identity guarantee rests on.
 
 use sim_check::{gens, props};
-use sim_par::{run_sharded, shard_ranges, shards};
+use sim_par::{run_sharded_range, shard_ranges, shards};
 
 props! {
     #![cases = 64]
 
     /// Sharded map + merge equals the sequential map, in order, for any
-    /// item list and 1–8 threads. The per-item function also depends on
-    /// the global item index (via `shard.start`) to prove shards see
-    /// their true positions, not slice-local ones.
+    /// item list and 1–8 threads. Each shard indexes the list with its
+    /// own range, as the drivers do, and the per-item function depends on
+    /// the global item index to prove shards see their true positions.
     fn sharded_merge_matches_sequential(
         items in gens::vec_of(gens::u64s(..), 0..120),
         threads in gens::u64s(1..9),
@@ -22,14 +22,12 @@ props! {
             .enumerate()
             .map(|(i, x)| x.wrapping_mul(31).wrapping_add(i as u64))
             .collect();
-        let sharded = run_sharded(&items, threads as usize, 42, |shard, slice| {
-            slice
-                .iter()
-                .enumerate()
-                .map(|(k, x)| x.wrapping_mul(31).wrapping_add((shard.start + k) as u64))
-                .collect()
+        let parts = run_sharded_range(items.len() as u64, threads as usize, 42, |shard| {
+            (shard.start as usize..shard.end as usize)
+                .map(|i| items[i].wrapping_mul(31).wrapping_add(i as u64))
+                .collect::<Vec<u64>>()
         });
-        assert_eq!(sharded, sequential, "threads = {threads}");
+        assert_eq!(parts.concat(), sequential, "threads = {threads}");
     }
 
     /// Shard ranges partition `0..len` exactly for any len and thread

@@ -8,7 +8,6 @@ use std::net::IpAddr;
 
 use dns_wire::message::Message;
 use dns_wire::rrtype::Rcode;
-use dns_wire::view::MessageView;
 use netsim::{Network, Node, Outcome};
 
 use crate::policy::Rfc9276Policy;
@@ -194,23 +193,19 @@ pub struct ObservedResponse {
 }
 
 impl ObservedResponse {
-    /// Parse from a wire response. Uses the zero-copy [`MessageView`]:
-    /// the classifier only reads the header and the OPT record, so the
-    /// answer sections are validated but never materialized. `parse` +
-    /// `validate` accept exactly what `Message::decode` accepts, keeping
-    /// the classifier's accept/reject behaviour unchanged.
+    /// Parse from a wire response: the classifier's three observables
+    /// read off one decoded [`Message`]. `None` when the payload does not
+    /// decode.
     pub fn from_wire(payload: &[u8]) -> Option<Self> {
-        let view = MessageView::parse(payload).ok()?;
-        let edns = view.validate().ok()?;
-        let (ede, ede_has_text) = match edns.as_ref().and_then(|e| e.ede()) {
+        let msg = Message::decode(payload).ok()?;
+        let (ede, ede_has_text) = match msg.edns.as_ref().and_then(|e| e.ede()) {
             Some((code, text)) => (Some(code.0), !text.is_empty()),
             None => (None, false),
         };
-        let flags = view.flags();
         Some(ObservedResponse {
-            rcode: view.rcode().ok()?,
-            ad: flags.ad,
-            ra: flags.ra,
+            rcode: msg.rcode,
+            ad: msg.flags.ad,
+            ra: msg.flags.ra,
             ede,
             ede_has_text,
         })

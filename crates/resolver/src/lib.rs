@@ -522,6 +522,42 @@ mod e2e {
     }
 
     #[test]
+    fn reply_to_a_different_question_is_rejected_without_0x20() {
+        // An upstream that echoes the ID but answers some other question.
+        // The ID alone must not make it the answer, 0x20 or not.
+        struct WrongQuestion;
+        impl netsim::Node for WrongQuestion {
+            fn handle(
+                &self,
+                _net: &netsim::Network,
+                _src: std::net::IpAddr,
+                payload: &[u8],
+                reply: &mut Vec<u8>,
+            ) -> Option<()> {
+                let mut query = dns_wire::Message::decode(payload).ok()?;
+                query.questions[0].qname = name("other.example.");
+                let mut resp = dns_wire::Message::response_to(&query);
+                resp.flags.aa = true;
+                resp.answers.push(dns_wire::Record::new(
+                    name("other.example."),
+                    300,
+                    dns_wire::RData::A("192.0.2.66".parse().unwrap()),
+                ));
+                resp.encode_append(reply);
+                Some(())
+            }
+        }
+        let net = netsim::Network::new(1);
+        let upstream: std::net::IpAddr = "10.0.0.53".parse().unwrap();
+        net.register(upstream, Rc::new(WrongQuestion));
+        let mut cfg = ResolverConfig::stub("10.0.0.1".parse().unwrap(), vec![upstream]);
+        cfg.case_randomization = false;
+        let out = Resolver::new(cfg).resolve(&net, &name("www.example.com."), RrType::A);
+        assert_eq!(out.rcode, Rcode::ServFail, "foreign answer not relayed");
+        assert!(out.answers.is_empty());
+    }
+
+    #[test]
     fn aggressive_nsec3_synthesizes_second_nxdomain() {
         let mut lab = lab_with_params(&[("example.com.", Nsec3Params::rfc9276())]);
         let addr = lab.alloc.v4();

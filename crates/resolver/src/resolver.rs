@@ -11,7 +11,7 @@ use std::net::IpAddr;
 use std::rc::Rc;
 
 use dns_crypto::sha256::sha256;
-use dns_wire::edns::{EdeCode, Edns};
+use dns_wire::edns::EdeCode;
 use dns_wire::message::{unframe_tcp, Message};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
@@ -352,15 +352,16 @@ impl Resolver {
         if resp.id != query.id || !resp.flags.qr {
             return None;
         }
-        if self.config.case_randomization {
-            // dns-0x20: the echoed question must match the sent case
-            // exactly; anything else is a spoof or a mangler.
-            let echoed = resp.question()?;
-            if echoed.qname.wire_bytes() != sent_qname.wire_bytes() {
-                return None;
-            }
-        }
-        Some(resp)
+        // The echoed question must name what was asked, and under
+        // dns-0x20 in the sent case exactly; anything else is a spoof, a
+        // mangler, or an answer to someone else's question.
+        let echoed = &resp.question()?.qname;
+        let matches = if self.config.case_randomization {
+            echoed.wire_bytes() == sent_qname.wire_bytes()
+        } else {
+            *echoed == sent_qname
+        };
+        matches.then_some(resp)
     }
 
     /// Try every server in order until one responds.
@@ -1456,11 +1457,6 @@ impl Node for Resolver {
         Some(())
     }
 }
-
-/// Convenience: an [`Edns`] block is not required for the resolver's own
-/// upstream queries beyond the DO bit, which `Message::query` already sets.
-#[allow(dead_code)]
-fn _edns_doc(_: &Edns) {}
 
 /// The ancestor of `qname` exactly `below` labels below `zone`, or `None`
 /// when `qname` is not strictly below `zone`.

@@ -23,13 +23,6 @@ impl<'a> Reader<'a> {
         Reader { data, pos: 0 }
     }
 
-    /// Wrap a message buffer with the cursor at `pos`, so lazy views can
-    /// decode a name or RDATA in place while compression pointers still
-    /// resolve against the whole packet.
-    pub fn at(data: &'a [u8], pos: usize) -> Self {
-        Reader { data, pos }
-    }
-
     /// Current offset.
     pub fn pos(&self) -> usize {
         self.pos
@@ -438,7 +431,7 @@ mod tests {
         w.name(&name("b.example.com"));
         assert!(w.len() < plainbuf.len(), "second name should compress");
         // Pointers resolve against the *message*, i.e. after the prefix.
-        let mut r = Reader::at(&out[2..], 0);
+        let mut r = Reader::new(&out[2..]);
         assert_eq!(r.name().unwrap(), name("a.example.com"));
         assert_eq!(r.name().unwrap(), name("b.example.com"));
     }

@@ -13,9 +13,8 @@
 //! * [`typebitmap`] — NSEC/NSEC3 type bitmaps.
 //! * [`record`] — resource records and canonical RRset ordering.
 //! * [`message`] — full messages with name compression, encoded through
-//!   pooled reusable buffers ([`buf::WireBuf`], [`buf::with_pooled`]).
-//! * [`view`] — lazy borrowed message views ([`MessageView`]): the
-//!   zero-copy read path for hot loops.
+//!   pooled reusable buffers ([`buf::WireBuf`], [`buf::with_pooled`]);
+//!   [`Message::decode`] is the only parser of received bytes.
 //! * [`edns`] — EDNS(0) and Extended DNS Errors, including INFO-CODE 27.
 //!
 //! Everything round-trips: `decode(encode(x)) == x` is property-tested.
@@ -33,7 +32,6 @@ pub mod rdata;
 pub mod record;
 pub mod rrtype;
 pub mod typebitmap;
-pub mod view;
 
 pub use buf::{with_pooled, WireBuf};
 pub use edns::{EdeCode, Edns, EdnsOption};
@@ -43,7 +41,6 @@ pub use rdata::{RData, NSEC3_FLAG_OPT_OUT, NSEC3_HASH_SHA1};
 pub use record::Record;
 pub use rrtype::{Class, Opcode, Rcode, RrType};
 pub use typebitmap::TypeBitmap;
-pub use view::{MessageView, QuestionView, RecordView, Section};
 
 /// Errors arising from parsing or constructing wire-format data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

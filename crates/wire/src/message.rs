@@ -200,7 +200,10 @@ impl Message {
             ad: flags_word & 0x0020 != 0,
             cd: flags_word & 0x0010 != 0,
         };
-        let mut questions = Vec::with_capacity(qdcount);
+        // Header counts are unchecked input: reserve no more than the
+        // bytes left could hold (a question is at least 5 octets, a
+        // record 11), or a 12-byte datagram could claim megabytes.
+        let mut questions = Vec::with_capacity(qdcount.min(r.remaining() / 5));
         for _ in 0..qdcount {
             questions.push(Question {
                 qname: r.name()?,
@@ -210,9 +213,10 @@ impl Message {
         }
         let read_section = |r: &mut Reader<'_>,
                             count: usize,
+                            reserve: usize,
                             edns: &mut Option<Edns>|
          -> Result<Vec<Record>, WireError> {
-            let mut out = Vec::with_capacity(count);
+            let mut out = Vec::with_capacity(reserve.min(r.remaining() / 11));
             for _ in 0..count {
                 // Peek for OPT: owner + type.
                 let name = r.name()?;
@@ -243,9 +247,11 @@ impl Message {
             Ok(out)
         };
         let mut edns = None;
-        let answers = read_section(&mut r, ancount, &mut edns)?;
-        let authorities = read_section(&mut r, nscount, &mut edns)?;
-        let additionals = read_section(&mut r, arcount, &mut edns)?;
+        let answers = read_section(&mut r, ancount, ancount, &mut edns)?;
+        let authorities = read_section(&mut r, nscount, nscount, &mut edns)?;
+        // The additional section usually holds the OPT record alone, which
+        // lands in `edns`: start it empty.
+        let additionals = read_section(&mut r, arcount, 0, &mut edns)?;
         let rcode_lo = flags_word & 0x000f;
         let rcode_hi = edns.as_ref().map(|e| e.extended_rcode_hi).unwrap_or(0) as u16;
         let rcode = Rcode::from_u16((rcode_hi << 4) | rcode_lo);

@@ -2,11 +2,10 @@
 
 use std::fmt;
 
-use crate::buf::{Reader, Writer};
+use crate::buf::Writer;
 use crate::name::Name;
 use crate::rdata::RData;
 use crate::rrtype::{Class, RrType};
-use crate::WireError;
 
 /// A resource record.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -49,22 +48,6 @@ impl Record {
         self.rdata.encode(w, false);
         let rdlen = w.len() - start;
         w.patch_u16(len_at, rdlen as u16);
-    }
-
-    /// Decode one record.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let name = r.name()?;
-        let rtype = RrType(r.u16()?);
-        let class = Class(r.u16()?);
-        let ttl = r.u32()?;
-        let rdlength = r.u16()? as usize;
-        let rdata = RData::decode(r, rtype, rdlength)?;
-        Ok(Record {
-            name,
-            class,
-            ttl,
-            rdata,
-        })
     }
 }
 
@@ -195,15 +178,6 @@ mod tests {
 
     fn a(n: &str, ip: [u8; 4]) -> Record {
         Record::new(name(n), 300, RData::A(Ipv4Addr::from(ip)))
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let rec = a("www.example.com", [192, 0, 2, 7]);
-        let mut buf = Vec::new();
-        rec.encode(&mut Writer::plain(&mut buf));
-        let mut r = Reader::new(&buf);
-        assert_eq!(Record::decode(&mut r).unwrap(), rec);
     }
 
     #[test]

@@ -219,18 +219,12 @@ props! {
         }
     }
 
-    fn record_roundtrip(n in name(), ttl in gens::u32s(..), rd in rdata()) {
-        let rec = Record { name: n, class: Class::IN, ttl, rdata: rd };
-        let mut buf = Vec::new();
-        rec.encode(&mut Writer::plain(&mut buf));
-        let mut r = Reader::new(&buf);
-        assert_eq!(Record::decode(&mut r).unwrap(), rec);
-    }
-
     fn message_roundtrip(
         id in gens::u16s(..),
         qname in name(),
         answers in gens::vec_of((name(), gens::u32s(..), rdata()), 0..5),
+        authorities in gens::vec_of((name(), gens::u32s(..), rdata()), 0..3),
+        additionals in gens::vec_of((name(), gens::u32s(..), rdata()), 0..3),
         rcode in gens::u16s(0..16),
         ad in gens::bools(),
     ) {
@@ -239,12 +233,9 @@ props! {
             flags: Flags { qr: true, opcode: Opcode::Query, ad, rd: true, ra: true, ..Default::default() },
             rcode: Rcode::from_u16(rcode),
             questions: vec![Question::new(qname, RrType::A)],
-            answers: answers
-                .into_iter()
-                .map(|(n, ttl, rd)| Record { name: n, class: Class::IN, ttl, rdata: rd })
-                .collect(),
-            authorities: vec![],
-            additionals: vec![],
+            answers: records(answers),
+            authorities: records(authorities),
+            additionals: records(additionals),
             edns: Some(Default::default()),
         };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
@@ -290,42 +281,34 @@ props! {
         }
     }
 
-    // ---- Decode robustness: the lazy view and the owned decoder agree on
-    // every hostile input, and anything either accepts is in normal form.
+    // ---- Decode robustness: on every hostile input the decoder returns
+    // without panicking, and anything it accepts is in normal form.
 
-    /// Every truncation prefix of a real response: decode must reject or
-    /// accept without panicking, and the view must make the same call.
-    fn truncations_view_agrees_with_decode(
+    /// Every truncation prefix of a real response.
+    fn truncations_decode_cleanly(
         qname in name(),
         answers in gens::vec_of((name(), gens::u32s(..), rdata()), 0..4),
     ) {
         let msg = response_with(qname, answers);
         let wire = msg.encode();
         for cut in 0..=wire.len() {
-            assert_view_decode_agree(&wire[..cut]);
+            assert_decode_is_clean(&wire[..cut]);
         }
     }
 
     /// Seeded bit flips anywhere in the packet — header, names, RDATA,
-    /// EDNS — must never panic, and view/decode must stay in lockstep.
-    fn bit_flips_view_agrees_with_decode(
+    /// EDNS.
+    fn bit_flips_decode_cleanly(
         qname in name(),
         answers in gens::vec_of((name(), gens::u32s(..), rdata()), 0..4),
         flips in gens::vec_of((gens::u16s(..), gens::u8s(0..8)), 1..5),
     ) {
-        let msg = response_with(qname, answers);
-        let mut wire = msg.encode();
-        for (pos, bit) in flips {
-            let idx = pos as usize % wire.len();
-            wire[idx] ^= 1u8 << bit;
-        }
-        assert_view_decode_agree(&wire);
+        assert_decode_is_clean(&flip_bits(&response_with(qname, answers), flips));
     }
 
     /// Corrupting the header section counts (the length fields that drive
     /// the parse loop) must fail cleanly: overstated counts hit the end of
-    /// the packet, understated ones leave trailing bytes — never a panic,
-    /// never a view/decode split.
+    /// the packet, understated ones leave trailing bytes — never a panic.
     fn count_field_corruptions_fail_cleanly(
         qname in name(),
         answers in gens::vec_of((name(), gens::u32s(..), rdata()), 0..4),
@@ -337,14 +320,14 @@ props! {
         let off = 2 * field as usize; // qd/an/ns/ar count at offsets 4/6/8/10
         wire[off] = (value >> 8) as u8;
         wire[off + 1] = value as u8;
-        assert_view_decode_agree(&wire);
+        assert_decode_is_clean(&wire);
     }
 
     /// Corrupting a record's RDLENGTH makes the RDATA reader over- or
-    /// under-run its slice: both paths must reject identically. The flip
-    /// lands on a seeded byte pair in the record region (past the header
-    /// and question), which covers RDLENGTH fields among the other record
-    /// bytes without needing offset bookkeeping here.
+    /// under-run its slice. The flip lands on a seeded byte pair in the
+    /// record region (past the header and question), which covers
+    /// RDLENGTH fields among the other record bytes without needing
+    /// offset bookkeeping here.
     fn rdlength_region_corruptions_fail_cleanly(
         qname in name(),
         answers in gens::vec_of((name(), gens::u32s(..), rdata()), 1..4),
@@ -360,42 +343,28 @@ props! {
             wire[off] = (value >> 8) as u8;
             wire[off + 1] = value as u8;
         }
-        assert_view_decode_agree(&wire);
+        assert_decode_is_clean(&wire);
     }
 
-    /// Anything decode accepts — even from a mutated packet — is in
-    /// normal form: re-encoding and decoding again is the identity.
+    /// The same on lightly mutated and unmutated packets, which decode
+    /// more often than the heavier corruptions above.
     fn accepted_messages_reencode_equal(
         qname in name(),
         answers in gens::vec_of((name(), gens::u32s(..), rdata()), 0..4),
         flips in gens::vec_of((gens::u16s(..), gens::u8s(0..8)), 0..3),
     ) {
-        let msg = response_with(qname, answers);
-        let mut wire = msg.encode();
-        for (pos, bit) in flips {
-            let idx = pos as usize % wire.len();
-            wire[idx] ^= 1u8 << bit;
-        }
-        if let Ok(decoded) = Message::decode(&wire) {
-            let reencoded = decoded.encode();
-            assert_eq!(
-                Message::decode(&reencoded).unwrap(),
-                decoded,
-                "decode ∘ encode must be the identity on decoded messages"
-            );
-        }
+        assert_decode_is_clean(&flip_bits(&response_with(qname, answers), flips));
     }
 
-    /// EDE options (RFC 8914) in the OPT record survive the owned
-    /// round-trip, and the zero-copy view reads them identically —
-    /// arbitrary codes, extra-text payloads, and stacked options.
-    fn ede_roundtrips_and_view_agrees(
+    /// EDE options (RFC 8914) in the OPT record survive the round-trip
+    /// verbatim — arbitrary codes, extra-text payloads, and stacked
+    /// options.
+    fn ede_options_roundtrip_verbatim(
         qname in name(),
         codes in gens::vec_of(gens::u16s(..), 1..4),
         text in gens::vec_of(gens::map(gens::char_range('a', 'z'), |c| c as u8), 0..32),
     ) {
         use dns_wire::edns::{EdeCode, Edns};
-        use dns_wire::view::MessageView;
         let mut msg = response_with(qname, vec![]);
         msg.rcode = Rcode::ServFail;
         let mut edns = Edns::with_do();
@@ -406,17 +375,24 @@ props! {
         }
         msg.edns = Some(edns.clone());
         let wire = msg.encode();
-        assert_view_decode_agree(&wire);
+        assert_decode_is_clean(&wire);
         let decoded = Message::decode(&wire).unwrap();
         let owned = decoded.edns.as_ref().expect("EDNS survives");
         assert_eq!(owned.options, edns.options, "options survive verbatim");
         assert_eq!(owned.ede(), Some((&EdeCode(codes[0]), text.as_str())));
-        let view = MessageView::parse(&wire).unwrap();
-        let viewed = view.edns().unwrap().expect("view sees EDNS");
-        assert_eq!(viewed.options, owned.options, "view and decode agree");
-        let validated = view.validate().unwrap().expect("validate returns EDNS");
-        assert_eq!(validated.options, owned.options);
     }
+}
+
+fn records(parts: Vec<(Name, u32, RData)>) -> Vec<Record> {
+    parts
+        .into_iter()
+        .map(|(name, ttl, rdata)| Record {
+            name,
+            class: Class::IN,
+            ttl,
+            rdata,
+        })
+        .collect()
 }
 
 /// A realistic response for robustness inputs: one question, generated
@@ -425,57 +401,39 @@ fn response_with(qname: Name, answers: Vec<(Name, u32, RData)>) -> Message {
     let q = Message::query(0x1dea, qname, RrType::A);
     let mut resp = Message::response_to(&q);
     resp.flags.aa = true;
-    resp.answers = answers
-        .into_iter()
-        .map(|(n, ttl, rd)| Record {
-            name: n,
-            class: Class::IN,
-            ttl,
-            rdata: rd,
-        })
-        .collect();
+    resp.answers = records(answers);
     resp
 }
 
-/// The acceptance contract of the zero-copy path: `MessageView` (parse +
-/// validate + materialize) and `Message::decode` must make the same
-/// accept/reject decision on `wire`, produce equal messages on accept,
-/// and never panic either way.
-fn assert_view_decode_agree(wire: &[u8]) {
-    use dns_wire::view::MessageView;
-    let via_decode = Message::decode(wire);
-    let via_view = MessageView::parse(wire).and_then(|v| v.to_message());
-    match (via_decode, via_view) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a, b, "view materialized a different message");
-            let v = MessageView::parse(wire).expect("parse succeeded above");
-            assert!(v.validate().is_ok(), "validate rejects a decodable packet");
-        }
-        (Err(_), Err(_)) => {
-            if let Ok(v) = MessageView::parse(wire) {
-                assert!(
-                    v.validate().is_err(),
-                    "validate accepts a packet decode rejects"
-                );
-            }
-        }
-        (d, v) => panic!(
-            "acceptance mismatch on {} bytes: decode={} view={}",
-            wire.len(),
-            d.is_ok(),
-            v.is_ok()
-        ),
+/// `msg` encoded, then each `(position, bit)` flipped; positions wrap.
+fn flip_bits(msg: &Message, flips: Vec<(u16, u8)>) -> Vec<u8> {
+    let mut wire = msg.encode();
+    for (pos, bit) in flips {
+        let idx = pos as usize % wire.len();
+        wire[idx] ^= 1u8 << bit;
+    }
+    wire
+}
+
+/// The decoder's contract on hostile bytes: it returns without
+/// panicking, and whatever it accepts is in normal form — re-encoding
+/// and decoding again is the identity.
+fn assert_decode_is_clean(wire: &[u8]) {
+    if let Ok(decoded) = Message::decode(wire) {
+        assert_eq!(
+            Message::decode(&decoded.encode()).as_ref(),
+            Ok(&decoded),
+            "decode ∘ encode must be the identity on decoded messages"
+        );
     }
 }
 
 /// The two EDE shapes the resolver actually emits, pinned end to end:
 /// code 27 (Unsupported NSEC3 Iterations) for the RFC 9276 clamp and
-/// code 0 (Other) with explanatory text for work-budget aborts. Owned
-/// decode and zero-copy view must read both identically.
+/// code 0 (Other) with explanatory text for work-budget aborts.
 #[test]
-fn resolver_facing_ede_codes_lockstep() {
+fn resolver_facing_ede_codes_roundtrip() {
     use dns_wire::edns::{EdeCode, Edns};
-    use dns_wire::view::MessageView;
     for (code, text) in [
         (EdeCode::UNSUPPORTED_NSEC3_ITERATIONS, ""),
         (EdeCode::OTHER, "work budget exceeded"),
@@ -486,21 +444,9 @@ fn resolver_facing_ede_codes_lockstep() {
         edns.push_ede(code, text);
         msg.edns = Some(edns);
         let wire = msg.encode();
-        assert_view_decode_agree(&wire);
+        assert_decode_is_clean(&wire);
         let decoded = Message::decode(&wire).unwrap();
-        let owned = decoded
-            .edns
-            .as_ref()
-            .unwrap()
-            .ede()
-            .map(|(c, t)| (*c, t.to_string()));
-        let view = MessageView::parse(&wire).unwrap();
-        let viewed = view
-            .edns()
-            .unwrap()
-            .and_then(|e| e.ede().map(|(c, t)| (*c, t.to_string())));
-        assert_eq!(owned, viewed, "code {}", code.0);
-        assert_eq!(owned, Some((code, text.to_string())));
+        assert_eq!(decoded.edns.as_ref().unwrap().ede(), Some((&code, text)));
         assert!(!code.name().is_empty());
     }
 }

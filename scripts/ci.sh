@@ -44,17 +44,15 @@ else
     echo "== clippy not installed; skipping"
 fi
 
-echo "== bench smoke: engine parity gates (reduced samples)"
+echo "== bench smoke: engine parity gate and row smoke (reduced samples)"
 # bench_nsec3_hash refuses to start unless the single-block engine agrees
 # with the streaming reference (digests and compression counts) across the
-# salt-length boundary and every measured iteration count; bench_wire
-# refuses to start unless MessageView's accept/reject decisions (and
-# materialized contents) match Message::decode over a corpus of clean,
-# truncated, and bit-flipped packets, and its
-# auth_answer_{nxdomain,referral}_unique rows drive the template-miss
-# path (borrowed assembly, one encode) on 65,536 fresh names;
+# salt-length boundary and every measured iteration count. bench_wire,
 # bench_zone_signing and bench_denial_proofs carry no gate and run so
-# their rows cannot rot — the latter with the warm and the cold
+# their rows cannot rot: bench_wire's auth_answer_cached and
+# auth_answer_{nxdomain,referral}_unique rows drive the template hit and
+# the template-miss path (one decode, borrowed assembly, one encode) on
+# 65,536 fresh names; bench_denial_proofs runs the warm and the cold
 # (nxdomain_proof_synthesis_cold, nxdomain_verify_by_iterations_cold: a
 # next closer never hashed before) proof rows. Reduced samples keep this
 # a smoke test; the JSON reports land in a scratch dir, not the repo.
@@ -189,5 +187,29 @@ fi
 for f in crates/crypto/src/sha1.rs crates/zone/src/nsec3hash.rs crates/zone/src/signer.rs; do
     awk '/^mod tests/ { exit } { n++ } END { print FILENAME ": " n " non-test lines" }' "$f"
 done
+
+echo "== wire-shape guard (crates/wire/src)"
+# One wire parser (DESIGN.md §7): Message::decode is the only thing that
+# turns bytes into a message and Reader::name the only function that
+# follows a compression pointer. A second reader of untrusted bytes (a
+# borrowed view that has to be kept in lockstep with decode, or any walk
+# that restates the pointer rules) fails here; the non-test line count
+# (each file up to its first #[cfg(test)]) is printed so drift shows in
+# the log.
+if [ -e crates/wire/src/view.rs ]; then
+    echo "error: crates/wire/src/view.rs is back" >&2
+    exit 1
+fi
+if grep -rnE 'MessageView|RecordView|QuestionView|skip_name' crates tests examples src; then
+    echo "error: a second wire parser is named" >&2
+    exit 1
+fi
+pointer_arms="$(cat crates/wire/src/*.rs | grep -c '0xC0..=0xFF' || true)"
+if [ "$pointer_arms" != "1" ]; then
+    echo "error: compression pointers are followed in $pointer_arms places, expected 1 (Reader::name)" >&2
+    exit 1
+fi
+awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
+    END { print "crates/wire/src: " n " non-test lines" }' crates/wire/src/*.rs
 
 echo "ci.sh: all checks passed"

@@ -1,12 +1,12 @@
-//! Equivalence pins for the zero-copy wire refactor: every experiment
-//! driver's rendered output is hashed and compared against constants
-//! captured from the pre-refactor message path (owned `Message::decode`,
-//! per-call `Vec` encodes, copying `frame_tcp`). The borrowed
-//! `MessageView` path, pooled encode buffers, and the authoritative
-//! answer-template cache must reproduce these bytes exactly — on clean
-//! networks and under a fault profile that drops *and corrupts*
-//! datagrams (corruption exercises the parse-acceptance boundary, which
-//! the view path must not move).
+//! Equivalence pins for the message path: every experiment driver's
+//! rendered output is hashed and compared against constants captured
+//! from the first owned implementation (`Message::decode` everywhere,
+//! per-call `Vec` encodes, copying `frame_tcp`). Pooled encode buffers,
+//! the borrowed answer assembly and the authoritative answer-template
+//! cache must reproduce these bytes exactly — on clean networks and
+//! under a fault profile that drops *and corrupts* datagrams (corruption
+//! exercises the parse-acceptance boundary, which no change to the wire
+//! path may move).
 //!
 //! If a deliberate behaviour change ever invalidates these constants,
 //! re-capture them by running this test with `--nocapture` and copying

@@ -132,11 +132,6 @@ impl AuthServer {
         self.log.borrow().clone()
     }
 
-    /// Drop all log entries (the paper discards unrelated logs promptly).
-    pub fn clear_log(&self) {
-        self.log.borrow_mut().clear();
-    }
-
     /// Answer one question against the installed zones: the owned
     /// materialisation of [`AuthServer::assemble`], which [`Node::handle`]
     /// encodes without this copy.

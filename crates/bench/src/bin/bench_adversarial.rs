@@ -5,202 +5,116 @@
 //!
 //! Runs every [`popgen::adversarial::AttackFamily`] twice — once with
 //! [`DefenseProfile::undefended`], once with
-//! [`DefenseProfile::defended`] — and reports SHA-1 compressions,
+//! [`DefenseProfile::defended`] — and records SHA-1 compressions,
 //! signature verifications and combined work units per query, plus the
 //! budget-abort tallies (degraded queries are accounted separately and
 //! never pollute completed-query averages). Results land in
 //! `BENCH_adversarial.json`.
 //!
-//! The paper-facing claims are asserted, so CI fails if they regress:
-//!
-//! * every attack family costs an undefended resolver ≥ 10× the
-//!   RFC 9276 baseline per query (work units);
-//! * the defense holds the *total* per-query bill of every family to a
-//!   small constant factor of the baseline;
-//! * the defense actually saves work on the expensive families
-//!   (undefended / defended compressions-per-query stays above a floor).
-//!
-//! Knobs: `HEROES_ADV_ZONES` (zones per family, default 2),
-//! `HEROES_ADV_QUERIES` (queries per zone, default 6), plus the usual
-//! `HEROES_THREADS`.
+//! The paper-facing claims — every attack family costs an undefended
+//! resolver ≥ 10× the RFC 9276 baseline, the defense holds every
+//! family's total bill under 32× baseline and saves ≥ 1.2× of the
+//! hash-heavy families' compressions — are the tests
+//! `undefended_attacks_dwarf_baseline` and
+//! `defense_bounds_every_family_and_accounts_aborts` beside the driver
+//! (`crates/core/src/adversarial.rs`); this bin only reports.
 
-use heroes_bench::{header, EXPERIMENT_NOW};
+use heroes_bench::microbench::Suite;
+use heroes_bench::EXPERIMENT_NOW;
 use nsec3_core::adversarial::{
     run_adversarial_cfg, AdversarialScenario, DefenseProfile, FamilyTally,
 };
-use nsec3_core::experiments::DriverConfig;
+use nsec3_core::experiments::{DriverConfig, DEFAULT_LAB_SEED};
 use popgen::adversarial::AttackFamily;
 use popgen::generate_attack_zones;
 
-/// Attack families must cost an undefended resolver at least this
-/// multiple of the baseline (work units per completed query).
-const AMPLIFICATION_FLOOR: f64 = 10.0;
-/// The defense must hold every family's total per-query bill under this
-/// multiple of the undefended baseline.
-const DEFENDED_CEILING: f64 = 32.0;
-/// Undefended / defended compressions-per-query floor for the
-/// hash-heavy families (the ci.sh gate).
-const SAVINGS_FLOOR: f64 = 1.2;
+const ZONES_PER_FAMILY: usize = 2;
+const QUERIES_PER_ZONE: u64 = 6;
 
-fn env_knob(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
-fn run(defense: DefenseProfile, zones_per_family: usize, queries: u64) -> Vec<FamilyTally> {
+/// One run of every family under `defense`: tallies in
+/// [`AttackFamily::ALL`] order, and the wall time in ms.
+fn run(defense: DefenseProfile) -> (Vec<FamilyTally>, f64) {
     let scenario = AdversarialScenario {
-        zones: generate_attack_zones("example.", zones_per_family),
-        queries_per_zone: queries,
+        zones: generate_attack_zones("example.", ZONES_PER_FAMILY),
+        queries_per_zone: QUERIES_PER_ZONE,
         defense,
     };
-    let cfg = DriverConfig::from_env(EXPERIMENT_NOW);
+    let cfg = DriverConfig::clean(EXPERIMENT_NOW, 1, DEFAULT_LAB_SEED);
+    let t0 = std::time::Instant::now();
     let report = run_adversarial_cfg(&scenario, &cfg);
-    AttackFamily::ALL
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let tallies = AttackFamily::ALL
         .iter()
         .map(|f| report.family(*f))
-        .collect()
+        .collect();
+    (tallies, wall_ms)
 }
 
 fn main() {
-    let zones_per_family = env_knob("HEROES_ADV_ZONES", 2);
-    let queries = env_knob("HEROES_ADV_QUERIES", 6) as u64;
     println!(
-        "adversarial workload sweep: {zones_per_family} zone(s) per family, {queries} queries per zone"
+        "adversarial workload sweep: {ZONES_PER_FAMILY} zones per family, {QUERIES_PER_ZONE} queries per zone"
     );
+    let mut suite = Suite::new("adversarial");
+    let (undefended, undefended_ms) = run(DefenseProfile::undefended());
+    let (defended, defended_ms) = run(DefenseProfile::defended());
+    suite.record("undefended/wall_ms", undefended_ms, "ms");
+    suite.record("defended/wall_ms", defended_ms, "ms");
 
-    header("Undefended (unlimited iterations, unlimited budget)");
-    let t0 = std::time::Instant::now();
-    let undefended = run(DefenseProfile::undefended(), zones_per_family, queries);
-    let undefended_ms = t0.elapsed().as_secs_f64() * 1e3;
-    for (family, t) in AttackFamily::ALL.iter().zip(&undefended) {
-        println!(
-            "  {:<17} {:>10.1} compressions/q {:>6.1} sigs/q {:>10.1} work-units/q  ({}/{} completed)",
-            family.label(),
-            t.compressions_per_query(),
-            t.signatures_per_query(),
-            t.work_units_per_query(),
-            t.completed,
-            t.queries,
-        );
-    }
-
-    header("Defended (servfail > 150 iterations + hardened work budget)");
-    let t1 = std::time::Instant::now();
-    let defended = run(DefenseProfile::defended(), zones_per_family, queries);
-    let defended_ms = t1.elapsed().as_secs_f64() * 1e3;
-    for (family, t) in AttackFamily::ALL.iter().zip(&defended) {
-        println!(
-            "  {:<17} {:>10.1} total-work-units/q  {:>3}/{} budget-aborted",
-            family.label(),
-            t.total_work_units_per_query(),
-            t.budget_exceeded,
-            t.queries,
-        );
-    }
-
-    let base_undef = &undefended[0];
+    let base = &undefended[0];
     assert_eq!(
-        base_undef.completed, base_undef.queries,
+        base.completed, base.queries,
         "baseline completes undefended"
     );
-    let base_work = base_undef.work_units_per_query().max(1.0);
+    let base_work = base.work_units_per_query().max(1.0);
 
-    header("Gates");
-    let mut rows = String::new();
     for (i, family) in AttackFamily::ALL.iter().enumerate() {
-        let u = &undefended[i];
-        let d = &defended[i];
-        let amplification = u.total_work_units_per_query() / base_work;
-        let defended_factor = d.total_work_units_per_query() / base_work;
-        let savings = if d.total_compressions_per_query() > 0.0 {
-            u.total_compressions_per_query() / d.total_compressions_per_query()
-        } else {
-            f64::INFINITY
-        };
-        println!(
-            "  {:<17} amplification {amplification:>8.1}x   defended bill {defended_factor:>5.1}x baseline   hash savings {savings:>6.1}x",
-            family.label(),
+        let label = family.label();
+        for (arm, t) in [("undefended", &undefended[i]), ("defended", &defended[i])] {
+            let mut row = |metric: &str, value: f64, unit: &str| {
+                suite.record(&format!("{label}/{arm}/{metric}"), value, unit);
+            };
+            row("queries", t.queries as f64, "count");
+            row("completed", t.completed as f64, "count");
+            row("budget_exceeded", t.budget_exceeded as f64, "count");
+            row("lost", t.lost as f64, "count");
+            row(
+                "compressions_per_query",
+                t.compressions_per_query(),
+                "compressions",
+            );
+            row(
+                "signatures_per_query",
+                t.signatures_per_query(),
+                "signatures",
+            );
+            row(
+                "work_units_per_query",
+                t.work_units_per_query(),
+                "work units",
+            );
+            // Budget-aborted spend included: the defender's whole bill.
+            row(
+                "total_compressions_per_query",
+                t.total_compressions_per_query(),
+                "compressions",
+            );
+            row(
+                "total_work_units_per_query",
+                t.total_work_units_per_query(),
+                "work units",
+            );
+        }
+        suite.record(
+            &format!("{label}/amplification_vs_baseline"),
+            undefended[i].total_work_units_per_query() / base_work,
+            "x",
         );
-        if *family != AttackFamily::Baseline {
-            assert!(
-                u.work_units_per_query() >= AMPLIFICATION_FLOOR * base_work,
-                "{}: undefended amplification {:.1} under floor {AMPLIFICATION_FLOOR}",
-                family.label(),
-                u.work_units_per_query() / base_work,
-            );
-            assert!(
-                d.total_work_units_per_query() <= DEFENDED_CEILING * base_work,
-                "{}: defended bill {defended_factor:.1}x over ceiling {DEFENDED_CEILING}x",
-                family.label(),
-            );
-        }
-        // The hash-heavy families must show real savings (the keytag
-        // family attacks signatures, not hashes, so it is exempt here —
-        // its bill is covered by the ceiling above).
-        if matches!(
-            family,
-            AttackFamily::MaxIterations | AttackFamily::DeepChain
-        ) {
-            assert!(
-                savings >= SAVINGS_FLOOR,
-                "{}: hash savings {savings:.2} under floor {SAVINGS_FLOOR}",
-                family.label(),
-            );
-        }
-        // Degradation accounting: nothing is silently dropped.
-        for t in [u, d] {
-            assert_eq!(
-                t.queries,
-                t.completed + t.budget_exceeded + t.lost,
-                "{}: accounting invariant",
-                family.label()
-            );
-        }
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"undefended\": {}, \"defended\": {}, \"amplification_vs_baseline\": {:.2}, \"defended_bill_vs_baseline\": {:.2}, \"hash_savings\": {:.2}}}{}\n",
-            family.label(),
-            tally_json(u),
-            tally_json(d),
-            amplification,
-            defended_factor,
-            if savings.is_finite() { savings } else { -1.0 },
-            if i + 1 < AttackFamily::ALL.len() { "," } else { "" },
-        ));
+        suite.record(
+            &format!("{label}/defended_bill_vs_baseline"),
+            defended[i].total_work_units_per_query() / base_work,
+            "x",
+        );
     }
-    println!("  all gates passed");
 
-    let mut json = String::from("{\n  \"suite\": \"adversarial\",\n");
-    json.push_str(&format!(
-        "  \"zones_per_family\": {zones_per_family},\n  \"queries_per_zone\": {queries},\n"
-    ));
-    json.push_str(&format!(
-        "  \"undefended_ms\": {undefended_ms:.1},\n  \"defended_ms\": {defended_ms:.1},\n"
-    ));
-    json.push_str(&format!(
-        "  \"gates\": {{\"amplification_floor\": {AMPLIFICATION_FLOOR}, \"defended_ceiling\": {DEFENDED_CEILING}, \"savings_floor\": {SAVINGS_FLOOR}}},\n"
-    ));
-    json.push_str("  \"families\": [\n");
-    json.push_str(&rows);
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_adversarial.json", &json) {
-        Ok(()) => println!("  [wrote BENCH_adversarial.json]"),
-        Err(e) => eprintln!("  [failed to write BENCH_adversarial.json: {e}]"),
-    }
-}
-
-fn tally_json(t: &FamilyTally) -> String {
-    format!(
-        "{{\"queries\": {}, \"completed\": {}, \"budget_exceeded\": {}, \"lost\": {}, \"compressions_per_query\": {:.1}, \"signatures_per_query\": {:.2}, \"work_units_per_query\": {:.1}, \"total_work_units_per_query\": {:.1}}}",
-        t.queries,
-        t.completed,
-        t.budget_exceeded,
-        t.lost,
-        t.compressions_per_query(),
-        t.signatures_per_query(),
-        t.work_units_per_query(),
-        t.total_work_units_per_query(),
-    )
+    suite.finish();
 }

@@ -1,25 +1,19 @@
 //! Memory/scale sweep for the streaming census: run the event-driven
-//! census at 10 K, 100 K, and 1 M domains × 1, 2, 4, and 8 worker
-//! threads, recording wall time, peak RSS, and the event core's
-//! in-flight high-water mark per point. Results land in
-//! `BENCH_census_scale.json`.
+//! census at 10 K, 100 K, and 1 M domains on one thread, recording wall
+//! time, peak RSS, and the event core's in-flight high-water mark per
+//! point. Results land in `BENCH_census_scale.json`.
 //!
 //! Peak RSS (`VmHWM`) is monotonic for the life of a process, so the
 //! sweep re-executes itself once per point (`--point`) and reads the
 //! child's high-water mark — each point gets a fresh address space and
 //! the numbers are comparable. The streaming pipeline's whole claim is
 //! that the peak is set by the batch/window geometry, not the
-//! population: the 1 M column should match the 10 K column.
-//!
-//! Every sweep point digests its merged statistics; points at the same
-//! scale must agree byte for byte across thread counts, and the sweep
-//! aborts if they do not.
-//!
-//! `--smoke --rss-ceiling-mb N [--threads T]` runs the 100 K point
-//! in-process and fails if peak RSS exceeds the ceiling — the CI gate
-//! for streaming-memory regressions (`scripts/ci.sh` runs it at 1 and
-//! 4 threads).
+//! population: the 1 M row should match the 10 K row. The claim itself
+//! is the test `crates/bench/tests/census_memory.rs`; what a worker
+//! thread adds is the repository benchmark's `par.rss_mb_per_thread`,
+//! and thread-count identity is `tests/determinism.rs`.
 
+use heroes_bench::microbench::Suite;
 use heroes_bench::{peak_rss_kb, EXPERIMENT_NOW};
 use nsec3_core::experiments::{DriverConfig, DEFAULT_LAB_SEED};
 use nsec3_core::run_domain_census_stream;
@@ -27,233 +21,67 @@ use popgen::Scale;
 
 const POPULATION_SEED: u64 = 42;
 const BATCH_SIZE: usize = 512;
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// `(label, scale denominator)` — `domain_count` at these scales lands
 /// on 10 213, 100 213, and 1 000 213 domains respectively.
 const SCALES: [(&str, f64); 3] = [("10k", 30_200.0), ("100k", 3_020.0), ("1M", 302.0)];
 
-/// FNV-1a over the rendered statistics — the cross-thread identity
-/// check, same construction as the driver-equivalence pins.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Point {
-    label: String,
-    domains: u64,
-    threads: usize,
-    wall_ms: f64,
-    peak_rss_kb: u64,
-    high_water: usize,
-    digest: u64,
-}
-
-/// Run one sweep point in this process and return its measurements.
-fn run_point(denom: f64, threads: usize) -> Point {
+/// Child mode: one point, its four measurements on one stdout line.
+fn child_main(denom: f64) {
     let scale = Scale(1.0 / denom);
-    let cfg = DriverConfig::clean(EXPERIMENT_NOW, threads, DEFAULT_LAB_SEED);
+    let cfg = DriverConfig::clean(EXPERIMENT_NOW, 1, DEFAULT_LAB_SEED);
     let t0 = std::time::Instant::now();
     let report = run_domain_census_stream(scale, POPULATION_SEED, BATCH_SIZE, &cfg);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    Point {
-        label: String::new(),
-        domains: popgen::domain_count(scale),
-        threads,
-        wall_ms,
-        peak_rss_kb: peak_rss_kb().unwrap_or(0),
-        high_water: report.in_flight_high_water,
-        digest: fnv1a(&format!("{:?}\n{:?}", report.stats, report.probe_stats)),
-    }
-}
-
-/// Child mode: one point, one machine-readable line on stdout.
-fn child_main(denom: f64, threads: usize) {
-    let p = run_point(denom, threads);
     println!(
-        "POINT domains={} threads={} wall_ms={:.1} peak_rss_kb={} hw={} digest={:#018x}",
-        p.domains, p.threads, p.wall_ms, p.peak_rss_kb, p.high_water, p.digest
+        "POINT {} {:.1} {} {}",
+        popgen::domain_count(scale),
+        t0.elapsed().as_secs_f64() * 1e3,
+        peak_rss_kb().unwrap_or(0),
+        report.in_flight_high_water
     );
-}
-
-/// Parse the child's `POINT` line back into a [`Point`].
-fn parse_point(label: &str, line: &str) -> Option<Point> {
-    let mut p = Point {
-        label: label.to_string(),
-        domains: 0,
-        threads: 0,
-        wall_ms: 0.0,
-        peak_rss_kb: 0,
-        high_water: 0,
-        digest: 0,
-    };
-    for field in line.strip_prefix("POINT ")?.split_whitespace() {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "domains" => p.domains = value.parse().ok()?,
-            "threads" => p.threads = value.parse().ok()?,
-            "wall_ms" => p.wall_ms = value.parse().ok()?,
-            "peak_rss_kb" => p.peak_rss_kb = value.parse().ok()?,
-            "hw" => p.high_water = value.parse().ok()?,
-            "digest" => p.digest = u64::from_str_radix(value.trim_start_matches("0x"), 16).ok()?,
-            _ => return None,
-        }
-    }
-    Some(p)
-}
-
-fn smoke(threads: usize, ceiling_mb: u64) -> ! {
-    let denom = SCALES[1].1; // the 100 K point
-    let p = run_point(denom, threads);
-    let peak_mb = p.peak_rss_kb / 1024;
-    println!(
-        "smoke: {} domains, {} thread(s): {:.1} ms, peak RSS {} MB (ceiling {} MB), in-flight high water {}",
-        p.domains, threads, p.wall_ms, peak_mb, ceiling_mb, p.high_water
-    );
-    if p.peak_rss_kb > ceiling_mb * 1024 {
-        eprintln!(
-            "error: streaming census peak RSS {peak_mb} MB exceeds the {ceiling_mb} MB ceiling"
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 fn main() {
-    // Mode dispatch: `--point D T` (child), `--smoke` (CI gate), else
-    // the full parent sweep.
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--point") {
-        let denom: f64 = args[i + 1].parse().expect("--point <denom> <threads>");
-        let threads: usize = args[i + 2].parse().expect("--point <denom> <threads>");
-        child_main(denom, threads);
+        child_main(args[i + 1].parse().expect("--point <denom>"));
         return;
     }
-    if args.iter().any(|a| a == "--smoke") {
-        let mut threads = sim_par::default_threads();
-        let mut ceiling_mb = 512u64;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--threads" if i + 1 < args.len() => {
-                    threads = args[i + 1].parse().unwrap_or(threads);
-                    i += 2;
-                }
-                "--rss-ceiling-mb" if i + 1 < args.len() => {
-                    ceiling_mb = args[i + 1].parse().unwrap_or(ceiling_mb);
-                    i += 2;
-                }
-                _ => i += 1,
-            }
-        }
-        smoke(threads, ceiling_mb);
-    }
 
+    println!(
+        "streaming-census scale sweep (batch {BATCH_SIZE}, seed {POPULATION_SEED}, one thread)"
+    );
+    println!("each point runs in a child process so VmHWM is per-point");
     let exe = std::env::current_exe().expect("own executable path");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "streaming-census scale sweep (batch {BATCH_SIZE}, seed {POPULATION_SEED}, host has {cores} core(s))"
-    );
-    println!("each point runs in a child process so VmHWM is per-point\n");
-    println!(
-        "  {:<6} {:>9} {:>8} {:>12} {:>13} {:>9}",
-        "scale", "domains", "threads", "wall ms", "peak RSS MB", "in-flight"
-    );
-
-    let mut points: Vec<Point> = Vec::new();
+    let mut suite = Suite::new("census_scale");
     for (label, denom) in SCALES {
-        let mut scale_digest: Option<u64> = None;
-        for threads in THREAD_SWEEP {
-            let out = std::process::Command::new(&exe)
-                .args(["--point", &denom.to_string(), &threads.to_string()])
-                .output()
-                .expect("spawn sweep point");
-            assert!(
-                out.status.success(),
-                "point {label}/threads-{threads} failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let line = stdout
-                .lines()
-                .find(|l| l.starts_with("POINT "))
-                .unwrap_or_else(|| panic!("no POINT line from {label}/threads-{threads}"));
-            let p =
-                parse_point(label, line).unwrap_or_else(|| panic!("unparsable POINT line: {line}"));
-            // The non-negotiable: every thread count at a scale yields
-            // the same merged statistics, byte for byte.
-            match scale_digest {
-                None => scale_digest = Some(p.digest),
-                Some(d) => assert_eq!(
-                    d, p.digest,
-                    "{label}: threads={threads} diverged from threads={}",
-                    THREAD_SWEEP[0]
-                ),
-            }
-            println!(
-                "  {:<6} {:>9} {:>8} {:>12.1} {:>13.1} {:>9}",
-                label,
-                p.domains,
-                p.threads,
-                p.wall_ms,
-                p.peak_rss_kb as f64 / 1024.0,
-                p.high_water
-            );
-            points.push(p);
-        }
-        println!(
-            "         [digest {:#018x} identical at 1/2/4/8 threads]",
-            scale_digest.unwrap()
+        let out = std::process::Command::new(&exe)
+            .args(["--point", &denom.to_string()])
+            .output()
+            .expect("spawn sweep point");
+        assert!(
+            out.status.success(),
+            "point {label} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let fields: Vec<f64> = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("POINT "))
+            .unwrap_or_else(|| panic!("no POINT line from {label}"))
+            .split_whitespace()
+            .map(|v| v.parse().expect("numeric POINT field"))
+            .collect();
+        let [domains, wall_ms, peak_rss_kb, high_water] = fields[..] else {
+            panic!("POINT line from {label} has {} fields", fields.len());
+        };
+        suite.record(&format!("{label}/domains"), domains, "count");
+        suite.record(&format!("{label}/wall_ms"), wall_ms, "ms");
+        suite.record(&format!("{label}/peak_rss_mb"), peak_rss_kb / 1024.0, "MB");
+        suite.record(
+            &format!("{label}/in_flight_high_water"),
+            high_water,
+            "count",
         );
     }
-
-    // The flatness headline: peak RSS at 1 M vs 10 K domains.
-    let peak_at = |label: &str| {
-        points
-            .iter()
-            .filter(|p| p.label == label)
-            .map(|p| p.peak_rss_kb)
-            .max()
-            .unwrap_or(0)
-    };
-    let (small, large) = (peak_at("10k"), peak_at("1M"));
-    if small > 0 {
-        println!(
-            "\npeak RSS 10k → 1M: {:.1} MB → {:.1} MB ({:.2}x across a 100x population)",
-            small as f64 / 1024.0,
-            large as f64 / 1024.0,
-            large as f64 / small as f64
-        );
-    }
-
-    let mut json = String::from("{\n  \"suite\": \"census_scale\",\n");
-    json.push_str(&format!("  \"host_cores\": {cores},\n"));
-    json.push_str(&format!(
-        "  \"batch_size\": {BATCH_SIZE},\n  \"results\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}/threads-{}\", \"domains\": {}, \"threads\": {}, \"wall_ms\": {:.1}, \
-             \"peak_rss_kb\": {}, \"in_flight_high_water\": {}, \"digest\": \"{:#018x}\"}}{}\n",
-            p.label,
-            p.threads,
-            p.domains,
-            p.threads,
-            p.wall_ms,
-            p.peak_rss_kb,
-            p.high_water,
-            p.digest,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_census_scale.json", &json) {
-        Ok(()) => println!("  [wrote BENCH_census_scale.json]"),
-        Err(e) => eprintln!("  [failed to write BENCH_census_scale.json: {e}]"),
-    }
+    suite.finish();
 }

@@ -5,30 +5,30 @@
 //!
 //! * **Loss sweep** — the domain census under flow-keyed loss at 0 %,
 //!   1 %, 5 % and 20 % drop chance, same adaptive retry policy at every
-//!   point. Reports wall-clock per point, the retry volume, and the
-//!   answered share from the merged [`ProbeStats`], so retry overhead is
-//!   the ratio against the 0 % row.
+//!   point. Reports wall-clock per point (best of [`REPS`] runs), the
+//!   retry volume, and the answered share from the merged
+//!   [`ProbeStats`], so retry overhead is the ratio against the 0 % row.
 //! * **Outage recovery** — a lone probe target behind a scheduled
 //!   outage of 1 s / 5 s / 15 s of virtual time. The client re-probes
 //!   under the adaptive policy until the first response and the sweep
 //!   reports how much *virtual* time past the outage end that took —
 //!   the latency cost of backing off (timeouts cost 2 s, backoff up to
 //!   4 s, so recovery is never instant).
-//!
-//! `MICROBENCH_SAMPLES` overrides the repetitions per loss point
-//! (default 3; best run counts).
 
 use std::net::IpAddr;
 use std::rc::Rc;
 
-use dns_scanner::retry::BreakerConfig;
-use heroes_bench::{fmt_scale, header, Options, EXPERIMENT_NOW};
+use dns_scanner::retry::{BreakerConfig, ProbeStats};
+use heroes_bench::microbench::Suite;
+use heroes_bench::{fmt_scale, Options, EXPERIMENT_NOW};
 use netsim::{Episode, EpisodeKind, FaultSchedule, Network, Node, Outcome, RetryPolicy, Scope};
 use nsec3_core::experiments::{run_domain_census_cfg, DriverConfig, ScanProfile, DEFAULT_LAB_SEED};
 use popgen::{generate_domains, Scale};
 
 const LOSS_SWEEP: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 const OUTAGES_MICROS: [u64; 3] = [1_000_000, 5_000_000, 15_000_000];
+/// Census runs per loss point; the fastest counts.
+const REPS: usize = 3;
 
 /// Answers every datagram with its own payload — the cheapest possible
 /// responder, so the recovery experiment measures only the fault engine
@@ -69,59 +69,52 @@ fn loss_profile(drop_chance: f64) -> ScanProfile {
 
 fn main() {
     let opts = Options::parse(Scale(1.0 / 200_000.0));
-    let reps: usize = std::env::var("MICROBENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(3)
-        .max(1);
     println!(
-        "fault-tolerance sweep at scale {} (seed {}, {} reps per loss point)",
+        "fault-tolerance sweep at scale {} (seed {}, {REPS} reps per loss point)",
         fmt_scale(opts.scale),
         opts.seed,
-        reps
     );
     let specs = generate_domains(opts.scale, opts.seed);
     println!(
         "population: {} domains, batch size 200, adaptive retry + breaker",
         specs.len()
     );
+    let mut suite = Suite::new("faults");
+    suite.record("domains", specs.len() as f64, "count");
 
-    header("Census under loss (best of reps per point)");
-    let mut loss_rows: Vec<(f64, f64, dns_scanner::retry::ProbeStats)> = Vec::new();
+    // Census under loss.
     for &drop in &LOSS_SWEEP {
         let profile = loss_profile(drop);
         let mut best_ms = f64::INFINITY;
-        let mut stats = Default::default();
-        for _ in 0..reps {
+        let mut stats = ProbeStats::default();
+        for _ in 0..REPS {
             let t0 = std::time::Instant::now();
             let cfg = DriverConfig::clean(EXPERIMENT_NOW, 1, DEFAULT_LAB_SEED)
                 .with_profile(profile.clone());
-            let (_, st) = run_domain_census_cfg(&specs, 200, &cfg);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if ms < best_ms {
-                best_ms = ms;
-                stats = st;
-            }
-            assert!(st.is_consistent(), "loss accounting must balance at {drop}");
+            (_, stats) = run_domain_census_cfg(&specs, 200, &cfg);
+            best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            assert!(
+                stats.is_consistent(),
+                "loss accounting must balance at {drop}"
+            );
         }
-        let overhead = loss_rows
-            .first()
-            .map(|(_, ms0, _)| best_ms / ms0)
-            .unwrap_or(1.0);
-        println!(
-            "  loss {:>4.0} %: best {best_ms:>9.1} ms   overhead vs 0%: {overhead:>5.2}x   retried {:>6}   answered {:>6.2} %",
-            drop * 100.0,
-            stats.retried,
-            stats.answered_share() * 100.0,
-        );
-        loss_rows.push((drop, best_ms, stats));
+        let mut row = |metric: &str, value: f64, unit: &str| {
+            suite.record(&format!("loss/{drop}/{metric}"), value, unit);
+        };
+        row("best_ms", best_ms, "ms");
+        row("sent", stats.sent as f64, "count");
+        row("answered", stats.answered as f64, "count");
+        row("retried", stats.retried as f64, "count");
+        row("timed_out", stats.timed_out as f64, "count");
+        row("circuit_skipped", stats.circuit_skipped as f64, "count");
+        row("answered_share", stats.answered_share(), "ratio");
     }
 
-    header("Outage recovery (virtual time past outage end until first answer)");
+    // Outage recovery: virtual time past the outage end until the first
+    // answer.
     let target: IpAddr = "10.0.0.1".parse().unwrap();
     let client: IpAddr = "10.0.0.9".parse().unwrap();
     let policy = RetryPolicy::adaptive(DEFAULT_LAB_SEED ^ 0x9276);
-    let mut outage_rows: Vec<(u64, u64, u32)> = Vec::new();
     for &outage in &OUTAGES_MICROS {
         let net = Network::new(DEFAULT_LAB_SEED);
         net.register(target, Rc::new(Echo));
@@ -148,43 +141,18 @@ fn main() {
                 "no recovery within 2 virtual minutes of a {outage} us outage"
             );
         }
-        let recovered_at = net.now_micros();
-        let recovery = recovered_at.saturating_sub(outage);
-        println!(
-            "  outage {:>5.1} s: first answer {:>6.2} s after outage end ({rounds} probe round(s))",
-            outage as f64 / 1e6,
-            recovery as f64 / 1e6,
+        let recovery = net.now_micros().saturating_sub(outage);
+        suite.record(
+            &format!("outage/{outage}us/recovery_us"),
+            recovery as f64,
+            "us",
         );
-        outage_rows.push((outage, recovery, rounds));
+        suite.record(
+            &format!("outage/{outage}us/probe_rounds"),
+            f64::from(rounds),
+            "count",
+        );
     }
 
-    let ms0 = loss_rows[0].1;
-    let mut json = String::from("{\n  \"suite\": \"faults\",\n");
-    json.push_str(&format!("  \"domains\": {},\n", specs.len()));
-    json.push_str("  \"loss_sweep\": [\n");
-    for (i, (drop, best_ms, st)) in loss_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"loss/{drop}\", \"drop_chance\": {drop}, \"best_ms\": {best_ms:.1}, \"overhead_vs_0\": {:.3}, \"sent\": {}, \"answered\": {}, \"retried\": {}, \"timed_out\": {}, \"circuit_skipped\": {}, \"answered_share\": {:.4}}}{}\n",
-            best_ms / ms0,
-            st.sent,
-            st.answered,
-            st.retried,
-            st.timed_out,
-            st.circuit_skipped,
-            st.answered_share(),
-            if i + 1 < loss_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"outage_recovery\": [\n");
-    for (i, (outage, recovery, rounds)) in outage_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"outage/{outage}us\", \"outage_micros\": {outage}, \"recovery_micros\": {recovery}, \"probe_rounds\": {rounds}}}{}\n",
-            if i + 1 < outage_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_faults.json", &json) {
-        Ok(()) => println!("  [wrote BENCH_faults.json]"),
-        Err(e) => eprintln!("  [failed to write BENCH_faults.json: {e}]"),
-    }
+    suite.finish();
 }

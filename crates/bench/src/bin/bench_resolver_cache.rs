@@ -15,8 +15,8 @@
 //!   validated-key cache (capacity 512, one key per zone).
 //!
 //! Results land in `BENCH_resolver_cache.json` via the shared
-//! [`heroes_bench::microbench`] runner; hit ratios for the steady-state
-//! mixes are printed after the timing table.
+//! [`heroes_bench::microbench`] runner, steady-state hit ratios
+//! included.
 
 use dns_resolver::TtlCache;
 use heroes_bench::microbench::Suite;
@@ -132,17 +132,12 @@ fn main() {
         });
     }
 
-    println!("\nsteady-state hit ratios over 100 K Zipf(1.0) queries:");
+    // Steady-state hit ratios over the same 100 K Zipf(1.0) queries:
+    // 20 K keys against capacity 4096, 300 keys against capacity 512.
     let answer = hit_ratio(4096, &wide_keys, &wide_stream);
     let key = hit_ratio(512, &narrow_keys, &narrow_stream);
-    println!(
-        "  answer-cache geometry (cap 4096, 20 K keys): {:.1} % hits",
-        answer * 100.0
-    );
-    println!(
-        "  key-cache geometry    (cap  512, 300 keys):  {:.1} % hits",
-        key * 100.0
-    );
+    suite.record("zipf/answer-cache-4096/hit_ratio", answer, "ratio");
+    suite.record("zipf/key-cache-512/hit_ratio", key, "ratio");
     assert!(
         key > answer,
         "the narrow key cache must out-hit the wide answer cache"

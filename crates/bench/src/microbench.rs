@@ -2,10 +2,15 @@
 //! external `criterion` crate.
 //!
 //! Each `src/bin/bench_*.rs` harness builds a [`Suite`], registers timed
-//! closures with [`Suite::bench`], and calls [`Suite::finish`], which
-//! prints a human-readable table and writes machine-readable JSON to
+//! closures with [`Suite::bench`] and values it measured once (counts,
+//! ratios, MB, virtual µs, wall ms) with [`Suite::record`], and calls
+//! [`Suite::finish`], which writes machine-readable JSON to
 //! `BENCH_<suite>.json` in the working directory so runs can be diffed
-//! over time.
+//! over time. This is the only writer of a `BENCH_*.json`, so every file
+//! has one shape: `{"suite", "host_cores", "results": [row]}` where a row
+//! is a timed row or `{"name", "value", "unit"}`. A bench bin asserts
+//! nothing about behaviour — claims are `cargo test`s beside the driver
+//! they are about (`scripts/ci.sh` guards both rules).
 //!
 //! Methodology per benchmark:
 //!
@@ -68,11 +73,23 @@ pub struct BenchResult {
     pub stats: Stats,
 }
 
+/// One row of a suite's artifact.
+enum Row {
+    /// A closure timed by [`Suite::bench`].
+    Timed(BenchResult),
+    /// A value measured once, handed to [`Suite::record`].
+    Value {
+        name: String,
+        value: f64,
+        unit: String,
+    },
+}
+
 /// A named collection of benchmarks sharing one JSON artifact.
 pub struct Suite {
     name: String,
     samples: usize,
-    results: Vec<BenchResult>,
+    results: Vec<Row>,
 }
 
 impl Suite {
@@ -121,11 +138,23 @@ impl Suite {
             fmt_ns(stats.median_ns),
             fmt_ns(stats.p99_ns),
         );
-        self.results.push(BenchResult {
+        self.results.push(Row::Timed(BenchResult {
             name: id.to_string(),
             iters_per_sample: batch,
             samples: self.samples,
             stats,
+        }));
+    }
+
+    /// Record a value the harness measured once — a count, a ratio, MB,
+    /// virtual µs, wall ms — under `id`, rounded to four decimals.
+    pub fn record(&mut self, id: &str, value: f64, unit: &str) {
+        let value = (value * 1e4).round() / 1e4;
+        println!("  {id:<44} {value:>16} {unit}");
+        self.results.push(Row::Value {
+            name: id.to_string(),
+            value,
+            unit: unit.to_string(),
         });
     }
 
@@ -139,19 +168,25 @@ impl Suite {
             "{{\n  \"suite\": \"{}\",\n  \"host_cores\": {cores},\n  \"results\": [\n",
             self.name
         ));
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters_per_sample\": {}, \"samples\": {}, \
-                 \"min_ns\": {:.1}, \"median_ns\": {:.1}, \"p99_ns\": {:.1}, \"mean_ns\": {:.1}}}{}\n",
-                r.name,
-                r.iters_per_sample,
-                r.samples,
-                r.stats.min_ns,
-                r.stats.median_ns,
-                r.stats.p99_ns,
-                r.stats.mean_ns,
-                if i + 1 < self.results.len() { "," } else { "" },
-            ));
+        for (i, row) in self.results.iter().enumerate() {
+            let row = match row {
+                Row::Timed(r) => format!(
+                    "{{\"name\": \"{}\", \"iters_per_sample\": {}, \"samples\": {}, \
+                     \"min_ns\": {:.1}, \"median_ns\": {:.1}, \"p99_ns\": {:.1}, \"mean_ns\": {:.1}}}",
+                    r.name,
+                    r.iters_per_sample,
+                    r.samples,
+                    r.stats.min_ns,
+                    r.stats.median_ns,
+                    r.stats.p99_ns,
+                    r.stats.mean_ns,
+                ),
+                Row::Value { name, value, unit } => {
+                    format!("{{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}")
+                }
+            };
+            let sep = if i + 1 < self.results.len() { "," } else { "" };
+            out.push_str(&format!("    {row}{sep}\n"));
         }
         out.push_str("  ]\n}\n");
         out
@@ -208,7 +243,7 @@ mod tests {
         let mut suite = Suite {
             name: "unit".to_string(),
             samples: 3,
-            results: vec![BenchResult {
+            results: vec![Row::Timed(BenchResult {
                 name: "op/1".to_string(),
                 iters_per_sample: 10,
                 samples: 3,
@@ -218,20 +253,24 @@ mod tests {
                     p99_ns: 3.0,
                     mean_ns: 2.0,
                 },
-            }],
+            })],
         };
-        suite.results.push(suite.results[0].clone());
+        suite.record("collapse/factor", 337.089_96, "x");
+        suite.record("upstream/messages", 43_147.0, "count");
         let json = suite.to_json();
         assert!(json.contains("\"suite\": \"unit\""));
         assert!(json.contains("\"host_cores\": "));
         assert!(json.contains("\"name\": \"op/1\""));
         assert!(json.contains("\"median_ns\": 2.0"));
-        assert_eq!(json.matches("{\"name\"").count(), 2);
-        // Trailing-comma discipline: exactly one separator for two rows.
-        assert_eq!(
-            json.matches("}},\n").count() + json.matches("},\n").count(),
-            1
+        assert!(
+            json.contains("{\"name\": \"collapse/factor\", \"value\": 337.09, \"unit\": \"x\"},\n")
         );
+        assert!(json.contains(
+            "{\"name\": \"upstream/messages\", \"value\": 43147, \"unit\": \"count\"}\n"
+        ));
+        assert_eq!(json.matches("{\"name\"").count(), 3);
+        // Trailing-comma discipline: exactly two separators for three rows.
+        assert_eq!(json.matches("},\n").count(), 2);
     }
 
     #[test]
@@ -248,7 +287,9 @@ mod tests {
             }
             acc
         });
-        let r = &suite.results[0];
+        let Row::Timed(r) = &suite.results[0] else {
+            panic!("bench pushes a timed row");
+        };
         assert_eq!(r.samples, 5);
         assert!(r.iters_per_sample >= 1);
         assert!(r.stats.min_ns > 0.0);

@@ -283,7 +283,7 @@ mod tests {
     fn scenario(defense: DefenseProfile) -> AdversarialScenario {
         AdversarialScenario {
             zones: generate_attack_zones("example.", 1),
-            queries_per_zone: 3,
+            queries_per_zone: 4,
             defense,
         }
     }
@@ -297,6 +297,18 @@ mod tests {
         let base = report.family(AttackFamily::Baseline);
         assert_eq!(base.completed, base.queries, "baseline all complete");
         assert_eq!(base.budget_exceeded, 0);
+        // Every attack family costs an undefended resolver at least ten
+        // times the RFC 9276 baseline per query, in work units.
+        for family in &AttackFamily::ALL[1..] {
+            let t = report.family(*family);
+            assert!(
+                t.work_units_per_query() >= 10.0 * base.work_units_per_query().max(1.0),
+                "{}: {} vs baseline {}",
+                family.label(),
+                t.work_units_per_query(),
+                base.work_units_per_query()
+            );
+        }
         let maxit = report.family(AttackFamily::MaxIterations);
         assert_eq!(maxit.completed, maxit.queries, "undefended never aborts");
         assert!(
@@ -367,6 +379,39 @@ mod tests {
                 family.label(),
                 t.total_work_units_per_query()
             );
+        }
+        // Against the same zones undefended: every family's defended bill
+        // stays within 32x the baseline, and the defense saves at least a
+        // fifth of the hash-heavy families' compressions (the keytag
+        // family attacks signatures, so only the ceiling covers it).
+        let undefended = run_adversarial_cfg(
+            &scenario(DefenseProfile::undefended()),
+            &DriverConfig::from_env(NOW),
+        );
+        let base_work = undefended
+            .family(AttackFamily::Baseline)
+            .work_units_per_query()
+            .max(1.0);
+        for family in AttackFamily::ALL {
+            let (u, d) = (undefended.family(family), report.family(family));
+            assert!(
+                d.total_work_units_per_query() <= 32.0 * base_work,
+                "{}: defended bill {} vs baseline {base_work}",
+                family.label(),
+                d.total_work_units_per_query()
+            );
+            if matches!(
+                family,
+                AttackFamily::MaxIterations | AttackFamily::DeepChain
+            ) {
+                assert!(
+                    u.total_compressions_per_query() >= 1.2 * d.total_compressions_per_query(),
+                    "{}: {} compressions undefended vs {} defended",
+                    family.label(),
+                    u.total_compressions_per_query(),
+                    d.total_compressions_per_query()
+                );
+            }
         }
     }
 

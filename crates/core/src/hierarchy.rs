@@ -433,5 +433,44 @@ mod tests {
         }
         assert_eq!(answered, 12);
         assert!(resolver.delegation_hits() > 0);
+
+        // Deep chains amplify: cold and cacheless, the extra zone level
+        // of a root→TLD→leaf walk costs at least a fifth more upstream
+        // messages than a root→TLD walk (NXDOMAIN at the TLD). A fresh
+        // resolver per depth, so neither rides on keys the other validated.
+        let mut msgs_per_walk = |names: Vec<String>| {
+            let mut rcfg = ResolverConfig::validating(
+                lab.alloc.v4(),
+                lab.root_hints.clone(),
+                lab.anchor.clone(),
+            );
+            rcfg.now = lab.now;
+            let cacheless = Resolver::new(rcfg);
+            let msgs: u64 = names
+                .iter()
+                .map(|n| {
+                    let out = cacheless.resolve(&lab.net, &Name::parse(n).unwrap(), RrType::A);
+                    assert_ne!(out.rcode, Rcode::ServFail, "{n}: {:?}", out.ede);
+                    out.cost.messages_sent
+                })
+                .sum();
+            assert_eq!(
+                cacheless.delegation_hits() + cacheless.delegation_misses(),
+                0,
+                "a cacheless resolver does not touch the delegation counters"
+            );
+            msgs as f64 / names.len() as f64
+        };
+        let tlds = h.tlds.iter();
+        let shallow = msgs_per_walk(
+            tlds.clone()
+                .map(|t| format!("does-not-exist.{}", t.spec.name))
+                .collect(),
+        );
+        let deep = msgs_per_walk(tlds.map(|t| format!("www.{}", t.leaves[0].name)).collect());
+        assert!(
+            deep >= 1.2 * shallow,
+            "deep {deep:.2} vs shallow {shallow:.2} msgs per walk"
+        );
     }
 }

@@ -350,4 +350,53 @@ mod tests {
         };
         assert_eq!(run(), run());
     }
+
+    /// The queue's pop cost must not grow with the window: a serving
+    /// fleet member admits its whole query slice at virtual time 0, so a
+    /// queue that scans for its minimum becomes the driver's largest line
+    /// item. A ratio of two timings on one host, so host speed cancels:
+    /// the heap reads 2.5×, the linear slot scan it replaced read 379×.
+    #[test]
+    fn drive_step_cost_is_flat_against_the_window() {
+        /// Median ns per step over flows that do nothing: each parks once
+        /// and finishes, and every admission and wake-up falls on virtual
+        /// instant 0, so `window` entries contend for the queue's head.
+        fn ns_per_noop_step(window: usize) -> f64 {
+            const FLOWS: usize = 65_536;
+            let mut rounds: Vec<f64> = (0..5)
+                .map(|_| {
+                    let mut admitted = 0usize;
+                    let t0 = std::time::Instant::now();
+                    let stats = drive(
+                        window,
+                        || {
+                            (admitted < FLOWS).then(|| {
+                                admitted += 1;
+                                false
+                            })
+                        },
+                        |parked: &mut bool, due| {
+                            if std::mem::replace(parked, true) {
+                                FlowStep::Done
+                            } else {
+                                FlowStep::Park { at_micros: due }
+                            }
+                        },
+                    );
+                    let ns = t0.elapsed().as_nanos() as f64;
+                    assert_eq!(stats.in_flight_high_water, window);
+                    assert_eq!(stats.steps, 2 * FLOWS as u64);
+                    ns / stats.steps as f64
+                })
+                .collect();
+            rounds.sort_by(f64::total_cmp);
+            rounds[2]
+        }
+        let (narrow, wide) = (ns_per_noop_step(64), ns_per_noop_step(32_768));
+        assert!(
+            wide <= 8.0 * narrow,
+            "a step at 32,768 in flight costs {wide:.0} ns, {:.1}x the {narrow:.0} ns at 64",
+            wide / narrow
+        );
+    }
 }

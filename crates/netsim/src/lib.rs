@@ -30,6 +30,8 @@ use sim_rng::{Rng, SplitMix64, Xoshiro256pp};
 
 pub mod event;
 
+use event::FlowStep;
+
 /// A host on the simulated network.
 ///
 /// Implementations take `&self`; use interior mutability for state (query
@@ -310,23 +312,10 @@ pub struct ExchangeReport {
     pub attempts: u32,
 }
 
-/// What one [`ExchangeMachine::step`] decided.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExchangeStep {
-    /// The attempt failed and the policy allows another: resume (send the
-    /// next attempt) once the virtual clock reaches `resume_at_micros`.
-    Backoff {
-        /// Virtual due time of the next attempt, in µs.
-        resume_at_micros: u64,
-    },
-    /// The exchange is over; collect the [`ExchangeReport`].
-    Finished,
-}
-
 /// One policy-driven query exchange as an explicit state machine: each
 /// [`ExchangeMachine::step`] sends exactly one wire attempt and reports
-/// either [`ExchangeStep::Finished`] or the backoff due time before the
-/// next attempt.
+/// either [`FlowStep::Done`] (collect the [`ExchangeReport`]) or
+/// [`FlowStep::Park`] until the backoff before the next attempt is due.
 ///
 /// This is the *only* implementation of the retry semantics. The
 /// blocking path ([`Network::send_query_with_policy`]) drives the
@@ -368,7 +357,7 @@ impl ExchangeMachine {
     /// Send one attempt of `payload` on `net` and decide what happens
     /// next. The first call pins the exchange's budget epoch to the
     /// current clock, exactly where the blocking loop read it.
-    pub fn step(&mut self, net: &Network, payload: &[u8]) -> ExchangeStep {
+    pub fn step(&mut self, net: &Network, payload: &[u8]) -> FlowStep {
         let start = *self.start_micros.get_or_insert_with(|| net.now_micros());
         self.attempts += 1;
         let outcome = net.send_query(self.src, self.dst, payload);
@@ -379,17 +368,17 @@ impl ExchangeMachine {
                 && net.now_micros().saturating_sub(start) >= self.policy.budget_micros);
         self.outcome = Some(outcome);
         if finished {
-            ExchangeStep::Finished
+            FlowStep::Done
         } else {
-            ExchangeStep::Backoff {
-                resume_at_micros: net
+            FlowStep::Park {
+                at_micros: net
                     .now_micros()
                     .saturating_add(self.policy.backoff_micros(self.dst, self.attempts)),
             }
         }
     }
 
-    /// Consume the machine after [`ExchangeStep::Finished`].
+    /// Consume the machine after [`FlowStep::Done`].
     ///
     /// # Panics
     ///
@@ -517,10 +506,6 @@ pub struct Network {
     /// is full (entries are chronological starting there).
     trace_head: Cell<usize>,
     in_flight: RefCell<Vec<IpAddr>>,
-    /// Recycled reply buffers for [`Network::send_query`]: a stack, so
-    /// re-entrant exchanges (a resolver answering while querying
-    /// authoritatives) each get their own buffer without allocating.
-    reply_pool: RefCell<Vec<Vec<u8>>>,
     delivered: Cell<u64>,
     lost: Cell<u64>,
 }
@@ -550,7 +535,6 @@ impl Network {
             trace_cap: Cell::new(0),
             trace_head: Cell::new(0),
             in_flight: RefCell::new(Vec::new()),
-            reply_pool: RefCell::new(Vec::new()),
             delivered: Cell::new(0),
             lost: Cell::new(0),
         }
@@ -702,19 +686,17 @@ impl Network {
                     None => payload,
                 };
                 self.in_flight.borrow_mut().push(dst);
-                let mut reply_buf = self.take_reply_buf();
+                let mut reply_buf = Vec::with_capacity(512);
                 let reply = node.handle(self, src, datagram, &mut reply_buf);
                 if duplicate {
                     // The duplicate's reply is dropped; its side effects
                     // (logs, counters) are not.
-                    let mut scratch = self.take_reply_buf();
+                    let mut scratch = Vec::with_capacity(512);
                     let _ = node.handle(self, src, datagram, &mut scratch);
-                    self.recycle_reply_buf(scratch);
                 }
                 self.in_flight.borrow_mut().pop();
                 match reply {
                     None => {
-                        self.recycle_reply_buf(reply_buf);
                         self.advance_timeout();
                         Outcome::Timeout
                     }
@@ -734,7 +716,6 @@ impl Network {
                             }
                         }
                         _ => {
-                            self.recycle_reply_buf(reply_buf);
                             self.advance_timeout();
                             Outcome::Timeout
                         }
@@ -758,8 +739,8 @@ impl Network {
         let mut machine = ExchangeMachine::new(src, dst, *policy);
         loop {
             match machine.step(self, payload) {
-                ExchangeStep::Finished => return machine.into_report(),
-                ExchangeStep::Backoff { resume_at_micros } => self.advance_to(resume_at_micros),
+                FlowStep::Done => return machine.into_report(),
+                FlowStep::Park { at_micros } => self.advance_to(at_micros),
             }
         }
     }
@@ -887,24 +868,6 @@ impl Network {
             verdict,
         });
         Leg::Delivered { corrupt }
-    }
-
-    /// Grab a cleared reply buffer, reusing a recycled allocation when
-    /// one is available. Purely an allocation cache — never observable.
-    fn take_reply_buf(&self) -> Vec<u8> {
-        match self.reply_pool.borrow_mut().pop() {
-            Some(buf) => buf,
-            None => Vec::with_capacity(512),
-        }
-    }
-
-    /// Return a reply buffer to the pool for the next exchange.
-    fn recycle_reply_buf(&self, mut buf: Vec<u8>) {
-        let mut pool = self.reply_pool.borrow_mut();
-        if pool.len() < 8 {
-            buf.clear();
-            pool.push(buf);
-        }
     }
 
     /// Evaluate the active fault episodes for one datagram. Returns the

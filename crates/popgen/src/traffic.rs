@@ -117,12 +117,6 @@ impl TrafficModel {
         self.mix = mix;
         self
     }
-
-    /// The same model under a different Zipf exponent.
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.zipf_skew = skew;
-        self
-    }
 }
 
 /// One materialised client query.

@@ -230,11 +230,6 @@ impl AggressiveCache {
         self.synthesized.get()
     }
 
-    /// Number of zones with cached denial material.
-    pub fn zone_count(&self) -> usize {
-        self.zones.borrow().len()
-    }
-
     /// Number of distinct views cached for `zone` (0 when absent).
     pub fn view_count(&self, zone: &Name) -> usize {
         self.zones
@@ -435,7 +430,6 @@ mod tests {
         let cache = AggressiveCache::new();
         cache.insert(&apex, &params, &v1, 0, 300);
         cache.insert(&apex, &params, &v2, 0, 300);
-        assert_eq!(cache.zone_count(), 1);
         // The merge keeps one copy per owner hash, never fewer views
         // than either proof alone contributed.
         let merged = cache.view_count(&apex);
@@ -445,7 +439,6 @@ mod tests {
         assert_eq!(cache.view_count(&apex), merged);
         // Changing params replaces the set.
         cache.insert(&apex, &Nsec3Params::new(5, vec![]), &v1, 0, 300);
-        assert_eq!(cache.zone_count(), 1);
         assert_eq!(cache.view_count(&apex), v1.len());
     }
 

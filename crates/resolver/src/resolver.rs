@@ -266,11 +266,6 @@ impl Resolver {
         self.aggressive.synthesized_count()
     }
 
-    /// Zones with cached RFC 8198 denial material.
-    pub fn aggressive_zones(&self) -> usize {
-        self.aggressive.zone_count()
-    }
-
     /// Delegation-cache hit count: resolutions that restarted at a
     /// cached zone cut instead of walking from the root hints.
     pub fn delegation_hits(&self) -> u64 {

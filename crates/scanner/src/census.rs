@@ -7,8 +7,6 @@
 //! (exactly one NSEC3PARAM; all NSEC3 records agree with each other and
 //! with the NSEC3PARAM).
 
-use std::net::IpAddr;
-
 use dns_resolver::resolver::{ResolveOutcome, Resolver};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
@@ -346,12 +344,6 @@ pub fn exclusive_operator(ns_targets: &[Name]) -> Option<Name> {
         1 => Some(ops.remove(0)),
         _ => None,
     }
-}
-
-/// Convenience: the scanner address bundled with its resolver, mirroring
-/// the paper's zdns + Cloudflare setup.
-pub fn census_vantage(resolver: &Resolver) -> IpAddr {
-    resolver.config.addr
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@ use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rrtype::{Rcode, RrType};
 use netsim::event::FlowStep;
-use netsim::{ExchangeMachine, ExchangeStep, Network, Outcome, RetryPolicy};
+use netsim::{ExchangeMachine, Network, Outcome, RetryPolicy};
 
-use crate::retry::{ScanSession, SessionExchange, SessionStep};
+use crate::retry::{ScanSession, SessionExchange};
 
 /// The probe plan derived from the testbed: which names to query.
 #[derive(Clone, Debug)]
@@ -462,23 +462,15 @@ impl<'a> ProbeFlow<'a> {
         }
         let (payload, mut exchange) = self.pending.take().expect("pending exchange");
         let next = match &mut exchange {
-            PendingExchange::Session(ex) => match ex.step(net, &payload) {
-                SessionStep::Park { resume_at_micros } => Some(resume_at_micros),
-                SessionStep::Finished => None,
-            },
-            PendingExchange::Raw(machine) => match machine.step(net, &payload) {
-                ExchangeStep::Backoff { resume_at_micros } => Some(resume_at_micros),
-                ExchangeStep::Finished => None,
-            },
+            PendingExchange::Session(ex) => ex.step(net, &payload),
+            PendingExchange::Raw(machine) => machine.step(net, &payload),
         };
         match next {
-            Some(resume_at_micros) => {
+            FlowStep::Park { .. } => {
                 self.pending = Some((payload, exchange));
-                FlowStep::Park {
-                    at_micros: resume_at_micros,
-                }
+                next
             }
-            None => {
+            FlowStep::Done => {
                 let outcome = match exchange {
                     PendingExchange::Session(ex) => {
                         ex.finish(self.prober.session.expect("session exchange"), net)

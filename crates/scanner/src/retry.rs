@@ -29,7 +29,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use netsim::{ExchangeMachine, ExchangeStep, Network, Outcome, RetryPolicy};
+use netsim::event::FlowStep;
+use netsim::{ExchangeMachine, Network, Outcome, RetryPolicy};
 
 /// Loss-accounted probe counters for one scan (or one shard of one).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -177,8 +178,8 @@ impl ScanSession {
         policy: &RetryPolicy,
     ) -> Outcome {
         let mut ex = self.begin_exchange(net, src, dst, policy);
-        while let SessionStep::Park { resume_at_micros } = ex.step(net, payload) {
-            net.advance_to(resume_at_micros);
+        while let FlowStep::Park { at_micros } = ex.step(net, payload) {
+            net.advance_to(at_micros);
         }
         ex.finish(self, net)
     }
@@ -255,21 +256,6 @@ impl ScanSession {
     }
 }
 
-/// What one [`SessionExchange::step`] decided: park until the backoff is
-/// due, or collect the outcome with [`SessionExchange::finish`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionStep {
-    /// The attempt failed; send the next one once the virtual clock
-    /// reaches `resume_at_micros` (an event flow parks on the queue, the
-    /// blocking driver advances the clock).
-    Park {
-        /// Virtual due time of the next attempt, in µs.
-        resume_at_micros: u64,
-    },
-    /// The exchange is over.
-    Finished,
-}
-
 /// One in-flight logical query opened by [`ScanSession::begin_exchange`]:
 /// a [`netsim::ExchangeMachine`] plus the session's breaker bookkeeping.
 /// The caller owns the encoded payload across parks and hands it to each
@@ -288,17 +274,15 @@ impl SessionExchange {
         self.machine.is_none()
     }
 
-    /// Send one wire attempt (no-op returning
-    /// [`SessionStep::Finished`] for a breaker-skipped exchange).
-    pub fn step(&mut self, net: &Network, payload: &[u8]) -> SessionStep {
+    /// Send one wire attempt: [`FlowStep::Park`] until the backoff is
+    /// due (an event flow parks on the queue, the blocking driver
+    /// advances the clock), or [`FlowStep::Done`] — collect the outcome
+    /// with [`SessionExchange::finish`]. A breaker-skipped exchange is
+    /// done without touching the wire.
+    pub fn step(&mut self, net: &Network, payload: &[u8]) -> FlowStep {
         match &mut self.machine {
-            None => SessionStep::Finished,
-            Some(machine) => match machine.step(net, payload) {
-                ExchangeStep::Finished => SessionStep::Finished,
-                ExchangeStep::Backoff { resume_at_micros } => {
-                    SessionStep::Park { resume_at_micros }
-                }
-            },
+            None => FlowStep::Done,
+            Some(machine) => machine.step(net, payload),
         }
     }
 

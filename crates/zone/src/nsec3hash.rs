@@ -142,7 +142,8 @@ pub fn nsec3_hash(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
 
 /// The streaming reference implementation of [`nsec3_hash`]: a fresh
 /// [`Sha1`] per step, exactly as RFC 5155 §5 writes the recurrence. Kept as
-/// the oracle for differential tests and the CI perf-correctness smoke.
+/// the oracle for differential tests and the baseline of the
+/// `fastpath_vs_reference` bench rows.
 pub fn nsec3_hash_reference(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
     let mut compressions = 0u64;
     let mut h = Sha1::new();

@@ -188,16 +188,6 @@ impl Zone {
         Ok(())
     }
 
-    /// Remove every record of `rrtype` at `name`.
-    pub fn remove_rrset(&mut self, name: &Name, rrtype: RrType) {
-        if let Some(types) = self.rrsets.get_mut(name) {
-            types.remove(&rrtype);
-            if types.is_empty() {
-                self.rrsets.remove(name);
-            }
-        }
-    }
-
     /// Everything stored at exactly `owner`, if any record is.
     pub fn node(&self, owner: &Name) -> Option<ZoneNode<'_>> {
         self.rrsets.get(owner).map(|types| ZoneNode { types })

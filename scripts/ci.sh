@@ -44,94 +44,20 @@ else
     echo "== clippy not installed; skipping"
 fi
 
-echo "== bench smoke: engine parity gate and row smoke (reduced samples)"
-# bench_nsec3_hash refuses to start unless the single-block engine agrees
-# with the streaming reference (digests and compression counts) across the
-# salt-length boundary and every measured iteration count. bench_wire,
-# bench_zone_signing and bench_denial_proofs carry no gate and run so
-# their rows cannot rot: bench_wire's auth_answer_cached and
-# auth_answer_{nxdomain,referral}_unique rows drive the template hit and
-# the template-miss path (one decode, borrowed assembly, one encode) on
-# 65,536 fresh names; bench_denial_proofs runs the warm and the cold
-# (nxdomain_proof_synthesis_cold, nxdomain_verify_by_iterations_cold: a
-# next closer never hashed before) proof rows. Reduced samples keep this
-# a smoke test; the JSON reports land in a scratch dir, not the repo.
+echo "== bench smoke: every bench bin once, reduced samples"
+# A bench bin asserts nothing and has one mode, so this only keeps rows
+# from rotting; every claim is a cargo test beside its driver, run in
+# tier 1. bench_census_scale (44 s; its claim is
+# crates/bench/tests/census_memory.rs) is compile- and clippy-checked
+# only. The JSON reports land in a scratch dir, not the repo.
 SMOKE_DIR="$(mktemp -d)"
 ROOT="$(pwd)"
-(
-    cd "$SMOKE_DIR" \
-        && MICROBENCH_SAMPLES=5 "$ROOT/target/release/bench_nsec3_hash" >/dev/null \
-        && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_zone_signing" >/dev/null \
-        && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_wire" >/dev/null \
-        && MICROBENCH_SAMPLES=3 "$ROOT/target/release/bench_denial_proofs" >/dev/null
-)
+for bin in crates/bench/src/bin/bench_*.rs; do
+    bin="$(basename "$bin" .rs)"
+    [ "$bin" = bench_census_scale ] && continue
+    (cd "$SMOKE_DIR" && MICROBENCH_SAMPLES=3 "$ROOT/target/release/$bin" >/dev/null)
+done
 rm -rf "$SMOKE_DIR"
-
-echo "== adversarial-workload gate (reduced sample)"
-# bench_adversarial asserts the robustness claims internally and exits
-# nonzero if any regresses: every attack family must cost an undefended
-# resolver >= 10x the RFC 9276 baseline per query, the layered defense
-# (iteration clamp + work budget) must hold every family's total bill to
-# a small constant factor of baseline, and the hash-heavy families must
-# show real undefended/defended compressions-per-query savings above the
-# floor. One zone per family and four queries each keep this a smoke
-# test; the JSON lands in a scratch dir, not the repo.
-SMOKE_DIR="$(mktemp -d)"
-(
-    cd "$SMOKE_DIR" \
-        && HEROES_ADV_ZONES=1 HEROES_ADV_QUERIES=4 \
-            "$ROOT/target/release/bench_adversarial" >/dev/null
-)
-rm -rf "$SMOKE_DIR"
-
-echo "== iterative-recursion gate (reduced sample)"
-# bench_recursion stands the signed root→TLD→leaf hierarchy up and
-# exits nonzero unless the delegation cache actually pays: warm walks
-# must issue strictly fewer upstream queries than cold ones (with real
-# cache hits recorded), the cached fleet must beat the cacheless
-# upstream bill, and deep chains must amplify the per-walk message
-# count over shallow ones. Eight TLDs with two leaves each keep it a
-# smoke test; the JSON lands in a scratch dir, not the repo.
-SMOKE_DIR="$(mktemp -d)"
-(
-    cd "$SMOKE_DIR" \
-        && HEROES_REC_TLDS=8 HEROES_REC_LEAVES=2 \
-            "$ROOT/target/release/bench_recursion" >/dev/null
-)
-rm -rf "$SMOKE_DIR"
-
-echo "== streaming-census memory gate (100 K domains, fixed RSS ceiling)"
-# The streaming census must hold memory flat regardless of population:
-# shards pull domains from the O(1) generator one batch at a time and
-# fold records straight into tallies. A 100 K-domain run peaks around
-# 9 MB; the 128 MB ceiling is an order of magnitude of headroom, while
-# any regression to materialising the population (specs, labs, or
-# records) blows straight through it. Gated at 1 and 4 threads.
-HEROES_THREADS=1 "$ROOT/target/release/bench_census_scale" --smoke --rss-ceiling-mb 128
-HEROES_THREADS=4 "$ROOT/target/release/bench_census_scale" --smoke --rss-ceiling-mb 128
-
-echo "== lab stand-up gate (64 vs 2,048 domains, build cost per zone)"
-# bench_census --smoke builds the census batch lab for the first 64 and
-# the first 2,048 domains of the population and exits nonzero if a zone
-# costs more than twice as much to build in the large lab as in the
-# small one (a ratio, so host speed cancels; the ratio is 1.1x, and
-# wiring delegations by scanning every apex per zone read 2.7x).
-"$ROOT/target/release/bench_census" --smoke
-
-echo "== serving-driver gate (reduced sample, collapse + RSS)"
-# bench_serving --smoke pushes an NXDOMAIN-heavy Zipf workload through a
-# small resolver fleet twice — aggressive NSEC3 synthesis on and off —
-# and exits nonzero unless RFC 8198 caching collapses upstream NXDOMAIN
-# traffic by at least 2x, a no-op event-core step with 32 768 flows in
-# flight costs at most 8x the step at 64 (a ratio, so host speed
-# cancels; a queue that scans for its minimum reads in the hundreds),
-# and peak RSS stays under the ceiling. The reduced sample (1 600
-# queries) keeps it a smoke test; the full benchmark (1 M queries,
-# latency and flat-memory gates) writes the committed
-# BENCH_serving.json. Gated at 1 and 4 threads so the fleet merge path
-# is exercised both ways.
-"$ROOT/target/release/bench_serving" --smoke --rss-ceiling-mb 128 --threads 1
-"$ROOT/target/release/bench_serving" --smoke --rss-ceiling-mb 128 --threads 4
 
 echo "== repository benchmark (BENCHMARK.json): unit tests + smoke run"
 # benchmark/ is its own workspace, so the tier-1 steps above do not
@@ -211,5 +137,28 @@ if [ "$pointer_arms" != "1" ]; then
 fi
 awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
     END { print "crates/wire/src: " n " non-test lines" }' crates/wire/src/*.rs
+
+echo "== bench-shape guard (crates/bench/src, BENCH_*.json)"
+# One bench harness (microbench.rs): Suite::finish is the only writer of
+# a BENCH_*.json and MICROBENCH_SAMPLES the only variable the crate
+# reads; a bin has no gate, no reduced mode and no knob of its own
+# (the crate's one process::exit is Options::parse's --help, in lib.rs).
+if grep -rn 'env::var' crates/bench/src | grep -v '^crates/bench/src/microbench.rs:'; then
+    echo "error: the environment is read outside microbench.rs" >&2
+    exit 1
+fi
+writers="$(grep -rc 'fs::write' crates/bench/src | grep -v ':0$' | sort | tr '\n' ' ')"
+if [ "$writers" != "crates/bench/src/lib.rs:1 crates/bench/src/microbench.rs:1 " ]; then
+    echo "error: fs::write outside Suite::finish and write_artifact: $writers" >&2
+    exit 1
+fi
+if grep -rnE 'process::exit|--smoke|--rss-ceiling-mb|env_knob|HEROES_ADV_|HEROES_REC_' crates/bench/src/bin; then
+    echo "error: a gate, a reduced mode or a knob is back in a bench bin" >&2
+    exit 1
+fi
+for f in BENCH_*.json; do
+    grep -q '"host_cores"' "$f" || { echo "error: $f has no host_cores" >&2; exit 1; }
+done
+echo "crates/bench/src/bin/bench_*.rs: $(cat crates/bench/src/bin/bench_*.rs | wc -l) lines"
 
 echo "ci.sh: all checks passed"

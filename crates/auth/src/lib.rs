@@ -23,7 +23,7 @@ use dns_wire::record::Record;
 use dns_wire::rrtype::{Class, Rcode, RrType};
 use dns_zone::denial::{self, DenialProof};
 use dns_zone::signer::SignedZone;
-use dns_zone::{Zone, ZoneError, ZoneNode};
+use dns_zone::ZoneError;
 use netsim::{Network, Node};
 
 /// One logged query, as the paper's server-side logging captures it.
@@ -184,7 +184,11 @@ impl AuthServer {
             }
             return resp;
         }
-        answer_in_zone(zone, question, dnssec, &mut resp, expanded);
+        // One sort key serves every probe of the owner index this answer
+        // makes for `qname` and its ancestors.
+        question
+            .qname
+            .with_sort_key(|key| answer_in_zone(zone, question, key, dnssec, &mut resp, expanded));
         resp
     }
 }
@@ -217,6 +221,7 @@ fn prove<'a>(
 fn answer_in_zone<'a>(
     zone: &'a SignedZone,
     question: &Question,
+    qname_key: &[u8],
     dnssec: bool,
     resp: &mut Assembly<'a>,
     expanded: &'a mut Vec<Record>,
@@ -234,14 +239,15 @@ fn answer_in_zone<'a>(
     //    *for* the DS of a delegation is answered authoritatively by
     //    the parent). NS, DS and their RRSIGs all come from the cut's
     //    node; A and AAAA glue from one node per target.
-    let own = z.node(qname);
-    if let Some((cut, node)) = delegation_cut(z, qname, own) {
-        if !(cut == *qname && qtype == RrType::DS) {
+    let own = z.node_by_key(qname_key);
+    if let Some(node) = z.delegation_cut(qname, qname_key, own) {
+        let cut = node.owner();
+        if !(cut == qname && qtype == RrType::DS) {
             resp.aa = false;
             resp.authorities.extend(node.with_sigs(RrType::NS, dnssec));
             if node.rrset(RrType::DS).is_none() {
                 // Opt-out/insecure delegation: prove DS absence.
-                prove(resp, dnssec, || denial::nodata_proof(zone, &cut));
+                prove(resp, dnssec, || denial::nodata_proof(zone, cut));
             } else if dnssec {
                 resp.authorities.extend(node.with_sigs(RrType::DS, true));
             }
@@ -277,18 +283,15 @@ fn answer_in_zone<'a>(
     }
 
     // 3. Empty non-terminal => NODATA with empty bitmap proof.
-    if z.name_exists(qname) {
+    if z.name_exists_by_key(qname_key) {
         soa(resp);
         prove(resp, dnssec, || denial::nodata_proof(zone, qname));
         return;
     }
 
     // 4. Wildcard synthesis. `qname` does not exist, so its closest
-    //    encloser is its parent's.
-    let ce = match qname.ancestors().next() {
-        Some(parent) => z.closest_encloser(&parent),
-        None => z.apex().clone(),
-    };
+    //    encloser is a strict ancestor.
+    let ce = z.encloser_of_missing(qname, qname_key);
     if let Some((wildcard, node)) = ce
         .prepend(b"*")
         .ok()
@@ -338,29 +341,6 @@ fn best_zone<'a>(zones: &'a HashMap<Name, Rc<SignedZone>>, qname: &Name) -> Opti
                 .find_map(|candidate| zones.get(&candidate))
         })
         .map(Rc::as_ref)
-}
-
-/// The delegation cut at or above `qname` inside the zone, if any, with
-/// the node stored there (nearest to the apex wins — a resolver descends
-/// one cut at a time). `own` is `qname`'s node, which the caller has
-/// looked up already.
-fn delegation_cut<'z>(
-    z: &'z Zone,
-    qname: &Name,
-    own: Option<ZoneNode<'z>>,
-) -> Option<(Name, ZoneNode<'z>)> {
-    // Walking up from `qname`, the last cut seen is the one nearest the
-    // apex; the apex itself is never a cut.
-    let below_apex = z.depth_below_apex(qname).saturating_sub(1);
-    let mut cut = own
-        .filter(|node| qname != z.apex() && node.rrset(RrType::NS).is_some())
-        .map(|node| (qname.clone(), node));
-    for candidate in qname.ancestors().take(below_apex) {
-        if let Some(node) = z.delegation(&candidate) {
-            cut = Some((candidate, node));
-        }
-    }
-    cut
 }
 
 impl Node for AuthServer {

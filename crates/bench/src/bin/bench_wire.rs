@@ -97,10 +97,9 @@ fn main() {
         });
     }
 
-    // What a zone's owner index and the server's zone map pay per probe:
-    // one canonical comparison of two owners under the same TLD (they
-    // differ in the leftmost label, after one shared label), and one
-    // SipHash of a 20-octet name.
+    // What a sort of names pays per comparison — `canonical_cmp` of two
+    // owners under the same TLD (they differ in the leftmost label, after
+    // one shared label): two sort keys built on the stack and compared.
     let siblings: Vec<_> = (0..64)
         .map(|i| name(&format!("domain-{i:04}.example.")))
         .collect();
@@ -109,6 +108,20 @@ fn main() {
         at = (at + 1) % (siblings.len() - 1);
         black_box(&siblings[at]).canonical_cmp(black_box(&siblings[at + 1]))
     });
+    // What a probe of a keyed map pays instead: one key built on the
+    // stack for the whole descent, then one slice comparison per level
+    // against a stored key.
+    suite.bench("name_sort_key_build", || {
+        at = (at + 1) % siblings.len();
+        black_box(&siblings[at]).with_sort_key(|key| black_box(key).len())
+    });
+    let keys: Vec<_> = siblings.iter().map(|n| n.sort_key()).collect();
+    suite.bench("sort_key_cmp_same_tld", || {
+        at = (at + 1) % (keys.len() - 1);
+        black_box(&keys[at]).cmp(black_box(&keys[at + 1]))
+    });
+    // What the server's zone map pays per probe: one SipHash of a
+    // 20-octet name.
     let hasher = std::collections::hash_map::RandomState::new();
     let hashed = name("domain-0042.example.");
     suite.bench("name_hash", || {

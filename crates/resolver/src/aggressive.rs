@@ -28,7 +28,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use dns_wire::name::Name;
+use dns_wire::name::{ancestor_keys, Name, SortKey};
 use dns_zone::nsec3hash::Nsec3Params;
 
 use crate::cost::CostMeter;
@@ -102,7 +102,9 @@ fn sort_views(views: &mut Vec<Nsec3View>) {
 /// RFC 8198 synthesis.
 #[derive(Debug, Default)]
 pub struct AggressiveCache {
-    zones: RefCell<HashMap<Name, ZoneDenials>>,
+    /// Keyed by the apex's canonical sort key, so the zone above a name
+    /// is found by probing the prefixes of that name's key.
+    zones: RefCell<HashMap<SortKey, ZoneDenials>>,
     synthesized: std::cell::Cell<u64>,
 }
 
@@ -125,7 +127,7 @@ impl AggressiveCache {
     ) {
         let mut zones = self.zones.borrow_mut();
         let expires_micros = now_micros + ttl_secs as u64 * 1_000_000;
-        match zones.get_mut(zone) {
+        match zone.with_sort_key(|key| zones.get_mut(key)) {
             Some(existing) if existing.params == *params => {
                 existing.expires_micros = expires_micros;
                 merge_views(&mut existing.views, views);
@@ -134,7 +136,7 @@ impl AggressiveCache {
                 let mut sorted = views.to_vec();
                 sort_views(&mut sorted);
                 zones.insert(
-                    zone.clone(),
+                    zone.sort_key(),
                     ZoneDenials {
                         params: params.clone(),
                         views: sorted,
@@ -165,7 +167,7 @@ impl AggressiveCache {
         meter: &CostMeter,
     ) -> bool {
         let zones = self.zones.borrow();
-        let denials = match zones.get(zone) {
+        let denials = match zone.with_sort_key(|key| zones.get(key)) {
             Some(d) if d.expires_micros > now_micros => d,
             _ => return false,
         };
@@ -213,16 +215,18 @@ impl AggressiveCache {
     }
 
     /// The longest cached (and unexpired) zone that is an ancestor of
-    /// `qname`, if any.
+    /// `qname`, if any: one probe per label of `qname`, deepest first,
+    /// however many zones are cached.
     pub fn zone_for(&self, qname: &Name, now_micros: u64) -> Option<Name> {
-        self.zones
-            .borrow()
-            .iter()
-            .filter(|(z, d)| {
-                d.expires_micros > now_micros && qname.is_subdomain_of(z) && *z != qname
+        let zones = self.zones.borrow();
+        let up = qname.with_sort_key(|key| {
+            ancestor_keys(key).skip(1).position(|apex| {
+                zones
+                    .get(apex)
+                    .is_some_and(|d| d.expires_micros > now_micros)
             })
-            .max_by_key(|(z, _)| z.label_count())
-            .map(|(z, _)| z.clone())
+        })?;
+        qname.ancestor(up + 1)
     }
 
     /// NXDOMAINs synthesized so far.
@@ -232,10 +236,7 @@ impl AggressiveCache {
 
     /// Number of distinct views cached for `zone` (0 when absent).
     pub fn view_count(&self, zone: &Name) -> usize {
-        self.zones
-            .borrow()
-            .get(zone)
-            .map(|d| d.views.len())
+        zone.with_sort_key(|key| self.zones.borrow().get(key).map(|d| d.views.len()))
             .unwrap_or(0)
     }
 }
@@ -443,6 +444,65 @@ mod tests {
     }
 
     #[test]
+    fn zone_for_finds_the_deepest_live_ancestor() {
+        let cache = AggressiveCache::new();
+        let params = Nsec3Params::rfc9276();
+        for (zone, ttl) in [("example.", 300), ("b.example.", 300), ("c.b.example.", 1)] {
+            cache.insert(&name(zone), &params, &[], 0, ttl);
+        }
+        let zone_for = |q: &str, now| cache.zone_for(&name(q), now);
+        assert_eq!(zone_for("x.C.B.example.", 1), Some(name("c.b.example.")));
+        // Expired: the next live zone up. Strict ancestors only.
+        assert_eq!(
+            zone_for("x.c.b.example.", 2_000_000),
+            Some(name("b.example."))
+        );
+        assert_eq!(zone_for("b.example.", 1), Some(name("example.")));
+        assert_eq!(zone_for("xb.example.", 1), Some(name("example.")));
+        assert_eq!(zone_for("example.", 1), None);
+        assert_eq!(zone_for("x.example.org.", 1), None);
+    }
+
+    /// `zone_for` runs on every answer-cache miss, so its cost must not
+    /// grow with the number of zones a resolver has seen: it probes one
+    /// key per label of the name, it does not scan the zones.
+    #[test]
+    fn zone_for_cost_is_flat_in_cached_zones() {
+        fn ns_per_lookup(zones: usize) -> f64 {
+            let cache = AggressiveCache::new();
+            let params = Nsec3Params::rfc9276();
+            for i in 0..zones {
+                cache.insert(&name(&format!("z{i}.example.")), &params, &[], 0, 300);
+            }
+            // Half the names sit under a cached zone, half under none.
+            let probes: Vec<Name> = (0..zones.min(64))
+                .flat_map(|i| [format!("www.z{i}.example."), format!("www.y{i}.example.")])
+                .map(|q| name(&q))
+                .collect();
+            let rounds = 40_000 / probes.len();
+            (0..9)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let mut found = 0;
+                    for _ in 0..rounds {
+                        for q in &probes {
+                            found += usize::from(cache.zone_for(q, 1).is_some());
+                        }
+                    }
+                    assert_eq!(found, rounds * probes.len() / 2);
+                    start.elapsed().as_nanos() as f64 / (rounds * probes.len()) as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let (few, many) = (ns_per_lookup(20), ns_per_lookup(2_000));
+        println!("zone_for: {few:.0} ns at 20 zones, {many:.0} ns at 2,000");
+        assert!(
+            many <= 4.0 * few,
+            "zone_for costs {many:.0} ns at 2,000 zones against {few:.0} ns at 20"
+        );
+    }
+
+    #[test]
     fn sorted_probes_agree_with_linear_scans() {
         // Differential check of the binary-search hot path against the
         // obvious linear predicates, across every inserted chain hash
@@ -458,7 +518,7 @@ mod tests {
         let cache = AggressiveCache::new();
         cache.insert(&apex, &params, &views, 0, 300);
         let zones = cache.zones.borrow();
-        let sorted = &zones.get(&apex).unwrap().views;
+        let sorted = &zones.get(&apex.sort_key()).unwrap().views;
         assert!(
             sorted.windows(2).all(|w| w[0].owner_hash < w[1].owner_hash),
             "views must be strictly sorted by owner hash"

@@ -4,8 +4,11 @@
 //! methodology uses a unique label per resolver and why its census
 //! expected "a fraction of our queries \[to\] be resolved from \[Cloudflare's\]
 //! internal cache" (Appendix A). The resolver uses one [`TtlCache`] for
-//! final answers and one for validated zone keys.
+//! final answers and one for validated zone keys, both keyed by the
+//! name's canonical sort key, so a probe is one key built on the stack
+//! and a `memcmp` per tree level.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -42,8 +45,15 @@ impl<K: Ord + Clone, V: Clone> TtlCache<K, V> {
         }
     }
 
-    /// Fetch `key` if present and not expired at `now_micros`.
-    pub fn get(&self, key: &K, now_micros: u64) -> Option<V> {
+    /// Fetch `key` if present and not expired at `now_micros`. Takes any
+    /// borrowed form of the key, as `BTreeMap::get` does: the resolver's
+    /// caches store [`dns_wire::name::SortKey`]s and are probed with key
+    /// bytes built on the stack.
+    pub fn get<Q>(&self, key: &Q, now_micros: u64) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         if self.capacity == 0 {
             return None;
         }

@@ -5,11 +5,13 @@
 //! Real recursors keep NS RRsets (and the validated DS sets covering
 //! them) cached per zone cut; without this every resolution re-walks
 //! root → TLD → leaf and the root servers see every query. Storage is a
-//! [`TtlCache`] keyed by zone apex — the same BTreeMap discipline, so
-//! at-capacity eviction is a pure function of the cache contents and
-//! sharded drivers stay byte-identical at any thread count or window.
+//! [`TtlCache`] keyed by the apex's canonical sort key — the same BTreeMap
+//! discipline, so at-capacity eviction is a pure function of the cache
+//! contents and sharded drivers stay byte-identical at any thread count
+//! or window — and the deepest cut above a name is found by probing the
+//! prefixes of that name's one key.
 
-use dns_wire::name::Name;
+use dns_wire::name::{ancestor_keys, Name, SortKey};
 use dns_wire::record::Record;
 use std::net::IpAddr;
 
@@ -36,7 +38,7 @@ pub struct Delegation {
 /// per-ancestor probes would otherwise overcount misses).
 #[derive(Debug)]
 pub struct DelegationCache {
-    entries: TtlCache<Name, Delegation>,
+    entries: TtlCache<SortKey, Delegation>,
     hits: std::cell::Cell<u64>,
     misses: std::cell::Cell<u64>,
 }
@@ -56,24 +58,23 @@ impl DelegationCache {
     /// the apex it is cached under. One hit or miss is recorded per
     /// call, not per ancestor probed.
     pub fn deepest(&self, qname: &Name, now_micros: u64) -> Option<(Name, Delegation)> {
-        let mut cursor = Some(qname.clone());
-        while let Some(n) = cursor {
-            if n.is_root() {
-                break;
-            }
-            if let Some(d) = self.entries.get(&n, now_micros) {
-                self.record(true);
-                return Some((n, d));
-            }
-            cursor = n.parent();
-        }
-        self.record(false);
-        None
+        // Every ancestor's key is a prefix of `qname`'s: one key, one
+        // probe per label, and a `Name` only for the cut that is found.
+        let found = qname.with_sort_key(|key| {
+            ancestor_keys(key)
+                .take_while(|cut| !cut.is_empty())
+                .enumerate()
+                .find_map(|(up, cut)| Some((up, self.entries.get(cut, now_micros)?)))
+        });
+        self.record(found.is_some());
+        let (up, delegation) = found?;
+        Some((qname.ancestor(up)?, delegation))
     }
 
     /// Record the cut learned from a referral.
-    pub fn insert(&self, apex: Name, delegation: Delegation, now_micros: u64, ttl_secs: u32) {
-        self.entries.put(apex, delegation, now_micros, ttl_secs);
+    pub fn insert(&self, apex: &Name, delegation: Delegation, now_micros: u64, ttl_secs: u32) {
+        self.entries
+            .put(apex.sort_key(), delegation, now_micros, ttl_secs);
     }
 
     fn record(&self, hit: bool) {
@@ -129,8 +130,8 @@ mod tests {
     #[test]
     fn deepest_ancestor_wins() {
         let cache = DelegationCache::new(8);
-        cache.insert(n("com."), d("192.0.2.1"), 0, 3600);
-        cache.insert(n("example.com."), d("192.0.2.2"), 0, 3600);
+        cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
+        cache.insert(&n("example.com."), d("192.0.2.2"), 0, 3600);
         let (apex, hit) = cache.deepest(&n("www.example.com."), 1).unwrap();
         assert_eq!(apex, n("example.com."));
         assert_eq!(hit.servers, vec!["192.0.2.2".parse::<IpAddr>().unwrap()]);
@@ -151,8 +152,8 @@ mod tests {
     #[test]
     fn ttl_expiry_falls_back() {
         let cache = DelegationCache::new(8);
-        cache.insert(n("com."), d("192.0.2.1"), 0, 3600);
-        cache.insert(n("example.com."), d("192.0.2.2"), 0, 1);
+        cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
+        cache.insert(&n("example.com."), d("192.0.2.2"), 0, 1);
         let (apex, _) = cache.deepest(&n("www.example.com."), 2_000_000).unwrap();
         assert_eq!(apex, n("com."), "expired deep cut skipped");
     }
@@ -160,7 +161,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let cache = DelegationCache::new(0);
-        cache.insert(n("com."), d("192.0.2.1"), 0, 3600);
+        cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
         assert!(cache.deepest(&n("www.com."), 1).is_none());
         assert!(cache.is_empty());
     }

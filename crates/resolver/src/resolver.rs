@@ -13,7 +13,7 @@ use std::rc::Rc;
 use dns_crypto::sha256::sha256;
 use dns_wire::edns::EdeCode;
 use dns_wire::message::{unframe_tcp, Message};
-use dns_wire::name::Name;
+use dns_wire::name::{Name, SortKey};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Rcode, RrType};
@@ -206,9 +206,14 @@ pub struct Resolver {
     /// outcomes with their cost zeroed — a hit costs nothing. Behind an
     /// `Rc` so the cache's tree nodes hold pointers, not 136-byte
     /// outcomes (a resolver fleet's peak RSS is mostly these trees).
-    answer_cache: TtlCache<(Name, RrType), Rc<ResolveOutcome>>,
-    /// Validated DNSKEY sets per zone (the big recursion saver).
-    key_cache: TtlCache<Name, Rc<ZoneKeys>>,
+    ///
+    /// Keyed by [`Name::rrset_sort_key`], which orders as `(Name, RrType)`
+    /// does: eviction victims are what they were under that pair, and a
+    /// probe compares bytes.
+    answer_cache: TtlCache<SortKey, Rc<ResolveOutcome>>,
+    /// Validated DNSKEY sets per zone (the big recursion saver), keyed by
+    /// [`Name::sort_key`].
+    key_cache: TtlCache<SortKey, Rc<ZoneKeys>>,
     /// Referral state per zone cut, for warm-restart recursion (inert
     /// unless [`ResolverConfig::delegation_cache`] is set).
     delegations: DelegationCache,
@@ -301,7 +306,8 @@ impl Resolver {
         } else {
             qname.clone()
         };
-        let query = Message::query(id, sent_qname.clone(), qtype);
+        let query = Message::query(id, sent_qname, qtype);
+        let sent_qname = &query.questions[0].qname;
         // Encode once, TCP-framed: the UDP datagram is the framed buffer
         // minus its 2-byte length prefix, so a TC fallback reuses the
         // same bytes instead of re-encoding.
@@ -354,7 +360,7 @@ impl Resolver {
         let matches = if self.config.case_randomization {
             echoed.wire_bytes() == sent_qname.wire_bytes()
         } else {
-            *echoed == sent_qname
+            echoed == sent_qname
         };
         matches.then_some(resp)
     }
@@ -399,9 +405,10 @@ impl Resolver {
         qname: &Name,
         qtype: RrType,
     ) -> Recursion<'a> {
-        let key = (qname.clone(), qtype);
-        if let Some(hit) = self.answer_cache.get(&key, net.now_micros()) {
-            return Recursion::settled(self, qname.clone(), qtype, (*hit).clone());
+        let hit =
+            qname.with_rrset_sort_key(qtype, |key| self.answer_cache.get(key, net.now_micros()));
+        if let Some(hit) = hit {
+            return Recursion::settled(self, (*hit).clone());
         }
         if self.config.aggressive_nsec3 {
             let before = self.meter.snapshot();
@@ -412,8 +419,6 @@ impl Resolver {
                 {
                     return Recursion::settled(
                         self,
-                        qname.clone(),
-                        qtype,
                         ResolveOutcome {
                             rcode: Rcode::NxDomain,
                             authenticated: true,
@@ -434,7 +439,7 @@ impl Resolver {
         let before = self.meter.snapshot();
         Recursion {
             resolver: self,
-            qname: qname.clone(),
+            cache_key: qname.rrset_sort_key(qtype),
             qtype,
             before,
             target: qname.clone(),
@@ -658,7 +663,7 @@ impl Resolver {
                     .min()
                     .unwrap_or(3600);
                 self.delegations.insert(
-                    cut.clone(),
+                    &cut,
                     Delegation {
                         servers: next_servers.clone(),
                         secure: matches!(next_chain, Chain::Secure(_)),
@@ -1017,12 +1022,15 @@ impl Resolver {
         servers: &[IpAddr],
         anchor: &TrustAnchor,
     ) -> Result<Rc<ZoneKeys>, ValidationError> {
-        if let Some(keys) = self.key_cache.get(&anchor.zone, net.now_micros()) {
+        let cached = anchor
+            .zone
+            .with_sort_key(|key| self.key_cache.get(key, net.now_micros()));
+        if let Some(keys) = cached {
             return Ok(keys);
         }
         let keys = Rc::new(self.fetch_keys_via_anchor(net, servers, anchor)?);
         self.key_cache
-            .put(anchor.zone.clone(), keys.clone(), net.now_micros(), 3600);
+            .put(anchor.zone.sort_key(), keys.clone(), net.now_micros(), 3600);
         Ok(keys)
     }
 
@@ -1034,12 +1042,13 @@ impl Resolver {
         child: &Name,
         ds_records: &[R],
     ) -> Result<Rc<ZoneKeys>, ValidationError> {
-        if let Some(keys) = self.key_cache.get(child, net.now_micros()) {
+        let cached = child.with_sort_key(|key| self.key_cache.get(key, net.now_micros()));
+        if let Some(keys) = cached {
             return Ok(keys);
         }
         let keys = Rc::new(self.fetch_child_keys(net, servers, child, ds_records)?);
         self.key_cache
-            .put(child.clone(), keys.clone(), net.now_micros(), 3600);
+            .put(child.sort_key(), keys.clone(), net.now_micros(), 3600);
         Ok(keys)
     }
 
@@ -1262,7 +1271,9 @@ pub enum RecursionStep {
 /// machine at a time per resolver.
 pub struct Recursion<'a> {
     resolver: &'a Resolver,
-    qname: Name,
+    /// Where the outcome goes in the answer cache: the question's
+    /// [`Name::rrset_sort_key`].
+    cache_key: SortKey,
     qtype: RrType,
     /// Cost snapshot when the budget was armed.
     before: CostSnapshot,
@@ -1281,30 +1292,22 @@ pub struct Recursion<'a> {
 }
 
 impl<'a> Recursion<'a> {
-    /// A machine that already holds its outcome.
-    fn settled(
-        resolver: &'a Resolver,
-        qname: Name,
-        qtype: RrType,
-        outcome: ResolveOutcome,
-    ) -> Self {
+    /// A machine that already holds its outcome. It never walks or
+    /// caches, so it carries no copy of the question (the empty key and
+    /// the root name allocate nothing).
+    fn settled(resolver: &'a Resolver, outcome: ResolveOutcome) -> Self {
         Recursion {
             resolver,
-            qname: qname.clone(),
-            qtype,
+            cache_key: SortKey::default(),
+            qtype: RrType::A,
             before: CostSnapshot::default(),
-            target: qname,
+            target: Name::root(),
             hops: 0,
             answers: Vec::new(),
             walk: None,
             settled: Some(outcome),
             armed: false,
         }
-    }
-
-    /// The question this machine is resolving.
-    pub fn question(&self) -> (&Name, RrType) {
-        (&self.qname, self.qtype)
     }
 
     /// Advance by at most one delegation level.
@@ -1376,7 +1379,7 @@ impl<'a> Recursion<'a> {
         // The cache keeps its own copy of the outcome (minus the cost):
         // the one clone on this path.
         self.resolver.answer_cache.put(
-            (self.qname.clone(), self.qtype),
+            std::mem::take(&mut self.cache_key),
             Rc::new(ResolveOutcome {
                 cost: CostSnapshot::default(),
                 ..outcome.clone()
@@ -1460,36 +1463,21 @@ fn ancestor_below(qname: &Name, zone: &Name, below: usize) -> Option<Name> {
         return None;
     }
     let want = zone.label_count() + below;
-    if qname.label_count() <= want {
-        return Some(qname.clone());
-    }
-    let mut n = qname.clone();
-    while n.label_count() > want {
-        n = n.parent()?;
-    }
-    Some(n)
+    qname.ancestor(qname.label_count().saturating_sub(want))
 }
 
 /// dns-0x20: flip the case of each letter of `name` according to bits
 /// derived deterministically from the name and the query id.
 fn randomize_case(name: &Name, id: u16) -> Name {
     let mut bits = 0x9e37_79b9u32 ^ (id as u32) << 7;
-    let labels: Vec<Vec<u8>> = name
-        .labels()
-        .map(|l| {
-            l.iter()
-                .map(|&b| {
-                    bits = bits.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                    if b.is_ascii_alphabetic() && bits & 0x10000 != 0 {
-                        b ^ 0x20
-                    } else {
-                        b
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    Name::from_labels(labels).unwrap_or_else(|_| name.clone())
+    name.map_label_octets(|b| {
+        bits = bits.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        if b.is_ascii_alphabetic() && bits & 0x10000 != 0 {
+            b ^ 0x20
+        } else {
+            b
+        }
+    })
 }
 
 /// Cache TTL for an outcome: the minimum answer TTL, 300 s for negatives

@@ -6,10 +6,12 @@
 //! DNSSEC signing and NSEC3 hashing is the lowercased, uncompressed wire
 //! form (RFC 4034 §6.2).
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
+use crate::rrtype::RrType;
 use crate::WireError;
 
 /// Maximum length of a single label, in bytes.
@@ -37,46 +39,97 @@ pub struct Name {
     wire: Box<[u8]>,
 }
 
-/// Labels a name may have for the comparison kernel to gather its offsets
-/// into one 16-byte array — every name a census or a resolver study
-/// compares. Deeper names take a [`MAX_LABELS`] table.
-const INLINE_LABELS: usize = 16;
+/// The canonical sort key of a name: its labels right to left, each
+/// octet ASCII-lowercased, `0x00` and `0x01` escaped as `01 01` and
+/// `01 02`, every label closed by `0x00`. The root's key is empty.
+///
+/// This is the one definition of RFC 4034 §6.1 order in the workspace.
+/// Comparing two keys bytewise *is* [`Name::canonical_cmp`] of the names;
+/// equal names have equal keys; the key of an ancestor is a byte prefix
+/// of its descendants' keys, ending on a terminator; and so the
+/// descendants of a name are one contiguous key range. The escape is
+/// what lets `0x00` terminate a label although labels are 8-bit clean:
+/// a label that is a prefix of another ends in the smallest octet there
+/// is, and shifting `0x00`/`0x01` up behind a `0x01` lead keeps every
+/// other octet — and the order among those two — where it was.
+///
+/// Every ordered map of names is keyed by this type and probed with a
+/// borrowed `&[u8]` built on the stack ([`Name::with_sort_key`]), so a
+/// probe allocates nothing and each comparison of its descent is a
+/// `memcmp`. An RRset key ([`Name::rrset_sort_key`]) appends `00` and the
+/// type, big-endian, and sorts exactly as `(Name, RrType)` does.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+pub struct SortKey(Box<[u8]>);
 
-/// Every label takes at least two bytes and the buffer is at most 254
-/// long, so a table of this many offsets fits any name.
-const MAX_LABELS: usize = 128;
-
-/// Label start offsets of a wire buffer, on the stack (every offset fits
-/// in a `u8`), or `None` for a name of more than `N` labels. The table is
-/// zero-filled first, which is why the common case asks for a small one.
-fn label_offsets<const N: usize>(wire: &[u8]) -> Option<([u8; N], usize)> {
-    let mut offsets = [0u8; N];
-    let mut count = 0;
-    let mut pos = 0usize;
-    while pos < wire.len() {
-        *offsets.get_mut(count)? = pos as u8;
-        count += 1;
-        pos += 1 + wire[pos] as usize;
+impl SortKey {
+    /// An owned copy of a key built on the stack, or of one of its
+    /// [`ancestor_keys`].
+    pub fn from_bytes(key: &[u8]) -> Self {
+        SortKey(key.into())
     }
-    Some((offsets, count))
+
+    /// The key bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
 }
 
-fn label_at(wire: &[u8], offset: u8) -> &[u8] {
-    let pos = offset as usize;
-    &wire[pos + 1..pos + 1 + wire[pos] as usize]
+impl Borrow<[u8]> for SortKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
 }
 
-/// RFC 4034 §6.1 over two wire buffers and their label offsets: labels
-/// compared right to left, a missing label sorting first.
-fn cmp_labels_from_right(a: &[u8], a_offs: &[u8], b: &[u8], b_offs: &[u8]) -> std::cmp::Ordering {
-    for (&ao, &bo) in a_offs.iter().rev().zip(b_offs.iter().rev()) {
-        let (x, y) = (label_at(a, ao), label_at(b, bo));
-        let ord = cmp_label(x, y);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
+/// The keys of a name and of its ancestors, given the name's own key:
+/// the key itself first, then one label fewer each time, the root's empty
+/// key last. The `n`-th item is the key of [`Name::ancestor`]`(n)`. An
+/// unescaped `0x00` only ever closes a label, so no name is rebuilt.
+pub fn ancestor_keys(key: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut next = Some(key);
+    std::iter::from_fn(move || {
+        let key = next?;
+        next = key.split_last().map(|(_, open)| {
+            let parent = open.iter().rposition(|&b| b == 0).map_or(0, |at| at + 1);
+            &key[..parent]
+        });
+        Some(key)
+    })
+}
+
+/// Write the sort key of `wire` so that it ends where `buf` ends, and
+/// return where it starts. `buf` must hold `2 * wire.len()` octets: a
+/// label of `n` octets takes at most `2n + 1`.
+fn write_sort_key(wire: &[u8], buf: &mut [u8]) -> usize {
+    // Labels are stored left to right and keyed right to left, so the
+    // key is filled from its end and no table of label starts is needed.
+    let mut at = buf.len();
+    let mut rest = wire;
+    while let Some((&len, tail)) = rest.split_first() {
+        let (label, tail) = tail.split_at(len as usize);
+        rest = tail;
+        at -= 1;
+        buf[at] = 0;
+        let plain = at - label.len();
+        let mut escapes = false;
+        for (dst, &b) in buf[plain..at].iter_mut().zip(label) {
+            *dst = b.to_ascii_lowercase();
+            escapes |= b <= 1;
+        }
+        if !escapes {
+            at = plain;
+            continue;
+        }
+        for &b in label.iter().rev() {
+            if b <= 1 {
+                at -= 2;
+                buf[at..at + 2].copy_from_slice(&[1, b + 1]);
+            } else {
+                at -= 1;
+                buf[at] = b.to_ascii_lowercase();
+            }
         }
     }
-    a_offs.len().cmp(&b_offs.len())
+    at
 }
 
 struct LabelIter<'a> {
@@ -215,13 +268,38 @@ impl Name {
     /// The parent name (one label removed from the left); `None` for the
     /// root.
     pub fn parent(&self) -> Option<Name> {
-        if self.wire.is_empty() {
+        if self.is_root() {
             return None;
         }
-        let skip = 1 + self.wire[0] as usize;
-        Some(Name {
-            wire: self.wire[skip..].to_vec().into_boxed_slice(),
-        })
+        self.ancestor(1)
+    }
+
+    /// This name with its `n` leftmost labels removed (`ancestor(0)` is
+    /// the name itself); `None` when it has fewer than `n` labels. One
+    /// allocation however far up, where chained [`Name::parent`] calls
+    /// cost one a level.
+    pub fn ancestor(&self, n: usize) -> Option<Name> {
+        let mut rest: &[u8] = &self.wire;
+        for _ in 0..n {
+            let (&len, tail) = rest.split_first()?;
+            rest = &tail[len as usize..];
+        }
+        Some(Name { wire: rest.into() })
+    }
+
+    /// A copy with `f` applied to every label octet, length octets left
+    /// alone, in wire order (dns-0x20 flips letter case this way).
+    pub fn map_label_octets(&self, mut f: impl FnMut(u8) -> u8) -> Name {
+        let mut wire = self.wire.clone();
+        let mut pos = 0;
+        while pos < wire.len() {
+            let end = pos + 1 + wire[pos] as usize;
+            for b in &mut wire[pos + 1..end] {
+                *b = f(*b);
+            }
+            pos = end;
+        }
+        Name { wire }
     }
 
     /// `true` if `self` is `other` or a descendant of `other`.
@@ -360,18 +438,62 @@ impl Name {
     ///
     /// Names are ordered by comparing labels right-to-left; the absence of a
     /// label sorts before any label; labels compare as case-folded byte
-    /// strings.
+    /// strings. [`SortKey`] is that definition: this is two keys on the
+    /// stack and one slice comparison.
     pub fn canonical_cmp(&self, other: &Name) -> std::cmp::Ordering {
-        let (a, b) = (&*self.wire, &*other.wire);
-        if let (Some((a_offs, a_n)), Some((b_offs, b_n))) = (
-            label_offsets::<INLINE_LABELS>(a),
-            label_offsets::<INLINE_LABELS>(b),
-        ) {
-            return cmp_labels_from_right(a, &a_offs[..a_n], b, &b_offs[..b_n]);
+        self.with_sort_key(|a| other.with_sort_key(|b| a.cmp(b)))
+    }
+
+    /// Build this name's [`SortKey`] bytes in a stack buffer sized to the
+    /// name and lend them to `f` — the allocation-free form every map
+    /// probe uses.
+    pub fn with_sort_key<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.with_suffixed_key([], f)
+    }
+
+    /// [`Name::with_sort_key`] for the RRset key of `(self, rrtype)`.
+    pub fn with_rrset_sort_key<R>(&self, rrtype: RrType, f: impl FnOnce(&[u8]) -> R) -> R {
+        let [hi, lo] = rrtype.0.to_be_bytes();
+        self.with_suffixed_key([0, hi, lo], f)
+    }
+
+    /// This name's sort key, owned: what a map stores.
+    pub fn sort_key(&self) -> SortKey {
+        self.with_sort_key(SortKey::from_bytes)
+    }
+
+    /// The owned key of the RRset `(self, rrtype)`: the name's key, `00`,
+    /// the type big-endian. `00` sorts it before every descendant of the
+    /// name (no label is empty and none starts below `01`), so these keys
+    /// order as `(Name, RrType)` pairs do.
+    pub fn rrset_sort_key(&self, rrtype: RrType) -> SortKey {
+        self.with_rrset_sort_key(rrtype, SortKey::from_bytes)
+    }
+
+    /// The key, then `suffix`, in the smallest of three stack buffers that
+    /// holds them: zero-filling the largest for every probe would cost
+    /// more than building the key of a census or serving name, which fits
+    /// the first (a hashed NSEC3 owner fits the second).
+    fn with_suffixed_key<const S: usize, R>(
+        &self,
+        suffix: [u8; S],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        fn build<const N: usize, const S: usize, R>(
+            wire: &[u8],
+            suffix: [u8; S],
+            f: impl FnOnce(&[u8]) -> R,
+        ) -> R {
+            let mut buf = [0u8; N];
+            buf[N - S..].copy_from_slice(&suffix);
+            let start = write_sort_key(wire, &mut buf[..N - S]);
+            f(&buf[start..])
         }
-        let table = |wire| label_offsets::<MAX_LABELS>(wire).expect("MAX_LABELS fits any name");
-        let ((a_offs, a_n), (b_offs, b_n)) = (table(a), table(b));
-        cmp_labels_from_right(a, &a_offs[..a_n], b, &b_offs[..b_n])
+        match 2 * self.wire.len() + S {
+            0..=64 => build::<64, S, R>(&self.wire, suffix, f),
+            65..=192 => build::<192, S, R>(&self.wire, suffix, f),
+            _ => build::<{ 2 * MAX_NAME_LEN }, S, R>(&self.wire, suffix, f),
+        }
     }
 
     /// The strict ancestors of `self`, nearest first, ending with the root
@@ -393,20 +515,6 @@ impl Name {
         debug_assert!(wire.len() < MAX_NAME_LEN);
         Name { wire: wire.into() }
     }
-}
-
-fn cmp_label(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
-    // Case is folded only where the octets differ as stored: names probed
-    // against one zone share their rightmost labels byte for byte.
-    for (x, y) in a.iter().zip(b) {
-        if x != y {
-            let (x, y) = (x.to_ascii_lowercase(), y.to_ascii_lowercase());
-            if x != y {
-                return x.cmp(&y);
-            }
-        }
-    }
-    a.len().cmp(&b.len())
 }
 
 impl PartialEq for Name {
@@ -445,8 +553,10 @@ impl PartialOrd for Name {
 }
 
 impl Ord for Name {
-    /// Total order = RFC 4034 canonical order (so `BTreeMap<Name, _>` is a
-    /// canonically-ordered zone).
+    /// Total order = RFC 4034 canonical order, for sorting a handful of
+    /// names. A map of names is keyed by [`SortKey`] instead, so that a
+    /// lookup builds one key and compares bytes, where a `BTreeMap<Name, _>`
+    /// would build two keys per comparison of its descent.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.canonical_cmp(other)
     }

@@ -7,7 +7,7 @@ use dns_wire::base32;
 use dns_wire::base64;
 use dns_wire::buf::{Reader, Writer};
 use dns_wire::message::{Flags, Message, Question};
-use dns_wire::name::Name;
+use dns_wire::name::{ancestor_keys, Name};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Class, Opcode, Rcode, RrType};
@@ -38,18 +38,19 @@ fn name() -> impl Gen<Name> {
     )
 }
 
-/// Labels of 1–3 arbitrary-looking octets: both letter cases, digits and
-/// the two extremes of the byte range.
+/// Labels of 1–3 arbitrary-looking octets: both letter cases, digits, the
+/// two extremes of the byte range and the octets the sort key escapes or
+/// escapes to.
 fn odd_label() -> impl Gen<Vec<u8>> {
     gens::vec_of(
-        gens::map(gens::usizes(0..=7), |i| b"aAbZz0\x00\xFF"[i]),
+        gens::map(gens::usizes(0..=9), |i| b"aAbZz0\x00\x01\x02\xFF"[i]),
         1..=3,
     )
 }
 
 /// Two names that share a suffix, with the case of the second one's
 /// copy flipped at random — the pairs a zone's owner index compares. Up
-/// to 24 labels each, past the 16 the comparison kernel gathers inline.
+/// to 24 labels each; some keys outgrow the smallest stack buffer.
 fn suffix_sharing_names() -> impl Gen<(Name, Name)> {
     gens::filter_map(
         (
@@ -196,6 +197,42 @@ props! {
         assert_eq!(a.canonical_cmp(&b), expect, "{a} vs {b}");
         assert_eq!(b.canonical_cmp(&a), expect.reverse(), "{b} vs {a}");
         assert_eq!(a == b, expect == std::cmp::Ordering::Equal);
+    }
+
+    fn sort_key_is_the_canonical_order(
+        pair in suffix_sharing_names(),
+        types in (gens::u16s(..), gens::u16s(..)),
+    ) {
+        let (a, b) = pair;
+        let expect = reversed_lowercase_labels(&a).cmp(&reversed_lowercase_labels(&b));
+        let (ka, kb) = (a.sort_key(), b.sort_key());
+        assert_eq!(ka.cmp(&kb), expect, "{a} vs {b}");
+        assert_eq!(ka.cmp(&kb), a.canonical_cmp(&b), "{a} vs {b}");
+        assert_eq!(a == b, ka == kb, "{a} vs {b}");
+        // An ancestor's key is a prefix of its descendants' and of nothing
+        // else's, and stripping labels walks those prefixes.
+        assert_eq!(
+            a.is_subdomain_of(&b),
+            ka.as_bytes().starts_with(kb.as_bytes()),
+            "{a} under {b}"
+        );
+        let walked: Vec<&[u8]> = ancestor_keys(ka.as_bytes()).collect();
+        assert_eq!(walked.len(), a.label_count() + 1, "{a}");
+        for (n, key) in walked.iter().enumerate() {
+            assert_eq!(*key, a.ancestor(n).unwrap().sort_key().as_bytes(), "{a} up {n}");
+        }
+        assert_eq!(a.ancestor(a.label_count() + 1), None);
+        // The stack form is the owned form.
+        a.with_sort_key(|key| assert_eq!(key, ka.as_bytes()));
+        // RRset keys order as (name, type) pairs.
+        let (ta, tb) = (RrType(types.0), RrType(types.1));
+        assert_eq!(
+            a.rrset_sort_key(ta).cmp(&b.rrset_sort_key(tb)),
+            (&a, ta).cmp(&(&b, tb)),
+            "({a}, {ta}) vs ({b}, {tb})"
+        );
+        assert_eq!(a.rrset_sort_key(ta).cmp(&a.rrset_sort_key(tb)), ta.cmp(&tb));
+        a.with_rrset_sort_key(ta, |key| assert_eq!(key, a.rrset_sort_key(ta).as_bytes()));
     }
 
     fn hash_agrees_with_case_insensitive_eq(pair in suffix_sharing_names()) {

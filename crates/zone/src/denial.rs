@@ -7,7 +7,6 @@
 //! iteration counts are high. A proof borrows its records from the zone;
 //! nothing is copied until a caller asks for an owned message.
 
-use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use dns_wire::name::Name;
@@ -16,6 +15,7 @@ use dns_wire::rrtype::RrType;
 
 use crate::nsec3hash::nsec3_hash_cached;
 use crate::signer::{Denial, SignedZone};
+use crate::zone::TypeMap;
 use crate::ZoneError;
 
 /// What kind of negative answer the proof supports.
@@ -176,13 +176,10 @@ pub fn next_closer_name(qname: &Name, closest_encloser: &Name) -> Result<Name, Z
     if qname == closest_encloser || !qname.is_subdomain_of(closest_encloser) {
         return Err(ZoneError::NotBelowEncloser);
     }
-    Ok(match qname.label_count() - closest_encloser.label_count() {
-        1 => qname.clone(),
-        extra => qname
-            .ancestors()
-            .nth(extra - 2)
-            .expect("a name has one ancestor per label"),
-    })
+    let extra = qname.label_count() - closest_encloser.label_count();
+    Ok(qname
+        .ancestor(extra - 1)
+        .expect("a strict descendant has the extra labels"))
 }
 
 /// The NSEC owner whose (circular, canonical-order) interval covers `name`:
@@ -190,14 +187,15 @@ pub fn next_closer_name(qname: &Name, closest_encloser: &Name) -> Result<Name, Z
 /// `name` precedes them all.
 pub fn nsec_covering<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
     let owners = z.zone.rrsets();
-    let has_nsec = |(owner, types): (&'z Name, &'z BTreeMap<RrType, Vec<Record>>)| {
-        types.contains_key(&RrType::NSEC).then_some(owner)
-    };
-    let owner = owners
-        .range::<Name, _>((Bound::Unbounded, Bound::Excluded(name)))
-        .rev()
-        .find_map(has_nsec)
-        .or_else(|| owners.iter().rev().find_map(has_nsec))?;
+    // The owner is read off its NSEC record.
+    let nsec_owner = |(_, types): (_, &'z TypeMap)| Some(&types.get(&RrType::NSEC)?.first()?.name);
+    let before = name.with_sort_key(|key| {
+        owners
+            .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(key)))
+            .rev()
+            .find_map(nsec_owner)
+    });
+    let owner = before.or_else(|| owners.iter().rev().find_map(nsec_owner))?;
     // The wrap can land on `name` itself: it exists, so it is matched,
     // not covered.
     (owner != name).then_some(owner)

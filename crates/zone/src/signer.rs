@@ -15,7 +15,7 @@ use dns_wire::rrtype::RrType;
 use dns_wire::typebitmap::TypeBitmap;
 
 use crate::nsec3hash::{nsec3_hash_cached, Nsec3Params};
-use crate::zone::Zone;
+use crate::zone::{Zone, ZoneNode};
 use crate::ZoneError;
 
 /// DNSKEY flags value for a zone-signing key.
@@ -588,18 +588,16 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
     // it, so a running cut marker replaces the per-owner `is_occluded`
     // ancestor walk.
     let mut work: Vec<(&Name, RrType, &[Record])> = Vec::new();
-    let mut cut: Option<&Name> = None;
-    for (owner, types) in out.rrsets() {
-        if let Some(c) = cut {
-            if owner != c && owner.is_subdomain_of(c) {
-                continue; // occluded
-            }
-            cut = None;
+    let mut cut: Option<&[u8]> = None;
+    for (key, types) in out.rrsets() {
+        let key = key.as_bytes();
+        if cut.is_some_and(|c| key.starts_with(c)) {
+            continue; // occluded
         }
+        // Only a fault injector leaves an owner with no record to name it.
+        let owner = ZoneNode::of(types).ok_or(ZoneError::EmptyRrset)?.owner();
         let is_delegation = owner != &apex && types.contains_key(&RrType::NS);
-        if is_delegation {
-            cut = Some(owner);
-        }
+        cut = is_delegation.then_some(key);
         for (&rrtype, rrset) in types {
             // At a delegation point only the DS RRset is signed.
             if is_delegation && rrtype != RrType::DS {

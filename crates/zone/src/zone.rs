@@ -1,35 +1,60 @@
 //! The zone model: a canonically-ordered collection of RRsets with the
 //! structural queries zone signing and denial-of-existence need.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use dns_wire::name::Name;
+use dns_wire::name::{ancestor_keys, Name, SortKey};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 
 use crate::ZoneError;
 
+/// The RRsets of one owner, by type.
+pub(crate) type TypeMap = BTreeMap<RrType, Vec<Record>>;
+
 /// An (owner, type)-indexed zone. The owner index is a `BTreeMap` over
-/// [`Name`]'s RFC 4034 canonical ordering, so iteration *is* canonical
-/// order — exactly what NSEC chain building needs.
+/// the owners' canonical sort keys ([`SortKey`]), so iteration *is*
+/// RFC 4034 canonical order — exactly what NSEC chain building needs — a
+/// lookup builds one key and compares bytes on the way down, and the
+/// ancestors of a name are probed as prefixes of its key.
+///
+/// The index stores no `Name`: an owner's name is read off the first
+/// record stored under it ([`ZoneNode::owner`]), so a new owner costs the
+/// one allocation of its key. An owner whose RRsets have all been emptied
+/// (only [`Zone::rrset_mut`] can do that) therefore has no name, and is
+/// skipped by every lookup and listing.
 #[derive(Clone, Debug)]
 pub struct Zone {
     apex: Name,
-    rrsets: BTreeMap<Name, BTreeMap<RrType, Vec<Record>>>,
+    /// Length of the apex's sort key, which every in-zone key starts with.
+    apex_key_len: usize,
+    rrsets: BTreeMap<SortKey, TypeMap>,
 }
 
 /// The records of one owner name, borrowed from the zone: what
 /// [`Zone::node`] finds in one descent of the owner index, so a caller
 /// that needs several RRsets of one owner (a referral takes NS, DS and
-/// their RRSIGs from the cut) pays for the name comparisons once.
+/// their RRSIGs from the cut) pays for the descent once.
 #[derive(Clone, Copy, Debug)]
 pub struct ZoneNode<'z> {
-    types: &'z BTreeMap<RrType, Vec<Record>>,
+    owner: &'z Name,
+    types: &'z TypeMap,
 }
 
 impl<'z> ZoneNode<'z> {
+    /// The node of a non-empty type map.
+    pub(crate) fn of(types: &'z TypeMap) -> Option<Self> {
+        let owner = &types.values().find_map(|rrset| rrset.first())?.name;
+        Some(ZoneNode { owner, types })
+    }
+
+    /// The owner name, in the case of the first record stored here.
+    pub fn owner(self) -> &'z Name {
+        self.owner
+    }
+
     /// The RRset of `rrtype` at this owner, if present.
     pub fn rrset(self, rrtype: RrType) -> Option<&'z [Record]> {
         self.types.get(&rrtype).map(Vec::as_slice)
@@ -61,6 +86,7 @@ impl Zone {
     /// An empty zone rooted at `apex`.
     pub fn new(apex: Name) -> Self {
         Zone {
+            apex_key_len: apex.with_sort_key(<[u8]>::len),
             apex,
             rrsets: BTreeMap::new(),
         }
@@ -77,23 +103,25 @@ impl Zone {
             return Err(ZoneError::OutOfZone(record.name.clone()));
         }
         // Adding to an existing owner (the common case when signing: every
-        // RRSIG lands on a name already present) must not clone the
-        // per-label-allocated `Name` key.
-        match self.rrsets.get_mut(&record.name) {
-            Some(types) => types.entry(record.rrtype()).or_default().push(record),
-            None => {
-                let name = record.name.clone();
-                let mut types = BTreeMap::new();
-                types.insert(record.rrtype(), vec![record]);
-                self.rrsets.insert(name, types);
+        // RRSIG lands on a name already present) copies no key.
+        let rrsets = &mut self.rrsets;
+        let slot = record.name.with_sort_key(|key| match rrsets.get_mut(key) {
+            Some(types) => Ok(types),
+            None => Err(SortKey::from_bytes(key)),
+        });
+        match slot {
+            Ok(types) => types.entry(record.rrtype()).or_default().push(record),
+            Err(key) => {
+                self.rrsets
+                    .insert(key, TypeMap::from([(record.rrtype(), vec![record])]));
             }
         }
         Ok(())
     }
 
-    /// The owner-indexed RRset map itself, for same-crate code (the signer)
-    /// that scans the zone in canonical order without per-name lookups.
-    pub(crate) fn rrsets(&self) -> &BTreeMap<Name, BTreeMap<RrType, Vec<Record>>> {
+    /// The owner index itself, for same-crate code (the signer, NSEC
+    /// covering) that scans or ranges over the zone in canonical order.
+    pub(crate) fn rrsets(&self) -> &BTreeMap<SortKey, TypeMap> {
         &self.rrsets
     }
 
@@ -105,12 +133,13 @@ impl Zone {
     /// optimization, never a behavior change.
     pub(crate) fn merge_in_order(&mut self, records: Vec<Record>) -> Result<(), ZoneError> {
         let mut it = records.into_iter().peekable();
-        for (name, types) in self.rrsets.iter_mut() {
+        for types in self.rrsets.values_mut() {
             if it.peek().is_none() {
                 break;
             }
-            while it.peek().is_some_and(|r| r.name == *name) {
-                let r = it.next().expect("peeked");
+            while let Some(r) =
+                it.next_if(|r| ZoneNode::of(types).is_some_and(|node| r.name == *node.owner()))
+            {
                 types.entry(r.rrtype()).or_default().push(r);
             }
         }
@@ -125,48 +154,44 @@ impl Zone {
     /// is sorted by hash and base32hex preserves that order (RFC 5155
     /// chose the alphabet for exactly this property). Rebuilds the owner
     /// map with one linear merge of two sorted streams and a bulk build,
-    /// instead of a logarithmic insert per record. Owners that do collide
-    /// with an existing name are merged exactly like [`Zone::add`] would;
-    /// records arriving out of order fall back to [`Zone::add`].
+    /// instead of a logarithmic insert per record; each record is keyed
+    /// once and the key travels with it into the map. Owners that do
+    /// collide with an existing name are merged exactly like [`Zone::add`]
+    /// would; records arriving out of order fall back to [`Zone::add`].
     pub(crate) fn merge_sorted_owners(&mut self, records: Vec<Record>) -> Result<(), ZoneError> {
-        fn push(merged: &mut Vec<(Name, BTreeMap<RrType, Vec<Record>>)>, r: Record) {
+        fn push(merged: &mut Vec<(SortKey, TypeMap)>, key: SortKey, r: Record) {
             match merged.last_mut() {
-                Some((name, types)) if *name == r.name => {
+                Some((last, types)) if *last == key => {
                     types.entry(r.rrtype()).or_default().push(r);
                 }
-                _ => {
-                    let name = r.name.clone();
-                    let mut types = BTreeMap::new();
-                    types.insert(r.rrtype(), vec![r]);
-                    merged.push((name, types));
-                }
+                _ => merged.push((key, TypeMap::from([(r.rrtype(), vec![r])]))),
             }
         }
         // Split off anything that would invalidate the linear merge (out of
         // zone, or not in non-decreasing canonical order); `add` handles
         // those afterwards with its usual checks.
         let mut leftovers: Vec<Record> = Vec::new();
-        let mut stream: Vec<Record> = Vec::with_capacity(records.len());
+        let mut stream: Vec<(SortKey, Record)> = Vec::with_capacity(records.len());
         for r in records {
+            let key = r.name.sort_key();
             let fits = r.name.is_subdomain_of(&self.apex)
-                && stream.last().is_none_or(|p| p.name <= r.name);
+                && stream.last().is_none_or(|(prev, _)| *prev <= key);
             if fits {
-                stream.push(r);
+                stream.push((key, r));
             } else {
                 leftovers.push(r);
             }
         }
         let old = std::mem::take(&mut self.rrsets);
-        let mut merged: Vec<(Name, BTreeMap<RrType, Vec<Record>>)> =
-            Vec::with_capacity(old.len() + stream.len());
+        let mut merged: Vec<(SortKey, TypeMap)> = Vec::with_capacity(old.len() + stream.len());
         let mut it = stream.into_iter().peekable();
-        for (name, types) in old {
-            while it.peek().is_some_and(|r| r.name < name) {
-                push(&mut merged, it.next().expect("peeked"));
+        for (key, types) in old {
+            while let Some((new_key, r)) = it.next_if(|(new_key, _)| *new_key < key) {
+                push(&mut merged, new_key, r);
             }
             match merged.last_mut() {
                 // A new owner collided with an existing one: unify them.
-                Some((last, last_types)) if *last == name => {
+                Some((last, last_types)) if *last == key => {
                     for (t, mut recs) in types {
                         let slot = last_types.entry(t).or_default();
                         // Existing records precede newly merged ones, as
@@ -175,11 +200,11 @@ impl Zone {
                         *slot = recs;
                     }
                 }
-                _ => merged.push((name, types)),
+                _ => merged.push((key, types)),
             }
         }
-        for r in it {
-            push(&mut merged, r);
+        for (key, r) in it {
+            push(&mut merged, key, r);
         }
         self.rrsets = merged.into_iter().collect();
         for r in leftovers {
@@ -190,7 +215,14 @@ impl Zone {
 
     /// Everything stored at exactly `owner`, if any record is.
     pub fn node(&self, owner: &Name) -> Option<ZoneNode<'_>> {
-        self.rrsets.get(owner).map(|types| ZoneNode { types })
+        owner.with_sort_key(|key| self.node_by_key(key))
+    }
+
+    /// [`Zone::node`] for a caller that holds the owner's sort key — the
+    /// authoritative server builds one key per query and probes the name
+    /// and its ancestors with it.
+    pub fn node_by_key(&self, key: &[u8]) -> Option<ZoneNode<'_>> {
+        self.rrsets.get(key).and_then(ZoneNode::of)
     }
 
     /// The RRset of `rrtype` at `name`, if present.
@@ -200,33 +232,40 @@ impl Zone {
 
     /// Mutable access to an RRset (used by fault injectors).
     pub fn rrset_mut(&mut self, name: &Name, rrtype: RrType) -> Option<&mut Vec<Record>> {
-        self.rrsets.get_mut(name).and_then(|t| t.get_mut(&rrtype))
+        let rrsets = &mut self.rrsets;
+        name.with_sort_key(|key| rrsets.get_mut(key))
+            .and_then(|t| t.get_mut(&rrtype))
     }
 
     /// Does any record exist at exactly `name`?
     pub fn has_name(&self, name: &Name) -> bool {
-        self.rrsets.contains_key(name)
+        self.node(name).is_some()
     }
 
     /// RR types present at `name`, ascending.
     pub fn types_at(&self, name: &Name) -> Vec<RrType> {
-        self.rrsets
-            .get(name)
-            .map(|t| t.keys().copied().collect())
+        self.node(name)
+            .map(|node| node.types.keys().copied().collect())
             .unwrap_or_default()
     }
 
     /// All records at `name` across types.
     pub fn records_at(&self, name: &Name) -> Vec<&Record> {
-        self.rrsets
-            .get(name)
-            .map(|t| t.values().flatten().collect())
+        self.node(name)
+            .map(|node| node.types.values().flatten().collect())
             .unwrap_or_default()
     }
 
     /// Owner names with explicit records, canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.rrsets.keys()
+        self.nodes().map(|(_, node)| node.owner())
+    }
+
+    /// Every owner that has a record, with its sort key, canonical order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (&[u8], ZoneNode<'_>)> {
+        self.rrsets
+            .iter()
+            .filter_map(|(key, types)| Some((key.as_bytes(), ZoneNode::of(types)?)))
     }
 
     /// Every record in the zone, canonical owner order.
@@ -278,64 +317,95 @@ impl Zone {
             .flat_map(move |node| node.with_sigs(rrtype, with_sigs))
     }
 
+    /// The sort keys of `name`'s ancestors strictly between it and the
+    /// apex, nearest first, as prefixes of `name`'s own `key` (with their
+    /// distance from `name` in labels); none for a name outside the zone.
+    /// No `Name` is built per level.
+    fn keys_below_apex<'k>(
+        &self,
+        name: &Name,
+        key: &'k [u8],
+    ) -> impl Iterator<Item = (usize, &'k [u8])> {
+        let floor = if name.is_subdomain_of(&self.apex) {
+            self.apex_key_len
+        } else {
+            usize::MAX
+        };
+        ancestor_keys(key)
+            .enumerate()
+            .skip(1)
+            .take_while(move |(_, ancestor)| ancestor.len() > floor)
+    }
+
+    /// The delegation points at the keys [`Zone::keys_below_apex`] yields.
+    fn cuts_above<'z: 'k, 'k>(
+        &'z self,
+        name: &Name,
+        key: &'k [u8],
+    ) -> impl Iterator<Item = ZoneNode<'z>> + 'k {
+        self.keys_below_apex(name, key)
+            .filter_map(|(_, ancestor)| self.node_by_key(ancestor))
+            .filter(|node| node.rrset(RrType::NS).is_some())
+    }
+
     /// Is `name` occluded — strictly below a delegation point (glue and
     /// anything else under a zone cut), and therefore not authoritative?
     pub fn is_occluded(&self, name: &Name) -> bool {
         // Only the ancestors strictly between `name` and the apex can be
         // cuts above it; a name directly under the apex has none.
-        name.ancestors()
-            .take(self.depth_below_apex(name).saturating_sub(1))
-            .any(|n| self.is_delegation(&n))
+        name.with_sort_key(|key| self.cuts_above(name, key).next().is_some())
     }
 
-    /// How many labels `name` sits below the apex (0 for the apex itself
-    /// and for names outside the zone).
-    pub fn depth_below_apex(&self, name: &Name) -> usize {
-        if name.is_subdomain_of(&self.apex) {
-            name.label_count() - self.apex.label_count()
-        } else {
-            0
-        }
+    /// The delegation cut at or above `qname` inside the zone, if any
+    /// (nearest to the apex wins — a resolver descends one cut at a time).
+    /// `key` is `qname`'s sort key and `own` its node, which the caller
+    /// has looked up already.
+    pub fn delegation_cut<'z>(
+        &'z self,
+        qname: &Name,
+        key: &[u8],
+        own: Option<ZoneNode<'z>>,
+    ) -> Option<ZoneNode<'z>> {
+        // Walking up from `qname`, the last cut seen is the one nearest the
+        // apex; the apex itself is never a cut.
+        let own = own.filter(|node| *qname != self.apex && node.rrset(RrType::NS).is_some());
+        self.cuts_above(qname, key).last().or(own)
     }
 
     /// Empty non-terminals: names with no records of their own that
     /// nevertheless exist because a descendant does (RFC 5155 needs NSEC3
     /// records for these).
     pub fn empty_non_terminals(&self) -> Vec<Name> {
-        let mut ents = BTreeSet::new();
-        let floor = self.apex.label_count() + 1;
-        for name in self.rrsets.keys() {
-            // A name directly under (or at/above) the apex has no room for
-            // an ENT between itself and the apex — the common case in
-            // flat zones, worth skipping the allocating parent() walk.
-            if name.label_count() <= floor {
-                continue;
-            }
-            let mut cur = name.parent();
-            while let Some(n) = cur {
-                if !n.is_subdomain_of(&self.apex) || n == self.apex {
-                    break;
+        // Keyed by the prefix of a stored key that names the ENT, so the
+        // set sorts canonically and a repeated ENT builds no second name.
+        let mut ents: BTreeMap<&[u8], Name> = BTreeMap::new();
+        for (key, node) in self.nodes() {
+            for (up, ancestor) in self.keys_below_apex(node.owner(), key) {
+                if self.node_by_key(ancestor).is_none() {
+                    ents.entry(ancestor)
+                        .or_insert_with(|| node.owner().ancestor(up).expect("counted label"));
                 }
-                if !self.rrsets.contains_key(&n) {
-                    ents.insert(n.clone());
-                }
-                cur = n.parent();
             }
         }
-        ents.into_iter().collect()
+        ents.into_values().collect()
     }
 
     /// Does `name` "exist" in the zone in the RFC 4035 sense — it has
     /// records, or it is an empty non-terminal?
     pub fn name_exists(&self, name: &Name) -> bool {
-        // Canonical order puts a name's descendants directly after it, so
-        // the first stored name at or after `name` is `name` itself, a
-        // descendant (then `name` is an empty non-terminal), or proof
-        // that neither is stored.
+        name.with_sort_key(|key| self.name_exists_by_key(key))
+    }
+
+    /// [`Zone::name_exists`] by the name's sort key.
+    pub fn name_exists_by_key(&self, key: &[u8]) -> bool {
+        // A name's descendants are the keys its own key is a prefix of,
+        // one contiguous range starting at the name itself: the first
+        // stored key at or after `key` is the name, a descendant (then the
+        // name is an empty non-terminal), or proof that neither is stored.
         self.rrsets
-            .range::<Name, _>((Bound::Included(name), Bound::Unbounded))
+            .range::<[u8], _>((Bound::Included(key), Bound::Unbounded))
             .next()
-            .is_some_and(|(first, _)| first.is_subdomain_of(name))
+            .is_some_and(|(first, _)| first.as_bytes().starts_with(key))
     }
 
     /// The names that get denial-of-existence records (RFC 5155 §7.1):
@@ -357,25 +427,19 @@ impl Zone {
         // One pass in canonical order. A name is occluded iff it sits
         // strictly below a delegation point, and canonical order visits the
         // delegation before everything beneath it — so tracking the most
-        // recent cut replaces the per-name ancestor walk (and its
-        // per-label allocations) that `is_occluded` would cost. The tree
-        // iterates in canonical order already, so the chain accumulates
-        // into a Vec directly instead of re-sorting through a second
-        // BTreeMap of cloned names.
+        // recent cut's key, which prefixes exactly what it occludes,
+        // replaces the per-name ancestor walk `is_occluded` would cost.
+        // The tree iterates in canonical order already, so the chain
+        // accumulates into a Vec directly.
         let mut main: Vec<DenialEntry> = Vec::with_capacity(self.rrsets.len());
-        let mut cut: Option<&Name> = None;
-        for (name, types) in &self.rrsets {
-            if let Some(c) = cut {
-                if name != c && name.is_subdomain_of(c) {
-                    continue; // occluded
-                }
-                cut = None;
+        let mut cut: Option<&[u8]> = None;
+        for (key, node) in self.nodes() {
+            if cut.is_some_and(|c| key.starts_with(c)) {
+                continue; // occluded
             }
-            let is_delegation = name != &self.apex && types.contains_key(&RrType::NS);
-            if is_delegation {
-                cut = Some(name);
-            }
-            let signed_delegation = is_delegation && types.contains_key(&RrType::DS);
+            let is_delegation = key.len() > self.apex_key_len && node.rrset(RrType::NS).is_some();
+            cut = is_delegation.then_some(key);
+            let signed_delegation = is_delegation && node.rrset(RrType::DS).is_some();
             if opt_out && is_delegation && !signed_delegation {
                 continue;
             }
@@ -383,16 +447,16 @@ impl Zone {
             // every authoritative name carries at least one RRSIG.
             let will_sign = !is_delegation || signed_delegation;
             main.push(DenialEntry {
-                name: name.clone(),
-                types: types.keys().copied().collect(),
+                name: node.owner().clone(),
+                types: node.types.keys().copied().collect(),
                 will_sign,
             });
         }
-        // Empty non-terminals arrive sorted (BTreeSet) and are disjoint
-        // from `main` (an ENT owns no records), so a single sorted merge
-        // finishes the chain. An ENT kept under opt-out needs a signed
-        // (i.e. surviving) name beneath it; descendants are contiguous
-        // right after the ENT's insertion point in canonical order.
+        // Empty non-terminals arrive sorted and are disjoint from `main`
+        // (an ENT owns no records), so a single sorted merge finishes the
+        // chain. An ENT kept under opt-out needs a signed (i.e. surviving)
+        // name beneath it; descendants are contiguous right after the
+        // ENT's insertion point in canonical order.
         let ents: Vec<Name> = self
             .empty_non_terminals()
             .into_iter()
@@ -435,14 +499,23 @@ impl Zone {
     /// The closest encloser of `qname`: the longest existing (per
     /// [`Zone::name_exists`]) ancestor-or-self of `qname` inside the zone.
     pub fn closest_encloser(&self, qname: &Name) -> Name {
-        let depth = self.depth_below_apex(qname);
-        if depth > 0 && self.name_exists(qname) {
-            return qname.clone();
-        }
-        qname
-            .ancestors()
-            .take(depth)
-            .find(|candidate| self.name_exists(candidate))
+        qname.with_sort_key(|key| {
+            if key.len() > self.apex_key_len
+                && qname.is_subdomain_of(&self.apex)
+                && self.name_exists_by_key(key)
+            {
+                return qname.clone();
+            }
+            self.encloser_of_missing(qname, key)
+        })
+    }
+
+    /// [`Zone::closest_encloser`] of a `qname` known not to exist, by its
+    /// sort key: the nearest existing strict ancestor, else the apex.
+    pub fn encloser_of_missing(&self, qname: &Name, key: &[u8]) -> Name {
+        self.keys_below_apex(qname, key)
+            .find(|(_, ancestor)| self.name_exists_by_key(ancestor))
+            .map(|(up, _)| qname.ancestor(up).expect("counted label"))
             .unwrap_or_else(|| self.apex.clone())
     }
 

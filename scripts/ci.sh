@@ -138,6 +138,32 @@ fi
 awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
     END { print "crates/wire/src: " n " non-test lines" }' crates/wire/src/*.rs
 
+echo "== name-order shape guard (crates/{wire,zone,auth,resolver}/src)"
+# One canonical order, one place (DESIGN.md §7): RFC 4034 §6.1 order is
+# the byte order of dns_wire::name::SortKey, every ordered map of names
+# is keyed by it, and name.rs alone writes a key (one fn holds the
+# escape; SortKey's field is private, so nothing else can make one up).
+# A map ordered by Name — which would pay two key builds a comparison —
+# or a second key writer fails here, outside each file's #[cfg(test)];
+# non-test line counts are printed so drift shows in the log.
+name_keyed="$(awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 }
+    live && /(BTreeMap|BTreeSet|TtlCache)<\(?Name/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/zone/src/*.rs crates/auth/src/*.rs crates/resolver/src/*.rs)"
+if [ -n "$name_keyed" ]; then
+    echo "error: an ordered map keyed by Name (key it by SortKey):" >&2
+    echo "$name_keyed" >&2
+    exit 1
+fi
+key_writers="$(grep -rlE 'fn write_sort_key|SortKey\(' crates src tests examples --include='*.rs' | tr '\n' ' ')"
+escapes="$(grep -c 'fn write_sort_key' crates/wire/src/name.rs || true)"
+if [ "$key_writers" != "crates/wire/src/name.rs " ] || [ "$escapes" != "1" ]; then
+    echo "error: sort keys are written outside name.rs's one write_sort_key: $key_writers($escapes)" >&2
+    exit 1
+fi
+for f in crates/wire/src/name.rs crates/zone/src/zone.rs crates/resolver/src/cache.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print FILENAME ": " n " non-test lines" }' "$f"
+done
+
 echo "== bench-shape guard (crates/bench/src, BENCH_*.json)"
 # One bench harness (microbench.rs): Suite::finish is the only writer of
 # a BENCH_*.json and MICROBENCH_SAMPLES the only variable the crate

@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 use std::rc::Rc;
 
@@ -20,7 +20,7 @@ use dns_wire::message::{unframe_tcp, Flags, Message, MessageHead, Question};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
-use dns_wire::rrtype::{Class, Rcode, RrType};
+use dns_wire::rrtype::{Rcode, RrType};
 use dns_zone::denial::{self, DenialProof};
 use dns_zone::signer::SignedZone;
 use dns_zone::ZoneError;
@@ -40,42 +40,20 @@ pub struct QueryLogEntry {
     pub dnssec_ok: bool,
 }
 
-/// The EDNS facet of a query that can change the bytes of the answer.
-/// Payload size is deliberately absent: it only bounds delivery (the
-/// truncation check), never the answer itself.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum EdnsState {
-    /// No OPT record at all: plain DNS, no DNSSEC records in the answer.
-    Absent,
-    /// EDNS present, DO clear.
-    Plain,
-    /// EDNS present, DO set: the answer carries RRSIGs and denial proofs.
-    Do,
-}
-
-/// Key identifying one cacheable answer template: everything about a
-/// query that the encoded response bytes depend on, except the ID, the
-/// opcode/RD flag bits, and the literal (case-preserving) question bytes
-/// — those three are patched into the template per query.
-type TemplateKey = (Name, RrType, Class, EdnsState);
-
-/// Bound on distinct templates kept per server. When full the whole map
-/// is dropped (deterministic, unlike per-entry LRU under HashMap order).
-const TEMPLATE_CACHE_CAP: usize = 1024;
+/// Queries the log remembers: the most recent ones. The paper's
+/// attribution reads the handful a probe has just caused, so the bound is
+/// a constant, not a setting.
+pub const QUERY_LOG_LEN: usize = 256;
 
 /// An authoritative name server holding one or more signed zones.
 pub struct AuthServer {
     zones: RefCell<HashMap<Name, Rc<SignedZone>>>,
-    log: RefCell<Vec<QueryLogEntry>>,
-    log_cap: usize,
+    /// The last [`QUERY_LOG_LEN`] queries, oldest first.
+    log: RefCell<VecDeque<QueryLogEntry>>,
     /// Apexes whose zones may be transferred (the CZDS/open-AXFR TLDs the
     /// paper counts: 1,105 of the 1,302 NSEC3-enabled TLDs share zone
     /// data).
     axfr_allowed: RefCell<std::collections::HashSet<Name>>,
-    /// Encoded full responses keyed by the answer-determining parts of a
-    /// query; served with ID/flags/question patched in place. Invalidated
-    /// whenever zone data or transfer policy changes.
-    templates: RefCell<HashMap<TemplateKey, Vec<u8>>>,
 }
 
 impl AuthServer {
@@ -83,17 +61,14 @@ impl AuthServer {
     pub fn new() -> Self {
         AuthServer {
             zones: RefCell::new(HashMap::new()),
-            log: RefCell::new(Vec::new()),
-            log_cap: 100_000,
+            log: RefCell::new(VecDeque::new()),
             axfr_allowed: RefCell::new(std::collections::HashSet::new()),
-            templates: RefCell::new(HashMap::new()),
         }
     }
 
     /// Permit zone transfers (`AXFR`) for `apex`.
     pub fn allow_axfr(&self, apex: &Name) {
         self.axfr_allowed.borrow_mut().insert(apex.clone());
-        self.templates.borrow_mut().clear();
     }
 
     /// Install (or replace) a zone. A caller that keeps the zone as well
@@ -104,7 +79,6 @@ impl AuthServer {
         self.zones
             .borrow_mut()
             .insert(zone.zone.apex().clone(), zone);
-        self.templates.borrow_mut().clear();
     }
 
     /// The installed zone with exactly this apex — the shared copy, not a
@@ -116,20 +90,12 @@ impl AuthServer {
     /// Remove a zone by apex.
     pub fn remove_zone(&self, apex: &Name) {
         self.zones.borrow_mut().remove(apex);
-        self.templates.borrow_mut().clear();
     }
 
-    fn store_template(&self, key: TemplateKey, wire: &[u8]) {
-        let mut templates = self.templates.borrow_mut();
-        if templates.len() >= TEMPLATE_CACHE_CAP && !templates.contains_key(&key) {
-            templates.clear();
-        }
-        templates.insert(key, wire.to_vec());
-    }
-
-    /// Snapshot of the query log.
+    /// Snapshot of the query log: the most recent [`QUERY_LOG_LEN`]
+    /// queries in arrival order.
     pub fn query_log(&self) -> Vec<QueryLogEntry> {
-        self.log.borrow().clone()
+        self.log.borrow().iter().cloned().collect()
     }
 
     /// Answer one question against the installed zones: the owned
@@ -357,11 +323,10 @@ impl Node for AuthServer {
         // equal its length minus two looks framed as well — so fall back
         // to the raw reading when the framed one does not decode, instead
         // of answering such queries with silence.
-        let framed = unframe_tcp(payload)
-            .and_then(|inner| Message::decode(inner).ok().map(|query| (query, inner)));
-        let (query, datagram, tcp) = match framed {
-            Some((query, inner)) => (query, inner, true),
-            None => (Message::decode(payload).ok()?, payload, false),
+        let framed = unframe_tcp(payload).and_then(|inner| Message::decode(inner).ok());
+        let (query, tcp) = match framed {
+            Some(query) => (query, true),
+            None => (Message::decode(payload).ok()?, false),
         };
         let flags = query.flags;
         if flags.qr {
@@ -369,77 +334,15 @@ impl Node for AuthServer {
         }
         let edns = query.edns.as_ref();
         let dnssec = query.dnssec_ok();
-        if let Some(q) = query.question() {
-            let mut log = self.log.borrow_mut();
-            if log.len() < self.log_cap {
-                log.push(QueryLogEntry {
-                    src,
-                    qname: q.qname.clone(),
-                    qtype: q.qtype,
-                    dnssec_ok: dnssec,
-                });
-            }
-        }
-        // A query is template-cacheable when the answer bytes are a pure
-        // function of (qname, qtype, qclass, EDNS state): exactly one
-        // question, written literally (no compression pointers — its raw
-        // bytes get copied into the template verbatim to preserve 0x20
-        // case echoing), and not a zone transfer. The name is literal
-        // exactly when the datagram spells the decoded name's own bytes
-        // and then the root octet: a pointer octet (>= 0xC0) is never a
-        // label length.
-        let template = match query.questions.as_slice() {
-            [q] if q.qtype != RrType::AXFR => {
-                let spelled = q.qname.wire_bytes();
-                let entry = &datagram[12..];
-                let literal = entry.starts_with(spelled) && entry.get(spelled.len()) == Some(&0);
-                literal.then(|| {
-                    let state = match edns {
-                        None => EdnsState::Absent,
-                        Some(_) if dnssec => EdnsState::Do,
-                        Some(_) => EdnsState::Plain,
-                    };
-                    let key = (q.qname.clone(), q.qtype, q.qclass, state);
-                    (key, &entry[..spelled.len() + 5])
-                })
-            }
-            _ => None,
-        };
         // UDP truncation bound: the requester's EDNS payload size (512
         // without EDNS) bounds the response; over it, send TC with empty
-        // sections. Payload size is per-query, so the check runs against
-        // the template length on hits too.
+        // sections.
         let limit = edns
             .map(|e| e.udp_payload_size as usize)
             .unwrap_or(512)
             .max(512);
-        if let Some((key, raw)) = &template {
-            let templates = self.templates.borrow();
-            if let Some(wire) = templates.get(key) {
-                if tcp || wire.len() <= limit {
-                    if tcp {
-                        reply.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-                    }
-                    let off = reply.len();
-                    reply.extend_from_slice(wire);
-                    // Patch the query-specific bytes: ID, opcode + RD in
-                    // the upper flags byte (QR/AA/TC stay as encoded), and
-                    // the literal question (case echo). Everything else in
-                    // the packet — counts, sections, OPT — is fixed by the
-                    // key, and compression pointers into the question stay
-                    // valid because the name's length is part of the key.
-                    reply[off..off + 2].copy_from_slice(&query.id.to_be_bytes());
-                    reply[off + 2] =
-                        (reply[off + 2] & !0x79) | (flags.opcode.to_u8() << 3) | u8::from(flags.rd);
-                    reply[off + 12..off + 12 + raw.len()].copy_from_slice(raw);
-                    return Some(());
-                }
-                // Over the requester's size limit: fall through and build
-                // the truncated response fresh (it is tiny).
-            }
-        }
-        // Miss: assemble by reference and encode once, straight into
-        // `reply` — no owned response.
+        // Assemble by reference and encode once, straight into `reply` —
+        // no owned response.
         let zones = self.zones.borrow();
         let mut expanded = Vec::new();
         let assembled = self.assemble(&zones, query.question(), dnssec, &mut expanded);
@@ -468,9 +371,6 @@ impl Node for AuthServer {
             &assembled.authorities,
             &assembled.additionals,
         );
-        if let Some((key, _)) = template {
-            self.store_template(key, &reply[body..]);
-        }
         let len = reply.len() - body;
         if tcp {
             reply[start..body].copy_from_slice(&(len as u16).to_be_bytes());
@@ -478,6 +378,21 @@ impl Node for AuthServer {
             reply.truncate(start);
             head.flags.tc = true;
             head.encode_append::<&Record>(reply, &[], &[], &[]);
+        }
+        // Log last, once nothing borrows the query: the entry takes the
+        // decoded question's own name and the entry it displaces frees
+        // one, so logging allocates nothing once the ring is full.
+        if let Some(q) = query.questions.into_iter().next() {
+            let mut log = self.log.borrow_mut();
+            if log.len() == QUERY_LOG_LEN {
+                log.pop_front();
+            }
+            log.push_back(QueryLogEntry {
+                src,
+                qname: q.qname,
+                qtype: q.qtype,
+                dnssec_ok: dnssec,
+            });
         }
         Some(())
     }
@@ -699,6 +614,35 @@ mod tests {
     }
 
     #[test]
+    fn query_log_keeps_the_most_recent_queries_in_arrival_order() {
+        let s = build_server();
+        let net = Network::new(1);
+        let logged = |s: &AuthServer| -> Vec<u16> {
+            let ids = s.query_log().into_iter().map(|e| {
+                let label = e.qname.labels().next().expect("q<n>").to_vec();
+                String::from_utf8(label).unwrap()[1..].parse().unwrap()
+            });
+            ids.collect()
+        };
+        let ask_n = |s: &AuthServer, n: u16| {
+            let q = Message::query(n, name(&format!("q{n}.example.")), RrType::A);
+            handle_raw(s, &net, &q.encode()).unwrap();
+        };
+        for n in 0..QUERY_LOG_LEN as u16 {
+            ask_n(&s, n);
+        }
+        assert_eq!(logged(&s), (0..QUERY_LOG_LEN as u16).collect::<Vec<_>>());
+        // One more displaces the oldest; many more wrap the ring more
+        // than once and the order is still arrival order.
+        ask_n(&s, 256);
+        assert_eq!(logged(&s), (1..=256).collect::<Vec<_>>());
+        for n in 257..1000 {
+            ask_n(&s, n);
+        }
+        assert_eq!(logged(&s), (1000 - 256..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn dnskey_and_nsec3param_queries_answered() {
         let s = build_server();
         let dk = ask(&s, "example.", RrType::DNSKEY);
@@ -870,52 +814,12 @@ mod tests {
     }
 
     #[test]
-    fn template_cache_serves_identical_bytes() {
-        let s = build_server();
-        let net = Network::new(1);
-        let cold_q = Message::query(7, name("www.example."), RrType::A);
-        let cold = handle_raw(&s, &net, &cold_q.encode()).unwrap();
-        assert_eq!(s.templates.borrow().len(), 1);
-        // Second query: different ID and 0x20-style mixed case. The warm
-        // path must patch both and produce exactly what a fresh encode of
-        // a fresh answer would.
-        let warm_q = Message::query(991, name("WwW.eXaMpLe."), RrType::A);
-        let warm = handle_raw(&s, &net, &warm_q.encode()).unwrap();
-        assert_eq!(s.templates.borrow().len(), 1, "same key, one template");
-        let fresh = s.answer(&warm_q).encode();
-        assert_eq!(warm, fresh);
-        assert_ne!(cold, warm, "ID and question case differ");
-        assert_eq!(cold.len(), warm.len());
-        // The cold (miss) response itself must equal a fresh encode too.
-        assert_eq!(cold, s.answer(&cold_q).encode());
-    }
-
-    #[test]
-    fn template_cache_tcp_framing_and_key_separation() {
-        let s = build_server();
-        let net = Network::new(1);
-        let q = Message::query(3, name("www.example."), RrType::A);
-        let udp = handle_raw(&s, &net, &q.encode()).unwrap();
-        // Same key over "TCP": framed reply, same datagram bytes.
-        let framed = handle_raw(&s, &net, &dns_wire::message::frame_tcp(&q.encode())).unwrap();
-        assert_eq!(&framed[..2], (udp.len() as u16).to_be_bytes().as_slice());
-        assert_eq!(&framed[2..], udp.as_slice());
-        // DO off is a different EDNS state: separate template, no RRSIGs.
-        let mut plain = Message::query(3, name("www.example."), RrType::A);
-        plain.edns = None;
-        let plain_resp = handle_raw(&s, &net, &plain.encode()).unwrap();
-        assert_eq!(s.templates.borrow().len(), 2);
-        let decoded = Message::decode(&plain_resp).unwrap();
-        assert!(decoded.records_of_type(RrType::RRSIG).next().is_none());
-    }
-
-    #[test]
-    fn pointer_written_question_is_answered_and_never_templated() {
+    fn pointer_written_question_is_answered() {
         let s = build_server();
         let net = Network::new(1);
         // A query for `.` with the name written as a pointer to header
         // octet 4: QDCOUNT is `00 01`, so the pointer lands on a root
-        // octet. Its question bytes cannot be patched into a template.
+        // octet.
         let literal_q = Message::query(11, Name::root(), RrType::NS);
         let literal = literal_q.encode();
         assert_eq!(literal[12], 0, "literal root name");
@@ -925,17 +829,6 @@ mod tests {
         assert_eq!(Message::decode(&pointed).unwrap(), literal_q);
         let reply = handle_raw(&s, &net, &pointed).unwrap();
         assert_eq!(reply, s.answer(&literal_q).encode());
-        assert!(s.templates.borrow().is_empty(), "pointer query not cached");
-        let again = handle_raw(&s, &net, &pointed).unwrap();
-        assert_eq!(again, reply);
-        assert!(s.templates.borrow().is_empty());
-        // The literal spelling is templated as usual, miss and hit.
-        for id in [12, 13] {
-            let q = Message::query(id, Name::root(), RrType::NS);
-            let reply = handle_raw(&s, &net, &q.encode()).unwrap();
-            assert_eq!(reply, s.answer(&q).encode());
-            assert_eq!(s.templates.borrow().len(), 1);
-        }
     }
 
     #[test]
@@ -957,71 +850,12 @@ mod tests {
     }
 
     #[test]
-    fn template_cache_respects_truncation_limit() {
-        let s = build_server();
-        let net = Network::new(1);
-        // Inflate www.example./TXT well past 512 bytes so the no-EDNS
-        // limit forces truncation.
-        let mut z = Zone::new(name("big.example."));
-        z.add(Record::new(
-            name("big.example."),
-            3600,
-            RData::Soa {
-                mname: name("ns1.big.example."),
-                rname: name("h.big.example."),
-                serial: 1,
-                refresh: 7200,
-                retry: 3600,
-                expire: 1209600,
-                minimum: 300,
-            },
-        ))
-        .unwrap();
-        z.add(Record::new(
-            name("www.big.example."),
-            300,
-            RData::Txt(vec![vec![b'x'; 200], vec![b'y'; 200], vec![b'z'; 200]]),
-        ))
-        .unwrap();
-        s.add_zone(sign_zone(&z, &SignerConfig::standard(&name("big.example."), NOW)).unwrap());
-        // Warm the template with a roomy EDNS payload size.
-        let mut big = Message::query(1, name("www.big.example."), RrType::TXT);
-        big.edns = Some(dns_wire::edns::Edns {
-            udp_payload_size: 4096,
-            ..dns_wire::edns::Edns::default()
-        });
-        let full = handle_raw(&s, &net, &big.encode()).unwrap();
-        assert!(full.len() > 512, "test premise: {} bytes", full.len());
-        // Same key again but via a 512-limit query: must truncate even
-        // though the template is warm.
-        let mut small = Message::query(2, name("www.big.example."), RrType::TXT);
-        small.edns = Some(dns_wire::edns::Edns {
-            udp_payload_size: 512,
-            ..dns_wire::edns::Edns::default()
-        });
-        let tc = handle_raw(&s, &net, &small.encode()).unwrap();
-        let decoded = Message::decode(&tc).unwrap();
-        assert!(decoded.flags.tc);
-        assert!(decoded.answers.is_empty());
-        // Byte-for-byte what the pure path would have sent.
-        let query = Message::decode(&small.encode()).unwrap();
-        let response = s.answer(&query);
-        let mut expect = Message::response_to(&query);
-        expect.flags.aa = response.flags.aa;
-        expect.flags.tc = true;
-        expect.rcode = response.rcode;
-        assert_eq!(tc, expect.encode());
-    }
-
-    #[test]
-    fn template_cache_invalidated_on_zone_change() {
+    fn removed_zone_is_refused() {
         let s = build_server();
         let net = Network::new(1);
         let q = Message::query(9, name("www.example."), RrType::A).encode();
         handle_raw(&s, &net, &q).unwrap();
-        assert!(!s.templates.borrow().is_empty());
         s.remove_zone(&name("example."));
-        assert!(s.templates.borrow().is_empty(), "zone change must flush");
         let refused = handle_raw(&s, &net, &q).unwrap();
         assert_eq!(Message::decode(&refused).unwrap().rcode, Rcode::Refused);
     }

@@ -1,5 +1,6 @@
 //! Allocation budget for the authoritative answer path on names it has
-//! never seen — the template-cache miss path every scan driver lives on.
+//! never seen — the path every scan driver lives on — and the heap a
+//! server holds after a long run of them.
 //!
 //! The counting allocator is process-wide, so this binary holds exactly
 //! one `#[test]`: nothing else may allocate while a query is counted.
@@ -8,7 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use dns_auth::AuthServer;
 use dns_wire::message::Message;
@@ -20,24 +21,29 @@ use dns_zone::signer::{sign_zone, SignerConfig};
 use dns_zone::Zone;
 use netsim::{Network, Node};
 
-/// Counts every `alloc` and `realloc` call; frees are not counted.
+/// Counts every `alloc` and `realloc` call (frees are not counted) and
+/// the bytes currently allocated.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic
-// that publishes no other data.
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics
+// that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,11 +53,12 @@ static ALLOCATOR: Counting = Counting;
 
 const NOW: u32 = 1_710_000_000;
 
-/// One DO NXDOMAIN reply: a cap just above what this corpus reads (19), so
-/// that allocations creeping back into the proof path fail the test.
-const NXDOMAIN_BUDGET: u64 = 20;
-/// One secure referral under owned `Message` assembly, same corpus.
-const PARENT_REFERRAL: u64 = 56;
+/// One DO NXDOMAIN reply: a cap just above what this corpus reads (11), so
+/// that allocations creeping back into the proof, encode or logging path
+/// fail the test.
+const NXDOMAIN_BUDGET: u64 = 12;
+/// One secure referral, same corpus (reads 6).
+const REFERRAL_BUDGET: u64 = 7;
 
 fn server() -> AuthServer {
     let apex = name("example.");
@@ -107,8 +114,8 @@ fn server() -> AuthServer {
 }
 
 /// Median allocation count of one `handle` call over fresh names. The
-/// median, not the minimum: the query log and the template map grow by
-/// doubling, and those rare steps are not what a query costs.
+/// median, not the minimum: until it holds its 256 entries the query log
+/// grows by doubling, and those rare steps are not what a query costs.
 fn median_allocations(
     s: &AuthServer,
     net: &Network,
@@ -124,7 +131,7 @@ fn median_allocations(
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         s.handle(net, src, &query, &mut reply).unwrap();
         let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        // The first 64 calls warm pools, maps and the NSEC3 hash cache.
+        // The first 64 calls warm pools and the NSEC3 hash cache.
         if i >= 64 {
             counts.push(spent);
         }
@@ -134,6 +141,24 @@ fn median_allocations(
     }
     counts.sort_unstable();
     counts[counts.len() / 2]
+}
+
+/// Bytes allocated process-wide after `queries` more fresh-name queries.
+/// Plain DNS (no OPT), so no denial proof is built and the thread's NSEC3
+/// hash cache — which would grow on its own — is not touched: what is
+/// left to grow is the server.
+fn live_bytes_after(s: &AuthServer, net: &Network, queries: std::ops::Range<usize>) -> i64 {
+    let src = IpAddr::V4(Ipv4Addr::new(10, 9, 9, 9));
+    let mut reply = Vec::with_capacity(4096);
+    for i in queries {
+        let mut query = Message::query(i as u16, name(&format!("nx-{i:05}.example.")), RrType::A);
+        query.edns = None;
+        let query = query.encode();
+        reply.clear();
+        s.handle(net, src, &query, &mut reply).unwrap();
+    }
+    drop(reply);
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -158,7 +183,21 @@ fn fresh_name_replies_stay_within_their_allocation_budgets() {
         "NXDOMAIN reply: {nxdomain} allocations, budget {NXDOMAIN_BUDGET}"
     );
     assert!(
-        referral * 100 <= PARENT_REFERRAL * 50,
-        "secure referral: {referral} allocations, budget 50 % of {PARENT_REFERRAL}"
+        referral <= REFERRAL_BUDGET,
+        "secure referral: {referral} allocations, budget {REFERRAL_BUDGET}"
+    );
+
+    // The query log is a ring: a server that has answered 10,000 more
+    // queries holds no more heap than one whose ring has just filled.
+    let s = server();
+    let filled = live_bytes_after(&s, &net, 0..256);
+    let later = live_bytes_after(&s, &net, 256..10_256);
+    println!(
+        "allocations: heap with the query log just full {filled} B, 10,000 queries later {later} B"
+    );
+    assert_eq!(s.query_log().len(), 256);
+    assert!(
+        later <= filled,
+        "server heap grew: {filled} -> {later} bytes"
     );
 }

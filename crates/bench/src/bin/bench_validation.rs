@@ -1,6 +1,7 @@
 //! Bench: end-to-end resolution cost through the full chain
-//! (root → com → leaf), positive and negative, and what each RFC 9276
-//! policy makes of an over-limit zone. Writes `BENCH_validation.json`.
+//! (root → com → leaf), positive and negative, what each RFC 9276
+//! policy makes of an over-limit zone, and one signature check with and
+//! without the signature memo's help. Writes `BENCH_validation.json`.
 //!
 //! The limit-check-order ablation (DESIGN.md §13 item 5) has no row
 //! here: `ResolverConfig::check_limits_first = false` is exercised by one
@@ -9,14 +10,17 @@
 
 use std::hint::black_box;
 
+use dns_crypto::simsig::verify_memo_stats;
 use dns_resolver::lab::LabBuilder;
 use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_resolver::Rfc9276Policy;
 use dns_wire::message::Message;
 use dns_wire::name::name;
+use dns_wire::rdata::RData;
+use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 use dns_zone::nsec3hash::Nsec3Params;
-use dns_zone::signer::Denial;
+use dns_zone::signer::{sign_rrset, verify_rrsig_with, Denial, SigningKey};
 use heroes_bench::microbench::Suite;
 use heroes_bench::EXPERIMENT_NOW as NOW;
 
@@ -139,6 +143,47 @@ fn main() {
             RrType::A,
         )
     });
+
+    // One RRSIG check, `validate_rrset`'s unit of work. Fresh: 4,096
+    // RRsets in rotation, eight to a slot of the signature memo, so each
+    // has been displaced by the time it comes round and the row is the
+    // signing buffer plus the whole HMAC. Repeated: one RRset, so the row
+    // is the signing buffer plus a memo read. The hit ratios say which
+    // of the two each row really timed.
+    let apex = name("target.com.");
+    let zsk = SigningKey::zsk(&apex);
+    let key = zsk.pair.signing_context();
+    let signed: Vec<(Record, Record)> = (0..4096u32)
+        .map(|i| {
+            let a = RData::A(std::net::Ipv4Addr::from(0xC000_0200 | (i & 0xFF)));
+            let rec = Record::new(name(&format!("h{i}.target.com.")), 300, a);
+            let sig = sign_rrset(
+                std::slice::from_ref(&rec),
+                &zsk,
+                &apex,
+                NOW - 60,
+                NOW + 3600,
+            );
+            (rec, sig.expect("one A record signs"))
+        })
+        .collect();
+    let mut next = 0usize;
+    for (row, rotation) in [("fresh_message", signed.len()), ("repeated_message", 1)] {
+        let before = verify_memo_stats();
+        suite.bench(&format!("verify_rrsig/{row}"), || {
+            next = (next + 1) % rotation;
+            let (rec, sig) = black_box(&signed[next]);
+            verify_rrsig_with(&sig.rdata, &rec.name, std::slice::from_ref(rec), &key)
+        });
+        let after = verify_memo_stats();
+        let (hits, misses) = (after.0 - before.0, after.1 - before.1);
+        let ratio = hits as f64 / (hits + misses) as f64;
+        suite.record(
+            &format!("verify_rrsig/{row}_memo_hit_ratio"),
+            ratio,
+            "ratio",
+        );
+    }
 
     suite.finish();
 }

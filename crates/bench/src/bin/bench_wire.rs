@@ -1,11 +1,10 @@
 //! Bench: message encode/decode throughput, the pooled-buffer encode
-//! path, the auth server's answer-template hit and its two miss paths,
+//! path, the auth server answering a fresh name (NXDOMAIN and referral),
 //! and the name compression trade-off (DESIGN.md ablation 3). Writes
 //! `BENCH_wire.json`.
 
 use std::hint::black_box;
 use std::net::IpAddr;
-use std::rc::Rc;
 
 use dns_wire::buf::{WireBuf, Writer};
 use dns_wire::message::Message;
@@ -59,28 +58,13 @@ fn main() {
         })
     });
 
-    // The auth server's warm answer path: template cache hit, patched in
-    // place. Warmed once before timing.
-    let auth = auth_fixture();
+    // The auth server on a name it has never seen, which is every query
+    // of a scan. The pool is far larger than the NSEC3 hash cache (4,096
+    // slots), so a name that comes round again finds nothing of itself.
+    let server = auth_fixture();
     let net = Network::new(1);
-    let server = Rc::new(auth);
     let src: IpAddr = "10.9.9.9".parse().unwrap();
-    let query = Message::query(7, name("host.bench.example."), RrType::A).encode();
     let mut reply = Vec::new();
-    server
-        .handle(&net, src, &query, &mut reply)
-        .expect("warmup answer");
-    suite.bench("auth_answer_cached", || {
-        reply.clear();
-        server.handle(&net, src, black_box(&query), &mut reply);
-        black_box(reply.len())
-    });
-
-    // The miss path: a name the server has never seen, which is every
-    // query of a scan (`auth_answer_cached` above measures only the hit).
-    // The pool is far larger than the template cache (1,024 entries,
-    // dropped whole when full) and the NSEC3 hash cache (4,096 slots), so
-    // a name that comes round again finds neither.
     for (row, under) in [
         ("auth_answer_nxdomain_unique", "bench.example."),
         ("auth_answer_referral_unique", "secure.bench.example."),
@@ -190,7 +174,7 @@ fn main() {
     suite.finish();
 }
 
-/// A signed single-zone server for the warm-path row.
+/// A signed single-zone server for the two answer rows.
 fn auth_fixture() -> dns_auth::AuthServer {
     use dns_zone::signer::{sign_zone, SignerConfig};
     use dns_zone::Zone;

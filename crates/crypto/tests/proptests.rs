@@ -1,12 +1,12 @@
 //! Property-based tests for the crypto layer.
 
-use sim_check::{gens, props};
+use sim_check::{gens, props, Rng, Xoshiro256pp};
 
 use dns_crypto::hmac::{Hmac, HmacKey};
 use dns_crypto::keytag::key_tag;
 use dns_crypto::sha1::{sha1, Sha1};
 use dns_crypto::sha256::{sha256, Sha256};
-use dns_crypto::simsig::{verify, KeyPair};
+use dns_crypto::simsig::{verify, verify_memo_stats, Context, KeyPair};
 use dns_crypto::{ct_eq, hex_lower, hex_parse, Digest};
 
 props! {
@@ -120,5 +120,77 @@ props! {
         for (msg, got) in refs.iter().zip(&out) {
             assert_eq!(got.to_vec(), key.mac(msg), "len {}", msg.len());
         }
+    }
+}
+
+/// One stream of signature checks drawn from `seed`, each verdict of
+/// `Context::verify` (the memoised route) asserted equal to the one-shot
+/// HMAC oracle, which no memo sits in front of. Six keys (one of them a
+/// 31-octet key, which verifies nothing), 2,000 messages — twenty times
+/// the memo's slots, so entries collide and evict — with lengths on both
+/// sides of the 256-octet cap, and four kinds of signature.
+fn memo_stream_verdicts(seed: u64) -> Vec<bool> {
+    const DRAWS: usize = 6_000;
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut keys: Vec<Vec<u8>> = (0..5u8)
+        .map(|i| KeyPair::from_seed(&[i, seed as u8]).public_key().to_vec())
+        .collect();
+    keys.push(keys[0][..31].to_vec());
+    let contexts: Vec<Context> = keys.iter().map(|k| Context::new(k)).collect();
+    let messages: Vec<Vec<u8>> = (0..2_000)
+        .map(|_| {
+            let len = match rng.gen_range(0..8u8) {
+                0 => 255,
+                1 => 256,
+                2 => 257,
+                3 => rng.gen_range(258..600usize),
+                _ => rng.gen_range(0..200usize),
+            };
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        })
+        .collect();
+    (0..DRAWS)
+        .map(|_| {
+            let k = rng.gen_range(0..keys.len());
+            // Half the draws revisit a few messages, so entries are read
+            // back before a collision replaces them.
+            let m = if rng.gen_bool(0.5) {
+                rng.gen_range(0..24usize)
+            } else {
+                rng.gen_range(0..messages.len())
+            };
+            let (key, msg) = (&keys[k], &messages[m]);
+            let mut sig = Hmac::<Sha256>::mac(key, msg);
+            match rng.gen_range(0..4u8) {
+                0 => {}
+                1 => sig[rng.gen_range(0..32usize)] ^= 1 << rng.gen_range(0..8u8),
+                2 => sig.truncate(rng.gen_range(0..32usize)),
+                _ => sig = Hmac::<Sha256>::mac(&keys[(k + 1) % keys.len()], msg),
+            }
+            let oracle = key.len() == 32 && Hmac::<Sha256>::verify(key, msg, &sig);
+            let got = contexts[k].verify(msg, &sig);
+            assert_eq!(got, oracle, "key {k}, message {m} ({} octets)", msg.len());
+            got
+        })
+        .collect()
+}
+
+props! {
+    #![cases = 3]
+
+    /// The signature memo is a memo: every verdict equals the uncached
+    /// oracle's, a second thread (its own, cold memo) replays the same
+    /// verdicts, and the memo is observably in use on this one.
+    fn verify_memo_equals_one_shot_hmac(seed in gens::u64s(..)) {
+        let before = verify_memo_stats();
+        let here = memo_stream_verdicts(seed);
+        let after = verify_memo_stats();
+        let (hits, misses) = (after.0 - before.0, after.1 - before.1);
+        assert!(hits > 500 && misses > 500, "{hits} hits, {misses} misses");
+        assert!(here.iter().any(|v| *v) && here.iter().any(|v| !*v));
+        let there = std::thread::scope(|s| {
+            s.spawn(|| memo_stream_verdicts(seed)).join().expect("replay thread")
+        });
+        assert_eq!(here, there);
     }
 }

@@ -3,7 +3,6 @@
 //! thread-local buffer pool that back the zero-copy message path.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crate::name::{Name, MAX_NAME_LEN};
 use crate::WireError;
@@ -118,17 +117,63 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A reusable encode buffer: output bytes plus the name-compression map,
-/// both of which keep their capacity across messages. One `WireBuf` per
-/// encode replaces the fresh 512-byte `Vec` and fresh `HashMap` the old
-/// owning writer allocated per call.
+/// The name-compression state of one message: every name suffix a later
+/// name may point at. A reply has at most a few dozen, so the table is a
+/// list probed linearly — by length, then `memcmp` — with nothing hashed
+/// and nothing allocated per suffix.
+#[derive(Default)]
+struct Suffixes {
+    /// One lowercased copy of each name that was written with a literal
+    /// part; every suffix of that name is a tail of its copy.
+    arena: Vec<u8>,
+    /// One entry per label written below offset `0x4000`, in write order.
+    entries: Vec<Suffix>,
+}
+
+#[derive(Clone, Copy)]
+struct Suffix {
+    /// The suffix is `arena[start..start + len]`.
+    start: u32,
+    len: u8,
+    /// Message-relative offset of the suffix's first label.
+    at: u16,
+}
+
+impl Suffixes {
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.entries.clear();
+    }
+
+    /// Where `suffix` (lowercased wire form, no root octet) was written.
+    fn find(&self, suffix: &[u8]) -> Option<u16> {
+        self.entries
+            .iter()
+            .filter(|e| usize::from(e.len) == suffix.len())
+            .find(|e| {
+                let stored = &self.arena[e.start as usize..][..suffix.len()];
+                // Names of one length in one message are mostly siblings
+                // or hashed owners, which differ in their first label:
+                // eight octets compared inline turn most of them away
+                // without a call to `memcmp`.
+                match (stored.first_chunk::<8>(), suffix.first_chunk::<8>()) {
+                    (Some(a), Some(b)) if a != b => false,
+                    _ => stored == suffix,
+                }
+            })
+            .map(|e| e.at)
+    }
+}
+
+/// A reusable encode buffer: output bytes plus the name-compression
+/// table, both of which keep their capacity across messages.
 ///
 /// `WireBuf`s are plain values; [`with_pooled`] hands out thread-local
 /// pooled instances for the common encode-then-forget pattern.
 #[derive(Default)]
 pub struct WireBuf {
     bytes: Vec<u8>,
-    map: HashMap<Vec<u8>, u16>,
+    suffixes: Suffixes,
 }
 
 impl WireBuf {
@@ -136,14 +181,14 @@ impl WireBuf {
     pub fn new() -> Self {
         WireBuf {
             bytes: Vec::with_capacity(512),
-            map: HashMap::new(),
+            suffixes: Suffixes::default(),
         }
     }
 
     /// Drop contents, keep capacity.
     pub fn clear(&mut self) {
         self.bytes.clear();
-        self.map.clear();
+        self.suffixes.clear();
     }
 
     /// The encoded bytes so far.
@@ -162,19 +207,19 @@ impl WireBuf {
     }
 
     /// Steal the encoded bytes as an owned `Vec`, leaving the buffer
-    /// empty (the compression map keeps its capacity for reuse).
+    /// empty (the compression table keeps its capacity for reuse).
     pub fn take(&mut self) -> Vec<u8> {
-        self.map.clear();
+        self.suffixes.clear();
         std::mem::take(&mut self.bytes)
     }
 
     /// A compressing writer that appends to this buffer.
     pub fn writer(&mut self) -> Writer<'_> {
-        self.map.clear();
+        self.suffixes.clear();
         let base = self.bytes.len();
         Writer {
             out: &mut self.bytes,
-            compress: Some(&mut self.map),
+            compress: Some(&mut self.suffixes),
             base,
         }
     }
@@ -214,7 +259,7 @@ pub fn with_pooled<R>(f: impl FnOnce(&mut WireBuf) -> R) -> R {
 /// Message writer with optional name compression.
 ///
 /// The writer borrows its output buffer (and, when compressing, the
-/// suffix map) so callers control allocation: stack `Vec`s, pooled
+/// suffix table) so callers control allocation: stack `Vec`s, pooled
 /// [`WireBuf`]s, or a caller-provided reply buffer all encode through the
 /// same code. Compression offsets are relative to the buffer position at
 /// construction (`base`), so a message can be appended after existing
@@ -222,9 +267,8 @@ pub fn with_pooled<R>(f: impl FnOnce(&mut WireBuf) -> R) -> R {
 /// message-relative pointers.
 pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
-    /// Map from lowercased wire-suffix to message-relative offset, when
-    /// compression is on.
-    compress: Option<&'a mut HashMap<Vec<u8>, u16>>,
+    /// The suffixes written so far, when compression is on.
+    compress: Option<&'a mut Suffixes>,
     base: usize,
 }
 
@@ -241,14 +285,14 @@ impl<'a> Writer<'a> {
     }
 
     /// A writer that compresses names (normal responses), appending to
-    /// `out` and using `scratch`'s map for suffix tracking. The map is
-    /// cleared: compression never spans messages.
+    /// `out` and using `scratch`'s table for suffix tracking. The table
+    /// is cleared: compression never spans messages.
     pub fn compressing(out: &'a mut Vec<u8>, scratch: &'a mut WireBuf) -> Self {
-        scratch.map.clear();
+        scratch.suffixes.clear();
         let base = out.len();
         Writer {
             out,
-            compress: Some(&mut scratch.map),
+            compress: Some(&mut scratch.suffixes),
             base,
         }
     }
@@ -295,14 +339,13 @@ impl<'a> Writer<'a> {
     /// writer was created with [`Writer::compressing`].
     pub fn name(&mut self, name: &Name) {
         let wire = name.wire_bytes();
-        let Some(map) = self.compress.as_deref_mut() else {
+        let Some(suffixes) = self.compress.as_deref_mut() else {
             self.out.extend_from_slice(wire);
             self.out.push(0);
             return;
         };
         // One lowercased copy of the whole name on the stack; every
-        // suffix of it is a map key, looked up by slice (no per-suffix
-        // allocation — the old writer built an owned key per suffix).
+        // suffix of it is a tail of that copy.
         let mut key = [0u8; MAX_NAME_LEN];
         let key = &mut key[..wire.len()];
         for (dst, src) in key.iter_mut().zip(wire.iter()) {
@@ -314,7 +357,7 @@ impl<'a> Writer<'a> {
         let mut literal_len = wire.len();
         let mut pos = 0usize;
         while pos < wire.len() {
-            if let Some(&off) = map.get(&key[pos..]) {
+            if let Some(off) = suffixes.find(&key[pos..]) {
                 pointer = Some(off);
                 literal_len = pos;
                 break;
@@ -324,13 +367,22 @@ impl<'a> Writer<'a> {
         // Record the freshly-written suffixes for future compression, if
         // they fit in a 14-bit pointer. Labels land contiguously, so a
         // label at name-offset `p` sits at message-offset `here + p`.
+        // None of them is in the table yet — the search above stopped at
+        // the leftmost one that is — so the first writer of a suffix
+        // stays the only one.
         let here = self.out.len() - self.base;
-        let mut pos = 0usize;
-        while pos < literal_len {
-            if here + pos < 0x4000 {
-                map.insert(key[pos..].to_vec(), (here + pos) as u16);
+        if literal_len > 0 && here < 0x4000 {
+            let start = suffixes.arena.len();
+            suffixes.arena.extend_from_slice(key);
+            let mut pos = 0usize;
+            while pos < literal_len && here + pos < 0x4000 {
+                suffixes.entries.push(Suffix {
+                    start: (start + pos) as u32,
+                    len: (wire.len() - pos) as u8,
+                    at: (here + pos) as u16,
+                });
+                pos += 1 + wire[pos] as usize;
             }
-            pos += 1 + wire[pos] as usize;
         }
         self.out.extend_from_slice(&wire[..literal_len]);
         match pointer {

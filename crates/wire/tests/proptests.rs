@@ -1,11 +1,13 @@
 //! Property-based tests for the wire layer: every encode has a decode
 //! that returns the original, orderings are lawful, codecs round-trip.
 
-use sim_check::{gens, props, Gen};
+use std::collections::HashMap;
+
+use sim_check::{gens, props, Gen, Rng, Xoshiro256pp};
 
 use dns_wire::base32;
 use dns_wire::base64;
-use dns_wire::buf::{Reader, Writer};
+use dns_wire::buf::{Reader, WireBuf, Writer};
 use dns_wire::message::{Flags, Message, Question};
 use dns_wire::name::{ancestor_keys, Name};
 use dns_wire::rdata::RData;
@@ -150,6 +152,97 @@ fn rdata() -> impl Gen<RData> {
     ])
 }
 
+/// One step of writing a message: a name, or filler that moves the
+/// next name's offset (RDATA, as far as the compressor is concerned).
+#[derive(Debug)]
+enum WriteOp {
+    Name(Name),
+    Fill(usize),
+}
+
+/// A message's worth of names that share suffixes in mixed case, the
+/// root among them, with filler that often carries the write offset
+/// across `0x3FFF`, the last one a 14-bit pointer can name.
+fn compressible_message() -> impl Gen<Vec<WriteOp>> {
+    |rng: &mut Xoshiro256pp, size: usize| {
+        const LABELS: [&[u8]; 8] = [
+            b"a", b"b", b"www", b"ns1", b"example", b"com", b"x-y", b"\xC3z",
+        ];
+        let mut names: Vec<Name> = Vec::new();
+        let mut ops = Vec::new();
+        let mut offset = 0usize;
+        for _ in 0..rng.gen_range(1..size.max(1) + 2) {
+            match rng.gen_range(0..20u8) {
+                0 => {
+                    ops.push(WriteOp::Name(Name::root()));
+                    offset += 1;
+                }
+                1 | 2 => {
+                    let fill = if rng.gen_bool(0.5) {
+                        (0x3FF0 + rng.gen_range(0..0x20usize)).saturating_sub(offset)
+                    } else {
+                        rng.gen_range(0..3000usize)
+                    };
+                    ops.push(WriteOp::Fill(fill));
+                    offset += fill;
+                }
+                _ => {
+                    // A tail of an earlier name under zero to three new
+                    // labels, every letter's case redrawn.
+                    let mut labels: Vec<Vec<u8>> = (0..rng.gen_range(0..4u8))
+                        .map(|_| LABELS[rng.gen_range(0..LABELS.len())].to_vec())
+                        .collect();
+                    if let Some(earlier) = rng.choose(&names) {
+                        let tail: Vec<_> = earlier.labels().map(<[u8]>::to_vec).collect();
+                        labels.extend_from_slice(&tail[rng.gen_range(0..tail.len() + 1)..]);
+                    }
+                    // A chain of tails can outgrow 255 octets; skip those.
+                    let Ok(name) = Name::from_labels(labels) else {
+                        continue;
+                    };
+                    let name = name.map_label_octets(|b| {
+                        if rng.gen_bool(0.5) {
+                            b.to_ascii_uppercase()
+                        } else {
+                            b.to_ascii_lowercase()
+                        }
+                    });
+                    offset += name.wire_len();
+                    names.push(name.clone());
+                    ops.push(WriteOp::Name(name));
+                }
+            }
+        }
+        ops
+    }
+}
+
+/// The compressor `Writer::name` replaced, kept as its oracle: a map from
+/// every lowercased suffix written so far to its message offset, one
+/// owned key per suffix.
+fn reference_compressed_name(out: &mut Vec<u8>, map: &mut HashMap<Vec<u8>, u16>, name: &Name) {
+    let wire = name.wire_bytes();
+    let key = wire.to_ascii_lowercase();
+    let mut label_starts = Vec::new();
+    let mut pos = 0usize;
+    while pos < wire.len() {
+        label_starts.push(pos);
+        pos += 1 + wire[pos] as usize;
+    }
+    let known = label_starts.iter().find(|p| map.contains_key(&key[**p..]));
+    let literal_len = known.copied().unwrap_or(wire.len());
+    for p in label_starts.iter().filter(|p| **p < literal_len) {
+        if out.len() + p < 0x4000 {
+            map.insert(key[*p..].to_vec(), (out.len() + p) as u16);
+        }
+    }
+    out.extend_from_slice(&wire[..literal_len]);
+    match known {
+        Some(p) => out.extend_from_slice(&(0xC000 | map[&key[*p..]]).to_be_bytes()),
+        None => out.push(0),
+    }
+}
+
 props! {
     fn name_wire_roundtrip(n in name()) {
         let mut buf = Vec::new();
@@ -165,7 +258,7 @@ props! {
     }
 
     fn name_compressed_roundtrip(names in gens::vec_of(name(), 1..6)) {
-        let mut wb = dns_wire::buf::WireBuf::new();
+        let mut wb = WireBuf::new();
         let mut w = wb.writer();
         for n in &names {
             w.name(n);
@@ -174,6 +267,38 @@ props! {
         let mut r = Reader::new(&buf);
         for n in &names {
             assert_eq!(&r.name().unwrap(), n);
+        }
+        assert_eq!(r.remaining(), 0);
+    }
+
+    /// The suffix table writes what the suffix map wrote, byte for byte
+    /// — also behind a frame prefix, where offsets are base-relative —
+    /// and what it writes decodes to the names written.
+    fn compressed_names_equal_the_map_reference(ops in compressible_message(), framed in gens::bools()) {
+        let prefix: &[u8] = if framed { &[0xAB, 0xCD] } else { &[] };
+        let (mut out, mut scratch) = (prefix.to_vec(), WireBuf::new());
+        let mut w = Writer::compressing(&mut out, &mut scratch);
+        let (mut want, mut map) = (Vec::new(), HashMap::new());
+        for op in &ops {
+            match op {
+                WriteOp::Name(n) => {
+                    w.name(n);
+                    reference_compressed_name(&mut want, &mut map, n);
+                }
+                WriteOp::Fill(len) => {
+                    w.bytes(&vec![0xEE; *len]);
+                    want.resize(want.len() + len, 0xEE);
+                }
+            }
+        }
+        assert_eq!(&out[..prefix.len()], prefix);
+        assert_eq!(&out[prefix.len()..], want.as_slice());
+        let mut r = Reader::new(&want);
+        for op in &ops {
+            match op {
+                WriteOp::Name(n) => assert_eq!(&r.name().unwrap(), n),
+                WriteOp::Fill(len) => assert_eq!(r.bytes(*len).unwrap().len(), *len),
+            }
         }
         assert_eq!(r.remaining(), 0);
     }

@@ -67,6 +67,11 @@ echo "== repository benchmark (BENCHMARK.json): unit tests + smoke run"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke >/dev/null
 
+echo "== profiler script (syntax only)"
+# scripts/profile.sh builds benchmark/ with debug info and samples one
+# child for seconds; here it is only parsed.
+bash -n scripts/profile.sh
+
 echo "== external-dependency guard"
 if grep -rn --include=Cargo.toml -E '^\s*((rand|proptest|criterion|rayon|crossbeam|threadpool)\b|\[[a-z-]+\.(rand|proptest|criterion|rayon|crossbeam|threadpool)\])' . ; then
     echo "error: external dependency crept back into a manifest" >&2
@@ -110,7 +115,7 @@ if grep -rnE 'sim_par|default_threads|env::var' crates/zone/src crates/crypto/sr
     echo "error: sharding or an environment read inside dns-zone/dns-crypto" >&2
     exit 1
 fi
-for f in crates/crypto/src/sha1.rs crates/zone/src/nsec3hash.rs crates/zone/src/signer.rs; do
+for f in crates/crypto/src/sha1.rs crates/crypto/src/simsig.rs crates/zone/src/nsec3hash.rs crates/zone/src/signer.rs; do
     awk '/^mod tests/ { exit } { n++ } END { print FILENAME ": " n " non-test lines" }' "$f"
 done
 

@@ -119,11 +119,6 @@ impl DomainTally {
         }
     }
 
-    /// Number of records folded in so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// The finished statistics.
     pub fn finish(self) -> DomainStats {
         DomainStats {
@@ -340,7 +335,7 @@ mod tests {
             }
             merged.merge(part);
         }
-        assert_eq!(merged.total(), 200);
+        assert_eq!(merged.total, 200);
         let stats = merged.finish();
         assert_eq!(stats.total, whole.total);
         assert_eq!(stats.lost, whole.lost);

@@ -1,8 +1,6 @@
 //! Table 1 of the paper: the twelve RFC 9276 guidance items, with
 //! programmatic compliance checks where the measurement can decide them.
 
-use dns_zone::nsec3hash::Nsec3Params;
-
 /// RFC 2119 requirement levels used by RFC 9276.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[allow(missing_docs)]
@@ -104,42 +102,6 @@ pub const ITEMS: [Item; 12] = [
     },
 ];
 
-/// Domain-side compliance verdict for one zone's parameters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DomainCompliance {
-    /// Item 2: iterations == 0.
-    pub item2_zero_iterations: bool,
-    /// Item 3: no salt.
-    pub item3_no_salt: bool,
-    /// Item 4 heuristic: opt-out unset (we treat every registered domain
-    /// as a "small zone", as the paper argues in §5.1).
-    pub item4_no_opt_out: bool,
-}
-
-impl DomainCompliance {
-    /// Evaluate parameters + opt-out flag.
-    pub fn evaluate(params: &Nsec3Params, opt_out: bool) -> Self {
-        DomainCompliance {
-            item2_zero_iterations: params.iterations == 0,
-            item3_no_salt: params.salt.is_empty(),
-            item4_no_opt_out: !opt_out,
-        }
-    }
-
-    /// The paper's headline predicate: compliant with the MUST of item 2.
-    /// ("87.8 % of NSEC3-enabled domains fail to adhere to RFC 9276" is
-    /// the complement of this.)
-    pub fn rfc9276_compliant(&self) -> bool {
-        self.item2_zero_iterations
-    }
-
-    /// Full parameter compliance (items 2 *and* 3 — the 12.7 % of Tranco
-    /// domains in Figure 2's discussion).
-    pub fn fully_compliant(&self) -> bool {
-        self.item2_zero_iterations && self.item3_no_salt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,21 +114,5 @@ mod tests {
         assert_eq!(ITEMS[2].keyword, Keyword::ShouldNot);
         assert_eq!(ITEMS[10].keyword, Keyword::MustNot);
         assert_eq!(Keyword::NotRecommended.as_str(), "NOT RECOMMENDED");
-    }
-
-    #[test]
-    fn compliance_evaluation() {
-        let good = DomainCompliance::evaluate(&Nsec3Params::rfc9276(), false);
-        assert!(good.rfc9276_compliant());
-        assert!(good.fully_compliant());
-        assert!(good.item4_no_opt_out);
-
-        let iter_only = DomainCompliance::evaluate(&Nsec3Params::new(1, vec![]), false);
-        assert!(!iter_only.rfc9276_compliant());
-
-        let salt_only = DomainCompliance::evaluate(&Nsec3Params::new(0, vec![1]), true);
-        assert!(salt_only.rfc9276_compliant(), "item 2 is the MUST");
-        assert!(!salt_only.fully_compliant());
-        assert!(!salt_only.item4_no_opt_out);
     }
 }

@@ -56,7 +56,7 @@ impl Cdf {
     /// Build from `(value, count)` pairs in ascending value order with no
     /// repeated values — the shape a [`std::collections::BTreeMap`]
     /// iterates in. Zero-count pairs are skipped.
-    pub fn from_counts<I: IntoIterator<Item = (u32, u64)>>(counts: I) -> Self {
+    pub(crate) fn from_counts<I: IntoIterator<Item = (u32, u64)>>(counts: I) -> Self {
         let mut values = Vec::new();
         let mut cumulative = Vec::new();
         let mut acc = 0u64;
@@ -73,12 +73,12 @@ impl Cdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cumulative.last().copied().unwrap_or(0) as usize
     }
 
     /// True when no samples were supplied.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
@@ -117,11 +117,6 @@ impl Cdf {
     /// Largest sample.
     pub fn max(&self) -> Option<u32> {
         self.values.last().copied()
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> Option<u32> {
-        self.values.first().copied()
     }
 
     /// `(x, pct ≤ x)` pairs at every distinct sample value — the series a
@@ -196,7 +191,6 @@ mod tests {
         assert!((cdf.fraction_at_most(100) - 1.0).abs() < 1e-9);
         assert_eq!(cdf.count_over(5), 1);
         assert_eq!(cdf.max(), Some(10));
-        assert_eq!(cdf.min(), Some(1));
     }
 
     #[test]

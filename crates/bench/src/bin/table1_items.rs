@@ -13,9 +13,9 @@ fn main() {
     for item in ITEMS {
         let checker = match item.number {
             1 => "analysis::DomainStats (NSEC vs NSEC3 shares)",
-            2 => "analysis::DomainCompliance::item2_zero_iterations",
-            3 => "analysis::DomainCompliance::item3_no_salt",
-            4 => "analysis::DomainCompliance::item4_no_opt_out",
+            2 => "analysis::DomainStats::zero_iterations",
+            3 => "analysis::DomainStats::no_salt",
+            4 => "analysis::DomainStats::opt_out",
             5 => "popgen::tlds (85.4 % opt-out among TLDs)",
             6 => "scanner::ResolverClassification::implements_item6",
             7 => "scanner::ResolverClassification::item7_violation (it-2501-expired)",

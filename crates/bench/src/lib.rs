@@ -33,53 +33,64 @@ pub struct Options {
 
 impl Options {
     /// Parse `--scale 1/1000`, `--seed N`, `--e2e-sample N`,
-    /// `--threads N` from argv.
+    /// `--threads N` from argv. `--help` prints the usage line and exits
+    /// 0; an unknown option or a value that does not parse prints it and
+    /// exits 2 — a mistyped knob is never silently the default.
+    #[allow(clippy::disallowed_methods)] // the harnesses' one exit
     pub fn parse(default_scale: Scale) -> Options {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Options::parse_args(&args, default_scale).unwrap_or_else(|complaint| {
+            if let Some(complaint) = &complaint {
+                eprintln!("error: {complaint}");
+            }
+            eprintln!(
+                "options: --scale 1/N | --seed N | --e2e-sample N | --threads N (defaults: scale {}, seed 42, sample 600, threads from HEROES_THREADS else 1)",
+                fmt_scale(default_scale)
+            );
+            std::process::exit(if complaint.is_some() { 2 } else { 0 })
+        })
+    }
+
+    /// [`Options::parse`] over explicit arguments (the program name
+    /// already dropped). `Err(None)` asks for the usage line,
+    /// `Err(Some(_))` says what was wrong.
+    fn parse_args(args: &[String], default_scale: Scale) -> Result<Options, Option<String>> {
         let mut opts = Options {
             scale: default_scale,
             seed: 42,
             e2e_sample: 600,
             threads: sim_par::default_threads(),
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    opts.scale = parse_scale(&args[i + 1]).unwrap_or(default_scale);
-                    i += 2;
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--scale" => opts.scale = value_of(flag, &mut args, parse_scale)?,
+                "--seed" => opts.seed = value_of(flag, &mut args, |v| v.parse().ok())?,
+                "--e2e-sample" => opts.e2e_sample = value_of(flag, &mut args, |v| v.parse().ok())?,
+                "--threads" => {
+                    let threads: usize = value_of(flag, &mut args, |v| v.parse().ok())?;
+                    opts.threads = threads.clamp(1, sim_par::MAX_THREADS);
                 }
-                "--seed" if i + 1 < args.len() => {
-                    opts.seed = args[i + 1].parse().unwrap_or(42);
-                    i += 2;
-                }
-                "--e2e-sample" if i + 1 < args.len() => {
-                    opts.e2e_sample = args[i + 1].parse().unwrap_or(600);
-                    i += 2;
-                }
-                "--threads" if i + 1 < args.len() => {
-                    opts.threads = args[i + 1]
-                        .parse::<usize>()
-                        .map(|n| n.clamp(1, sim_par::MAX_THREADS))
-                        .unwrap_or(opts.threads);
-                    i += 2;
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --scale 1/N | --seed N | --e2e-sample N | --threads N (defaults: scale {}, seed 42, sample 600, threads from HEROES_THREADS else 1)",
-                        fmt_scale(default_scale)
-                    );
-                    std::process::exit(0);
-                }
-                _ => i += 1,
+                "--help" | "-h" => return Err(None),
+                _ => return Err(Some(format!("unknown option {flag}"))),
             }
         }
-        opts
+        Ok(opts)
     }
 }
 
+/// The value that follows `flag`, parsed — or what was wrong with it.
+fn value_of<T>(
+    flag: &str,
+    args: &mut std::slice::Iter<'_, String>,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    parse(value).ok_or_else(|| format!("{flag} {value}: not a valid value"))
+}
+
 /// Parse `1/1000` or a plain float.
-pub fn parse_scale(s: &str) -> Option<Scale> {
+pub(crate) fn parse_scale(s: &str) -> Option<Scale> {
     if let Some((num, den)) = s.split_once('/') {
         let n: f64 = num.trim().parse().ok()?;
         let d: f64 = den.trim().parse().ok()?;
@@ -116,6 +127,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Write `contents` to `target/experiments/<name>` and report the path.
+#[allow(clippy::disallowed_methods)] // the harnesses' one file writer
 pub fn write_artifact(name: &str, contents: &str) {
     let dir = std::path::Path::new("target/experiments");
     if std::fs::create_dir_all(dir).is_ok() {
@@ -136,6 +148,38 @@ mod tests {
         assert_eq!(parse_scale("0.01").unwrap().0, 0.01);
         assert!(parse_scale("1/0").is_none());
         assert!(parse_scale("x").is_none());
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, Option<String>> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Options::parse_args(&args, Scale(0.5))
+    }
+
+    #[test]
+    fn options_parse_what_they_are_given() {
+        let opts = parse(&["--seed", "7", "--scale", "1/1000", "--threads", "999"]).unwrap();
+        assert_eq!((opts.seed, opts.scale.0, opts.e2e_sample), (7, 0.001, 600));
+        assert_eq!(opts.threads, sim_par::MAX_THREADS, "clamped, not rejected");
+        assert_eq!(parse(&[]).unwrap().scale.0, 0.5);
+        assert_eq!(parse(&["--seed", "1", "-h"]).unwrap_err(), None);
+    }
+
+    #[test]
+    fn a_mistyped_option_is_an_error_not_the_default() {
+        for bad in [
+            &["--scale", "x"][..],
+            &["--seed", "abc"],
+            &["--e2e-sample", "-3"],
+            &["--threads", "four"],
+            &["--seed"],
+            &["--sead", "7"],
+            &["7"],
+        ] {
+            let complaint = parse(bad)
+                .unwrap_err()
+                .expect("a complaint, not the usage line");
+            assert!(complaint.contains(bad[0]), "{complaint}");
+        }
     }
 
     #[test]

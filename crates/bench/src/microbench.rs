@@ -32,7 +32,7 @@ const DEFAULT_SAMPLES: usize = 30;
 
 /// Per-iteration summary statistics, in nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Stats {
+pub(crate) struct Stats {
     /// Fastest observed sample.
     pub min_ns: f64,
     /// Median sample.
@@ -44,7 +44,7 @@ pub struct Stats {
 }
 
 /// Summarize per-iteration timings (ns). Panics on an empty slice.
-pub fn summarize(samples_ns: &[f64]) -> Stats {
+pub(crate) fn summarize(samples_ns: &[f64]) -> Stats {
     assert!(!samples_ns.is_empty(), "no samples");
     let mut sorted = samples_ns.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
@@ -62,7 +62,7 @@ pub fn summarize(samples_ns: &[f64]) -> Stats {
 
 /// One finished benchmark within a suite.
 #[derive(Clone, Debug)]
-pub struct BenchResult {
+pub(crate) struct BenchResult {
     /// Benchmark id, e.g. `"iterations/150"`.
     pub name: String,
     /// Iterations per timed sample (after calibration).
@@ -94,6 +94,7 @@ pub struct Suite {
 
 impl Suite {
     /// Start a suite; `name` becomes the `BENCH_<name>.json` artifact.
+    #[allow(clippy::disallowed_methods)] // the crate's one environment read
     pub fn new(name: &str) -> Suite {
         let samples = std::env::var("MICROBENCH_SAMPLES")
             .ok()
@@ -161,7 +162,7 @@ impl Suite {
     /// Render the suite as JSON (stable key order, no external deps).
     /// `host_cores` records where the numbers came from: rows from hosts
     /// of different widths are not comparable.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut out = String::new();
         out.push_str(&format!(
@@ -194,6 +195,7 @@ impl Suite {
 
     /// Write `BENCH_<suite>.json` and report the path. Consumes the
     /// suite; call last.
+    #[allow(clippy::disallowed_methods)] // the one BENCH_*.json writer
     pub fn finish(self) {
         let path = format!("BENCH_{}.json", self.name);
         match std::fs::write(&path, self.to_json()) {

@@ -88,6 +88,7 @@ impl Config {
     /// The default configuration with `SIM_CHECK_CASES` / `SIM_CHECK_SEED`
     /// environment overrides applied (decimal, or `0x`-prefixed hex for
     /// the seed — the failure report prints it in that form).
+    #[allow(clippy::disallowed_methods)] // SIM_CHECK_CASES and SIM_CHECK_SEED are read here and nowhere else
     pub fn from_env() -> Self {
         let mut cfg = Config::default();
         if let Ok(v) = std::env::var("SIM_CHECK_CASES") {

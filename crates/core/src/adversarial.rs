@@ -105,7 +105,7 @@ pub struct FamilyTally {
 /// SHA-1 compression — the same coarse exchange rate the hardened
 /// budget's two axes imply (1,000 compressions : 16 signatures ≈ 60,
 /// rounded down to a round number that undercounts signatures).
-pub const SIGNATURE_WORK_UNITS: u64 = 20;
+pub(crate) const SIGNATURE_WORK_UNITS: u64 = 20;
 
 impl FamilyTally {
     fn merge(&mut self, other: &FamilyTally) {

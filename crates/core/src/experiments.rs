@@ -111,7 +111,7 @@ impl ScanProfile {
     /// Episodes are flow-keyed (no time windows, no rate limits), so the
     /// resolver study replays identically across thread counts; census
     /// drivers additionally need `batch_size = 1` for that.
-    pub fn lossy(seed: u64) -> Self {
+    pub(crate) fn lossy(seed: u64) -> Self {
         ScanProfile {
             schedule: FaultSchedule {
                 base: Default::default(),
@@ -130,6 +130,16 @@ impl ScanProfile {
             },
             retry: RetryPolicy::adaptive(seed ^ 0x9276),
             breaker: BreakerConfig::default(),
+        }
+    }
+
+    /// The profile a `HEROES_FAULTS` value names: `lossy` (seeded from
+    /// [`DEFAULT_LAB_SEED`]), or clean when the variable is unset or empty.
+    fn named(faults: &str) -> Self {
+        match faults.trim() {
+            "" => ScanProfile::clean(),
+            "lossy" => ScanProfile::lossy(DEFAULT_LAB_SEED),
+            other => panic!("HEROES_FAULTS={other:?} is not a fault profile: use \"lossy\", or leave it unset for the clean network"),
         }
     }
 }
@@ -169,15 +179,19 @@ impl DriverConfig {
 
     /// Environment-driven configuration: `HEROES_THREADS` picks the
     /// worker count (default 1), `HEROES_FAULTS=lossy` selects
-    /// [`ScanProfile::lossy`] seeded from [`DEFAULT_LAB_SEED`] (anything
-    /// else, including unset, the clean profile); the lab seed is
-    /// [`DEFAULT_LAB_SEED`] and the window [`DEFAULT_WINDOW`].
+    /// [`ScanProfile::lossy`] seeded from [`DEFAULT_LAB_SEED`] (unset or
+    /// empty, the clean profile); the lab seed is [`DEFAULT_LAB_SEED`]
+    /// and the window [`DEFAULT_WINDOW`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other `HEROES_FAULTS` value: a mistyped profile must
+    /// not run, and pass, as the clean one.
+    #[allow(clippy::disallowed_methods)] // the drivers' one environment read
     pub fn from_env(now: u32) -> Self {
-        let profile = match std::env::var("HEROES_FAULTS") {
-            Ok(v) if v.trim() == "lossy" => ScanProfile::lossy(DEFAULT_LAB_SEED),
-            _ => ScanProfile::clean(),
-        };
-        DriverConfig::clean(now, sim_par::default_threads(), DEFAULT_LAB_SEED).with_profile(profile)
+        let faults = std::env::var("HEROES_FAULTS").unwrap_or_default();
+        DriverConfig::clean(now, sim_par::default_threads(), DEFAULT_LAB_SEED)
+            .with_profile(ScanProfile::named(&faults))
     }
 
     /// The same configuration under `profile`.
@@ -286,7 +300,7 @@ fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
 /// NSEC3 zones), plus every spec's apex, parsed once for the builder and
 /// the caller alike: `None` where the spec yields no zone (its name does
 /// not parse, or leaves no room for a 32-octet NSEC3 owner label).
-pub fn domain_lab(
+pub(crate) fn domain_lab(
     specs: &[DomainSpec],
     now: u32,
     lab_seed: u64,
@@ -849,6 +863,19 @@ mod tests {
     use popgen::Scale;
 
     const NOW: u32 = 1_710_000_000;
+
+    #[test]
+    fn fault_profiles_are_named_exactly() {
+        assert!(ScanProfile::named("").schedule.is_inert());
+        assert!(!ScanProfile::named("lossy").schedule.is_inert());
+        assert!(!ScanProfile::named(" lossy\n").schedule.is_inert());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a fault profile")]
+    fn a_mistyped_fault_profile_does_not_run_clean() {
+        ScanProfile::named("lossey");
+    }
 
     #[test]
     fn census_measures_what_popgen_declares() {

@@ -125,7 +125,8 @@ pub struct ChainReport {
 
 impl ChainReport {
     /// The tally for `scenario` (zero tally if the hierarchy had none).
-    pub fn scenario(&self, scenario: ChainScenario) -> ChainTally {
+    #[allow(dead_code)] // `scenarios_classify_into_distinct_buckets`: unit tests only
+    pub(crate) fn scenario(&self, scenario: ChainScenario) -> ChainTally {
         self.per_scenario
             .get(scenario.key())
             .copied()

@@ -58,4 +58,4 @@ pub use hierarchy::{
     Hierarchy,
 };
 pub use serving::{run_serving_cfg, ServingReport, ServingScenario, ServingTally};
-pub use testbed::{build_testbed, build_testbed_seeded, iteration_values, Testbed, TEST_DOMAIN};
+pub use testbed::{build_testbed, build_testbed_seeded, Testbed, TEST_DOMAIN};

@@ -105,14 +105,6 @@ impl ServingScenario {
         self.aggressive = aggressive;
         self
     }
-
-    /// The same scenario with delegation caching toggled — warm walks
-    /// restart at the deepest cached referral cut, and the fleet's
-    /// hit/miss/eviction counters surface in the tally.
-    pub fn with_delegation_cache(mut self, delegation_cache: bool) -> Self {
-        self.delegation_cache = delegation_cache;
-        self
-    }
 }
 
 /// Serving counters. Plain sums plus a summable latency histogram, so
@@ -190,7 +182,7 @@ impl ServingTally {
 
     /// The `pct`-th percentile of virtual latency, in microseconds
     /// (nearest-rank over the exact histogram).
-    pub fn latency_percentile(&self, pct: f64) -> u64 {
+    pub(crate) fn latency_percentile(&self, pct: f64) -> u64 {
         let total: u64 = self.latency_hist.values().sum();
         if total == 0 {
             return 0;
@@ -221,20 +213,10 @@ impl ServingTally {
         ratio(self.answer_hits, self.answer_hits + self.answer_misses)
     }
 
-    /// Key-cache hit ratio across the fleet.
-    pub fn key_hit_ratio(&self) -> f64 {
-        ratio(self.key_hits, self.key_hits + self.key_misses)
-    }
-
     /// Share of queries answered without touching the network (cache
     /// hits plus RFC 8198 synthesis).
     pub fn local_answer_share(&self) -> f64 {
         ratio(self.served_cache + self.synthesized, self.queries)
-    }
-
-    /// Upstream messages per client query — the load the fleet exports.
-    pub fn upstream_per_query(&self) -> f64 {
-        ratio(self.upstream_messages, self.queries)
     }
 }
 
@@ -525,7 +507,10 @@ mod tests {
 
     #[test]
     fn delegation_cache_saves_upstream_and_stays_invariant() {
-        let cached = small_scenario().with_delegation_cache(true);
+        let cached = ServingScenario {
+            delegation_cache: true,
+            ..small_scenario()
+        };
         let plain = small_scenario();
         let base = |threads| DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED);
         let with_cache = run_serving_cfg(&cached, &base(1));

@@ -79,7 +79,11 @@ impl ShardRun<'_> {
     /// validating resolver up in it: next free address, the lab's hints,
     /// anchor and epoch, the profile's retry policy, an unlimited
     /// RFC 9276 policy — then whatever `tune` changes.
-    pub fn resolver(&self, lab: &mut Lab, tune: impl FnOnce(&mut ResolverConfig)) -> Resolver {
+    pub(crate) fn resolver(
+        &self,
+        lab: &mut Lab,
+        tune: impl FnOnce(&mut ResolverConfig),
+    ) -> Resolver {
         lab.net.set_schedule(self.cfg.profile.schedule.clone());
         let addr = lab.alloc.v4();
         let mut rcfg = ResolverConfig::validating(addr, lab.root_hints.clone(), lab.anchor.clone());
@@ -93,7 +97,8 @@ impl ShardRun<'_> {
     /// run's effective window. Before each step `net`'s clock is brought
     /// up to the event's due time — the wait a blocking loop would have
     /// slept through.
-    pub fn drive<F>(
+    #[allow(clippy::disallowed_methods)] // the drivers' one event loop
+    pub(crate) fn drive<F>(
         &self,
         net: &Network,
         admit: impl FnMut() -> Option<F>,
@@ -113,7 +118,7 @@ impl ShardRun<'_> {
     /// [`FlowStep::Done`] `finish(i, flow)` turns the flow into its
     /// result inside that same step. Results wait in per-index slots, so
     /// completion order never leaks out.
-    pub fn drive_indexed<F, T>(
+    pub(crate) fn drive_indexed<F, T>(
         &self,
         net: &Network,
         len: usize,
@@ -140,7 +145,7 @@ impl ShardRun<'_> {
 
     /// Book one resolution in the session and say whether it was lost
     /// (the rule is [`ResolveOutcome::probe_lost`]).
-    pub fn lost(&self, out: &ResolveOutcome) -> bool {
+    pub(crate) fn lost(&self, out: &ResolveOutcome) -> bool {
         let lost = out.probe_lost();
         if lost {
             self.session.note_timed_out(out.cost.retries);

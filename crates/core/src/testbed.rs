@@ -51,7 +51,7 @@ pub struct Testbed {
 
 /// The 47 `it-N` values of the paper's methodology: 1–25, then steps of
 /// 25 to 500, plus the limit successors 51, 101, 151.
-pub fn iteration_values() -> Vec<u16> {
+pub(crate) fn iteration_values() -> Vec<u16> {
     let mut v: Vec<u16> = (1..=25).collect();
     v.extend((2..=20).map(|k| k * 25)); // 50, 75, …, 500
     v.extend([51, 101, 151]);

@@ -34,7 +34,7 @@ impl<D: Digest> HmacKey<D> {
     }
 
     /// Start a streaming MAC under this key.
-    pub fn begin(&self) -> Hmac<D> {
+    pub(crate) fn begin(&self) -> Hmac<D> {
         Hmac {
             inner: self.inner.clone(),
             outer: self.outer.clone(),
@@ -43,7 +43,7 @@ impl<D: Digest> HmacKey<D> {
 
     /// MAC `data` into `out` (exactly `D::OUTPUT_LEN` bytes) without
     /// allocating.
-    pub fn mac_into(&self, data: &[u8], out: &mut [u8]) {
+    pub(crate) fn mac_into(&self, data: &[u8], out: &mut [u8]) {
         let mut h = self.begin();
         h.update(data);
         h.finalize_into(out);
@@ -98,10 +98,9 @@ impl HmacKey<crate::sha256::Sha256> {
 ///
 /// ```
 /// use dns_crypto::{hmac::Hmac, sha256::Sha256, Digest};
-/// let mut mac = Hmac::<Sha256>::new(b"key");
-/// mac.update(b"message");
-/// let tag = mac.finalize();
+/// let tag = Hmac::<Sha256>::mac(b"key", b"message");
 /// assert_eq!(tag.len(), Sha256::OUTPUT_LEN);
+/// assert!(Hmac::<Sha256>::verify(b"key", b"message", &tag));
 /// ```
 #[derive(Clone)]
 pub struct Hmac<D: Digest> {
@@ -113,23 +112,23 @@ pub struct Hmac<D: Digest> {
 impl<D: Digest> Hmac<D> {
     /// Create an HMAC instance keyed with `key` (any length; keys longer than
     /// the digest block length are hashed first, per RFC 2104).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         HmacKey::new(key).begin()
     }
 
     /// Absorb message data.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Produce the authentication tag.
-    pub fn finalize(self) -> Vec<u8> {
+    pub(crate) fn finalize(self) -> Vec<u8> {
         self.finalize_outer().finalize()
     }
 
     /// Produce the tag into `out` (exactly `D::OUTPUT_LEN` bytes) without
     /// allocating.
-    pub fn finalize_into(self, out: &mut [u8]) {
+    pub(crate) fn finalize_into(self, out: &mut [u8]) {
         self.finalize_outer().finalize_into(out);
     }
 

@@ -7,7 +7,7 @@
 //!
 //! * [`Sha1`] — the streaming Merkle–Damgård construction with a compression
 //!   counter for the CVE-2023-50868 cost model.
-//! * [`compress_block`] / [`sha1_oneshot`] / [`IteratedSha1`] — the hot-path
+//! * [`IteratedSha1`], over one-block `compress_block` — the hot-path
 //!   API used by NSEC3 hashing, which avoids per-call hasher construction and
 //!   byte-at-a-time padding entirely. Cost is accounted arithmetically with
 //!   [`padded_blocks`], which is exact: padding appends `0x80`, zeros to
@@ -24,7 +24,7 @@ const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0
 /// The round function is unrolled into its four 20-round phases so the
 /// per-round `f`/`k` selection compiles away — this is the innermost loop
 /// of the NSEC3 iterated hash.
-pub fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
+pub(crate) fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -39,7 +39,7 @@ pub fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
 /// The message schedule is a rolling 16-word window computed inside the
 /// round loops (`w[i] ≡ w[i mod 16]`, with `i-3 ≡ i+13`, `i-8 ≡ i+8`,
 /// `i-14 ≡ i+2` mod 16) instead of a precomputed 80-word array.
-pub fn compress_words(state: &mut [u32; 5], words: &[u32; 16]) {
+pub(crate) fn compress_words(state: &mut [u32; 5], words: &[u32; 16]) {
     let mut w = *words;
     let [mut a, mut b, mut c, mut d, mut e] = *state;
 
@@ -92,7 +92,7 @@ pub fn compress_words(state: &mut [u32; 5], words: &[u32; 16]) {
 
 /// Number of 64-byte SHA-1 blocks a `len`-byte message occupies once padded:
 /// the currency of the CVE-2023-50868 cost model, computed without hashing.
-pub const fn padded_blocks(len: usize) -> u64 {
+pub(crate) const fn padded_blocks(len: usize) -> u64 {
     (len + 9).div_ceil(64) as u64
 }
 
@@ -104,13 +104,9 @@ fn digest_bytes(state: &[u32; 5]) -> [u8; 20] {
     out
 }
 
-/// One-shot SHA-1 over a slice with no hasher construction and slice-copy
-/// padding. Byte-identical to [`sha1`]; costs [`padded_blocks`]`(data.len())`
-/// compressions.
-pub fn sha1_oneshot(data: &[u8]) -> [u8; 20] {
-    digest_bytes(&sha1_oneshot_state(data))
-}
-
+/// One-shot SHA-1 state over a slice with no hasher construction and
+/// slice-copy padding. Equal to what [`sha1`] computes; costs
+/// [`padded_blocks`]`(data.len())` compressions.
 fn sha1_oneshot_state(data: &[u8]) -> [u32; 5] {
     let mut state = H0;
     let mut chunks = data.chunks_exact(64);
@@ -162,7 +158,7 @@ pub struct IteratedSha1 {
 impl IteratedSha1 {
     /// Longest salt for which `20 + salt_len + 9 ≤ 64`, i.e. one padded
     /// block per iteration.
-    pub const MAX_SINGLE_BLOCK_SALT: usize = 35;
+    pub(crate) const MAX_SINGLE_BLOCK_SALT: usize = 35;
 
     /// Build the engine for one parameter set (one salt).
     pub fn new(salt: &[u8]) -> Self {
@@ -437,7 +433,8 @@ mod tests {
     fn sha1_oneshot_equals_streaming_at_padding_boundaries() {
         let data: Vec<u8> = (0..=255u8).cycle().take(200).collect();
         for len in [0usize, 1, 54, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
-            assert_eq!(sha1_oneshot(&data[..len]), sha1(&data[..len]), "len {len}");
+            let oneshot = digest_bytes(&sha1_oneshot_state(&data[..len]));
+            assert_eq!(oneshot, sha1(&data[..len]), "len {len}");
         }
     }
 

@@ -310,13 +310,6 @@ impl Sha256 {
         }
         out
     }
-
-    /// Total compressions this hasher will have performed once finalized
-    /// (see [`crate::sha1::Sha1::padded_compressions`]).
-    pub fn padded_compressions(&self) -> u64 {
-        let tail_blocks = (self.buf_len + 9).div_ceil(64) as u64;
-        self.compressions + tail_blocks
-    }
 }
 
 impl Digest for Sha256 {

@@ -36,7 +36,7 @@ pub const SIMSIG_ALGORITHM: u8 = 253;
 pub const PUBLIC_KEY_LEN: usize = 32;
 
 /// Length in bytes of a SimSig signature.
-pub const SIGNATURE_LEN: usize = 32;
+pub(crate) const SIGNATURE_LEN: usize = 32;
 
 /// Domain-separation suffix for public-key derivation.
 const PK_DERIVE: &[u8] = b"heroes-simsig-public-v1";
@@ -253,7 +253,7 @@ pub fn verify_memo_stats() -> (u64, u64) {
 /// Exposed so that fault injectors can mint signatures for *any* key when
 /// constructing deliberately inconsistent zones; regular code paths should go
 /// through [`KeyPair::sign`].
-pub fn sign_with_public(public_key: &[u8], message: &[u8]) -> Vec<u8> {
+pub(crate) fn sign_with_public(public_key: &[u8], message: &[u8]) -> Vec<u8> {
     Hmac::<Sha256>::mac(public_key, message)
 }
 

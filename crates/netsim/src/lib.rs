@@ -3,8 +3,7 @@
 //! This crate substitutes for the live network in the *Zeros Are Heroes*
 //! reproduction (DESIGN.md §2). It follows the smoltcp school of design:
 //! synchronous, explicit, no hidden concurrency, with first-class fault
-//! injection (`--drop-chance` / `--corrupt-chance` style knobs) and a
-//! packet trace for observability.
+//! injection (`--drop-chance` / `--corrupt-chance` style knobs).
 //!
 //! # Model
 //!
@@ -15,8 +14,9 @@
 //! * A node handling a datagram may itself send queries through the same
 //!   network (that is how the recursive resolver reaches authoritative
 //!   servers). Cycles (a node querying itself) are detected and dropped.
-//! * Time is virtual: a monotonic microsecond clock advanced by configured
-//!   per-node latencies. Runs are exactly reproducible for a given seed.
+//! * Time is virtual: a monotonic microsecond clock advanced by a fixed
+//!   per-leg latency, fault episodes and timeouts. Runs are exactly
+//!   reproducible for a given seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,7 +92,7 @@ pub enum Scope {
 
 impl Scope {
     /// Does `ip` fall inside this scope?
-    pub fn matches(&self, ip: IpAddr) -> bool {
+    pub(crate) fn matches(&self, ip: IpAddr) -> bool {
         match (self, ip) {
             (Scope::All, _) => true,
             (Scope::Addr(a), ip) => *a == ip,
@@ -287,7 +287,7 @@ impl RetryPolicy {
     }
 
     /// Backoff before retry number `retry` (1-based), jitter included.
-    pub fn backoff_micros(&self, dst: IpAddr, retry: u32) -> u64 {
+    pub(crate) fn backoff_micros(&self, dst: IpAddr, retry: u32) -> u64 {
         let exp = retry.saturating_sub(1).min(32);
         let base = self
             .base_backoff_micros
@@ -347,11 +347,6 @@ impl ExchangeMachine {
             attempts: 0,
             outcome: None,
         }
-    }
-
-    /// Attempts sent on the wire so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
     }
 
     /// Send one attempt of `payload` on `net` and decide what happens
@@ -444,50 +439,12 @@ impl Outcome {
     }
 }
 
-/// One line of the packet trace.
-#[derive(Clone, Debug)]
-pub struct TraceEntry {
-    /// Virtual timestamp (µs) when the datagram entered the network.
-    pub at_micros: u64,
-    /// Sender address.
-    pub src: IpAddr,
-    /// Destination address.
-    pub dst: IpAddr,
-    /// Payload length.
-    pub len: usize,
-    /// What happened to it.
-    pub verdict: TraceVerdict,
-}
-
-/// Per-datagram fate recorded in the trace.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TraceVerdict {
-    /// Delivered to the destination node.
-    Delivered,
-    /// Dropped by fault injection.
-    Dropped,
-    /// Corrupted in flight (still delivered).
-    Corrupted,
-    /// Dropped: larger than the size limit.
-    OverSize,
-    /// Dropped: no such destination.
-    NoRoute,
-    /// Dropped: delivery would re-enter a node already on the call stack.
-    Loop,
-    /// Dropped by an [`EpisodeKind::Outage`] episode.
-    Outage,
-    /// Dropped by an [`EpisodeKind::RateLimit`] episode (bucket empty).
-    RateLimited,
-    /// Dropped by an [`EpisodeKind::Partition`] episode.
-    Partitioned,
-}
+/// One-way delivery time of a datagram: 5 ms at each end.
+const LEG_LATENCY_MICROS: u64 = 10_000;
 
 /// The simulated Internet.
 pub struct Network {
     nodes: RefCell<HashMap<IpAddr, Rc<dyn Node>>>,
-    latency: RefCell<HashMap<IpAddr, u64>>,
-    /// Default one-way latency in µs when a node has none configured.
-    default_latency: u64,
     faults: RefCell<FaultConfig>,
     episodes: RefCell<Vec<Episode>>,
     episode_seed: Cell<u64>,
@@ -500,11 +457,6 @@ pub struct Network {
     buckets: RefCell<HashMap<(usize, IpAddr), Bucket>>,
     rng: RefCell<Xoshiro256pp>,
     clock: Cell<u64>,
-    trace: RefCell<Vec<TraceEntry>>,
-    trace_cap: Cell<usize>,
-    /// Ring-buffer write head: index of the oldest entry once the trace
-    /// is full (entries are chronological starting there).
-    trace_head: Cell<usize>,
     in_flight: RefCell<Vec<IpAddr>>,
     delivered: Cell<u64>,
     lost: Cell<u64>,
@@ -522,8 +474,6 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             nodes: RefCell::new(HashMap::new()),
-            latency: RefCell::new(HashMap::new()),
-            default_latency: 5_000, // 5 ms one-way
             faults: RefCell::new(FaultConfig::default()),
             episodes: RefCell::new(Vec::new()),
             episode_seed: Cell::new(0),
@@ -531,9 +481,6 @@ impl Network {
             buckets: RefCell::new(HashMap::new()),
             rng: RefCell::new(Xoshiro256pp::seed_from_u64(seed)),
             clock: Cell::new(0),
-            trace: RefCell::new(Vec::new()),
-            trace_cap: Cell::new(0),
-            trace_head: Cell::new(0),
             in_flight: RefCell::new(Vec::new()),
             delivered: Cell::new(0),
             lost: Cell::new(0),
@@ -554,19 +501,6 @@ impl Network {
         self.episode_seed.set(schedule.seed);
         self.flow_seq.borrow_mut().clear();
         self.buckets.borrow_mut().clear();
-    }
-
-    /// Keep at most `cap` most-recent trace entries (0 disables tracing).
-    pub fn set_trace_capacity(&self, cap: usize) {
-        // Normalize whatever is buffered to chronological order, keep the
-        // newest `cap` entries, and restart the ring from a zero head.
-        let mut chronological = self.trace_chronological();
-        if chronological.len() > cap {
-            chronological.drain(..chronological.len() - cap);
-        }
-        *self.trace.borrow_mut() = chronological;
-        self.trace_head.set(0);
-        self.trace_cap.set(cap);
     }
 
     /// Register `node` at `addr`. A node may hold many addresses
@@ -591,11 +525,6 @@ impl Network {
     /// Is anything registered at `addr`?
     pub fn is_registered(&self, addr: IpAddr) -> bool {
         self.nodes.borrow().contains_key(&addr)
-    }
-
-    /// Set the one-way latency for `addr` in microseconds.
-    pub fn set_latency(&self, addr: IpAddr, micros: u64) {
-        self.latency.borrow_mut().insert(addr, micros);
     }
 
     /// Current virtual time in microseconds.
@@ -626,22 +555,6 @@ impl Network {
     /// Datagrams lost (all causes) so far.
     pub fn lost_count(&self) -> u64 {
         self.lost.get()
-    }
-
-    /// A copy of the trace, oldest entry first. At most the configured
-    /// capacity of **most recent** entries is retained: once full, each
-    /// new datagram evicts the oldest record (true ring buffer).
-    pub fn trace(&self) -> Vec<TraceEntry> {
-        self.trace_chronological()
-    }
-
-    fn trace_chronological(&self) -> Vec<TraceEntry> {
-        let trace = self.trace.borrow();
-        let head = self.trace_head.get();
-        let mut out = Vec::with_capacity(trace.len());
-        out.extend_from_slice(&trace[head..]);
-        out.extend_from_slice(&trace[..head]);
-        out
     }
 
     /// Send `payload` from `src` to `dst` and wait (virtually) for the
@@ -751,54 +664,16 @@ impl Network {
         self.clock.set(self.clock.get() + 2_000_000);
     }
 
-    fn one_way_latency(&self, a: IpAddr, b: IpAddr) -> u64 {
-        let lat = self.latency.borrow();
-        let la = lat.get(&a).copied().unwrap_or(self.default_latency);
-        let lb = lat.get(&b).copied().unwrap_or(self.default_latency);
-        la + lb
-    }
-
-    fn record(&self, entry: TraceEntry) {
-        let cap = self.trace_cap.get();
-        if cap == 0 {
-            return;
-        }
-        let mut trace = self.trace.borrow_mut();
-        if trace.len() < cap {
-            trace.push(entry);
-        } else {
-            // Full: overwrite the oldest entry and advance the head, so
-            // the buffer always holds the `cap` most recent datagrams.
-            let head = self.trace_head.get();
-            trace[head] = entry;
-            self.trace_head.set((head + 1) % cap);
-        }
-    }
-
     fn transmit(&self, src: IpAddr, dst: IpAddr, payload: &[u8], require_route: bool) -> Leg {
         let at = self.clock.get();
         let faults = self.faults.borrow().clone();
         if let Some(limit) = faults.size_limit {
             if payload.len() > limit {
                 self.lost.set(self.lost.get() + 1);
-                self.record(TraceEntry {
-                    at_micros: at,
-                    src,
-                    dst,
-                    len: payload.len(),
-                    verdict: TraceVerdict::OverSize,
-                });
                 return Leg::Lost;
             }
         }
         if require_route && !self.nodes.borrow().contains_key(&dst) {
-            self.record(TraceEntry {
-                at_micros: at,
-                src,
-                dst,
-                len: payload.len(),
-                verdict: TraceVerdict::NoRoute,
-            });
             return Leg::NoRoute;
         }
         // Re-entry protection only matters when we are about to invoke the
@@ -806,39 +681,15 @@ impl Network {
         // node that is legitimately on the stack awaiting them.
         if require_route && self.in_flight.borrow().contains(&dst) {
             self.lost.set(self.lost.get() + 1);
-            self.record(TraceEntry {
-                at_micros: at,
-                src,
-                dst,
-                len: payload.len(),
-                verdict: TraceVerdict::Loop,
-            });
             return Leg::LoopDrop;
         }
-        let episode_extra = match self.evaluate_episodes(src, dst, at, require_route) {
-            Ok(extra_latency) => extra_latency,
-            Err(verdict) => {
-                self.lost.set(self.lost.get() + 1);
-                self.record(TraceEntry {
-                    at_micros: at,
-                    src,
-                    dst,
-                    len: payload.len(),
-                    verdict,
-                });
-                return Leg::Lost;
-            }
+        let Some(episode_extra) = self.evaluate_episodes(src, dst, at, require_route) else {
+            self.lost.set(self.lost.get() + 1);
+            return Leg::Lost;
         };
         let mut rng = self.rng.borrow_mut();
         if faults.drop_chance > 0.0 && rng.gen_bool(faults.drop_chance.clamp(0.0, 1.0)) {
             self.lost.set(self.lost.get() + 1);
-            self.record(TraceEntry {
-                at_micros: at,
-                src,
-                dst,
-                len: payload.len(),
-                verdict: TraceVerdict::Dropped,
-            });
             return Leg::Lost;
         }
         // The datagram itself is not copied: corruption is decided here
@@ -847,32 +698,22 @@ impl Network {
         // caller, which can flip the bit in place or borrow the payload
         // untouched.
         let mut corrupt = None;
-        let mut verdict = TraceVerdict::Delivered;
         if faults.corrupt_chance > 0.0
             && !payload.is_empty()
             && rng.gen_bool(faults.corrupt_chance.clamp(0.0, 1.0))
         {
             let idx = rng.gen_range(0..payload.len());
             corrupt = Some((idx, 1u8 << rng.gen_range(0u32..8)));
-            verdict = TraceVerdict::Corrupted;
         }
         drop(rng);
-        self.clock
-            .set(at + self.one_way_latency(src, dst) + episode_extra);
+        self.clock.set(at + LEG_LATENCY_MICROS + episode_extra);
         self.delivered.set(self.delivered.get() + 1);
-        self.record(TraceEntry {
-            at_micros: at,
-            src,
-            dst,
-            len: payload.len(),
-            verdict,
-        });
         Leg::Delivered { corrupt }
     }
 
     /// Evaluate the active fault episodes for one datagram. Returns the
-    /// extra one-way latency to apply (`Ok`) or the verdict that kills
-    /// the datagram (`Err`). Decisions hash the schedule seed with the
+    /// extra one-way latency to apply, or `None` when an episode kills
+    /// the datagram. Decisions hash the schedule seed with the
     /// episode index and the per-(src, dst) flow counter — the network
     /// RNG is never consulted, so episode evaluation cannot perturb the
     /// base fault stream or any observation made elsewhere.
@@ -882,10 +723,10 @@ impl Network {
         dst: IpAddr,
         at: u64,
         request_leg: bool,
-    ) -> Result<u64, TraceVerdict> {
+    ) -> Option<u64> {
         let episodes = self.episodes.borrow();
         if episodes.is_empty() {
-            return Ok(0);
+            return Some(0);
         }
         let seq = {
             let mut flows = self.flow_seq.borrow_mut();
@@ -903,14 +744,14 @@ impl Network {
             match &episode.kind {
                 EpisodeKind::Outage { scope } => {
                     if scope.matches(dst) {
-                        return Err(TraceVerdict::Outage);
+                        return None;
                     }
                 }
                 EpisodeKind::Flap { scope, drop_chance } => {
                     if scope.matches(dst) {
                         let h = hash_mix(&[seed, idx as u64, addr_key(src), addr_key(dst), seq]);
                         if hash_unit(h) < drop_chance.clamp(0.0, 1.0) {
-                            return Err(TraceVerdict::Dropped);
+                            return None;
                         }
                     }
                 }
@@ -954,19 +795,19 @@ impl Network {
                             bucket.last_refill_micros += refills * interval;
                         }
                         if bucket.tokens == 0 {
-                            return Err(TraceVerdict::RateLimited);
+                            return None;
                         }
                         bucket.tokens -= 1;
                     }
                 }
                 EpisodeKind::Partition { a, b } => {
                     if (a.matches(src) && b.matches(dst)) || (b.matches(src) && a.matches(dst)) {
-                        return Err(TraceVerdict::Partitioned);
+                        return None;
                     }
                 }
             }
         }
-        Ok(extra_latency)
+        Some(extra_latency)
     }
 }
 
@@ -1232,60 +1073,6 @@ mod tests {
             net.send_query(addr(1), addr(2), b"ok"),
             Outcome::Response { .. }
         ));
-    }
-
-    #[test]
-    fn trace_records_when_enabled() {
-        let net = Network::new(1);
-        net.register(addr(2), Rc::new(Echo));
-        net.set_trace_capacity(10);
-        let _ = net.send_query(addr(1), addr(2), b"x");
-        let trace = net.trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].verdict, TraceVerdict::Delivered);
-        assert_eq!(trace[0].src, addr(1));
-        assert_eq!(trace[1].src, addr(2));
-    }
-
-    #[test]
-    fn trace_capacity_bounds_memory() {
-        let net = Network::new(1);
-        net.register(addr(2), Rc::new(Echo));
-        net.set_trace_capacity(3);
-        for _ in 0..10 {
-            let _ = net.send_query(addr(1), addr(2), b"x");
-        }
-        assert_eq!(net.trace().len(), 3);
-    }
-
-    #[test]
-    fn trace_ring_buffer_keeps_newest_entries() {
-        let net = Network::new(1);
-        net.register(addr(2), Rc::new(Echo));
-        net.set_trace_capacity(4);
-        // 6 exchanges x 2 legs = 12 datagrams with distinct lengths.
-        for i in 1..=6usize {
-            let _ = net.send_query(addr(1), addr(2), &vec![0u8; i]);
-        }
-        let trace = net.trace();
-        assert_eq!(trace.len(), 4);
-        // The survivors are the 4 most recent legs (exchanges 5 and 6),
-        // in chronological order.
-        assert_eq!(
-            trace.iter().map(|e| e.len).collect::<Vec<_>>(),
-            vec![5, 5, 6, 6]
-        );
-        assert!(trace.windows(2).all(|w| w[0].at_micros <= w[1].at_micros));
-        // Late drops survive too: a NoRoute verdict lands in the buffer.
-        let _ = net.send_query(addr(1), addr(9), b"zzzzzzz");
-        let trace = net.trace();
-        assert_eq!(trace.last().unwrap().verdict, TraceVerdict::NoRoute);
-        // Shrinking keeps the newest entries.
-        net.set_trace_capacity(2);
-        let trace = net.trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.last().unwrap().verdict, TraceVerdict::NoRoute);
-        assert_eq!(trace[0].len, 6);
     }
 
     #[test]
@@ -1685,17 +1472,5 @@ mod tests {
         assert!(!net.register(addr(2), Rc::new(Echo)));
         net.unregister(addr(2));
         assert!(net.register(addr(2), Rc::new(Echo)));
-    }
-
-    #[test]
-    fn per_node_latency_respected() {
-        let net = Network::new(1);
-        net.register(addr(2), Rc::new(Echo));
-        net.set_latency(addr(1), 1_000);
-        net.set_latency(addr(2), 2_000);
-        match net.send_query(addr(1), addr(2), b"x") {
-            Outcome::Response { rtt_micros, .. } => assert_eq!(rtt_micros, 2 * 3_000),
-            other => panic!("{other:?}"),
-        }
     }
 }

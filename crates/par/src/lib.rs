@@ -29,7 +29,7 @@ use sim_rng::SplitMix64;
 /// Environment variable holding the default worker-thread count used by
 /// [`default_threads`] (and therefore by every experiment driver whose
 /// caller does not pass `--threads`).
-pub const THREADS_ENV: &str = "HEROES_THREADS";
+pub(crate) const THREADS_ENV: &str = "HEROES_THREADS";
 
 /// Upper bound on worker threads accepted from the environment or CLI.
 pub const MAX_THREADS: usize = 64;
@@ -50,23 +50,11 @@ pub struct Shard {
     pub seed: u64,
 }
 
-impl Shard {
-    /// Number of items in this shard.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True when the shard covers no items.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Derive the seed for shard `index` from the experiment seed: one
 /// SplitMix64 step mixes the experiment seed, a second mixes in the
 /// shard index. Distinct indices yield decorrelated streams even for
 /// adjacent experiment seeds.
-pub fn shard_seed(experiment_seed: u64, index: usize) -> u64 {
+pub(crate) fn shard_seed(experiment_seed: u64, index: usize) -> u64 {
     let mixed = SplitMix64::new(experiment_seed).next_u64();
     SplitMix64::new(mixed.wrapping_add(index as u64)).next_u64()
 }
@@ -127,18 +115,6 @@ pub struct RangeShard {
     pub end: u64,
     /// Per-shard seed derived via [`shard_seed`].
     pub seed: u64,
-}
-
-impl RangeShard {
-    /// Number of items in this shard.
-    pub fn len(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// True when the shard covers no items.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
 }
 
 /// The full shard plan for a virtual work list of `len` items over
@@ -215,6 +191,7 @@ where
 /// clamped to `1..=`[`MAX_THREADS`]. Defaults to 1 (fully sequential)
 /// when unset or unparsable — parallelism is strictly opt-in so plain
 /// `cargo test` runs stay single-threaded and comparable.
+#[allow(clippy::disallowed_methods)] // HEROES_THREADS is read here and nowhere else
 pub fn default_threads() -> usize {
     std::env::var(THREADS_ENV)
         .ok()
@@ -258,8 +235,7 @@ mod tests {
         for (i, s) in plan.iter().enumerate() {
             assert_eq!(s.index, i);
             assert_eq!(s.count, 3);
-            assert_eq!(s.len(), 1);
-            assert!(!s.is_empty());
+            assert_eq!(s.end - s.start, 1);
         }
         // And the degenerate empty list.
         assert!(shards(0, 8, 42).is_empty());
@@ -297,7 +273,7 @@ mod tests {
                     assert_eq!(r.start, s.start as u64);
                     assert_eq!(r.end, s.end as u64);
                     assert_eq!(r.seed, s.seed);
-                    assert!(!r.is_empty());
+                    assert!(r.start < r.end);
                 }
             }
         }
@@ -326,7 +302,7 @@ mod tests {
                 if shard.index == 2 {
                     panic!("shard 2 exploded");
                 }
-                shard.len()
+                shard.end - shard.start
             })
         });
         assert!(result.is_err());

@@ -57,7 +57,7 @@ impl AttackFamily {
     }
 
     /// NSEC3 additional iterations for this family.
-    pub fn iterations(self) -> u16 {
+    pub(crate) fn iterations(self) -> u16 {
         match self {
             AttackFamily::Baseline => 0,
             // RFC 5155 §10.3's largest cap (keys > 2048 bits).
@@ -70,7 +70,7 @@ impl AttackFamily {
     }
 
     /// NSEC3 salt length in bytes (255 is the wire-format maximum).
-    pub fn salt_len(self) -> usize {
+    pub(crate) fn salt_len(self) -> usize {
         match self {
             AttackFamily::Baseline => 0,
             AttackFamily::MaxIterations => 255,
@@ -82,7 +82,7 @@ impl AttackFamily {
     /// Nonexistent labels per attack query name. Each label below the
     /// zone apex is a closest-encloser candidate the validator must hash
     /// (RFC 5155 §8.3), so depth multiplies per-query iteration cost.
-    pub fn label_depth(self) -> usize {
+    pub(crate) fn label_depth(self) -> usize {
         match self {
             AttackFamily::DeepChain => 14,
             _ => 4,
@@ -90,7 +90,7 @@ impl AttackFamily {
     }
 
     /// Decoy DNSKEYs published with key tags colliding with the ZSK's.
-    pub fn decoy_keys(self) -> usize {
+    pub(crate) fn decoy_keys(self) -> usize {
         match self {
             AttackFamily::KeytagCollision => 24,
             _ => 0,

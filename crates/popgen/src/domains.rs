@@ -59,11 +59,11 @@ impl DomainSpec {
 }
 
 /// One operator's parameter mix: `(iterations, salt bytes, weight)`.
-pub type ParamMix = &'static [(u16, u8, f64)];
+pub(crate) type ParamMix = &'static [(u16, u8, f64)];
 
 /// Table 2: `(operator registered-domain, display name, share % of
 /// NSEC3-enabled domains, parameter mix)`.
-pub const TABLE2_OPERATORS: &[(&str, &str, f64, ParamMix)] = &[
+pub(crate) const TABLE2_OPERATORS: &[(&str, &str, f64, ParamMix)] = &[
     (
         "squarespacedns.example.",
         "Squarespace",
@@ -142,20 +142,20 @@ const SALT_TAIL: &[(u16, u8, u64)] = &[
 ];
 
 /// Operator name for the 160-byte-salt domains (one operator serves all 9).
-pub const SALTY_OPERATOR: &str = "salty-dns.example.";
+pub(crate) const SALTY_OPERATOR: &str = "salty-dns.example.";
 /// Operator for the >150-iteration stragglers.
 pub const TAIL_OPERATOR: &str = "iteration-tail-dns.example.";
 
 /// Paper §5.1 totals.
-pub mod totals {
+pub(crate) mod totals {
     /// Registered domains analyzed.
-    pub const REGISTERED: u64 = 302_000_000;
+    pub(crate) const REGISTERED: u64 = 302_000_000;
     /// DNSSEC-enabled (8.8 %).
-    pub const DNSSEC: u64 = 26_600_000;
+    pub(crate) const DNSSEC: u64 = 26_600_000;
     /// NSEC3-enabled.
-    pub const NSEC3: u64 = 15_500_000;
+    pub(crate) const NSEC3: u64 = 15_500_000;
     /// Share of NSEC3-enabled domains with the opt-out flag (6.4 %).
-    pub const OPT_OUT_PCT: f64 = 6.4;
+    pub(crate) const OPT_OUT_PCT: f64 = 6.4;
 }
 
 /// TLD labels domains are spread over (cosmetic).
@@ -340,13 +340,9 @@ impl DomainGenerator {
     }
 
     /// Population size, tails included.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> u64 {
         self.layout.total
-    }
-
-    /// True only at scales so small the layout rounds to nothing.
-    pub fn is_empty(&self) -> bool {
-        self.layout.total == 0
     }
 
     /// The domain at output position `i` — `perm.apply(i)` picks the
@@ -403,7 +399,7 @@ impl DomainGenerator {
 /// A convenience over [`DomainGenerator`]; no state spans positions, so
 /// any sharding of `0..domain_count(scale)` concatenates to the full
 /// list.
-pub fn generate_domains_range(
+pub(crate) fn generate_domains_range(
     scale: Scale,
     seed: u64,
     range: std::ops::Range<u64>,
@@ -600,7 +596,7 @@ mod tests {
         let full = generate_domains(scale, seed);
         let gen = DomainGenerator::new(scale, seed);
         assert_eq!(gen.len(), full.len() as u64);
-        assert!(!gen.is_empty());
+        assert!(gen.len() > 0);
         // Arbitrary positions, including both ends — and out of order,
         // since random access must not depend on visit order.
         for i in [gen.len() - 1, 0, gen.len() / 2, 17, gen.len() / 3] {

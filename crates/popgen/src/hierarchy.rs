@@ -36,15 +36,6 @@ pub enum ChainScenario {
 }
 
 impl ChainScenario {
-    /// Every scenario, in report order.
-    pub const ALL: [ChainScenario; 5] = [
-        ChainScenario::Intact,
-        ChainScenario::MisAnchoredTld,
-        ChainScenario::BrokenDs,
-        ChainScenario::InsecureDelegation,
-        ChainScenario::LameDelegation,
-    ];
-
     /// Stable report/bucket key.
     pub fn key(self) -> &'static str {
         match self {
@@ -94,7 +85,7 @@ pub struct HierarchyModel {
     /// anything index-crossing, so generation shards freely).
     pub seed: u64,
     /// Every `fault_period`-th *signed* TLD cycles through the fault
-    /// scenarios ([`ChainScenario::ALL`] minus `Intact`); `0` keeps every
+    /// scenarios (every [`ChainScenario`] but `Intact`); `0` keeps every
     /// delegation intact. Unsigned TLDs always stay `Intact` — they are
     /// already the insecure arm by construction.
     pub fault_period: usize,
@@ -137,7 +128,7 @@ impl HierarchyGenerator {
     }
 
     /// Number of TLD-level delegations this hierarchy stands up.
-    pub fn tld_count(&self) -> usize {
+    pub(crate) fn tld_count(&self) -> usize {
         self.model.tld_count.min(totals::TLDS as usize)
     }
 
@@ -145,13 +136,13 @@ impl HierarchyGenerator {
     /// over the full population, so any `tld_count` keeps the census
     /// ordering (NSEC3 block, then NSEC, then unsigned) proportionally
     /// represented.
-    pub fn census_index(&self, i: usize) -> usize {
+    pub(crate) fn census_index(&self, i: usize) -> usize {
         let count = self.tld_count().max(1);
         (i * totals::TLDS as usize) / count
     }
 
     /// The `i`-th TLD-level delegation (panics if `i >= tld_count()`).
-    pub fn tld(&self, i: usize) -> HierarchyTld {
+    pub(crate) fn tld(&self, i: usize) -> HierarchyTld {
         assert!(i < self.tld_count(), "TLD index {i} out of range");
         let census_index = self.census_index(i);
         let spec = self.census[census_index].clone();

@@ -22,16 +22,14 @@ pub mod adversarial;
 pub mod domains;
 pub mod hierarchy;
 pub mod resolvers;
-pub mod scale;
-pub mod timeline;
+pub(crate) mod scale;
+pub(crate) mod timeline;
 pub mod tlds;
 pub mod traffic;
-pub mod tranco;
+pub(crate) mod tranco;
 
 pub use adversarial::{attack_qname, generate_attack_zones, AdversarialZoneSpec, AttackFamily};
-pub use domains::{
-    domain_count, generate_domains, generate_domains_range, DnssecKind, DomainGenerator, DomainSpec,
-};
+pub use domains::{domain_count, generate_domains, DnssecKind, DomainGenerator, DomainSpec};
 pub use hierarchy::{
     ChainScenario, HierarchyGenerator, HierarchyLeaf, HierarchyModel, HierarchyTld,
 };

@@ -99,25 +99,21 @@ pub struct ResolverSpec {
 }
 
 /// Paper §5.2 pool sizes.
-pub mod totals {
+pub(crate) mod totals {
     /// Open IPv4 resolvers responding with NOERROR.
-    pub const OPEN_V4: u64 = 1_400_000;
+    pub(crate) const OPEN_V4: u64 = 1_400_000;
     /// Open IPv4 validators.
-    pub const OPEN_V4_VALIDATORS: u64 = 105_200;
+    pub(crate) const OPEN_V4_VALIDATORS: u64 = 105_200;
     /// Open IPv6 hosts with port 53.
-    pub const OPEN_V6: u64 = 509_000;
+    pub(crate) const OPEN_V6: u64 = 509_000;
     /// Open IPv6 validators.
-    pub const OPEN_V6_VALIDATORS: u64 = 6_800;
+    pub(crate) const OPEN_V6_VALIDATORS: u64 = 6_800;
     /// Closed resolvers tested via Atlas.
-    pub const CLOSED: u64 = 2_500;
+    pub(crate) const CLOSED: u64 = 2_500;
     /// Closed IPv4 validators.
-    pub const CLOSED_V4_VALIDATORS: u64 = 1_236;
+    pub(crate) const CLOSED_V4_VALIDATORS: u64 = 1_236;
     /// Closed IPv6 validators.
-    pub const CLOSED_V6_VALIDATORS: u64 = 689;
-    /// Query copiers (SERVFAIL from it-1), absolute.
-    pub const COPIERS: u64 = 418;
-    /// Technitium-style (SERVFAIL from it-101), absolute.
-    pub const TECHNITIUM: u64 = 92;
+    pub(crate) const CLOSED_V6_VALIDATORS: u64 = 689;
 }
 
 /// Validator behaviour mix, weights in percent of each validator pool.

@@ -11,25 +11,18 @@
 pub struct Scale(pub f64);
 
 impl Scale {
-    /// Full paper scale (302 M domains — do not instantiate zones at this
-    /// scale; parameter-level analysis only).
-    pub const FULL: Scale = Scale(1.0);
     /// Default benchmark scale.
     pub const BENCH: Scale = Scale(1.0 / 1_000.0);
-    /// Default example scale.
-    pub const EXAMPLE: Scale = Scale(1.0 / 10_000.0);
-    /// Default test scale.
-    pub const TEST: Scale = Scale(1.0 / 100_000.0);
 
     /// Scale a bulk count.
-    pub fn apply(&self, count: u64) -> u64 {
+    pub(crate) fn apply(&self, count: u64) -> u64 {
         (count as f64 * self.0).round() as u64
     }
 
     /// Scale a count but keep at least one representative if the original
     /// was nonzero (used for small behavioural groups like the 92
     /// Technitium-style resolvers).
-    pub fn apply_min1(&self, count: u64) -> u64 {
+    pub(crate) fn apply_min1(&self, count: u64) -> u64 {
         if count == 0 {
             0
         } else {

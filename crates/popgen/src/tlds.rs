@@ -27,32 +27,32 @@ pub struct TldSpec {
 }
 
 /// The registry provider behind the 447 iteration-100 TLDs.
-pub const IDENTITY_DIGITAL: &str = "Identity Digital";
+pub(crate) const IDENTITY_DIGITAL: &str = "Identity Digital";
 
 /// Paper §5.1 TLD totals.
-pub mod totals {
+pub(crate) mod totals {
     /// Delegated TLDs analyzed.
-    pub const TLDS: u64 = 1_449;
+    pub(crate) const TLDS: u64 = 1_449;
     /// DNSSEC-enabled TLDs.
-    pub const DNSSEC: u64 = 1_354;
+    pub(crate) const DNSSEC: u64 = 1_354;
     /// NSEC3-enabled TLDs.
-    pub const NSEC3: u64 = 1_302;
+    pub(crate) const NSEC3: u64 = 1_302;
     /// NSEC3 TLDs with zero additional iterations.
-    pub const ITER_ZERO: u64 = 688;
+    pub(crate) const ITER_ZERO: u64 = 688;
     /// NSEC3 TLDs with 100 additional iterations (Identity Digital).
-    pub const ITER_100: u64 = 447;
+    pub(crate) const ITER_100: u64 = 447;
     /// NSEC3 TLDs with no salt.
-    pub const SALT_NONE: u64 = 672;
+    pub(crate) const SALT_NONE: u64 = 672;
     /// NSEC3 TLDs with the common 8-byte salt.
-    pub const SALT_8: u64 = 558;
+    pub(crate) const SALT_8: u64 = 558;
     /// NSEC3 TLDs with the maximum observed 10-byte salt.
-    pub const SALT_10: u64 = 7;
+    pub(crate) const SALT_10: u64 = 7;
     /// Opt-out share among NSEC3 TLDs (%).
-    pub const OPT_OUT_PCT: f64 = 85.4;
+    pub(crate) const OPT_OUT_PCT: f64 = 85.4;
     /// NSEC3 TLDs sharing zone data.
-    pub const SHARES_ZONE: u64 = 1_105;
+    pub(crate) const SHARES_ZONE: u64 = 1_105;
     /// Lower-bound domain count under the 447 iteration-100 TLDs.
-    pub const DOMAINS_UNDER_447: u64 = 12_600_000;
+    pub(crate) const DOMAINS_UNDER_447: u64 = 12_600_000;
 }
 
 /// Generate the full (unscaled) TLD population, deterministic.

@@ -171,7 +171,7 @@ pub struct ZipfAlias {
 
 impl ZipfAlias {
     /// Alias table for Zipf(`skew`) over ranks `0..n`.
-    pub fn new(n: u64, skew: f64) -> Self {
+    pub(crate) fn new(n: u64, skew: f64) -> Self {
         assert!(n > 0, "empty rank universe");
         assert!(n <= u32::MAX as u64, "alias table is u32-indexed");
         let n = n as usize;
@@ -207,18 +207,8 @@ impl ZipfAlias {
         ZipfAlias { prob, alias }
     }
 
-    /// Rank universe size.
-    pub fn len(&self) -> u64 {
-        self.prob.len() as u64
-    }
-
-    /// Never true: construction rejects `n = 0`.
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Draw one rank: uniform slot, then the alias coin.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         let slot = rng.gen_range(0..self.prob.len() as u64) as usize;
         if rng.next_f64() < self.prob[slot] {
             slot as u64
@@ -229,7 +219,8 @@ impl ZipfAlias {
 
     /// The probability mass the table assigns to `rank` — reconstructed
     /// from the slots, for verifying the table against the analytic pmf.
-    pub fn mass(&self, rank: u64) -> f64 {
+    #[allow(dead_code)] // the table's oracle: unit tests only
+    pub(crate) fn mass(&self, rank: u64) -> f64 {
         let mut m = self.prob[rank as usize];
         for (slot, &a) in self.alias.iter().enumerate() {
             if u64::from(a) == rank && slot != rank as usize {
@@ -240,7 +231,8 @@ impl ZipfAlias {
     }
 
     /// Analytic Zipf(`skew`) pmf over `0..n`.
-    pub fn pmf(n: u64, skew: f64, rank: u64) -> f64 {
+    #[allow(dead_code)] // the table's oracle: unit tests only
+    pub(crate) fn pmf(n: u64, skew: f64, rank: u64) -> f64 {
         let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(skew)).sum();
         (1.0 / ((rank + 1) as f64).powf(skew)) / total
     }
@@ -279,18 +271,8 @@ impl TrafficGenerator {
     }
 
     /// Total stream length: `clients × queries_per_client`.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.model.clients * self.model.queries_per_client
-    }
-
-    /// True when the model has no clients or no queries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The model this generator samples.
-    pub fn model(&self) -> &TrafficModel {
-        &self.model
     }
 
     /// Query `i` of the stream — a pure function of `(model, i)`.

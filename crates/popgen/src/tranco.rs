@@ -23,19 +23,19 @@ pub struct TrancoEntry {
 }
 
 /// Paper §5.1 Tranco totals.
-pub mod totals {
+pub(crate) mod totals {
     /// List length.
-    pub const RANKS: u64 = 1_000_000;
+    pub(crate) const RANKS: u64 = 1_000_000;
     /// DNSSEC-enabled entries.
-    pub const DNSSEC: u64 = 66_600;
+    pub(crate) const DNSSEC: u64 = 66_600;
     /// NSEC3-enabled entries (40.8 % of DNSSEC).
-    pub const NSEC3: u64 = 27_200;
+    pub(crate) const NSEC3: u64 = 27_200;
     /// NSEC3 entries with zero iterations (%).
-    pub const ITER_ZERO_PCT: f64 = 22.8;
+    pub(crate) const ITER_ZERO_PCT: f64 = 22.8;
     /// NSEC3 entries with no salt (%).
-    pub const SALT_NONE_PCT: f64 = 23.6;
+    pub(crate) const SALT_NONE_PCT: f64 = 23.6;
     /// NSEC3 entries compliant with both items 2 and 3 (%).
-    pub const BOTH_PCT: f64 = 12.7;
+    pub(crate) const BOTH_PCT: f64 = 12.7;
 }
 
 /// Generate the list at `scale`, uniform compliance across ranks.

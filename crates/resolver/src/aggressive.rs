@@ -110,14 +110,14 @@ pub struct AggressiveCache {
 
 impl AggressiveCache {
     /// Empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Remember verified NSEC3 views for `zone` until `now + ttl`.
     /// Material with different parameters replaces the old set (a zone has
     /// one parameter set at a time).
-    pub fn insert(
+    pub(crate) fn insert(
         &self,
         zone: &Name,
         params: &Nsec3Params,
@@ -159,7 +159,7 @@ impl AggressiveCache {
     /// Opt-out intervals never prove nonexistence (they may span real,
     /// insecurely-delegated names), so a next closer covered only by an
     /// opt-out view refuses to synthesize.
-    pub fn synthesize_nxdomain(
+    pub(crate) fn synthesize_nxdomain(
         &self,
         zone: &Name,
         qname: &Name,
@@ -217,7 +217,7 @@ impl AggressiveCache {
     /// The longest cached (and unexpired) zone that is an ancestor of
     /// `qname`, if any: one probe per label of `qname`, deepest first,
     /// however many zones are cached.
-    pub fn zone_for(&self, qname: &Name, now_micros: u64) -> Option<Name> {
+    pub(crate) fn zone_for(&self, qname: &Name, now_micros: u64) -> Option<Name> {
         let zones = self.zones.borrow();
         let up = qname.with_sort_key(|key| {
             ancestor_keys(key).skip(1).position(|apex| {
@@ -230,12 +230,13 @@ impl AggressiveCache {
     }
 
     /// NXDOMAINs synthesized so far.
-    pub fn synthesized_count(&self) -> u64 {
+    pub(crate) fn synthesized_count(&self) -> u64 {
         self.synthesized.get()
     }
 
     /// Number of distinct views cached for `zone` (0 when absent).
-    pub fn view_count(&self, zone: &Name) -> usize {
+    #[allow(dead_code)] // observes `insert`'s merge: unit tests only
+    pub(crate) fn view_count(&self, zone: &Name) -> usize {
         zone.with_sort_key(|key| self.zones.borrow().get(key).map(|d| d.views.len()))
             .unwrap_or(0)
     }

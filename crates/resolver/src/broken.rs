@@ -115,7 +115,7 @@ pub struct FlakyResolver {
 
 impl FlakyResolver {
     /// Cycle through `phases` on successive queries.
-    pub fn new(inner: Resolver, phases: Vec<Rfc9276Policy>) -> Self {
+    pub(crate) fn new(inner: Resolver, phases: Vec<Rfc9276Policy>) -> Self {
         assert!(!phases.is_empty());
         FlakyResolver {
             inner,

@@ -115,13 +115,9 @@ impl<K: Ord + Clone, V: Clone> TtlCache<K, V> {
     }
 
     /// Live entry count (may include expired entries not yet collected).
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.entries.borrow().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
     }
 
     /// Cache hits so far.
@@ -138,11 +134,6 @@ impl<K: Ord + Clone, V: Clone> TtlCache<K, V> {
     /// not an eviction; only the insert path displacing a victim counts).
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
-        self.entries.borrow_mut().clear();
     }
 }
 
@@ -167,14 +158,14 @@ mod tests {
         let cache: TtlCache<&str, u32> = TtlCache::new(0);
         cache.put("k", 7, 0, 300);
         assert_eq!(cache.get(&"k", 1), None);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn zero_ttl_not_stored() {
         let cache: TtlCache<&str, u32> = TtlCache::new(8);
         cache.put("k", 7, 0, 0);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

@@ -42,31 +42,31 @@ impl CostMeter {
     }
 
     /// Record the cost of one NSEC3 hash chain.
-    pub fn add_nsec3_hash(&self, compressions: u64) {
+    pub(crate) fn add_nsec3_hash(&self, compressions: u64) {
         self.sha1_compressions
             .set(self.sha1_compressions.get() + compressions);
         self.nsec3_hashes.set(self.nsec3_hashes.get() + 1);
     }
 
     /// Record one signature verification.
-    pub fn add_signature(&self) {
+    pub(crate) fn add_signature(&self) {
         self.signatures_verified
             .set(self.signatures_verified.get() + 1);
     }
 
     /// Record one network message sent.
-    pub fn add_message(&self) {
+    pub(crate) fn add_message(&self) {
         self.messages_sent.set(self.messages_sent.get() + 1);
     }
 
     /// Record one upstream exchange that ended in silence (all retries
     /// exhausted without a usable reply).
-    pub fn add_timeout(&self) {
+    pub(crate) fn add_timeout(&self) {
         self.timeouts.set(self.timeouts.get() + 1);
     }
 
     /// Record `n` extra attempts beyond the first for one exchange.
-    pub fn add_retries(&self, n: u64) {
+    pub(crate) fn add_retries(&self, n: u64) {
         self.retries.set(self.retries.get() + n);
     }
 
@@ -80,29 +80,9 @@ impl CostMeter {
         self.nsec3_hashes.get()
     }
 
-    /// Signature verifications performed.
-    pub fn signatures_verified(&self) -> u64 {
-        self.signatures_verified.get()
-    }
-
-    /// Messages sent during resolution.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent.get()
-    }
-
-    /// Upstream exchanges that timed out entirely.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.get()
-    }
-
-    /// Extra wire attempts beyond the first, summed over exchanges.
-    pub fn retries(&self) -> u64 {
-        self.retries.get()
-    }
-
     /// Arm `budget` for the work starting now: thresholds are the current
     /// counters plus the budget's allowances. An unlimited budget disarms.
-    pub fn arm_budget(&self, budget: &WorkBudget) {
+    pub(crate) fn arm_budget(&self, budget: &WorkBudget) {
         self.budget_compressions.set(
             budget
                 .max_compressions
@@ -116,7 +96,7 @@ impl CostMeter {
     }
 
     /// Remove any armed budget.
-    pub fn disarm_budget(&self) {
+    pub(crate) fn disarm_budget(&self) {
         self.budget_compressions.set(None);
         self.budget_signatures.set(None);
     }
@@ -124,7 +104,7 @@ impl CostMeter {
     /// True when an armed budget's allowance is used up on either axis.
     /// Callers check this *before* the next unit of work, so a query
     /// overshoots by at most one hash chain or one verification.
-    pub fn budget_exhausted(&self) -> bool {
+    pub(crate) fn budget_exhausted(&self) -> bool {
         let over_compressions = self
             .budget_compressions
             .get()
@@ -136,20 +116,8 @@ impl CostMeter {
         over_compressions || over_signatures
     }
 
-    /// Zero every counter (and disarm any budget — its thresholds were
-    /// absolute and would be stale).
-    pub fn reset(&self) {
-        self.sha1_compressions.set(0);
-        self.nsec3_hashes.set(0);
-        self.signatures_verified.set(0);
-        self.messages_sent.set(0);
-        self.timeouts.set(0);
-        self.retries.set(0);
-        self.disarm_budget();
-    }
-
     /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> CostSnapshot {
+    pub(crate) fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
             sha1_compressions: self.sha1_compressions.get(),
             nsec3_hashes: self.nsec3_hashes.get(),
@@ -182,7 +150,7 @@ pub struct CostSnapshot {
 
 impl CostSnapshot {
     /// Difference vs an earlier snapshot.
-    pub fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
+    pub(crate) fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
         CostSnapshot {
             sha1_compressions: self.sha1_compressions - earlier.sha1_compressions,
             nsec3_hashes: self.nsec3_hashes - earlier.nsec3_hashes,
@@ -199,7 +167,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulates_and_resets() {
+    fn accumulates() {
         let m = CostMeter::new();
         m.add_nsec3_hash(101);
         m.add_nsec3_hash(101);
@@ -207,10 +175,8 @@ mod tests {
         m.add_message();
         assert_eq!(m.sha1_compressions(), 202);
         assert_eq!(m.nsec3_hashes(), 2);
-        assert_eq!(m.signatures_verified(), 1);
-        assert_eq!(m.messages_sent(), 1);
-        m.reset();
-        assert_eq!(m.snapshot(), CostSnapshot::default());
+        assert_eq!(m.snapshot().signatures_verified, 1);
+        assert_eq!(m.snapshot().messages_sent, 1);
     }
 
     #[test]
@@ -251,8 +217,6 @@ mod tests {
         assert!(!m.budget_exhausted());
         m.add_signature();
         assert!(m.budget_exhausted());
-        m.reset();
-        assert!(!m.budget_exhausted(), "reset disarms");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct DelegationCache {
 
 impl DelegationCache {
     /// A cache holding at most `capacity` zone cuts (0 disables it).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         DelegationCache {
             entries: TtlCache::new(capacity),
             hits: std::cell::Cell::new(0),
@@ -57,7 +57,7 @@ impl DelegationCache {
     /// `qname` (never the root itself — root hints cover that), with
     /// the apex it is cached under. One hit or miss is recorded per
     /// call, not per ancestor probed.
-    pub fn deepest(&self, qname: &Name, now_micros: u64) -> Option<(Name, Delegation)> {
+    pub(crate) fn deepest(&self, qname: &Name, now_micros: u64) -> Option<(Name, Delegation)> {
         // Every ancestor's key is a prefix of `qname`'s: one key, one
         // probe per label, and a `Name` only for the cut that is found.
         let found = qname.with_sort_key(|key| {
@@ -72,7 +72,13 @@ impl DelegationCache {
     }
 
     /// Record the cut learned from a referral.
-    pub fn insert(&self, apex: &Name, delegation: Delegation, now_micros: u64, ttl_secs: u32) {
+    pub(crate) fn insert(
+        &self,
+        apex: &Name,
+        delegation: Delegation,
+        now_micros: u64,
+        ttl_secs: u32,
+    ) {
         self.entries
             .put(apex.sort_key(), delegation, now_micros, ttl_secs);
     }
@@ -86,28 +92,23 @@ impl DelegationCache {
     }
 
     /// Lookups that found a usable cut.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Lookups that walked every ancestor and found nothing.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.get()
     }
 
     /// At-capacity evictions in the underlying store.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.entries.evictions()
     }
 
     /// Cached cut count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no cut is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -163,6 +164,6 @@ mod tests {
         let cache = DelegationCache::new(0);
         cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
         assert!(cache.deepest(&n("www.com."), 1).is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 }

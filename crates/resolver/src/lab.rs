@@ -24,7 +24,7 @@ use netsim::{AddrAlloc, Network};
 use crate::resolver::TrustAnchor;
 
 /// Post-signing mutation hook (fault injection).
-pub type PostSign = Box<dyn FnOnce(&mut SignedZone)>;
+pub(crate) type PostSign = Box<dyn FnOnce(&mut SignedZone)>;
 
 /// Specification of one zone in the lab.
 pub struct ZoneSpec {

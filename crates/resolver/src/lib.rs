@@ -15,11 +15,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggressive;
+pub(crate) mod aggressive;
 pub mod broken;
-pub mod cache;
+pub(crate) mod cache;
 pub mod cost;
-pub mod delegation;
+pub(crate) mod delegation;
 pub mod lab;
 pub mod policy;
 pub mod profiles;

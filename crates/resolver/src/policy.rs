@@ -66,7 +66,7 @@ impl Rfc9276Policy {
 
     /// The action the policy prescribes for a response using `iterations`
     /// additional iterations and a salt of `salt_len` bytes.
-    pub fn action_for(&self, iterations: u16, salt_len: usize) -> LimitAction {
+    pub(crate) fn action_for(&self, iterations: u16, salt_len: usize) -> LimitAction {
         let over_salt = self
             .max_salt_len
             .map(|m| salt_len > m as usize)
@@ -144,30 +144,11 @@ impl WorkBudget {
             max_signatures: Some(16),
         }
     }
-
-    /// True when no limit is set on either axis.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_compressions.is_none() && self.max_signatures.is_none()
-    }
 }
 
 impl Default for WorkBudget {
     fn default() -> Self {
         Self::unlimited()
-    }
-}
-
-/// The pre-RFC 9276 iteration cap of RFC 5155 §10.3: validators accepted
-/// up to 150/500/2,500 additional iterations depending on the signing key
-/// size (1024/2048/4096 bits). The testbed's `it-2501-expired` zone sits
-/// beyond even the largest cap — that is why the paper picked 2,501.
-pub fn rfc5155_max_iterations(key_bits: u16) -> u16 {
-    if key_bits <= 1024 {
-        150
-    } else if key_bits <= 2048 {
-        500
-    } else {
-        2500
     }
 }
 
@@ -217,19 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn rfc5155_caps_by_key_size() {
-        assert_eq!(rfc5155_max_iterations(1024), 150);
-        assert_eq!(rfc5155_max_iterations(2048), 500);
-        assert_eq!(rfc5155_max_iterations(4096), 2500);
-        // 2,501 exceeds every cap — the paper's out-of-band test value.
-        assert!(2501 > rfc5155_max_iterations(4096));
-    }
-
-    #[test]
     fn work_budget_defaults_unlimited() {
-        assert!(WorkBudget::default().is_unlimited());
         assert_eq!(WorkBudget::default(), WorkBudget::unlimited());
-        assert!(!WorkBudget::hardened().is_unlimited());
+        assert_ne!(WorkBudget::hardened(), WorkBudget::unlimited());
     }
 
     #[test]

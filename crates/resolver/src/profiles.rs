@@ -95,7 +95,8 @@ impl VendorProfile {
     }
 
     /// The iteration value *above which* behaviour changes, if limited.
-    pub fn threshold(self) -> Option<u16> {
+    #[allow(dead_code)] // reads the calibrated table back: unit tests only
+    pub(crate) fn threshold(self) -> Option<u16> {
         let p = self.policy();
         p.servfail_above.or(p.insecure_above)
     }

@@ -288,7 +288,8 @@ impl Resolver {
     }
 
     /// Zone cuts currently cached in the delegation cache.
-    pub fn delegation_len(&self) -> usize {
+    #[allow(dead_code)] // `delegation_cache_is_off_by_default`: unit tests only
+    pub(crate) fn delegation_len(&self) -> usize {
         self.delegations.len()
     }
 

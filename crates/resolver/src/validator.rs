@@ -32,7 +32,7 @@ pub struct ZoneKeys {
 impl ZoneKeys {
     /// Build from a DNSKEY RRset (does not validate it; the caller chains
     /// trust via DS first).
-    pub fn from_dnskeys<R: Borrow<Record>>(apex: Name, records: &[R]) -> Self {
+    pub(crate) fn from_dnskeys<R: Borrow<Record>>(apex: Name, records: &[R]) -> Self {
         let keys = records
             .iter()
             .filter_map(|r| match &r.borrow().rdata {
@@ -76,7 +76,7 @@ pub enum ValidationError {
 
 /// Validate one RRset against `keys`: find a temporally-valid RRSIG from
 /// the zone's signer and verify it.
-pub fn validate_rrset<R: Borrow<Record>>(
+pub(crate) fn validate_rrset<R: Borrow<Record>>(
     owner: &Name,
     records: &[R],
     rrsigs: &[R],
@@ -204,7 +204,7 @@ pub fn parse_nsec3_set(
 
 /// Does `hash` fall strictly inside the circular interval
 /// `(owner_hash, next_hash)`?
-pub fn covers(view: &Nsec3View, hash: &[u8]) -> bool {
+pub(crate) fn covers(view: &Nsec3View, hash: &[u8]) -> bool {
     let o = view.owner_hash.as_slice();
     let n = view.next_hash.as_slice();
     if o < n {
@@ -259,7 +259,7 @@ pub struct EncloserProof {
 /// Walks candidate enclosers from `qname` toward `apex`; each candidate
 /// costs a full NSEC3 hash chain — this loop is the CVE-2023-50868
 /// amplifier.
-pub fn verify_closest_encloser(
+pub(crate) fn verify_closest_encloser(
     qname: &Name,
     apex: &Name,
     params: &Nsec3Params,
@@ -325,7 +325,7 @@ pub fn verify_nxdomain(
 
 /// Verify a NODATA proof: an NSEC3 matches `qname` and its bitmap lacks
 /// `qtype` (and CNAME), RFC 5155 §8.5.
-pub fn verify_nodata(
+pub(crate) fn verify_nodata(
     qname: &Name,
     qtype: RrType,
     params: &Nsec3Params,
@@ -356,7 +356,7 @@ pub fn verify_nodata(
 /// Verify the denial part of a wildcard-expanded answer: the RRSIG labels
 /// field says the answer came from a wildcard; an NSEC3 must cover the
 /// next-closer name derived from that labels count (RFC 5155 §8.8).
-pub fn verify_wildcard_expansion(
+pub(crate) fn verify_wildcard_expansion(
     qname: &Name,
     rrsig_labels: u8,
     params: &Nsec3Params,
@@ -382,11 +382,11 @@ pub fn verify_wildcard_expansion(
 }
 
 /// NSEC (unhashed) denial checks, RFC 4035 §5.4.
-pub mod nsec {
+pub(crate) mod nsec {
     use super::*;
 
     /// Does this NSEC record (owner, next) cover `name` in canonical order?
-    pub fn nsec_covers(owner: &Name, next: &Name, name: &Name) -> bool {
+    pub(crate) fn nsec_covers(owner: &Name, next: &Name, name: &Name) -> bool {
         use std::cmp::Ordering::Less;
         let after_owner = owner.canonical_cmp(name) == Less;
         if owner.canonical_cmp(next) == Less {
@@ -399,7 +399,10 @@ pub mod nsec {
 
     /// Verify an NSEC NXDOMAIN proof: some NSEC covers `qname` and some
     /// NSEC covers the source-of-synthesis wildcard.
-    pub fn verify_nxdomain(qname: &Name, nsec_records: &[&Record]) -> Result<(), ValidationError> {
+    pub(crate) fn verify_nxdomain(
+        qname: &Name,
+        nsec_records: &[&Record],
+    ) -> Result<(), ValidationError> {
         let mut covered_qname = None;
         for rec in nsec_records {
             if let RData::Nsec { next, .. } = &rec.rdata {
@@ -517,7 +520,7 @@ mod tests {
         let sigs = z.zone.rrset(&owner, RrType::RRSIG).unwrap().to_vec();
         let meter = CostMeter::new();
         assert!(validate_rrset(&owner, &rrset, &sigs, &keys, NOW, &meter).is_ok());
-        assert!(meter.signatures_verified() >= 1);
+        assert!(meter.snapshot().signatures_verified >= 1);
         // Expired clock.
         assert_eq!(
             validate_rrset(&owner, &rrset, &sigs, &keys, NOW + 100 * 86_400, &meter),
@@ -620,7 +623,7 @@ mod tests {
             validate_rrset(&owner, &rrset, &sigs, &keys, NOW, &meter),
             Err(ValidationError::BudgetExceeded)
         );
-        assert_eq!(meter.signatures_verified(), 0);
+        assert_eq!(meter.snapshot().signatures_verified, 0);
     }
 
     #[test]

@@ -65,22 +65,6 @@ impl Xoshiro256pp {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
-
-    /// Construct from an explicit 256-bit state. At least one word must
-    /// be nonzero (the all-zero state is a fixed point).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256++ state must be nonzero"
-        );
-        Xoshiro256pp { s }
-    }
-
-    /// Derive an independent-for-practical-purposes child generator, used
-    /// to give each test case or shard its own stream from one run seed.
-    pub fn fork(&mut self) -> Self {
-        Xoshiro256pp::seed_from_u64(self.next_u64())
-    }
 }
 
 impl Rng for Xoshiro256pp {
@@ -132,16 +116,6 @@ impl Permutation {
             half_bits,
             keys: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
-    }
-
-    /// Number of elements the permutation ranges over.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True for the empty permutation.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn round(&self, r: u64, key: u64) -> u64 {
@@ -358,7 +332,7 @@ mod tests {
     /// from the reference algorithm definition.
     #[test]
     fn xoshiro256pp_reference_vectors() {
-        let mut rng = Xoshiro256pp::from_state([1, 2, 3, 4]);
+        let mut rng = Xoshiro256pp { s: [1, 2, 3, 4] };
         let head: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
         assert_eq!(
             head,
@@ -559,16 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_streams_diverge() {
-        let mut parent = Xoshiro256pp::seed_from_u64(1);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(va, vb);
-    }
-
-    #[test]
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         let mut rng = Xoshiro256pp::seed_from_u64(1);
@@ -606,13 +570,10 @@ mod tests {
     }
 
     #[test]
-    fn permutation_empty_and_len_accessors() {
-        let empty = Permutation::new(0, 9);
-        assert!(empty.is_empty());
-        assert_eq!(empty.len(), 0);
+    fn permutation_empty_and_singleton() {
+        let _empty = Permutation::new(0, 9);
         let one = Permutation::new(1, 9);
         assert_eq!(one.apply(0), 0);
-        assert_eq!(one.len(), 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! which is why the paper's EDE analysis covers open resolvers only.
 //! Both constraints are modeled here.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::net::IpAddr;
 use std::rc::Rc;
@@ -20,7 +19,7 @@ use crate::retry::ScanSession;
 /// addresses outside the allowlist are silently dropped.
 pub struct ClosedResolver {
     inner: Rc<dyn Node>,
-    allowed: RefCell<HashSet<IpAddr>>,
+    allowed: HashSet<IpAddr>,
 }
 
 impl ClosedResolver {
@@ -28,13 +27,8 @@ impl ClosedResolver {
     pub fn new(inner: Rc<dyn Node>, allowed: impl IntoIterator<Item = IpAddr>) -> Self {
         ClosedResolver {
             inner,
-            allowed: RefCell::new(allowed.into_iter().collect()),
+            allowed: allowed.into_iter().collect(),
         }
-    }
-
-    /// Admit another client (a new Atlas probe in the network).
-    pub fn allow(&self, addr: IpAddr) {
-        self.allowed.borrow_mut().insert(addr);
     }
 }
 
@@ -46,7 +40,7 @@ impl Node for ClosedResolver {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
-        if !self.allowed.borrow().contains(&src) {
+        if !self.allowed.contains(&src) {
             return None; // closed: drop silently
         }
         self.inner.handle(net, src, payload, reply)
@@ -77,25 +71,10 @@ pub fn classify_via_probe(
     prober.classify(probe.local_resolver)
 }
 
-/// [`classify_via_probe`] threaded through a retry/breaker session so
+/// [`classify_via_probe`] threaded through a retry/breaker session (so
 /// the probe's traffic is loss-accounted alongside the open-resolver
-/// scan.
-pub fn classify_via_probe_with(
-    net: &Network,
-    probe: &AtlasProbe,
-    plan: &ProbePlan,
-    policy: RetryPolicy,
-    session: &ScanSession,
-) -> ResolverClassification {
-    let mut prober = Prober::new(net, probe.addr, plan).with_session(session, policy);
-    prober.capture_ede = false;
-    prober.classify(probe.local_resolver)
-}
-
-/// The classification [`classify_via_probe_with`] performs, as a
-/// steppable [`ProbeFlow`] an event driver can hold in flight alongside
-/// thousands of others. Driving the flow to completion yields exactly
-/// the blocking function's result.
+/// scan), as a steppable [`ProbeFlow`] an event driver can hold in
+/// flight alongside thousands of others.
 pub fn classification_flow_via_probe<'a>(
     net: &'a Network,
     probe: &AtlasProbe,
@@ -136,17 +115,5 @@ mod tests {
         net.register(raddr, Rc::new(closed));
         assert!(net.send_query(inside, raddr, b"q").payload().is_some());
         assert!(net.send_query(outside, raddr, b"q").payload().is_none());
-    }
-
-    #[test]
-    fn allow_admits_new_probe() {
-        let net = Network::new(1);
-        let probe: IpAddr = "10.1.0.9".parse().unwrap();
-        let raddr: IpAddr = "10.1.0.53".parse().unwrap();
-        let closed = Rc::new(ClosedResolver::new(Rc::new(Echo), []));
-        net.register(raddr, closed.clone());
-        assert!(net.send_query(probe, raddr, b"q").payload().is_none());
-        closed.allow(probe);
-        assert!(net.send_query(probe, raddr, b"q").payload().is_some());
     }
 }

@@ -178,7 +178,7 @@ impl CensusProbe {
     }
 
     /// All phases complete?
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.phase == CensusPhase::Done
     }
 
@@ -280,7 +280,7 @@ impl CensusProbe {
 }
 
 /// Apply the paper's filters to raw observations.
-pub fn classify(obs: &DomainObservation) -> DomainClass {
+pub(crate) fn classify(obs: &DomainObservation) -> DomainClass {
     if obs.probe_loss {
         // Incomplete observations are never classified: a domain whose
         // probes were lost would otherwise masquerade as NotDnssec or
@@ -324,7 +324,7 @@ pub fn classify(obs: &DomainObservation) -> DomainClass {
 /// domain of an NS target, approximated as the last two labels (we carry
 /// no public-suffix list; the synthetic populations use two-label
 /// operator domains so the approximation is exact there).
-pub fn ns_operator(target: &Name) -> Option<Name> {
+pub(crate) fn ns_operator(target: &Name) -> Option<Name> {
     let labels: Vec<&[u8]> = target.labels().collect();
     if labels.len() < 2 {
         return None;

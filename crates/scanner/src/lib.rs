@@ -9,16 +9,16 @@
 pub mod atlas;
 pub mod census;
 pub mod prober;
-pub mod ratelimit;
+pub(crate) mod ratelimit;
 pub mod retry;
 pub mod walk;
 
-pub use atlas::{classify_via_probe, classify_via_probe_with, AtlasProbe, ClosedResolver};
+pub use atlas::{classify_via_probe, AtlasProbe, ClosedResolver};
 pub use census::{Census, DomainClass, DomainObservation};
 pub use prober::{derive_limits, ProbePlan, Prober, ResolverClassification};
 pub use ratelimit::RateLimiter;
 pub use retry::{BreakerConfig, ProbeStats, ScanSession};
-pub use walk::{axfr, dictionary_attack, nsec3_collect, nsec_walk, Nsec3Harvest};
+pub use walk::{axfr, dictionary_attack, nsec3_collect, Nsec3Harvest};
 
 #[cfg(test)]
 mod e2e {

@@ -97,11 +97,6 @@ impl ResolverClassification {
         }
     }
 
-    /// Does this resolver limit iterations at all (item 6 or item 8)?
-    pub fn limits_iterations(&self) -> bool {
-        self.insecure_limit.is_some() || self.servfail_start.is_some()
-    }
-
     /// RFC 9276 item 6: a delimiting value above which responses are
     /// insecure NXDOMAINs.
     pub fn implements_item6(&self) -> bool {
@@ -233,7 +228,15 @@ impl<'a> Prober<'a> {
     /// passes are marked flaky — §5.2 found that the apparent item 12
     /// violators were mostly these ("querying these resolvers again often
     /// results in different response patterns").
-    pub fn classify_with_requery(&self, resolver: IpAddr, passes: u32) -> ResolverClassification {
+    ///
+    /// No driver runs the re-query yet: ROADMAP item 4 scores what each
+    /// extra pass buys back under loss.
+    #[allow(dead_code)]
+    pub(crate) fn classify_with_requery(
+        &self,
+        resolver: IpAddr,
+        passes: u32,
+    ) -> ResolverClassification {
         let mut first = self.classify(resolver);
         if first.unreachable {
             return first;
@@ -311,7 +314,7 @@ impl<'a> ProbeFlow<'a> {
     /// per-N probe names; `with_item7` enables the `it-2501-expired`
     /// follow-up (what [`Prober::classify`] does, re-query passes skip
     /// it).
-    pub fn new(
+    pub(crate) fn new(
         prober: Prober<'a>,
         resolver: IpAddr,
         tag: impl Into<String>,
@@ -329,7 +332,7 @@ impl<'a> ProbeFlow<'a> {
     }
 
     /// Classification finished?
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         matches!(self.phase, ProbePhase::Done)
     }
 
@@ -655,7 +658,6 @@ mod tests {
         assert!(!c.implements_item8());
         assert!(!c.item12_gap);
         assert!(!c.flaky);
-        assert!(c.limits_iterations());
     }
 
     #[test]
@@ -724,7 +726,6 @@ mod tests {
         let c = classification(rs);
         assert_eq!(c.insecure_limit, None);
         assert_eq!(c.servfail_start, None);
-        assert!(!c.limits_iterations());
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! In the simulation the limiter converts a target rate into virtual-clock
 //! advancement, so experiment timelines reflect the configured pace.
 
-use std::cell::Cell;
-
 use netsim::Network;
 
 /// A token-style pacer: each [`RateLimiter::pace`] call advances the
@@ -13,39 +11,21 @@ use netsim::Network;
 #[derive(Debug)]
 pub struct RateLimiter {
     interval_micros: u64,
-    sent: Cell<u64>,
 }
 
 impl RateLimiter {
     /// Limit to `per_second` queries per (virtual) second.
-    pub fn new(per_second: u64) -> Self {
+    pub(crate) fn new(per_second: u64) -> Self {
         let per_second = per_second.max(1);
         RateLimiter {
             interval_micros: 1_000_000 / per_second,
-            sent: Cell::new(0),
         }
     }
 
     /// Account for one query about to be sent, advancing virtual time.
-    pub fn pace(&self, net: &Network) {
-        self.sent.set(self.sent.get() + 1);
+    pub(crate) fn pace(&self, net: &Network) {
         if self.interval_micros > 0 {
             net.advance(self.interval_micros);
-        }
-    }
-
-    /// Queries paced so far.
-    pub fn sent(&self) -> u64 {
-        self.sent.get()
-    }
-
-    /// Average rate achieved over the elapsed virtual time.
-    pub fn achieved_rate(&self, net: &Network) -> f64 {
-        let secs = net.now_micros() as f64 / 1e6;
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.sent.get() as f64 / secs
         }
     }
 }
@@ -63,19 +43,6 @@ mod tests {
             rl.pace(&net);
         }
         assert_eq!(net.now_micros() - t0, 10_000);
-        assert_eq!(rl.sent(), 10);
-    }
-
-    #[test]
-    fn achieved_rate_at_most_configured() {
-        let net = Network::new(1);
-        let rl = RateLimiter::new(14_700);
-        for _ in 0..1000 {
-            rl.pace(&net);
-        }
-        let rate = rl.achieved_rate(&net);
-        assert!(rate <= 14_800.0, "rate {rate}");
-        assert!(rate > 10_000.0, "rate {rate}");
     }
 
     #[test]

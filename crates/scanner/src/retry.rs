@@ -151,7 +151,7 @@ impl ScanSession {
 
     /// Is the breaker currently open for `target` (probe would be
     /// skipped)?
-    pub fn is_open(&self, net: &Network, target: IpAddr) -> bool {
+    pub(crate) fn is_open(&self, net: &Network, target: IpAddr) -> bool {
         self.breaker.failure_threshold > 0
             && self
                 .health
@@ -169,7 +169,8 @@ impl ScanSession {
     /// it advances the virtual clock across every backoff itself, where
     /// an event-driven flow would park on the event queue instead. Both
     /// replay the same breaker and retry transitions.
-    pub fn exchange(
+    #[allow(dead_code)] // the blocking twin the breaker's unit tests drive
+    pub(crate) fn exchange(
         &self,
         net: &Network,
         src: IpAddr,
@@ -188,7 +189,7 @@ impl ScanSession {
     /// verdict is taken here (an open breaker accounts the skip
     /// immediately and yields an already-finished exchange), then each
     /// [`SessionExchange::step`] sends one wire attempt.
-    pub fn begin_exchange(
+    pub(crate) fn begin_exchange(
         &self,
         net: &Network,
         src: IpAddr,
@@ -227,7 +228,7 @@ impl ScanSession {
 
     /// Account one logical query never attempted (breaker open, or the
     /// scan already gave up on the target).
-    pub fn note_skipped(&self) {
+    pub(crate) fn note_skipped(&self) {
         let mut stats = self.stats.borrow_mut();
         stats.sent += 1;
         stats.circuit_skipped += 1;
@@ -261,7 +262,7 @@ impl ScanSession {
 /// The caller owns the encoded payload across parks and hands it to each
 /// [`SessionExchange::step`].
 #[derive(Debug)]
-pub struct SessionExchange {
+pub(crate) struct SessionExchange {
     /// `None` when the breaker was open at begin time: the skip is
     /// already accounted and the exchange is born finished.
     machine: Option<ExchangeMachine>,
@@ -269,17 +270,12 @@ pub struct SessionExchange {
 }
 
 impl SessionExchange {
-    /// Was this query skipped by an open breaker (no wire traffic)?
-    pub fn skipped(&self) -> bool {
-        self.machine.is_none()
-    }
-
     /// Send one wire attempt: [`FlowStep::Park`] until the backoff is
     /// due (an event flow parks on the queue, the blocking driver
     /// advances the clock), or [`FlowStep::Done`] — collect the outcome
     /// with [`SessionExchange::finish`]. A breaker-skipped exchange is
     /// done without touching the wire.
-    pub fn step(&mut self, net: &Network, payload: &[u8]) -> FlowStep {
+    pub(crate) fn step(&mut self, net: &Network, payload: &[u8]) -> FlowStep {
         match &mut self.machine {
             None => FlowStep::Done,
             Some(machine) => machine.step(net, payload),
@@ -289,7 +285,7 @@ impl SessionExchange {
     /// Account the finished exchange in `session` (answered/timed-out
     /// counters, breaker health) and return its [`Outcome`] — exactly
     /// the bookkeeping the blocking [`ScanSession::exchange`] performs.
-    pub fn finish(self, session: &ScanSession, net: &Network) -> Outcome {
+    pub(crate) fn finish(self, session: &ScanSession, net: &Network) -> Outcome {
         let machine = match self.machine {
             None => return Outcome::Timeout,
             Some(m) => m,

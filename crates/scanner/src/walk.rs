@@ -59,37 +59,6 @@ pub fn axfr(net: &Network, src: IpAddr, server: IpAddr, apex: &Name) -> Option<V
     Some(records)
 }
 
-/// Walk an NSEC chain by querying each successive owner for its NSEC
-/// record, enumerating every name in the zone. Returns the names in chain
-/// order, or `None` if the zone does not expose NSEC records.
-pub fn nsec_walk(
-    net: &Network,
-    src: IpAddr,
-    server: IpAddr,
-    apex: &Name,
-    max_steps: usize,
-) -> Option<Vec<Name>> {
-    let mut names = Vec::new();
-    let mut cur = apex.clone();
-    for _ in 0..max_steps {
-        let resp = query(net, src, server, &cur, RrType::NSEC)?;
-        let nsec = resp
-            .answers
-            .iter()
-            .find(|r| r.rrtype() == RrType::NSEC && r.name == cur)?;
-        let next = match &nsec.rdata {
-            RData::Nsec { next, .. } => next.clone(),
-            _ => return None,
-        };
-        names.push(cur);
-        if &next == apex {
-            return Some(names);
-        }
-        cur = next;
-    }
-    Some(names) // chain longer than max_steps: partial enumeration
-}
-
 /// The hashes harvested from NSEC3 denial responses.
 #[derive(Clone, Debug)]
 pub struct Nsec3Harvest {
@@ -238,14 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn nsec_walk_enumerates_everything() {
-        let (net, src, server) = setup(Denial::Nsec, false);
-        let names = nsec_walk(&net, src, server, &name("victim.test."), 100).unwrap();
-        assert_eq!(names.len(), 5); // apex + 4 hosts
-        assert!(names.contains(&name("hidden-xk42.victim.test.")));
-    }
-
-    #[test]
     fn nsec3_collect_and_crack() {
         let (net, src, server) = setup(
             Denial::Nsec3 {
@@ -271,11 +232,5 @@ mod tests {
         for w in cracked.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-    }
-
-    #[test]
-    fn nsec3_zone_does_not_answer_nsec_walk() {
-        let (net, src, server) = setup(Denial::nsec3_rfc9276(), false);
-        assert!(nsec_walk(&net, src, server, &name("victim.test."), 100).is_none());
     }
 }

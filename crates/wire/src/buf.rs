@@ -23,7 +23,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Current offset.
-    pub fn pos(&self) -> usize {
+    pub(crate) fn pos(&self) -> usize {
         self.pos
     }
 
@@ -33,19 +33,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one octet.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         let b = *self.data.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
         Ok(b)
     }
 
     /// Read a big-endian u16.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_be_bytes([self.u8()?, self.u8()?]))
     }
 
     /// Read a big-endian u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_be_bytes([
             self.u8()?,
             self.u8()?,
@@ -186,7 +186,7 @@ impl WireBuf {
     }
 
     /// Drop contents, keep capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bytes.clear();
         self.suffixes.clear();
     }
@@ -197,13 +197,9 @@ impl WireBuf {
     }
 
     /// Encoded length in bytes.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// True if nothing has been encoded.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Steal the encoded bytes as an owned `Vec`, leaving the buffer
@@ -299,13 +295,9 @@ impl<'a> Writer<'a> {
 
     /// Current length relative to this writer's base (== next write
     /// offset, and == the final message length once done).
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.out.len() - self.base
-    }
-
-    /// True if nothing has been written through this writer.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Append one octet.
@@ -495,7 +487,7 @@ mod tests {
             b.take()
         });
         let second = with_pooled(|b| {
-            assert!(b.is_empty(), "pooled buffer must arrive empty");
+            assert_eq!(b.len(), 0, "pooled buffer must arrive empty");
             b.writer().name(&name("example.com"));
             b.take()
         });

@@ -115,7 +115,7 @@ impl Edns {
     }
 
     /// Encode as an OPT pseudo-record appended to the additional section.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.name(&Name::root());
         w.u16(RrType::OPT.0);
         w.u16(self.udp_payload_size);
@@ -146,7 +146,7 @@ impl Edns {
 
     /// Decode the body of an OPT record whose owner/type have already been
     /// consumed. `class`/`ttl` are the raw fields that OPT repurposes.
-    pub fn decode_body(r: &mut Reader<'_>, class: u16, ttl: u32) -> Result<Self, WireError> {
+    pub(crate) fn decode_body(r: &mut Reader<'_>, class: u16, ttl: u32) -> Result<Self, WireError> {
         let udp_payload_size = class;
         let extended_rcode_hi = (ttl >> 24) as u8;
         let version = (ttl >> 16) as u8;

@@ -168,17 +168,12 @@ impl Message {
         }
     }
 
-    /// Serialize with the RFC 7766 stream framing in one pass: the
-    /// 2-byte length prefix is reserved up front and patched, so —
-    /// unlike [`frame_tcp`] — the message bytes are written exactly
-    /// once. The frame is appended to `out`; `&out[start + 2..]` is the
-    /// bare datagram.
+    /// Serialize with the RFC 7766 stream framing
+    /// ([`MessageHead::encode_framed_append`]). The frame is appended to
+    /// `out`; `&out[start + 2..]` is the bare datagram.
     pub fn encode_framed_append(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0, 0]);
-        self.encode_append(out);
-        let len = out.len() - start - 2;
-        out[start..start + 2].copy_from_slice(&(len as u16).to_be_bytes());
+        self.head()
+            .encode_framed_append(out, &self.answers, &self.authorities, &self.additionals);
     }
 
     /// Parse from wire format.
@@ -289,7 +284,7 @@ impl MessageHead<'_> {
     /// [`Message`] passes its owned sections, the authoritative server
     /// passes references into its zones — so the two cannot drift apart
     /// by a byte.
-    pub fn encode<R: Borrow<Record>>(
+    pub(crate) fn encode<R: Borrow<Record>>(
         &self,
         w: &mut Writer<'_>,
         answers: &[R],
@@ -357,15 +352,50 @@ impl MessageHead<'_> {
             self.encode(&mut w, answers, authorities, additionals);
         });
     }
+
+    /// [`MessageHead::encode_append`] behind the RFC 7766 two-octet
+    /// length prefix, reserved up front and patched, so — unlike
+    /// [`frame_tcp`] — the message bytes are written exactly once. The
+    /// prefix can state at most 65,535 octets: a longer message (an AXFR
+    /// of a large zone; multi-message transfers, RFC 5936 §2.2, are not
+    /// modelled) is replaced by SERVFAIL with empty sections, so a frame
+    /// whose prefix disagrees with its body never leaves here.
+    pub fn encode_framed_append<R: Borrow<Record>>(
+        &self,
+        out: &mut Vec<u8>,
+        answers: &[R],
+        authorities: &[R],
+        additionals: &[R],
+    ) {
+        let start = out.len();
+        out.extend_from_slice(&[0, 0]);
+        self.encode_append(out, answers, authorities, additionals);
+        if out.len() - start - 2 > usize::from(u16::MAX) {
+            out.truncate(start + 2);
+            let failed = MessageHead {
+                rcode: Rcode::ServFail,
+                ..*self
+            };
+            failed.encode_append::<R>(out, &[], &[], &[]);
+        }
+        let len =
+            u16::try_from(out.len() - start - 2).expect("a message without records fits a frame");
+        out[start..start + 2].copy_from_slice(&len.to_be_bytes());
+    }
 }
 
 /// Frame a message for stream transport (RFC 7766 §8): a two-octet
 /// big-endian length prefix. The simulated network carries datagrams
 /// either way; the framing is how endpoints distinguish "TCP" exchanges
 /// (no size limit) from UDP ones.
+///
+/// # Panics
+///
+/// Panics if `message` is longer than the prefix can state.
 pub fn frame_tcp(message: &[u8]) -> Vec<u8> {
+    let len = u16::try_from(message.len()).expect("a stream frame holds at most 65,535 octets");
     let mut out = Vec::with_capacity(message.len() + 2);
-    out.extend_from_slice(&(message.len() as u16).to_be_bytes());
+    out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(message);
     out
 }

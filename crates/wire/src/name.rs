@@ -15,7 +15,7 @@ use crate::rrtype::RrType;
 use crate::WireError;
 
 /// Maximum length of a single label, in bytes.
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name in wire format, in bytes (including the root
 /// zero octet).
 pub const MAX_NAME_LEN: usize = 255;
@@ -357,44 +357,11 @@ impl Name {
         })
     }
 
-    /// Replace the leftmost label with `*` — the *wildcard at* this name's
-    /// parent, used in denial-of-existence proofs.
-    pub fn to_wildcard_of_parent(&self) -> Option<Name> {
-        let parent = self.parent()?;
-        parent.prepend(b"*").ok()
-    }
-
-    /// Strip `suffix` from the right, returning the relative labels.
-    /// Returns `None` if `self` is not a subdomain of `suffix`.
-    pub fn strip_suffix(&self, suffix: &Name) -> Option<Vec<Vec<u8>>> {
-        if !self.is_subdomain_of(suffix) {
-            return None;
-        }
-        let split = self.wire.len() - suffix.wire.len();
-        let mut out = Vec::new();
-        let mut pos = 0;
-        while pos < split {
-            let len = self.wire[pos] as usize;
-            out.push(self.wire[pos + 1..pos + 1 + len].to_vec());
-            pos += 1 + len;
-        }
-        Some(out)
-    }
-
     /// The internal wire buffer in original case, *without* the trailing
     /// root octet (length-prefixed labels; empty for the root). This is
-    /// the borrow hot paths write from; [`Name::to_wire`] is the owned
-    /// equivalent with the terminator appended.
+    /// the borrow hot paths write from.
     pub fn wire_bytes(&self) -> &[u8] {
         &self.wire
-    }
-
-    /// Uncompressed wire format in original case.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire.len() + 1);
-        out.extend_from_slice(&self.wire);
-        out.push(0);
-        out
     }
 
     /// Canonical wire format (RFC 4034 §6.2): lowercase, uncompressed.
@@ -646,9 +613,9 @@ mod tests {
     #[test]
     fn wire_and_canonical_wire() {
         let n = name("Ab.cD");
-        assert_eq!(n.to_wire(), b"\x02Ab\x02cD\x00");
+        assert_eq!(n.wire_bytes(), b"\x02Ab\x02cD");
         assert_eq!(n.to_canonical_wire(), b"\x02ab\x02cd\x00");
-        assert_eq!(Name::root().to_wire(), b"\x00");
+        assert_eq!(Name::root().wire_bytes(), b"");
         assert_eq!(n.wire_len(), 7);
     }
 
@@ -705,19 +672,6 @@ mod tests {
     fn wildcard_handling() {
         assert!(name("*.example.com").is_wildcard());
         assert!(!name("x.example.com").is_wildcard());
-        assert_eq!(
-            name("foo.example.com").to_wildcard_of_parent().unwrap(),
-            name("*.example.com")
-        );
-    }
-
-    #[test]
-    fn strip_suffix_works() {
-        let n = name("a.b.example.com");
-        let rel = n.strip_suffix(&name("example.com")).unwrap();
-        assert_eq!(rel, vec![b"a".to_vec(), b"b".to_vec()]);
-        assert!(n.strip_suffix(&name("example.org")).is_none());
-        assert_eq!(n.strip_suffix(&n).unwrap(), Vec::<Vec<u8>>::new());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub enum RData {
 
 impl RData {
     /// The RR type of this data.
-    pub fn rrtype(&self) -> RrType {
+    pub(crate) fn rrtype(&self) -> RrType {
         match self {
             RData::A(_) => RrType::A,
             RData::Aaaa(_) => RrType::AAAA,
@@ -253,7 +253,11 @@ impl RData {
     }
 
     /// Decode an RDATA of type `rtype` spanning exactly `rdlength` bytes.
-    pub fn decode(r: &mut Reader<'_>, rtype: RrType, rdlength: usize) -> Result<Self, WireError> {
+    pub(crate) fn decode(
+        r: &mut Reader<'_>,
+        rtype: RrType,
+        rdlength: usize,
+    ) -> Result<Self, WireError> {
         let end = r.pos() + rdlength;
         let out = match rtype {
             RrType::A => {

@@ -29,7 +29,7 @@ impl RrType {
     pub const ANY: RrType = RrType(255);
 
     /// Mnemonic if known, else `TYPE{n}` (RFC 3597 presentation).
-    pub fn mnemonic(self) -> String {
+    pub(crate) fn mnemonic(self) -> String {
         match self {
             RrType::A => "A".into(),
             RrType::NS => "NS".into(),
@@ -121,7 +121,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// 4-bit wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::Other(n) => n & 0x0f,
@@ -129,7 +129,7 @@ impl Opcode {
     }
 
     /// From the 4-bit wire value.
-    pub fn from_u8(n: u8) -> Opcode {
+    pub(crate) fn from_u8(n: u8) -> Opcode {
         match n & 0x0f {
             0 => Opcode::Query,
             other => Opcode::Other(other),

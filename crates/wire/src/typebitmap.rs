@@ -42,18 +42,8 @@ impl TypeBitmap {
         self.types.binary_search(&t.0).is_ok()
     }
 
-    /// Number of types present.
-    pub fn len(&self) -> usize {
-        self.types.len()
-    }
-
-    /// True if no types are present.
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
-    }
-
     /// The types, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = RrType> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = RrType> + '_ {
         self.types.iter().map(|&t| RrType(t))
     }
 

@@ -61,7 +61,7 @@ fn records_at<'z>(z: &'z SignedZone, rrtype: RrType, owners: &[Option<&Name>]) -
 }
 
 /// The NSEC3 owner whose hash equals the hash of `name`, if any.
-pub fn nsec3_matching<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
+pub(crate) fn nsec3_matching<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
     let params = z.nsec3_params()?;
     // Denial proofs re-hash the same closest enclosers for every negative
     // answer an auth server synthesizes; the thread cache absorbs that.
@@ -172,7 +172,7 @@ pub fn wildcard_expansion_proof<'z>(
 
 /// The *next closer* name: the ancestor of `qname` exactly one label longer
 /// than the closest encloser (RFC 5155 §1.3).
-pub fn next_closer_name(qname: &Name, closest_encloser: &Name) -> Result<Name, ZoneError> {
+pub(crate) fn next_closer_name(qname: &Name, closest_encloser: &Name) -> Result<Name, ZoneError> {
     if qname == closest_encloser || !qname.is_subdomain_of(closest_encloser) {
         return Err(ZoneError::NotBelowEncloser);
     }

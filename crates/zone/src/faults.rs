@@ -72,7 +72,8 @@ pub fn expire_rrsigs(z: &mut SignedZone, covered: Option<RrType>, now: u32) -> u
 /// Re-sign nothing, but overwrite the NSEC3PARAM iteration count so it
 /// disagrees with the NSEC3 records — an RFC 5155 consistency violation the
 /// census methodology (§4.1) filters out.
-pub fn desync_nsec3param(z: &mut SignedZone, bogus_iterations: u16) -> bool {
+#[allow(dead_code)] // ROADMAP items 2 and 5 draw this reply
+pub(crate) fn desync_nsec3param(z: &mut SignedZone, bogus_iterations: u16) -> bool {
     let apex = z.zone.apex().clone();
     if let Some(params) = z.zone.rrset_mut(&apex, RrType::NSEC3PARAM) {
         for rec in params.iter_mut() {
@@ -87,7 +88,8 @@ pub fn desync_nsec3param(z: &mut SignedZone, bogus_iterations: u16) -> bool {
 
 /// Add a second NSEC3PARAM record at the apex (the census keeps only
 /// domains with exactly one).
-pub fn add_second_nsec3param(z: &mut SignedZone, iterations: u16, salt: Vec<u8>) {
+#[allow(dead_code)] // ROADMAP items 2 and 5 draw this reply
+pub(crate) fn add_second_nsec3param(z: &mut SignedZone, iterations: u16, salt: Vec<u8>) {
     let apex = z.zone.apex().clone();
     let ttl = z.zone.negative_ttl();
     z.zone
@@ -107,7 +109,8 @@ pub fn add_second_nsec3param(z: &mut SignedZone, iterations: u16, salt: Vec<u8>)
 /// Make one NSEC3 record disagree with the others' parameters (iterations
 /// +1) — violates the RFC 5155 requirement that all NSEC3 records in a zone
 /// share parameters.
-pub fn desync_one_nsec3(z: &mut SignedZone) -> bool {
+#[allow(dead_code)] // ROADMAP items 2 and 5 draw this reply
+pub(crate) fn desync_one_nsec3(z: &mut SignedZone) -> bool {
     let owners: Vec<Name> = z
         .zone
         .names()
@@ -128,7 +131,8 @@ pub fn desync_one_nsec3(z: &mut SignedZone) -> bool {
 }
 
 /// Remove every RRSIG covering `covered` — an unsigned-RRset hole.
-pub fn strip_rrsigs_covering(z: &mut SignedZone, covered: RrType) -> usize {
+#[allow(dead_code)] // ROADMAP items 2 and 5 draw this reply
+pub(crate) fn strip_rrsigs_covering(z: &mut SignedZone, covered: RrType) -> usize {
     let names: Vec<Name> = z.zone.names().cloned().collect();
     let mut stripped = 0;
     for name in names {

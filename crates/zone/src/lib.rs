@@ -20,7 +20,7 @@ pub mod denial;
 pub mod faults;
 pub mod nsec3hash;
 pub mod signer;
-pub mod zone;
+pub(crate) mod zone;
 pub mod zonefile;
 
 pub use denial::{nodata_proof, nxdomain_proof, wildcard_expansion_proof, DenialKind, DenialProof};

@@ -217,7 +217,7 @@ impl Nsec3HashCache {
 
     /// A cache with [`Nsec3HashCache::DEFAULT_CAPACITY`] slots and a fixed
     /// seed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity_and_seed(Self::DEFAULT_CAPACITY, 0x9276_5155)
     }
 
@@ -270,17 +270,17 @@ impl Nsec3HashCache {
     }
 
     /// Lookups answered from the table.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Lookups that had to run the engine (and then populated a slot).
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.get()
     }
 
     /// Drop every entry and reset the hit/miss counters.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for slot in self.slots.borrow_mut().iter_mut() {
             *slot = None;
         }

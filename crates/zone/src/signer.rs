@@ -19,9 +19,9 @@ use crate::zone::{Zone, ZoneNode};
 use crate::ZoneError;
 
 /// DNSKEY flags value for a zone-signing key.
-pub const FLAGS_ZSK: u16 = 256;
+pub(crate) const FLAGS_ZSK: u16 = 256;
 /// DNSKEY flags value for a key-signing key (SEP bit set).
-pub const FLAGS_KSK: u16 = 257;
+pub(crate) const FLAGS_KSK: u16 = 257;
 
 /// A signing key: the SimSig pair plus its DNSKEY presentation.
 #[derive(Clone, Debug)]
@@ -203,31 +203,6 @@ pub struct SignedZone {
 }
 
 impl SignedZone {
-    /// DS records (digest type 2, SHA-256) for every KSK — what the parent
-    /// zone publishes.
-    pub fn ds_records(&self, ttl: u32) -> Vec<Record> {
-        let apex = self.zone.apex().clone();
-        self.keys
-            .iter()
-            .filter(|k| k.is_ksk())
-            .map(|k| {
-                let rdata = k.dnskey_rdata();
-                let mut buf = apex.to_canonical_wire();
-                buf.extend_from_slice(&rdata.canonical_bytes());
-                Record::new(
-                    apex.clone(),
-                    ttl,
-                    RData::Ds {
-                        key_tag: key_tag(&rdata.canonical_bytes()),
-                        algorithm: k.algorithm,
-                        digest_type: 2,
-                        digest: sha256(&buf).to_vec(),
-                    },
-                )
-            })
-            .collect()
-    }
-
     /// The NSEC3 parameters, if this zone is NSEC3-signed.
     pub fn nsec3_params(&self) -> Option<&Nsec3Params> {
         match &self.denial {
@@ -242,7 +217,7 @@ impl SignedZone {
 ///
 /// Shared verbatim by signer and validator, so any disagreement is a bug in
 /// exactly one place.
-pub fn signing_buffer<R: Borrow<Record>>(
+pub(crate) fn signing_buffer<R: Borrow<Record>>(
     rrsig_fields: &RData,
     owner: &Name,
     records: &[R],
@@ -344,7 +319,7 @@ fn effective_owner(owner: &Name, labels: u8) -> Name {
 
 /// The RRSIG `labels` value for an owner: label count, not counting the
 /// root or a leading `*`.
-pub fn significant_labels(owner: &Name) -> usize {
+pub(crate) fn significant_labels(owner: &Name) -> usize {
     owner.label_count() - usize::from(owner.is_wildcard())
 }
 
@@ -369,7 +344,7 @@ pub fn sign_rrset(
 /// [`sign_rrset`] with the key tag precomputed. The tag is a pure function
 /// of the DNSKEY RDATA, so whole-zone signing hoists it out of the per-RRset
 /// loop instead of re-serializing the DNSKEY for every signature.
-pub fn sign_rrset_with_tag(
+pub(crate) fn sign_rrset_with_tag(
     records: &[Record],
     key: &SigningKey,
     key_tag: u16,
@@ -864,26 +839,6 @@ mod tests {
                     assert_eq!(*key_tag, zsk_tag);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn ds_records_cover_ksks_only() {
-        let s = signed();
-        let ds = s.ds_records(3600);
-        assert_eq!(ds.len(), 1);
-        match &ds[0].rdata {
-            RData::Ds {
-                key_tag: kt,
-                digest_type,
-                digest,
-                ..
-            } => {
-                assert_eq!(*kt, s.keys.iter().find(|k| k.is_ksk()).unwrap().key_tag());
-                assert_eq!(*digest_type, 2);
-                assert_eq!(digest.len(), 32);
-            }
-            _ => panic!("not DS"),
         }
     }
 

@@ -274,6 +274,7 @@ impl Zone {
     }
 
     /// Total record count.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.rrsets
             .values()
@@ -281,14 +282,9 @@ impl Zone {
             .sum()
     }
 
-    /// True if the zone holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.rrsets.is_empty()
-    }
-
     /// The node at `name` if it is a delegation point (an NS RRset below
     /// the apex).
-    pub fn delegation(&self, name: &Name) -> Option<ZoneNode<'_>> {
+    pub(crate) fn delegation(&self, name: &Name) -> Option<ZoneNode<'_>> {
         self.node(name)
             .filter(|node| name != &self.apex && node.rrset(RrType::NS).is_some())
     }
@@ -520,7 +516,7 @@ impl Zone {
     }
 
     /// The SOA minimum TTL (used as the TTL of denial records, RFC 2308).
-    pub fn negative_ttl(&self) -> u32 {
+    pub(crate) fn negative_ttl(&self) -> u32 {
         match self.rrset(&self.apex, RrType::SOA) {
             Some([rec, ..]) => match &rec.rdata {
                 RData::Soa { minimum, .. } => (*minimum).min(rec.ttl),
@@ -662,6 +658,5 @@ mod tests {
         let z = sample_zone();
         assert_eq!(z.len(), 7);
         assert_eq!(z.iter().count(), 7);
-        assert!(!z.is_empty());
     }
 }

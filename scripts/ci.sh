@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Each file's lines up to its first `#[cfg(test)]`, as `file:line: text`.
+non_test() {
+    awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+
 echo "== tier 1: build (release, offline)"
 cargo build --release --offline --workspace
 
@@ -37,11 +42,23 @@ else
     echo "== rustfmt not installed; skipping"
 fi
 
+echo "== public surface and size (scripts/pub_census.py recounts the callers)"
+# `pub` means something outside the crate calls it; drift shows here.
+for crate in crates/*/; do
+    printf '%-18s %4d pub fn %6d non-test lines\n' "$crate" \
+        "$(grep -rhE '^\s*pub (const )?fn ' "$crate"src | wc -l)" "$(non_test "$crate"src/*.rs | wc -l)"
+done
+echo "crates/bench/src/bin/bench_*.rs: $(cat crates/bench/src/bin/bench_*.rs | wc -l) lines"
+
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "== clippy (-D warnings)"
+    echo "== clippy (-D warnings): also the shape rules of Cargo.toml [workspace.lints] and the clippy.toml files"
     cargo clippy --offline --workspace --all-targets -- -D warnings
 else
-    echo "== clippy not installed; skipping"
+    echo "== clippy not installed: these shape rules went UNCHECKED" >&2
+    echo "  - unreachable_pub: a pub item no other crate can reach" >&2
+    echo "  - std::env::var and std::process::exit outside their sanctioned readers (clippy.toml)" >&2
+    echo "  - netsim::event::drive outside study.rs (crates/core/clippy.toml)" >&2
+    echo "  - std::fs::write outside Suite::finish and write_artifact (crates/bench/clippy.toml)" >&2
 fi
 
 echo "== bench smoke: every bench bin once, reduced samples"
@@ -72,124 +89,31 @@ echo "== profiler script (syntax only)"
 # child for seconds; here it is only parsed.
 bash -n scripts/profile.sh
 
-echo "== external-dependency guard"
-if grep -rn --include=Cargo.toml -E '^\s*((rand|proptest|criterion|rayon|crossbeam|threadpool)\b|\[[a-z-]+\.(rand|proptest|criterion|rayon|crossbeam|threadpool)\])' . ; then
-    echo "error: external dependency crept back into a manifest" >&2
-    exit 1
-fi
-
-echo "== driver-shape guard (crates/core/src)"
-# One study skeleton (DESIGN.md §8): the event core is entered from
-# study.rs alone and the environment is read in DriverConfig::from_env
-# alone. A second `drive(...)` loop or a second env-reading entry point
-# fails here; the non-test line count (each file up to its first
-# #[cfg(test)]) is printed so drift shows in the log.
-drive_users="$(grep -lE 'netsim::event::(drive\b|\{[^}]*\bdrive\b)' crates/core/src/*.rs || true)"
-if [ "$drive_users" != "crates/core/src/study.rs" ]; then
-    echo "error: netsim::event::drive is named outside study.rs:" $drive_users >&2
-    exit 1
-fi
-env_readers="$(awk '
-    /^ *(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { fn = $0; sub(/^.*fn /, "", fn); sub(/[^a-z0-9_].*$/, "", fn) }
-    /env::var/ { print FILENAME ":" fn }' crates/core/src/*.rs | sort -u)"
-if [ "$env_readers" != "crates/core/src/experiments.rs:from_env" ]; then
-    echo "error: std::env::var is read outside DriverConfig::from_env:" $env_readers >&2
-    exit 1
-fi
-awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
-    END { print "crates/core/src: " n " non-test lines" }' crates/core/src/*.rs
-
-echo "== hash-path shape guard (crates/zone/src, crates/crypto/src)"
-# One NSEC3 hash route (DESIGN.md §6): the engine, this thread's cache in
-# front of it, and the RFC 5155 oracle — three entry points, no batch or
-# wire variants; and the signer runs on the calling thread, so nothing
-# under the two crates shards or reads the environment (drivers shard
-# across zones, nothing shards inside one). Non-test line counts (each
-# file up to its `mod tests`) are printed so drift shows in the log.
-hash_fns="$(grep -cE '^pub fn nsec3_hash' crates/zone/src/nsec3hash.rs || true)"
-if [ "$hash_fns" != "3" ]; then
-    echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
-    exit 1
-fi
-if grep -rnE 'sim_par|default_threads|env::var' crates/zone/src crates/crypto/src; then
-    echo "error: sharding or an environment read inside dns-zone/dns-crypto" >&2
-    exit 1
-fi
-for f in crates/crypto/src/sha1.rs crates/crypto/src/simsig.rs crates/zone/src/nsec3hash.rs crates/zone/src/signer.rs; do
-    awk '/^mod tests/ { exit } { n++ } END { print FILENAME ": " n " non-test lines" }' "$f"
-done
-
-echo "== wire-shape guard (crates/wire/src)"
-# One wire parser (DESIGN.md §7): Message::decode is the only thing that
-# turns bytes into a message and Reader::name the only function that
-# follows a compression pointer. A second reader of untrusted bytes (a
-# borrowed view that has to be kept in lockstep with decode, or any walk
-# that restates the pointer rules) fails here; the non-test line count
-# (each file up to its first #[cfg(test)]) is printed so drift shows in
-# the log.
-if [ -e crates/wire/src/view.rs ]; then
-    echo "error: crates/wire/src/view.rs is back" >&2
-    exit 1
-fi
-if grep -rnE 'MessageView|RecordView|QuestionView|skip_name' crates tests examples src; then
-    echo "error: a second wire parser is named" >&2
-    exit 1
-fi
+echo "== shape guards no compiler rule states"
+# One compression-pointer follower (Reader::name, DESIGN.md §7).
 pointer_arms="$(cat crates/wire/src/*.rs | grep -c '0xC0..=0xFF' || true)"
 if [ "$pointer_arms" != "1" ]; then
     echo "error: compression pointers are followed in $pointer_arms places, expected 1 (Reader::name)" >&2
     exit 1
 fi
-awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ }
-    END { print "crates/wire/src: " n " non-test lines" }' crates/wire/src/*.rs
-
-echo "== name-order shape guard (crates/{wire,zone,auth,resolver}/src)"
-# One canonical order, one place (DESIGN.md §7): RFC 4034 §6.1 order is
-# the byte order of dns_wire::name::SortKey, every ordered map of names
-# is keyed by it, and name.rs alone writes a key (one fn holds the
-# escape; SortKey's field is private, so nothing else can make one up).
-# A map ordered by Name — which would pay two key builds a comparison —
-# or a second key writer fails here, outside each file's #[cfg(test)];
-# non-test line counts are printed so drift shows in the log.
-name_keyed="$(awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 }
-    live && /(BTreeMap|BTreeSet|TtlCache)<\(?Name/ { print FILENAME ":" FNR ": " $0 }' \
-    crates/zone/src/*.rs crates/auth/src/*.rs crates/resolver/src/*.rs)"
+# Every ordered map of names is keyed by SortKey (DESIGN.md §7): a map
+# ordered by Name pays two key builds a comparison.
+name_keyed="$(non_test crates/zone/src/*.rs crates/auth/src/*.rs crates/resolver/src/*.rs |
+    grep -E '(BTreeMap|BTreeSet|TtlCache)<\(?Name' || true)"
 if [ -n "$name_keyed" ]; then
     echo "error: an ordered map keyed by Name (key it by SortKey):" >&2
     echo "$name_keyed" >&2
     exit 1
 fi
-key_writers="$(grep -rlE 'fn write_sort_key|SortKey\(' crates src tests examples --include='*.rs' | tr '\n' ' ')"
-escapes="$(grep -c 'fn write_sort_key' crates/wire/src/name.rs || true)"
-if [ "$key_writers" != "crates/wire/src/name.rs " ] || [ "$escapes" != "1" ]; then
-    echo "error: sort keys are written outside name.rs's one write_sort_key: $key_writers($escapes)" >&2
+# One NSEC3 hash route (DESIGN.md §6): engine, cached, oracle.
+hash_fns="$(grep -cE '^pub fn nsec3_hash' crates/zone/src/nsec3hash.rs || true)"
+if [ "$hash_fns" != "3" ]; then
+    echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
     exit 1
 fi
-for f in crates/wire/src/name.rs crates/zone/src/zone.rs crates/resolver/src/cache.rs; do
-    awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print FILENAME ": " n " non-test lines" }' "$f"
-done
-
-echo "== bench-shape guard (crates/bench/src, BENCH_*.json)"
-# One bench harness (microbench.rs): Suite::finish is the only writer of
-# a BENCH_*.json and MICROBENCH_SAMPLES the only variable the crate
-# reads; a bin has no gate, no reduced mode and no knob of its own
-# (the crate's one process::exit is Options::parse's --help, in lib.rs).
-if grep -rn 'env::var' crates/bench/src | grep -v '^crates/bench/src/microbench.rs:'; then
-    echo "error: the environment is read outside microbench.rs" >&2
-    exit 1
-fi
-writers="$(grep -rc 'fs::write' crates/bench/src | grep -v ':0$' | sort | tr '\n' ' ')"
-if [ "$writers" != "crates/bench/src/lib.rs:1 crates/bench/src/microbench.rs:1 " ]; then
-    echo "error: fs::write outside Suite::finish and write_artifact: $writers" >&2
-    exit 1
-fi
-if grep -rnE 'process::exit|--smoke|--rss-ceiling-mb|env_knob|HEROES_ADV_|HEROES_REC_' crates/bench/src/bin; then
-    echo "error: a gate, a reduced mode or a knob is back in a bench bin" >&2
-    exit 1
-fi
+# A bench row is read against the machine that recorded it.
 for f in BENCH_*.json; do
     grep -q '"host_cores"' "$f" || { echo "error: $f has no host_cores" >&2; exit 1; }
 done
-echo "crates/bench/src/bin/bench_*.rs: $(cat crates/bench/src/bin/bench_*.rs | wc -l) lines"
 
 echo "ci.sh: all checks passed"

@@ -22,14 +22,14 @@ use nsec3_core::experiments::{
 use popgen::{generate_domains, generate_fleet, generate_tlds, Scale};
 
 mod serving_support {
-    pub use nsec3_core::serving::{run_serving_cfg, ServingScenario};
-    pub use popgen::domains::{DnssecKind, DomainSpec};
-    pub use popgen::traffic::{diurnal_schedule, QueryMix, TrafficModel};
-    pub use popgen::DomainGenerator;
+    pub(crate) use nsec3_core::serving::{run_serving_cfg, ServingScenario};
+    pub(crate) use popgen::domains::{DnssecKind, DomainSpec};
+    pub(crate) use popgen::traffic::{diurnal_schedule, QueryMix, TrafficModel};
+    pub(crate) use popgen::DomainGenerator;
 
     /// The first `count` non-opt-out NSEC3 zones of the calibrated
     /// population — the serving driver's cacheable domain set.
-    pub fn nsec3_population(count: usize) -> Vec<DomainSpec> {
+    pub(crate) fn nsec3_population(count: usize) -> Vec<DomainSpec> {
         let generator = DomainGenerator::new(popgen::Scale(1.0 / 3_020.0), 42);
         let mut out = Vec::with_capacity(count);
         let mut i = 0u64;

@@ -1,7 +1,7 @@
 //! §5.1 aggregation: domain-population statistics, Figure 1 CDFs, and the
 //! Table 2 operator breakdown.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::stats::{pct, Cdf};
 
@@ -23,8 +23,12 @@ pub struct DomainRecord {
     pub probe_loss: bool,
 }
 
+/// `(iterations, salt_len)` → domains, per exclusive operator: what
+/// Table 2 is computed from.
+type OperatorCounts = BTreeMap<String, BTreeMap<(u16, u8), u64>>;
+
 /// Aggregate statistics over a domain population (the §5.1 numbers).
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct DomainStats {
     /// Total domains analyzed.
     pub total: u64,
@@ -46,15 +50,39 @@ pub struct DomainStats {
     pub iterations_cdf: Cdf,
     /// CDF of salt lengths in bytes (NSEC3-enabled only).
     pub salt_cdf: Cdf,
+    /// NSEC3-enabled domains per exclusive operator and parameter set
+    /// ([`operator_table`] reads it).
+    operators: OperatorCounts,
+}
+
+impl std::fmt::Debug for DomainStats {
+    /// The nine §5.1 fields, as `derive(Debug)` rendered them before the
+    /// per-operator counts existed: the pinned driver reports and the
+    /// benchmark's digests print a [`DomainStats`] and must not move.
+    /// Table 2 has its own rendering ([`crate::render_table2`]).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DomainStats")
+            .field("total", &self.total)
+            .field("lost", &self.lost)
+            .field("dnssec", &self.dnssec)
+            .field("nsec3", &self.nsec3)
+            .field("zero_iterations", &self.zero_iterations)
+            .field("no_salt", &self.no_salt)
+            .field("opt_out", &self.opt_out)
+            .field("iterations_cdf", &self.iterations_cdf)
+            .field("salt_cdf", &self.salt_cdf)
+            .finish()
+    }
 }
 
 /// Incremental [`DomainStats`] accumulator — the streaming census's
 /// sink. Records are folded in one at a time ([`DomainTally::add`]),
 /// shard tallies combine with [`DomainTally::merge`], and the footprint
 /// stays O(distinct parameter values) no matter how many domains flow
-/// through: the CDFs accumulate as count maps, never as per-domain
-/// sample vectors. [`DomainStats::compute`] folds through this same
-/// type, so the batch and streaming paths cannot drift.
+/// through: the CDFs and the per-operator parameter sets accumulate as
+/// count maps, never as per-domain sample vectors.
+/// [`DomainStats::compute`] folds through this same type, so the batch
+/// and streaming paths cannot drift.
 #[derive(Clone, Debug, Default)]
 pub struct DomainTally {
     total: u64,
@@ -66,6 +94,7 @@ pub struct DomainTally {
     opt_out: u64,
     iterations: BTreeMap<u32, u64>,
     salt: BTreeMap<u32, u64>,
+    operators: OperatorCounts,
 }
 
 impl DomainTally {
@@ -98,6 +127,17 @@ impl DomainTally {
             }
             *self.iterations.entry(iterations as u32).or_default() += 1;
             *self.salt.entry(salt_len as u32).or_default() += 1;
+            if let Some(operator) = rec.operator.as_deref() {
+                // Probed by `&str`: the key is owned once per operator,
+                // not once per record.
+                let set = (iterations, salt_len);
+                if let Some(params) = self.operators.get_mut(operator) {
+                    *params.entry(set).or_default() += 1;
+                } else {
+                    let first = BTreeMap::from([(set, 1)]);
+                    self.operators.insert(operator.to_owned(), first);
+                }
+            }
         }
     }
 
@@ -117,6 +157,12 @@ impl DomainTally {
         for (v, c) in other.salt {
             *self.salt.entry(v).or_default() += c;
         }
+        for (operator, params) in other.operators {
+            let mine = self.operators.entry(operator).or_default();
+            for (p, c) in params {
+                *mine.entry(p).or_default() += c;
+            }
+        }
     }
 
     /// The finished statistics.
@@ -131,6 +177,7 @@ impl DomainTally {
             opt_out: self.opt_out,
             iterations_cdf: Cdf::from_counts(self.iterations),
             salt_cdf: Cdf::from_counts(self.salt),
+            operators: self.operators,
         }
     }
 }
@@ -194,36 +241,30 @@ pub struct OperatorRow {
 }
 
 /// Compute the Table 2 operator breakdown: top `n` operators by
-/// exclusively-served NSEC3-enabled domains.
-pub fn operator_table(records: &[DomainRecord], n: usize) -> Vec<OperatorRow> {
-    let nsec3_total = records.iter().filter(|r| r.nsec3.is_some()).count() as u64;
-    let mut by_op: HashMap<&str, Vec<(u16, u8)>> = HashMap::new();
-    for rec in records {
-        if let (Some(params), Some(op)) = (rec.nsec3, rec.operator.as_deref()) {
-            by_op.entry(op).or_default().push(params);
-        }
-    }
-    let mut rows: Vec<OperatorRow> = by_op
-        .into_iter()
-        .map(|(op, params)| {
-            let count = params.len() as u64;
-            let mut freq: HashMap<(u16, u8), u64> = HashMap::new();
-            for p in &params {
-                *freq.entry(*p).or_default() += 1;
-            }
-            let mut param_rows: Vec<(u16, u8, f64)> = freq
-                .into_iter()
-                .map(|((it, salt), c)| (it, salt, pct(c, count)))
-                .collect();
-            param_rows.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
+/// exclusively-served NSEC3-enabled domains. The order is total —
+/// operators by count descending then name, parameter sets by count
+/// descending then `(iterations, salt_len)` — so equal shares never come
+/// out in an order that differs between runs.
+pub fn operator_table(stats: &DomainStats, n: usize) -> Vec<OperatorRow> {
+    let mut rows: Vec<OperatorRow> = stats
+        .operators
+        .iter()
+        .map(|(operator, params)| {
+            let count: u64 = params.values().sum();
+            let mut params: Vec<((u16, u8), u64)> = params.iter().map(|(&p, &c)| (p, c)).collect();
+            params.sort_by_key(|&(p, c)| (std::cmp::Reverse(c), p));
             OperatorRow {
-                operator: op.to_string(),
+                operator: operator.clone(),
                 count,
-                share_pct: pct(count, nsec3_total),
-                params: param_rows,
+                share_pct: pct(count, stats.nsec3),
+                params: params
+                    .into_iter()
+                    .map(|((it, salt), c)| (it, salt, pct(c, count)))
+                    .collect(),
             }
         })
         .collect();
+    // Stable over the map's name order: ties stay alphabetical.
     rows.sort_by_key(|r| std::cmp::Reverse(r.count));
     rows.truncate(n);
     rows
@@ -284,13 +325,46 @@ mod tests {
         for _ in 0..10 {
             records.push(rec(Some((5, 4)), false, None)); // multi-operator
         }
-        let table = operator_table(&records, 10);
+        let table = operator_table(&DomainStats::compute(&records), 10);
         assert_eq!(table.len(), 2);
         assert_eq!(table[0].operator, "big.example.");
         assert_eq!(table[0].count, 60);
         assert!((table[0].share_pct - 60.0).abs() < 1e-9);
         assert_eq!(table[0].params[0], (1, 8, 100.0));
         assert_eq!(table[1].count, 30);
+    }
+
+    #[test]
+    fn operator_table_breaks_ties_the_same_way_every_run() {
+        // Two operators of equal size, each with two equally common
+        // parameter sets, fed in the order a hash map would be free to
+        // pick: the table is ordered by name and by (iterations, salt).
+        let mut records = Vec::new();
+        for (op, sets) in [
+            ("b.example.", [(1, 4), (0, 0)]),
+            ("a.example.", [(5, 4), (1, 2)]),
+        ] {
+            for set in sets {
+                for _ in 0..7 {
+                    records.push(rec(Some(set), false, Some(op)));
+                }
+            }
+        }
+        // `RandomState` is seeded per map, so twenty tables in one
+        // process are twenty draws of the order the parent left to it.
+        for _ in 0..20 {
+            let table = operator_table(&DomainStats::compute(&records), 10);
+            let order = |row: &OperatorRow| {
+                let sets: Vec<String> = row
+                    .params
+                    .iter()
+                    .map(|(i, s, _)| format!("{i}/{s}"))
+                    .collect();
+                format!("{} {}", row.operator, sets.join(" "))
+            };
+            let got: Vec<String> = table.iter().map(order).collect();
+            assert_eq!(got, ["a.example. 1/2 5/4", "b.example. 0/0 1/4"]);
+        }
     }
 
     #[test]
@@ -319,7 +393,7 @@ mod tests {
                 let mut r = rec(
                     (i % 3 == 0).then_some(((i % 7) as u16, (i % 5) as u8)),
                     i % 11 == 0,
-                    None,
+                    (i % 4 != 0).then_some(["a.example.", "b.example."][i % 2]),
                 );
                 r.probe_loss = i % 31 == 0;
                 r
@@ -346,6 +420,7 @@ mod tests {
         assert_eq!(stats.opt_out, whole.opt_out);
         assert_eq!(stats.iterations_cdf.points(), whole.iterations_cdf.points());
         assert_eq!(stats.salt_cdf.points(), whole.salt_cdf.points());
+        assert_eq!(stats.operators, whole.operators);
     }
 
     #[test]

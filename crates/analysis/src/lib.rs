@@ -13,9 +13,7 @@ pub mod stats;
 pub(crate) mod svg;
 
 pub use domains::{operator_table, DomainRecord, DomainStats, DomainTally, OperatorRow};
-pub use render::{
-    cdf_csv, compare_line, figure3_csv, render_cdf, render_figure3_panel, render_table2,
-};
+pub use render::{cdf_csv, figure3_csv, render_cdf, render_figure3_panel, render_table2};
 pub use resolvers::{figure3_series, Panel, RcodeShares, ResolverStats};
 pub use rfc9276::{Item, Keyword, ITEMS};
 pub use stats::{fmt_count, fmt_pct, ks_uniform, pct, Cdf};

@@ -101,12 +101,6 @@ pub fn cdf_csv(cdf: &Cdf) -> String {
     out
 }
 
-/// A two-column paper-vs-measured comparison line for EXPERIMENTS.md-style
-/// reports.
-pub fn compare_line(metric: &str, paper: &str, measured: &str) -> String {
-    format!("  {metric:<52} paper: {paper:>10}   measured: {measured:>10}\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,7 +72,8 @@ props! {
                 probe_loss: false,
             })
             .collect();
-        let table = operator_table(&records, 10);
+        let stats = DomainStats::compute(&records);
+        let table = operator_table(&stats, 10);
         let total_share: f64 = table.iter().map(|r| r.share_pct).sum();
         assert!(total_share <= 100.0 + 1e-9);
         let total_count: u64 = table.iter().map(|r| r.count).sum();
@@ -87,7 +88,6 @@ props! {
             assert!((s - 100.0).abs() < 1e-6);
         }
         // Stats agree with raw counting.
-        let stats = DomainStats::compute(&records);
         assert_eq!(stats.nsec3, records.len() as u64);
     }
 }

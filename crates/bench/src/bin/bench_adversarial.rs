@@ -20,25 +20,16 @@
 //! (`crates/core/src/adversarial.rs`); this bin only reports.
 
 use heroes_bench::microbench::Suite;
+use heroes_bench::report::adversarial_scenario;
 use heroes_bench::EXPERIMENT_NOW;
-use nsec3_core::adversarial::{
-    run_adversarial_cfg, AdversarialScenario, DefenseProfile, FamilyTally,
-};
+use nsec3_core::adversarial::{run_adversarial_cfg, DefenseProfile, FamilyTally};
 use nsec3_core::experiments::{DriverConfig, DEFAULT_LAB_SEED};
 use popgen::adversarial::AttackFamily;
-use popgen::generate_attack_zones;
-
-const ZONES_PER_FAMILY: usize = 2;
-const QUERIES_PER_ZONE: u64 = 6;
 
 /// One run of every family under `defense`: tallies in
 /// [`AttackFamily::ALL`] order, and the wall time in ms.
 fn run(defense: DefenseProfile) -> (Vec<FamilyTally>, f64) {
-    let scenario = AdversarialScenario {
-        zones: generate_attack_zones("example.", ZONES_PER_FAMILY),
-        queries_per_zone: QUERIES_PER_ZONE,
-        defense,
-    };
+    let scenario = adversarial_scenario(defense);
     let cfg = DriverConfig::clean(EXPERIMENT_NOW, 1, DEFAULT_LAB_SEED);
     let t0 = std::time::Instant::now();
     let report = run_adversarial_cfg(&scenario, &cfg);
@@ -51,9 +42,7 @@ fn run(defense: DefenseProfile) -> (Vec<FamilyTally>, f64) {
 }
 
 fn main() {
-    println!(
-        "adversarial workload sweep: {ZONES_PER_FAMILY} zones per family, {QUERIES_PER_ZONE} queries per zone"
-    );
+    println!("adversarial workload sweep: 2 zones per family, 6 queries per zone");
     let mut suite = Suite::new("adversarial");
     let (undefended, undefended_ms) = run(DefenseProfile::undefended());
     let (defended, defended_ms) = run(DefenseProfile::defended());

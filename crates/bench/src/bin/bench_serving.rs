@@ -18,41 +18,11 @@
 //! (`crates/netsim/src/event.rs`); this bin only reports.
 
 use heroes_bench::microbench::Suite;
+use heroes_bench::report::{serving_scenario as scenario, SERVING_FLEET, SERVING_ZONES};
 use heroes_bench::EXPERIMENT_NOW;
 use nsec3_core::experiments::{DriverConfig, DEFAULT_LAB_SEED};
 use nsec3_core::serving::{run_serving_cfg, ServingScenario, ServingTally};
-use popgen::domains::{DnssecKind, DomainSpec};
-use popgen::traffic::{QueryMix, TrafficModel};
-use popgen::{DomainGenerator, Scale};
-
-const POPULATION_SEED: u64 = 42;
-/// Signed NSEC3 zones in the serving population.
-const ZONES: usize = 24;
-/// Resolver instances the clients partition across.
-const FLEET: usize = 4;
-
-/// The first `ZONES` non-opt-out NSEC3 zones of the calibrated
-/// population — the domains whose denial chains the fleet can cache
-/// aggressively.
-fn population() -> Vec<DomainSpec> {
-    let generator = DomainGenerator::new(Scale(1.0 / 3_020.0), POPULATION_SEED);
-    let mut out = Vec::with_capacity(ZONES);
-    let mut i = 0u64;
-    while out.len() < ZONES && i < generator.len() {
-        let spec = generator.get(i);
-        if matches!(spec.dnssec, DnssecKind::Nsec3 { opt_out: false, .. }) {
-            out.push(spec);
-        }
-        i += 1;
-    }
-    assert_eq!(out.len(), ZONES, "population too small");
-    out
-}
-
-fn scenario(clients: u64, qpc: u64, mix: QueryMix) -> ServingScenario {
-    let traffic = TrafficModel::new(clients, qpc, POPULATION_SEED).with_mix(mix);
-    ServingScenario::new(population(), traffic).with_fleet(FLEET)
-}
+use popgen::traffic::QueryMix;
 
 fn run(scenario: &ServingScenario) -> ServingTally {
     let cfg = DriverConfig::clean(EXPERIMENT_NOW, 1, DEFAULT_LAB_SEED);
@@ -60,7 +30,9 @@ fn run(scenario: &ServingScenario) -> ServingTally {
 }
 
 fn main() {
-    println!("production serving benchmark ({ZONES} zones, fleet of {FLEET}, Zipf skew 1.0)");
+    println!(
+        "production serving benchmark ({SERVING_ZONES} zones, fleet of {SERVING_FLEET}, Zipf skew 1.0)"
+    );
     let mut suite = Suite::new("serving");
 
     // Upstream collapse under the water-torture mix.

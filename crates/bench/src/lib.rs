@@ -1,15 +1,18 @@
-//! Shared plumbing for the experiment harnesses (`src/bin/*.rs`): CLI
-//! parsing, the canonical experiment timestamp, and output helpers.
-//!
-//! Every harness regenerates one table or figure of the paper and prints
-//! a paper-vs-measured comparison; see DESIGN.md §4 for the index.
+//! The paper's claims ([`claims`]), the one run of every experiment
+//! driver that measures them and EXPERIMENTS.md rendered from it
+//! ([`report`]; `paper_report` is the binary), the bench harness
+//! ([`microbench`]), and what they share: CLI parsing, the canonical
+//! experiment timestamp, the artefact writer. DESIGN.md §4 is the index
+//! of experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use popgen::Scale;
 
+pub mod claims;
 pub mod microbench;
+pub mod report;
 
 /// The fixed "now" all experiments sign and validate at (March 2024-ish,
 /// matching the paper's measurement window; any fixed value works — the
@@ -19,12 +22,10 @@ pub const EXPERIMENT_NOW: u32 = 1_710_000_000;
 /// Parsed common CLI options.
 #[derive(Clone, Copy, Debug)]
 pub struct Options {
-    /// Population scale (default varies per harness).
+    /// Registered-domain population scale.
     pub scale: Scale,
     /// RNG seed.
     pub seed: u64,
-    /// End-to-end sample size for closed-loop validation runs.
-    pub e2e_sample: usize,
     /// Worker threads for the sharded experiment drivers (default: the
     /// `HEROES_THREADS` environment variable, else 1). Output is
     /// byte-identical for every value.
@@ -32,10 +33,10 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse `--scale 1/1000`, `--seed N`, `--e2e-sample N`,
-    /// `--threads N` from argv. `--help` prints the usage line and exits
-    /// 0; an unknown option or a value that does not parse prints it and
-    /// exits 2 — a mistyped knob is never silently the default.
+    /// Parse `--scale 1/1000`, `--seed N`, `--threads N` from argv.
+    /// `--help` prints the usage line and exits 0; an unknown option or a
+    /// value that does not parse prints it and exits 2 — a mistyped knob
+    /// is never silently the default.
     #[allow(clippy::disallowed_methods)] // the harnesses' one exit
     pub fn parse(default_scale: Scale) -> Options {
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,7 +45,7 @@ impl Options {
                 eprintln!("error: {complaint}");
             }
             eprintln!(
-                "options: --scale 1/N | --seed N | --e2e-sample N | --threads N (defaults: scale {}, seed 42, sample 600, threads from HEROES_THREADS else 1)",
+                "options: --scale 1/N | --seed N | --threads N (defaults: scale {}, seed 42, threads from HEROES_THREADS else 1)",
                 fmt_scale(default_scale)
             );
             std::process::exit(if complaint.is_some() { 2 } else { 0 })
@@ -58,7 +59,6 @@ impl Options {
         let mut opts = Options {
             scale: default_scale,
             seed: 42,
-            e2e_sample: 600,
             threads: sim_par::default_threads(),
         };
         let mut args = args.iter();
@@ -66,7 +66,6 @@ impl Options {
             match flag.as_str() {
                 "--scale" => opts.scale = value_of(flag, &mut args, parse_scale)?,
                 "--seed" => opts.seed = value_of(flag, &mut args, |v| v.parse().ok())?,
-                "--e2e-sample" => opts.e2e_sample = value_of(flag, &mut args, |v| v.parse().ok())?,
                 "--threads" => {
                     let threads: usize = value_of(flag, &mut args, |v| v.parse().ok())?;
                     opts.threads = threads.clamp(1, sim_par::MAX_THREADS);
@@ -111,11 +110,6 @@ pub fn fmt_scale(scale: Scale) -> String {
     }
 }
 
-/// Print a section header.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
-}
-
 /// Peak resident-set size of this process in kilobytes (`VmHWM` from
 /// `/proc/self/status`), or `None` off Linux. The high-water mark is
 /// monotonic for the life of the process, so harnesses that compare RSS
@@ -126,14 +120,15 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Write `contents` to `target/experiments/<name>` and report the path.
+/// Write `contents` to `target/experiments/<name>` and report the path
+/// on stderr (stdout is the report).
 #[allow(clippy::disallowed_methods)] // the harnesses' one file writer
 pub fn write_artifact(name: &str, contents: &str) {
     let dir = std::path::Path::new("target/experiments");
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join(name);
         if std::fs::write(&path, contents).is_ok() {
-            println!("  [wrote {}]", path.display());
+            eprintln!("  [wrote {}]", path.display());
         }
     }
 }
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn options_parse_what_they_are_given() {
         let opts = parse(&["--seed", "7", "--scale", "1/1000", "--threads", "999"]).unwrap();
-        assert_eq!((opts.seed, opts.scale.0, opts.e2e_sample), (7, 0.001, 600));
+        assert_eq!((opts.seed, opts.scale.0), (7, 0.001));
         assert_eq!(opts.threads, sim_par::MAX_THREADS, "clamped, not rejected");
         assert_eq!(parse(&[]).unwrap().scale.0, 0.5);
         assert_eq!(parse(&["--seed", "1", "-h"]).unwrap_err(), None);
@@ -169,7 +164,7 @@ mod tests {
         for bad in [
             &["--scale", "x"][..],
             &["--seed", "abc"],
-            &["--e2e-sample", "-3"],
+            &["--e2e-sample", "600"],
             &["--threads", "four"],
             &["--seed"],
             &["--sead", "7"],

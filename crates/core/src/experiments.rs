@@ -397,9 +397,10 @@ fn census_batch(shard: &ShardRun<'_>, batch: &[DomainSpec]) -> Vec<DomainRecord>
     )
 }
 
-/// Fast path: convert declared specs directly into analysis records
-/// (paper-scale aggregate analysis without network instantiation; the
-/// batched census above validates that measured == declared on samples).
+/// The census's oracle: declared specs as the analysis records a
+/// faultless scan of them yields (`census_measures_what_popgen_declares`
+/// compares the two), and the source of §5.1 statistics where
+/// instantiating every zone is too slow — a debug-build test.
 pub fn records_from_specs(specs: &[DomainSpec]) -> Vec<DomainRecord> {
     specs
         .iter()

@@ -69,7 +69,7 @@ fn main() {
     );
 
     println!("\n--- top operators (measured from NS records) ---");
-    print!("{}", render_table2(&operator_table(&measured, 5)));
+    print!("{}", render_table2(&operator_table(&stats, 5)));
 
     // Closed loop: measured == declared?
     let declared = DomainStats::compute(&records_from_specs(&specs));

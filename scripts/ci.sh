@@ -76,6 +76,20 @@ for bin in crates/bench/src/bin/bench_*.rs; do
 done
 rm -rf "$SMOKE_DIR"
 
+echo "== EXPERIMENTS.md is paper_report's stdout, identical at --threads 1 and 4"
+REPORT_DIR="$(mktemp -d)"
+for n in 1 4; do target/release/paper_report --threads "$n" >"$REPORT_DIR/$n.md"; done
+cmp "$REPORT_DIR/1.md" "$REPORT_DIR/4.md"
+diff -u EXPERIMENTS.md "$REPORT_DIR/1.md" || {
+    echo "error: EXPERIMENTS.md is stale: target/release/paper_report > EXPERIMENTS.md" >&2
+    exit 1
+}
+rm -rf "$REPORT_DIR"
+# README's headline sentence quotes only numbers the document carries.
+grep -A2 'headline:' README.md | grep -oE '[0-9]+\.[0-9] %' | while IFS= read -r pct; do
+    grep -qF "$pct" EXPERIMENTS.md || { echo "error: README's headline quotes $pct, EXPERIMENTS.md does not" >&2; exit 1; }
+done
+
 echo "== repository benchmark (BENCHMARK.json): unit tests + smoke run"
 # benchmark/ is its own workspace, so the tier-1 steps above do not
 # reach it. The smoke run drives every workload at tiny sizes with all

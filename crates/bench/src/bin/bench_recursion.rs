@@ -5,9 +5,8 @@
 //!
 //! Stands the whole [`popgen::HierarchyModel`] up in one lab
 //! ([`nsec3_core::build_hierarchy`]) and walks every leaf with a
-//! validating resolver, recording upstream messages, machine steps
-//! (delegation levels), and crypto work per walk. Results land in
-//! `BENCH_recursion.json`.
+//! validating resolver, recording upstream messages and crypto work per
+//! walk. Results land in `BENCH_recursion.json`.
 //!
 //! `walks_cached_ms` / `walks_cacheless_ms` time the 96 walks alone: the
 //! hierarchy is stood up outside the timed region, and each row is the
@@ -41,7 +40,6 @@ const ROUNDS: usize = 5;
 struct Sweep {
     walks: u64,
     messages: u64,
-    steps: u64,
     sha1: u64,
     signatures: u64,
     virtual_micros: u64,
@@ -58,7 +56,6 @@ impl Sweep {
         };
         row("walks", self.walks as f64, "count");
         row("messages_per_walk", self.per_walk(self.messages), "msgs");
-        row("steps_per_walk", self.per_walk(self.steps), "steps");
         row("sha1_per_walk", self.per_walk(self.sha1), "compressions");
         row(
             "signatures_per_walk",
@@ -83,8 +80,8 @@ struct Swept {
 }
 
 /// Walk every leaf on a fresh resolver over a freshly built hierarchy,
-/// stepping the recursion machine by hand so delegation levels are
-/// observable.
+/// stepping the recursion by hand, one upstream exchange per step, as
+/// the chain-study driver does.
 fn sweep(model: &HierarchyModel, delegation_cache: bool) -> Swept {
     let h = build_hierarchy(model, EXPERIMENT_NOW, DEFAULT_LAB_SEED);
     let mut lab = h.lab;
@@ -103,7 +100,6 @@ fn sweep(model: &HierarchyModel, delegation_cache: bool) -> Swept {
             let started = lab.net.now_micros();
             let mut machine = resolver.begin_recursion(&lab.net, &q, RrType::A);
             let out = loop {
-                sweep.steps += 1;
                 if let RecursionStep::Done(out) = machine.step(&lab.net) {
                     break out;
                 }

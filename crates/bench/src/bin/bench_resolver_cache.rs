@@ -79,9 +79,9 @@ fn query_stream(universe: usize, queries: usize, seed: u64) -> Vec<usize> {
     (0..queries).map(|_| zipf.sample(&mut rng)).collect()
 }
 
-/// `Resolver::begin_recursion` + `finish_resolution`: probe the answer
-/// cache with the question's key on the stack, insert under an owned one
-/// on a miss.
+/// The resolver's fast path and the end of its recursion: probe the
+/// answer cache with the question's key on the stack, insert under an
+/// owned one on a miss.
 fn answer_lookup(cache: &TtlCache<SortKey, u32>, qname: &Name, value: u32, now: u64) {
     let hit = qname.with_rrset_sort_key(RrType::A, |key| cache.get(key, now));
     if hit.is_none() {

@@ -271,7 +271,7 @@ fn adversarial_shard(
 mod tests {
     use super::*;
     use crate::experiments::DEFAULT_LAB_SEED;
-    use dns_resolver::resolver::{Resolver, ResolverConfig};
+    use dns_resolver::resolver::{RecursionStep, Resolver, ResolverConfig};
     use dns_wire::edns::EdeCode;
     use dns_wire::message::Message;
     use dns_wire::rrtype::Rcode;
@@ -455,6 +455,67 @@ mod tests {
         let (code, text) = ede.expect("budget SERVFAIL carries EDE");
         assert_eq!(*code, EdeCode::OTHER);
         assert_eq!(text, "work budget exceeded");
+    }
+
+    #[test]
+    fn interleaved_recursions_each_spend_their_own_budget() {
+        // Two client queries in flight on one defended resolver, stepped
+        // alternately: the deep-chain one trips its own budget, and the
+        // benign one ends exactly as it does alone — verdict and bill.
+        let zones = generate_attack_zones("example.", 1);
+        let spec = |family| zones.iter().find(|z| z.family == family).unwrap();
+        let (deep, benign) = (spec(AttackFamily::DeepChain), spec(AttackFamily::Baseline));
+        let probe = |s: &AdversarialZoneSpec| {
+            Name::parse(&attack_qname(&s.name, s.label_depth, 0)).unwrap()
+        };
+        let stand_up = || {
+            let mut builder = LabBuilder::new(NOW)
+                .seed(DEFAULT_LAB_SEED)
+                .simple_zone(&Name::parse("example.").unwrap(), Denial::nsec3_rfc9276());
+            for s in [deep, benign] {
+                builder = builder.zone(zone_spec_for_attack(s, &Name::parse(&s.name).unwrap()));
+            }
+            let mut lab = builder.build();
+            let raddr = lab.alloc.v4();
+            let mut rcfg =
+                ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
+            rcfg.now = lab.now;
+            rcfg.policy = DefenseProfile::defended().policy;
+            rcfg.budget = WorkBudget::hardened();
+            // No key cache: each query's bill is its own walk, whichever
+            // of the two fetched a key first.
+            rcfg.cache_size = 0;
+            let resolver = Resolver::new(rcfg);
+            (lab, resolver)
+        };
+        let (lab, resolver) = stand_up();
+        let alone = resolver.resolve(&lab.net, &probe(benign), RrType::A);
+        assert_eq!((alone.rcode, alone.authenticated), (Rcode::NxDomain, true));
+        let (lab, resolver) = stand_up();
+        let mut attack = resolver.begin_recursion(&lab.net, &probe(deep), RrType::A);
+        let mut query = resolver.begin_recursion(&lab.net, &probe(benign), RrType::A);
+        let (mut attacked, mut answered) = (None, None);
+        while attacked.is_none() || answered.is_none() {
+            for (machine, out) in [(&mut attack, &mut attacked), (&mut query, &mut answered)] {
+                if out.is_none() {
+                    if let RecursionStep::Done(done) = machine.step(&lab.net) {
+                        *out = Some(done);
+                    }
+                }
+            }
+        }
+        let (attacked, answered) = (attacked.unwrap(), answered.unwrap());
+        assert!(attacked.budget_exceeded, "deep chain: {attacked:?}");
+        assert!(!answered.budget_exceeded, "benign: {answered:?}");
+        assert_eq!(
+            (
+                answered.rcode,
+                answered.authenticated,
+                &answered.ede,
+                answered.cost
+            ),
+            (alone.rcode, alone.authenticated, &alone.ede, alone.cost)
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! [`popgen::hierarchy`] describes the graph; this driver stands it up
 //! ([`build_hierarchy`] for one full lab, or per-TLD private labs when
 //! sharding) and walks it with resolvers whose multi-hop recursion runs
-//! as steppable [`dns_resolver::Recursion`] machines on the event core —
-//! one delegation level per step, parked between levels under the
-//! bounded in-flight window. Each [`popgen::ChainScenario`] lands in its
+//! as a [`dns_resolver::Recursion`] on the event core — one upstream
+//! exchange per step, parked between exchanges under the bounded
+//! in-flight window. Each [`popgen::ChainScenario`] lands in its
 //! own report bucket:
 //!
 //! | scenario | observable |
@@ -231,8 +231,8 @@ fn probes_for(tld: &HierarchyTld, probe_nxdomain: bool) -> Vec<Name> {
 /// resolver, so no observation depends on which TLDs share a shard and
 /// every thread count produces identical tallies. Within a TLD, the
 /// probes run as ONE multi-step flow that steps the resolver's
-/// [`dns_resolver::Recursion`] machine through the event core — one
-/// delegation level per event — so the walk itself is scheduled by the
+/// [`dns_resolver::Recursion`] through the event core — one upstream
+/// exchange per event — so the walk itself is scheduled by the
 /// bounded window, not hidden inside a blocking call.
 pub fn run_chain_study_cfg(study: &ChainStudy, cfg: &DriverConfig) -> ChainReport {
     let tlds = HierarchyGenerator::new(study.model.clone()).tlds();
@@ -271,7 +271,7 @@ fn chain_shard(
         let tally = tallies.entry(tld.scenario.key().to_string()).or_default();
         let net = &lab.net;
         // One multi-step flow (next probe, its machine) walks the whole
-        // probe list, one recursion level per event-core step. A single
+        // probe list, one upstream exchange per event-core step. A single
         // flow per independent net makes window-invariance trivial while
         // still exercising the park/resume machinery of the scheduler.
         let mut walk = (!probes.is_empty()).then_some((0usize, None));

@@ -8,10 +8,11 @@ use std::net::IpAddr;
 
 use dns_wire::message::Message;
 use dns_wire::rrtype::Rcode;
-use netsim::{Network, Node, Outcome};
+use netsim::{Network, Node, RetryPolicy};
 
+use crate::net::exchange;
 use crate::policy::Rfc9276Policy;
-use crate::resolver::Resolver;
+use crate::resolver::{Reply, Resolver};
 
 /// A forwarder: relays client queries to an upstream recursive resolver
 /// and relays the answer back. The paper's server-side logging identifies
@@ -34,11 +35,9 @@ impl Node for Forwarder {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
-        match net.send_query(self.addr, self.upstream, payload) {
-            Outcome::Response {
-                payload: upstream_reply,
-                ..
-            } => {
+        let once = RetryPolicy::fixed(1);
+        match exchange(net, self.addr, self.upstream, payload, &once).reply {
+            Reply::Bytes(upstream_reply) => {
                 if !self.strip_ede {
                     // Relay verbatim: the upstream buffer becomes the reply.
                     *reply = upstream_reply;

@@ -14,11 +14,9 @@ use crate::policy::WorkBudget;
 
 /// Accumulated work for one resolution (or one experiment).
 ///
-/// Besides passive accounting the meter can be *armed* with a
-/// [`WorkBudget`]: arming converts the budget's per-query allowances into
-/// absolute thresholds relative to the current counters, and
+/// A resolution's meter is created with its [`WorkBudget`], and
 /// [`budget_exhausted`](CostMeter::budget_exhausted) reports when spending
-/// has reached either threshold. The counters themselves are never clamped —
+/// has reached either allowance. The counters themselves are never clamped —
 /// the meter stays an exact instrument; enforcement (aborting validation)
 /// is the caller's job.
 #[derive(Clone, Debug, Default)]
@@ -29,16 +27,22 @@ pub struct CostMeter {
     messages_sent: Cell<u64>,
     timeouts: Cell<u64>,
     retries: Cell<u64>,
-    /// Absolute compression threshold while a budget is armed.
-    budget_compressions: Cell<Option<u64>>,
-    /// Absolute signature-verification threshold while a budget is armed.
-    budget_signatures: Cell<Option<u64>>,
+    /// What this meter's resolution may spend (unlimited by default).
+    budget: WorkBudget,
 }
 
 impl CostMeter {
     /// A zeroed meter.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A zeroed meter for one resolution under `budget`.
+    pub(crate) fn with_budget(budget: &WorkBudget) -> Self {
+        CostMeter {
+            budget: *budget,
+            ..Self::default()
+        }
     }
 
     /// Record the cost of one NSEC3 hash chain.
@@ -80,38 +84,17 @@ impl CostMeter {
         self.nsec3_hashes.get()
     }
 
-    /// Arm `budget` for the work starting now: thresholds are the current
-    /// counters plus the budget's allowances. An unlimited budget disarms.
-    pub(crate) fn arm_budget(&self, budget: &WorkBudget) {
-        self.budget_compressions.set(
-            budget
-                .max_compressions
-                .map(|n| self.sha1_compressions.get().saturating_add(n)),
-        );
-        self.budget_signatures.set(
-            budget
-                .max_signatures
-                .map(|n| self.signatures_verified.get().saturating_add(n)),
-        );
-    }
-
-    /// Remove any armed budget.
-    pub(crate) fn disarm_budget(&self) {
-        self.budget_compressions.set(None);
-        self.budget_signatures.set(None);
-    }
-
-    /// True when an armed budget's allowance is used up on either axis.
+    /// True when the budget's allowance is used up on either axis.
     /// Callers check this *before* the next unit of work, so a query
     /// overshoots by at most one hash chain or one verification.
     pub(crate) fn budget_exhausted(&self) -> bool {
         let over_compressions = self
-            .budget_compressions
-            .get()
+            .budget
+            .max_compressions
             .is_some_and(|limit| self.sha1_compressions.get() >= limit);
         let over_signatures = self
-            .budget_signatures
-            .get()
+            .budget
+            .max_signatures
             .is_some_and(|limit| self.signatures_verified.get() >= limit);
         over_compressions || over_signatures
     }
@@ -148,16 +131,18 @@ pub struct CostSnapshot {
     pub retries: u64,
 }
 
-impl CostSnapshot {
-    /// Difference vs an earlier snapshot.
-    pub(crate) fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
+impl std::ops::Add for CostSnapshot {
+    type Output = CostSnapshot;
+
+    /// The work of two resolutions together.
+    fn add(self, other: CostSnapshot) -> CostSnapshot {
         CostSnapshot {
-            sha1_compressions: self.sha1_compressions - earlier.sha1_compressions,
-            nsec3_hashes: self.nsec3_hashes - earlier.nsec3_hashes,
-            signatures_verified: self.signatures_verified - earlier.signatures_verified,
-            messages_sent: self.messages_sent - earlier.messages_sent,
-            timeouts: self.timeouts - earlier.timeouts,
-            retries: self.retries - earlier.retries,
+            sha1_compressions: self.sha1_compressions + other.sha1_compressions,
+            nsec3_hashes: self.nsec3_hashes + other.nsec3_hashes,
+            signatures_verified: self.signatures_verified + other.signatures_verified,
+            messages_sent: self.messages_sent + other.messages_sent,
+            timeouts: self.timeouts + other.timeouts,
+            retries: self.retries + other.retries,
         }
     }
 }
@@ -180,35 +165,36 @@ mod tests {
     }
 
     #[test]
-    fn budget_arming_is_relative_to_current_spend() {
-        let m = CostMeter::new();
-        m.add_nsec3_hash(500);
-        m.arm_budget(&WorkBudget {
+    fn budget_counts_this_meters_spend() {
+        let m = CostMeter::with_budget(&WorkBudget {
             max_compressions: Some(100),
             max_signatures: Some(2),
         });
         assert!(!m.budget_exhausted());
         m.add_nsec3_hash(99);
-        assert!(!m.budget_exhausted(), "599 < 600 threshold");
+        assert!(!m.budget_exhausted(), "99 < 100 allowance");
         m.add_nsec3_hash(1);
-        assert!(m.budget_exhausted(), "600 >= 600 threshold");
-        // Counters keep counting past the threshold: exact instrument.
+        assert!(m.budget_exhausted(), "100 >= 100 allowance");
+        // Counters keep counting past the allowance: exact instrument.
         m.add_nsec3_hash(40);
-        assert_eq!(m.sha1_compressions(), 640);
-        m.disarm_budget();
-        assert!(!m.budget_exhausted());
+        assert_eq!(m.sha1_compressions(), 140);
+        // Another resolution's meter starts with its whole allowance.
+        let next = CostMeter::with_budget(&WorkBudget {
+            max_compressions: Some(100),
+            max_signatures: Some(2),
+        });
+        assert!(!next.budget_exhausted());
     }
 
     #[test]
     fn budget_signature_axis_and_unlimited() {
-        let m = CostMeter::new();
-        m.arm_budget(&WorkBudget::unlimited());
+        let m = CostMeter::with_budget(&WorkBudget::unlimited());
         m.add_nsec3_hash(1_000_000);
         for _ in 0..1000 {
             m.add_signature();
         }
         assert!(!m.budget_exhausted(), "unlimited budget never exhausts");
-        m.arm_budget(&WorkBudget {
+        let m = CostMeter::with_budget(&WorkBudget {
             max_compressions: None,
             max_signatures: Some(3),
         });
@@ -220,14 +206,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff() {
-        let m = CostMeter::new();
-        m.add_nsec3_hash(10);
-        let a = m.snapshot();
-        m.add_nsec3_hash(5);
-        let b = m.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.sha1_compressions, 5);
-        assert_eq!(d.nsec3_hashes, 1);
+    fn snapshot_sum() {
+        let (a, b) = (CostMeter::new(), CostMeter::new());
+        a.add_nsec3_hash(10);
+        b.add_nsec3_hash(5);
+        b.add_message();
+        let sum = a.snapshot() + b.snapshot();
+        assert_eq!(sum.sha1_compressions, 15);
+        assert_eq!(sum.nsec3_hashes, 2);
+        assert_eq!(sum.messages_sent, 1);
     }
 }

@@ -180,7 +180,7 @@ fn faulty_resolver_study_output_is_pinned() {
         report.len()
     );
     assert_eq!(
-        hash, 0x8d71_8fde_cbdd_92fb,
+        hash, 0xa29c_ba3b_ae06_5e6f,
         "faulty resolver study output moved"
     );
 }

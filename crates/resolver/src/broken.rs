@@ -192,21 +192,18 @@ pub struct ObservedResponse {
 }
 
 impl ObservedResponse {
-    /// Parse from a wire response: the classifier's three observables
-    /// read off one decoded [`Message`]. `None` when the payload does not
-    /// decode.
-    pub fn from_wire(payload: &[u8]) -> Option<Self> {
-        let msg = Message::decode(payload).ok()?;
+    /// The classifier's three observables, read off a decoded response.
+    pub fn from_message(msg: &Message) -> Self {
         let (ede, ede_has_text) = match msg.edns.as_ref().and_then(|e| e.ede()) {
             Some((code, text)) => (Some(code.0), !text.is_empty()),
             None => (None, false),
         };
-        Some(ObservedResponse {
+        ObservedResponse {
             rcode: msg.rcode,
             ad: msg.flags.ad,
             ra: msg.flags.ra,
             ede,
             ede_has_text,
-        })
+        }
     }
 }

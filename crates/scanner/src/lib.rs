@@ -136,6 +136,78 @@ mod e2e {
     }
 
     #[test]
+    fn a_reply_to_another_query_is_no_answer() {
+        // Each impostor relays a real validator's verdicts, each time
+        // under one wrong header field or question: none of its replies
+        // answers the probe that was sent, so nothing is classified.
+        struct Impostor(Rc<dyn netsim::Node>, fn(&mut dns_wire::Message));
+        impl netsim::Node for Impostor {
+            fn handle(
+                &self,
+                net: &netsim::Network,
+                src: std::net::IpAddr,
+                payload: &[u8],
+                reply: &mut Vec<u8>,
+            ) -> Option<()> {
+                self.0.handle(net, src, payload, reply)?;
+                let mut msg = dns_wire::Message::decode(reply).ok()?;
+                (self.1)(&mut msg);
+                reply.clear();
+                msg.encode_append(reply);
+                Some(())
+            }
+        }
+        let manglers: [fn(&mut dns_wire::Message); 4] = [
+            |m| m.id ^= 0xffff,
+            |m| m.flags.qr = false,
+            |m| m.questions[0].qname = name("www.elsewhere.example."),
+            |m| m.questions[0].qtype = dns_wire::rrtype::RrType::AAAA,
+        ];
+        let mut b = LabBuilder::new(NOW)
+            .simple_zone(&name("com."), Denial::nsec3_rfc9276())
+            .simple_zone(&name("tb.com."), Denial::nsec3_rfc9276())
+            .simple_zone(&name("valid.tb.com."), Denial::nsec3_rfc9276());
+        let mut expired_spec = dns_resolver::ZoneSpec::new(
+            dns_resolver::lab::simple_zone_contents(&name("expired.tb.com.")),
+            Denial::nsec3_rfc9276(),
+        );
+        expired_spec.expired = true;
+        b = b.zone(expired_spec).simple_zone(
+            &name("it-150.tb.com."),
+            Denial::Nsec3 {
+                params: Nsec3Params::new(150, vec![]),
+                opt_out: false,
+            },
+        );
+        let mut lab = b.build();
+        let plan = ProbePlan {
+            valid: name("www.valid.tb.com."),
+            expired: name("www.expired.tb.com."),
+            it_zones: vec![(150, name("it-150.tb.com."))],
+            it_2501_expired: None,
+        };
+        let src = lab.alloc.v4();
+        for mangle in manglers {
+            let raddr = lab.alloc.v4();
+            let mut cfg =
+                ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
+            cfg.now = lab.now;
+            cfg.policy = Rfc9276Policy::servfail_above(100);
+            let inner: Rc<dyn netsim::Node> = Rc::new(Resolver::new(cfg));
+            lab.net.register(raddr, Rc::new(Impostor(inner, mangle)));
+            let session = ScanSession::new(BreakerConfig::default());
+            let c = Prober::new(&lab.net, src, &plan)
+                .with_session(&session, netsim::RetryPolicy::fixed(2))
+                .classify(raddr);
+            assert!(c.unreachable, "{c:?}");
+            assert!(!c.is_validator);
+            // Booked as no answer, and not asked again.
+            let stats = session.stats();
+            assert_eq!((stats.answered, stats.timed_out, stats.retried), (0, 2, 0));
+        }
+    }
+
+    #[test]
     fn prober_detects_non_validator() {
         let mut b = LabBuilder::new(NOW)
             .simple_zone(&name("com."), Denial::nsec3_rfc9276())

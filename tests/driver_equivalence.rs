@@ -180,7 +180,7 @@ fn faulty_resolver_study_output_is_pinned() {
         report.len()
     );
     assert_eq!(
-        hash, 0xa29c_ba3b_ae06_5e6f,
+        hash, 0x76b4_38c1_65d0_6ee2,
         "faulty resolver study output moved"
     );
 }

@@ -101,7 +101,7 @@ fn sort_views(views: &mut Vec<Nsec3View>) {
 /// A per-resolver store of *validated* NSEC3 records, usable for
 /// RFC 8198 synthesis.
 #[derive(Debug, Default)]
-pub struct AggressiveCache {
+pub(crate) struct AggressiveCache {
     /// Keyed by the apex's canonical sort key, so the zone above a name
     /// is found by probing the prefixes of that name's key.
     zones: RefCell<HashMap<SortKey, ZoneDenials>>,

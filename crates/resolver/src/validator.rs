@@ -20,9 +20,9 @@ use crate::cost::CostMeter;
 
 /// A validated DNSKEY set for one zone.
 #[derive(Clone, Debug)]
-pub struct ZoneKeys {
+pub(crate) struct ZoneKeys {
     /// The zone apex these keys belong to.
-    pub apex: Name,
+    pub(crate) apex: Name,
     /// `(key_tag, verification context)` per DNSKEY, in RRset order. The
     /// context holds the key schedule, derived here once instead of once
     /// per signature checked.

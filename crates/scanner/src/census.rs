@@ -10,7 +10,7 @@
 use dns_resolver::resolver::{ResolveOutcome, Resolver};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
-use dns_wire::rrtype::{Rcode, RrType};
+use dns_wire::rrtype::RrType;
 use dns_zone::nsec3hash::Nsec3Params;
 use netsim::Network;
 
@@ -249,6 +249,7 @@ impl CensusProbe {
                     .unwrap_or_else(|_| obs.domain.clone());
                 let neg = census.resolver.resolve(census.net, &probe, RrType::A);
                 obs.probe_loss |= census.note_phase(&neg);
+                // Any rcode will do: NXDOMAIN and wildcard NOERROR both carry denials.
                 let denial_records = neg.authorities.iter().chain(neg.answers.iter());
                 for rec in denial_records {
                     match &rec.rdata {
@@ -264,7 +265,6 @@ impl CensusProbe {
                         _ => {}
                     }
                 }
-                let _ = neg.rcode == Rcode::NxDomain; // either NXDOMAIN or wildcard NOERROR is fine
                 obs.class = classify(obs);
                 self.phase = CensusPhase::Done;
             }
@@ -350,6 +350,7 @@ pub fn exclusive_operator(ns_targets: &[Name]) -> Option<Name> {
 mod tests {
     use super::*;
     use dns_wire::name::name;
+    use dns_wire::rrtype::Rcode;
 
     fn obs(
         dnssec: bool,

@@ -48,6 +48,7 @@ for crate in crates/*/; do
     printf '%-18s %4d pub fn %6d non-test lines\n' "$crate" \
         "$(grep -rhE '^\s*pub (const )?fn ' "$crate"src | wc -l)" "$(non_test "$crate"src/*.rs | wc -l)"
 done
+echo "workspace total: $(non_test crates/*/src/*.rs | wc -l) non-test lines under crates/*/src"
 echo "crates/bench/src/bin/bench_*.rs: $(cat crates/bench/src/bin/bench_*.rs | wc -l) lines"
 
 if cargo clippy --version >/dev/null 2>&1; then

@@ -4,7 +4,9 @@
 //! streaming reference (`fastpath_vs_reference`). That the two agree
 //! byte for byte — digest *and* compressions — is the test
 //! `fast_engine_matches_reference_for_every_salt_length`
-//! (`crates/zone/tests/proptests.rs`). Writes `BENCH_nsec3_hash.json`.
+//! (`crates/zone/tests/proptests.rs`). The first line says which SHA-1
+//! kernel the host runs (the SHA unit or the portable code; DESIGN.md
+//! §6). Writes `BENCH_nsec3_hash.json`.
 
 use std::hint::black_box;
 
@@ -15,6 +17,8 @@ use dns_zone::nsec3hash::{
 use heroes_bench::microbench::Suite;
 
 fn main() {
+    // Every row below is read against the kernel that produced it.
+    println!("sha kernel: {}", dns_crypto::sha_kernel());
     let mut suite = Suite::new("nsec3_hash");
 
     let n = name("some-average-length-label.example.com.");

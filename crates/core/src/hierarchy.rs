@@ -124,15 +124,6 @@ pub struct ChainReport {
 }
 
 impl ChainReport {
-    /// The tally for `scenario` (zero tally if the hierarchy had none).
-    #[allow(dead_code)] // `scenarios_classify_into_distinct_buckets`: unit tests only
-    pub(crate) fn scenario(&self, scenario: ChainScenario) -> ChainTally {
-        self.per_scenario
-            .get(scenario.key())
-            .copied()
-            .unwrap_or_default()
-    }
-
     /// Sum over every scenario bucket.
     pub fn total(&self) -> ChainTally {
         let mut t = ChainTally::default();
@@ -328,6 +319,16 @@ mod tests {
     use dns_resolver::resolver::{Resolver, ResolverConfig};
 
     const NOW: u32 = 1_710_000_000;
+
+    impl ChainReport {
+        /// The tally for `scenario` (zero tally if the hierarchy had none).
+        fn scenario(&self, scenario: ChainScenario) -> ChainTally {
+            self.per_scenario
+                .get(scenario.key())
+                .copied()
+                .unwrap_or_default()
+        }
+    }
 
     fn faulted_study() -> ChainStudy {
         // 24 TLDs, fault every 3rd signed one: all four fault scenarios

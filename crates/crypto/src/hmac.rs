@@ -61,10 +61,7 @@ impl HmacKey<crate::sha256::Sha256> {
     /// The two pad midstates, from which [`HmacKey::from_midstates`]
     /// rebuilds this key without touching the key bytes again.
     pub(crate) fn midstates(&self) -> [[u32; 8]; 2] {
-        [
-            self.inner.midstate_aligned().0,
-            self.outer.midstate_aligned().0,
-        ]
+        [self.inner.midstate(), self.outer.midstate()]
     }
 
     /// Inverse of [`HmacKey::midstates`]: each pad is exactly one block.
@@ -74,23 +71,6 @@ impl HmacKey<crate::sha256::Sha256> {
             inner: restore(inner),
             outer: restore(outer),
         }
-    }
-
-    /// MAC a batch of messages under this key, interleaving the SHA-256
-    /// compressions across lanes (see `sha256::finish_midstate_batch`).
-    /// `out[i]` is byte-identical to [`HmacKey::mac`]`(msgs[i])`.
-    ///
-    /// Both HMAC passes batch: the inner pass finishes every message from
-    /// the shared key-XOR-ipad midstate, and the outer pass is a uniform
-    /// single-tail-block batch over the 32-byte inner digests.
-    pub fn mac_batch_into(&self, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
-        assert_eq!(msgs.len(), out.len());
-        let (istate, ilen) = self.inner.midstate_aligned();
-        crate::sha256::finish_midstate_batch(istate, ilen, msgs, out);
-        let inner_digests = out.to_vec();
-        let refs: Vec<&[u8]> = inner_digests.iter().map(|d| d.as_slice()).collect();
-        let (ostate, olen) = self.outer.midstate_aligned();
-        crate::sha256::finish_midstate_batch(ostate, olen, &refs, out);
     }
 }
 
@@ -228,19 +208,5 @@ mod tests {
         mac.update(b"hello ");
         mac.update(b"world");
         assert_eq!(mac.finalize(), Hmac::<Sha256>::mac(b"key", b"hello world"));
-    }
-
-    #[test]
-    fn mac_batch_matches_scalar() {
-        let key = HmacKey::<Sha256>::new(b"batch-key");
-        let msgs: Vec<Vec<u8>> = (0..13u8).map(|i| vec![i; i as usize * 17]).collect();
-        for n in [0usize, 1, 2, 4, 7, 8, 9, 13] {
-            let refs: Vec<&[u8]> = msgs[..n].iter().map(|m| m.as_slice()).collect();
-            let mut out = vec![[0u8; 32]; n];
-            key.mac_batch_into(&refs, &mut out);
-            for (msg, got) in refs.iter().zip(&out) {
-                assert_eq!(got.to_vec(), key.mac(msg), "len {}", msg.len());
-            }
-        }
     }
 }

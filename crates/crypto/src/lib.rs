@@ -19,8 +19,21 @@
 //! performs while checking NSEC3 closest-encloser proofs. Both hash
 //! implementations therefore count the compression invocations they perform
 //! ([`Digest::compressions`]), and the resolver's cost model aggregates them.
+//! The count is of blocks, not time, so it is the same on every kernel.
+//!
+//! # Kernels and `unsafe`
+//!
+//! On an x86-64 CPU with the SHA extensions, SHA-1 and SHA-256 compress on
+//! the SHA unit (`x86.rs`), with the NSEC3 iteration chain kept in
+//! registers; elsewhere they run the portable Rust, which is also the
+//! oracle the hardware kernels are tested against ([`sha_kernel`] says
+//! which one this CPU runs). `unsafe` is denied crate-wide and forbidden
+//! in every other crate: the three calls into `#[target_feature]`
+//! kernels in `x86.rs` are the only exception, each right after the
+//! runtime feature check and under a `// SAFETY:` line (`scripts/ci.sh`
+//! enforces all three rules).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hmac;
@@ -28,6 +41,18 @@ pub mod keytag;
 pub mod sha1;
 pub mod sha256;
 pub mod simsig;
+#[cfg(target_arch = "x86_64")]
+mod x86;
+
+/// Which SHA-1/SHA-256 compression this CPU runs: `"x86 SHA extensions"`
+/// or `"portable"`. Every kernel computes the same digests and counts.
+pub fn sha_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if x86::available() {
+        return "x86 SHA extensions";
+    }
+    "portable"
+}
 
 /// A streaming cryptographic hash function.
 ///

@@ -3,43 +3,51 @@
 //! SHA-1 is cryptographically broken for collision resistance, but it is the
 //! *only* hash algorithm assigned for NSEC3 (RFC 5155 §11, algorithm 1), so a
 //! faithful NSEC3 implementation must carry it. Two entry points share one
-//! compression function:
+//! compression function, which runs on the CPU's SHA unit where it has one
+//! (see the crate docs):
 //!
 //! * [`Sha1`] — the streaming Merkle–Damgård construction with a compression
 //!   counter for the CVE-2023-50868 cost model.
-//! * [`IteratedSha1`], over one-block `compress_block` — the hot-path
-//!   API used by NSEC3 hashing, which avoids per-call hasher construction and
-//!   byte-at-a-time padding entirely. Cost is accounted arithmetically with
+//! * [`IteratedSha1`] — the hot-path API used by NSEC3 hashing, which
+//!   avoids per-call hasher construction and byte-at-a-time padding
+//!   entirely. Cost is accounted arithmetically with
 //!   [`padded_blocks`], which is exact: padding appends `0x80`, zeros to
 //!   56 mod 64, and an 8-byte length, so a `len`-byte message always
 //!   occupies `(len + 9).div_ceil(64)` blocks.
 
 use crate::Digest;
 
-const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+pub(crate) const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 /// Run the SHA-1 compression function over one 64-byte block, updating
-/// `state` in place.
-///
-/// The round function is unrolled into its four 20-round phases so the
-/// per-round `f`/`k` selection compiles away — this is the innermost loop
-/// of the NSEC3 iterated hash.
+/// `state` in place: on the CPU's SHA unit where it has one, else
+/// [`compress_words_portable`].
 pub(crate) fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
-    let mut w = [0u32; 16];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(next) = crate::x86::sha1_compress(*state, block) {
+        *state = next;
+        return;
     }
-    compress_words(state, &w);
+    compress_words_portable(state, &block_words(block));
 }
 
-/// [`compress_block`] over a block already split into sixteen big-endian
-/// words. [`IteratedSha1`] chains compressions without ever round-tripping
-/// the digest through bytes.
+/// A block as sixteen big-endian words.
+fn block_words(block: &[u8; 64]) -> [u32; 16] {
+    core::array::from_fn(|i| {
+        u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 octets"))
+    })
+}
+
+/// The compression function in plain Rust, over a block already split
+/// into words: the fallback on CPUs without a SHA unit and the oracle the
+/// hardware kernels are tested against.
 ///
-/// The message schedule is a rolling 16-word window computed inside the
-/// round loops (`w[i] ≡ w[i mod 16]`, with `i-3 ≡ i+13`, `i-8 ≡ i+8`,
-/// `i-14 ≡ i+2` mod 16) instead of a precomputed 80-word array.
-pub(crate) fn compress_words(state: &mut [u32; 5], words: &[u32; 16]) {
+/// The round function is unrolled into its four 20-round phases so the
+/// per-round `f`/`k` selection compiles away. The message schedule is a
+/// rolling 16-word window computed inside the round loops
+/// (`w[i] ≡ w[i mod 16]`, with `i-3 ≡ i+13`, `i-8 ≡ i+8`, `i-14 ≡ i+2`
+/// mod 16) instead of a precomputed 80-word array.
+fn compress_words_portable(state: &mut [u32; 5], words: &[u32; 16]) {
     let mut w = *words;
     let [mut a, mut b, mut c, mut d, mut e] = *state;
 
@@ -131,26 +139,22 @@ fn sha1_oneshot_state(data: &[u8]) -> [u32; 5] {
 /// The NSEC3 iterated-hash engine (RFC 5155 §5): repeated SHA-1 over
 /// `digest || salt` with the padding precomputed.
 ///
-/// For salt ≤ [`IteratedSha1::MAX_SINGLE_BLOCK_SALT`] bytes — every
-/// parameter set observed in the wild uses 0–16 — each iteration's input is
-/// `20 + salt_len ≤ 55` bytes, exactly one padded 64-byte block. The padded
-/// block (salt, `0x80`, bit-length tail) is built **once** per parameter
-/// set; each iteration then only copies the 20-byte digest into the block
-/// head and runs one compression. Longer salts fall back to the multi-block
-/// one-shot path, still without streaming-buffer overhead.
+/// The padded iteration message (digest slot, salt, `0x80`, bit length)
+/// is built **once** per parameter set; each iteration only writes the
+/// digest into its head. For salt ≤ [`IteratedSha1::MAX_SINGLE_BLOCK_SALT`]
+/// bytes — every parameter set observed in the wild uses 0–16 — that
+/// message is `20 + salt_len ≤ 55` bytes, exactly one padded block, and
+/// the whole chain runs as one compression per iteration (in registers on
+/// a CPU with a SHA unit). Longer salts run every block of the message.
 #[derive(Clone, Debug)]
 pub struct IteratedSha1 {
-    /// Padded iteration block; for single-block salts the salt lives at
-    /// `[20..20 + salt_len]` and the tail is already in place.
+    /// The padded iteration message when it is one block, the digest slot
+    /// `[0..20]` zeroed and the salt at `[20..20 + salt_len]`.
     template: [u8; 64],
-    /// The same block as sixteen schedule words. Words 0–4 are the digest
-    /// slots; 5–15 (salt, padding, length) never change, so an iteration
-    /// only rewrites five words and never touches bytes.
-    template_words: [u32; 16],
+    /// The same message for a longer salt, every block of it (empty for a
+    /// single-block salt).
+    long_template: Vec<u8>,
     salt_len: usize,
-    single_block: bool,
-    /// Salt storage for the multi-block fallback (empty otherwise).
-    overflow_salt: Vec<u8>,
     /// SHA-1 blocks per additional iteration: `padded_blocks(20 + salt_len)`.
     blocks_per_iteration: u64,
 }
@@ -162,38 +166,37 @@ impl IteratedSha1 {
 
     /// Build the engine for one parameter set (one salt).
     pub fn new(salt: &[u8]) -> Self {
-        let single_block = salt.len() <= Self::MAX_SINGLE_BLOCK_SALT;
-        let mut template = [0u8; 64];
-        let overflow_salt = if single_block {
-            let total = 20 + salt.len();
-            template[20..total].copy_from_slice(salt);
-            template[total] = 0x80;
-            let bit_len = (total as u64) * 8;
-            template[56..].copy_from_slice(&bit_len.to_be_bytes());
-            Vec::new()
-        } else {
-            salt.to_vec()
+        let total = 20 + salt.len();
+        let blocks = padded_blocks(total);
+        let pad = |message: &mut [u8]| {
+            message[20..total].copy_from_slice(salt);
+            message[total] = 0x80;
+            let tail = message.len() - 8;
+            message[tail..].copy_from_slice(&(total as u64 * 8).to_be_bytes());
         };
-        let mut template_words = [0u32; 16];
-        for (i, chunk) in template.chunks_exact(4).enumerate() {
-            template_words[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let mut template = [0u8; 64];
+        let mut long_template = Vec::new();
+        if salt.len() <= Self::MAX_SINGLE_BLOCK_SALT {
+            pad(&mut template);
+        } else {
+            long_template = vec![0u8; blocks as usize * 64];
+            pad(&mut long_template);
         }
         IteratedSha1 {
             template,
-            template_words,
+            long_template,
             salt_len: salt.len(),
-            single_block,
-            overflow_salt,
-            blocks_per_iteration: padded_blocks(20 + salt.len()),
+            blocks_per_iteration: blocks,
         }
     }
 
     fn salt(&self) -> &[u8] {
-        if self.single_block {
-            &self.template[20..20 + self.salt_len]
+        let message = if self.long_template.is_empty() {
+            &self.template[..]
         } else {
-            &self.overflow_salt
-        }
+            &self.long_template
+        };
+        &message[20..20 + self.salt_len]
     }
 
     /// `H(... H(H(input || salt) || salt) ...)` with `iterations`
@@ -203,28 +206,40 @@ impl IteratedSha1 {
     pub fn hash(&self, input: &[u8], iterations: u16) -> ([u8; 20], u64) {
         let compressions = padded_blocks(input.len() + self.salt_len)
             + u64::from(iterations) * self.blocks_per_iteration;
-        // The digest is carried as five state words: the output words of one
-        // compression are exactly the first five schedule words of the next,
-        // so the chain never round-trips through bytes.
         let mut dw = self.initial(input);
-        if self.single_block {
-            let mut w = self.template_words;
-            for _ in 0..iterations {
-                w[..5].copy_from_slice(&dw);
-                let mut state = H0;
-                compress_words(&mut state, &w);
-                dw = state;
-            }
+        if self.long_template.is_empty() {
+            dw = self.chain(dw, iterations);
         } else {
-            let mut buf = Vec::with_capacity(20 + self.salt_len);
+            let mut message = self.long_template.clone();
             for _ in 0..iterations {
-                buf.clear();
-                buf.extend_from_slice(&digest_bytes(&dw));
-                buf.extend_from_slice(self.salt());
-                dw = sha1_oneshot_state(&buf);
+                message[..20].copy_from_slice(&digest_bytes(&dw));
+                dw = H0;
+                for block in message.chunks_exact(64) {
+                    compress_block(&mut dw, block.try_into().expect("64-octet blocks"));
+                }
             }
         }
         (digest_bytes(&dw), compressions)
+    }
+
+    /// The single-block iterations: one compression each, on the CPU's SHA
+    /// unit with the whole chain in registers where it has one. The digest
+    /// is carried as five state words: the output words of one compression
+    /// are exactly the first five message words of the next, so the chain
+    /// never round-trips through bytes.
+    fn chain(&self, digest: [u32; 5], iterations: u16) -> [u32; 5] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(digest) = crate::x86::sha1_iterate(digest, &self.template, iterations) {
+            return digest;
+        }
+        let mut dw = digest;
+        let mut w = block_words(&self.template);
+        for _ in 0..iterations {
+            w[..5].copy_from_slice(&dw);
+            dw = H0;
+            compress_words_portable(&mut dw, &w);
+        }
+        dw
     }
 
     /// `H(input || salt)` — the iteration-0 hash, as state words.
@@ -378,6 +393,58 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
 mod tests {
     use super::*;
     use crate::hex_lower;
+    use sim_check::{gens, props};
+
+    /// SHA-1 of `data` through the portable compression only, and the
+    /// blocks it took: the oracle of the kernel this CPU runs.
+    fn portable_sha1(data: &[u8]) -> ([u8; 20], u64) {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        message.resize(data.len() + 1 + (119 - data.len() % 64) % 64, 0);
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress_words_portable(&mut state, &block_words(block.try_into().unwrap()));
+        }
+        (digest_bytes(&state), message.len() as u64 / 64)
+    }
+
+    props! {
+        /// The block compression this CPU runs (the SHA unit where there
+        /// is one) equals the portable one.
+        fn block_kernel_matches_portable(
+            state in gens::array_of(gens::u32s(..)),
+            block in gens::array_of(gens::u8s(..)),
+        ) {
+            let (mut kernel, mut portable) = (state, state);
+            compress_block(&mut kernel, &block);
+            compress_words_portable(&mut portable, &block_words(&block));
+            assert_eq!(kernel, portable);
+        }
+
+        /// The engine (a register-resident chain for salts up to 35
+        /// octets, the block kernel beyond) equals a chain of portable
+        /// compressions, digest and compression count both.
+        fn iterated_engine_matches_portable_chain(
+            salt_len in gens::one_of(vec![
+                gens::boxed(gens::usizes(0..=35)),
+                gens::boxed(gens::usizes(36..=255)),
+                gens::boxed(gens::just(35)),
+                gens::boxed(gens::just(36)),
+            ]),
+            iterations in gens::map(gens::usizes(0..6), |i| [0u16, 1, 2, 150, 500, 2500][i]),
+            input in gens::vec_of(gens::u8s(..), 1..=255),
+            fill in gens::u8s(..),
+        ) {
+            let salt: Vec<u8> = (0..salt_len).map(|i| fill.wrapping_add(i as u8)).collect();
+            let (mut digest, mut cost) = portable_sha1(&[&input[..], &salt].concat());
+            for _ in 0..iterations {
+                let (next, blocks) = portable_sha1(&[&digest[..], &salt].concat());
+                (digest, cost) = (next, cost + blocks);
+            }
+            assert_eq!(IteratedSha1::new(&salt).hash(&input, iterations), (digest, cost));
+        }
+    }
 
     #[test]
     fn fips_vector_empty() {

@@ -122,14 +122,6 @@ impl Context {
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
         self.key().mac(message)
     }
-
-    /// Sign a batch of messages, interleaving the HMAC-SHA-256 compressions
-    /// across lanes; `out[i]` is byte-identical to
-    /// [`Context::sign`]`(messages[i])`. The zone signer's RRSIG pass feeds
-    /// each shard's canonical signing buffers through this in one call.
-    pub fn sign_batch_into(&self, messages: &[&[u8]], out: &mut [[u8; 32]]) {
-        self.key().mac_batch_into(messages, out);
-    }
 }
 
 /// Longest message the memo stores; a longer one (a KeyTrap-sized DNSKEY

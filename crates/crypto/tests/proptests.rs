@@ -2,7 +2,7 @@
 
 use sim_check::{gens, props, Rng, Xoshiro256pp};
 
-use dns_crypto::hmac::{Hmac, HmacKey};
+use dns_crypto::hmac::Hmac;
 use dns_crypto::keytag::key_tag;
 use dns_crypto::sha1::{sha1, Sha1};
 use dns_crypto::sha256::{sha256, Sha256};
@@ -107,20 +107,6 @@ props! {
         assert_eq!(ct_eq(&a, &b), a == b);
     }
 
-    /// Batched HMAC-SHA-256 (the signer's RRSIG engine) equals scalar MACs
-    /// for any key and ragged message batch.
-    fn hmac_batch_matches_scalar(
-        key in gens::vec_of(gens::u8s(..), 0..80),
-        msgs in gens::vec_of(gens::vec_of(gens::u8s(..), 0..300), 0..17),
-    ) {
-        let key = HmacKey::<Sha256>::new(&key);
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let mut out = vec![[0u8; 32]; refs.len()];
-        key.mac_batch_into(&refs, &mut out);
-        for (msg, got) in refs.iter().zip(&out) {
-            assert_eq!(got.to_vec(), key.mac(msg), "len {}", msg.len());
-        }
-    }
 }
 
 /// One stream of signature checks drawn from `seed`, each verdict of

@@ -216,26 +216,6 @@ impl ZipfAlias {
             self.alias[slot] as u64
         }
     }
-
-    /// The probability mass the table assigns to `rank` — reconstructed
-    /// from the slots, for verifying the table against the analytic pmf.
-    #[allow(dead_code)] // the table's oracle: unit tests only
-    pub(crate) fn mass(&self, rank: u64) -> f64 {
-        let mut m = self.prob[rank as usize];
-        for (slot, &a) in self.alias.iter().enumerate() {
-            if u64::from(a) == rank && slot != rank as usize {
-                m += 1.0 - self.prob[slot];
-            }
-        }
-        m / self.prob.len() as f64
-    }
-
-    /// Analytic Zipf(`skew`) pmf over `0..n`.
-    #[allow(dead_code)] // the table's oracle: unit tests only
-    pub(crate) fn pmf(n: u64, skew: f64, rank: u64) -> f64 {
-        let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(skew)).sum();
-        (1.0 / ((rank + 1) as f64).powf(skew)) / total
-    }
 }
 
 /// The deterministic query stream: `get(i)` materialises query `i` in
@@ -338,6 +318,27 @@ pub fn diurnal_schedule(seed: u64, day_secs: u64, extra_micros: u64) -> FaultSch
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The table's oracle.
+    impl ZipfAlias {
+        /// The probability mass the table assigns to `rank` — reconstructed
+        /// from the slots, for verifying the table against the analytic pmf.
+        fn mass(&self, rank: u64) -> f64 {
+            let mut m = self.prob[rank as usize];
+            for (slot, &a) in self.alias.iter().enumerate() {
+                if u64::from(a) == rank && slot != rank as usize {
+                    m += 1.0 - self.prob[slot];
+                }
+            }
+            m / self.prob.len() as f64
+        }
+
+        /// Analytic Zipf(`skew`) pmf over `0..n`.
+        fn pmf(n: u64, skew: f64, rank: u64) -> f64 {
+            let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(skew)).sum();
+            (1.0 / ((rank + 1) as f64).powf(skew)) / total
+        }
+    }
 
     /// Inverse-CDF Zipf sampler — the reference the alias table must
     /// match in distribution.

@@ -233,13 +233,6 @@ impl AggressiveCache {
     pub(crate) fn synthesized_count(&self) -> u64 {
         self.synthesized.get()
     }
-
-    /// Number of distinct views cached for `zone` (0 when absent).
-    #[allow(dead_code)] // observes `insert`'s merge: unit tests only
-    pub(crate) fn view_count(&self, zone: &Name) -> usize {
-        zone.with_sort_key(|key| self.zones.borrow().get(key).map(|d| d.views.len()))
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -254,6 +247,15 @@ mod tests {
     use dns_zone::Zone;
 
     const NOW: u32 = 1_710_000_000;
+
+    impl AggressiveCache {
+        /// Number of distinct views cached for `zone` (0 when absent):
+        /// observes `insert`'s merge.
+        fn view_count(&self, zone: &Name) -> usize {
+            zone.with_sort_key(|key| self.zones.borrow().get(key).map(|d| d.views.len()))
+                .unwrap_or(0)
+        }
+    }
 
     fn signed(params: Nsec3Params) -> dns_zone::SignedZone {
         let apex = name("agg.example.");

@@ -105,7 +105,10 @@ impl DelegationCache {
     pub(crate) fn evictions(&self) -> u64 {
         self.entries.evictions()
     }
+}
 
+#[cfg(test)]
+impl DelegationCache {
     /// Cached cut count.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()

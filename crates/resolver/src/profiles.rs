@@ -94,13 +94,6 @@ impl VendorProfile {
         }
     }
 
-    /// The iteration value *above which* behaviour changes, if limited.
-    #[allow(dead_code)] // reads the calibrated table back: unit tests only
-    pub(crate) fn threshold(self) -> Option<u16> {
-        let p = self.policy();
-        p.servfail_above.or(p.insecure_above)
-    }
-
     /// All profiles, for sweeps.
     pub fn all() -> &'static [VendorProfile] {
         &[
@@ -125,6 +118,15 @@ impl VendorProfile {
 mod tests {
     use super::*;
     use crate::policy::LimitAction;
+
+    impl VendorProfile {
+        /// The iteration value *above which* behaviour changes, if limited:
+        /// the calibrated table read back.
+        fn threshold(self) -> Option<u16> {
+            let p = self.policy();
+            p.servfail_above.or(p.insecure_above)
+        }
+    }
 
     #[test]
     fn thresholds_match_the_paper() {

@@ -327,12 +327,6 @@ impl Resolver {
         self.delegations.evictions()
     }
 
-    /// Zone cuts currently cached in the delegation cache.
-    #[allow(dead_code)] // `delegation_cache_is_off_by_default`: unit tests only
-    pub(crate) fn delegation_len(&self) -> usize {
-        self.delegations.len()
-    }
-
     fn fresh_id(&self) -> u16 {
         let id = self.next_id.get().wrapping_add(1);
         self.next_id.set(id);
@@ -1278,5 +1272,13 @@ fn answer_ttl(outcome: &ResolveOutcome) -> u32 {
             .min()
             .unwrap_or(300)
             .min(86_400),
+    }
+}
+
+#[cfg(test)]
+impl Resolver {
+    /// Zone cuts currently cached in the delegation cache.
+    pub(crate) fn delegation_len(&self) -> usize {
+        self.delegations.len()
     }
 }

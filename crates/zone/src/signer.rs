@@ -544,10 +544,8 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
 
     // 3. Sign every authoritative RRset. Key tags and HMAC pad schedules
     // are hoisted (one DNSKEY serialization and one pad derivation per key,
-    // not per RRset), the work list carries each RRset's record slice so
-    // signing never walks the zone tree, and the canonical signing buffers
-    // are all built first, then signed per key through the interleaved
-    // batch HMAC engine.
+    // not per RRset), and the work list carries each RRset's record slice
+    // so signing never walks the zone tree.
     let signers: Vec<(&SigningKey, u16, simsig::Context)> = config
         .keys
         .iter()
@@ -581,11 +579,11 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
             work.push((owner, rrtype, rrset.as_slice()));
         }
     }
-    // Phase 1: one RRSIG template and canonical signing buffer per
-    // (RRset, key) pair, in work order.
-    let mut templates: Vec<(RData, &Name, u32)> = Vec::with_capacity(work.len() * 2);
-    let mut buffers: Vec<Vec<u8>> = Vec::with_capacity(work.len() * 2);
-    let mut buf_key: Vec<usize> = Vec::with_capacity(work.len() * 2);
+    // One RRSIG per (RRset, key) pair, in work order: the canonical
+    // signing buffer, signed with the key's context. The work list was
+    // produced by an in-order scan of `out`, so the signature stream is
+    // already in canonical owner order: merge it with one linear walk.
+    let mut sigs: Vec<Record> = Vec::with_capacity(work.len() * 2);
     for &(owner, rrtype, rrset) in &work {
         let chosen: &[usize] = if rrtype == RrType::DNSKEY && !kss_idx.is_empty() {
             &kss_idx
@@ -596,8 +594,8 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
         };
         let first = rrset.first().ok_or(ZoneError::EmptyRrset)?;
         for &ki in chosen {
-            let (key, tag, _) = &signers[ki];
-            let fields = RData::Rrsig {
+            let (key, tag, ctx) = &signers[ki];
+            let mut fields = RData::Rrsig {
                 type_covered: rrtype,
                 algorithm: key.algorithm,
                 labels: significant_labels(owner) as u8,
@@ -608,38 +606,13 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
                 signer_name: apex.clone(),
                 signature: Vec::new(),
             };
-            buffers.push(signing_buffer(&fields, owner, rrset)?);
-            buf_key.push(ki);
-            templates.push((fields, owner, first.ttl));
-        }
-    }
-    // Phase 2: sign each key's buffers in one interleaved batch.
-    let mut signatures = vec![[0u8; 32]; buffers.len()];
-    for (ki, (_, _, ctx)) in signers.iter().enumerate() {
-        let idx: Vec<usize> = (0..buffers.len()).filter(|&i| buf_key[i] == ki).collect();
-        if idx.is_empty() {
-            continue;
-        }
-        let refs: Vec<&[u8]> = idx.iter().map(|&i| buffers[i].as_slice()).collect();
-        let mut out_sigs = vec![[0u8; 32]; idx.len()];
-        ctx.sign_batch_into(&refs, &mut out_sigs);
-        for (&i, s) in idx.iter().zip(&out_sigs) {
-            signatures[i] = *s;
-        }
-    }
-    // Phase 3: patch the signatures into the templates. The work list was
-    // produced by an in-order scan of `out`, so the signature stream is
-    // already in canonical owner order: merge it with one linear walk.
-    let sigs: Vec<Record> = templates
-        .into_iter()
-        .zip(&signatures)
-        .map(|((mut fields, owner, ttl), sig)| {
+            let sig = ctx.sign(&signing_buffer(&fields, owner, rrset)?);
             if let RData::Rrsig { signature, .. } = &mut fields {
-                *signature = sig.to_vec();
+                *signature = sig;
             }
-            Record::new(owner.clone(), ttl, fields)
-        })
-        .collect();
+            sigs.push(Record::new(owner.clone(), first.ttl, fields));
+        }
+    }
     out.merge_in_order(sigs)?;
 
     Ok(SignedZone {

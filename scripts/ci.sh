@@ -73,7 +73,9 @@ ROOT="$(pwd)"
 for bin in crates/bench/src/bin/bench_*.rs; do
     bin="$(basename "$bin" .rs)"
     [ "$bin" = bench_census_scale ] && continue
-    (cd "$SMOKE_DIR" && MICROBENCH_SAMPLES=3 "$ROOT/target/release/$bin" >/dev/null)
+    # bench_nsec3_hash's first line names the SHA kernels this host runs
+    # (SHA unit or portable): every recorded number is read against it.
+    (cd "$SMOKE_DIR" && MICROBENCH_SAMPLES=3 "$ROOT/target/release/$bin" | grep '^sha kernel' || true)
 done
 rm -rf "$SMOKE_DIR"
 
@@ -126,6 +128,26 @@ if [ "$hash_fns" != "3" ]; then
     echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
     exit 1
 fi
+# `unsafe` lives in one file (DESIGN.md §6 "Hardware kernels"): the calls
+# into dns-crypto's SHA-extension kernels, each under a `// SAFETY:` line;
+# every other crate forbids it.
+stray_unsafe="$(grep -rnwE 'unsafe' crates/*/src src --include='*.rs' |
+    grep -v '^crates/crypto/src/x86.rs:' | grep -vE '^[^:]*:[0-9]+:\s*//' || true)"
+if [ -n "$stray_unsafe" ]; then
+    echo "error: unsafe outside crates/crypto/src/x86.rs:" >&2
+    echo "$stray_unsafe" >&2
+    exit 1
+fi
+unsafe_unexplained="$(awk '!/^[ \t]*\/\// && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ && prev !~ /\/\/ SAFETY:/ { print FILENAME ":" FNR ": " $0 } { prev = $0 }' crates/crypto/src/x86.rs)"
+if [ -n "$unsafe_unexplained" ]; then
+    echo "error: an unsafe block not right after a // SAFETY: line:" >&2
+    echo "$unsafe_unexplained" >&2
+    exit 1
+fi
+for lib in crates/*/src/lib.rs src/lib.rs; do
+    [ "$lib" = crates/crypto/src/lib.rs ] && continue
+    grep -q '^#!\[forbid(unsafe_code)\]' "$lib" || { echo "error: $lib lost #![forbid(unsafe_code)]" >&2; exit 1; }
+done
 # A bench row is read against the machine that recorded it.
 for f in BENCH_*.json; do
     grep -q '"host_cores"' "$f" || { echo "error: $f has no host_cores" >&2; exit 1; }

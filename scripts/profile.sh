@@ -11,7 +11,9 @@
 # Self time goes to the function whose machine code the sample landed in
 # (callees inlined into it included); inclusive time to every function on
 # the stack, inlined ones too. Frames outside the executable (libc's
-# memcpy and malloc, the vDSO) are one line. Like
+# memcpy and malloc, the vDSO) are one line; a third table charges each
+# such sample to the first function of this program that called into
+# it, skipping alloc::, core::, std:: and hashbrown:: frames. Like
 # benchmark/run.sh this builds --offline, not --locked, and rewrites one
 # line of benchmark/Cargo.lock: `git checkout benchmark/Cargo.lock` after.
 set -euo pipefail
@@ -100,6 +102,7 @@ grep -o 'digest=[0-9a-f]*' "$dir/child.txt" || true
 # pair is the function the code was emitted in.
 tr ' ' '\n' <"$dir/samples.txt" | grep -v '^0*$' | sort -u |
     addr2line -a -f -i -C -e "$exe" >"$dir/symbols.txt"
+: >"$dir/outside.txt"
 awk '
     FNR == NR {
         if ($0 ~ /^0x/) { addr = $0; sub(/^0x0*/, "", addr); depth = 0; next }
@@ -116,15 +119,27 @@ awk '
             if (i == 1) self[names[n]]++
             for (j = 1; j <= n; j++) if (!(names[j] in seen)) { seen[names[j]] = 1; incl[names[j]]++ }
         }
+        # A sample outside the executable is charged to the first frame
+        # of this program on its stack that is not library plumbing.
+        for (i = 2; $1 == "0" && i <= NF; i++) {
+            if ($i == "0") continue
+            n = split(funcs[$i], names, "\t")
+            for (j = 1; j <= n; j++) if (names[j] !~ /^<*(alloc|core|std|hashbrown)::|^<[^ :]+ as (alloc|core|std|hashbrown)::|^__rust/) break
+            if (j <= n) { outside[names[j]]++; break }
+        }
     }
     END {
         printf "%d samples, one per 4 ms of CPU time\n", samples
         for (f in incl) printf "%6.1f%% self %6.1f%% inclusive  %s\n", 100 * self[f] / samples, 100 * incl[f] / samples, f
+        for (f in outside) printf "%6.1f%%  %s\n", 100 * outside[f] / samples, f >outside_file
     }
-' "$dir/symbols.txt" "$dir/samples.txt" >"$dir/report.txt"
+' outside_file="$dir/outside.txt" "$dir/symbols.txt" "$dir/samples.txt" >"$dir/report.txt"
+set +o pipefail # `head` may close a pipe before `sort` has written all of it
 head -1 "$dir/report.txt"
 echo "== top 25 by self time"
 tail -n +2 "$dir/report.txt" | sort -k1,1 -rn | head -25
 echo "== top 25 by inclusive time"
 tail -n +2 "$dir/report.txt" | sort -k3,3 -rn | head -25
-echo "(all of it: $dir/report.txt)"
+echo "== [outside the executable] by the first caller in it, alloc/core/std/hashbrown frames skipped (top 25)"
+sort -k1,1 -rn "$dir/outside.txt" | head -25
+echo "(all of it: $dir/report.txt, $dir/outside.txt)"

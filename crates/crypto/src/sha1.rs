@@ -148,15 +148,20 @@ fn sha1_oneshot_state(data: &[u8]) -> [u32; 5] {
 /// a CPU with a SHA unit). Longer salts run every block of the message.
 #[derive(Clone, Debug)]
 pub struct IteratedSha1 {
-    /// The padded iteration message when it is one block, the digest slot
-    /// `[0..20]` zeroed and the salt at `[20..20 + salt_len]`.
-    template: [u8; 64],
-    /// The same message for a longer salt, every block of it (empty for a
-    /// single-block salt).
-    long_template: Vec<u8>,
+    /// The padded iteration message: the digest slot `[0..20]` zeroed, the
+    /// salt at `[20..20 + salt_len]`.
+    message: Padded,
     salt_len: usize,
-    /// SHA-1 blocks per additional iteration: `padded_blocks(20 + salt_len)`.
-    blocks_per_iteration: u64,
+}
+
+/// A padded iteration message, one block or several. One block is held
+/// inline because `nsec3_hash` builds an engine per name: a heap buffer
+/// would allocate per name, and an inline one sized for the longest salt
+/// (320 octets) slowed an iteration-0 hash by a sixth.
+#[derive(Clone, Debug)]
+enum Padded {
+    Block([u8; 64]),
+    Blocks(Box<[u8]>),
 }
 
 impl IteratedSha1 {
@@ -167,34 +172,31 @@ impl IteratedSha1 {
     /// Build the engine for one parameter set (one salt).
     pub fn new(salt: &[u8]) -> Self {
         let total = 20 + salt.len();
-        let blocks = padded_blocks(total);
         let pad = |message: &mut [u8]| {
             message[20..total].copy_from_slice(salt);
             message[total] = 0x80;
             let tail = message.len() - 8;
             message[tail..].copy_from_slice(&(total as u64 * 8).to_be_bytes());
         };
-        let mut template = [0u8; 64];
-        let mut long_template = Vec::new();
-        if salt.len() <= Self::MAX_SINGLE_BLOCK_SALT {
-            pad(&mut template);
+        let message = if salt.len() <= Self::MAX_SINGLE_BLOCK_SALT {
+            let mut block = [0u8; 64];
+            pad(&mut block);
+            Padded::Block(block)
         } else {
-            long_template = vec![0u8; blocks as usize * 64];
-            pad(&mut long_template);
-        }
+            let mut blocks = vec![0u8; padded_blocks(total) as usize * 64].into_boxed_slice();
+            pad(&mut blocks);
+            Padded::Blocks(blocks)
+        };
         IteratedSha1 {
-            template,
-            long_template,
+            message,
             salt_len: salt.len(),
-            blocks_per_iteration: blocks,
         }
     }
 
     fn salt(&self) -> &[u8] {
-        let message = if self.long_template.is_empty() {
-            &self.template[..]
-        } else {
-            &self.long_template
+        let message: &[u8] = match &self.message {
+            Padded::Block(block) => block,
+            Padded::Blocks(blocks) => blocks,
         };
         &message[20..20 + self.salt_len]
     }
@@ -205,41 +207,22 @@ impl IteratedSha1 {
     /// streaming reference performs).
     pub fn hash(&self, input: &[u8], iterations: u16) -> ([u8; 20], u64) {
         let compressions = padded_blocks(input.len() + self.salt_len)
-            + u64::from(iterations) * self.blocks_per_iteration;
+            + u64::from(iterations) * padded_blocks(20 + self.salt_len);
         let mut dw = self.initial(input);
-        if self.long_template.is_empty() {
-            dw = self.chain(dw, iterations);
-        } else {
-            let mut message = self.long_template.clone();
-            for _ in 0..iterations {
-                message[..20].copy_from_slice(&digest_bytes(&dw));
-                dw = H0;
-                for block in message.chunks_exact(64) {
-                    compress_block(&mut dw, block.try_into().expect("64-octet blocks"));
+        match &self.message {
+            Padded::Block(template) => dw = chain(template, dw, iterations),
+            Padded::Blocks(message) => {
+                let mut message = message.clone();
+                for _ in 0..iterations {
+                    message[..20].copy_from_slice(&digest_bytes(&dw));
+                    dw = H0;
+                    for block in message.chunks_exact(64) {
+                        compress_block(&mut dw, block.try_into().expect("64-octet blocks"));
+                    }
                 }
             }
         }
         (digest_bytes(&dw), compressions)
-    }
-
-    /// The single-block iterations: one compression each, on the CPU's SHA
-    /// unit with the whole chain in registers where it has one. The digest
-    /// is carried as five state words: the output words of one compression
-    /// are exactly the first five message words of the next, so the chain
-    /// never round-trips through bytes.
-    fn chain(&self, digest: [u32; 5], iterations: u16) -> [u32; 5] {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(digest) = crate::x86::sha1_iterate(digest, &self.template, iterations) {
-            return digest;
-        }
-        let mut dw = digest;
-        let mut w = block_words(&self.template);
-        for _ in 0..iterations {
-            w[..5].copy_from_slice(&dw);
-            dw = H0;
-            compress_words_portable(&mut dw, &w);
-        }
-        dw
     }
 
     /// `H(input || salt)` — the iteration-0 hash, as state words.
@@ -270,6 +253,32 @@ impl IteratedSha1 {
             sha1_oneshot_state(&buf)
         }
     }
+}
+
+/// `iterations` compressions of the single padded block `template`, each
+/// with the previous digest in its first five words: on the CPU's SHA unit
+/// with the whole chain in registers where it has one, else
+/// [`chain_portable`].
+fn chain(template: &[u8; 64], digest: [u32; 5], iterations: u16) -> [u32; 5] {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(digest) = crate::x86::sha1_iterate(digest, template, iterations) {
+        return digest;
+    }
+    chain_portable(template, digest, iterations)
+}
+
+/// [`chain`] in plain Rust. The digest is carried as five state words: the
+/// output words of one compression are exactly the first five message
+/// words of the next, so the chain never round-trips through bytes.
+fn chain_portable(template: &[u8; 64], digest: [u32; 5], iterations: u16) -> [u32; 5] {
+    let mut dw = digest;
+    let mut w = block_words(template);
+    for _ in 0..iterations {
+        w[..5].copy_from_slice(&dw);
+        dw = H0;
+        compress_words_portable(&mut dw, &w);
+    }
+    dw
 }
 
 /// Streaming SHA-1 hasher.
@@ -424,7 +433,8 @@ mod tests {
 
         /// The engine (a register-resident chain for salts up to 35
         /// octets, the block kernel beyond) equals a chain of portable
-        /// compressions, digest and compression count both.
+        /// compressions, digest and compression count both; so does
+        /// `chain_portable`, which `hash` skips on a CPU with a SHA unit.
         fn iterated_engine_matches_portable_chain(
             salt_len in gens::one_of(vec![
                 gens::boxed(gens::usizes(0..=35)),
@@ -442,7 +452,12 @@ mod tests {
                 let (next, blocks) = portable_sha1(&[&digest[..], &salt].concat());
                 (digest, cost) = (next, cost + blocks);
             }
-            assert_eq!(IteratedSha1::new(&salt).hash(&input, iterations), (digest, cost));
+            let engine = IteratedSha1::new(&salt);
+            assert_eq!(engine.hash(&input, iterations), (digest, cost));
+            if let Padded::Block(template) = &engine.message {
+                let chained = chain_portable(template, engine.initial(&input), iterations);
+                assert_eq!(digest_bytes(&chained), digest);
+            }
         }
     }
 

@@ -6,27 +6,26 @@
 //!
 //! **The transition hazard.** The SHA instructions have only legacy-SSE
 //! encodings, and each one executed while a `ymm` upper half is dirty pays
-//! an AVX→SSE transition. Under `target-cpu=native` LLVM builds operands
-//! with 256-bit shuffles and keeps them live across the rounds: such a
-//! kernel ran ~45× slower than the portable code, even with a `vzeroupper`
-//! at entry. So every kernel builds its operands from scalars
-//! (`_mm_set_epi32`) and hands them to [`clean_upper`] before the rounds,
-//! and its results leave through `black_box`, so that no 256-bit
-//! feed-forward is hoisted into the rounds either.
+//! an AVX→SSE transition. The workspace builds for the x86-64 baseline,
+//! which has no AVX, and libc's AVX routines clear the upper halves before
+//! they return; so no upper half is dirty here and the kernels carry no
+//! guard. Built with `-C target-cpu=native` on an AVX host, LLVM built the
+//! operands of a first kernel with 256-bit shuffles and kept them live
+//! across the rounds: it ran ~45× slower than the portable code.
+//! `bench_nsec3_hash`'s rows are what shows it.
 //!
 //! The three `unsafe` blocks are the workspace's only ones: calling a
 //! `#[target_feature]` function is `unsafe` from code that does not enable
 //! its features, and each call follows [`available`].
 
 use core::arch::x86_64::*;
-use std::hint::black_box;
 
-/// Whether this CPU runs the kernels: the SHA extensions, SSE4.1 (blends
-/// and extracts) and AVX (`vzeroupper`).
+/// Whether this CPU runs the kernels: the SHA extensions, SSSE3
+/// (`palignr`) and SSE4.1 (blends and extracts); SSE2 is baseline.
 pub(crate) fn available() -> bool {
     is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
         && is_x86_feature_detected!("sse4.1")
-        && is_x86_feature_detected!("avx")
 }
 
 /// `sha1::compress_block` on the SHA unit; `None` on a CPU without one.
@@ -56,17 +55,6 @@ pub(crate) fn sha256_compress(state: [u32; 8], block: &[u8; 64]) -> Option<[u32;
     available().then(|| unsafe { sha256_block(state, block) })
 }
 
-/// The hazard rule: `ops` go out through memory, the upper halves are
-/// cleared, and the rounds read `ops` back only after that. The second
-/// `black_box` is what keeps LLVM from sinking the `vzeroupper` below
-/// the rounds.
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
-fn clean_upper<const N: usize>(ops: [__m128i; N]) -> [__m128i; N] {
-    let ops = black_box(ops);
-    _mm256_zeroupper();
-    black_box(ops)
-}
-
 /// Big-endian word `i` of `block`.
 fn be(block: &[u8; 64], i: usize) -> i32 {
     i32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 octets"))
@@ -74,7 +62,7 @@ fn be(block: &[u8; 64], i: usize) -> i32 {
 
 /// Words `i..i + 4` of `block`, the first in the top lane: how the SHA-1
 /// instructions read the message and `abcd`.
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn sha1_words(block: &[u8; 64], i: usize) -> __m128i {
     _mm_set_epi32(
         be(block, i),
@@ -85,7 +73,7 @@ fn sha1_words(block: &[u8; 64], i: usize) -> __m128i {
 }
 
 /// The four lanes of `v`, top lane first.
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn lanes(v: __m128i) -> [u32; 4] {
     [
         _mm_extract_epi32::<3>(v) as u32,
@@ -97,7 +85,7 @@ fn lanes(v: __m128i) -> [u32; 4] {
 
 /// The 80 SHA-1 rounds over the message vectors `w` from `abcd` and `e`
 /// (top lane), feed-forward included: the next `(abcd, e)`.
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn sha1_rounds(abcd: __m128i, e: __m128i, mut w: [__m128i; 4]) -> (__m128i, __m128i) {
     // Four rounds a step, unrolled. `cur` is the state the step starts
     // from and `prev` the one four rounds earlier, whose rotated `a` is
@@ -121,19 +109,11 @@ fn sha1_rounds(abcd: __m128i, e: __m128i, mut w: [__m128i; 4]) -> (__m128i, __m1
     (_mm_add_epi32(abcd, cur), _mm_sha1nexte_epu32(prev, e))
 }
 
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn sha1_block(state: [u32; 5], block: &[u8; 64]) -> [u32; 5] {
     let [a, b, c, d, e] = state.map(|s| s as i32);
-    let [abcd, e, w0, w1, w2, w3] = clean_upper([
-        _mm_set_epi32(a, b, c, d),
-        _mm_set_epi32(e, 0, 0, 0),
-        sha1_words(block, 0),
-        sha1_words(block, 4),
-        sha1_words(block, 8),
-        sha1_words(block, 12),
-    ]);
-    let (abcd, e) = sha1_rounds(abcd, e, [w0, w1, w2, w3]);
-    let [abcd, e] = black_box([abcd, e]);
+    let w = [0, 4, 8, 12].map(|i| sha1_words(block, i));
+    let (abcd, e) = sha1_rounds(_mm_set_epi32(a, b, c, d), _mm_set_epi32(e, 0, 0, 0), w);
     let [a, b, c, d] = lanes(abcd);
     [a, b, c, d, lanes(e)[0]]
 }
@@ -142,31 +122,26 @@ fn sha1_block(state: [u32; 5], block: &[u8; 64]) -> [u32; 5] {
 /// layout of the next block's first message vector, and its `e` is
 /// blended into the top lane of the second, beside salt words the
 /// template fixes.
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn sha1_chain(digest: [u32; 5], template: &[u8; 64], iterations: u16) -> [u32; 5] {
     let [a, b, c, d, e] = digest.map(|s| s as i32);
     let [h0, h1, h2, h3, h4] = crate::sha1::H0.map(|s| s as i32);
     let t = |i| be(template, i);
-    let [mut w0, mut w1, w2, w3, h_abcd, h_e] = clean_upper([
-        _mm_set_epi32(a, b, c, d),
-        _mm_set_epi32(e, t(5), t(6), t(7)),
-        sha1_words(template, 8),
-        sha1_words(template, 12),
-        _mm_set_epi32(h0, h1, h2, h3),
-        _mm_set_epi32(h4, 0, 0, 0),
-    ]);
+    let mut w0 = _mm_set_epi32(a, b, c, d);
+    let mut w1 = _mm_set_epi32(e, t(5), t(6), t(7));
+    let (w2, w3) = (sha1_words(template, 8), sha1_words(template, 12));
+    let (h_abcd, h_e) = (_mm_set_epi32(h0, h1, h2, h3), _mm_set_epi32(h4, 0, 0, 0));
     for _ in 0..iterations {
         let (abcd, e) = sha1_rounds(h_abcd, h_e, [w0, w1, w2, w3]);
         w0 = abcd;
         // 16-bit lanes 6 and 7: the top word, `e`.
         w1 = _mm_blend_epi16::<0xC0>(w1, e);
     }
-    let [w0, w1] = black_box([w0, w1]);
     let [a, b, c, d] = lanes(w0);
     [a, b, c, d, lanes(w1)[0]]
 }
 
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn sha256_block(state: [u32; 8], block: &[u8; 64]) -> [u32; 8] {
     use crate::sha256::K;
     let [a, b, c, d, e, f, g, h] = state.map(|s| s as i32);
@@ -179,15 +154,8 @@ fn sha256_block(state: [u32; 8], block: &[u8; 64]) -> [u32; 8] {
             be(block, i),
         )
     };
-    let [abef_in, cdgh_in, w0, w1, w2, w3] = clean_upper([
-        _mm_set_epi32(a, b, e, f),
-        _mm_set_epi32(c, d, g, h),
-        words(0),
-        words(4),
-        words(8),
-        words(12),
-    ]);
-    let (mut abef, mut cdgh, mut w) = (abef_in, cdgh_in, [w0, w1, w2, w3]);
+    let (abef_in, cdgh_in) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+    let (mut abef, mut cdgh, mut w) = (abef_in, cdgh_in, [0, 4, 8, 12].map(words));
     // Four rounds a step, unrolled; `w[q % 4]` is message vector `q`,
     // computed from the four before it.
     macro_rules! steps {
@@ -204,7 +172,7 @@ fn sha256_block(state: [u32; 8], block: &[u8; 64]) -> [u32; 8] {
         )*};
     }
     steps!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
-    let [abef, cdgh] = black_box([_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in)]);
+    let (abef, cdgh) = (_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in));
     let ([a, b, e, f], [c, d, g, h]) = (lanes(abef), lanes(cdgh));
     [a, b, c, d, e, f, g, h]
 }

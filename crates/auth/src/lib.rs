@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use dns_wire::edns::Edns;
 use dns_wire::message::{unframe_tcp, Flags, Message, MessageHead, Question};
-use dns_wire::name::Name;
+use dns_wire::name::{ancestor_keys, Name, SortKey};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Rcode, RrType};
@@ -47,7 +47,9 @@ pub(crate) const QUERY_LOG_LEN: usize = 256;
 
 /// An authoritative name server holding one or more signed zones.
 pub struct AuthServer {
-    zones: RefCell<HashMap<Name, Rc<SignedZone>>>,
+    /// By apex sort key, so that a query's zone is found by probing the
+    /// prefixes of its one key.
+    zones: RefCell<HashMap<SortKey, Rc<SignedZone>>>,
     /// The last [`QUERY_LOG_LEN`] queries, oldest first.
     log: RefCell<VecDeque<QueryLogEntry>>,
     /// Apexes whose zones may be transferred (the CZDS/open-AXFR TLDs the
@@ -76,15 +78,14 @@ impl AuthServer {
     /// copy with the server.
     pub fn add_zone(&self, zone: impl Into<Rc<SignedZone>>) {
         let zone = zone.into();
-        self.zones
-            .borrow_mut()
-            .insert(zone.zone.apex().clone(), zone);
+        let key = zone.zone.apex().sort_key();
+        self.zones.borrow_mut().insert(key, zone);
     }
 
     /// The installed zone with exactly this apex — the shared copy, not a
     /// clone of its records.
     pub fn zone(&self, apex: &Name) -> Option<Rc<SignedZone>> {
-        self.zones.borrow().get(apex).cloned()
+        apex.with_sort_key(|key| self.zones.borrow().get(key).cloned())
     }
 
     /// Snapshot of the query log: the most recent [`QUERY_LOG_LEN`]
@@ -115,7 +116,7 @@ impl AuthServer {
     /// into the caller's `expanded` buffer and referenced from there.
     fn assemble<'a>(
         &self,
-        zones: &'a HashMap<Name, Rc<SignedZone>>,
+        zones: &'a HashMap<SortKey, Rc<SignedZone>>,
         question: Option<&Question>,
         dnssec: bool,
         expanded: &'a mut Vec<Record>,
@@ -125,14 +126,19 @@ impl AuthServer {
             resp.rcode = Rcode::FormErr;
             return resp;
         };
-        let Some(zone) = best_zone(zones, &question.qname) else {
-            resp.rcode = Rcode::Refused;
-            return resp;
-        };
-        resp.aa = true;
-        // Zone transfer: all records, SOA first and last (RFC 5936 §2.2),
-        // if the zone's policy allows it.
-        if question.qtype == RrType::AXFR {
+        // One sort key finds the zone and serves every probe of the owner
+        // index this answer makes for `qname` and its ancestors.
+        question.qname.with_sort_key(|key| {
+            let Some(zone) = best_zone(zones, key) else {
+                resp.rcode = Rcode::Refused;
+                return;
+            };
+            resp.aa = true;
+            if question.qtype != RrType::AXFR {
+                return answer_in_zone(zone, question, key, dnssec, &mut resp, expanded);
+            }
+            // Zone transfer: all records, SOA first and last (RFC 5936
+            // §2.2), if the zone's policy allows it.
             let z = &zone.zone;
             if question.qname == *z.apex() && self.axfr_allowed.borrow().contains(z.apex()) {
                 let soa = z.rrset(z.apex(), RrType::SOA).unwrap_or_default();
@@ -143,13 +149,7 @@ impl AuthServer {
             } else {
                 resp.rcode = Rcode::Refused;
             }
-            return resp;
-        }
-        // One sort key serves every probe of the owner index this answer
-        // makes for `qname` and its ancestors.
-        question
-            .qname
-            .with_sort_key(|key| answer_in_zone(zone, question, key, dnssec, &mut resp, expanded));
+        });
         resp
     }
 }
@@ -292,15 +292,15 @@ impl Default for AuthServer {
     }
 }
 
-/// Zone with the longest apex that is an ancestor-or-self of `qname`.
-fn best_zone<'a>(zones: &'a HashMap<Name, Rc<SignedZone>>, qname: &Name) -> Option<&'a SignedZone> {
-    zones
-        .get(qname)
-        .or_else(|| {
-            qname
-                .ancestors()
-                .find_map(|candidate| zones.get(&candidate))
-        })
+/// Zone with the longest apex that is an ancestor-or-self of the name
+/// whose sort key is `qname_key`: its key's prefixes, probed as borrowed
+/// bytes, so no name is built.
+fn best_zone<'a>(
+    zones: &'a HashMap<SortKey, Rc<SignedZone>>,
+    qname_key: &[u8],
+) -> Option<&'a SignedZone> {
+    ancestor_keys(qname_key)
+        .find_map(|key| zones.get(key))
         .map(Rc::as_ref)
 }
 

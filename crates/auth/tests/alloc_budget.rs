@@ -53,12 +53,12 @@ static ALLOCATOR: Counting = Counting;
 
 const NOW: u32 = 1_710_000_000;
 
-/// One DO NXDOMAIN reply: a cap just above what this corpus reads (11), so
-/// that allocations creeping back into the proof, encode or logging path
-/// fail the test.
-const NXDOMAIN_BUDGET: u64 = 12;
-/// One secure referral, same corpus (reads 6).
-const REFERRAL_BUDGET: u64 = 7;
+/// One DO NXDOMAIN reply: what this corpus reads, so that an allocation
+/// creeping back into the zone lookup, proof, encode or logging path
+/// fails the test.
+const NXDOMAIN_BUDGET: u64 = 10;
+/// One secure referral, same corpus.
+const REFERRAL_BUDGET: u64 = 4;
 
 fn server() -> AuthServer {
     let apex = name("example.");

@@ -300,11 +300,7 @@ fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
 /// NSEC3 zones), plus every spec's apex, parsed once for the builder and
 /// the caller alike: `None` where the spec yields no zone (its name does
 /// not parse, or leaves no room for a 32-octet NSEC3 owner label).
-pub(crate) fn domain_lab(
-    specs: &[DomainSpec],
-    now: u32,
-    lab_seed: u64,
-) -> (LabBuilder, Vec<Option<Name>>) {
+pub(crate) fn domain_lab(specs: &[DomainSpec], now: u32) -> (LabBuilder, Vec<Option<Name>>) {
     let mut apexes: Vec<Option<Name>> = specs.iter().map(|s| lab_apex(&s.name)).collect();
     let tlds: BTreeSet<Name> = apexes
         .iter()
@@ -312,7 +308,7 @@ pub(crate) fn domain_lab(
         .filter_map(Name::parent)
         .filter(|p| !p.is_root())
         .collect();
-    let mut builder = LabBuilder::new(now).seed(lab_seed);
+    let mut builder = LabBuilder::new(now);
     for tld in &tlds {
         builder = builder.simple_zone(tld, Denial::nsec3_rfc9276());
     }
@@ -384,8 +380,8 @@ fn census_step(census: &Census<'_>, net: &Network, probe: &mut CensusProbe) -> F
 /// sequential schedule of the historical blocking loop: admit one probe,
 /// step it to completion, admit the next.
 fn census_batch(shard: &ShardRun<'_>, batch: &[DomainSpec]) -> Vec<DomainRecord> {
-    let (builder, mut apexes) = domain_lab(batch, shard.cfg.now, shard.seed);
-    let mut lab = builder.build();
+    let (builder, mut apexes) = domain_lab(batch, shard.cfg.now);
+    let mut lab = builder.seed(shard.seed).build();
     let resolver = shard.resolver(&mut lab, |_| {});
     let census = Census::new(&lab.net, &resolver, "census").with_session(&shard.session);
     shard.drive_indexed(
@@ -772,8 +768,8 @@ fn unreachability_shard(
 ) -> Unreachability {
     let mut result = Unreachability::default();
     for batch in sample.chunks(batch_size.max(1)) {
-        let (builder, apexes) = domain_lab(batch, shard.cfg.now, shard.seed);
-        let mut lab = builder.build();
+        let (builder, apexes) = domain_lab(batch, shard.cfg.now);
+        let mut lab = builder.seed(shard.seed).build();
         // The strict class: SERVFAIL for any NSEC3 iteration count > 0.
         let strict = |rcfg: &mut ResolverConfig| rcfg.policy = Rfc9276Policy::servfail_above(0);
         let resolver = shard.resolver(&mut lab, strict);

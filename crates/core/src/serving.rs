@@ -14,8 +14,9 @@
 //!
 //! The unit of work is one **fleet member**, not one thread: clients
 //! partition contiguously across `fleet` resolver instances, each
-//! instance owns a private lab (every zone of the population) and serves
-//! its clients' queries in stream order on the event core. A tally
+//! instance owns a private lab (every zone of the population, deployed
+//! from its shard's one signed copy) and serves its clients' queries in
+//! stream order on the event core. A tally
 //! depends only on its resolver's own query slice, so merging per-
 //! resolver tallies is order-free and the report is byte-identical for
 //! every `HEROES_THREADS` and every in-flight window (each query is a
@@ -34,6 +35,7 @@
 
 use std::collections::BTreeMap;
 
+use dns_resolver::lab::SignedLab;
 use dns_scanner::retry::ProbeStats;
 use dns_wire::name::Name;
 use dns_wire::rrtype::{Rcode, RrType};
@@ -248,9 +250,14 @@ pub fn run_serving_cfg(scenario: &ServingScenario, cfg: &DriverConfig) -> Servin
     assert!(!scenario.domains.is_empty(), "serving needs zones");
     let fleet = scenario.fleet.max(1);
     let run = run_study(fleet, cfg, |shard, range| {
+        // Signed zones depend on the apexes and `now`, not on a member's
+        // seed: the shard signs once, each member deploys. Apexes come
+        // parsed once per shard; a spec that got no zone has `None`.
+        let (builder, apexes) = domain_lab(&scenario.domains, shard.cfg.now);
+        let signed = builder.sign();
         let mut tally = ServingTally::default();
         for member in range {
-            serving_unit(shard, scenario, member as u64, fleet as u64, &mut tally);
+            serving_unit(shard, scenario, &signed, &apexes, member as u64, &mut tally);
         }
         tally
     });
@@ -276,16 +283,18 @@ fn client_block(clients: u64, fleet: u64, member: u64) -> (u64, u64) {
     (start, end)
 }
 
-/// One fleet member: a private lab with the whole zone population, one
-/// caching resolver, and its client block's query slice in stream order
-/// as single-step flows on the event core.
+/// One fleet member: a private lab deployed from the shard's signed
+/// population, one caching resolver, and its client block's query slice
+/// in stream order as single-step flows on the event core.
 fn serving_unit(
     shard: &ShardRun<'_>,
     scenario: &ServingScenario,
+    signed: &SignedLab,
+    apexes: &[Option<Name>],
     member: u64,
-    fleet: u64,
     tally: &mut ServingTally,
 ) {
+    let fleet = scenario.fleet.max(1) as u64;
     let (c_lo, c_hi) = client_block(scenario.traffic.clients, fleet, member);
     let qpc = scenario.traffic.queries_per_client;
     let (q_lo, q_hi) = (c_lo * qpc, c_hi * qpc);
@@ -296,11 +305,7 @@ fn serving_unit(
     // the shard plan — thread counts must not move a member's stream.
     let member_seed =
         SplitMix64::new(shard.cfg.lab_seed ^ member.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
-    // Each zone's apex comes parsed from the lab stand-up, once per
-    // member rather than once per query. A spec that got no zone (and
-    // the root, which is no domain) serves no queries.
-    let (builder, apexes) = domain_lab(&scenario.domains, shard.cfg.now, member_seed);
-    let mut lab = builder.build();
+    let mut lab = signed.deploy(member_seed);
     let resolver = shard.resolver(&mut lab, |rcfg| {
         rcfg.cache_size = scenario.cache_size;
         rcfg.aggressive_nsec3 = scenario.aggressive;

@@ -1,4 +1,5 @@
-//! The discrete-event core: one `(due, seq)` min-heap plus a
+//! The discrete-event core: one `(due, seq)` event queue (a heap for
+//! later instants, a FIFO lane for the current one) plus a
 //! bounded-window flow driver (DESIGN.md §8).
 //!
 //! The blocking scan pipeline walks one probe at a time, so a shard's
@@ -21,7 +22,7 @@
 //! next.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a flow's step tells the driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,12 +50,17 @@ pub struct DriveStats {
 
 /// Pending wake-ups, popped in `(due_micros, seq)` order. `seq` counts
 /// `schedule` calls, so it is unique — the order is total and FIFO among
-/// equal due times — and a pop costs O(log n) however many entries share
-/// one instant.
+/// equal due times. Entries due at `now` (the last popped instant) wait
+/// in a FIFO lane, which costs O(1) a push and a pop; every other due
+/// time goes to a heap, which costs O(log n).
 #[derive(Debug, Default)]
 struct EventQueue {
     /// `(due_micros, seq, token)`; `token` never decides a comparison.
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// `(seq, token)`, every one due at `now` and in seq order: `now`
+    /// moves only while the lane is empty.
+    lane: VecDeque<(u64, usize)>,
+    now: u64,
     next_seq: u64,
 }
 
@@ -63,13 +69,24 @@ impl EventQueue {
     /// for that instant. A due time in the past is fine: it simply sorts
     /// ahead of everything later.
     fn schedule(&mut self, due_micros: u64, token: usize) {
-        self.heap.push(Reverse((due_micros, self.next_seq, token)));
+        if due_micros == self.now {
+            self.lane.push_back((self.next_seq, token));
+        } else {
+            self.heap.push(Reverse((due_micros, self.next_seq, token)));
+        }
         self.next_seq += 1;
     }
 
     /// Remove and return the earliest entry as `(due_micros, token)`.
     fn pop_next(&mut self) -> Option<(u64, usize)> {
+        let lane = self.lane.front().map(|&(s, t)| (self.now, s, t));
+        if lane.is_some_and(|lane| self.heap.peek().is_none_or(|Reverse(head)| lane < *head)) {
+            return self.lane.pop_front().map(|(_, token)| (self.now, token));
+        }
         let Reverse((due_micros, _, token)) = self.heap.pop()?;
+        if self.lane.is_empty() {
+            self.now = due_micros;
+        }
         Some((due_micros, token))
     }
 }
@@ -220,11 +237,31 @@ mod tests {
         queue.schedule(5_000, 0);
         assert_eq!(queue.pop_next(), Some((5_000, 0)));
         // Time has moved past 0; a past-due entry must still fire, and
-        // before anything later.
+        // before anything later — before an entry already waiting in the
+        // lane for the current instant, too, whose seq is lower.
+        queue.schedule(5_000, 3);
         queue.schedule(0, 1);
         queue.schedule(9_000, 2);
         assert_eq!(queue.pop_next(), Some((0, 1)));
+        assert_eq!(queue.pop_next(), Some((5_000, 3)));
         assert_eq!(queue.pop_next(), Some((9_000, 2)));
+        assert_eq!(queue.pop_next(), None);
+    }
+
+    #[test]
+    fn queue_fires_an_earlier_scheduled_entry_before_a_burst_at_its_instant() {
+        let mut queue = EventQueue::default();
+        // Both scheduled while time is 0, so both wait for instant 7_000.
+        queue.schedule(7_000, 0);
+        queue.schedule(7_000, 1);
+        assert_eq!(queue.pop_next(), Some((7_000, 0)));
+        // Time is 7_000 now: a burst for this instant sorts after entry 1,
+        // whose seq is lower.
+        queue.schedule(7_000, 2);
+        queue.schedule(7_000, 3);
+        assert_eq!(queue.pop_next(), Some((7_000, 1)));
+        assert_eq!(queue.pop_next(), Some((7_000, 2)));
+        assert_eq!(queue.pop_next(), Some((7_000, 3)));
         assert_eq!(queue.pop_next(), None);
     }
 

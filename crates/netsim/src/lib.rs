@@ -824,7 +824,7 @@ enum Leg {
 }
 
 /// Sequential allocator for unique simulation addresses.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AddrAlloc {
     next_v4: u32,
     next_v6: u128,

@@ -226,7 +226,9 @@ impl ZipfAlias {
 pub struct TrafficGenerator {
     model: TrafficModel,
     zipf: ZipfAlias,
-    rank_to_domain: Permutation,
+    /// The keyed permutation, tabulated once: O(n) to build like the
+    /// alias table, one load per query instead of its Feistel rounds.
+    rank_to_domain: Vec<u32>,
     /// Per-query RNG base, mixed with the index per `get`.
     base: u64,
 }
@@ -237,10 +239,14 @@ impl TrafficGenerator {
         assert!(domains > 0, "serving needs a nonempty domain population");
         model.mix.assert_valid();
         let zipf = ZipfAlias::new(domains, model.zipf_skew);
-        let rank_to_domain = Permutation::new(
+        let permutation = Permutation::new(
             domains,
             SplitMix64::new(model.seed ^ 0x7aff_1c5e).next_u64(),
         );
+        // `ZipfAlias::new` has checked that every index fits a u32.
+        let rank_to_domain = (0..domains)
+            .map(|rank| permutation.apply(rank) as u32)
+            .collect();
         let base = SplitMix64::new(model.seed ^ 0x00c1_1e47).next_u64();
         TrafficGenerator {
             model,
@@ -263,7 +269,7 @@ impl TrafficGenerator {
                 .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
         let rank = self.zipf.sample(&mut rng);
-        let domain = self.rank_to_domain.apply(rank);
+        let domain = u64::from(self.rank_to_domain[rank as usize]);
         let pick: f64 = rng.gen_range(0.0..100.0);
         let kind = if pick < self.model.mix.existing_pct {
             QueryKind::Existing
@@ -435,6 +441,23 @@ mod tests {
             sharded.extend((chunk.0..chunk.1).map(|i| g2.get(i)));
         }
         assert_eq!(seq, sharded);
+    }
+
+    sim_check::props! {
+        /// The rank table holds exactly what the keyed permutation it
+        /// tabulates maps each rank to.
+        fn rank_table_equals_the_keyed_permutation(
+            seed in sim_check::gens::u64s(..),
+            domains in sim_check::gens::u64s(1..=5_000),
+        ) {
+            let g = TrafficGenerator::new(TrafficModel::new(1, 1, seed), domains);
+            let key = SplitMix64::new(seed ^ 0x7aff_1c5e).next_u64();
+            let permutation = Permutation::new(domains, key);
+            assert_eq!(g.rank_to_domain.len() as u64, domains);
+            for (rank, &domain) in g.rank_to_domain.iter().enumerate() {
+                assert_eq!(u64::from(domain), permutation.apply(rank as u64), "rank {rank} of {domains}");
+            }
+        }
     }
 
     #[test]

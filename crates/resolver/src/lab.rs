@@ -136,8 +136,15 @@ impl LabBuilder {
     }
 
     /// Wire, sign, and register everything.
-    pub fn build(mut self) -> Lab {
-        let net = Rc::new(Network::new(self.seed));
+    pub fn build(self) -> Lab {
+        let seed = self.seed;
+        self.sign().into_lab(seed)
+    }
+
+    /// Wire and sign everything, allocate the server addresses and derive
+    /// the trust anchor, with no network: [`SignedLab::deploy`] stands
+    /// the result up as many times as wanted.
+    pub fn sign(mut self) -> SignedLab {
         let mut alloc = AddrAlloc::new();
         let now = self.now;
 
@@ -204,8 +211,7 @@ impl LabBuilder {
         }
 
         // Sign (parents before children is irrelevant for signing itself).
-        let mut zones: HashMap<Name, Rc<SignedZone>> = HashMap::with_capacity(self.specs.len());
-        let mut auths: HashMap<Name, Rc<AuthServer>> = HashMap::with_capacity(self.specs.len());
+        let mut zones = Vec::with_capacity(self.specs.len());
         for spec in self.specs {
             let apex = spec.zone.apex().clone();
             let mut signed = if spec.unsigned {
@@ -230,16 +236,7 @@ impl LabBuilder {
             if let Some(post) = spec.post_sign {
                 post(&mut signed);
             }
-            let signed = Rc::new(signed);
-            let server = Rc::new(AuthServer::new());
-            server.add_zone(signed.clone());
-            let (v4, v6) = addrs[&apex];
-            if !spec.lame {
-                net.register(v4, server.clone());
-                net.register(v6, server.clone());
-            }
-            zones.insert(apex.clone(), signed);
-            auths.insert(apex, server);
+            zones.push((apex, Rc::new(signed), spec.lame));
         }
 
         // Trust anchor over the root KSK.
@@ -254,15 +251,61 @@ impl LabBuilder {
             },
         };
         let root_hints = vec![addrs[&Name::root()].0, addrs[&Name::root()].1];
-        Lab {
-            net,
+        SignedLab {
+            zones,
             root_hints,
             anchor,
             servers: addrs,
-            auths,
-            zones,
             alloc,
             now,
+        }
+    }
+}
+
+/// A wired, signed zone set with its addresses and trust anchor, and no
+/// network: signed content never depends on a lab's seed.
+#[derive(Clone)]
+pub struct SignedLab {
+    /// `(apex, zone, lame)` in spec order: the order servers register in.
+    zones: Vec<(Name, Rc<SignedZone>, bool)>,
+    root_hints: Vec<IpAddr>,
+    anchor: TrustAnchor,
+    servers: HashMap<Name, (IpAddr, IpAddr)>,
+    alloc: AddrAlloc,
+    now: u32,
+}
+
+impl SignedLab {
+    /// A fresh [`Network`] seeded with `seed`, with one fresh
+    /// [`AuthServer`] per zone over the shared signed zones.
+    pub fn deploy(&self, seed: u64) -> Lab {
+        self.clone().into_lab(seed)
+    }
+
+    fn into_lab(self, seed: u64) -> Lab {
+        let net = Rc::new(Network::new(seed));
+        let mut zones = HashMap::with_capacity(self.zones.len());
+        let mut auths = HashMap::with_capacity(self.zones.len());
+        for (apex, signed, lame) in self.zones {
+            let server = Rc::new(AuthServer::new());
+            server.add_zone(signed.clone());
+            if !lame {
+                let (v4, v6) = self.servers[&apex];
+                net.register(v4, server.clone());
+                net.register(v6, server.clone());
+            }
+            zones.insert(apex.clone(), signed);
+            auths.insert(apex, server);
+        }
+        Lab {
+            net,
+            root_hints: self.root_hints,
+            anchor: self.anchor,
+            servers: self.servers,
+            auths,
+            zones,
+            alloc: self.alloc,
+            now: self.now,
         }
     }
 }

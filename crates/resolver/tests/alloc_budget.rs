@@ -1,10 +1,11 @@
 //! Allocation budget for one forwarded, validated NXDOMAIN through a
 //! root → TLD → leaf lab with the key cache warm — the unit of work of
-//! the paper's §4.2 probes and of the serving driver's forward path.
+//! the paper's §4.2 probes and of the serving driver's forward path —
+//! and for one warm answer-cache hit, the serving driver's common case.
 //!
 //! The counting allocator is process-wide, so this binary holds exactly
 //! one `#[test]`: nothing else may allocate while a resolution is
-//! counted. Reproduce the count with
+//! counted. Reproduce the counts with
 //! `cargo test --offline -p dns-resolver --test alloc_budget -- --nocapture`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,10 +43,15 @@ static ALLOCATOR: Counting = Counting;
 
 const NOW: u32 = 1_710_000_000;
 
-/// What this lab reads (119) plus ten, so that a handful of allocations
-/// creeping back into the hop, the encoder or the proof path fails the
-/// test.
+/// What this lab read when the budget was set (119; 110 now) plus ten,
+/// so that a handful of allocations creeping back into the hop, the
+/// encoder or the proof path fails the test.
 const RESOLVE_BUDGET: u64 = 129;
+
+/// What one warm answer-cache hit reads: the cached outcome is cloned
+/// out whole, so the budget is the count itself and any change to that
+/// path moves it.
+const CACHE_HIT_BUDGET: u64 = 2;
 
 #[test]
 fn forwarded_nxdomain_stays_within_its_allocation_budget() {
@@ -80,5 +86,25 @@ fn forwarded_nxdomain_stays_within_its_allocation_budget() {
     assert!(
         resolve <= RESOLVE_BUDGET,
         "resolve: {resolve} allocations, budget {RESOLVE_BUDGET}"
+    );
+
+    // A warm answer-cache hit: the serving fleet's most common query.
+    let www = name("www.example.com.");
+    r.resolve(&lab.net, &www, RrType::A);
+    let mut counts = Vec::with_capacity(33);
+    for _ in 0..33 {
+        let (hits, before) = (r.cache_hits(), ALLOCATIONS.load(Ordering::Relaxed));
+        let out = r.resolve(&lab.net, &www, RrType::A);
+        counts.push(ALLOCATIONS.load(Ordering::Relaxed) - before);
+        assert_eq!(r.cache_hits(), hits + 1, "answered from the cache");
+        assert_eq!(out.cost.messages_sent, 0);
+        assert!(out.authenticated);
+    }
+    counts.sort_unstable();
+    let hit = counts[counts.len() / 2];
+    println!("allocations per warm answer-cache hit: {hit}");
+    assert!(
+        hit <= CACHE_HIT_BUDGET,
+        "cache hit: {hit} allocations, budget {CACHE_HIT_BUDGET}"
     );
 }

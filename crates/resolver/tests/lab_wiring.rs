@@ -1,5 +1,6 @@
-//! Where [`LabBuilder`] wires each delegation, and that the lab and its
-//! servers hold one copy of every signed zone.
+//! Where [`LabBuilder`] wires each delegation, that the lab and its
+//! servers hold one copy of every signed zone, and that labs deployed from
+//! one signing share those zones and nothing else.
 //!
 //! The builder finds a zone's parent by probing an apex index with the
 //! zone's ancestors, nearest first; these tests pin the rule that lookup
@@ -11,9 +12,10 @@ use std::net::IpAddr;
 use std::rc::Rc;
 
 use dns_resolver::lab::{ds_record, simple_zone_contents, Lab, LabBuilder, ZoneSpec};
+use dns_resolver::{Resolver, ResolverConfig};
 use dns_wire::name::{name, Name};
 use dns_wire::rdata::RData;
-use dns_wire::rrtype::RrType;
+use dns_wire::rrtype::{Rcode, RrType};
 use dns_zone::signer::{Denial, SigningKey};
 
 const NOW: u32 = 1_710_000_000;
@@ -153,6 +155,45 @@ fn delegation_switches_decide_what_the_parent_publishes() {
     assert!(!lab.net.is_registered(v4) && !lab.net.is_registered(v6));
     let (v4, v6) = lab.servers[&broken];
     assert!(lab.net.is_registered(v4) && lab.net.is_registered(v6));
+}
+
+#[test]
+fn labs_deployed_from_one_signing_share_zones_and_nothing_else() {
+    let signed = ["tld.", "a.tld."]
+        .iter()
+        .fold(LabBuilder::new(NOW), |b, apex| b.zone(spec(apex)))
+        .sign();
+    let (mut one, mut two) = (signed.deploy(1), signed.deploy(2));
+    assert!(!Rc::ptr_eq(&one.net, &two.net));
+    assert_eq!(one.zones.len(), 3);
+    for (apex, zone) in &one.zones {
+        assert!(Rc::ptr_eq(zone, &two.zones[apex]), "{apex} signed twice");
+        assert!(
+            !Rc::ptr_eq(&one.auths[apex], &two.auths[apex]),
+            "{apex} served once"
+        );
+        assert_eq!(one.servers[apex], two.servers[apex]);
+    }
+    let resolver = |lab: &mut Lab| {
+        let mut cfg =
+            ResolverConfig::validating(lab.alloc.v4(), lab.root_hints.clone(), lab.anchor.clone());
+        cfg.now = lab.now;
+        Resolver::new(cfg)
+    };
+    let (r1, r2) = (resolver(&mut one), resolver(&mut two));
+    let qname = name("www.a.tld.");
+    let first = r1.resolve(&one.net, &qname, RrType::A);
+    assert!(one.net.delivered_count() > 0);
+    assert_eq!(
+        two.net.delivered_count(),
+        0,
+        "a query on one lab reached the other"
+    );
+    let second = r2.resolve(&two.net, &qname, RrType::A);
+    assert_eq!(second.rcode, Rcode::NoError);
+    assert!(second.authenticated);
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    assert_eq!(one.net.delivered_count(), two.net.delivered_count());
 }
 
 #[test]

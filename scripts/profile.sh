@@ -13,7 +13,11 @@
 # the stack, inlined ones too. Frames outside the executable (libc's
 # memcpy and malloc, the vDSO) are one line; a third table charges each
 # such sample to the first function of this program that called into
-# it, skipping alloc::, core::, std:: and hashbrown:: frames. Like
+# it, skipping alloc::, core::, std:: and hashbrown:: frames, and a
+# fourth classes each by the innermost frame of this program under it:
+# alloc::alloc::{alloc,dealloc,realloc,alloc_zeroed} is malloc/free
+# (listed again by first caller), slice compare/equal is memcmp,
+# copy_nonoverlapping is memcpy, anything else is other. Like
 # benchmark/run.sh this builds --offline, not --locked, and rewrites one
 # line of benchmark/Cargo.lock: `git checkout benchmark/Cargo.lock` after.
 set -euo pipefail
@@ -119,21 +123,37 @@ awk '
             if (i == 1) self[names[n]]++
             for (j = 1; j <= n; j++) if (!(names[j] in seen)) { seen[names[j]] = 1; incl[names[j]]++ }
         }
-        # A sample outside the executable is charged to the first frame
-        # of this program on its stack that is not library plumbing.
-        for (i = 2; $1 == "0" && i <= NF; i++) {
+        # A sample outside the executable is classed by the innermost
+        # frame of this program under it (what the program called), and
+        # charged to the first frame on its stack that is not library
+        # plumbing.
+        kind = caller = ""
+        for (i = 2; $1 == "0" && i <= NF && caller == ""; i++) {
             if ($i == "0") continue
             n = split(funcs[$i], names, "\t")
+            if (kind == "") kind = called(names[1])
             for (j = 1; j <= n; j++) if (names[j] !~ /^<*(alloc|core|std|hashbrown)::|^<[^ :]+ as (alloc|core|std|hashbrown)::|^__rust/) break
-            if (j <= n) { outside[names[j]]++; break }
+            if (j <= n) caller = names[j]
         }
+        if ($1 == "0") kinds[kind == "" ? "other" : kind]++
+        if (caller != "") outside[caller]++
+        if (caller != "" && kind == "malloc/free") by_malloc[caller]++
+    }
+    function called(f) {
+        if (f ~ /^alloc::alloc::(alloc|dealloc|realloc|alloc_zeroed)$/) return "malloc/free"
+        if (f ~ /slice::cmp::.*(compare|equal)$/) return "memcmp"
+        if (f ~ /copy_nonoverlapping$/) return "memcpy"
+        return "other"
     }
     END {
         printf "%d samples, one per 4 ms of CPU time\n", samples
         for (f in incl) printf "%6.1f%% self %6.1f%% inclusive  %s\n", 100 * self[f] / samples, 100 * incl[f] / samples, f
         for (f in outside) printf "%6.1f%%  %s\n", 100 * outside[f] / samples, f >outside_file
+        for (f in kinds) printf "%6.1f%%  %s\n", 100 * kinds[f] / samples, f >kinds_file
+        for (f in by_malloc) printf "%6.1f%%  %s\n", 100 * by_malloc[f] / samples, f >malloc_file
     }
-' outside_file="$dir/outside.txt" "$dir/symbols.txt" "$dir/samples.txt" >"$dir/report.txt"
+' outside_file="$dir/outside.txt" kinds_file="$dir/kinds.txt" malloc_file="$dir/malloc.txt" \
+    "$dir/symbols.txt" "$dir/samples.txt" >"$dir/report.txt"
 set +o pipefail # `head` may close a pipe before `sort` has written all of it
 head -1 "$dir/report.txt"
 echo "== top 25 by self time"
@@ -142,4 +162,8 @@ echo "== top 25 by inclusive time"
 tail -n +2 "$dir/report.txt" | sort -k3,3 -rn | head -25
 echo "== [outside the executable] by the first caller in it, alloc/core/std/hashbrown frames skipped (top 25)"
 sort -k1,1 -rn "$dir/outside.txt" | head -25
-echo "(all of it: $dir/report.txt, $dir/outside.txt)"
+echo "== [outside the executable] by what the program called (innermost frame in it)"
+sort -k1,1 -rn "$dir/kinds.txt"
+echo "== of it, malloc/free by the first caller, as above (top 25)"
+sort -k1,1 -rn "$dir/malloc.txt" | head -25
+echo "(all of it: $dir/report.txt, $dir/outside.txt, $dir/kinds.txt, $dir/malloc.txt)"

@@ -5,7 +5,7 @@
 /// Stored run-length — distinct values with cumulative counts — so the
 /// footprint is O(distinct values), not O(samples). A streaming census
 /// over millions of domains feeds the handful of distinct NSEC3
-/// parameter values through [`Cdf::from_counts`] without ever holding
+/// parameter values through `Cdf::from_counts` without ever holding
 /// per-domain samples; [`Cdf::from_samples`] collapses to the same
 /// representation, so both construction paths are indistinguishable
 /// through the query API.

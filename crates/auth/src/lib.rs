@@ -88,14 +88,14 @@ impl AuthServer {
         apex.with_sort_key(|key| self.zones.borrow().get(key).cloned())
     }
 
-    /// Snapshot of the query log: the most recent [`QUERY_LOG_LEN`]
+    /// Snapshot of the query log: the most recent `QUERY_LOG_LEN`
     /// queries in arrival order.
     pub fn query_log(&self) -> Vec<QueryLogEntry> {
         self.log.borrow().iter().cloned().collect()
     }
 
     /// Answer one question against the installed zones: the owned
-    /// materialisation of [`AuthServer::assemble`], which [`Node::handle`]
+    /// materialisation of `AuthServer::assemble`, which [`Node::handle`]
     /// encodes without this copy.
     pub fn answer(&self, query: &Message) -> Message {
         let zones = self.zones.borrow();

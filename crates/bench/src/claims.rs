@@ -102,7 +102,7 @@ impl fmt::Display for Value {
 
 /// How a claim was published, which is also what a measured value is
 /// held to. A tolerance is in the value's unit, at [`At::Report`] and at
-/// [`At::Test`]; [`EXACT`] where the populations reproduce the value at
+/// [`At::Test`]; `EXACT` where the populations reproduce the value at
 /// every scale.
 #[derive(Clone, Debug)]
 pub enum Paper {

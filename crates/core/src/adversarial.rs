@@ -129,7 +129,7 @@ impl FamilyTally {
         ratio(self.signatures, self.completed)
     }
 
-    /// Work units (compressions + [`SIGNATURE_WORK_UNITS`] × signature
+    /// Work units (compressions + `SIGNATURE_WORK_UNITS` × signature
     /// verifications) per completed query.
     pub fn work_units_per_query(&self) -> f64 {
         ratio(
@@ -247,7 +247,7 @@ fn adversarial_shard(
             |qname: &mut Name| {
                 let out = resolver.resolve(&lab.net, qname, RrType::A);
                 tally.queries += 1;
-                if shard.lost(&out) {
+                if shard.session.book(&out) {
                     tally.lost += 1;
                 } else if out.budget_exceeded {
                     // Degraded, not lost: the resolver answered (with

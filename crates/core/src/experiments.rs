@@ -179,7 +179,7 @@ impl DriverConfig {
 
     /// Environment-driven configuration: `HEROES_THREADS` picks the
     /// worker count (default 1), `HEROES_FAULTS=lossy` selects
-    /// [`ScanProfile::lossy`] seeded from [`DEFAULT_LAB_SEED`] (unset or
+    /// `ScanProfile::lossy` seeded from [`DEFAULT_LAB_SEED`] (unset or
     /// empty, the clean profile); the lab seed is [`DEFAULT_LAB_SEED`]
     /// and the window [`DEFAULT_WINDOW`].
     ///
@@ -624,7 +624,7 @@ fn fleet_addr_consumption(specs: &[ResolverSpec]) -> (u32, u128) {
 /// shard builds its own testbed (identical zone hierarchy and address
 /// allocation), allocates the scanner vantage addresses, pre-skips the
 /// fleet addresses consumed by the specs before its range
-/// ([`fleet_addr_consumption`]), and deploys only its own slice — so a
+/// (`fleet_addr_consumption`), and deploys only its own slice — so a
 /// resolver's address, and therefore its cache-busting probe labels and
 /// classification, are independent of the thread count. Every
 /// classification is kept — resolvers whose probes were all lost come
@@ -788,7 +788,7 @@ fn unreachability_shard(
             |probe: &mut Name| {
                 let out = resolver.resolve(&lab.net, probe, RrType::A);
                 result.probed += 1;
-                if shard.lost(&out) {
+                if shard.session.book(&out) {
                     result.lost += 1;
                 } else if out.rcode == Rcode::ServFail {
                     result.unreachable += 1;

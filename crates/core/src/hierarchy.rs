@@ -277,7 +277,7 @@ fn chain_shard(
                     *probe_idx += 1;
                     tally.queries += 1;
                     tally.upstream_messages += out.cost.messages_sent;
-                    if shard.lost(&out) {
+                    if shard.session.book(&out) {
                         tally.lost += 1;
                     } else if out.budget_exceeded {
                         tally.budget_exceeded += 1;

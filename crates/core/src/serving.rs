@@ -341,7 +341,7 @@ fn serving_unit(
             }
             // A cache hit or a synthesized answer spent nothing on the
             // network, so it is never lost.
-            let lost = shard.lost(&out);
+            let lost = shard.session.book(&out);
             if resolver.cache_hits() > hits_before {
                 tally.served_cache += 1;
             } else if resolver.synthesized_nxdomains() > synth_before {

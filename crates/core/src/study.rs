@@ -5,14 +5,14 @@
 //! range into that shard's part of the result. The closure gets a
 //! [`ShardRun`], which owns the pieces no driver should write for
 //! itself: the resolver stand-up on a fresh lab, the one call to the
-//! event core, the park-by-index/drain-in-order discipline, and the rule
-//! that tells probe loss from a verdict.
+//! event core, the park-by-index/drain-in-order discipline, and the
+//! session whose [`ScanSession::book`] tells probe loss from a verdict.
 
 use std::cell::Cell;
 use std::ops::Range;
 
 use dns_resolver::lab::Lab;
-use dns_resolver::resolver::{ResolveOutcome, Resolver, ResolverConfig};
+use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_scanner::retry::{ProbeStats, ScanSession};
 use netsim::event::{drive, FlowStep};
 use netsim::Network;
@@ -142,26 +142,12 @@ impl ShardRun<'_> {
         );
         slots.into_iter().flatten().collect()
     }
-
-    /// Book one resolution in the session and say whether it was lost
-    /// (the rule is [`ResolveOutcome::probe_lost`]).
-    pub(crate) fn lost(&self, out: &ResolveOutcome) -> bool {
-        let lost = out.probe_lost();
-        if lost {
-            self.session.note_timed_out(out.cost.retries);
-        } else {
-            self.session.note_answered(out.cost.retries);
-        }
-        lost
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::{DEFAULT_LAB_SEED, DEFAULT_WINDOW};
-    use dns_resolver::CostSnapshot;
-    use dns_wire::rrtype::Rcode;
 
     fn cfg(threads: usize) -> DriverConfig {
         DriverConfig::clean(1_710_000_000, threads, DEFAULT_LAB_SEED)
@@ -205,36 +191,6 @@ mod tests {
             }
             assert_eq!(completed, admitted, "window = {window}");
         }
-    }
-
-    #[test]
-    fn only_a_servfail_that_spent_timeouts_is_lost() {
-        let outcome = |rcode, budget_exceeded, timeouts| ResolveOutcome {
-            rcode,
-            authenticated: false,
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            ede: None,
-            budget_exceeded,
-            cost: CostSnapshot {
-                timeouts,
-                retries: 2,
-                ..CostSnapshot::default()
-            },
-        };
-        let run = run_study(1, &cfg(1), |shard, _| {
-            [
-                shard.lost(&outcome(Rcode::ServFail, true, 3)),
-                shard.lost(&outcome(Rcode::ServFail, false, 3)),
-                shard.lost(&outcome(Rcode::ServFail, false, 0)),
-                shard.lost(&outcome(Rcode::NoError, false, 3)),
-            ]
-        });
-        assert_eq!(run.parts, [[false, true, false, false]]);
-        let stats = run.probe_stats;
-        let booked = (stats.sent, stats.answered, stats.timed_out, stats.retried);
-        assert_eq!(booked, (4, 3, 1, 8));
-        assert!(stats.is_consistent(), "{stats:?}");
     }
 
     #[test]

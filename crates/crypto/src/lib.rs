@@ -7,7 +7,7 @@
 //!   (RFC 5155 §11 assigns algorithm number 1 to SHA-1).
 //! * [`sha256`] — SHA-256 (FIPS 180-4), used for DS digests and the simulated
 //!   signature scheme.
-//! * [`hmac`] — HMAC (RFC 2104) over any [`Digest`] implementation.
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), resumed from a key's pad midstates.
 //! * [`simsig`] — *SimSig*, a deterministic stand-in for RSA/ECDSA DNSSEC
 //!   signatures. See the module docs for the exact substitution argument.
 //! * [`keytag`] — the RFC 4034 Appendix B key-tag computation.
@@ -16,10 +16,10 @@
 //!
 //! CVE-2023-50868 is an algorithmic-complexity attack whose cost is the
 //! number of hash *compression-function* invocations a validating resolver
-//! performs while checking NSEC3 closest-encloser proofs. Both hash
-//! implementations therefore count the compression invocations they perform
-//! ([`Digest::compressions`]), and the resolver's cost model aggregates them.
-//! The count is of blocks, not time, so it is the same on every kernel.
+//! performs while checking NSEC3 closest-encloser proofs. The SHA-1 engine
+//! therefore returns the compressions each hash spent
+//! ([`sha1::IteratedSha1::hash`]), and the resolver's cost model aggregates
+//! them. The count is of blocks, not time, so it is the same on every kernel.
 //!
 //! # Kernels and `unsafe`
 //!
@@ -52,41 +52,6 @@ pub fn sha_kernel() -> &'static str {
         return "x86 SHA extensions";
     }
     "portable"
-}
-
-/// A streaming cryptographic hash function.
-///
-/// Modeled after the conventional `update`/`finalize` digest interface, plus
-/// a compression-invocation counter used by the CVE-2023-50868 cost model.
-pub trait Digest: Default + Clone {
-    /// Digest output length in bytes.
-    const OUTPUT_LEN: usize;
-    /// Internal block length in bytes (64 for SHA-1/SHA-256).
-    const BLOCK_LEN: usize;
-
-    /// Absorb `data` into the hash state.
-    fn update(&mut self, data: &[u8]);
-
-    /// Consume the hasher and return the digest.
-    fn finalize(self) -> Vec<u8>;
-
-    /// Consume the hasher and write the digest into `out`, which must be
-    /// exactly [`Digest::OUTPUT_LEN`] bytes. Implementations override this
-    /// to skip the `Vec` allocation of [`Digest::finalize`].
-    fn finalize_into(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.finalize());
-    }
-
-    /// Number of compression-function invocations performed so far,
-    /// including those implied by padding when [`Digest::finalize`] runs.
-    fn compressions(&self) -> u64;
-
-    /// One-shot convenience: digest of `data`.
-    fn digest(data: &[u8]) -> Vec<u8> {
-        let mut h = Self::default();
-        h.update(data);
-        h.finalize()
-    }
 }
 
 /// Constant-time byte-slice equality.

@@ -2,20 +2,19 @@
 //!
 //! SHA-1 is cryptographically broken for collision resistance, but it is the
 //! *only* hash algorithm assigned for NSEC3 (RFC 5155 §11, algorithm 1), so a
-//! faithful NSEC3 implementation must carry it. Two entry points share one
-//! compression function, which runs on the CPU's SHA unit where it has one
-//! (see the crate docs):
+//! faithful NSEC3 implementation must carry it. Two implementations share
+//! one compression function, which runs on the CPU's SHA unit where it has
+//! one (see the crate docs):
 //!
-//! * [`Sha1`] — the streaming Merkle–Damgård construction with a compression
-//!   counter for the CVE-2023-50868 cost model.
 //! * [`IteratedSha1`] — the hot-path API used by NSEC3 hashing, which
 //!   avoids per-call hasher construction and byte-at-a-time padding
-//!   entirely. Cost is accounted arithmetically with
-//!   [`padded_blocks`], which is exact: padding appends `0x80`, zeros to
-//!   56 mod 64, and an 8-byte length, so a `len`-byte message always
-//!   occupies `(len + 9).div_ceil(64)` blocks.
-
-use crate::Digest;
+//!   entirely. Cost is accounted arithmetically, and exactly: padding
+//!   appends `0x80`, zeros to 56 mod 64, and an 8-byte length, so a
+//!   `len`-byte message always occupies `(len + 9).div_ceil(64)` blocks.
+//! * [`Sha1`] — the streaming Merkle–Damgård construction, written
+//!   independently of the engine so that the NSEC3 oracle
+//!   (`dns_zone::nsec3hash::nsec3_hash_reference`) built on it keeps the
+//!   differential tests meaningful.
 
 pub(crate) const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
@@ -141,7 +140,7 @@ fn sha1_oneshot_state(data: &[u8]) -> [u32; 5] {
 ///
 /// The padded iteration message (digest slot, salt, `0x80`, bit length)
 /// is built **once** per parameter set; each iteration only writes the
-/// digest into its head. For salt ≤ [`IteratedSha1::MAX_SINGLE_BLOCK_SALT`]
+/// digest into its head. For salt ≤ `MAX_SINGLE_BLOCK_SALT` (35)
 /// bytes — every parameter set observed in the wild uses 0–16 — that
 /// message is `20 + salt_len ≤ 55` bytes, exactly one padded block, and
 /// the whole chain runs as one compression per iteration (in registers on
@@ -282,7 +281,6 @@ fn chain_portable(template: &[u8; 64], digest: [u32; 5], iterations: u16) -> [u3
 }
 
 /// Streaming SHA-1 hasher.
-#[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
     /// Total message length in bytes, mod 2^64.
@@ -315,7 +313,7 @@ impl Sha1 {
         compress_block(&mut self.state, block);
     }
 
-    /// Finalize into a fixed-size array (avoids the `Vec` of the trait API).
+    /// Consume the hasher and return the digest.
     pub fn finalize_fixed(mut self) -> [u8; 20] {
         let bit_len = self.len.wrapping_mul(8);
         // Padding: 0x80, a zero run to 56 mod 64 (written as slice fills,
@@ -343,13 +341,9 @@ impl Sha1 {
         let tail_blocks = (self.buf_len + 9).div_ceil(64) as u64;
         self.compressions + tail_blocks
     }
-}
 
-impl Digest for Sha1 {
-    const OUTPUT_LEN: usize = 20;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, data: &[u8]) {
+    /// Absorb `data` into the hash state.
+    pub fn update(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
         // Fast path: feed whole blocks directly once the buffer is aligned.
         let mut rest = data;
@@ -376,18 +370,6 @@ impl Digest for Sha1 {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
         }
-    }
-
-    fn finalize(self) -> Vec<u8> {
-        self.finalize_fixed().to_vec()
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.finalize_fixed());
-    }
-
-    fn compressions(&self) -> u64 {
-        self.compressions
     }
 }
 
@@ -533,7 +515,7 @@ mod tests {
             assert_eq!(padded_blocks(len), expected, "arithmetic, len {len}");
             // Count what finalize actually performs: whole blocks absorbed so
             // far plus the padding tail.
-            let absorbed = h.compressions();
+            let absorbed = h.compressions;
             assert_eq!(absorbed, (len / 64) as u64, "absorbed, len {len}");
             h.finalize_fixed();
         }
@@ -565,19 +547,5 @@ mod tests {
                 assert_eq!(cost, expected_cost, "salt {salt_len}, it {iterations}");
             }
         }
-    }
-
-    #[test]
-    fn trait_digest_matches_fn() {
-        assert_eq!(Sha1::digest(b"hello"), sha1(b"hello").to_vec());
-    }
-
-    #[test]
-    fn finalize_into_matches_finalize() {
-        let mut h = Sha1::new();
-        h.update(b"finalize_into");
-        let mut out = [0u8; 20];
-        h.clone().finalize_into(&mut out);
-        assert_eq!(out.to_vec(), h.finalize());
     }
 }

@@ -3,8 +3,6 @@
 //! Used for DS record digests (digest type 2) and as the PRF inside the
 //! [`crate::simsig`] simulated signature scheme.
 
-use crate::Digest;
-
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
@@ -73,133 +71,46 @@ fn compress_block_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     }
 }
 
-/// Streaming SHA-256 hasher.
-#[derive(Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-    compressions: u64,
+/// SHA-256 of a message whose first `prefix_len` octets (a whole number
+/// of blocks) are already compressed into `state`, and whose rest is
+/// `data`: whole blocks compress straight from the slice and only the tail
+/// is copied to be padded. [`sha256`] starts from the initial state;
+/// HMAC starts from a key's pad midstates.
+pub(crate) fn sha256_from(mut state: [u32; 8], prefix_len: usize, data: &[u8]) -> [u8; 32] {
+    debug_assert_eq!(prefix_len % 64, 0, "a prefix is whole blocks");
+    let mut chunks = data.chunks_exact(64);
+    for block in &mut chunks {
+        compress_block(&mut state, block.try_into().expect("chunks_exact(64)"));
+    }
+    let rest = chunks.remainder();
+    let mut block = [0u8; 64];
+    block[..rest.len()].copy_from_slice(rest);
+    block[rest.len()] = 0x80;
+    if rest.len() + 9 > 64 {
+        compress_block(&mut state, &block);
+        block = [0u8; 64];
+    }
+    let bit_len = ((prefix_len + data.len()) as u64).wrapping_mul(8);
+    block[56..].copy_from_slice(&bit_len.to_be_bytes());
+    compress_block(&mut state, &block);
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Sha256 {
-            state: H0,
-            len: 0,
-            buf: [0; 64],
-            buf_len: 0,
-            compressions: 0,
-        }
-    }
+/// The chaining state after one block: what [`sha256_from`] resumes from
+/// with a `prefix_len` of 64.
+pub(crate) fn midstate(block: &[u8; 64]) -> [u32; 8] {
+    let mut state = H0;
+    compress_block(&mut state, block);
+    state
 }
 
-impl Sha256 {
-    /// Create a fresh hasher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        self.compressions += 1;
-        compress_block(&mut self.state, block);
-    }
-
-    /// The chaining state of a block-aligned hasher. Debug-asserts
-    /// alignment.
-    pub(crate) fn midstate(&self) -> [u32; 8] {
-        debug_assert_eq!(self.buf_len, 0, "midstate requires block alignment");
-        self.state
-    }
-
-    /// The hasher [`Sha256::midstate`] was taken from, `len` bytes in: 40 bytes
-    /// stand in for the 120-byte streaming state wherever many keyed
-    /// hashers are kept for long.
-    pub(crate) fn from_midstate(state: [u32; 8], len: u64) -> Self {
-        debug_assert_eq!(len % 64, 0, "midstate requires block alignment");
-        Sha256 {
-            state,
-            len,
-            compressions: len / 64,
-            ..Self::default()
-        }
-    }
-
-    /// Finalize into a fixed-size array.
-    pub fn finalize_fixed(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, a zero run to 56 mod 64 (slice fills, not
-        // byte-at-a-time), 64-bit big-endian bit length.
-        let n = self.buf_len;
-        self.buf[n] = 0x80;
-        self.buf[n + 1..].fill(0);
-        if n + 9 > 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf = [0; 64];
-        }
-        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-}
-
-impl Digest for Sha256 {
-    const OUTPUT_LEN: usize = 32;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len != 0 {
-            let take = (64 - self.buf_len).min(rest.len());
-            let (head, tail) = rest.split_at(take);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(head);
-            self.buf_len += take;
-            rest = tail;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
-    }
-
-    fn finalize(self) -> Vec<u8> {
-        self.finalize_fixed().to_vec()
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.finalize_fixed());
-    }
-
-    fn compressions(&self) -> u64 {
-        self.compressions
-    }
-}
-
-/// One-shot SHA-256 returning the fixed-size digest.
+/// SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize_fixed()
+    sha256_from(H0, 0, data)
 }
 
 #[cfg(test)]
@@ -249,26 +160,23 @@ mod tests {
 
     #[test]
     fn fips_vector_million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
-        }
         assert_eq!(
-            hex_lower(&h.finalize_fixed()),
+            hex_lower(&sha256(&vec![b'a'; 1_000_000])),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
 
     #[test]
-    fn streaming_equals_oneshot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(777).collect();
-        let oneshot = sha256(&data);
-        for split in [0usize, 1, 63, 64, 65, 400, 776, 777] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize_fixed(), oneshot, "split at {split}");
+    fn resuming_from_a_midstate_equals_the_whole_message() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(264).collect();
+        let head: &[u8; 64] = data[..64].try_into().unwrap();
+        for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 128, 200] {
+            let tail = &data[64..64 + len];
+            assert_eq!(
+                sha256_from(midstate(head), 64, tail),
+                sha256(&data[..64 + len]),
+                "tail of {len}"
+            );
         }
     }
 }

@@ -26,8 +26,8 @@
 use std::cell::{Cell, RefCell};
 
 use crate::ct_eq;
-use crate::hmac::{Hmac, HmacKey};
-use crate::sha256::{sha256, Sha256};
+use crate::hmac::{mac, pads};
+use crate::sha256::sha256;
 
 /// DNSSEC algorithm number SimSig identifies itself with (PRIVATEDNS).
 pub const SIMSIG_ALGORITHM: u8 = 253;
@@ -68,7 +68,7 @@ impl KeyPair {
 
     /// Sign `message` (the RFC 4034 canonical signing buffer).
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        sign_with_public(&self.public, message)
+        self.signing_context().sign(message)
     }
 
     /// A reusable signing context for this key. Whole-zone signing creates
@@ -79,9 +79,9 @@ impl KeyPair {
     }
 }
 
-/// Precomputed per-key state for signing and verifying: the HMAC pad
-/// schedule, derived once and kept as its two SHA-256 midstates (64
-/// bytes — a resolver holds one of these per DNSKEY of every zone it has
+/// Precomputed per-key state for signing and verifying: the key's two
+/// HMAC pad midstates, derived once by `hmac::pads` (64 bytes — a
+/// resolver holds one of these per DNSKEY of every zone it has
 /// validated, so the size is what its key cache costs).
 #[derive(Clone, Debug)]
 pub struct Context {
@@ -95,13 +95,9 @@ impl Context {
     /// Build the context for the key identified by `public_key`.
     pub fn new(public_key: &[u8]) -> Self {
         Context {
-            pads: HmacKey::<Sha256>::new(public_key).midstates(),
+            pads: pads(public_key),
             well_formed: public_key.len() == PUBLIC_KEY_LEN,
         }
-    }
-
-    fn key(&self) -> HmacKey<Sha256> {
-        HmacKey::from_midstates(self.pads)
     }
 
     /// Verify `signature` over `message`; identical verdict to [`verify`]
@@ -118,9 +114,9 @@ impl Context {
         ct_eq(&tag, signature)
     }
 
-    /// Sign `message`; identical output to [`KeyPair::sign`].
+    /// Sign `message`: its HMAC-SHA-256, resumed from the pads.
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        self.key().mac(message)
+        mac(&self.pads, message).to_vec()
     }
 }
 
@@ -186,8 +182,7 @@ impl TagMemo {
             }
         }
         self.misses.set(self.misses.get() + 1);
-        let mut tag = [0u8; SIGNATURE_LEN];
-        HmacKey::from_midstates(*pads).mac_into(message, &mut tag);
+        let tag = mac(pads, message);
         if let Some(slot) = slot {
             let mut stored = [0u8; MEMO_MAX_MESSAGE];
             stored[..message.len()].copy_from_slice(message);
@@ -237,16 +232,6 @@ thread_local! {
 /// `crates/crypto/tests` and `bench_validation`; nothing decides by it.
 pub fn verify_memo_stats() -> (u64, u64) {
     TAG_MEMO.with(|memo| (memo.hits.get(), memo.misses.get()))
-}
-
-/// Produce the signature for `message` under the key identified by
-/// `public_key`.
-///
-/// Exposed so that fault injectors can mint signatures for *any* key when
-/// constructing deliberately inconsistent zones; regular code paths should go
-/// through [`KeyPair::sign`].
-pub(crate) fn sign_with_public(public_key: &[u8], message: &[u8]) -> Vec<u8> {
-    Hmac::<Sha256>::mac(public_key, message)
 }
 
 /// Verify `signature` over `message` under `public_key`.
@@ -303,7 +288,7 @@ mod tests {
         assert!(!ctx.verify(b"message", &sig[..31]));
         // A 31-byte key can mint a MAC but never verifies one.
         let short = &kp.public_key()[..31];
-        let forged = sign_with_public(short, b"m");
+        let forged = Context::new(short).sign(b"m");
         assert!(!Context::new(short).verify(b"m", &forged));
         assert!(!verify(short, b"m", &forged));
     }

@@ -46,7 +46,7 @@ pub struct Shard {
     pub start: usize,
     /// One past the last item index covered by this shard.
     pub end: usize,
-    /// Per-shard seed derived via [`shard_seed`].
+    /// Per-shard seed derived via `shard_seed`.
     pub seed: u64,
 }
 
@@ -113,7 +113,7 @@ pub struct RangeShard {
     pub start: u64,
     /// One past the last item index covered by this shard.
     pub end: u64,
-    /// Per-shard seed derived via [`shard_seed`].
+    /// Per-shard seed derived via `shard_seed`.
     pub seed: u64,
 }
 

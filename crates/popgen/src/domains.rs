@@ -308,14 +308,14 @@ impl Layout {
 }
 
 /// Total population size at `scale`, tails included — the `len` that
-/// [`generate_domains_range`] ranges over.
+/// `generate_domains_range` ranges over.
 pub fn domain_count(scale: Scale) -> u64 {
     Layout::new(scale).total
 }
 
 /// Random-access handle over the whole population at one `(scale, seed)`
 /// — the streaming census's view of §5.1's 302 M domains. Construction
-/// builds only the block [`Layout`] (a few hundred entries) and the
+/// builds only the block `Layout` (a few hundred entries) and the
 /// keyed [`Permutation`]; [`DomainGenerator::get`] then materialises any
 /// output position in O(1) with no state spanning positions, so a
 /// million-domain scan holds exactly one `DomainSpec` at a time.
@@ -418,7 +418,7 @@ pub(crate) fn generate_domains_range(
 /// Deterministic for a given `(scale, seed)`. The output order is a
 /// keyed permutation of the block layout, so consumers can take prefixes
 /// as unbiased samples — and any contiguous slice can be regenerated
-/// independently with [`generate_domains_range`].
+/// independently with `generate_domains_range`.
 pub fn generate_domains(scale: Scale, seed: u64) -> Vec<DomainSpec> {
     let total = domain_count(scale);
     generate_domains_range(scale, seed, 0..total)

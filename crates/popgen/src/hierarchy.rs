@@ -159,7 +159,7 @@ impl HierarchyGenerator {
     }
 
     /// All TLDs, in index order (small hierarchies only; sharded drivers
-    /// call [`HierarchyGenerator::tld`] per index instead).
+    /// call `HierarchyGenerator::tld` per index instead).
     pub fn tlds(&self) -> Vec<HierarchyTld> {
         (0..self.tld_count()).map(|i| self.tld(i)).collect()
     }

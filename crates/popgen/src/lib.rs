@@ -7,9 +7,9 @@
 //! * [`domains`] — 302 M registered domains (Table 2 operators, Figure 1
 //!   marginals, absolute long tails).
 //! * [`tlds`] — the 1,449 TLDs, exact.
-//! * [`tranco`] — the popularity list of Figure 2.
+//! * `tranco` — the popularity list of Figure 2.
 //! * [`resolvers`] — the 1.9 M open + 2.5 K closed resolver fleet of §5.2.
-//! * [`scale`] — the scaling model and exact allocation helpers.
+//! * `scale` — the scaling model and exact allocation helpers.
 //! * [`adversarial`] — crafted denial-of-existence attack workloads
 //!   (max-parameter zones, deep encloser chains, keytag collisions).
 //! * [`traffic`] — the client-population serving workload: O(1)

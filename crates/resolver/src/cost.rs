@@ -15,7 +15,7 @@ use crate::policy::WorkBudget;
 /// Accumulated work for one resolution (or one experiment).
 ///
 /// A resolution's meter is created with its [`WorkBudget`], and
-/// [`budget_exhausted`](CostMeter::budget_exhausted) reports when spending
+/// `budget_exhausted` reports when spending
 /// has reached either allowance. The counters themselves are never clamped —
 /// the meter stays an exact instrument; enforcement (aborting validation)
 /// is the caller's job.

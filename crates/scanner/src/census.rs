@@ -107,18 +107,11 @@ impl<'a> Census<'a> {
         self
     }
 
-    /// Account one phase's outcome in the session, if any, and say whether
-    /// its probe was lost (the rule is [`ResolveOutcome::probe_lost`]).
+    /// Book one phase's outcome in the session, if any, and say whether
+    /// its probe was lost (the rule is [`ScanSession::book`]).
     fn note_phase(&self, out: &ResolveOutcome) -> bool {
-        let lost = out.probe_lost();
-        if let Some(session) = self.session {
-            if lost {
-                session.note_timed_out(out.cost.retries);
-            } else {
-                session.note_answered(out.cost.retries);
-            }
-        }
-        lost
+        self.session
+            .map_or_else(|| out.probe_lost(), |session| session.book(out))
     }
 
     /// Run the three-phase §4.1 scan for one domain: drive a
@@ -350,7 +343,6 @@ pub fn exclusive_operator(ns_targets: &[Name]) -> Option<Name> {
 mod tests {
     use super::*;
     use dns_wire::name::name;
-    use dns_wire::rrtype::Rcode;
 
     fn obs(
         dnssec: bool,
@@ -425,40 +417,6 @@ mod tests {
         lossy.probe_loss = true;
         assert_eq!(classify(&lossy), DomainClass::Unprobed);
         assert!(classify(&lossy).nsec3_enabled().is_none());
-    }
-
-    #[test]
-    fn a_budget_abort_that_spent_timeouts_is_booked_as_answered() {
-        use dns_resolver::{CostSnapshot, LabBuilder, ResolverConfig};
-        let lab = LabBuilder::new(1_710_000_000).build();
-        let resolver = Resolver::new(ResolverConfig::validating(
-            "192.0.2.9".parse().unwrap(),
-            lab.root_hints.clone(),
-            lab.anchor.clone(),
-        ));
-        let session = ScanSession::default();
-        let census = Census::new(&lab.net, &resolver, "t").with_session(&session);
-        let servfail = |budget_exceeded| ResolveOutcome {
-            rcode: Rcode::ServFail,
-            authenticated: false,
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            ede: None,
-            budget_exceeded,
-            cost: CostSnapshot {
-                timeouts: 2,
-                retries: 3,
-                ..CostSnapshot::default()
-            },
-        };
-        // The resolver answered on purpose: an observation, not loss.
-        assert!(!census.note_phase(&servfail(true)));
-        let stats = session.stats();
-        assert_eq!((stats.answered, stats.timed_out), (1, 0));
-        // The same outcome without the budget abort is probe loss.
-        assert!(census.note_phase(&servfail(false)));
-        let stats = session.stats();
-        assert_eq!((stats.answered, stats.timed_out), (1, 1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use netsim::Network;
 
-/// A token-style pacer: each [`RateLimiter::pace`] call advances the
+/// A token-style pacer: each `RateLimiter::pace` call advances the
 /// virtual clock enough to hold the configured average rate.
 #[derive(Debug)]
 pub struct RateLimiter {

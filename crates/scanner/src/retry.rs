@@ -29,6 +29,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
+use dns_resolver::resolver::ResolveOutcome;
 use netsim::Network;
 
 /// Loss-accounted probe counters for one scan (or one shard of one).
@@ -182,6 +183,19 @@ impl ScanSession {
             self.note_timed_out(retries);
             self.record_failure(net, dst);
         }
+    }
+
+    /// Book one logical query answered by an in-process recursive
+    /// resolver, with the retries it spent underneath, and say whether its
+    /// probe was lost (the rule is [`ResolveOutcome::probe_lost`]).
+    pub fn book(&self, out: &ResolveOutcome) -> bool {
+        let lost = out.probe_lost();
+        if lost {
+            self.note_timed_out(out.cost.retries);
+        } else {
+            self.note_answered(out.cost.retries);
+        }
+        lost
     }
 
     /// Account one logical query that got a usable answer, with
@@ -394,6 +408,39 @@ mod tests {
         assert!(answered > 0, "recovered after the outage: {stats:?}");
         assert!(stats.circuit_skipped > 0, "breaker saved budget: {stats:?}");
         assert_eq!(stats.answered, answered);
+    }
+
+    #[test]
+    fn only_a_servfail_that_spent_timeouts_is_booked_as_lost() {
+        use dns_resolver::CostSnapshot;
+        use dns_wire::rrtype::Rcode;
+        let outcome = |rcode, budget_exceeded, timeouts| ResolveOutcome {
+            rcode,
+            authenticated: false,
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            ede: None,
+            budget_exceeded,
+            cost: CostSnapshot {
+                timeouts,
+                retries: 2,
+                ..CostSnapshot::default()
+            },
+        };
+        let session = ScanSession::default();
+        // A budget abort is the resolver answering on purpose: an
+        // observation, not loss, whatever timeouts it spent.
+        let booked = [
+            session.book(&outcome(Rcode::ServFail, true, 3)),
+            session.book(&outcome(Rcode::ServFail, false, 3)),
+            session.book(&outcome(Rcode::ServFail, false, 0)),
+            session.book(&outcome(Rcode::NoError, false, 3)),
+        ];
+        assert_eq!(booked, [false, true, false, false]);
+        let stats = session.stats();
+        let counts = (stats.sent, stats.answered, stats.timed_out, stats.retried);
+        assert_eq!(counts, (4, 3, 1, 8));
+        assert!(stats.is_consistent(), "{stats:?}");
     }
 
     #[test]

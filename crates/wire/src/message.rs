@@ -338,7 +338,7 @@ impl MessageHead<'_> {
         }
     }
 
-    /// [`MessageHead::encode`] with name compression, appending to `out`;
+    /// `MessageHead::encode` with name compression, appending to `out`;
     /// compression state comes from a pooled thread-local scratch buffer.
     pub fn encode_append<R: Borrow<Record>>(
         &self,

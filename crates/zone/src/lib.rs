@@ -1,7 +1,7 @@
 //! DNS zones with DNSSEC: the authoritative-side substrate of the `heroes`
 //! reproduction.
 //!
-//! * [`zone`] — the canonically-ordered zone model (RRsets, delegations,
+//! * `zone` — the canonically-ordered zone model (RRsets, delegations,
 //!   empty non-terminals, closest enclosers).
 //! * [`nsec3hash`] — the RFC 5155 §5 hash with cost accounting, verified
 //!   against the RFC's Appendix A vectors.

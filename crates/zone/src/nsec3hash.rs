@@ -38,7 +38,6 @@
 use std::cell::{Cell, RefCell};
 
 use dns_crypto::sha1::{IteratedSha1, Sha1};
-use dns_crypto::Digest;
 #[cfg(test)]
 use dns_wire::base32;
 use dns_wire::name::{Name, MAX_NAME_LEN};

@@ -331,89 +331,45 @@ pub fn sign_rrset(
     inception: u32,
     expiration: u32,
 ) -> Result<Record, ZoneError> {
-    sign_rrset_with_tag(
+    rrsig(
         records,
         key,
         key.key_tag(),
-        signer_name,
-        inception,
-        expiration,
-    )
-}
-
-/// [`sign_rrset`] with the key tag precomputed. The tag is a pure function
-/// of the DNSKEY RDATA, so whole-zone signing hoists it out of the per-RRset
-/// loop instead of re-serializing the DNSKEY for every signature.
-pub(crate) fn sign_rrset_with_tag(
-    records: &[Record],
-    key: &SigningKey,
-    key_tag: u16,
-    signer_name: &Name,
-    inception: u32,
-    expiration: u32,
-) -> Result<Record, ZoneError> {
-    sign_rrset_prepared(
-        records,
-        key,
-        key_tag,
         &key.pair.signing_context(),
         signer_name,
-        inception,
-        expiration,
+        (inception, expiration),
     )
 }
 
-/// [`sign_rrset_with_tag`] with the key's HMAC pad schedule precomputed as
-/// well. Whole-zone signing derives one [`simsig::Context`] per key and
-/// reuses it for every RRset.
-fn sign_rrset_prepared(
+/// The RRSIG by `key` over `records`, owned by the first record's name:
+/// the canonical signing buffer, signed with `ctx`. `tag` and `ctx` are
+/// pure functions of the key, so whole-zone signing derives them once
+/// per key instead of once per RRset.
+fn rrsig(
     records: &[Record],
     key: &SigningKey,
-    key_tag: u16,
+    tag: u16,
     ctx: &simsig::Context,
-    signer_name: &Name,
-    inception: u32,
-    expiration: u32,
+    signer: &Name,
+    (inception, expiration): (u32, u32),
 ) -> Result<Record, ZoneError> {
     let first = records.first().ok_or(ZoneError::EmptyRrset)?;
     let owner = &first.name;
-    let fields = RData::Rrsig {
+    let mut rdata = RData::Rrsig {
         type_covered: first.rrtype(),
         algorithm: key.algorithm,
         labels: significant_labels(owner) as u8,
         original_ttl: first.ttl,
         expiration,
         inception,
-        key_tag,
-        signer_name: signer_name.clone(),
+        key_tag: tag,
+        signer_name: signer.clone(),
         signature: Vec::new(),
     };
-    let buffer = signing_buffer(&fields, owner, records)?;
-    let signature = ctx.sign(&buffer);
-    let rdata = match fields {
-        RData::Rrsig {
-            type_covered,
-            algorithm,
-            labels,
-            original_ttl,
-            expiration,
-            inception,
-            key_tag,
-            signer_name,
-            ..
-        } => RData::Rrsig {
-            type_covered,
-            algorithm,
-            labels,
-            original_ttl,
-            expiration,
-            inception,
-            key_tag,
-            signer_name,
-            signature,
-        },
-        _ => unreachable!(),
-    };
+    let sig = ctx.sign(&signing_buffer(&rdata, owner, records)?);
+    if let RData::Rrsig { signature, .. } = &mut rdata {
+        *signature = sig;
+    }
     Ok(Record::new(owner.clone(), first.ttl, rdata))
 }
 
@@ -560,7 +516,7 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
     // Canonical order visits a delegation point before everything beneath
     // it, so a running cut marker replaces the per-owner `is_occluded`
     // ancestor walk.
-    let mut work: Vec<(&Name, RrType, &[Record])> = Vec::new();
+    let mut work: Vec<(RrType, &[Record])> = Vec::new();
     let mut cut: Option<&[u8]> = None;
     for (key, types) in out.rrsets() {
         let key = key.as_bytes();
@@ -576,15 +532,15 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
             if is_delegation && rrtype != RrType::DS {
                 continue;
             }
-            work.push((owner, rrtype, rrset.as_slice()));
+            work.push((rrtype, rrset.as_slice()));
         }
     }
-    // One RRSIG per (RRset, key) pair, in work order: the canonical
-    // signing buffer, signed with the key's context. The work list was
+    // One RRSIG per (RRset, key) pair, in work order. The work list was
     // produced by an in-order scan of `out`, so the signature stream is
     // already in canonical owner order: merge it with one linear walk.
+    let validity = (config.inception, config.expiration);
     let mut sigs: Vec<Record> = Vec::with_capacity(work.len() * 2);
-    for &(owner, rrtype, rrset) in &work {
+    for &(rrtype, rrset) in &work {
         let chosen: &[usize] = if rrtype == RrType::DNSKEY && !kss_idx.is_empty() {
             &kss_idx
         } else if !zss_idx.is_empty() {
@@ -592,25 +548,9 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
         } else {
             &kss_idx
         };
-        let first = rrset.first().ok_or(ZoneError::EmptyRrset)?;
         for &ki in chosen {
             let (key, tag, ctx) = &signers[ki];
-            let mut fields = RData::Rrsig {
-                type_covered: rrtype,
-                algorithm: key.algorithm,
-                labels: significant_labels(owner) as u8,
-                original_ttl: first.ttl,
-                expiration: config.expiration,
-                inception: config.inception,
-                key_tag: *tag,
-                signer_name: apex.clone(),
-                signature: Vec::new(),
-            };
-            let sig = ctx.sign(&signing_buffer(&fields, owner, rrset)?);
-            if let RData::Rrsig { signature, .. } = &mut fields {
-                *signature = sig;
-            }
-            sigs.push(Record::new(owner.clone(), first.ttl, fields));
+            sigs.push(rrsig(rrset, key, *tag, ctx, &apex, validity)?);
         }
     }
     out.merge_in_order(sigs)?;
@@ -623,9 +563,6 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
     })
 }
 
-/// Will `owner` carry at least one RRSIG after signing? (Everything
-/// authoritative does, except empty non-terminals and insecure delegation
-/// points.)
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,6 +62,9 @@ else
     echo "  - std::fs::write outside Suite::finish and write_artifact (crates/bench/clippy.toml)" >&2
 fi
 
+echo "== rustdoc (-D warnings): a doc link to a private or deleted item fails"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== bench smoke: every bench bin once, reduced samples"
 # A bench bin asserts nothing and has one mode, so this only keeps rows
 # from rotting; every claim is a cargo test beside its driver, run in

@@ -24,6 +24,8 @@
 //! water-torture shape that only RFC 8198 aggressive NSEC3 caching can
 //! collapse (see `dns_resolver::aggressive`).
 
+use std::io::Write;
+
 use dns_wire::name::Name;
 use dns_wire::WireError;
 use netsim::{Episode, EpisodeKind, FaultSchedule, Scope};
@@ -145,11 +147,19 @@ impl ClientQuery {
 
     /// [`ClientQuery::qname`] as a wire name under an already-parsed
     /// apex: one label prepended, nothing formatted and re-parsed per
-    /// query.
+    /// query. The `nx{index}` label is written on the stack, so the name
+    /// is the one allocation.
     pub fn qname_under(&self, apex: &Name) -> Result<Name, WireError> {
         match self.kind {
             QueryKind::Existing => apex.prepend(b"www"),
-            QueryKind::NxUnique => apex.prepend(format!("nx{}", self.index).as_bytes()),
+            QueryKind::NxUnique => {
+                // `nx` and at most 20 digits (`u64::MAX`).
+                let mut label = [0u8; 22];
+                let mut rest = &mut label[..];
+                write!(rest, "nx{}", self.index).expect("22 octets hold nx and any u64");
+                let unused = rest.len();
+                apex.prepend(&label[..label.len() - unused])
+            }
             QueryKind::NxRepeat => apex.prepend(b"miss"),
         }
     }

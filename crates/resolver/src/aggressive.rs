@@ -28,8 +28,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use dns_wire::name::{ancestor_keys, Name, SortKey};
-use dns_zone::nsec3hash::Nsec3Params;
+use dns_wire::name::{ancestor_keys, Name, SortKey, MAX_NAME_LEN};
+use dns_zone::nsec3hash::{with_thread_cache, Nsec3Params};
 
 use crate::cost::CostMeter;
 use crate::validator::{covers, Nsec3View};
@@ -147,65 +147,70 @@ impl AggressiveCache {
         }
     }
 
-    /// Try to prove `qname` nonexistent from cache alone (RFC 8198 §5.1).
+    /// Try to prove `qname` nonexistent from cache alone (RFC 8198 §5.1),
+    /// under the cached zone `zone_up` labels above it (what
+    /// [`AggressiveCache::zone_for`] found).
     ///
     /// The closest encloser is found by walking `qname`'s ancestors from
-    /// the longest down to `zone` and taking the first whose hash
+    /// the longest down to the zone and taking the first whose hash
     /// *matches* a cached owner; the next closer must then fall in a
     /// cached covered interval, as must the encloser's wildcard. Every
     /// candidate costs one hash chain, charged to `meter` — the RFC 8198
     /// §5.4 trade-off: high iteration counts tax even the cache path.
+    /// The ancestors are hashed as suffixes of `qname`'s canonical wire
+    /// form and the wildcard is written beside it on the stack, so no
+    /// name is built.
     ///
     /// Opt-out intervals never prove nonexistence (they may span real,
     /// insecurely-delegated names), so a next closer covered only by an
     /// opt-out view refuses to synthesize.
     pub(crate) fn synthesize_nxdomain(
         &self,
-        zone: &Name,
         qname: &Name,
+        zone_up: usize,
         now_micros: u64,
         meter: &CostMeter,
     ) -> bool {
         let zones = self.zones.borrow();
-        let denials = match zone.with_sort_key(|key| zones.get(key)) {
-            Some(d) if d.expires_micros > now_micros => d,
-            _ => return false,
-        };
-        if !qname.is_subdomain_of(zone) || qname == zone {
+        let denials = qname.with_sort_key(|key| {
+            let apex = ancestor_keys(key).nth(zone_up)?;
+            zones.get(apex).filter(|d| d.expires_micros > now_micros)
+        });
+        let Some(denials) = denials else {
             return false;
-        }
-        let hash_of = |n: &Name| {
-            let h = dns_zone::nsec3hash::nsec3_hash_cached(n, &denials.params);
+        };
+        let hash_of = |wire: &[u8]| {
+            let h = with_thread_cache(|cache| cache.lookup_wire(wire, &denials.params));
             meter.add_nsec3_hash(h.compressions);
             h.digest
         };
-        // Ancestor chain: chain[0] = qname, …, chain[last] = zone.
-        let mut chain = vec![qname.clone()];
-        while chain.last().expect("nonempty chain") != zone {
-            match chain.last().expect("nonempty chain").parent() {
-                Some(p) => chain.push(p),
-                None => return false,
-            }
-        }
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let len = qname.write_canonical_wire(&mut buf);
+        let wire = &buf[..len];
         // Longest ancestor with a matched owner hash is the closest
         // encloser. A shallower match can never rescue a failed deeper
         // one: its next closer would be an ancestor of the deeper matched
-        // (existing) name, which no validated interval covers.
-        for ce in 1..chain.len() {
-            let ce_hash = hash_of(&chain[ce]);
-            if !matches_owner(&denials.views, &ce_hash) {
+        // (existing) name, which no validated interval covers. Both are
+        // suffixes of `wire`, each starting on a length octet.
+        let (mut next_closer, mut encloser) = (0, 1 + usize::from(wire[0]));
+        for _ in 0..zone_up {
+            if !matches_owner(&denials.views, &hash_of(&wire[encloser..])) {
+                next_closer = encloser;
+                encloser += 1 + usize::from(wire[encloser]);
                 continue;
             }
-            let nc_hash = hash_of(&chain[ce - 1]);
-            match covering_view(&denials.views, &nc_hash) {
+            match covering_view(&denials.views, &hash_of(&wire[next_closer..])) {
                 Some(v) if !v.opt_out => {}
                 _ => return false,
             }
-            let wildcard = match chain[ce].prepend(b"*") {
-                Ok(w) => w,
-                Err(_) => return false,
-            };
-            if covering_view(&denials.views, &hash_of(&wildcard)).is_none() {
+            // `*.` and the encloser: never longer than `qname`, whose
+            // first label (one octet at least) the `*` stands in for.
+            let suffix = &wire[encloser..];
+            let mut wildcard = [0u8; MAX_NAME_LEN];
+            wildcard[..2].copy_from_slice(&[1, b'*']);
+            wildcard[2..2 + suffix.len()].copy_from_slice(suffix);
+            let wildcard_hash = hash_of(&wildcard[..2 + suffix.len()]);
+            if covering_view(&denials.views, &wildcard_hash).is_none() {
                 return false;
             }
             self.synthesized.set(self.synthesized.get() + 1);
@@ -214,10 +219,11 @@ impl AggressiveCache {
         false
     }
 
-    /// The longest cached (and unexpired) zone that is an ancestor of
-    /// `qname`, if any: one probe per label of `qname`, deepest first,
-    /// however many zones are cached.
-    pub(crate) fn zone_for(&self, qname: &Name, now_micros: u64) -> Option<Name> {
+    /// The longest cached (and unexpired) zone that is a strict ancestor
+    /// of `qname`, as the number of labels it lies above `qname`: one
+    /// probe per label of `qname`, deepest first, however many zones are
+    /// cached.
+    pub(crate) fn zone_for(&self, qname: &Name, now_micros: u64) -> Option<usize> {
         let zones = self.zones.borrow();
         let up = qname.with_sort_key(|key| {
             ancestor_keys(key).skip(1).position(|apex| {
@@ -226,7 +232,7 @@ impl AggressiveCache {
                     .is_some_and(|d| d.expires_micros > now_micros)
             })
         })?;
-        qname.ancestor(up + 1)
+        Some(up + 1)
     }
 
     /// NXDOMAINs synthesized so far.
@@ -249,6 +255,14 @@ mod tests {
     const NOW: u32 = 1_710_000_000;
 
     impl AggressiveCache {
+        /// [`AggressiveCache::synthesize_nxdomain`] under the cached
+        /// `zone`, which must be an ancestor of `qname`.
+        fn synthesize_under(&self, zone: &Name, qname: &Name, now: u64, meter: &CostMeter) -> bool {
+            assert!(qname.is_subdomain_of(zone));
+            let up = qname.label_count() - zone.label_count();
+            self.synthesize_nxdomain(qname, up, now, meter)
+        }
+
         /// Number of distinct views cached for `zone` (0 when absent):
         /// observes `insert`'s merge.
         fn view_count(&self, zone: &Name) -> usize {
@@ -352,7 +366,7 @@ mod tests {
         let meter = CostMeter::new();
         // A *different* nonexistent name: covered by the same chain
         // (3 names in the zone → one proof covers most of hash space).
-        let hit = cache.synthesize_nxdomain(&apex, &name("second-miss.agg.example."), 1, &meter);
+        let hit = cache.synthesize_under(&apex, &name("second-miss.agg.example."), 1, &meter);
         assert!(hit, "synthesis should succeed from the cached chain");
         assert_eq!(cache.synthesized_count(), 1);
         assert!(meter.nsec3_hashes() >= 3, "synthesis still hashes");
@@ -369,10 +383,10 @@ mod tests {
         let cache = AggressiveCache::new();
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
-        let hit = cache.synthesize_nxdomain(&apex, &name("phantom.dept.agg.example."), 1, &meter);
+        let hit = cache.synthesize_under(&apex, &name("phantom.dept.agg.example."), 1, &meter);
         assert!(hit, "interior closest encloser must synthesize");
         // And existing names below that encloser are never denied.
-        assert!(!cache.synthesize_nxdomain(&apex, &name("host.dept.agg.example."), 1, &meter));
+        assert!(!cache.synthesize_under(&apex, &name("host.dept.agg.example."), 1, &meter));
     }
 
     #[test]
@@ -384,7 +398,7 @@ mod tests {
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
         // www exists: its hash matches an owner, never covered.
-        assert!(!cache.synthesize_nxdomain(&apex, &name("www.agg.example."), 1, &meter));
+        assert!(!cache.synthesize_under(&apex, &name("www.agg.example."), 1, &meter));
     }
 
     #[test]
@@ -395,7 +409,7 @@ mod tests {
         let cache = AggressiveCache::new();
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
-        assert!(!cache.synthesize_nxdomain(&apex, &name("x.agg.example."), 301_000_000, &meter));
+        assert!(!cache.synthesize_under(&apex, &name("x.agg.example."), 301_000_000, &meter));
     }
 
     #[test]
@@ -409,7 +423,7 @@ mod tests {
             let cache = AggressiveCache::new();
             cache.insert(&apex, &params, &views, 0, 300);
             let meter = CostMeter::new();
-            cache.synthesize_nxdomain(&apex, &name("q.agg.example."), 1, &meter);
+            cache.synthesize_under(&apex, &name("q.agg.example."), 1, &meter);
             meter.sha1_compressions()
         };
         let costly = {
@@ -419,7 +433,7 @@ mod tests {
             let cache = AggressiveCache::new();
             cache.insert(&apex, &params, &views, 0, 300);
             let meter = CostMeter::new();
-            cache.synthesize_nxdomain(&apex, &name("q.agg.example."), 1, &meter);
+            cache.synthesize_under(&apex, &name("q.agg.example."), 1, &meter);
             meter.sha1_compressions()
         };
         assert!(costly >= cheap * 100, "{costly} vs {cheap}");
@@ -453,7 +467,10 @@ mod tests {
         for (zone, ttl) in [("example.", 300), ("b.example.", 300), ("c.b.example.", 1)] {
             cache.insert(&name(zone), &params, &[], 0, ttl);
         }
-        let zone_for = |q: &str, now| cache.zone_for(&name(q), now);
+        let zone_for = |q: &str, now| {
+            let q = name(q);
+            cache.zone_for(&q, now).and_then(|up| q.ancestor(up))
+        };
         assert_eq!(zone_for("x.C.B.example.", 1), Some(name("c.b.example.")));
         // Expired: the next live zone up. Strict ancestors only.
         assert_eq!(

@@ -10,7 +10,7 @@ use dns_wire::message::Message;
 use dns_wire::rrtype::Rcode;
 use netsim::{Network, Node, RetryPolicy};
 
-use crate::net::exchange;
+use crate::net::{exchange, serve, ReplyShape};
 use crate::policy::Rfc9276Policy;
 use crate::resolver::{Reply, Resolver};
 
@@ -84,21 +84,17 @@ impl Node for QueryCopier {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
-        let query = Message::decode(payload).ok()?;
-        if query.flags.qr {
-            return None;
-        }
-        let q = query.question()?.clone();
-        let outcome = self.inner.resolve(net, &q.qname, q.qtype);
-        let mut resp = Message::response_to(&query);
         // The copier quirk: header flags are copied from the query, so RA
-        // mirrors whatever the client set (normally: nothing).
-        resp.flags.ra = query.flags.ra;
-        resp.flags.ad = outcome.authenticated && query.dnssec_ok();
-        resp.rcode = outcome.rcode;
-        resp.answers = outcome.answers;
-        resp.encode_append(reply);
-        Some(())
+        // mirrors whatever the client set (normally: nothing); no
+        // authorities and no EDE are relayed.
+        let shape = ReplyShape {
+            copy_ra: true,
+            authorities: false,
+            ede: false,
+        };
+        serve(payload, reply, shape, |qname, qtype| {
+            self.inner.resolve(net, qname, qtype)
+        })
     }
 }
 
@@ -147,31 +143,20 @@ impl Node for FlakyResolver {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
-        let query = Message::decode(payload).ok()?;
-        if query.flags.qr {
-            return None;
-        }
-        let q = query.question()?.clone();
-        let phase = self.counter.get();
-        self.counter.set(phase + 1);
-        let policy = self.phases[phase % self.phases.len()].clone();
-        // Re-run the inner resolver under the phase policy.
-        let mut cfg = self.inner.config.clone();
-        cfg.policy = policy;
-        let resolver = Resolver::new(cfg);
-        let outcome = resolver.resolve(net, &q.qname, q.qtype);
-        let mut resp = Message::response_to(&query);
-        resp.flags.ra = true;
-        resp.flags.ad = outcome.authenticated && query.dnssec_ok();
-        resp.rcode = outcome.rcode;
-        resp.answers = outcome.answers;
-        if let Some((code, text)) = outcome.ede {
-            let mut edns = resp.edns.take().unwrap_or_default();
-            edns.push_ede(code, text);
-            resp.edns = Some(edns);
-        }
-        resp.encode_append(reply);
-        Some(())
+        // RA and the EDE as a resolver sends them, but no authorities.
+        let shape = ReplyShape {
+            authorities: false,
+            ..ReplyShape::RESOLVER
+        };
+        serve(payload, reply, shape, |qname, qtype| {
+            let phase = self.counter.get();
+            self.counter.set(phase + 1);
+            let policy = self.phases[phase % self.phases.len()].clone();
+            // Re-run the inner resolver under the phase policy.
+            let mut cfg = self.inner.config.clone();
+            cfg.policy = policy;
+            Resolver::new(cfg).resolve(net, qname, qtype)
+        })
     }
 }
 

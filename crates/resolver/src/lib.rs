@@ -396,6 +396,59 @@ mod e2e {
         );
     }
 
+    /// A hit is the miss minus its cost: the same verdict, the same
+    /// shared sections and the same reply bytes, for a positive answer, a
+    /// secure NXDOMAIN with its proof and a policy SERVFAIL with EDE.
+    #[test]
+    fn cache_hit_is_the_miss_without_its_cost() {
+        let mut lab = lab_with_params(&[
+            ("example.com.", Nsec3Params::rfc9276()),
+            ("it-200.example.com.", Nsec3Params::new(200, vec![])),
+        ]);
+        let r = resolver_for(&mut lab, Rfc9276Policy::servfail_above(150));
+        for (qname, rcode) in [
+            ("www.example.com.", Rcode::NoError),
+            ("nope.example.com.", Rcode::NxDomain),
+            ("probe.it-200.example.com.", Rcode::ServFail),
+        ] {
+            let qname = name(qname);
+            let miss = r.resolve(&lab.net, &qname, RrType::A);
+            let hits = r.cache_hits();
+            let hit = r.resolve(&lab.net, &qname, RrType::A);
+            assert_eq!(r.cache_hits(), hits + 1, "{qname}: answered from the cache");
+            assert_eq!(miss.rcode, rcode, "{qname}");
+            assert_eq!(hit.rcode, miss.rcode, "{qname}");
+            assert_eq!(hit.authenticated, miss.authenticated, "{qname}");
+            assert_eq!(hit.ede, miss.ede, "{qname}");
+            assert_eq!(hit.answers, miss.answers, "{qname}");
+            assert_eq!(hit.authorities, miss.authorities, "{qname}");
+            let query = dns_wire::Message::query(7, qname.clone(), RrType::A);
+            let reply = |outcome| {
+                let mut bytes = Vec::new();
+                net::write_reply(&query, outcome, net::ReplyShape::RESOLVER, &mut bytes);
+                bytes
+            };
+            assert_eq!(reply(&hit), reply(&miss), "{qname}: reply bytes");
+            assert_eq!(hit.cost, CostSnapshot::default(), "{qname}: a hit is free");
+            assert_ne!(miss.cost, CostSnapshot::default(), "{qname}: a miss is not");
+            match rcode {
+                Rcode::NoError => assert!(miss.authenticated && miss.answers.len() == 1),
+                Rcode::NxDomain => {
+                    assert!(miss.authenticated);
+                    let proof = miss
+                        .authorities
+                        .iter()
+                        .filter(|a| a.rrtype() == RrType::NSEC3);
+                    assert!(proof.count() >= 2, "the proof rides along");
+                }
+                _ => assert_eq!(
+                    miss.ede.as_ref().map(|e| e.0),
+                    Some(EdeCode::UNSUPPORTED_NSEC3_ITERATIONS)
+                ),
+            }
+        }
+    }
+
     #[test]
     fn oversized_nsec3_answers_fall_back_to_tcp() {
         // A 255-byte salt makes the three-NSEC3 NXDOMAIN proof overflow

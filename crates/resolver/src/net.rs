@@ -8,8 +8,10 @@
 use std::net::IpAddr;
 use std::pin::pin;
 
-use dns_wire::message::Message;
+use dns_wire::edns::Edns;
+use dns_wire::message::{Flags, Message, MessageHead};
 use dns_wire::name::Name;
+use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 use netsim::{Network, Node, Outcome, RetryPolicy};
 
@@ -102,26 +104,87 @@ impl Node for Resolver {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
-        let query = Message::decode(payload).ok()?;
-        if query.flags.qr {
-            return None;
-        }
-        let q = query.question()?.clone();
-        let outcome = self.resolve(net, &q.qname, q.qtype);
-        let mut resp = Message::response_to(&query);
-        resp.flags.ra = true;
-        resp.rcode = outcome.rcode;
-        resp.flags.ad = outcome.authenticated && query.dnssec_ok();
-        resp.answers = outcome.answers;
-        if query.dnssec_ok() {
-            resp.authorities = outcome.authorities;
-        }
-        if let Some((code, text)) = outcome.ede {
-            let mut edns = resp.edns.take().unwrap_or_default();
-            edns.push_ede(code, text);
-            resp.edns = Some(edns);
-        }
-        resp.encode_append(reply);
-        Some(())
+        serve(payload, reply, ReplyShape::RESOLVER, |qname, qtype| {
+            self.resolve(net, qname, qtype)
+        })
     }
+}
+
+/// What a resolver-side node puts in its reply beyond the outcome's
+/// rcode, answers and AD bit (AD only under DO, always).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ReplyShape {
+    /// Mirror the query's RA bit instead of setting RA: the query
+    /// copier's fingerprint.
+    pub(crate) copy_ra: bool,
+    /// Relay the outcome's authority section, under DO only.
+    pub(crate) authorities: bool,
+    /// Relay the outcome's EDE, when it carries one.
+    pub(crate) ede: bool,
+}
+
+impl ReplyShape {
+    /// A recursive resolver's reply: RA set, everything relayed.
+    pub(crate) const RESOLVER: ReplyShape = ReplyShape {
+        copy_ra: false,
+        authorities: true,
+        ede: true,
+    };
+}
+
+/// The one front end of the resolver-side nodes ([`Resolver`] and
+/// `broken`'s copier and flaky resolver): decode the client's query,
+/// answer its question with `resolve`, and write the reply with
+/// [`write_reply`]. Nothing answers a response or a question-less query.
+pub(crate) fn serve(
+    payload: &[u8],
+    reply: &mut Vec<u8>,
+    shape: ReplyShape,
+    resolve: impl FnOnce(&Name, RrType) -> ResolveOutcome,
+) -> Option<()> {
+    let query = Message::decode(payload).ok()?;
+    if query.flags.qr {
+        return None;
+    }
+    let question = query.question()?;
+    let outcome = resolve(&question.qname, question.qtype);
+    write_reply(&query, &outcome, shape, reply);
+    Some(())
+}
+
+/// Encode the reply to `query` carrying `outcome`, shaped by `shape`:
+/// the question is the query's own and the sections are the outcome's
+/// shared ones, so no record is copied.
+pub(crate) fn write_reply(
+    query: &Message,
+    outcome: &ResolveOutcome,
+    shape: ReplyShape,
+    reply: &mut Vec<u8>,
+) {
+    let dnssec_ok = query.dnssec_ok();
+    let mut edns = query.edns.as_ref().map(|_| Edns::default());
+    if let (true, Some((code, text))) = (shape.ede, &outcome.ede) {
+        edns.get_or_insert_with(Edns::default)
+            .push_ede(*code, text.as_str());
+    }
+    let head = MessageHead {
+        id: query.id,
+        flags: Flags {
+            qr: true,
+            opcode: query.flags.opcode,
+            rd: query.flags.rd,
+            ra: !shape.copy_ra || query.flags.ra,
+            ad: outcome.authenticated && dnssec_ok,
+            ..Flags::default()
+        },
+        rcode: outcome.rcode,
+        questions: &query.questions,
+        edns: edns.as_ref(),
+    };
+    let authorities: &[Record] = if shape.authorities && dnssec_ok {
+        &outcome.authorities
+    } else {
+        &[]
+    };
+    head.encode_append(reply, &outcome.answers, authorities, &[]);
 }

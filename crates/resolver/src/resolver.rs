@@ -127,6 +127,10 @@ impl ResolverConfig {
 }
 
 /// The result the resolver hands to its client.
+///
+/// The record sections are immutable and shared: the answer cache and
+/// every caller handed the same answer hold the same records, so a clone
+/// of an outcome is two reference-count bumps, not a copy of a record.
 #[derive(Clone, Debug)]
 pub struct ResolveOutcome {
     /// Response code.
@@ -134,10 +138,10 @@ pub struct ResolveOutcome {
     /// Whether the data was DNSSEC-authenticated (AD bit).
     pub authenticated: bool,
     /// Answer records.
-    pub answers: Vec<Record>,
+    pub answers: Rc<[Record]>,
     /// Authority-section records relayed to the client (SOA, NSEC/NSEC3
     /// proofs) — the zdns-style census reads NSEC3 parameters from here.
-    pub authorities: Vec<Record>,
+    pub authorities: Rc<[Record]>,
     /// Extended DNS error attached, if any.
     pub ede: Option<(EdeCode, String)>,
     /// The SERVFAIL was a work-budget abort, not a verdict on the data:
@@ -165,8 +169,8 @@ impl ResolveOutcome {
         ResolveOutcome {
             rcode: Rcode::ServFail,
             authenticated: false,
-            answers: Vec::new(),
-            authorities: Vec::new(),
+            answers: no_records(),
+            authorities: no_records(),
             ede,
             budget_exceeded: false,
             cost: CostSnapshot::default(),
@@ -244,8 +248,10 @@ pub struct Resolver {
     next_id: Cell<u16>,
     /// Final-answer cache (RFC 2308-style negative caching included):
     /// outcomes with their cost zeroed — a hit costs nothing. Behind an
-    /// `Rc` so the cache's tree nodes hold pointers, not 136-byte
-    /// outcomes (a resolver fleet's peak RSS is mostly these trees).
+    /// `Rc` so the cache's tree nodes hold pointers, not whole outcomes
+    /// (a resolver fleet's peak RSS is mostly these trees); the record
+    /// sections inside are the ones the miss handed its caller, so an
+    /// insert copies no record and a hit allocates nothing.
     ///
     /// Keyed by [`Name::rrset_sort_key`], which orders as `(Name, RrType)`
     /// does: eviction victims are what they were under that pair, and a
@@ -371,18 +377,18 @@ impl Resolver {
         if !self.config.aggressive_nsec3 {
             return None;
         }
-        let zone = self.aggressive.zone_for(qname, now_micros)?;
+        let zone_up = self.aggressive.zone_for(qname, now_micros)?;
         let meter = CostMeter::new();
         let synthesized = self
             .aggressive
-            .synthesize_nxdomain(&zone, qname, now_micros, &meter);
+            .synthesize_nxdomain(qname, zone_up, now_micros, &meter);
         // A synthesis that fails half-way hashed for this query too.
         self.total.set(self.total.get() + meter.snapshot());
         synthesized.then(|| ResolveOutcome {
             rcode: Rcode::NxDomain,
             authenticated: true,
-            answers: Vec::new(),
-            authorities: Vec::new(),
+            answers: no_records(),
+            authorities: no_records(),
             ede: None,
             budget_exceeded: false,
             cost: meter.snapshot(),
@@ -399,14 +405,16 @@ impl Resolver {
         qtype: RrType,
     ) -> ResolveOutcome {
         let mut target = qname.clone();
-        let mut answers = Vec::new();
+        // The answers of every hop so far, filled only once a CNAME is
+        // chased: an answer without one is the last hop's section as is.
+        let mut chased = Vec::new();
         let mut hops = 0;
         let outcome = loop {
             let mut walk = match self.start_walk(query, &target).await {
                 Ok(walk) => walk,
                 Err(outcome) => break outcome,
             };
-            let mut outcome = loop {
+            let outcome = loop {
                 let level = self.walk_level(query, &mut walk, &target, qtype).await;
                 if let ControlFlow::Break(outcome) = level {
                     break outcome;
@@ -417,16 +425,23 @@ impl Resolver {
                 _ => None,
             });
             let has_final = outcome.answers.iter().any(|r| r.rrtype() == qtype);
-            answers.append(&mut outcome.answers);
             match cname {
                 Some(next) if !has_final && outcome.rcode == Rcode::NoError => {
                     hops += 1;
                     if hops >= 8 {
                         break ResolveOutcome::servfail(None);
                     }
+                    chased.extend_from_slice(&outcome.answers);
                     target = next;
                 }
-                _ => break ResolveOutcome { answers, ..outcome },
+                _ if chased.is_empty() => break outcome,
+                _ => {
+                    chased.extend_from_slice(&outcome.answers);
+                    break ResolveOutcome {
+                        answers: shared(chased),
+                        ..outcome
+                    };
+                }
             }
         };
         let outcome = ResolveOutcome {
@@ -434,8 +449,8 @@ impl Resolver {
             ..outcome
         };
         self.total.set(self.total.get() + outcome.cost);
-        // The cache keeps its own copy of the outcome (minus the cost):
-        // the one clone on this path.
+        // The cache shares the outcome's sections (minus the cost): two
+        // reference counts, no record copied.
         self.answer_cache.put(
             qname.rrset_sort_key(qtype),
             Rc::new(ResolveOutcome {
@@ -717,8 +732,8 @@ impl Resolver {
                 ResolveOutcome {
                     rcode: resp.rcode,
                     authenticated,
-                    answers,
-                    authorities: resp.authorities,
+                    answers: shared(answers),
+                    authorities: shared(resp.authorities),
                     ede,
                     budget_exceeded: false,
                     cost: CostSnapshot::default(),
@@ -1091,6 +1106,26 @@ impl Resolver {
 
 /// The DS set of a zone whose trust anchor vouches for it instead.
 const NO_DS: &[Record] = &[];
+
+thread_local! {
+    /// The one empty section every outcome without records shares.
+    static NO_RECORDS: Rc<[Record]> = Rc::from(Vec::new());
+}
+
+/// An empty record section: a reference count, no allocation.
+fn no_records() -> Rc<[Record]> {
+    NO_RECORDS.with(Rc::clone)
+}
+
+/// `records` as an outcome section: moved, not deep-copied, into one
+/// shared allocation, or the shared empty section.
+fn shared(records: Vec<Record>) -> Rc<[Record]> {
+    if records.is_empty() {
+        no_records()
+    } else {
+        records.into()
+    }
+}
 
 /// What a limit check decided for control flow.
 enum LimitFlow {

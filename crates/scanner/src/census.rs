@@ -217,7 +217,7 @@ impl CensusProbe {
                     .resolver
                     .resolve(census.net, &obs.domain, RrType::NSEC3PARAM);
                 obs.probe_loss |= census.note_phase(&params);
-                for rec in &params.answers {
+                for rec in params.answers.iter() {
                     if let Some(p) = Nsec3Params::from_rdata(&rec.rdata) {
                         obs.nsec3params.push(p);
                     }
@@ -228,7 +228,7 @@ impl CensusProbe {
                 census.rate.pace(census.net);
                 let ns = census.resolver.resolve(census.net, &obs.domain, RrType::NS);
                 obs.probe_loss |= census.note_phase(&ns);
-                for rec in &ns.answers {
+                for rec in ns.answers.iter() {
                     if let RData::Ns(target) = &rec.rdata {
                         obs.ns_targets.push(target.clone());
                     }

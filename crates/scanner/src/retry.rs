@@ -417,8 +417,8 @@ mod tests {
         let outcome = |rcode, budget_exceeded, timeouts| ResolveOutcome {
             rcode,
             authenticated: false,
-            answers: Vec::new(),
-            authorities: Vec::new(),
+            answers: Vec::new().into(),
+            authorities: Vec::new().into(),
             ede: None,
             budget_exceeded,
             cost: CostSnapshot {

@@ -31,7 +31,7 @@
 //!
 //! | entry point | what it is | used by |
 //! |---|---|---|
-//! | [`nsec3_hash_cached`] | [`nsec3_hash`] behind this thread's [`Nsec3HashCache`] | the signer's denial pass, denial proof synthesis, validator closest-encloser loops, zone walks — what the signer inserts is what the proofs and the validator hit afterwards |
+//! | [`nsec3_hash_cached`] | [`nsec3_hash`] behind this thread's [`Nsec3HashCache`] | the signer's denial pass, denial proof synthesis, validator closest-encloser loops, zone walks — what the signer inserts is what the proofs and the validator hit afterwards; RFC 8198 synthesis reaches the same cache with wire suffixes ([`with_thread_cache`], [`Nsec3HashCache::lookup_wire`]) |
 //! | [`nsec3_hash`] | the engine, uncached | benches, cold one-offs, and [`Nsec3HashCache::lookup`] on a miss |
 //! | [`nsec3_hash_reference`] | the RFC 5155 §5 recurrence as written | tests and the bench parity gate |
 
@@ -131,8 +131,13 @@ pub struct Nsec3Hash {
 pub fn nsec3_hash(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
     let mut buf = [0u8; MAX_NAME_LEN];
     let len = name.write_canonical_wire(&mut buf);
+    hash_wire(&buf[..len], params)
+}
+
+/// The engine over a name already in canonical wire form.
+fn hash_wire(wire: &[u8], params: &Nsec3Params) -> Nsec3Hash {
     let engine = IteratedSha1::new(&params.salt);
-    let (digest, compressions) = engine.hash(&buf[..len], params.iterations);
+    let (digest, compressions) = engine.hash(wire, params.iterations);
     Nsec3Hash {
         digest,
         compressions,
@@ -235,14 +240,25 @@ impl Nsec3HashCache {
 
     /// Hash `name` under `params`, memoized.
     pub fn lookup(&self, name: &Name, params: &Nsec3Params) -> Nsec3Hash {
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let len = name.write_canonical_wire(&mut wire);
+        self.lookup_wire(&wire[..len], params)
+    }
+
+    /// [`Nsec3HashCache::lookup`] of a name given in canonical wire form
+    /// (lowercase, root octet included, at most [`MAX_NAME_LEN`] octets):
+    /// a caller holding a name's wire form hashes its ancestors as
+    /// suffixes of it, without building a [`Name`] for each.
+    pub fn lookup_wire(&self, wire: &[u8], params: &Nsec3Params) -> Nsec3Hash {
         if params.salt.len() > MAX_SALT_LEN {
             // A salt no NSEC3 record can carry: compute without caching or
             // counting.
-            return nsec3_hash(name, params);
+            return hash_wire(wire, params);
         }
         let mut key_buf = [0u8; MAX_KEY_LEN];
         key_buf[0] = params.hash_alg;
-        let wire_end = 1 + name.write_canonical_wire(&mut key_buf[1..]);
+        let wire_end = 1 + wire.len();
+        key_buf[1..wire_end].copy_from_slice(wire);
         let key_len = wire_end + params.salt.len();
         key_buf[wire_end..key_len].copy_from_slice(&params.salt);
         let key = &key_buf[..key_len];
@@ -254,7 +270,7 @@ impl Nsec3HashCache {
                 return entry.hash;
             }
         }
-        let hash = nsec3_hash(name, params);
+        let hash = hash_wire(wire, params);
         self.misses.set(self.misses.get() + 1);
         let cheap = params.rfc9276_compliant();
         if cheap || !slots[idx].as_ref().is_some_and(|e| e.cheap) {
@@ -318,6 +334,12 @@ thread_local! {
 /// [`nsec3_hash`] through this thread's shared [`Nsec3HashCache`].
 pub fn nsec3_hash_cached(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
     THREAD_CACHE.with(|c| c.lookup(name, params))
+}
+
+/// Lend this thread's shared [`Nsec3HashCache`] to `f` — the route to
+/// [`Nsec3HashCache::lookup_wire`] for callers hashing wire suffixes.
+pub fn with_thread_cache<R>(f: impl FnOnce(&Nsec3HashCache) -> R) -> R {
+    THREAD_CACHE.with(f)
 }
 
 /// `(hits, misses)` of this thread's shared cache — observability for

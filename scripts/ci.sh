@@ -30,9 +30,10 @@ cargo test -q --offline -p nsec3-core --test fault_props
 
 echo "== allocation counts (counting allocator, one test per binary)"
 # Printed, not only asserted: allocations per fresh-name NXDOMAIN reply
-# and secure referral, per forwarded NXDOMAIN resolve, and per zone a
-# batch lab stands up (equal within one at 64 and 2,048 zones).
-cargo test -q --offline -p dns-auth -p dns-resolver \
+# and secure referral, per forwarded NXDOMAIN resolve, per warm cache hit
+# and RFC 8198 synthesis, per zone a batch lab stands up (equal within
+# one at 64 and 2,048 zones), and per query the serving driver serves.
+cargo test -q --offline -p dns-auth -p dns-resolver -p nsec3-core \
     --test alloc_budget --test lab_alloc_budget -- --nocapture | grep '^allocations'
 
 if command -v rustfmt >/dev/null 2>&1; then

@@ -3,10 +3,9 @@
 //! policy makes of an over-limit zone, and one signature check with and
 //! without the signature memo's help. Writes `BENCH_validation.json`.
 //!
-//! The limit-check-order ablation (DESIGN.md §13 item 5) has no row
-//! here: `ResolverConfig::check_limits_first = false` is exercised by one
-//! unit test, `signature_first_ordering_pays_for_verification`
-//! (`crates/resolver/src/lib.rs`), which pins it as signature counts.
+//! The limit-check order (DESIGN.md §13 item 5) is fixed, limits first,
+//! and has no row here: `check_limits_first_saves_work`
+//! (`crates/resolver/src/lib.rs`) pins it at zero NSEC3 hashes.
 
 use std::hint::black_box;
 

@@ -39,9 +39,10 @@ use event::FlowStep;
 /// queries from inside `handle`.
 pub trait Node {
     /// Handle a datagram sent to this node, appending any response to
-    /// `reply` (which arrives empty — typically a recycled buffer the
-    /// network provides, so handlers encode straight into it with no
-    /// intermediate allocation). Return `Some(())` to send `reply`'s
+    /// `reply` (which arrives empty: `send_query` hands each datagram a
+    /// fresh `Vec::with_capacity(512)`, and that vector moves to the
+    /// sender as the reply, so handlers encode straight into it with no
+    /// intermediate buffer). Return `Some(())` to send `reply`'s
     /// contents back; `None` means no response (a timeout from the
     /// sender's perspective), and whatever was appended is discarded.
     fn handle(&self, net: &Network, src: IpAddr, payload: &[u8], reply: &mut Vec<u8>)

@@ -331,9 +331,8 @@ mod e2e {
 
     #[test]
     fn check_limits_first_saves_work() {
-        // Ablation: with limits checked first the resolver spends no hash
-        // work on an over-limit zone; with signature-first ordering it pays
-        // for signature checks (but still skips hashing).
+        // The limits are checked before any proof work: the resolver
+        // spends no hash work on an over-limit zone.
         let mut lab = lab_with_params(&[("it-500.example.com.", Nsec3Params::new(500, vec![]))]);
         let fast = resolver_for(&mut lab, Rfc9276Policy::servfail_above(150));
         let out = fast.resolve(&lab.net, &name("p1.it-500.example.com."), RrType::A);
@@ -342,32 +341,6 @@ mod e2e {
             out.cost.nsec3_hashes, 0,
             "limit check shortcuts all hashing"
         );
-    }
-
-    #[test]
-    fn signature_first_ordering_pays_for_verification() {
-        // Ablation: with check_limits_first = false the resolver verifies
-        // the NSEC3 RRSIGs even for an over-limit zone (and still refuses),
-        // so it performs signature work the default ordering skips.
-        let mut lab = lab_with_params(&[("it-500.example.com.", Nsec3Params::new(500, vec![]))]);
-        let mut policy = Rfc9276Policy::servfail_above(150);
-        policy.emit_ede = false;
-        let mut lazy = resolver_for(&mut lab, policy.clone());
-        lazy.config.check_limits_first = true;
-        let lazy_out = lazy.resolve(&lab.net, &name("p1.it-500.example.com."), RrType::A);
-        let mut eager = resolver_for(&mut lab, policy);
-        eager.config.check_limits_first = false;
-        let eager_out = eager.resolve(&lab.net, &name("p2.it-500.example.com."), RrType::A);
-        assert_eq!(lazy_out.rcode, Rcode::ServFail);
-        assert_eq!(eager_out.rcode, Rcode::ServFail);
-        assert!(
-            eager_out.cost.signatures_verified > lazy_out.cost.signatures_verified,
-            "sig-first {} vs limit-first {}",
-            eager_out.cost.signatures_verified,
-            lazy_out.cost.signatures_verified
-        );
-        // Neither arm hashes: the limit still gates hashing.
-        assert_eq!(eager_out.cost.nsec3_hashes, 0);
     }
 
     #[test]
@@ -491,36 +464,12 @@ mod e2e {
         // A middlebox that rewrites the echoed question to lowercase
         // defeats the 0x20 check; the resolver must treat its answers as
         // spoofed (and, with no other server, fail).
-        struct CaseMangler(Rc<dyn netsim::Node>);
-        impl netsim::Node for CaseMangler {
-            fn handle(
-                &self,
-                net: &netsim::Network,
-                src: std::net::IpAddr,
-                payload: &[u8],
-                reply: &mut Vec<u8>,
-            ) -> Option<()> {
-                self.0.handle(net, src, payload, reply)?;
-                let mut msg = dns_wire::Message::decode(reply).ok()?;
-                for q in &mut msg.questions {
-                    q.qname = q.qname.to_lowercase();
-                }
-                reply.clear();
-                msg.encode_append(reply);
-                Some(())
-            }
-        }
         let mut lab = lab_with_params(&[("example.com.", Nsec3Params::rfc9276())]);
-        // Re-register the example.com. server behind the mangler, on both
-        // of its addresses (the resolver otherwise falls back to the
-        // clean dual-stack twin — which is itself a nice property).
-        let (v4, v6) = lab.servers[&name("example.com.")];
-        let auth = lab.auths[&name("example.com.")].clone();
-        let mangler: Rc<dyn netsim::Node> = Rc::new(CaseMangler(auth));
-        lab.net.unregister(v4);
-        lab.net.unregister(v6);
-        lab.net.register(v4, mangler.clone());
-        lab.net.register(v6, mangler);
+        interpose(&lab, "example.com.", |reply| {
+            for q in &mut reply.questions {
+                q.qname = q.qname.to_lowercase();
+            }
+        });
         let strict = resolver_for(&mut lab, Rfc9276Policy::unlimited());
         let out = strict.resolve(&lab.net, &name("www.example.com."), RrType::A);
         assert_eq!(out.rcode, Rcode::ServFail, "mangled echo treated as spoof");
@@ -703,6 +652,283 @@ mod e2e {
     use dns_wire::rdata::RData;
     use dns_wire::record::Record;
     use dns_zone::signer::SigningKey;
+
+    /// Stands at a leaf's server addresses: the real `AuthServer` answers
+    /// and `rewrite` edits its reply on the way back.
+    struct Interposer {
+        auth: Rc<dyn netsim::Node>,
+        rewrite: Box<dyn Fn(&mut dns_wire::Message)>,
+    }
+
+    impl netsim::Node for Interposer {
+        fn handle(
+            &self,
+            net: &netsim::Network,
+            src: IpAddr,
+            payload: &[u8],
+            reply: &mut Vec<u8>,
+        ) -> Option<()> {
+            self.auth.handle(net, src, payload, reply)?;
+            let mut msg = dns_wire::Message::decode(reply).ok()?;
+            (self.rewrite)(&mut msg);
+            reply.clear();
+            msg.encode_append(reply);
+            Some(())
+        }
+    }
+
+    /// Put an [`Interposer`] applying `rewrite` in front of `apex`'s
+    /// server, on both of its addresses (the resolver otherwise falls back
+    /// to the clean dual-stack twin).
+    fn interpose(lab: &Lab, apex: &str, rewrite: impl Fn(&mut dns_wire::Message) + 'static) {
+        let apex = name(apex);
+        let node: Rc<dyn netsim::Node> = Rc::new(Interposer {
+            auth: lab.auths[&apex].clone(),
+            rewrite: Box::new(rewrite),
+        });
+        let (v4, v6) = lab.servers[&apex];
+        for addr in [v4, v6] {
+            lab.net.unregister(addr);
+            lab.net.register(addr, node.clone());
+        }
+    }
+
+    /// com. and example.com. (NSEC3 at RFC 9276 parameters) and `leaf`.
+    fn lab_with_leaf(leaf: ZoneSpec) -> Lab {
+        LabBuilder::new(NOW)
+            .simple_zone(&name("com."), Denial::nsec3_rfc9276())
+            .simple_zone(&name("example.com."), Denial::nsec3_rfc9276())
+            .zone(leaf)
+            .build()
+    }
+
+    /// The simple zone at `apex` plus an A record at `wildcard`.
+    fn zone_with_wildcard(apex: &str, wildcard: &str) -> Zone {
+        let mut z = lab::simple_zone_contents(&name(apex));
+        let a = RData::A("192.0.2.42".parse().unwrap());
+        z.add(Record::new(name(wildcard), 300, a)).unwrap();
+        z
+    }
+
+    /// The signed NSEC at `owner` in the lab's zone `apex`, with its RRSIG.
+    fn signed_nsec(lab: &Lab, apex: &str, owner: &Name) -> Vec<Record> {
+        let zone = &lab.zones[&name(apex)].zone;
+        let sigs = zone.rrset(owner, RrType::RRSIG).unwrap().iter().filter(|sig| {
+            matches!(sig.rdata, RData::Rrsig { type_covered, .. } if type_covered == RrType::NSEC)
+        });
+        let nsec = zone.rrset(owner, RrType::NSEC).unwrap();
+        nsec.iter().chain(sigs).cloned().collect()
+    }
+
+    #[test]
+    fn wildcard_answer_without_its_proof_is_bogus() {
+        for denial in [Denial::nsec3_rfc9276(), Denial::Nsec] {
+            let leaf = zone_with_wildcard("wild.example.com.", "*.wild.example.com.");
+            let mut lab = lab_with_leaf(ZoneSpec::new(leaf, denial.clone()));
+            let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+            let proven = r.resolve(&lab.net, &name("a.wild.example.com."), RrType::A);
+            assert_eq!(proven.rcode, Rcode::NoError, "{denial:?}");
+            assert!(proven.authenticated, "{denial:?}: expansion with its proof");
+            // Every reply loses its authority section, the proof with it.
+            interpose(&lab, "wild.example.com.", |reply| reply.authorities.clear());
+            let bare = r.resolve(&lab.net, &name("b.wild.example.com."), RrType::A);
+            assert_eq!(
+                bare.rcode,
+                Rcode::ServFail,
+                "{denial:?}: expansion without proof"
+            );
+        }
+    }
+
+    #[test]
+    fn nsec_nodata_must_lack_the_type() {
+        let apex = "nsec.example.com.";
+        let leaf = ZoneSpec::new(lab::simple_zone_contents(&name(apex)), Denial::Nsec);
+        let mut lab = lab_with_leaf(leaf);
+        let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        let www = name("www.nsec.example.com.");
+        let honest = r.resolve(&lab.net, &www, RrType::TXT);
+        assert_eq!(honest.rcode, Rcode::NoError);
+        assert!(honest.authenticated, "the NSEC at www lacks TXT");
+        // A forged NODATA for www A: the zone's own signed NSEC at www,
+        // whose bitmap lists A, in place of the answer.
+        let forged = signed_nsec(&lab, apex, &www);
+        interpose(&lab, apex, move |reply| {
+            if reply.answers.iter().any(|r| r.rrtype() == RrType::A) {
+                reply.answers.clear();
+                reply.authorities = forged.clone();
+            }
+        });
+        let out = r.resolve(&lab.net, &www, RrType::A);
+        assert_eq!(
+            out.rcode,
+            Rcode::ServFail,
+            "NODATA for a type the NSEC lists"
+        );
+    }
+
+    #[test]
+    fn ds_absence_needs_an_nsec_that_proves_it() {
+        let mut lab = LabBuilder::new(NOW)
+            .simple_zone(&name("com."), Denial::nsec3_rfc9276())
+            .simple_zone(&name("example.com."), Denial::Nsec)
+            .simple_zone(&name("signed.example.com."), Denial::nsec3_rfc9276())
+            .build();
+        // A signed referral loses its DS set and carries the signed NSEC
+        // at www.example.com. instead, which says nothing of the cut.
+        let unrelated = signed_nsec(&lab, "example.com.", &name("www.example.com."));
+        interpose(&lab, "example.com.", move |reply| {
+            if strip_ds(reply) {
+                reply.authorities.extend(unrelated.iter().cloned());
+            }
+        });
+        let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        let out = r.resolve(&lab.net, &name("www.signed.example.com."), RrType::A);
+        assert_eq!(out.rcode, Rcode::ServFail, "DS absence left unproven");
+    }
+
+    /// Drop the DS set and its RRSIGs from `reply`; whether it had any.
+    fn strip_ds(reply: &mut dns_wire::Message) -> bool {
+        let ds = |r: &Record| match &r.rdata {
+            RData::Rrsig { type_covered, .. } => *type_covered == RrType::DS,
+            _ => r.rrtype() == RrType::DS,
+        };
+        let had = reply.authorities.iter().any(ds);
+        reply.authorities.retain(|r| !ds(r));
+        had
+    }
+
+    /// An unsigned NSEC3 in zone `apex` with hash algorithm 2, which no
+    /// validator knows.
+    fn unknown_hash_nsec3(apex: &str) -> Record {
+        let rdata = RData::Nsec3 {
+            hash_alg: 2,
+            flags: 0,
+            iterations: 0,
+            salt: vec![],
+            next_hashed: vec![0xff; 20],
+            types: Default::default(),
+        };
+        let owner = name(&format!("0123456789abcdefghijklmnopqrstuv.{apex}"));
+        Record::new(owner, 300, rdata)
+    }
+
+    #[test]
+    fn unknown_hash_nsec3_cannot_prove_ds_absence() {
+        let leaf = "leaf.example.com.";
+        let contents = lab::simple_zone_contents(&name(leaf));
+        let mut lab = lab_with_leaf(ZoneSpec::new(contents, Denial::nsec3_rfc9276()));
+        let qname = name("www.leaf.example.com.");
+        let clean = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        let out = clean.resolve(&lab.net, &qname, RrType::A);
+        assert!(out.authenticated, "the signed delegation validates");
+        // The referral to leaf loses its DS set and gains one fabricated
+        // NSEC3 whose hash algorithm the validator cannot check.
+        interpose(&lab, "example.com.", |reply| {
+            if strip_ds(reply) {
+                reply.authorities.push(unknown_hash_nsec3("example.com."));
+            }
+        });
+        let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        let out = r.resolve(&lab.net, &qname, RrType::A);
+        assert_eq!(out.rcode, Rcode::ServFail, "no downgrade to insecure");
+    }
+
+    #[test]
+    fn unknown_hash_nsec3_does_not_excuse_an_answer() {
+        let leaf = "leaf.example.com.";
+        let contents = lab::simple_zone_contents(&name(leaf));
+        let mut lab = lab_with_leaf(ZoneSpec::new(contents, Denial::nsec3_rfc9276()));
+        let qname = name("www.leaf.example.com.");
+        // Every leaf reply carries an unsigned NSEC3 of an unknown hash
+        // algorithm: ignored, the answer still validates.
+        interpose(&lab, leaf, |reply| {
+            reply.authorities.push(unknown_hash_nsec3(leaf))
+        });
+        let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        let out = r.resolve(&lab.net, &qname, RrType::A);
+        assert_eq!(out.rcode, Rcode::NoError);
+        assert!(out.authenticated, "the ignored record changes nothing");
+        // The same record beside a forged address does not skip the
+        // answer's signature check.
+        interpose(&lab, leaf, |reply| {
+            reply.authorities.push(unknown_hash_nsec3(leaf));
+            for rec in &mut reply.answers {
+                if let RData::A(a) = &mut rec.rdata {
+                    *a = "203.0.113.66".parse().unwrap();
+                }
+            }
+        });
+        let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        let out = r.resolve(&lab.net, &qname, RrType::A);
+        assert_eq!(out.rcode, Rcode::ServFail, "forged answer relayed");
+    }
+
+    #[test]
+    fn nsec3_wildcard_nodata_validates() {
+        let leaf = zone_with_wildcard("leaf.example.com.", "*.wc.leaf.example.com.");
+        let mut lab = lab_with_leaf(ZoneSpec::new(leaf, Denial::nsec3_rfc9276()));
+        let r = resolver_for(&mut lab, Rfc9276Policy::unlimited());
+        for qname in ["x.wc.leaf.example.com.", "y.x.wc.leaf.example.com."] {
+            let out = r.resolve(&lab.net, &name(qname), RrType::TXT);
+            assert_eq!(out.rcode, Rcode::NoError, "{qname}");
+            assert!(
+                out.authenticated,
+                "{qname}: *.wc matched, next closer covered"
+            );
+            assert!(out.answers.is_empty(), "{qname}");
+        }
+        // The same proof does not deny a type the wildcard owns.
+        let a = r.resolve(&lab.net, &name("x.wc.leaf.example.com."), RrType::A);
+        assert_eq!((a.rcode, a.answers.len()), (Rcode::NoError, 1));
+    }
+
+    #[test]
+    fn item7_rules_a_ds_less_referral_as_it_rules_an_answer() {
+        // example.com.'s NSEC3 chain is over the limit and its NSEC3
+        // RRSIGs are expired; its delegation to insecure.example.com.
+        // carries no DS, so the referral's proof is that chain.
+        let mut parent = ZoneSpec::new(
+            lab::simple_zone_contents(&name("example.com.")),
+            Denial::Nsec3 {
+                params: Nsec3Params::new(200, vec![]),
+                opt_out: false,
+            },
+        );
+        parent.post_sign = Some(Box::new(|z| {
+            faults::expire_rrsigs(z, Some(RrType::NSEC3), NOW);
+        }));
+        let mut child = ZoneSpec::new(
+            lab::simple_zone_contents(&name("insecure.example.com.")),
+            Denial::nsec3_rfc9276(),
+        );
+        child.unsigned_delegation = true;
+        let mut lab = LabBuilder::new(NOW)
+            .simple_zone(&name("com."), Denial::nsec3_rfc9276())
+            .zone(parent)
+            .zone(child)
+            .build();
+        let qname = name("www.insecure.example.com.");
+        let limit_ede = |out: &ResolveOutcome| out.ede.as_ref().map(|e| e.0);
+
+        let compliant = resolver_for(&mut lab, Rfc9276Policy::insecure_above(150));
+        let out = compliant.resolve(&lab.net, &qname, RrType::A);
+        assert_eq!(out.rcode, Rcode::ServFail, "item 7 at the referral");
+        assert_eq!(limit_ede(&out), Some(EdeCode::UNSUPPORTED_NSEC3_ITERATIONS));
+
+        let mut violator_policy = Rfc9276Policy::insecure_above(150);
+        violator_policy.verify_nsec3_rrsig = false;
+        let violator = resolver_for(&mut lab, violator_policy);
+        let out = violator.resolve(&lab.net, &qname, RrType::A);
+        assert_eq!((out.rcode, out.answers.len()), (Rcode::NoError, 1));
+        assert!(!out.authenticated, "downgraded: the child is insecure");
+        assert_eq!(out.ede, None, "a downgraded referral attaches no EDE");
+
+        let strict = resolver_for(&mut lab, Rfc9276Policy::servfail_above(150));
+        let out = strict.resolve(&lab.net, &qname, RrType::A);
+        assert_eq!(out.rcode, Rcode::ServFail, "item 8 at the referral");
+        assert_eq!(limit_ede(&out), Some(EdeCode::UNSUPPORTED_NSEC3_ITERATIONS));
+    }
 
     /// The genuine trust anchor for a lab zone (the lab derives every
     /// KSK deterministically from the apex).

@@ -2,8 +2,8 @@
 //!
 //! Implements full iterative resolution — root hints, referrals with
 //! glue, DS/DNSKEY chain building — and DNSSEC validation with the
-//! RFC 9276 policy knobs applied exactly where real resolvers apply them
-//! (before or while verifying NSEC3 proofs).
+//! RFC 9276 policy knobs applied exactly where real resolvers apply them:
+//! the iteration limits before any NSEC3 proof work.
 //!
 //! The recursion never touches a network. It is `async` code that
 //! yields a [`Want::Send`] at every upstream exchange and is resumed with
@@ -38,7 +38,7 @@ pub use crate::net::RecursionStep;
 use crate::policy::{LimitAction, Rfc9276Policy, WorkBudget};
 use crate::validator::{
     self, parse_nsec3_set, validate_rrset, verify_nodata, verify_nxdomain,
-    verify_wildcard_expansion, ValidationError, ZoneKeys,
+    verify_wildcard_expansion, Nsec3View, ValidationError, ZoneKeys,
 };
 
 /// A trust anchor: the DS-style digest of a zone's KSK. Anchors are
@@ -74,10 +74,6 @@ pub struct ResolverConfig {
     /// Per-upstream-query retry schedule (attempts, backoff, budget).
     /// [`RetryPolicy::fixed`] reproduces the legacy flat retry loop.
     pub retry: RetryPolicy,
-    /// Check iteration limits before verifying NSEC3 RRSIGs (the cheap
-    /// order everyone implements). `false` is the ablation arm: full
-    /// signature verification before the limit check.
-    pub check_limits_first: bool,
     /// Answer/key cache capacity (entries); 0 disables caching.
     pub cache_size: usize,
     /// RFC 8198 aggressive use of validated NSEC3: synthesize NXDOMAINs
@@ -117,7 +113,6 @@ impl ResolverConfig {
             policy: Rfc9276Policy::unlimited(),
             now: 0,
             retry: RetryPolicy::fixed(2),
-            check_limits_first: true,
             cache_size: 4096,
             aggressive_nsec3: false,
             delegation_cache: false,
@@ -685,12 +680,12 @@ impl Resolver {
             .filter(|r| r.rrtype() == RrType::DS && r.name == *cut)
             .collect();
         if ds_records.is_empty() {
-            // No DS: must be proven absent.
-            let flow = self.check_insecure_delegation(&query.meter, resp, cut, parent_keys);
-            return match flow.map_err(refuse)? {
-                LimitFlow::ServFail => Err(ResolveOutcome::servfail(self.limit_ede())),
-                LimitFlow::Continue | LimitFlow::Insecure => Ok((Chain::Insecure, Vec::new())),
-            };
+            // No DS: the referral is a NODATA answer for (cut, DS), judged
+            // as one. Proven or downgraded, the child is insecure; the
+            // downgrade's EDE is the final answer's to attach, not this.
+            let verdict = self.judge(&query.meter, resp, cut, RrType::DS, parent_keys);
+            verdict.map_err(|refusal| self.refused(refusal))?;
+            return Ok((Chain::Insecure, Vec::new()));
         }
         let sigs = rrsigs_at(&resp.authorities, cut);
         let now = self.config.now;
@@ -725,85 +720,93 @@ impl Resolver {
         zone: &Name,
         chain: &Chain,
     ) -> ResolveOutcome {
-        match self.judge(query, &resp, qname, qtype, zone, chain) {
-            Ok(Relay { authenticated, ede }) => {
+        let verdict = match chain {
+            // No validation possible: relay as-is, never authenticated.
+            Chain::Insecure => Ok(Relay::INSECURE),
+            Chain::Secure(keys) => self.judge(&query.meter, &resp, qname, qtype, keys),
+        };
+        match verdict {
+            Ok(relay) => {
+                // RFC 8198: a verified denial chain of a final answer is
+                // synthesis material (a referral's never is).
+                if let (true, Some((params, views))) = (self.config.aggressive_nsec3, &relay.denial)
+                {
+                    self.aggressive
+                        .insert(zone, params, views, query.now.get(), 300);
+                }
                 let mut answers = resp.answers;
                 answers.retain(|r| r.rrtype() != RrType::RRSIG);
                 ResolveOutcome {
                     rcode: resp.rcode,
-                    authenticated,
+                    authenticated: relay.authenticated,
                     answers: shared(answers),
                     authorities: shared(resp.authorities),
-                    ede,
+                    ede: relay.ede,
                     budget_exceeded: false,
                     cost: CostSnapshot::default(),
                 }
             }
-            Err(Refusal::Limit) => ResolveOutcome::servfail(self.limit_ede()),
-            Err(Refusal::Invalid(e)) => self.validation_failure(e),
+            Err(refusal) => self.refused(refusal),
         }
     }
 
-    /// Decide what to do with the authoritative response: relay it
-    /// (authenticated or not) or refuse it.
+    /// The SERVFAIL a refused response ends the resolution with.
+    fn refused(&self, refusal: Refusal) -> ResolveOutcome {
+        match refusal {
+            Refusal::Limit => ResolveOutcome::servfail(self.limit_ede()),
+            Refusal::Invalid(e) => self.validation_failure(e),
+        }
+    }
+
+    /// Decide what to do with an authoritative response for `qname`/`qtype`
+    /// from the zone `keys` belong to: relay it (authenticated or not) or
+    /// refuse it. A referral without DS comes here too, as the NODATA
+    /// answer for (cut, DS) it is.
     fn judge(
         &self,
-        query: &Query,
+        meter: &CostMeter,
         resp: &Message,
         qname: &Name,
         qtype: RrType,
-        zone: &Name,
-        chain: &Chain,
+        keys: &ZoneKeys,
     ) -> Result<Relay, Refusal> {
-        const INSECURE: Relay = Relay {
-            authenticated: false,
-            ede: None,
-        };
-        const SECURE: Relay = Relay {
-            authenticated: true,
-            ede: None,
-        };
-        let keys = match chain {
-            // No validation possible: relay as-is, never authenticated.
-            Chain::Insecure => return Ok(INSECURE),
-            Chain::Secure(keys) => keys,
-        };
-        let meter = &query.meter;
-
         // Gather NSEC3/NSEC material early: the limit check may shortcut.
+        // NSEC3 of unknown hash is ignored (RFC 5155 §8.1), never insecure.
         let nsec3_refs: Vec<&Record> = resp
             .authorities
             .iter()
             .chain(resp.answers.iter())
-            .filter(|r| r.rrtype() == RrType::NSEC3)
+            .filter(|r| r.rrtype() == RrType::NSEC3 && validator::usable(r))
             .collect();
-        let parsed_nsec3 = if nsec3_refs.is_empty() {
-            None
-        } else {
-            match parse_nsec3_set(&nsec3_refs) {
-                Ok(x) => Some(x),
-                // Unknown algorithm: zone is insecure for us.
-                Err(ValidationError::UnknownNsec3Algorithm) => return Ok(INSECURE),
-                Err(e) => return Err(Refusal::Invalid(e)),
-            }
+        let parsed_nsec3 = (!nsec3_refs.is_empty())
+            .then(|| parse_nsec3_set(&nsec3_refs))
+            .transpose()?;
+        let nsec_refs = || -> Vec<&Record> {
+            let section = resp.authorities.iter();
+            section.filter(|r| r.rrtype() == RrType::NSEC).collect()
         };
 
-        // RFC 9276 limit enforcement (items 6/8).
+        // The RFC 9276 gate (items 6–8), ahead of any proof work.
         if let Some((params, _)) = &parsed_nsec3 {
-            // Ablation arm (DESIGN.md ablation 5): verify the NSEC3 RRSIGs
-            // *before* consulting the limits. Strictly more item-7-safe,
-            // strictly more expensive — the cost difference is what the
-            // `validation` bench quantifies.
-            if !self.config.check_limits_first {
-                self.validate_proof_sigs(meter, resp, keys)?;
-            }
-            match self.apply_limits(meter, params, resp, keys)? {
-                LimitFlow::Continue => {}
-                LimitFlow::ServFail => return Err(Refusal::Limit),
-                LimitFlow::Insecure => {
+            let policy = &self.config.policy;
+            match policy.action_for(params.iterations, params.salt.len()) {
+                LimitAction::Process => {}
+                LimitAction::ServFail => return Err(Refusal::Limit),
+                LimitAction::TreatInsecure => {
+                    // Item 7: the downgrade must rest on *authenticated*
+                    // NSEC3 parameters. A budget abort during that check
+                    // keeps its identity; any other failure is the limit
+                    // SERVFAIL.
+                    if policy.verify_nsec3_rrsig {
+                        self.validate_proof_sigs(meter, resp, keys)
+                            .map_err(|e| match e {
+                                ValidationError::BudgetExceeded => Refusal::Invalid(e),
+                                _ => Refusal::Limit,
+                            })?;
+                    }
                     return Ok(Relay {
-                        authenticated: false,
                         ede: self.limit_ede(),
+                        ..Relay::INSECURE
                     });
                 }
             }
@@ -817,95 +820,56 @@ impl Resolver {
             let owner = &set[0].name;
             let sigs = rrsigs_at(&resp.answers, owner);
             validate_rrset(owner, set, &sigs, keys, self.config.now, meter)?;
-            // Wildcard expansion: labels < owner label count means the
-            // denial part must also be present and valid.
-            if let Some(labels) = wildcard_labels(&sigs, owner, set[0].rrtype()) {
-                if let Some((params, views)) = &parsed_nsec3 {
-                    self.validate_proof_sigs(meter, resp, keys)
-                        .and_then(|()| {
-                            verify_wildcard_expansion(owner, labels, params, views, meter)
-                        })
-                        .map_err(|e| match e {
-                            ValidationError::BudgetExceeded => e,
-                            _ => ValidationError::BadDenialProof,
-                        })?;
-                }
-            }
+            // Wildcard expansion (labels < owner label count): the answer
+            // needs its proof that `owner` itself does not exist — NSEC3
+            // covering the next closer, else an NSEC covering `owner`.
+            let Some(labels) = wildcard_labels(&sigs, owner, set[0].rrtype()) else {
+                continue;
+            };
+            let proof = match &parsed_nsec3 {
+                Some((params, views)) => self
+                    .validate_proof_sigs(meter, resp, keys)
+                    .and_then(|()| verify_wildcard_expansion(owner, labels, params, views, meter)),
+                None => self
+                    .validate_denial_sigs(meter, resp.authorities.iter(), RrType::NSEC, keys)
+                    .and_then(|()| validator::nsec::verify_wildcard_expansion(owner, &nsec_refs())),
+            };
+            proof.map_err(|e| match e {
+                ValidationError::BudgetExceeded => e,
+                _ => ValidationError::BadDenialProof,
+            })?;
         }
         if !sets.is_empty() {
-            return Ok(SECURE);
+            return Ok(Relay::SECURE);
         }
 
         // Negative answers: validate the denial.
-        if let Some((params, views)) = &parsed_nsec3 {
-            self.validate_proof_sigs(meter, resp, keys)?;
-            match resp.rcode {
-                Rcode::NxDomain => {
-                    verify_nxdomain(qname, zone, params, views, meter)?;
-                }
-                _ => verify_nodata(qname, qtype, params, views, meter)?,
-            }
-            // RFC 8198: a verified denial chain is synthesis material.
-            if self.config.aggressive_nsec3 {
-                self.aggressive
-                    .insert(zone, params, views, query.now.get(), 300);
-            }
-        } else {
+        let Some((params, views)) = parsed_nsec3 else {
             // NSEC-based or proofless denial.
-            let nsec_refs: Vec<&Record> = resp
-                .authorities
-                .iter()
-                .filter(|r| r.rrtype() == RrType::NSEC)
-                .collect();
+            let nsec_refs = nsec_refs();
             if nsec_refs.is_empty() {
                 return Err(Refusal::Invalid(ValidationError::BadDenialProof));
             }
             self.validate_denial_sigs(meter, resp.authorities.iter(), RrType::NSEC, keys)?;
-            // NODATA via NSEC is a bitmap check the signatures cover.
-            if resp.rcode == Rcode::NxDomain {
-                validator::nsec::verify_nxdomain(qname, &nsec_refs)?;
+            match resp.rcode {
+                Rcode::NxDomain => validator::nsec::verify_nxdomain(qname, &nsec_refs)?,
+                _ => validator::nsec::verify_nodata(qname, qtype, &nsec_refs)?,
             }
+            return Ok(Relay::SECURE);
+        };
+        self.validate_proof_sigs(meter, resp, keys)?;
+        let zone = &keys.apex;
+        match resp.rcode {
+            Rcode::NxDomain => drop(verify_nxdomain(qname, zone, &params, &views, meter)?),
+            _ => verify_nodata(qname, qtype, zone, &params, &views, meter)?,
         }
-        Ok(SECURE)
+        Ok(Relay {
+            denial: Some((params, views)),
+            ..Relay::SECURE
+        })
     }
 
-    /// What the RFC 9276 policy prescribes for a denial using `params`.
-    fn limit_action(&self, params: &Nsec3Params) -> LimitAction {
-        let policy = &self.config.policy;
-        policy.action_for(params.iterations, params.salt.len())
-    }
-
-    /// Apply the iteration/salt limits; the item-7 subtlety lives here.
-    fn apply_limits(
-        &self,
-        meter: &CostMeter,
-        params: &Nsec3Params,
-        resp: &Message,
-        keys: &ZoneKeys,
-    ) -> Result<LimitFlow, ValidationError> {
-        match self.limit_action(params) {
-            LimitAction::Process => Ok(LimitFlow::Continue),
-            LimitAction::ServFail => Ok(LimitFlow::ServFail),
-            LimitAction::TreatInsecure => {
-                if self.config.policy.verify_nsec3_rrsig {
-                    // Item 7: the downgrade decision must rest on
-                    // *authenticated* NSEC3 parameters. A budget abort
-                    // during that verification keeps its identity; any
-                    // other failure stays the limit-policy SERVFAIL.
-                    match self.validate_proof_sigs(meter, resp, keys) {
-                        Ok(()) => {}
-                        Err(ValidationError::BudgetExceeded) => {
-                            return Err(ValidationError::BudgetExceeded)
-                        }
-                        Err(_) => return Ok(LimitFlow::ServFail),
-                    }
-                }
-                Ok(LimitFlow::Insecure)
-            }
-        }
-    }
-
-    /// Verify the RRSIGs over every NSEC3 RRset in the response.
+    /// Verify the RRSIGs over every usable NSEC3 RRset in the response.
     fn validate_proof_sigs(
         &self,
         meter: &CostMeter,
@@ -913,7 +877,8 @@ impl Resolver {
         keys: &ZoneKeys,
     ) -> Result<(), ValidationError> {
         let records = resp.authorities.iter().chain(&resp.answers);
-        self.validate_denial_sigs(meter, records, RrType::NSEC3, keys)
+        let usable = records.filter(|r| validator::usable(r));
+        self.validate_denial_sigs(meter, usable, RrType::NSEC3, keys)
     }
 
     /// Verify, owner by owner, the `denial` (NSEC or NSEC3) RRsets among
@@ -948,46 +913,6 @@ impl Resolver {
             )?;
         }
         Ok(())
-    }
-
-    /// Handle a referral without DS records: validate the DS-absence proof
-    /// and apply limits to it.
-    fn check_insecure_delegation(
-        &self,
-        meter: &CostMeter,
-        resp: &Message,
-        cut: &Name,
-        parent_keys: &ZoneKeys,
-    ) -> Result<LimitFlow, ValidationError> {
-        let nsec3_refs: Vec<&Record> = resp
-            .authorities
-            .iter()
-            .filter(|r| r.rrtype() == RrType::NSEC3)
-            .collect();
-        if nsec3_refs.is_empty() {
-            if !resp.authorities.iter().any(|r| r.rrtype() == RrType::NSEC) {
-                // No proof at all: a strict validator would treat this as
-                // bogus; we match common practice and fail.
-                return Err(ValidationError::BadDenialProof);
-            }
-            let nsecs = resp.authorities.iter();
-            self.validate_denial_sigs(meter, nsecs, RrType::NSEC, parent_keys)?;
-            return Ok(LimitFlow::Continue);
-        }
-        let (params, views) = parse_nsec3_set(&nsec3_refs)?;
-        match self.limit_action(&params) {
-            LimitAction::ServFail => return Ok(LimitFlow::ServFail),
-            LimitAction::TreatInsecure => {
-                if self.config.policy.verify_nsec3_rrsig {
-                    self.validate_proof_sigs(meter, resp, parent_keys)?;
-                }
-                return Ok(LimitFlow::Insecure);
-            }
-            LimitAction::Process => {}
-        }
-        self.validate_proof_sigs(meter, resp, parent_keys)?;
-        verify_nodata(cut, RrType::DS, &params, &views, meter)?;
-        Ok(LimitFlow::Continue)
     }
 
     /// The configured trust anchor covering exactly `zone`'s apex, if any.
@@ -1127,19 +1052,26 @@ fn shared(records: Vec<Record>) -> Rc<[Record]> {
     }
 }
 
-/// What a limit check decided for control flow.
-enum LimitFlow {
-    Continue,
-    Insecure,
-    ServFail,
-}
-
 /// An authoritative response accepted for relay to the client.
 struct Relay {
     /// Whether the AD bit is earned.
     authenticated: bool,
     /// EDE to attach (an RFC 9276 downgrade announces itself).
     ede: Option<(EdeCode, String)>,
+    /// The NSEC3 denial chain the verdict verified, if it rested on one.
+    denial: Option<(Nsec3Params, Vec<Nsec3View>)>,
+}
+
+impl Relay {
+    const INSECURE: Relay = Relay {
+        authenticated: false,
+        ede: None,
+        denial: None,
+    };
+    const SECURE: Relay = Relay {
+        authenticated: true,
+        ..Relay::INSECURE
+    };
 }
 
 /// Why an authoritative response is answered with SERVFAIL instead.

@@ -61,7 +61,7 @@ pub enum ValidationError {
     /// NSEC3 records in one response disagree on parameters (RFC 5155
     /// requires them identical).
     InconsistentNsec3,
-    /// NSEC3 uses an unknown hash algorithm (zone treated as insecure).
+    /// NSEC3 uses an unknown hash algorithm (the resolver ignores those).
     UnknownNsec3Algorithm,
     /// A configured trust anchor covers the zone apex but no served
     /// DNSKEY matches its tag + digest — a mis-anchored zone. Kept
@@ -152,6 +152,11 @@ pub struct Nsec3View {
     pub opt_out: bool,
     /// Types present at the matched name.
     pub types: dns_wire::typebitmap::TypeBitmap,
+}
+
+/// May a proof use `rec`? Not if it is an NSEC3 of unknown hash (RFC 5155 §8.1).
+pub(crate) fn usable(rec: &Record) -> bool {
+    !matches!(rec.rdata, RData::Nsec3 { hash_alg, .. } if hash_alg != NSEC3_HASH_SHA1)
 }
 
 /// Parse and cross-check the NSEC3 records of one response.
@@ -323,34 +328,56 @@ pub fn verify_nxdomain(
     Ok(proof)
 }
 
-/// Verify a NODATA proof: an NSEC3 matches `qname` and its bitmap lacks
-/// `qtype` (and CNAME), RFC 5155 §8.5.
+/// Verify a NODATA proof for `qname` in zone `apex`: an NSEC3 matches
+/// `qname` and its bitmap lacks `qtype` (and CNAME), RFC 5155 §8.5; for
+/// DS, an opt-out NSEC3 covering `qname` (§8.6); for a wildcard NODATA,
+/// an NSEC3 matching `*.ce` lacks `qtype` and CNAME and one covers the
+/// next closer below `ce` (§8.7) — the wildcard's existence proves `ce`'s,
+/// so no NSEC3 matching `ce` itself is needed.
 pub(crate) fn verify_nodata(
     qname: &Name,
     qtype: RrType,
+    apex: &Name,
     params: &Nsec3Params,
     views: &[Nsec3View],
     meter: &CostMeter,
 ) -> Result<(), ValidationError> {
+    let lacks_qtype = |m: &Nsec3View| !m.types.contains(qtype) && !m.types.contains(RrType::CNAME);
     if meter.budget_exhausted() {
         return Err(ValidationError::BudgetExceeded);
     }
     if let Some(m) = find_matching(views, qname, params, meter) {
-        if m.types.contains(qtype) || m.types.contains(RrType::CNAME) {
-            return Err(ValidationError::BadDenialProof);
-        }
+        return proven(lacks_qtype(m));
+    }
+    if qtype == RrType::DS && find_covering(views, qname, params, meter).is_some_and(|c| c.opt_out)
+    {
         return Ok(());
     }
-    // Opt-out variant (mostly DS queries at insecure delegations): a
-    // covering record with opt-out set is acceptable (RFC 5155 §8.6).
-    if qtype == RrType::DS {
-        if let Some(c) = find_covering(views, qname, params, meter) {
-            if c.opt_out {
-                return Ok(());
-            }
+    // Walk the candidate closest enclosers up to the apex: the first
+    // whose wildcard is matched decides.
+    let mut next_closer = qname.clone();
+    while next_closer != *apex && next_closer.is_subdomain_of(apex) {
+        let ce = next_closer
+            .parent()
+            .ok_or(ValidationError::BadDenialProof)?;
+        let wildcard = ce
+            .prepend(b"*")
+            .map_err(|_| ValidationError::BadDenialProof)?;
+        if meter.budget_exhausted() {
+            return Err(ValidationError::BudgetExceeded);
         }
+        if let Some(m) = find_matching(views, &wildcard, params, meter) {
+            let covered = find_covering(views, &next_closer, params, meter).is_some();
+            return proven(covered && lacks_qtype(m));
+        }
+        next_closer = ce;
     }
     Err(ValidationError::BadDenialProof)
+}
+
+/// `Ok` when a denial check held, else [`ValidationError::BadDenialProof`].
+fn proven(held: bool) -> Result<(), ValidationError> {
+    held.then_some(()).ok_or(ValidationError::BadDenialProof)
 }
 
 /// Verify the denial part of a wildcard-expanded answer: the RRSIG labels
@@ -384,6 +411,7 @@ pub(crate) fn verify_wildcard_expansion(
 /// NSEC (unhashed) denial checks, RFC 4035 §5.4.
 pub(crate) mod nsec {
     use super::*;
+    use dns_wire::typebitmap::TypeBitmap;
 
     /// Does this NSEC record (owner, next) cover `name` in canonical order?
     pub(crate) fn nsec_covers(owner: &Name, next: &Name, name: &Name) -> bool {
@@ -397,41 +425,79 @@ pub(crate) mod nsec {
         }
     }
 
+    /// The `(owner, next)` of the NSEC among `nsec_records` covering `name`.
+    fn covering<'r>(nsec_records: &[&'r Record], name: &Name) -> Option<(&'r Name, &'r Name)> {
+        nsec_records.iter().find_map(|rec| match &rec.rdata {
+            RData::Nsec { next, .. } if nsec_covers(&rec.name, next, name) => {
+                Some((&rec.name, next))
+            }
+            _ => None,
+        })
+    }
+
+    /// The type bitmap of the NSEC owned by `name`, if one is present.
+    fn bitmap_at<'r>(nsec_records: &[&'r Record], name: &Name) -> Option<&'r TypeBitmap> {
+        nsec_records.iter().find_map(|rec| match &rec.rdata {
+            RData::Nsec { types, .. } if rec.name == *name => Some(types),
+            _ => None,
+        })
+    }
+
+    /// The source-of-synthesis wildcard for a `qname` the NSEC owned by
+    /// `covering_owner` proves absent: `*` at their longest common
+    /// ancestor, the closest encloser.
+    fn wildcard_for(covering_owner: &Name, qname: &Name) -> Result<Name, ValidationError> {
+        longest_common_ancestor(covering_owner, qname)
+            .prepend(b"*")
+            .map_err(|_| ValidationError::BadDenialProof)
+    }
+
     /// Verify an NSEC NXDOMAIN proof: some NSEC covers `qname` and some
-    /// NSEC covers the source-of-synthesis wildcard.
+    /// NSEC covers (or owns) the source-of-synthesis wildcard.
     pub(crate) fn verify_nxdomain(
         qname: &Name,
         nsec_records: &[&Record],
     ) -> Result<(), ValidationError> {
-        let mut covered_qname = None;
-        for rec in nsec_records {
-            if let RData::Nsec { next, .. } = &rec.rdata {
-                if nsec_covers(&rec.name, next, qname) {
-                    covered_qname = Some(rec);
-                    break;
+        let (owner, _) = covering(nsec_records, qname).ok_or(ValidationError::BadDenialProof)?;
+        let wildcard = wildcard_for(owner, qname)?;
+        proven(
+            covering(nsec_records, &wildcard).is_some()
+                || bitmap_at(nsec_records, &wildcard).is_some(),
+        )
+    }
+
+    /// Verify an NSEC NODATA proof in the shapes an authoritative serves:
+    /// the NSEC at `qname` lacks `qtype` and CNAME; an empty non-terminal's
+    /// covering NSEC has its next name below `qname`; or, for a wildcard
+    /// NODATA, an NSEC covers `qname` and the NSEC at the wildcard of the
+    /// closest encloser lacks `qtype` and CNAME.
+    pub(crate) fn verify_nodata(
+        qname: &Name,
+        qtype: RrType,
+        nsec_records: &[&Record],
+    ) -> Result<(), ValidationError> {
+        let lacks_qtype =
+            |types: &TypeBitmap| !types.contains(qtype) && !types.contains(RrType::CNAME);
+        proven(match bitmap_at(nsec_records, qname) {
+            Some(types) => lacks_qtype(types),
+            None => match covering(nsec_records, qname) {
+                Some((_, next)) if next.is_subdomain_of(qname) => true,
+                Some((owner, _)) => {
+                    let wildcard = wildcard_for(owner, qname)?;
+                    bitmap_at(nsec_records, &wildcard).is_some_and(lacks_qtype)
                 }
-            }
-        }
-        let covering = covered_qname.ok_or(ValidationError::BadDenialProof)?;
-        // The closest encloser is the longest common ancestor of the
-        // covering NSEC's owner and qname; the wildcard at it must be
-        // covered too.
-        let ce = longest_common_ancestor(&covering.name, qname);
-        let wildcard = ce
-            .prepend(b"*")
-            .map_err(|_| ValidationError::BadDenialProof)?;
-        let wildcard_ok = nsec_records.iter().any(|rec| {
-            if let RData::Nsec { next, .. } = &rec.rdata {
-                nsec_covers(&rec.name, next, &wildcard) || rec.name == wildcard
-            } else {
-                false
-            }
-        });
-        if wildcard_ok {
-            Ok(())
-        } else {
-            Err(ValidationError::BadDenialProof)
-        }
+                None => false,
+            },
+        })
+    }
+
+    /// Verify the denial part of a wildcard-expanded answer: an NSEC
+    /// covers `qname`, so the answer could not come from `qname` itself.
+    pub(crate) fn verify_wildcard_expansion(
+        qname: &Name,
+        nsec_records: &[&Record],
+    ) -> Result<(), ValidationError> {
+        proven(covering(nsec_records, qname).is_some())
     }
 
     fn longest_common_ancestor(a: &Name, b: &Name) -> Name {
@@ -638,9 +704,45 @@ mod tests {
         let (params, views) = parse_nsec3_set(&nsec3s).unwrap();
         let meter = CostMeter::new();
         // TXT absent: proof valid.
-        assert!(verify_nodata(&qname, RrType::TXT, &params, &views, &meter).is_ok());
+        let apex = name("example.");
+        assert!(verify_nodata(&qname, RrType::TXT, &apex, &params, &views, &meter).is_ok());
         // A present: the same proof must NOT validate a NODATA for A.
-        assert!(verify_nodata(&qname, RrType::A, &params, &views, &meter).is_err());
+        assert!(verify_nodata(&qname, RrType::A, &apex, &params, &views, &meter).is_err());
+    }
+
+    #[test]
+    fn forged_nodata_costs_one_hash_per_label_and_stops_at_the_budget() {
+        use crate::policy::WorkBudget;
+        // www's NODATA proof offered for a deep name it says nothing
+        // about: no NSEC3 matches the qname or any `*.ce` on the way up.
+        let z = signed_zone(Nsec3Params::new(150, vec![0xab; 8]));
+        let nsec3s: Vec<&Record> = denial::nodata_proof(&z, &name("www.example."))
+            .unwrap()
+            .records
+            .into_iter()
+            .filter(|r| r.rrtype() == RrType::NSEC3)
+            .collect();
+        let (params, views) = parse_nsec3_set(&nsec3s).unwrap();
+        let (qname, apex) = (name("a.very.deep.name.example."), name("example."));
+        let meter = CostMeter::new();
+        assert_eq!(
+            verify_nodata(&qname, RrType::TXT, &apex, &params, &views, &meter),
+            Err(ValidationError::BadDenialProof)
+        );
+        // The qname, then `*.very.deep.name`, `*.deep.name`, `*.name` and
+        // `*` at the apex: the encloser walk's length, no more.
+        assert_eq!(meter.nsec3_hashes(), 5);
+        // A budget stops the walk within one chain, as it stops the
+        // closest-encloser walk.
+        let meter = CostMeter::with_budget(&WorkBudget {
+            max_compressions: Some(200),
+            max_signatures: None,
+        });
+        assert_eq!(
+            verify_nodata(&qname, RrType::TXT, &apex, &params, &views, &meter),
+            Err(ValidationError::BudgetExceeded)
+        );
+        assert!(meter.sha1_compressions() <= 200 + 151);
     }
 
     #[test]

@@ -133,6 +133,13 @@ if [ "$hash_fns" != "3" ]; then
     echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
     exit 1
 fi
+# One RFC 9276 decision (DESIGN.md §12): the resolver consults the limit
+# policy in one place, the gate in `Resolver::judge`.
+limit_gates="$(non_test $(ls crates/resolver/src/*.rs | grep -v '/policy.rs$') | grep -c 'action_for(' || true)"
+if [ "$limit_gates" != "1" ]; then
+    echo "error: crates/resolver/src calls action_for( in $limit_gates places outside policy.rs, expected 1 (the RFC 9276 gate in Resolver::judge, resolver.rs)" >&2
+    exit 1
+fi
 # `unsafe` lives in one file (DESIGN.md §6 "Hardware kernels"): the calls
 # into dns-crypto's SHA-extension kernels, each under a `// SAFETY:` line;
 # every other crate forbids it.

@@ -1,6 +1,7 @@
 //! The discrete-event core: one `(due, seq)` event queue (a heap for
-//! later instants, a FIFO lane for the current one) plus a
-//! bounded-window flow driver (DESIGN.md §8).
+//! later instants, a FIFO lane for the current one), a bounded-window
+//! flow driver, and the [`Port`] every multi-step flow waits through
+//! (DESIGN.md §8).
 //!
 //! The blocking scan pipeline walks one probe at a time, so a shard's
 //! wall clock is the *sum* of its probes' virtual waits. The event core
@@ -21,8 +22,12 @@
 //! blocking pipeline: admit one flow, step it to completion, admit the
 //! next.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 
 /// What a flow's step tells the driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,6 +187,52 @@ pub fn drive<F>(
     st.stats
 }
 
+/// Where a flow written as `async` code waits and its driver resumes it:
+/// the flow awaits [`Port::wait`] with what it waits for (`Y`), and the
+/// driver [`Port::resume`]s it with the answer (`R`). The one place a
+/// flow is polled; nothing wakes it, so it is polled with a no-op waker.
+pub struct Port<Y, R> {
+    asked: Cell<Option<Y>>,
+    answered: Cell<Option<R>>,
+}
+
+impl<Y, R> Default for Port<Y, R> {
+    /// A port with nothing asked and nothing answered.
+    fn default() -> Self {
+        Port {
+            asked: Cell::new(None),
+            answered: Cell::new(None),
+        }
+    }
+}
+
+impl<Y, R> Port<Y, R> {
+    /// Suspend the flow with `y`; resolve to what it is resumed with.
+    pub async fn wait(&self, y: Y) -> R {
+        self.asked.set(Some(y));
+        self.answered.set(None); // the first resume's value, never read
+        poll_fn(|_| self.answered.take().map_or(Poll::Pending, Poll::Ready)).await
+    }
+
+    /// Resume `flow` with `r`, the answer to its last wait (the first
+    /// resume runs it to its first wait), and run it to its next wait
+    /// (`Err` with what it waits for) or to its end (`Ok` with its output).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the flow suspends on anything but this port.
+    pub fn resume<F: Future + ?Sized>(&self, flow: Pin<&mut F>, r: R) -> Result<F::Output, Y> {
+        self.answered.set(Some(r));
+        match flow.poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(output) => Ok(output),
+            Poll::Pending => Err(self
+                .asked
+                .take()
+                .expect("a flow waits only on its port: resume it with what it waits for")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +280,39 @@ mod tests {
             while pop_both(&mut queue, &mut model).is_some() {}
             assert!(model.is_empty());
         }
+    }
+
+    #[test]
+    fn port_runs_a_flow_wait_by_wait_to_its_output() {
+        let port = Port::default();
+        let seen = Cell::new(0);
+        let mut flow = std::pin::pin!(async {
+            seen.set(1);
+            let first = port.wait("first").await;
+            seen.set(first);
+            let second = port.wait("second").await;
+            first + second
+        });
+        // The first resume runs the flow to its first wait; its value
+        // goes unread.
+        assert_eq!(port.resume(flow.as_mut(), 99), Err("first"));
+        assert_eq!(seen.get(), 1);
+        // `wait` returns what the flow is resumed with.
+        assert_eq!(port.resume(flow.as_mut(), 3), Err("second"));
+        assert_eq!(seen.get(), 3);
+        // The flow's output ends it.
+        assert_eq!(port.resume(flow.as_mut(), 4), Ok(7));
+        // A flow that never waits ends on its first resume.
+        let mut done = std::pin::pin!(async { 5 });
+        assert_eq!(Port::<(), ()>::default().resume(done.as_mut(), ()), Ok(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "a flow waits only on its port")]
+    fn port_rejects_a_flow_that_waits_on_something_else() {
+        let port = Port::<(), ()>::default();
+        let mut flow = std::pin::pin!(std::future::pending::<()>());
+        let _ = port.resume(flow.as_mut(), ());
     }
 
     #[test]

@@ -24,13 +24,14 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::pin::pin;
 use std::rc::Rc;
 
 use sim_rng::{Rng, SplitMix64, Xoshiro256pp};
 
 pub mod event;
 
-use event::FlowStep;
+use event::Port;
 
 /// A host on the simulated network.
 ///
@@ -309,81 +310,38 @@ impl RetryPolicy {
 pub struct ExchangeReport {
     /// Final outcome (first response, or the last failure).
     pub outcome: Outcome,
-    /// Attempts actually made (≥ 1 unless the budget was already spent).
+    /// Attempts actually made (at least one).
     pub attempts: u32,
 }
 
-/// One policy-driven query exchange as an explicit state machine: each
-/// [`ExchangeMachine::step`] sends exactly one wire attempt and reports
-/// either [`FlowStep::Done`] (collect the [`ExchangeReport`]) or
-/// [`FlowStep::Park`] until the backoff before the next attempt is due.
-///
-/// This is the *only* implementation of the retry semantics. The
-/// blocking path ([`Network::send_query_with_policy`]) drives the
-/// machine in a tight loop, advancing the clock across each backoff; the
-/// event driver ([`event::drive`]) parks the flow on its event queue
-/// instead and resumes the machine when the backoff is due. Both replay
-/// the same `RetryPolicy` decisions — attempt counts, budget checks at
-/// the same clock readings, identical jittered backoffs — so outcomes
-/// are byte-identical by construction.
-#[derive(Debug)]
-pub struct ExchangeMachine {
+/// One policy-driven exchange of `payload` from `src` to `dst`, the only
+/// implementation of the retry semantics: an attempt; a stop on a
+/// response, on no route, after the last attempt or once the budget
+/// counted from the first attempt is spent; else a wait on `port` until
+/// the backoff is due. [`Network::send_query_with_policy`] drives it
+/// blocking; a flow on the event core awaits it and parks there instead.
+pub async fn exchange(
+    net: &Network,
     src: IpAddr,
     dst: IpAddr,
-    policy: RetryPolicy,
-    start_micros: Option<u64>,
-    attempts: u32,
-    outcome: Option<Outcome>,
-}
-
-impl ExchangeMachine {
-    /// A fresh exchange from `src` to `dst` under `policy`. The payload
-    /// travels per step (the caller owns it across parks).
-    pub fn new(src: IpAddr, dst: IpAddr, policy: RetryPolicy) -> Self {
-        ExchangeMachine {
-            src,
-            dst,
-            policy,
-            start_micros: None,
-            attempts: 0,
-            outcome: None,
+    payload: &[u8],
+    policy: &RetryPolicy,
+    port: &Port<u64, ()>,
+) -> ExchangeReport {
+    let start = net.now_micros();
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        let outcome = net.send_query(src, dst, payload);
+        if matches!(outcome, Outcome::Response { .. } | Outcome::NoRoute)
+            || attempts >= policy.max_attempts.max(1)
+            || (policy.budget_micros > 0
+                && net.now_micros().saturating_sub(start) >= policy.budget_micros)
+        {
+            return ExchangeReport { outcome, attempts };
         }
-    }
-
-    /// Send one attempt of `payload` on `net` and decide what happens
-    /// next. The first call pins the exchange's budget epoch to the
-    /// current clock, exactly where the blocking loop read it.
-    pub fn step(&mut self, net: &Network, payload: &[u8]) -> FlowStep {
-        let start = *self.start_micros.get_or_insert_with(|| net.now_micros());
-        self.attempts += 1;
-        let outcome = net.send_query(self.src, self.dst, payload);
-        let max_attempts = self.policy.max_attempts.max(1);
-        let finished = matches!(outcome, Outcome::Response { .. } | Outcome::NoRoute)
-            || self.attempts >= max_attempts
-            || (self.policy.budget_micros > 0
-                && net.now_micros().saturating_sub(start) >= self.policy.budget_micros);
-        self.outcome = Some(outcome);
-        if finished {
-            FlowStep::Done
-        } else {
-            FlowStep::Park {
-                at_micros: net
-                    .now_micros()
-                    .saturating_add(self.policy.backoff_micros(self.dst, self.attempts)),
-            }
-        }
-    }
-
-    /// Consume the machine after [`FlowStep::Done`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no step ran.
-    pub fn into_report(self) -> ExchangeReport {
-        ExchangeReport {
-            outcome: self.outcome.expect("exchange stepped at least once"),
-            attempts: self.attempts,
-        }
+        let backoff = policy.backoff_micros(dst, attempts);
+        port.wait(net.now_micros().saturating_add(backoff)).await;
     }
 }
 
@@ -639,10 +597,8 @@ impl Network {
         }
     }
 
-    /// Policy-driven exchange: up to `policy.max_attempts` tries with
-    /// exponential, deterministically-jittered backoff between failed
-    /// attempts (backoff advances the virtual clock), stopping early on
-    /// a response, a missing route, or an exhausted time budget.
+    /// Policy-driven exchange: [`exchange`] run to its report on the
+    /// calling thread, the virtual clock advanced across each backoff.
     pub fn send_query_with_policy(
         &self,
         src: IpAddr,
@@ -650,11 +606,12 @@ impl Network {
         payload: &[u8],
         policy: &RetryPolicy,
     ) -> ExchangeReport {
-        let mut machine = ExchangeMachine::new(src, dst, *policy);
+        let port = Port::default();
+        let mut flow = pin!(exchange(self, src, dst, payload, policy, &port));
         loop {
-            match machine.step(self, payload) {
-                FlowStep::Done => return machine.into_report(),
-                FlowStep::Park { at_micros } => self.advance_to(at_micros),
+            match port.resume(flow.as_mut(), ()) {
+                Ok(report) => return report,
+                Err(at_micros) => self.advance_to(at_micros),
             }
         }
     }
@@ -1335,6 +1292,25 @@ mod tests {
             policy.backoff_micros(addr(2), 1)
         );
         assert!(policy.backoff_micros(addr(2), 3) >= policy.backoff_micros(addr(2), 1));
+    }
+
+    #[test]
+    fn budget_counts_from_the_first_attempt() {
+        // Each silent attempt costs its 10 ms request leg and a 2 s
+        // timeout, each backoff 1 s: the second attempt ends 5.02 s after
+        // the first began, which spends the 5 s budget, though no single
+        // attempt comes near it.
+        let net = Network::new(1);
+        net.register(addr(2), Rc::new(Silent));
+        let policy = RetryPolicy {
+            max_attempts: 10,
+            base_backoff_micros: 1_000_000,
+            max_backoff_micros: 1_000_000,
+            budget_micros: 5_000_000,
+            ..RetryPolicy::fixed(1)
+        };
+        let report = net.send_query_with_policy(addr(1), addr(2), b"x", &policy);
+        assert_eq!((report.attempts, net.now_micros()), (2, 5_020_000));
     }
 
     #[test]

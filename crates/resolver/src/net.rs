@@ -72,8 +72,7 @@ impl Recursion<'_> {
 }
 
 /// Carry `bytes` from `src` to `server` under `retry` — attempts, backoff
-/// and the timeout are netsim's `ExchangeMachine` — and report what came
-/// back.
+/// and the timeout are netsim's `exchange` — and report what came back.
 #[allow(clippy::disallowed_methods)] // this crate's one exchange loop (clippy.toml)
 pub(crate) fn exchange(
     net: &Network,

@@ -13,12 +13,11 @@
 
 use std::borrow::Borrow;
 use std::cell::Cell;
-use std::future::{poll_fn, Future};
+use std::future::Future;
 use std::net::IpAddr;
 use std::ops::ControlFlow;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 
 use dns_crypto::sha256::sha256;
 use dns_wire::edns::EdeCode;
@@ -28,6 +27,7 @@ use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Rcode, RrType};
 use dns_zone::nsec3hash::Nsec3Params;
+use netsim::event::Port;
 use netsim::RetryPolicy;
 
 use crate::aggressive::AggressiveCache;
@@ -392,7 +392,7 @@ impl Resolver {
 
     /// The recursion proper, from the first upstream question to the
     /// answer-cache insert: iterative walks, chasing an in-answer CNAME
-    /// up to 8 hops. It waits on nothing but `query`'s exchange slot.
+    /// up to 8 hops. It waits on nothing but `query`'s port.
     pub(crate) async fn recurse(
         &self,
         query: &Query,
@@ -488,8 +488,8 @@ impl Resolver {
     }
 
     /// One exchange of `msg` with `server` over `transport`, metered:
-    /// the bytes leave through `query`'s exchange slot and what comes
-    /// back is decoded. `None` when nothing decodable came back.
+    /// the bytes leave through `query`'s port and what comes back is
+    /// decoded. `None` when nothing decodable came back.
     async fn send(
         &self,
         query: &Query,
@@ -1110,12 +1110,10 @@ impl Walk {
 
 /// One client query in flight: what its recursion shares with the caller
 /// that drives it.
-#[derive(Default)]
 pub(crate) struct Query {
-    /// The exchange slot: `send` leaves its [`Want::Send`] in `asked`
-    /// and finds what came back in `answered`.
-    asked: Cell<Option<Want>>,
-    answered: Cell<Option<Exchanged>>,
+    /// Where the recursion waits: a [`Want::Send`] goes out, what came of
+    /// it comes back (`None` only on the first resume).
+    port: Port<Want, Option<Exchanged>>,
     /// The caller's clock (virtual µs), set with every input.
     now: Cell<u64>,
     /// This query's work, metered against its own budget.
@@ -1125,8 +1123,9 @@ pub(crate) struct Query {
 impl Query {
     pub(crate) fn new(budget: &WorkBudget) -> Self {
         Query {
+            port: Port::default(),
+            now: Cell::new(0),
             meter: CostMeter::with_budget(budget),
-            ..Query::default()
         }
     }
 
@@ -1140,24 +1139,21 @@ impl Query {
         got: Option<Exchanged>,
     ) -> Want {
         self.now.set(now_micros);
-        self.answered.set(got);
-        match recursion.poll(&mut Context::from_waker(Waker::noop())) {
-            Poll::Ready(outcome) => Want::Done(outcome),
-            Poll::Pending => self
-                .asked
-                .take()
-                .expect("a recursion waits only on its exchange: feed back what came of it"),
+        match self.port.resume(recursion, got) {
+            Ok(outcome) => Want::Done(outcome),
+            Err(send) => send,
         }
     }
 
     /// Ask the caller to carry `bytes` to `server`; wait for what came back.
     async fn exchange(&self, server: IpAddr, bytes: Vec<u8>, transport: Transport) -> Exchanged {
-        self.asked.set(Some(Want::Send {
+        let send = Want::Send {
             server,
             bytes,
             transport,
-        }));
-        poll_fn(|_| self.answered.take().map_or(Poll::Pending, Poll::Ready)).await
+        };
+        let got = self.port.wait(send).await;
+        got.expect("a Want::Send is answered with what came of it")
     }
 }
 

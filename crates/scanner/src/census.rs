@@ -7,11 +7,16 @@
 //! (exactly one NSEC3PARAM; all NSEC3 records agree with each other and
 //! with the NSEC3PARAM).
 
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+
 use dns_resolver::resolver::{ResolveOutcome, Resolver};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::rrtype::RrType;
 use dns_zone::nsec3hash::Nsec3Params;
+use netsim::event::Port;
 use netsim::Network;
 
 use crate::ratelimit::RateLimiter;
@@ -107,16 +112,9 @@ impl<'a> Census<'a> {
         self
     }
 
-    /// Book one phase's outcome in the session, if any, and say whether
-    /// its probe was lost (the rule is [`ScanSession::book`]).
-    fn note_phase(&self, out: &ResolveOutcome) -> bool {
-        self.session
-            .map_or_else(|| out.probe_lost(), |session| session.book(out))
-    }
-
-    /// Run the three-phase §4.1 scan for one domain: drive a
-    /// [`CensusProbe`] to completion inline. Event-driven pipelines step
-    /// the same machine one phase at a time instead.
+    /// Run the §4.1 scan for one domain: drive a [`CensusProbe`] to
+    /// completion inline. Event-driven pipelines step the same flow one
+    /// phase at a time instead.
     pub fn observe(&self, domain: &Name) -> DomainObservation {
         let mut probe = CensusProbe::new(domain.clone());
         while !probe.step(self) {}
@@ -124,152 +122,164 @@ impl<'a> Census<'a> {
     }
 }
 
-/// Which phase a [`CensusProbe`] runs next.
+/// What a census scan asks next about its domain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CensusPhase {
-    /// Phase 1: DNSKEY bootstrap.
-    Dnskey,
-    /// Phase 2a: NSEC3PARAM at the apex.
-    Params,
-    /// Phase 2b: NS targets.
-    Ns,
-    /// Phase 3: random-subdomain negative probe.
-    Negative,
-    /// All phases ran (or an early exit fired); the observation is final.
-    Done,
+enum Ask {
+    /// The apex's records of this type.
+    Apex(RrType),
+    /// The A records of a nonexistent name under the apex: the negative
+    /// probe that elicits the denial records.
+    Nonexistent,
 }
 
-/// The §4.1 scan for one domain as an explicit per-flow state machine:
-/// each [`CensusProbe::step`] paces and runs exactly one probe phase.
-/// [`Census::observe`] drives it inline; the event-driven census parks
-/// the flow between phases instead, interleaving many domains. Both
-/// orders of phases-within-a-domain are identical by construction — this
-/// machine is the only implementation.
-#[derive(Debug)]
+/// The port a scan waits on: an [`Ask`] out, its outcome back (`None`
+/// only on the first resume, which runs the scan to its first ask).
+type ScanPort = Port<Ask, Option<ResolveOutcome>>;
+
+/// The §4.1 scan for one domain as a flow: each [`CensusProbe::step`]
+/// paces, resolves and books exactly one phase. The phases are one
+/// `async fn` that decides the next question from the previous answers;
+/// [`Census::observe`] drives it inline, and the event-driven census
+/// parks the flow between phases, interleaving many domains.
 pub struct CensusProbe {
-    obs: DomainObservation,
-    phase: CensusPhase,
+    domain: Name,
+    port: Rc<ScanPort>,
+    /// The scan; it ends with its observation and the phases given up.
+    scan: Pin<Box<dyn Future<Output = (DomainObservation, u32)>>>,
+    /// What the scan waits on, or its finished observation.
+    next: Result<DomainObservation, Ask>,
 }
 
 impl CensusProbe {
-    /// A fresh three-phase probe for `domain`.
+    /// A fresh probe for `domain`, waiting on its DNSKEY phase.
     pub fn new(domain: Name) -> Self {
+        let port = Rc::<ScanPort>::default();
+        let mut scan = Box::pin(scan(port.clone()));
+        let next = port.resume(scan.as_mut(), None).map(|(obs, _)| obs);
         CensusProbe {
-            obs: DomainObservation {
-                domain,
-                dnssec_enabled: false,
-                nsec3params: Vec::new(),
-                nsec3_observed: Vec::new(),
-                opt_out: false,
-                uses_nsec: false,
-                ns_targets: Vec::new(),
-                probe_loss: false,
-                class: DomainClass::NotDnssec,
-            },
-            phase: CensusPhase::Dnskey,
+            domain,
+            port,
+            scan,
+            next,
         }
-    }
-
-    /// All phases complete?
-    pub(crate) fn done(&self) -> bool {
-        self.phase == CensusPhase::Done
     }
 
     /// Run one phase through `census` (its pacer, resolver, and session).
     /// Returns `true` once the observation is final.
     pub fn step(&mut self, census: &Census<'_>) -> bool {
-        let obs = &mut self.obs;
-        match self.phase {
-            CensusPhase::Dnskey => {
-                census.rate.pace(census.net);
-                let dnskey = census
-                    .resolver
-                    .resolve(census.net, &obs.domain, RrType::DNSKEY);
-                if census.note_phase(&dnskey) {
-                    // The bootstrap phase never completed: without it we
-                    // cannot even tell DNSSEC from plain DNS, so the
-                    // domain is lost coverage, not "NotDnssec". The
-                    // remaining phases are given up on (accounted as
-                    // skipped, not silently dropped).
-                    if let Some(session) = census.session {
-                        for _ in 0..3 {
-                            session.note_skipped();
-                        }
-                    }
-                    obs.probe_loss = true;
-                    obs.class = DomainClass::Unprobed;
-                    self.phase = CensusPhase::Done;
-                } else {
-                    obs.dnssec_enabled =
-                        dnskey.answers.iter().any(|r| r.rrtype() == RrType::DNSKEY);
-                    // A plain-DNS domain needs no further phases and
-                    // keeps the default NotDnssec class.
-                    self.phase = if obs.dnssec_enabled {
-                        CensusPhase::Params
-                    } else {
-                        CensusPhase::Done
-                    };
-                }
-            }
-            CensusPhase::Params => {
-                census.rate.pace(census.net);
-                let params = census
-                    .resolver
-                    .resolve(census.net, &obs.domain, RrType::NSEC3PARAM);
-                obs.probe_loss |= census.note_phase(&params);
-                for rec in params.answers.iter() {
-                    if let Some(p) = Nsec3Params::from_rdata(&rec.rdata) {
-                        obs.nsec3params.push(p);
-                    }
-                }
-                self.phase = CensusPhase::Ns;
-            }
-            CensusPhase::Ns => {
-                census.rate.pace(census.net);
-                let ns = census.resolver.resolve(census.net, &obs.domain, RrType::NS);
-                obs.probe_loss |= census.note_phase(&ns);
-                for rec in ns.answers.iter() {
-                    if let RData::Ns(target) = &rec.rdata {
-                        obs.ns_targets.push(target.clone());
-                    }
-                }
-                self.phase = CensusPhase::Negative;
-            }
-            CensusPhase::Negative => {
-                census.rate.pace(census.net);
+        let Err(ask) = self.next else {
+            return true;
+        };
+        census.rate.pace(census.net);
+        let out = match ask {
+            Ask::Apex(qtype) => census.resolver.resolve(census.net, &self.domain, qtype),
+            Ask::Nonexistent => {
                 let probe = Name::parse(&format!("zz-{}-probe", census.scan_id))
-                    .and_then(|p| p.concat(&obs.domain))
-                    .unwrap_or_else(|_| obs.domain.clone());
-                let neg = census.resolver.resolve(census.net, &probe, RrType::A);
-                obs.probe_loss |= census.note_phase(&neg);
-                // Any rcode will do: NXDOMAIN and wildcard NOERROR both carry denials.
-                let denial_records = neg.authorities.iter().chain(neg.answers.iter());
-                for rec in denial_records {
-                    match &rec.rdata {
-                        RData::Nsec3 { .. } => {
-                            if let Some(p) = Nsec3Params::from_rdata(&rec.rdata) {
-                                obs.nsec3_observed.push(p);
-                            }
-                            if rec.rdata.nsec3_opt_out() == Some(true) {
-                                obs.opt_out = true;
-                            }
-                        }
-                        RData::Nsec { .. } => obs.uses_nsec = true,
-                        _ => {}
-                    }
-                }
-                obs.class = classify(obs);
-                self.phase = CensusPhase::Done;
+                    .and_then(|p| p.concat(&self.domain))
+                    .unwrap_or_else(|_| self.domain.clone());
+                census.resolver.resolve(census.net, &probe, RrType::A)
             }
-            CensusPhase::Done => {}
-        }
-        self.done()
+        };
+        self.answer(census.session, out)
     }
 
-    /// The finished (or abandoned) observation.
-    pub fn into_observation(self) -> DomainObservation {
-        self.obs
+    /// Book `out` in `session`, if any, and resume the scan with it; once
+    /// the scan ends, book the phases it gave up on as skipped. Returns
+    /// `true` once the observation is final.
+    fn answer(&mut self, session: Option<&ScanSession>, out: ResolveOutcome) -> bool {
+        if let Some(session) = session {
+            session.book(&out);
+        }
+        self.next = self
+            .port
+            .resume(self.scan.as_mut(), Some(out))
+            .map(|(obs, given_up)| {
+                if let Some(session) = session {
+                    (0..given_up).for_each(|_| session.note_skipped());
+                }
+                obs
+            });
+        self.next.is_ok()
     }
+
+    /// The finished observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`CensusProbe::step`] returned `true`.
+    pub fn into_observation(self) -> DomainObservation {
+        let obs = self.next.expect("census probe stepped to its end");
+        DomainObservation {
+            domain: self.domain,
+            ..obs
+        }
+    }
+}
+
+/// The §4.1 phases for one domain, top to bottom, each an [`Ask`] on
+/// `port`: DNSKEY; for a signed domain then NSEC3PARAM, NS and the
+/// nonexistent name; then the paper's filters. A phase lost to timeouts
+/// ([`ResolveOutcome::probe_lost`], the rule `ScanSession::book` applies)
+/// marks the observation incomplete. The domain is the driver's, so the
+/// observation comes back with a blank one.
+async fn scan(port: Rc<ScanPort>) -> (DomainObservation, u32) {
+    let port = &*port;
+    let ask = |ask| async move { port.wait(ask).await.expect("an ask is answered") };
+    let mut obs = DomainObservation {
+        domain: Name::root(),
+        dnssec_enabled: false,
+        nsec3params: Vec::new(),
+        nsec3_observed: Vec::new(),
+        opt_out: false,
+        uses_nsec: false,
+        ns_targets: Vec::new(),
+        probe_loss: false,
+        class: DomainClass::NotDnssec,
+    };
+    let dnskey = ask(Ask::Apex(RrType::DNSKEY)).await;
+    if dnskey.probe_lost() {
+        // The bootstrap phase never completed: without it we cannot even
+        // tell DNSSEC from plain DNS, so the domain is lost coverage, not
+        // "NotDnssec". The three remaining phases are given up on
+        // (accounted as skipped, not silently dropped).
+        obs.probe_loss = true;
+        obs.class = DomainClass::Unprobed;
+        return (obs, 3);
+    }
+    obs.dnssec_enabled = dnskey.answers.iter().any(|r| r.rrtype() == RrType::DNSKEY);
+    if !obs.dnssec_enabled {
+        // A plain-DNS domain needs no further phases and keeps the
+        // default NotDnssec class.
+        return (obs, 0);
+    }
+    let params = ask(Ask::Apex(RrType::NSEC3PARAM)).await;
+    obs.probe_loss |= params.probe_lost();
+    for rec in params.answers.iter() {
+        obs.nsec3params.extend(Nsec3Params::from_rdata(&rec.rdata));
+    }
+    let ns = ask(Ask::Apex(RrType::NS)).await;
+    obs.probe_loss |= ns.probe_lost();
+    for rec in ns.answers.iter() {
+        if let RData::Ns(target) = &rec.rdata {
+            obs.ns_targets.push(target.clone());
+        }
+    }
+    let neg = ask(Ask::Nonexistent).await;
+    obs.probe_loss |= neg.probe_lost();
+    // Any rcode will do: NXDOMAIN and wildcard NOERROR both carry denials.
+    for rec in neg.authorities.iter().chain(neg.answers.iter()) {
+        match &rec.rdata {
+            RData::Nsec3 { .. } => {
+                obs.nsec3_observed
+                    .extend(Nsec3Params::from_rdata(&rec.rdata));
+                obs.opt_out |= rec.rdata.nsec3_opt_out() == Some(true);
+            }
+            RData::Nsec { .. } => obs.uses_nsec = true,
+            _ => {}
+        }
+    }
+    obs.class = classify(&obs);
+    (obs, 0)
 }
 
 /// Apply the paper's filters to raw observations.
@@ -342,7 +352,134 @@ pub fn exclusive_operator(ns_targets: &[Name]) -> Option<Name> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::{BreakerConfig, ProbeStats};
+    use dns_resolver::CostSnapshot;
     use dns_wire::name::name;
+    use dns_wire::record::Record;
+    use dns_wire::rrtype::Rcode;
+    use dns_wire::typebitmap::TypeBitmap;
+
+    /// A hand-built resolution: `rcode` with these sections, after
+    /// `timeouts` silent upstream exchanges.
+    fn outcome(
+        rcode: Rcode,
+        answers: Vec<RData>,
+        authorities: Vec<RData>,
+        timeouts: u64,
+    ) -> ResolveOutcome {
+        let records = |rdata: Vec<RData>| -> Rc<[Record]> {
+            rdata
+                .into_iter()
+                .map(|rd| Record::new(name("example.com."), 300, rd))
+                .collect()
+        };
+        ResolveOutcome {
+            rcode,
+            authenticated: false,
+            answers: records(answers),
+            authorities: records(authorities),
+            ede: None,
+            budget_exceeded: false,
+            cost: CostSnapshot {
+                timeouts,
+                ..CostSnapshot::default()
+            },
+        }
+    }
+
+    /// Feed `probe` one outcome per phase, checking each ask on the way,
+    /// with the bookings in a fresh session; the observation and the
+    /// session's counters.
+    fn scan_by_hand(phases: Vec<(Ask, ResolveOutcome)>) -> (DomainObservation, ProbeStats) {
+        let session = ScanSession::new(BreakerConfig::default());
+        let mut probe = CensusProbe::new(name("example.com."));
+        let last = phases.len() - 1;
+        for (i, (ask, out)) in phases.into_iter().enumerate() {
+            assert_eq!(probe.next.as_ref().err(), Some(&ask), "phase {i}");
+            assert_eq!(probe.answer(Some(&session), out), i == last, "phase {i}");
+        }
+        (probe.into_observation(), session.stats())
+    }
+
+    #[test]
+    fn a_lost_bootstrap_gives_up_the_three_other_phases() {
+        let lost = outcome(Rcode::ServFail, vec![], vec![], 2);
+        let (obs, stats) = scan_by_hand(vec![(Ask::Apex(RrType::DNSKEY), lost)]);
+        assert_eq!(obs.class, DomainClass::Unprobed);
+        assert!(obs.probe_loss);
+        assert_eq!(obs.domain, name("example.com."));
+        assert_eq!(
+            (stats.sent, stats.timed_out, stats.circuit_skipped),
+            (4, 1, 3)
+        );
+    }
+
+    #[test]
+    fn an_unsigned_domain_takes_one_phase() {
+        let plain = outcome(Rcode::NoError, vec![], vec![], 0);
+        let (obs, stats) = scan_by_hand(vec![(Ask::Apex(RrType::DNSKEY), plain)]);
+        assert_eq!(obs.class, DomainClass::NotDnssec);
+        assert_eq!(
+            (stats.sent, stats.answered, stats.circuit_skipped),
+            (1, 1, 0)
+        );
+    }
+
+    #[test]
+    fn an_nsec3_domain_takes_four_phases_and_yields_its_parameters() {
+        let dnskey = RData::Dnskey {
+            flags: 257,
+            protocol: 3,
+            algorithm: 8,
+            public_key: vec![1, 2, 3],
+        };
+        let param = RData::Nsec3Param {
+            hash_alg: 1,
+            flags: 0,
+            iterations: 10,
+            salt: vec![0xab],
+        };
+        let nsec3 = RData::Nsec3 {
+            hash_alg: 1,
+            flags: 1,
+            iterations: 10,
+            salt: vec![0xab],
+            next_hashed: vec![7; 20],
+            types: TypeBitmap::from_types([RrType::A]),
+        };
+        let (obs, stats) = scan_by_hand(vec![
+            (
+                Ask::Apex(RrType::DNSKEY),
+                outcome(Rcode::NoError, vec![dnskey], vec![], 0),
+            ),
+            (
+                Ask::Apex(RrType::NSEC3PARAM),
+                outcome(Rcode::NoError, vec![param], vec![], 0),
+            ),
+            (
+                Ask::Apex(RrType::NS),
+                outcome(
+                    Rcode::NoError,
+                    vec![RData::Ns(name("ns1.op.net."))],
+                    vec![],
+                    0,
+                ),
+            ),
+            (
+                Ask::Nonexistent,
+                outcome(Rcode::NxDomain, vec![], vec![nsec3], 0),
+            ),
+        ]);
+        let params = Nsec3Params::new(10, vec![0xab]);
+        assert_eq!(obs.class, DomainClass::Nsec3Enabled(params.clone()));
+        assert_eq!(
+            (obs.nsec3params, obs.nsec3_observed),
+            (vec![params.clone()], vec![params])
+        );
+        assert!(obs.dnssec_enabled && obs.opt_out && !obs.probe_loss);
+        assert_eq!(obs.ns_targets, vec![name("ns1.op.net.")]);
+        assert_eq!((stats.sent, stats.answered), (4, 4));
+    }
 
     fn obs(
         dnssec: bool,

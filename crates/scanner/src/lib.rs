@@ -20,6 +20,17 @@ pub use ratelimit::RateLimiter;
 pub use retry::{BreakerConfig, ProbeStats, ScanSession};
 pub use walk::{axfr, dictionary_attack, nsec3_collect, Nsec3Harvest};
 
+use dns_wire::message::Message;
+
+/// `bytes` as the reply to `query`, if they are one: QR set, the ID sent
+/// and the question asked echoed back. Anything else — a spoof, a
+/// mangler, an answer to another question — answers nothing.
+pub(crate) fn reply_to(query: &Message, bytes: &[u8]) -> Option<Message> {
+    let reply = Message::decode(bytes).ok()?;
+    (reply.flags.qr && reply.id == query.id && reply.question() == query.question())
+        .then_some(reply)
+}
+
 #[cfg(test)]
 mod e2e {
     use super::*;
@@ -79,6 +90,38 @@ mod e2e {
         // A nonexistent domain: not DNSSEC-enabled (no DNSKEY answer).
         let nothing = census.observe(&name("missing.com."));
         assert_eq!(nothing.class, DomainClass::NotDnssec);
+    }
+
+    #[test]
+    fn a_census_step_runs_one_phase() {
+        let mut lab = LabBuilder::new(NOW)
+            .simple_zone(&name("com."), Denial::nsec3_rfc9276())
+            .simple_zone(&name("signed.com."), Denial::nsec3_rfc9276())
+            .build();
+        let raddr = lab.alloc.v4();
+        let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
+        cfg.now = lab.now;
+        let resolver = Resolver::new(cfg);
+        let session = ScanSession::new(BreakerConfig::default());
+        let census = Census::new(&lab.net, &resolver, "t1").with_session(&session);
+        // Each step books the one phase it ran: four for a signed domain,
+        // one for a domain without DNSKEY.
+        for (domain, phases) in [("signed.com.", 4), ("missing.com.", 1)] {
+            let mut probe = census::CensusProbe::new(name(domain));
+            let before = session.stats().sent;
+            for phase in 1..=phases {
+                assert_eq!(
+                    probe.step(&census),
+                    phase == phases,
+                    "{domain} phase {phase}"
+                );
+                assert_eq!(
+                    session.stats().sent - before,
+                    phase,
+                    "{domain} phase {phase}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //! the `rfc9276-in-the-wild.com` testbed names and classify its RFC 9276
 //! behaviour from the observed RCODEs, AD bits, and EDEs.
 
-use std::cell::Cell;
-use std::future::{poll_fn, Future};
+use std::future::Future;
 use std::net::IpAddr;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 
 use dns_resolver::broken::ObservedResponse;
 use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rrtype::{Rcode, RrType};
-use netsim::event::FlowStep;
-use netsim::{ExchangeMachine, Network, Outcome, RetryPolicy};
+use netsim::event::{FlowStep, Port};
+use netsim::{exchange, Network, Outcome, RetryPolicy};
 
+use crate::reply_to;
 use crate::retry::ScanSession;
 
 /// The probe plan derived from the testbed: which names to query.
@@ -156,18 +155,13 @@ impl<'a> Prober<'a> {
     }
 
     /// The observation the classifier consumes (EDE stripped for
-    /// Atlas-style vantage points), read off the reply to `query`. A
-    /// reply counts only when it answers `query`: QR set, the ID sent and
-    /// the question asked echoed back. Anything else — a spoof, a
-    /// mangler, an answer to another question — is no answer.
+    /// Atlas-style vantage points), read off the reply to `query`; a
+    /// reply that does not answer `query` ([`reply_to`]) is no answer.
     fn interpret(&self, query: &Message, outcome: Outcome) -> Option<ObservedResponse> {
         let Outcome::Response { payload, .. } = outcome else {
             return None;
         };
-        let reply = Message::decode(&payload).ok()?;
-        if !reply.flags.qr || reply.id != query.id || reply.question() != query.question() {
-            return None;
-        }
+        let reply = reply_to(query, &payload)?;
         let mut obs = ObservedResponse::from_message(&reply);
         if !self.capture_ede {
             obs.ede = None;
@@ -211,31 +205,29 @@ impl<'a> Prober<'a> {
     /// virtual clock across each park (what the event queue does for
     /// event-driven flows).
     fn drive_flow(&self, mut flow: ProbeFlow<'a>) -> ResolverClassification {
-        loop {
-            match flow.step() {
-                FlowStep::Park { at_micros } => self.net.advance_to(at_micros),
-                FlowStep::Done => return flow.into_classification(),
-            }
+        while let FlowStep::Park { at_micros } = flow.step() {
+            self.net.advance_to(at_micros);
         }
+        flow.into_classification()
     }
 
     /// The §4.2 probe sequence against `resolver`, top to bottom: the two
     /// bootstrap probes, one probe per `it-N` zone (`tag` cache-busts
     /// their names), the derived limits, and — `with_item7`, for an
     /// insecure-downgrade resolver — the `it-2501-expired` follow-up.
-    /// Between two probes it parks at *now*, through `park`, so an event
-    /// driver can interleave other flows there.
+    /// Between two probes it parks at *now* on `port`, so an event driver
+    /// can interleave other flows there.
     async fn classification(
         self,
         resolver: IpAddr,
         tag: String,
         with_item7: bool,
-        park: Rc<Cell<u64>>,
+        port: Rc<Port<u64, ()>>,
     ) -> ResolverClassification {
         let mut out = ResolverClassification::empty(resolver);
-        let valid = self.probe(resolver, &self.plan.valid, &park).await;
-        parked(&park, self.net.now_micros()).await;
-        let expired = self.probe(resolver, &self.plan.expired, &park).await;
+        let valid = self.probe(resolver, &self.plan.valid, &port).await;
+        port.wait(self.net.now_micros()).await;
+        let expired = self.probe(resolver, &self.plan.expired, &port).await;
         let (Some(valid), Some(expired)) = (valid, expired) else {
             // Bootstrap probes lost: no basis for any classification.
             out.unreachable = true;
@@ -249,12 +241,12 @@ impl<'a> Prober<'a> {
             return out;
         }
         for (n, apex) in &self.plan.it_zones {
-            parked(&park, self.net.now_micros()).await;
+            port.wait(self.net.now_micros()).await;
             // The plan's intent is recorded as the probe is sent —
             // coverage gaps are detected against it.
             out.probed_ns.push(*n);
             let qname = self.probe_name(apex, resolver, &tag);
-            if let Some(obs) = self.probe(resolver, &qname, &park).await {
+            if let Some(obs) = self.probe(resolver, &qname, &port).await {
                 out.responses.push((*n, obs));
             }
         }
@@ -263,9 +255,9 @@ impl<'a> Prober<'a> {
         // resolvers.
         if with_item7 && out.insecure_limit.is_some() {
             if let Some(apex) = &self.plan.it_2501_expired {
-                parked(&park, self.net.now_micros()).await;
+                port.wait(self.net.now_micros()).await;
                 let qname = self.probe_name(apex, resolver, "b");
-                if let Some(obs) = self.probe(resolver, &qname, &park).await {
+                if let Some(obs) = self.probe(resolver, &qname, &port).await {
                     out.item7_violation = Some(obs.rcode == Rcode::NxDomain);
                 }
             }
@@ -275,23 +267,19 @@ impl<'a> Prober<'a> {
 
     /// One logical query for `qname`: the session breaker's verdict (a
     /// skipped query is no answer), the policy's wire attempts with a
-    /// park across every backoff, then the session booking.
+    /// park on `port` across every backoff, then the session booking.
     async fn probe(
         &self,
         resolver: IpAddr,
         qname: &Name,
-        park: &Cell<u64>,
+        port: &Port<u64, ()>,
     ) -> Option<ObservedResponse> {
         if self.session.is_some_and(|s| !s.admit(self.net, resolver)) {
             return None;
         }
         let query = Message::query((qname.wire_len() as u16) ^ 0x5aa5, qname.clone(), RrType::A);
         let bytes = query.encode();
-        let mut machine = ExchangeMachine::new(self.src, resolver, self.policy);
-        while let FlowStep::Park { at_micros } = machine.step(self.net, &bytes) {
-            parked(park, at_micros).await;
-        }
-        let report = machine.into_report();
+        let report = exchange(self.net, self.src, resolver, &bytes, &self.policy, port).await;
         let obs = self.interpret(&query, report.outcome);
         if let Some(session) = self.session {
             // A reply that answers nothing is booked as none, not retried.
@@ -347,14 +335,14 @@ impl<'a> Prober<'a> {
 /// [`ProbeFlow::step`] sends at most one wire attempt, parking across
 /// retry backoffs and at *now* between probes, so an event driver can
 /// keep thousands of classifications in flight. The probe sequence is
-/// one `async fn` (`Prober::classification`) and this is its poll
-/// adaptor, as [`dns_resolver::Recursion`] is the resolver's;
-/// [`Prober::classify`] drives the same flow inline (window of one).
+/// one `async fn` (`Prober::classification`) that waits on a [`Port`]
+/// with the due time of each park; [`Prober::classify`] drives the same
+/// flow inline (window of one).
 pub struct ProbeFlow<'a> {
+    /// Where the classification parks: the due time out, nothing back.
+    port: Rc<Port<u64, ()>>,
     /// The classification, run to its next park by each step.
     future: Pin<Box<dyn Future<Output = ResolverClassification> + 'a>>,
-    /// The due time of the park the future waits in.
-    park: Rc<Cell<u64>>,
     out: Option<ResolverClassification>,
 }
 
@@ -364,11 +352,11 @@ impl<'a> ProbeFlow<'a> {
     /// follow-up (what [`Prober::classify`] does, re-query passes skip
     /// it).
     fn new(prober: Prober<'a>, resolver: IpAddr, tag: &str, with_item7: bool) -> Self {
-        let park = Rc::new(Cell::new(0));
-        let future = prober.classification(resolver, tag.to_owned(), with_item7, park.clone());
+        let port = Rc::<Port<u64, ()>>::default();
+        let future = prober.classification(resolver, tag.to_owned(), with_item7, port.clone());
         ProbeFlow {
+            port,
             future: Box::pin(future),
-            park,
             out: None,
         }
     }
@@ -390,35 +378,14 @@ impl<'a> ProbeFlow<'a> {
     ///
     /// Panics when called again after [`FlowStep::Done`].
     pub fn step(&mut self) -> FlowStep {
-        match self
-            .future
-            .as_mut()
-            .poll(&mut Context::from_waker(Waker::noop()))
-        {
-            Poll::Ready(out) => {
+        match self.port.resume(self.future.as_mut(), ()) {
+            Ok(out) => {
                 self.out = Some(out);
                 FlowStep::Done
             }
-            Poll::Pending => FlowStep::Park {
-                at_micros: self.park.get(),
-            },
+            Err(at_micros) => FlowStep::Park { at_micros },
         }
     }
-}
-
-/// Wait in the flow until virtual `at_micros`: leave the due time in
-/// `slot` for [`ProbeFlow::step`] to report, and resume on the next poll.
-async fn parked(slot: &Cell<u64>, at_micros: u64) {
-    slot.set(at_micros);
-    let mut first = true;
-    poll_fn(|_| {
-        if std::mem::take(&mut first) {
-            Poll::Pending
-        } else {
-            Poll::Ready(())
-        }
-    })
-    .await
 }
 
 /// Derive the limit values and compliance bits from raw per-N responses.

@@ -250,10 +250,7 @@ mod tests {
     use std::net::Ipv4Addr;
     use std::rc::Rc;
 
-    use netsim::event::FlowStep;
-    use netsim::{
-        Episode, EpisodeKind, ExchangeMachine, FaultSchedule, Node, Outcome, RetryPolicy, Scope,
-    };
+    use netsim::{Episode, EpisodeKind, FaultSchedule, Node, Outcome, RetryPolicy, Scope};
 
     /// One logical query from `addr(1)` to `dst` through `session`,
     /// blocking: the breaker's verdict, the policy's attempts with the
@@ -262,11 +259,7 @@ mod tests {
         if !session.admit(net, dst) {
             return Outcome::Timeout;
         }
-        let mut machine = ExchangeMachine::new(addr(1), dst, policy);
-        while let FlowStep::Park { at_micros } = machine.step(net, b"q") {
-            net.advance_to(at_micros);
-        }
-        let report = machine.into_report();
+        let report = net.send_query_with_policy(addr(1), dst, b"q", &policy);
         let answered = matches!(report.outcome, Outcome::Response { .. });
         session.settle(net, dst, report.attempts, answered);
         report.outcome

@@ -15,6 +15,10 @@ use dns_wire::rrtype::{Rcode, RrType};
 use dns_zone::nsec3hash::{nsec3_hash_cached, Nsec3Params};
 use netsim::{Network, Outcome, RetryPolicy};
 
+use crate::reply_to;
+
+/// Ask `server` `qname`/`qtype`; the reply, if one answers the query
+/// ([`reply_to`]).
 fn query(
     net: &Network,
     src: IpAddr,
@@ -29,7 +33,7 @@ fn query(
             .send_query_with_policy(src, server, buf.as_slice(), &RetryPolicy::fixed(2))
             .outcome
         {
-            Outcome::Response { payload, .. } => Message::decode(&payload).ok(),
+            Outcome::Response { payload, .. } => reply_to(&msg, &payload),
             _ => None,
         }
     })
@@ -39,13 +43,14 @@ fn query(
 /// (RFC 5936 §4.2), so the query goes out TCP-framed. Returns the records
 /// (without the trailing SOA duplicate) or `None` if refused/unanswered.
 pub fn axfr(net: &Network, src: IpAddr, server: IpAddr, apex: &Name) -> Option<Vec<Record>> {
+    let query = Message::query(0xaf42, apex.clone(), RrType::AXFR);
     let mut q = Vec::new();
-    Message::query(0xaf42, apex.clone(), RrType::AXFR).encode_framed_append(&mut q);
+    query.encode_framed_append(&mut q);
     let resp = match net
         .send_query_with_policy(src, server, &q, &RetryPolicy::fixed(2))
         .outcome
     {
-        Outcome::Response { payload, .. } => Message::decode(unframe_tcp(&payload)?).ok()?,
+        Outcome::Response { payload, .. } => reply_to(&query, unframe_tcp(&payload)?)?,
         _ => return None,
     };
     if resp.rcode != Rcode::NoError || resp.answers.is_empty() {
@@ -204,6 +209,42 @@ mod tests {
         assert_eq!(records[0].rrtype(), RrType::SOA);
         let (net2, src2, server2) = setup(Denial::nsec3_rfc9276(), false);
         assert!(axfr(&net2, src2, server2, &name("victim.test.")).is_none());
+    }
+
+    #[test]
+    fn a_transfer_answering_another_query_is_refused() {
+        // Each mangler relays a real transfer with one header bit wrong:
+        // a rewritten ID, then QR cleared (the stream frame's first two
+        // octets are its length, so the header starts at octet 2).
+        struct Mangler(AuthServer, fn(&mut [u8]));
+        impl netsim::Node for Mangler {
+            fn handle(
+                &self,
+                net: &Network,
+                src: IpAddr,
+                payload: &[u8],
+                reply: &mut Vec<u8>,
+            ) -> Option<()> {
+                self.0.handle(net, src, payload, reply)?;
+                (self.1)(&mut reply[2..]);
+                Some(())
+            }
+        }
+        let transfer = |mangle| {
+            let net = Network::new(5);
+            let (src, server) = ("10.0.0.99".parse().unwrap(), "10.0.0.53".parse().unwrap());
+            let auth = AuthServer::new();
+            auth.add_zone(victim_zone(Denial::nsec3_rfc9276()));
+            auth.allow_axfr(&name("victim.test."));
+            net.register(server, Rc::new(Mangler(auth, mangle)));
+            axfr(&net, src, server, &name("victim.test."))
+        };
+        assert!(
+            transfer(|_| {}).is_some(),
+            "the relay alone changes nothing"
+        );
+        assert!(transfer(|m| m[0] ^= 0xff).is_none(), "another ID");
+        assert!(transfer(|m| m[2] &= 0x7f).is_none(), "QR clear");
     }
 
     #[test]

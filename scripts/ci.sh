@@ -47,7 +47,7 @@ echo "== public surface and size (scripts/pub_census.py recounts the callers)"
 # `pub` means something outside the crate calls it; drift shows here.
 for crate in crates/*/; do
     printf '%-18s %4d pub fn %6d non-test lines\n' "$crate" \
-        "$(grep -rhE '^\s*pub (const )?fn ' "$crate"src | wc -l)" "$(non_test "$crate"src/*.rs | wc -l)"
+        "$(grep -rhE '^\s*pub (const |async )?fn ' "$crate"src | wc -l)" "$(non_test "$crate"src/*.rs | wc -l)"
 done
 echo "workspace total: $(non_test crates/*/src/*.rs | wc -l) non-test lines under crates/*/src"
 echo "crates/bench/src/bin/bench_*.rs: $(cat crates/bench/src/bin/bench_*.rs | wc -l) lines"
@@ -138,6 +138,14 @@ fi
 limit_gates="$(non_test $(ls crates/resolver/src/*.rs | grep -v '/policy.rs$') | grep -c 'action_for(' || true)"
 if [ "$limit_gates" != "1" ]; then
     echo "error: crates/resolver/src calls action_for( in $limit_gates places outside policy.rs, expected 1 (the RFC 9276 gate in Resolver::judge, resolver.rs)" >&2
+    exit 1
+fi
+# One poll adaptor (DESIGN.md §8): a flow written as `async` code waits
+# on a `netsim::event::Port`, and `Port::resume` is the one place that
+# polls one, with the workspace's only no-op waker outside tests.
+noop_pollers="$(non_test $(find crates/*/src -name '*.rs') | grep 'Waker::noop' | cut -d: -f1 | sort -u || true)"
+if [ "$noop_pollers" != "crates/netsim/src/event.rs" ]; then
+    echo "error: Waker::noop in [${noop_pollers//$'\n'/, }], expected only crates/netsim/src/event.rs (Port::resume)" >&2
     exit 1
 fi
 # `unsafe` lives in one file (DESIGN.md §6 "Hardware kernels"): the calls

@@ -16,6 +16,7 @@ use std::net::IpAddr;
 use std::rc::Rc;
 
 use dns_wire::edns::Edns;
+use dns_wire::hash::KeyedState;
 use dns_wire::message::{unframe_tcp, Flags, Message, MessageHead, Question};
 use dns_wire::name::{ancestor_keys, Name, SortKey};
 use dns_wire::rdata::RData;
@@ -45,11 +46,16 @@ pub struct QueryLogEntry {
 /// a constant, not a setting.
 pub(crate) const QUERY_LOG_LEN: usize = 256;
 
+/// The installed zones by apex.
+type ApexIndex = HashMap<SortKey, Rc<SignedZone>, KeyedState>;
+
 /// An authoritative name server holding one or more signed zones.
 pub struct AuthServer {
     /// By apex sort key, so that a query's zone is found by probing the
-    /// prefixes of its one key.
-    zones: RefCell<HashMap<SortKey, Rc<SignedZone>>>,
+    /// prefixes of its one key (the owner index takes the same key), and
+    /// hashed with the workspace's keyed word hasher: one probe per label
+    /// of every answer.
+    zones: RefCell<ApexIndex>,
     /// The last [`QUERY_LOG_LEN`] queries, oldest first.
     log: RefCell<VecDeque<QueryLogEntry>>,
     /// Apexes whose zones may be transferred (the CZDS/open-AXFR TLDs the
@@ -62,7 +68,7 @@ impl AuthServer {
     /// An empty server; add zones with [`AuthServer::add_zone`].
     pub fn new() -> Self {
         AuthServer {
-            zones: RefCell::new(HashMap::new()),
+            zones: RefCell::new(ApexIndex::default()),
             log: RefCell::new(VecDeque::new()),
             axfr_allowed: RefCell::new(std::collections::HashSet::new()),
         }
@@ -116,7 +122,7 @@ impl AuthServer {
     /// into the caller's `expanded` buffer and referenced from there.
     fn assemble<'a>(
         &self,
-        zones: &'a HashMap<SortKey, Rc<SignedZone>>,
+        zones: &'a ApexIndex,
         question: Option<&Question>,
         dnssec: bool,
         expanded: &'a mut Vec<Record>,
@@ -295,10 +301,7 @@ impl Default for AuthServer {
 /// Zone with the longest apex that is an ancestor-or-self of the name
 /// whose sort key is `qname_key`: its key's prefixes, probed as borrowed
 /// bytes, so no name is built.
-fn best_zone<'a>(
-    zones: &'a HashMap<SortKey, Rc<SignedZone>>,
-    qname_key: &[u8],
-) -> Option<&'a SignedZone> {
+fn best_zone<'a>(zones: &'a ApexIndex, qname_key: &[u8]) -> Option<&'a SignedZone> {
     ancestor_keys(qname_key)
         .find_map(|key| zones.get(key))
         .map(Rc::as_ref)

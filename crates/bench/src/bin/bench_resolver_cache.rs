@@ -4,8 +4,8 @@
 //!
 //! Three cost regimes matter to the pipelines:
 //!
-//! * **eviction churn** — inserts at capacity trigger the
-//!   collect-expired-then-arbitrary eviction scan;
+//! * **eviction churn** — inserts at capacity trigger the eviction
+//!   probe over the oldest entries;
 //! * **TTL-expiry churn** — lookups that find only expired entries pay a
 //!   removal on the read path;
 //! * **steady-state mixes** — a Zipf-distributed query stream (the shape
@@ -15,10 +15,10 @@
 //!   validated-key cache (capacity 512, one key per zone).
 //!
 //! Every row keys its cache the way [`dns_resolver::Resolver`] does —
-//! [`SortKey`]s of names under 24 zones, built by
-//! [`Name::rrset_sort_key`] (answers) or [`Name::sort_key`] (zone keys)
-//! and probed with key bytes from the stack — so a row times the
-//! comparisons and the key building a resolver pays, not those of a
+//! the wire keys of names under 24 zones, with the type after them
+//! (answers) or without (zone keys), built by [`Name::with_wire_key`]
+//! and probed from the stack, under a [`KeyedState`] — so a row times the
+//! hashing and the key building a resolver pays, not those of a
 //! stand-in key type.
 //!
 //! Results land in `BENCH_resolver_cache.json` via the shared
@@ -26,7 +26,8 @@
 //! included.
 
 use dns_resolver::TtlCache;
-use dns_wire::name::{Name, SortKey};
+use dns_wire::hash::KeyedState;
+use dns_wire::name::Name;
 use dns_wire::rrtype::RrType;
 use heroes_bench::microbench::Suite;
 use sim_rng::{Rng, Xoshiro256pp};
@@ -79,21 +80,30 @@ fn query_stream(universe: usize, queries: usize, seed: u64) -> Vec<usize> {
     (0..queries).map(|_| zipf.sample(&mut rng)).collect()
 }
 
+type Cache = TtlCache<Box<[u8]>, u32>;
+
+/// The answer cache's key suffix for type A.
+const A: [u8; 2] = RrType::A.0.to_be_bytes();
+
+fn cache(capacity: usize) -> Cache {
+    TtlCache::new(capacity, KeyedState::default())
+}
+
 /// The resolver's fast path and the end of its recursion: probe the
 /// answer cache with the question's key on the stack, insert under an
 /// owned one on a miss.
-fn answer_lookup(cache: &TtlCache<SortKey, u32>, qname: &Name, value: u32, now: u64) {
-    let hit = qname.with_rrset_sort_key(RrType::A, |key| cache.get(key, now));
+fn answer_lookup(cache: &Cache, qname: &Name, value: u32, now: u64) {
+    let hit = qname.with_wire_key(&A, |key| cache.get(key, now));
     if hit.is_none() {
-        cache.put(qname.rrset_sort_key(RrType::A), value, now, 300);
+        cache.put(qname.wire_key(&A), value, now, 300);
     }
 }
 
-/// `Resolver::cached_child_keys`: probe by the zone's key, insert a fresh
-/// one on a miss.
-fn key_lookup(cache: &TtlCache<SortKey, u32>, zone: &Name, value: u32, now: u64) {
-    if zone.with_sort_key(|key| cache.get(key, now)).is_none() {
-        cache.put(zone.sort_key(), value, now, 300);
+/// `Resolver::zone_keys`: probe by the zone's key, insert a fresh one on
+/// a miss.
+fn key_lookup(cache: &Cache, zone: &Name, value: u32, now: u64) {
+    if zone.with_wire_key(&[], |key| cache.get(key, now)).is_none() {
+        cache.put(zone.wire_key(&[]), value, now, 300);
     }
 }
 
@@ -102,9 +112,9 @@ fn hit_ratio(
     capacity: usize,
     names: &[Name],
     stream: &[usize],
-    lookup: fn(&TtlCache<SortKey, u32>, &Name, u32, u64),
+    lookup: fn(&Cache, &Name, u32, u64),
 ) -> f64 {
-    let cache = TtlCache::new(capacity);
+    let cache = cache(capacity);
     let mut now = 0u64;
     for &idx in stream {
         now += 1_000; // 1 ms of virtual time per query
@@ -119,18 +129,18 @@ fn main() {
 
     // Eviction churn: the cache sits exactly at capacity and every insert
     // is a name it does not hold (the pool is 64 times the capacity and
-    // the victim is a sorted neighbour), forcing the eviction probe each
-    // time.
+    // the victim is the oldest entry, which is never the next name),
+    // forcing the eviction probe each time.
     {
         let fresh = hosts(65_536);
-        let cache: TtlCache<SortKey, u32> = TtlCache::new(1024);
+        let cache = cache(1024);
         for qname in &fresh[..1024] {
-            cache.put(qname.rrset_sort_key(RrType::A), 0, 0, 3_600);
+            cache.put(qname.wire_key(&A), 0, 0, 3_600);
         }
         let mut next = 1024usize;
         suite.bench("churn/eviction-at-capacity", || {
             next = (next + 1) % fresh.len();
-            cache.put(fresh[next].rrset_sort_key(RrType::A), 0, 0, 3_600);
+            cache.put(fresh[next].wire_key(&A), 0, 0, 3_600);
             cache.evictions()
         });
     }
@@ -139,12 +149,12 @@ fn main() {
     // operation, so every get finds an expired entry and removes it.
     {
         let qname = &hosts(8)[7];
-        let cache: TtlCache<SortKey, u32> = TtlCache::new(1024);
+        let cache = cache(1024);
         let mut now = 0u64;
         suite.bench("churn/ttl-expiry", || {
-            cache.put(qname.rrset_sort_key(RrType::A), 7, now, 1);
+            cache.put(qname.wire_key(&A), 7, now, 1);
             now += 2_000_000;
-            qname.with_rrset_sort_key(RrType::A, |key| cache.get(key, now))
+            qname.with_wire_key(&A, |key| cache.get(key, now))
         });
     }
 
@@ -153,7 +163,7 @@ fn main() {
     let (wide_names, wide_stream) = (hosts(20_000), query_stream(20_000, 100_000, 42));
     let (narrow_names, narrow_stream) = (apexes(300), query_stream(300, 100_000, 43));
     {
-        let cache = TtlCache::new(4096);
+        let cache = cache(4096);
         let mut now = 0u64;
         let mut cursor = 0usize;
         suite.bench("zipf/answer-cache-4096", || {
@@ -165,7 +175,7 @@ fn main() {
         });
     }
     {
-        let cache = TtlCache::new(512);
+        let cache = cache(512);
         let mut now = 0u64;
         let mut cursor = 0usize;
         suite.bench("zipf/key-cache-512", || {

@@ -33,6 +33,7 @@
 //! holds, and virtual latency percentiles come from an exact
 //! microsecond histogram that merges across shards by summation.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use dns_resolver::lab::SignedLab;
@@ -41,7 +42,7 @@ use dns_wire::name::Name;
 use dns_wire::rrtype::{Rcode, RrType};
 use netsim::event::FlowStep;
 use popgen::domains::DomainSpec;
-use popgen::traffic::{TrafficGenerator, TrafficModel};
+use popgen::traffic::{ClientQuery, QueryKind, TrafficGenerator, TrafficModel};
 use sim_rng::SplitMix64;
 
 use crate::experiments::{domain_lab, ratio, DriverConfig};
@@ -252,12 +253,17 @@ pub fn run_serving_cfg(scenario: &ServingScenario, cfg: &DriverConfig) -> Servin
     let run = run_study(fleet, cfg, |shard, range| {
         // Signed zones depend on the apexes and `now`, not on a member's
         // seed: the shard signs once, each member deploys. Apexes come
-        // parsed once per shard; a spec that got no zone has `None`.
+        // parsed once per shard, with the qnames their clients repeat; a
+        // spec that got no zone has `None`.
         let (builder, apexes) = domain_lab(&scenario.domains, shard.cfg.now);
         let signed = builder.sign();
+        let names: Vec<Option<DomainNames>> = apexes
+            .iter()
+            .map(|apex| apex.as_ref().filter(|a| !a.is_root()).map(DomainNames::new))
+            .collect();
         let mut tally = ServingTally::default();
         for member in range {
-            serving_unit(shard, scenario, &signed, &apexes, member as u64, &mut tally);
+            serving_unit(shard, scenario, &signed, &names, member as u64, &mut tally);
         }
         tally
     });
@@ -269,6 +275,47 @@ pub fn run_serving_cfg(scenario: &ServingScenario, cfg: &DriverConfig) -> Servin
         tally,
         probe_stats: run.probe_stats,
         in_flight_high_water: run.in_flight_high_water,
+    }
+}
+
+/// A domain's apex and the two qnames its clients repeat —
+/// [`QueryKind::Existing`]'s `www` and [`QueryKind::NxRepeat`]'s `miss` —
+/// built once per shard, so a query borrows its name and owns one only
+/// for [`QueryKind::NxUnique`].
+struct DomainNames {
+    apex: Name,
+    www: Option<Name>,
+    miss: Option<Name>,
+}
+
+impl DomainNames {
+    fn new(apex: &Name) -> Self {
+        // Spelled by `ClientQuery::qname_under`, whose name for these
+        // kinds is the same for every query.
+        let repeated = |kind| {
+            let query = ClientQuery {
+                index: 0,
+                client: 0,
+                domain: 0,
+                kind,
+            };
+            query.qname_under(apex).ok()
+        };
+        DomainNames {
+            apex: apex.clone(),
+            www: repeated(QueryKind::Existing),
+            miss: repeated(QueryKind::NxRepeat),
+        }
+    }
+
+    /// `query`'s name under this domain (`None` where it would be too
+    /// long).
+    fn qname(&self, query: &ClientQuery) -> Option<Cow<'_, Name>> {
+        match query.kind {
+            QueryKind::Existing => self.www.as_ref().map(Cow::Borrowed),
+            QueryKind::NxRepeat => self.miss.as_ref().map(Cow::Borrowed),
+            QueryKind::NxUnique => query.qname_under(&self.apex).ok().map(Cow::Owned),
+        }
     }
 }
 
@@ -290,7 +337,7 @@ fn serving_unit(
     shard: &ShardRun<'_>,
     scenario: &ServingScenario,
     signed: &SignedLab,
-    apexes: &[Option<Name>],
+    names: &[Option<DomainNames>],
     member: u64,
     tally: &mut ServingTally,
 ) {
@@ -315,15 +362,12 @@ fn serving_unit(
     let net = &lab.net;
     let mut qnames = (q_lo..q_hi).filter_map(|i| {
         let q = generator.get(i);
-        let apex = apexes[q.domain as usize]
-            .as_ref()
-            .filter(|a| !a.is_root())?;
-        q.qname_under(apex).ok()
+        names[q.domain as usize].as_ref()?.qname(&q)
     });
     shard.drive(
         net,
         || qnames.next(),
-        |qname: &mut Name| {
+        |qname: &mut Cow<'_, Name>| {
             let hits_before = resolver.cache_hits();
             let synth_before = resolver.synthesized_nxdomains();
             let issued_at = net.now_micros();

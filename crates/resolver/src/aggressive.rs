@@ -25,21 +25,21 @@
 //! "per query", it does not remove it. RFC 8198 §5.4 explicitly warns
 //! about this trade-off. The `aggressive_cache_cost` test pins it down.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::Cell;
 
-use dns_wire::name::{ancestor_keys, Name, SortKey, MAX_NAME_LEN};
+use dns_wire::hash::KeyedState;
+use dns_wire::name::{wire_suffixes, Name, MAX_NAME_LEN};
 use dns_zone::nsec3hash::{with_thread_cache, Nsec3Params};
 
+use crate::cache::TtlCache;
 use crate::cost::CostMeter;
 use crate::validator::{covers, Nsec3View};
 
 /// One zone's verified denial material; `views` sorted by `owner_hash`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ZoneDenials {
     params: Nsec3Params,
     views: Vec<Nsec3View>,
-    expires_micros: u64,
 }
 
 /// Binary-search membership: is `hash` a cached owner hash?
@@ -100,18 +100,23 @@ fn sort_views(views: &mut Vec<Nsec3View>) {
 
 /// A per-resolver store of *validated* NSEC3 records, usable for
 /// RFC 8198 synthesis.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct AggressiveCache {
-    /// Keyed by the apex's canonical sort key, so the zone above a name
-    /// is found by probing the prefixes of that name's key.
-    zones: RefCell<HashMap<SortKey, ZoneDenials>>,
-    synthesized: std::cell::Cell<u64>,
+    /// Keyed by the apex's lowercase canonical wire form, so the zone
+    /// above a name is found by probing the suffixes of that name's key.
+    /// One entry per zone, bounded like the key cache: a probe after the
+    /// TTL removes the expired set.
+    zones: TtlCache<Box<[u8]>, ZoneDenials>,
+    synthesized: Cell<u64>,
 }
 
 impl AggressiveCache {
-    /// Empty cache.
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// A store of at most `capacity` zones' denial sets (0 disables it).
+    pub(crate) fn new(capacity: usize, hasher: KeyedState) -> Self {
+        AggressiveCache {
+            zones: TtlCache::new(capacity, hasher),
+            synthesized: Cell::new(0),
+        }
     }
 
     /// Remember verified NSEC3 views for `zone` until `now + ttl`.
@@ -125,31 +130,29 @@ impl AggressiveCache {
         now_micros: u64,
         ttl_secs: u32,
     ) {
-        let mut zones = self.zones.borrow_mut();
-        let expires_micros = now_micros + ttl_secs as u64 * 1_000_000;
-        match zone.with_sort_key(|key| zones.get_mut(key)) {
-            Some(existing) if existing.params == *params => {
-                existing.expires_micros = expires_micros;
-                merge_views(&mut existing.views, views);
-            }
-            _ => {
-                let mut sorted = views.to_vec();
-                sort_views(&mut sorted);
-                zones.insert(
-                    zone.sort_key(),
-                    ZoneDenials {
-                        params: params.clone(),
-                        views: sorted,
-                        expires_micros,
-                    },
-                );
-            }
-        }
+        zone.with_wire_key(&[], |key| {
+            let mut merged = self
+                .zones
+                .with_live(key, now_micros, |old| {
+                    if old.params == *params {
+                        std::mem::take(&mut old.views)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .unwrap_or_default();
+            merge_views(&mut merged, views);
+            let denials = ZoneDenials {
+                params: params.clone(),
+                views: merged,
+            };
+            self.zones.put(key.into(), denials, now_micros, ttl_secs);
+        });
     }
 
-    /// Try to prove `qname` nonexistent from cache alone (RFC 8198 §5.1),
-    /// under the cached zone `zone_up` labels above it (what
-    /// [`AggressiveCache::zone_for`] found).
+    /// Try to prove the name whose wire key is `qname` nonexistent from
+    /// cache alone (RFC 8198 §5.1), under the cached zone `zone_up` labels
+    /// above it (what [`AggressiveCache::zone_for`] found).
     ///
     /// The closest encloser is found by walking `qname`'s ancestors from
     /// the longest down to the zone and taking the first whose hash
@@ -157,87 +160,84 @@ impl AggressiveCache {
     /// cached covered interval, as must the encloser's wildcard. Every
     /// candidate costs one hash chain, charged to `meter` — the RFC 8198
     /// §5.4 trade-off: high iteration counts tax even the cache path.
-    /// The ancestors are hashed as suffixes of `qname`'s canonical wire
-    /// form and the wildcard is written beside it on the stack, so no
-    /// name is built.
+    /// The zone and the ancestors are suffixes of `qname`'s key and the
+    /// wildcard is written beside it on the stack, so no name is built.
     ///
     /// Opt-out intervals never prove nonexistence (they may span real,
     /// insecurely-delegated names), so a next closer covered only by an
     /// opt-out view refuses to synthesize.
     pub(crate) fn synthesize_nxdomain(
         &self,
-        qname: &Name,
+        qname: &[u8],
         zone_up: usize,
         now_micros: u64,
         meter: &CostMeter,
     ) -> bool {
-        let zones = self.zones.borrow();
-        let denials = qname.with_sort_key(|key| {
-            let apex = ancestor_keys(key).nth(zone_up)?;
-            zones.get(apex).filter(|d| d.expires_micros > now_micros)
-        });
-        let Some(denials) = denials else {
+        let Some(apex) = wire_suffixes(qname).nth(zone_up) else {
             return false;
         };
-        let hash_of = |wire: &[u8]| {
-            let h = with_thread_cache(|cache| cache.lookup_wire(wire, &denials.params));
-            meter.add_nsec3_hash(h.compressions);
-            h.digest
-        };
-        let mut buf = [0u8; MAX_NAME_LEN];
-        let len = qname.write_canonical_wire(&mut buf);
-        let wire = &buf[..len];
-        // Longest ancestor with a matched owner hash is the closest
-        // encloser. A shallower match can never rescue a failed deeper
-        // one: its next closer would be an ancestor of the deeper matched
-        // (existing) name, which no validated interval covers. Both are
-        // suffixes of `wire`, each starting on a length octet.
-        let (mut next_closer, mut encloser) = (0, 1 + usize::from(wire[0]));
-        for _ in 0..zone_up {
-            if !matches_owner(&denials.views, &hash_of(&wire[encloser..])) {
-                next_closer = encloser;
-                encloser += 1 + usize::from(wire[encloser]);
-                continue;
+        let synthesized = self.zones.with_live(apex, now_micros, |denials| {
+            let hash_of = |wire: &[u8]| {
+                let h = with_thread_cache(|cache| cache.lookup_wire(wire, &denials.params));
+                meter.add_nsec3_hash(h.compressions);
+                h.digest
+            };
+            // Longest ancestor with a matched owner hash is the closest
+            // encloser. A shallower match can never rescue a failed deeper
+            // one: its next closer would be an ancestor of the deeper
+            // matched (existing) name, which no validated interval covers.
+            // Both are suffixes of `qname`, each starting on a length octet.
+            let (mut next_closer, mut encloser) = (0, 1 + usize::from(qname[0]));
+            for _ in 0..zone_up {
+                if !matches_owner(&denials.views, &hash_of(&qname[encloser..])) {
+                    next_closer = encloser;
+                    encloser += 1 + usize::from(qname[encloser]);
+                    continue;
+                }
+                match covering_view(&denials.views, &hash_of(&qname[next_closer..])) {
+                    Some(v) if !v.opt_out => {}
+                    _ => return false,
+                }
+                // `*.` and the encloser: never longer than `qname`, whose
+                // first label (one octet at least) the `*` stands in for.
+                let suffix = &qname[encloser..];
+                let mut wildcard = [0u8; MAX_NAME_LEN];
+                wildcard[..2].copy_from_slice(&[1, b'*']);
+                wildcard[2..2 + suffix.len()].copy_from_slice(suffix);
+                let wildcard_hash = hash_of(&wildcard[..2 + suffix.len()]);
+                return covering_view(&denials.views, &wildcard_hash).is_some();
             }
-            match covering_view(&denials.views, &hash_of(&wire[next_closer..])) {
-                Some(v) if !v.opt_out => {}
-                _ => return false,
-            }
-            // `*.` and the encloser: never longer than `qname`, whose
-            // first label (one octet at least) the `*` stands in for.
-            let suffix = &wire[encloser..];
-            let mut wildcard = [0u8; MAX_NAME_LEN];
-            wildcard[..2].copy_from_slice(&[1, b'*']);
-            wildcard[2..2 + suffix.len()].copy_from_slice(suffix);
-            let wildcard_hash = hash_of(&wildcard[..2 + suffix.len()]);
-            if covering_view(&denials.views, &wildcard_hash).is_none() {
-                return false;
-            }
+            false
+        });
+        let synthesized = synthesized == Some(true);
+        if synthesized {
             self.synthesized.set(self.synthesized.get() + 1);
-            return true;
         }
-        false
+        synthesized
     }
 
     /// The longest cached (and unexpired) zone that is a strict ancestor
-    /// of `qname`, as the number of labels it lies above `qname`: one
-    /// probe per label of `qname`, deepest first, however many zones are
-    /// cached.
-    pub(crate) fn zone_for(&self, qname: &Name, now_micros: u64) -> Option<usize> {
-        let zones = self.zones.borrow();
-        let up = qname.with_sort_key(|key| {
-            ancestor_keys(key).skip(1).position(|apex| {
-                zones
-                    .get(apex)
-                    .is_some_and(|d| d.expires_micros > now_micros)
-            })
-        })?;
+    /// of the name whose wire key is `qname`, as the number of labels it
+    /// lies above that name: one probe per label, deepest first, however
+    /// many zones are cached.
+    pub(crate) fn zone_for(&self, qname: &[u8], now_micros: u64) -> Option<usize> {
+        let up = wire_suffixes(qname)
+            .skip(1)
+            .position(|apex| self.zones.with_live(apex, now_micros, |_| ()).is_some())?;
         Some(up + 1)
     }
 
     /// NXDOMAINs synthesized so far.
     pub(crate) fn synthesized_count(&self) -> u64 {
         self.synthesized.get()
+    }
+}
+
+#[cfg(test)]
+impl AggressiveCache {
+    /// Zones with a denial set held, expired ones not yet probed included.
+    pub(crate) fn zone_count(&self) -> usize {
+        self.zones.len()
     }
 }
 
@@ -260,15 +260,24 @@ mod tests {
         fn synthesize_under(&self, zone: &Name, qname: &Name, now: u64, meter: &CostMeter) -> bool {
             assert!(qname.is_subdomain_of(zone));
             let up = qname.label_count() - zone.label_count();
-            self.synthesize_nxdomain(qname, up, now, meter)
+            qname.with_wire_key(&[], |key| self.synthesize_nxdomain(key, up, now, meter))
+        }
+
+        /// The sorted views cached for `zone` (none when absent).
+        fn views(&self, zone: &Name) -> Vec<Nsec3View> {
+            zone.with_wire_key(&[], |key| self.zones.with_live(key, 0, |d| d.views.clone()))
+                .unwrap_or_default()
         }
 
         /// Number of distinct views cached for `zone` (0 when absent):
         /// observes `insert`'s merge.
         fn view_count(&self, zone: &Name) -> usize {
-            zone.with_sort_key(|key| self.zones.borrow().get(key).map(|d| d.views.len()))
-                .unwrap_or(0)
+            self.views(zone).len()
         }
+    }
+
+    fn cache() -> AggressiveCache {
+        AggressiveCache::new(512, KeyedState::default())
     }
 
     fn signed(params: Nsec3Params) -> dns_zone::SignedZone {
@@ -361,7 +370,7 @@ mod tests {
         let z = signed(Nsec3Params::rfc9276());
         let apex = name("agg.example.");
         let (params, views) = harvest(&z, &name("first-miss.agg.example."));
-        let cache = AggressiveCache::new();
+        let cache = cache();
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
         // A *different* nonexistent name: covered by the same chain
@@ -380,7 +389,7 @@ mod tests {
         let z = signed_deep();
         let apex = name("agg.example.");
         let (params, views) = harvest(&z, &name("ghost.dept.agg.example."));
-        let cache = AggressiveCache::new();
+        let cache = cache();
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
         let hit = cache.synthesize_under(&apex, &name("phantom.dept.agg.example."), 1, &meter);
@@ -394,7 +403,7 @@ mod tests {
         let z = signed(Nsec3Params::rfc9276());
         let apex = name("agg.example.");
         let (params, views) = harvest(&z, &name("miss.agg.example."));
-        let cache = AggressiveCache::new();
+        let cache = cache();
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
         // www exists: its hash matches an owner, never covered.
@@ -406,7 +415,7 @@ mod tests {
         let z = signed(Nsec3Params::rfc9276());
         let apex = name("agg.example.");
         let (params, views) = harvest(&z, &name("miss.agg.example."));
-        let cache = AggressiveCache::new();
+        let cache = cache();
         cache.insert(&apex, &params, &views, 0, 300);
         let meter = CostMeter::new();
         assert!(!cache.synthesize_under(&apex, &name("x.agg.example."), 301_000_000, &meter));
@@ -420,7 +429,7 @@ mod tests {
             let z = signed(Nsec3Params::rfc9276());
             let apex = name("agg.example.");
             let (params, views) = harvest(&z, &name("m.agg.example."));
-            let cache = AggressiveCache::new();
+            let cache = cache();
             cache.insert(&apex, &params, &views, 0, 300);
             let meter = CostMeter::new();
             cache.synthesize_under(&apex, &name("q.agg.example."), 1, &meter);
@@ -430,7 +439,7 @@ mod tests {
             let z = signed(Nsec3Params::new(150, vec![]));
             let apex = name("agg.example.");
             let (params, views) = harvest(&z, &name("m.agg.example."));
-            let cache = AggressiveCache::new();
+            let cache = cache();
             cache.insert(&apex, &params, &views, 0, 300);
             let meter = CostMeter::new();
             cache.synthesize_under(&apex, &name("q.agg.example."), 1, &meter);
@@ -445,7 +454,7 @@ mod tests {
         let apex = name("agg.example.");
         let (params, v1) = harvest(&z, &name("a-miss.agg.example."));
         let (_, v2) = harvest(&z, &name("zz-miss.agg.example."));
-        let cache = AggressiveCache::new();
+        let cache = cache();
         cache.insert(&apex, &params, &v1, 0, 300);
         cache.insert(&apex, &params, &v2, 0, 300);
         // The merge keeps one copy per owner hash, never fewer views
@@ -462,14 +471,15 @@ mod tests {
 
     #[test]
     fn zone_for_finds_the_deepest_live_ancestor() {
-        let cache = AggressiveCache::new();
+        let cache = cache();
         let params = Nsec3Params::rfc9276();
         for (zone, ttl) in [("example.", 300), ("b.example.", 300), ("c.b.example.", 1)] {
             cache.insert(&name(zone), &params, &[], 0, ttl);
         }
         let zone_for = |q: &str, now| {
             let q = name(q);
-            cache.zone_for(&q, now).and_then(|up| q.ancestor(up))
+            let up = q.with_wire_key(&[], |key| cache.zone_for(key, now));
+            up.and_then(|up| q.ancestor(up))
         };
         assert_eq!(zone_for("x.C.B.example.", 1), Some(name("c.b.example.")));
         // Expired: the next live zone up. Strict ancestors only.
@@ -489,7 +499,7 @@ mod tests {
     #[test]
     fn zone_for_cost_is_flat_in_cached_zones() {
         fn ns_per_lookup(zones: usize) -> f64 {
-            let cache = AggressiveCache::new();
+            let cache = AggressiveCache::new(zones, KeyedState::default());
             let params = Nsec3Params::rfc9276();
             for i in 0..zones {
                 cache.insert(&name(&format!("z{i}.example.")), &params, &[], 0, 300);
@@ -506,7 +516,8 @@ mod tests {
                     let mut found = 0;
                     for _ in 0..rounds {
                         for q in &probes {
-                            found += usize::from(cache.zone_for(q, 1).is_some());
+                            let up = q.with_wire_key(&[], |key| cache.zone_for(key, 1));
+                            found += usize::from(up.is_some());
                         }
                     }
                     assert_eq!(found, rounds * probes.len() / 2);
@@ -535,10 +546,9 @@ mod tests {
             v.extend(v2);
             (p, v)
         };
-        let cache = AggressiveCache::new();
+        let cache = cache();
         cache.insert(&apex, &params, &views, 0, 300);
-        let zones = cache.zones.borrow();
-        let sorted = &zones.get(&apex.sort_key()).unwrap().views;
+        let sorted = &cache.views(&apex);
         assert!(
             sorted.windows(2).all(|w| w[0].owner_hash < w[1].owner_hash),
             "views must be strictly sorted by owner hash"

@@ -5,13 +5,14 @@
 //! Real recursors keep NS RRsets (and the validated DS sets covering
 //! them) cached per zone cut; without this every resolution re-walks
 //! root → TLD → leaf and the root servers see every query. Storage is a
-//! [`TtlCache`] keyed by the apex's canonical sort key — the same BTreeMap
-//! discipline, so at-capacity eviction is a pure function of the cache
-//! contents and sharded drivers stay byte-identical at any thread count
-//! or window — and the deepest cut above a name is found by probing the
-//! prefixes of that name's one key.
+//! [`TtlCache`] keyed by the apex's lowercase canonical wire form — the
+//! same insertion-order eviction as every resolver cache, so sharded
+//! drivers stay byte-identical at any thread count or window — and the
+//! deepest cut above a name is found by probing the label-boundary
+//! suffixes of that name's one key.
 
-use dns_wire::name::{ancestor_keys, Name, SortKey};
+use dns_wire::hash::KeyedState;
+use dns_wire::name::{wire_suffixes, Name};
 use dns_wire::record::Record;
 use std::net::IpAddr;
 
@@ -38,16 +39,16 @@ pub struct Delegation {
 /// per-ancestor probes would otherwise overcount misses).
 #[derive(Debug)]
 pub struct DelegationCache {
-    entries: TtlCache<SortKey, Delegation>,
+    entries: TtlCache<Box<[u8]>, Delegation>,
     hits: std::cell::Cell<u64>,
     misses: std::cell::Cell<u64>,
 }
 
 impl DelegationCache {
     /// A cache holding at most `capacity` zone cuts (0 disables it).
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize, hasher: KeyedState) -> Self {
         DelegationCache {
-            entries: TtlCache::new(capacity),
+            entries: TtlCache::new(capacity, hasher),
             hits: std::cell::Cell::new(0),
             misses: std::cell::Cell::new(0),
         }
@@ -58,11 +59,11 @@ impl DelegationCache {
     /// the apex it is cached under. One hit or miss is recorded per
     /// call, not per ancestor probed.
     pub(crate) fn deepest(&self, qname: &Name, now_micros: u64) -> Option<(Name, Delegation)> {
-        // Every ancestor's key is a prefix of `qname`'s: one key, one
+        // Every ancestor's key is a suffix of `qname`'s: one key, one
         // probe per label, and a `Name` only for the cut that is found.
-        let found = qname.with_sort_key(|key| {
-            ancestor_keys(key)
-                .take_while(|cut| !cut.is_empty())
+        let found = qname.with_wire_key(&[], |key| {
+            wire_suffixes(key)
+                .take_while(|cut| cut.len() > 1)
                 .enumerate()
                 .find_map(|(up, cut)| Some((up, self.entries.get(cut, now_micros)?)))
         });
@@ -80,7 +81,7 @@ impl DelegationCache {
         ttl_secs: u32,
     ) {
         self.entries
-            .put(apex.sort_key(), delegation, now_micros, ttl_secs);
+            .put(apex.wire_key(&[]), delegation, now_micros, ttl_secs);
     }
 
     fn record(&self, hit: bool) {
@@ -133,7 +134,7 @@ mod tests {
 
     #[test]
     fn deepest_ancestor_wins() {
-        let cache = DelegationCache::new(8);
+        let cache = DelegationCache::new(8, KeyedState::default());
         cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
         cache.insert(&n("example.com."), d("192.0.2.2"), 0, 3600);
         let (apex, hit) = cache.deepest(&n("www.example.com."), 1).unwrap();
@@ -148,14 +149,14 @@ mod tests {
 
     #[test]
     fn miss_counts_once_not_per_ancestor() {
-        let cache = DelegationCache::new(8);
+        let cache = DelegationCache::new(8, KeyedState::default());
         assert!(cache.deepest(&n("a.b.c.d.example."), 0).is_none());
         assert_eq!(cache.misses(), 1);
     }
 
     #[test]
     fn ttl_expiry_falls_back() {
-        let cache = DelegationCache::new(8);
+        let cache = DelegationCache::new(8, KeyedState::default());
         cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
         cache.insert(&n("example.com."), d("192.0.2.2"), 0, 1);
         let (apex, _) = cache.deepest(&n("www.example.com."), 2_000_000).unwrap();
@@ -164,7 +165,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = DelegationCache::new(0);
+        let cache = DelegationCache::new(0, KeyedState::default());
         cache.insert(&n("com."), d("192.0.2.1"), 0, 3600);
         assert!(cache.deepest(&n("www.com."), 1).is_none());
         assert_eq!(cache.len(), 0);

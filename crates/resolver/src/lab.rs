@@ -14,6 +14,7 @@ use std::rc::Rc;
 
 use dns_auth::AuthServer;
 use dns_crypto::sha256::sha256;
+use dns_wire::hash::KeyedState;
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
@@ -88,12 +89,12 @@ pub struct Lab {
     /// Trust anchor over the root KSK.
     pub anchor: TrustAnchor,
     /// Per-zone server addresses `(v4, v6)`.
-    pub servers: HashMap<Name, (IpAddr, IpAddr)>,
+    pub servers: HashMap<Name, (IpAddr, IpAddr), KeyedState>,
     /// Per-zone authoritative server handles (query logs etc.).
-    pub auths: HashMap<Name, Rc<AuthServer>>,
+    pub auths: HashMap<Name, Rc<AuthServer>, KeyedState>,
     /// The signed zones, by apex — each the very copy its [`AuthServer`]
     /// answers from.
-    pub zones: HashMap<Name, Rc<SignedZone>>,
+    pub zones: HashMap<Name, Rc<SignedZone>, KeyedState>,
     /// Address allocator for clients/resolvers joining the lab.
     pub alloc: AddrAlloc,
     /// The `now` timestamp the lab was signed at.
@@ -158,8 +159,9 @@ impl LabBuilder {
 
         // Allocate servers and index specs by apex (the first spec wins a
         // repeated apex).
-        let mut addrs: HashMap<Name, (IpAddr, IpAddr)> = HashMap::with_capacity(self.specs.len());
-        let mut by_apex: HashMap<Name, usize> = HashMap::with_capacity(self.specs.len());
+        let n = self.specs.len();
+        let mut addrs = HashMap::with_capacity_and_hasher(n, KeyedState::default());
+        let mut by_apex = HashMap::with_capacity_and_hasher(n, KeyedState::default());
         for (i, spec) in self.specs.iter().enumerate() {
             addrs.insert(spec.zone.apex().clone(), (alloc.v4(), alloc.v6()));
             by_apex.entry(spec.zone.apex().clone()).or_insert(i);
@@ -270,7 +272,7 @@ pub struct SignedLab {
     zones: Vec<(Name, Rc<SignedZone>, bool)>,
     root_hints: Vec<IpAddr>,
     anchor: TrustAnchor,
-    servers: HashMap<Name, (IpAddr, IpAddr)>,
+    servers: HashMap<Name, (IpAddr, IpAddr), KeyedState>,
     alloc: AddrAlloc,
     now: u32,
 }
@@ -284,8 +286,9 @@ impl SignedLab {
 
     fn into_lab(self, seed: u64) -> Lab {
         let net = Rc::new(Network::new(seed));
-        let mut zones = HashMap::with_capacity(self.zones.len());
-        let mut auths = HashMap::with_capacity(self.zones.len());
+        let n = self.zones.len();
+        let mut zones = HashMap::with_capacity_and_hasher(n, KeyedState::default());
+        let mut auths = HashMap::with_capacity_and_hasher(n, KeyedState::default());
         for (apex, signed, lame) in self.zones {
             let server = Rc::new(AuthServer::new());
             server.add_zone(signed.clone());

@@ -575,6 +575,43 @@ mod e2e {
     }
 
     #[test]
+    fn rfc8198_zone_index_is_bounded_and_drops_expired_sets() {
+        let apexes: Vec<String> = (0..12).map(|i| format!("z{i}.example.com.")).collect();
+        let zones: Vec<(&str, Nsec3Params)> = apexes
+            .iter()
+            .map(|a| (a.as_str(), Nsec3Params::rfc9276()))
+            .collect();
+        let mut lab = lab_with_params(&zones);
+        let addr = lab.alloc.v4();
+        let mut cfg = ResolverConfig::validating(addr, lab.root_hints.clone(), lab.anchor.clone());
+        cfg.now = lab.now;
+        cfg.cache_size = 8;
+        cfg.aggressive_nsec3 = true;
+        let r = Resolver::new(cfg);
+        for apex in &apexes {
+            let out = r.resolve(&lab.net, &name(&format!("miss.{apex}")), RrType::A);
+            assert_eq!((out.rcode, out.authenticated), (Rcode::NxDomain, true));
+        }
+        assert_eq!(
+            r.denial_sets(),
+            8,
+            "one set per zone, at most cache_size.min(512)"
+        );
+        // The four oldest went; the newest still synthesize.
+        let now = lab.net.now_micros();
+        let other = |i: usize| name(&format!("other.z{i}.example.com."));
+        assert!(r.fast_path(now, &other(0), RrType::A).is_none());
+        let synthesized = r
+            .fast_path(now, &other(11), RrType::A)
+            .expect("z11's set is held");
+        assert_eq!(synthesized.rcode, Rcode::NxDomain);
+        // Past the TTL, a probe removes the expired set it meets.
+        let later = now + 301_000_000;
+        assert!(r.fast_path(later, &other(11), RrType::A).is_none());
+        assert_eq!(r.denial_sets(), 7);
+    }
+
+    #[test]
     fn cache_disabled_with_zero_capacity() {
         let mut lab = lab_with_params(&[("example.com.", Nsec3Params::rfc9276())]);
         let addr = lab.alloc.v4();
@@ -614,8 +651,8 @@ mod e2e {
         cfg.now = lab.now;
         let flaky = FlakyResolver::with_gap(Resolver::new(cfg), 100, 150);
         lab.net.register(raddr, Rc::new(flaky));
-        let mut rcodes = std::collections::HashSet::new();
-        let mut ads = std::collections::HashSet::new();
+        let mut rcodes = std::collections::BTreeSet::new();
+        let mut ads = std::collections::BTreeSet::new();
         for i in 0..3 {
             let q =
                 dns_wire::Message::query(i, name(&format!("p{i}.it-120.example.com.")), RrType::A)

@@ -14,6 +14,7 @@
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::future::Future;
+use std::hash::BuildHasher;
 use std::net::IpAddr;
 use std::ops::ControlFlow;
 use std::pin::Pin;
@@ -21,8 +22,9 @@ use std::rc::Rc;
 
 use dns_crypto::sha256::sha256;
 use dns_wire::edns::EdeCode;
+use dns_wire::hash::KeyedState;
 use dns_wire::message::{unframe_tcp, Message};
-use dns_wire::name::{Name, SortKey};
+use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Rcode, RrType};
@@ -74,7 +76,9 @@ pub struct ResolverConfig {
     /// Per-upstream-query retry schedule (attempts, backoff, budget).
     /// [`RetryPolicy::fixed`] reproduces the legacy flat retry loop.
     pub retry: RetryPolicy,
-    /// Answer/key cache capacity (entries); 0 disables caching.
+    /// Answer-cache capacity (entries); the per-zone caches (keys, cuts,
+    /// RFC 8198 denial sets) hold `cache_size.min(512)`. 0 disables
+    /// caching.
     pub cache_size: usize,
     /// RFC 8198 aggressive use of validated NSEC3: synthesize NXDOMAINs
     /// from cached, verified denial chains (costs hashing per query; see
@@ -248,13 +252,12 @@ pub struct Resolver {
     /// sections inside are the ones the miss handed its caller, so an
     /// insert copies no record and a hit allocates nothing.
     ///
-    /// Keyed by [`Name::rrset_sort_key`], which orders as `(Name, RrType)`
-    /// does: eviction victims are what they were under that pair, and a
-    /// probe compares bytes.
-    answer_cache: TtlCache<SortKey, Rc<ResolveOutcome>>,
+    /// Keyed by the qname's wire key with the type after it
+    /// ([`Name::with_wire_key`]).
+    answer_cache: TtlCache<Box<[u8]>, Rc<ResolveOutcome>>,
     /// Validated DNSKEY sets per zone (the big recursion saver), keyed by
-    /// [`Name::sort_key`].
-    key_cache: TtlCache<SortKey, Rc<ZoneKeys>>,
+    /// the apex's wire key.
+    key_cache: TtlCache<Box<[u8]>, Rc<ZoneKeys>>,
     /// Referral state per zone cut, for warm-restart recursion (inert
     /// unless [`ResolverConfig::delegation_cache`] is set).
     delegations: DelegationCache,
@@ -266,19 +269,19 @@ impl Resolver {
     /// Build a resolver.
     pub fn new(config: ResolverConfig) -> Self {
         let cache_size = config.cache_size;
-        let delegation_capacity = if config.delegation_cache {
-            cache_size.min(512)
-        } else {
-            0
-        };
+        // Caches with one entry per zone.
+        let zones = cache_size.min(512);
+        let delegation_capacity = if config.delegation_cache { zones } else { 0 };
+        // Every table hashes under a key of this resolver's own.
+        let hasher = KeyedState::new(KeyedState::default().hash_one(config.addr));
         Resolver {
             config,
             total: Cell::default(),
             next_id: Cell::new(1),
-            answer_cache: TtlCache::new(cache_size),
-            key_cache: TtlCache::new(cache_size.min(512)),
-            delegations: DelegationCache::new(delegation_capacity),
-            aggressive: AggressiveCache::new(),
+            answer_cache: TtlCache::new(cache_size, hasher),
+            key_cache: TtlCache::new(zones, hasher),
+            delegations: DelegationCache::new(delegation_capacity, hasher),
+            aggressive: AggressiveCache::new(zones, hasher),
         }
     }
 
@@ -365,13 +368,23 @@ impl Resolver {
         qname: &Name,
         qtype: RrType,
     ) -> Option<ResolveOutcome> {
-        let hit = qname.with_rrset_sort_key(qtype, |key| self.answer_cache.get(key, now_micros));
-        if let Some(hit) = hit {
-            return Some((*hit).clone());
-        }
-        if !self.config.aggressive_nsec3 {
-            return None;
-        }
+        // One key for the answer cache, the zone lookup and synthesis:
+        // the qname's wire form is the key without the type.
+        qname.with_wire_key(&qtype.0.to_be_bytes(), |key| {
+            if let Some(hit) = self.answer_cache.get(key, now_micros) {
+                return Some((*hit).clone());
+            }
+            if !self.config.aggressive_nsec3 {
+                return None;
+            }
+            self.synthesize(&key[..key.len() - 2], now_micros)
+        })
+    }
+
+    /// An NXDOMAIN synthesized for the name whose wire key is `qname`
+    /// from a cached, verified NSEC3 chain (RFC 8198), which still pays
+    /// its hashing.
+    fn synthesize(&self, qname: &[u8], now_micros: u64) -> Option<ResolveOutcome> {
         let zone_up = self.aggressive.zone_for(qname, now_micros)?;
         let meter = CostMeter::new();
         let synthesized = self
@@ -447,7 +460,7 @@ impl Resolver {
         // The cache shares the outcome's sections (minus the cost): two
         // reference counts, no record copied.
         self.answer_cache.put(
-            qname.rrset_sort_key(qtype),
+            qname.wire_key(&qtype.0.to_be_bytes()),
             Rc::new(ResolveOutcome {
                 cost: CostSnapshot::default(),
                 ..outcome.clone()
@@ -933,7 +946,7 @@ impl Resolver {
         zone: &Name,
         ds: &[R],
     ) -> Result<Rc<ZoneKeys>, ValidationError> {
-        let cached = zone.with_sort_key(|key| self.key_cache.get(key, query.now.get()));
+        let cached = zone.with_wire_key(&[], |key| self.key_cache.get(key, query.now.get()));
         if let Some(keys) = cached {
             return Ok(keys);
         }
@@ -985,7 +998,7 @@ impl Resolver {
         validate_rrset(zone, &dnskeys, &sigs, &keys, self.config.now, &query.meter)?;
         let keys = Rc::new(keys);
         self.key_cache
-            .put(zone.sort_key(), keys.clone(), query.now.get(), 3600);
+            .put(zone.wire_key(&[]), keys.clone(), query.now.get(), 3600);
         Ok(keys)
     }
 
@@ -1243,5 +1256,10 @@ impl Resolver {
     /// Zone cuts currently cached in the delegation cache.
     pub(crate) fn delegation_len(&self) -> usize {
         self.delegations.len()
+    }
+
+    /// Zones whose RFC 8198 denial sets are held.
+    pub(crate) fn denial_sets(&self) -> usize {
+        self.aggressive.zone_count()
     }
 }

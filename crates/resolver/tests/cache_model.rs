@@ -1,16 +1,16 @@
 //! The answer cache against a naive model: a random `put`/`get` stream
 //! over a [`TtlCache`] keyed the way [`dns_resolver::Resolver`] keys its
-//! answer cache ([`Name::rrset_sort_key`], probed with key bytes from the
-//! stack) and over a `Vec` of `(Name, RrType)` entries kept sorted with
-//! `canonical_cmp` must agree on every hit, every miss and every eviction
-//! victim. The sort key is an encoding of that order, so the victim — a
-//! sorted neighbour of the inserted key — is a function of the order
-//! alone.
+//! answer cache (the owner's wire key with the type after it, probed with
+//! key bytes from the stack) and over a `Vec` of `(Name, RrType)` entries
+//! kept in insertion order must agree on every hit, every miss and every
+//! eviction victim. The victim is a function of that order alone: the
+//! first expired entry among the oldest eight, else the oldest.
 
 use sim_check::{gens, props, Gen};
 
 use dns_resolver::TtlCache;
-use dns_wire::name::{Name, SortKey};
+use dns_wire::hash::KeyedState;
+use dns_wire::name::Name;
 use dns_wire::rrtype::RrType;
 
 /// Mirrors `EVICTION_PROBE` in `cache.rs`.
@@ -18,7 +18,8 @@ const EVICTION_PROBE: usize = 8;
 
 type Key = (Name, RrType);
 
-/// What `TtlCache` documents, written down over a sorted `Vec`.
+/// What `TtlCache` documents, written down over a `Vec` in insertion
+/// order, oldest first.
 struct Model {
     entries: Vec<(Key, u32, u64)>,
     capacity: usize,
@@ -26,13 +27,12 @@ struct Model {
 }
 
 impl Model {
-    fn position(&self, key: &Key) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by(|(k, _, _)| k.0.canonical_cmp(&key.0).then_with(|| k.1.cmp(&key.1)))
+    fn position(&self, key: &Key) -> Option<usize> {
+        self.entries.iter().position(|(k, _, _)| k == key)
     }
 
     fn get(&mut self, key: &Key, now: u64) -> Option<u32> {
-        let at = self.position(key).ok()?;
+        let at = self.position(key)?;
         if self.entries[at].2 > now {
             return Some(self.entries[at].1);
         }
@@ -45,29 +45,27 @@ impl Model {
         if ttl_secs == 0 {
             return None;
         }
+        let expiry = now + ttl_secs as u64 * 1_000_000;
+        if let Some(at) = self.position(&key) {
+            // An overwrite keeps its place in the order.
+            self.entries[at].1 = value;
+            self.entries[at].2 = expiry;
+            return None;
+        }
         let mut evicted = None;
         if self.entries.len() >= self.capacity {
-            if let Err(at) = self.position(&key) {
-                // The sorted successors of the new key, wrapping: the
-                // first expired one among the nearest eight, else the
-                // nearest.
-                let n = self.entries.len();
-                let probed = (0..n.min(EVICTION_PROBE)).map(|i| (at + i) % n);
-                let victim = probed
-                    .clone()
-                    .find(|&i| self.entries[i].2 <= now)
-                    .or_else(|| probed.clone().next());
-                if let Some(i) = victim {
-                    evicted = Some(self.entries.remove(i).0);
-                    self.evictions += 1;
-                }
-            }
+            // The first expired one among the oldest eight, else the
+            // oldest.
+            let victim = self
+                .entries
+                .iter()
+                .take(EVICTION_PROBE)
+                .position(|e| e.2 <= now)
+                .unwrap_or(0);
+            evicted = Some(self.entries.remove(victim).0);
+            self.evictions += 1;
         }
-        let entry = (key, value, now + ttl_secs as u64 * 1_000_000);
-        match self.position(&entry.0) {
-            Ok(at) => self.entries[at] = entry,
-            Err(at) => self.entries.insert(at, entry),
-        }
+        self.entries.push((key, value, expiry));
         evicted
     }
 }
@@ -115,14 +113,14 @@ fn ops() -> impl Gen<Vec<(bool, usize, u32, u64)>> {
     )
 }
 
-fn lookup(cache: &TtlCache<SortKey, u32>, key: &Key, now: u64) -> Option<u32> {
+fn lookup(cache: &TtlCache<Box<[u8]>, u32>, key: &Key, now: u64) -> Option<u32> {
     key.0
-        .with_rrset_sort_key(key.1, |bytes| cache.get(bytes, now))
+        .with_wire_key(&key.1 .0.to_be_bytes(), |bytes| cache.get(bytes, now))
 }
 
 fn agrees_with_the_model(capacity: usize, ops: Vec<(bool, usize, u32, u64)>) {
     let pool = key_pool();
-    let cache: TtlCache<SortKey, u32> = TtlCache::new(capacity);
+    let cache = TtlCache::new(capacity, KeyedState::new(capacity as u64));
     let mut model = Model {
         entries: Vec::new(),
         capacity,
@@ -139,7 +137,12 @@ fn agrees_with_the_model(capacity: usize, ops: Vec<(bool, usize, u32, u64)>) {
             } else {
                 key.0.clone()
             };
-            cache.put(owner.rrset_sort_key(key.1), step as u32, now, ttl);
+            cache.put(
+                owner.wire_key(&key.1 .0.to_be_bytes()),
+                step as u32,
+                now,
+                ttl,
+            );
             // Equal contents before, equal sizes after and the model's
             // victim gone from the cache: equal contents after.
             if let Some(victim) = model.put(key.clone(), step as u32, now, ttl) {

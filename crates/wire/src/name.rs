@@ -11,7 +11,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use crate::rrtype::RrType;
 use crate::WireError;
 
 /// Maximum length of a single label, in bytes.
@@ -56,8 +55,8 @@ pub struct Name {
 /// Every ordered map of names is keyed by this type and probed with a
 /// borrowed `&[u8]` built on the stack ([`Name::with_sort_key`]), so a
 /// probe allocates nothing and each comparison of its descent is a
-/// `memcmp`. An RRset key ([`Name::rrset_sort_key`]) appends `00` and the
-/// type, big-endian, and sorts exactly as `(Name, RrType)` does.
+/// `memcmp`. A table that only ever asks for one name exactly is keyed
+/// by the name's wire form instead ([`Name::with_wire_key`]).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SortKey(Box<[u8]>);
 
@@ -94,6 +93,39 @@ pub fn ancestor_keys(key: &[u8]) -> impl Iterator<Item = &[u8]> {
         });
         Some(key)
     })
+}
+
+/// The label-boundary suffixes of a wire key ([`Name::with_wire_key`]):
+/// the key itself first, then one label fewer each time, ending with the
+/// suffix that starts at the root octet. The `n`-th item is the key of
+/// [`Name::ancestor`]`(n)` with the same suffix after its root octet, so
+/// the ancestors of a name are probed with no name rebuilt.
+pub fn wire_suffixes(key: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut next = Some(key);
+    std::iter::from_fn(move || {
+        let key = next?;
+        next = match key.first() {
+            Some(&len) if len != 0 => key.get(1 + usize::from(len)..),
+            _ => None,
+        };
+        Some(key)
+    })
+}
+
+/// Lend `f` the first `len` octets of a zeroed stack buffer, the smallest
+/// of three that holds them: zero-filling the largest for every probe
+/// would cost more than building the key of a census or serving name,
+/// which fits the first (a hashed NSEC3 owner's sort key fits the
+/// second).
+fn with_stack_buffer<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    fn lend<const N: usize, R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        f(&mut [0u8; N][..len])
+    }
+    match len {
+        0..=64 => lend::<64, R>(len, f),
+        65..=192 => lend::<192, R>(len, f),
+        _ => lend::<{ 2 * MAX_NAME_LEN }, R>(len, f),
+    }
 }
 
 /// Write the sort key of `wire` so that it ends where `buf` ends, and
@@ -415,13 +447,10 @@ impl Name {
     /// name and lend them to `f` — the allocation-free form every map
     /// probe uses.
     pub fn with_sort_key<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.with_suffixed_key([], f)
-    }
-
-    /// [`Name::with_sort_key`] for the RRset key of `(self, rrtype)`.
-    pub fn with_rrset_sort_key<R>(&self, rrtype: RrType, f: impl FnOnce(&[u8]) -> R) -> R {
-        let [hi, lo] = rrtype.0.to_be_bytes();
-        self.with_suffixed_key([0, hi, lo], f)
+        with_stack_buffer(2 * self.wire.len(), |buf| {
+            let start = write_sort_key(&self.wire, buf);
+            f(&buf[start..])
+        })
     }
 
     /// This name's sort key, owned: what a map stores.
@@ -429,38 +458,27 @@ impl Name {
         self.with_sort_key(SortKey::from_bytes)
     }
 
-    /// The owned key of the RRset `(self, rrtype)`: the name's key, `00`,
-    /// the type big-endian. `00` sorts it before every descendant of the
-    /// name (no label is empty and none starts below `01`), so these keys
-    /// order as `(Name, RrType)` pairs do.
-    pub fn rrset_sort_key(&self, rrtype: RrType) -> SortKey {
-        self.with_rrset_sort_key(rrtype, SortKey::from_bytes)
+    /// Build this name's lowercase canonical wire form (root octet
+    /// included), then `suffix`, in a stack buffer sized to them, and
+    /// lend it to `f`: the key of every hashed table of names. Equal
+    /// names have equal keys, a key's [`wire_suffixes`] are its
+    /// ancestors' keys, and `suffix` (an RRset table appends the type)
+    /// follows the root octet, where no label can be.
+    ///
+    /// # Panics
+    /// Panics if `suffix` is longer than 255 octets.
+    pub fn with_wire_key<R>(&self, suffix: &[u8], f: impl FnOnce(&[u8]) -> R) -> R {
+        let wire = self.wire.len() + 1;
+        with_stack_buffer(wire + suffix.len(), |buf| {
+            self.write_canonical_wire(buf);
+            buf[wire..].copy_from_slice(suffix);
+            f(buf)
+        })
     }
 
-    /// The key, then `suffix`, in the smallest of three stack buffers that
-    /// holds them: zero-filling the largest for every probe would cost
-    /// more than building the key of a census or serving name, which fits
-    /// the first (a hashed NSEC3 owner fits the second).
-    fn with_suffixed_key<const S: usize, R>(
-        &self,
-        suffix: [u8; S],
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> R {
-        fn build<const N: usize, const S: usize, R>(
-            wire: &[u8],
-            suffix: [u8; S],
-            f: impl FnOnce(&[u8]) -> R,
-        ) -> R {
-            let mut buf = [0u8; N];
-            buf[N - S..].copy_from_slice(&suffix);
-            let start = write_sort_key(wire, &mut buf[..N - S]);
-            f(&buf[start..])
-        }
-        match 2 * self.wire.len() + S {
-            0..=64 => build::<64, S, R>(&self.wire, suffix, f),
-            65..=192 => build::<192, S, R>(&self.wire, suffix, f),
-            _ => build::<{ 2 * MAX_NAME_LEN }, S, R>(&self.wire, suffix, f),
-        }
+    /// This name's wire key with `suffix`, owned: what a table stores.
+    pub fn wire_key(&self, suffix: &[u8]) -> Box<[u8]> {
+        self.with_wire_key(suffix, |key| key.into())
     }
 
     /// The strict ancestors of `self`, nearest first, ending with the root
@@ -683,6 +701,30 @@ mod tests {
             assert_eq!(&c.to_string(), e);
         }
         assert_eq!(Name::root().ancestors().count(), 0);
+    }
+
+    #[test]
+    fn wire_keys_and_their_suffixes() {
+        let key = name("A.Bc.example.").with_wire_key(&[0, 1], |k| k.to_vec());
+        assert_eq!(key, b"\x01a\x02bc\x07example\x00\x00\x01");
+        let wire = &key[..key.len() - 2];
+        let walked: Vec<&[u8]> = wire_suffixes(wire).collect();
+        let expect: Vec<Vec<u8>> = ["a.bc.example.", "bc.example.", "example.", "."]
+            .iter()
+            .map(|n| name(n).to_canonical_wire())
+            .collect();
+        assert_eq!(walked, expect);
+        // With the suffix: each ancestor's key with that suffix.
+        assert_eq!(
+            wire_suffixes(&key).nth(2),
+            Some(&b"\x07example\x00\x00\x01"[..])
+        );
+        Name::root().with_wire_key(&[], |k| assert_eq!(k, [0]));
+        // The largest name fits the largest buffer tier.
+        let labels: [&[u8]; 4] = [&[b'x'; 63], &[b'x'; 63], &[b'x'; 63], &[b'y'; 61]];
+        let long = Name::from_labels(labels).unwrap();
+        assert_eq!(long.wire_len(), MAX_NAME_LEN);
+        long.with_wire_key(&[0, 1], |k| assert_eq!(k.len(), MAX_NAME_LEN + 2));
     }
 
     #[test]

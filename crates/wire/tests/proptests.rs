@@ -9,7 +9,7 @@ use dns_wire::base32;
 use dns_wire::base64;
 use dns_wire::buf::{Reader, WireBuf, Writer};
 use dns_wire::message::{Flags, Message, Question};
-use dns_wire::name::{ancestor_keys, Name};
+use dns_wire::name::{ancestor_keys, wire_suffixes, Name};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
 use dns_wire::rrtype::{Class, Opcode, Rcode, RrType};
@@ -349,15 +349,17 @@ props! {
         assert_eq!(a.ancestor(a.label_count() + 1), None);
         // The stack form is the owned form.
         a.with_sort_key(|key| assert_eq!(key, ka.as_bytes()));
-        // RRset keys order as (name, type) pairs.
-        let (ta, tb) = (RrType(types.0), RrType(types.1));
-        assert_eq!(
-            a.rrset_sort_key(ta).cmp(&b.rrset_sort_key(tb)),
-            (&a, ta).cmp(&(&b, tb)),
-            "({a}, {ta}) vs ({b}, {tb})"
-        );
-        assert_eq!(a.rrset_sort_key(ta).cmp(&a.rrset_sort_key(tb)), ta.cmp(&tb));
-        a.with_rrset_sort_key(ta, |key| assert_eq!(key, a.rrset_sort_key(ta).as_bytes()));
+        // Wire keys, a type after the root octet, are equal exactly when
+        // names and types are, and their suffixes are the ancestors' keys.
+        let (ta, tb) = (types.0.to_be_bytes(), types.1.to_be_bytes());
+        let wa = a.with_wire_key(&ta, <[u8]>::to_vec);
+        let wb = b.with_wire_key(&tb, <[u8]>::to_vec);
+        assert_eq!(wa == wb, a == b && ta == tb, "({a}, {ta:?}) vs ({b}, {tb:?})");
+        let walked: Vec<&[u8]> = wire_suffixes(&wa).collect();
+        assert_eq!(walked.len(), a.label_count() + 1, "{a}");
+        for (n, key) in walked.iter().enumerate() {
+            a.ancestor(n).unwrap().with_wire_key(&ta, |k| assert_eq!(*key, k, "{a} up {n}"));
+        }
     }
 
     fn hash_agrees_with_case_insensitive_eq(pair in suffix_sharing_names()) {

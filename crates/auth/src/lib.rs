@@ -15,8 +15,8 @@ use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 use std::rc::Rc;
 
+use dns_crypto::hash::KeyedState;
 use dns_wire::edns::Edns;
-use dns_wire::hash::KeyedState;
 use dns_wire::message::{unframe_tcp, Flags, Message, MessageHead, Question};
 use dns_wire::name::{ancestor_keys, Name, SortKey};
 use dns_wire::rdata::RData;

@@ -25,8 +25,8 @@
 //! [`heroes_bench::microbench`] runner, steady-state hit ratios
 //! included.
 
+use dns_crypto::hash::KeyedState;
 use dns_resolver::TtlCache;
-use dns_wire::hash::KeyedState;
 use dns_wire::name::Name;
 use dns_wire::rrtype::RrType;
 use heroes_bench::microbench::Suite;

@@ -3,9 +3,11 @@
 //! and the name compression trade-off (DESIGN.md ablation 3). Writes
 //! `BENCH_wire.json`.
 
+use std::hash::BuildHasher;
 use std::hint::black_box;
 use std::net::IpAddr;
 
+use dns_crypto::hash::KeyedState;
 use dns_wire::buf::{WireBuf, Writer};
 use dns_wire::message::Message;
 use dns_wire::name::name;
@@ -104,12 +106,12 @@ fn main() {
         at = (at + 1) % (keys.len() - 1);
         black_box(&keys[at]).cmp(black_box(&keys[at + 1]))
     });
-    // What the server's zone map pays per probe: one SipHash of a
-    // 20-octet name.
-    let hasher = std::collections::hash_map::RandomState::new();
+    // What a name table pays per probe: the name's 21-octet wire key
+    // built on the stack and hashed under the tables' `KeyedState`.
+    let state = KeyedState::new(42);
     let hashed = name("domain-0042.example.");
     suite.bench("name_hash", || {
-        std::hash::BuildHasher::hash_one(&hasher, black_box(&hashed))
+        black_box(&hashed).with_wire_key(&[], |key| state.hash_one(key))
     });
 
     // Same 20 names written with and without compression.

@@ -104,11 +104,6 @@ pub struct Measured {
 
 impl Measured {
     /// Run every driver once. Progress goes to stderr.
-    ///
-    /// The resolver studies go first. A thread's NSEC3 hash cache never
-    /// lets an expensive entry evict an RFC 9276-compliant one, so once a
-    /// census has filled it with those, the testbed's it-500 hashes are
-    /// recomputed for every resolver and a study takes a third longer.
     pub fn run(domains: Scale, seed: u64, cfg: &DriverConfig) -> Measured {
         let step = |what: &str| eprintln!("[paper_report] {what}…");
         step("resolver study");

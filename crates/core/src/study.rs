@@ -11,9 +11,11 @@
 use std::cell::Cell;
 use std::ops::Range;
 
+use dns_crypto::simsig::clear_verify_memo;
 use dns_resolver::lab::Lab;
 use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_scanner::retry::{ProbeStats, ScanSession};
+use dns_zone::nsec3hash::clear_thread_cache;
 use netsim::event::{drive, FlowStep};
 use netsim::Network;
 
@@ -46,12 +48,17 @@ pub(crate) struct StudyRun<P> {
 /// run `work` on each with its own [`ShardRun`]. The cut is the one
 /// `sim_par` makes for a slice of the same length, so a driver over a
 /// materialised list indexes `items[range]`.
+///
+/// A shard first empties its thread's NSEC3 hash cache and signature
+/// memo, so no study's speed depends on what ran on the thread before.
 pub(crate) fn run_study<P: Send>(
     len: usize,
     cfg: &DriverConfig,
     work: impl Fn(&ShardRun<'_>, Range<usize>) -> P + Sync,
 ) -> StudyRun<P> {
     let shards = sim_par::run_sharded_range(len as u64, cfg.threads, cfg.lab_seed, |shard| {
+        clear_thread_cache();
+        clear_verify_memo();
         let run = ShardRun {
             cfg,
             seed: shard.seed,

@@ -2,7 +2,8 @@
 //! `serving_hit` shape: 24 NSEC3 zones, 64 clients × 500 browsing queries,
 //! a fleet of 4 with RFC 8198 synthesis on, one thread. Most of those
 //! queries are answer-cache hits and syntheses, which allocate nothing
-//! but a never-seen name's hash-cache key, and most qnames are a
+//! but a hash-cache slot's key buffer the first time the slot is used
+//! (or outgrown), and most qnames are a
 //! domain's `www` or `miss` name, built once per shard and borrowed;
 //! what is left per query is the unique qnames and the forwarded
 //! minority.
@@ -48,10 +49,12 @@ static ALLOCATOR: Counting = Counting;
 const NOW: u32 = 1_710_000_000;
 
 /// Allocations per served query, the whole driver call (lab stand-up
-/// included) over the queries it served: 1.42 when set. It read 6.01
-/// when every hit copied its cached records out and a synthesis built
-/// its ancestors as names, and 2.30 while every query owned its qname.
-const PER_QUERY_BUDGET: f64 = 1.6;
+/// included) over the queries it served: 1.40 when set, with the
+/// headroom 1.6 gave 1.42. It read 6.01 when every hit copied its cached
+/// records out and a synthesis built its ancestors as names, 2.30 while
+/// every query owned its qname, and 1.42 while the NSEC3 hash cache
+/// boxed a key per store.
+const PER_QUERY_BUDGET: f64 = 1.58;
 
 /// The first `count` non-opt-out NSEC3 zones of the calibrated
 /// population at `seed`, as the benchmark selects them.

@@ -1,16 +1,17 @@
-//! One keyed hasher for every exact-match table of names.
+//! One keyed hasher for every table of the workspace.
 //!
 //! The resolver's caches, the authoritative's apex index and the lab's
 //! maps are probed once or more per query, each time with a name's
-//! lowercase canonical wire form built on the stack
-//! ([`Name::with_wire_key`](crate::name::Name::with_wire_key)), so the
-//! hash runs on every query. [`WordHasher`] takes that key eight octets
-//! at a time — a multiply and a xorshift per word, one finalizer per key
-//! — where the standard library's randomly seeded SipHash pays its
-//! rounds per word and draws a fresh seed per map. [`KeyedState`] carries
-//! the key: a table keyed from its owner's identity (a resolver keys its
-//! tables from its own address) has a layout that repeats run to run and
-//! that the names alone do not predict.
+//! lowercase canonical wire form built on the stack (`dns_wire`'s
+//! `Name::with_wire_key`), and the two [`Memo`](crate::memo::Memo)s pick
+//! a slot per NSEC3 hash and per signature check, so the hash runs on
+//! every query. [`WordHasher`] takes its input eight octets at a time —
+//! a multiply and a xorshift per word, one finalizer per key — where the
+//! standard library's randomly seeded SipHash pays its rounds per word
+//! and draws a fresh seed per map. [`KeyedState`] carries the key: a
+//! table keyed from its owner's identity (a resolver keys its tables
+//! from its own address) has a layout that repeats run to run and that
+//! the names alone do not predict.
 
 use std::hash::{BuildHasher, Hasher};
 

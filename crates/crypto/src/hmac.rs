@@ -9,22 +9,33 @@
 use crate::sha256::{midstate, sha256, sha256_from};
 
 /// The SHA-256 midstates after `key ⊕ ipad` and after `key ⊕ opad`, in
-/// that order. A key longer than the 64-octet block is hashed first
-/// (RFC 2104 §2).
-pub(crate) fn pads(key: &[u8]) -> [[u32; 8]; 2] {
+/// that order, each as its eight words big-endian: 64 octets a memo can
+/// hash and compare as they lie. A key longer than the 64-octet block is
+/// hashed first (RFC 2104 §2).
+pub(crate) fn pads(key: &[u8]) -> [u8; 64] {
     let mut block = [0u8; 64];
     if key.len() > 64 {
         block[..32].copy_from_slice(&sha256(key));
     } else {
         block[..key.len()].copy_from_slice(key);
     }
-    [0x36, 0x5c].map(|pad| midstate(&block.map(|b| b ^ pad)))
+    let mut pads = [0u8; 64];
+    for (half, pad) in pads.chunks_exact_mut(32).zip([0x36, 0x5c]) {
+        half.copy_from_slice(
+            midstate(&block.map(|b| b ^ pad))
+                .map(u32::to_be_bytes)
+                .as_flattened(),
+        );
+    }
+    pads
 }
 
 /// HMAC-SHA-256 of `message` under the key whose [`pads`] these are.
-pub(crate) fn mac(pads: &[[u32; 8]; 2], message: &[u8]) -> [u8; 32] {
-    let inner = sha256_from(pads[0], 64, message);
-    sha256_from(pads[1], 64, &inner)
+pub(crate) fn mac(pads: &[u8; 64], message: &[u8]) -> [u8; 32] {
+    let words = pads.as_chunks::<4>().0;
+    let state = |half: usize| std::array::from_fn(|i| u32::from_be_bytes(words[8 * half + i]));
+    let inner = sha256_from(state(0), 64, message);
+    sha256_from(state(1), 64, &inner)
 }
 
 /// HMAC-SHA-256 of `message` under `key`.

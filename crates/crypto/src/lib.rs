@@ -11,6 +11,10 @@
 //! * [`simsig`] — *SimSig*, a deterministic stand-in for RSA/ECDSA DNSSEC
 //!   signatures. See the module docs for the exact substitution argument.
 //! * [`keytag`] — the RFC 4034 Appendix B key-tag computation.
+//! * [`hash`] — the keyed word-at-a-time hasher of every table in the
+//!   workspace.
+//! * [`memo`] — the direct-mapped memo under the NSEC3 hash cache
+//!   (`dns_zone::nsec3hash`) and [`simsig`]'s signature memo.
 //!
 //! # Cost accounting
 //!
@@ -36,8 +40,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod hmac;
 pub mod keytag;
+pub mod memo;
 pub mod sha1;
 pub mod sha256;
 pub mod simsig;

@@ -22,11 +22,16 @@
 //! SimSig identifies itself with DNSSEC algorithm number 253 (`PRIVATEDNS`,
 //! reserved by RFC 4034 §A.1.1 for private algorithms), though the zone signer
 //! may label keys with any algorithm number to mimic populations in the wild.
+//!
+//! [`Context::verify`] reads the tag through this thread's [`Memo`], which
+//! a study shard empties first ([`clear_verify_memo`]).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use crate::ct_eq;
+use crate::hash::KeyedState;
 use crate::hmac::{mac, pads};
+use crate::memo::Memo;
 use crate::sha256::sha256;
 
 /// DNSSEC algorithm number SimSig identifies itself with (PRIVATEDNS).
@@ -80,12 +85,12 @@ impl KeyPair {
 }
 
 /// Precomputed per-key state for signing and verifying: the key's two
-/// HMAC pad midstates, derived once by `hmac::pads` (64 bytes — a
+/// HMAC pad midstates, derived once by `hmac::pads` (64 octets — a
 /// resolver holds one of these per DNSKEY of every zone it has
 /// validated, so the size is what its key cache costs).
 #[derive(Clone, Debug)]
 pub struct Context {
-    pads: [[u32; 8]; 2],
+    pads: [u8; 64],
     /// Whether the key has the SimSig public-key length; a key of any
     /// other length verifies nothing.
     well_formed: bool,
@@ -103,14 +108,16 @@ impl Context {
     /// Verify `signature` over `message`; identical verdict to [`verify`]
     /// under the key this context was built from, without re-deriving the
     /// pad schedule. The expected tag comes through this thread's
-    /// `TagMemo`: computed the first time a (key, message) pair is
-    /// seen, read back afterwards, and compared with `signature` here
-    /// either way.
+    /// signature memo, keyed by the pads and the message: computed the
+    /// first time a (key, message) pair is seen, read back afterwards,
+    /// and compared with `signature` here either way.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
         if !self.well_formed || signature.len() != SIGNATURE_LEN {
             return false;
         }
-        let tag = TAG_MEMO.with(|memo| memo.tag(&self.pads, message));
+        let tag = TAG_MEMO.with_borrow_mut(|memo| {
+            memo.get_or_compute(&[&self.pads, message], || mac(&self.pads, message))
+        });
         ct_eq(&tag, signature)
     }
 
@@ -124,114 +131,38 @@ impl Context {
 /// set) is MACed on every verify.
 const MEMO_MAX_MESSAGE: usize = 256;
 
-/// Slots in a thread's memo: a power of two, the top bits of the index
-/// hash pick one.
-const MEMO_SLOTS: usize = 512;
-
-/// A thread's memo of the deterministic function `(key, message) → tag`
-/// that every signature check evaluates (DESIGN.md §6, "Signature memo").
-///
-/// What is stored is the tag the MAC computes, never a verdict: the
-/// caller still compares it with the signature it was handed, so a
-/// corrupted, truncated or re-keyed signature over a memoised message is
-/// rejected exactly as without the memo. The table is direct-mapped and
-/// a colliding store overwrites; a hit requires the whole key state (both
-/// pad midstates — they *are* the MAC function) and the whole message to
-/// compare equal, so the slot hash only ever decides where to look, never
-/// what is returned.
-struct TagMemo {
-    /// Direct-mapped; a slot's storage is allocated when it is first
-    /// stored to, so a thread pays for the slots it uses (a serving fleet
-    /// that validates three answers in a hundred uses few) and allocates
-    /// nothing once they exist.
-    slots: RefCell<Vec<Option<Box<MemoSlot>>>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-struct MemoSlot {
-    pads: [[u32; 8]; 2],
-    /// Octets of `message` in use.
-    len: u16,
-    message: [u8; MEMO_MAX_MESSAGE],
-    tag: [u8; SIGNATURE_LEN],
-}
-
-impl TagMemo {
-    fn new() -> Self {
-        TagMemo {
-            slots: RefCell::new((0..MEMO_SLOTS).map(|_| None).collect()),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
-    }
-
-    /// `HMAC-SHA-256` of `message` under the key whose pad midstates are
-    /// `pads`. The miss arm below is the only place a verify computes it.
-    fn tag(&self, pads: &[[u32; 8]; 2], message: &[u8]) -> [u8; SIGNATURE_LEN] {
-        let mut slots = self.slots.borrow_mut();
-        let slot = (message.len() <= MEMO_MAX_MESSAGE)
-            .then(|| &mut slots[Self::slot_index(pads, message)]);
-        if let Some(Some(slot)) = &slot {
-            if usize::from(slot.len) == message.len()
-                && slot.pads == *pads
-                && slot.message[..message.len()] == *message
-            {
-                self.hits.set(self.hits.get() + 1);
-                return slot.tag;
-            }
-        }
-        self.misses.set(self.misses.get() + 1);
-        let tag = mac(pads, message);
-        if let Some(slot) = slot {
-            let mut stored = [0u8; MEMO_MAX_MESSAGE];
-            stored[..message.len()].copy_from_slice(message);
-            let entry = MemoSlot {
-                pads: *pads,
-                len: message.len() as u16,
-                message: stored,
-                tag,
-            };
-            match slot {
-                Some(held) => **held = entry,
-                None => *slot = Some(Box::new(entry)),
-            }
-        }
-        tag
-    }
-
-    /// A multiply-mix over the message eight octets at a time, seeded by
-    /// one word of each pad. It only spreads entries over slots — equality
-    /// is decided by the full compare — so it need not resist anything.
-    fn slot_index(pads: &[[u32; 8]; 2], message: &[u8]) -> usize {
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mix = |h: u64, word: u64| {
-            let h = (h ^ word).wrapping_mul(K);
-            h ^ (h >> 32)
-        };
-        let seed = u64::from(pads[0][0]) << 32 | u64::from(pads[1][0]);
-        let mut chunks = message.chunks_exact(8);
-        let mut h = mix(seed, message.len() as u64);
-        for chunk in &mut chunks {
-            h = mix(h, u64::from_le_bytes(chunk.try_into().expect("8 octets")));
-        }
-        let mut last = [0u8; 8];
-        last[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        h = mix(h, u64::from_le_bytes(last)).wrapping_mul(K);
-        (h >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
-    }
-}
-
 thread_local! {
-    /// One memo per thread, like the NSEC3 hash cache: no shard's output
-    /// or cost depends on what another thread has verified.
-    static TAG_MEMO: TagMemo = TagMemo::new();
+    /// This thread's memo of the deterministic function
+    /// `(key, message) → tag` that every signature check evaluates
+    /// (DESIGN.md §6, "One memo"). What is stored is the tag the MAC
+    /// computes, never a verdict: the caller still compares it with the
+    /// signature it was handed, so a corrupted, truncated or re-keyed
+    /// signature over a memoised message is rejected exactly as without
+    /// the memo. A hit needs both pad midstates (they *are* the MAC
+    /// function) and the whole message to compare equal; a colliding
+    /// store always replaces. One memo per thread, like the NSEC3 hash
+    /// cache: no shard's output or cost depends on what another thread
+    /// has verified.
+    static TAG_MEMO: RefCell<Memo<[u8; SIGNATURE_LEN]>> = RefCell::new(Memo::new(
+        512,
+        KeyedState::default(),
+        64 + MEMO_MAX_MESSAGE,
+        |_, _| true,
+    ));
 }
 
-/// `(hits, misses)` of this thread's signature memo — observability for
-/// `crates/crypto/tests` and `bench_validation`; nothing decides by it.
+/// `(hits, misses)` of this thread's signature memo since it was last
+/// emptied — observability for `crates/crypto/tests` and
+/// `bench_validation`; nothing decides by it.
 pub fn verify_memo_stats() -> (u64, u64) {
-    TAG_MEMO.with(|memo| (memo.hits.get(), memo.misses.get()))
+    TAG_MEMO.with_borrow(Memo::stats)
+}
+
+/// Empty this thread's signature memo and zero its counters: a study
+/// shard starts from here, so its speed does not depend on what the
+/// thread verified before.
+pub fn clear_verify_memo() {
+    TAG_MEMO.with_borrow_mut(Memo::clear);
 }
 
 /// Verify `signature` over `message` under `public_key`.

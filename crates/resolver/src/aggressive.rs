@@ -27,7 +27,7 @@
 
 use std::cell::Cell;
 
-use dns_wire::hash::KeyedState;
+use dns_crypto::hash::KeyedState;
 use dns_wire::name::{wire_suffixes, Name, MAX_NAME_LEN};
 use dns_zone::nsec3hash::{with_thread_cache, Nsec3Params};
 

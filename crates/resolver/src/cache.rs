@@ -14,7 +14,7 @@ use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::hash::{BuildHasher, Hash};
 
-use dns_wire::hash::KeyedState;
+use dns_crypto::hash::KeyedState;
 
 /// How many of the oldest live entries an at-capacity insert probes for
 /// an expired victim before it settles for the oldest.

@@ -11,7 +11,7 @@
 //! deepest cut above a name is found by probing the label-boundary
 //! suffixes of that name's one key.
 
-use dns_wire::hash::KeyedState;
+use dns_crypto::hash::KeyedState;
 use dns_wire::name::{wire_suffixes, Name};
 use dns_wire::record::Record;
 use std::net::IpAddr;

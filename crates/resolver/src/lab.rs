@@ -13,8 +13,8 @@ use std::net::IpAddr;
 use std::rc::Rc;
 
 use dns_auth::AuthServer;
+use dns_crypto::hash::KeyedState;
 use dns_crypto::sha256::sha256;
-use dns_wire::hash::KeyedState;
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;

@@ -20,9 +20,9 @@ use std::ops::ControlFlow;
 use std::pin::Pin;
 use std::rc::Rc;
 
+use dns_crypto::hash::KeyedState;
 use dns_crypto::sha256::sha256;
 use dns_wire::edns::EdeCode;
-use dns_wire::hash::KeyedState;
 use dns_wire::message::{unframe_tcp, Message};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;

@@ -8,8 +8,8 @@
 
 use sim_check::{gens, props, Gen};
 
+use dns_crypto::hash::KeyedState;
 use dns_resolver::TtlCache;
-use dns_wire::hash::KeyedState;
 use dns_wire::name::Name;
 use dns_wire::rrtype::RrType;
 

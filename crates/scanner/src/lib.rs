@@ -283,63 +283,6 @@ mod e2e {
     }
 
     #[test]
-    fn requery_unmasks_flaky_resolvers_and_confirms_stable_ones() {
-        use dns_resolver::FlakyResolver;
-        let mut b = LabBuilder::new(NOW)
-            .simple_zone(&name("com."), Denial::nsec3_rfc9276())
-            .simple_zone(&name("tb.com."), Denial::nsec3_rfc9276())
-            .simple_zone(&name("valid.tb.com."), Denial::nsec3_rfc9276());
-        let mut expired_spec = dns_resolver::ZoneSpec::new(
-            dns_resolver::lab::simple_zone_contents(&name("expired.tb.com.")),
-            Denial::nsec3_rfc9276(),
-        );
-        expired_spec.expired = true;
-        b = b.zone(expired_spec);
-        for n in [120u16, 160] {
-            b = b.simple_zone(
-                &name(&format!("it-{n}.tb.com.")),
-                Denial::Nsec3 {
-                    params: Nsec3Params::new(n, vec![]),
-                    opt_out: false,
-                },
-            );
-        }
-        let mut lab = b.build();
-        let plan = ProbePlan {
-            valid: name("www.valid.tb.com."),
-            expired: name("www.expired.tb.com."),
-            it_zones: vec![(120, name("it-120.tb.com.")), (160, name("it-160.tb.com."))],
-            it_2501_expired: None,
-        };
-        // A stable BIND-like resolver.
-        let stable_addr = lab.alloc.v4();
-        let mut cfg =
-            ResolverConfig::validating(stable_addr, lab.root_hints.clone(), lab.anchor.clone());
-        cfg.now = lab.now;
-        cfg.policy = Rfc9276Policy::insecure_above(150);
-        lab.net
-            .register(stable_addr, Rc::new(Resolver::new(cfg.clone())));
-        // A flaky resolver whose thresholds wobble per query.
-        let flaky_addr = lab.alloc.v4();
-        let mut fcfg = cfg.clone();
-        fcfg.addr = flaky_addr;
-        lab.net.register(
-            flaky_addr,
-            Rc::new(FlakyResolver::with_gap(Resolver::new(fcfg), 100, 150)),
-        );
-        let src = lab.alloc.v4();
-        let prober = Prober::new(&lab.net, src, &plan);
-        let stable = prober.classify_with_requery(stable_addr, 3);
-        assert!(
-            !stable.flaky,
-            "stable resolver stays stable over re-queries"
-        );
-        assert_eq!(stable.insecure_limit, Some(120));
-        let flaky = prober.classify_with_requery(flaky_addr, 3);
-        assert!(flaky.flaky, "re-querying exposes the wobble");
-    }
-
-    #[test]
     fn closed_resolver_probed_only_via_atlas() {
         let mut b = LabBuilder::new(NOW)
             .simple_zone(&name("com."), Denial::nsec3_rfc9276())

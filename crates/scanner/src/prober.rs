@@ -198,7 +198,7 @@ impl<'a> Prober<'a> {
     /// [`Prober::classify`] drives inline, handed out so an event driver
     /// can keep many classifications in flight at once.
     pub fn classification_flow(&self, resolver: IpAddr) -> ProbeFlow<'a> {
-        ProbeFlow::new(*self, resolver, "a", true)
+        ProbeFlow::new(*self, resolver)
     }
 
     /// Drive `flow` to completion on the calling thread, advancing the
@@ -212,16 +212,14 @@ impl<'a> Prober<'a> {
     }
 
     /// The §4.2 probe sequence against `resolver`, top to bottom: the two
-    /// bootstrap probes, one probe per `it-N` zone (`tag` cache-busts
-    /// their names), the derived limits, and — `with_item7`, for an
-    /// insecure-downgrade resolver — the `it-2501-expired` follow-up.
+    /// bootstrap probes, one probe per `it-N` zone, the derived limits,
+    /// and — for an insecure-downgrade resolver — the `it-2501-expired`
+    /// follow-up.
     /// Between two probes it parks at *now* on `port`, so an event driver
     /// can interleave other flows there.
     async fn classification(
         self,
         resolver: IpAddr,
-        tag: String,
-        with_item7: bool,
         port: Rc<Port<u64, ()>>,
     ) -> ResolverClassification {
         let mut out = ResolverClassification::empty(resolver);
@@ -245,7 +243,7 @@ impl<'a> Prober<'a> {
             // The plan's intent is recorded as the probe is sent —
             // coverage gaps are detected against it.
             out.probed_ns.push(*n);
-            let qname = self.probe_name(apex, resolver, &tag);
+            let qname = self.probe_name(apex, resolver, "a");
             if let Some(obs) = self.probe(resolver, &qname, &port).await {
                 out.responses.push((*n, obs));
             }
@@ -253,7 +251,7 @@ impl<'a> Prober<'a> {
         derive_limits(&mut out);
         // The item 7 test only makes sense for insecure-downgrade
         // resolvers.
-        if with_item7 && out.insecure_limit.is_some() {
+        if out.insecure_limit.is_some() {
             if let Some(apex) = &self.plan.it_2501_expired {
                 port.wait(self.net.now_micros()).await;
                 let qname = self.probe_name(apex, resolver, "b");
@@ -287,48 +285,6 @@ impl<'a> Prober<'a> {
         }
         obs
     }
-
-    /// The paper's re-query check: classify `passes` times with distinct
-    /// probe names and compare. Resolvers whose limits differ between
-    /// passes are marked flaky — §5.2 found that the apparent item 12
-    /// violators were mostly these ("querying these resolvers again often
-    /// results in different response patterns").
-    ///
-    /// No driver runs the re-query yet: ROADMAP item 4 scores what each
-    /// extra pass buys back under loss.
-    #[allow(dead_code)]
-    pub(crate) fn classify_with_requery(
-        &self,
-        resolver: IpAddr,
-        passes: u32,
-    ) -> ResolverClassification {
-        let mut first = self.classify(resolver);
-        if first.unreachable {
-            return first;
-        }
-        for pass in 1..passes.max(1) {
-            let again = self.classify_tagged(resolver, &format!("r{pass}"));
-            if again.unreachable || again.partial {
-                // A lossy pass is a coverage gap, not evidence of
-                // flakiness: degrade to partial instead.
-                first.partial = true;
-                continue;
-            }
-            if again.insecure_limit != first.insecure_limit
-                || again.servfail_start != first.servfail_start
-                || again.flaky
-            {
-                first.flaky = true;
-            }
-        }
-        first
-    }
-
-    /// Like [`Prober::classify`] but with an extra tag in the probe names
-    /// so repeated passes stay cache-busted (no item 7 follow-up).
-    fn classify_tagged(&self, resolver: IpAddr, tag: &str) -> ResolverClassification {
-        self.drive_flow(ProbeFlow::new(*self, resolver, tag, false))
-    }
 }
 
 /// The full §4.2 classification of one resolver as a steppable flow: each
@@ -347,13 +303,10 @@ pub struct ProbeFlow<'a> {
 }
 
 impl<'a> ProbeFlow<'a> {
-    /// A fresh classification flow for `resolver`. `tag` cache-busts the
-    /// per-N probe names; `with_item7` enables the `it-2501-expired`
-    /// follow-up (what [`Prober::classify`] does, re-query passes skip
-    /// it).
-    fn new(prober: Prober<'a>, resolver: IpAddr, tag: &str, with_item7: bool) -> Self {
+    /// A fresh classification flow for `resolver`.
+    fn new(prober: Prober<'a>, resolver: IpAddr) -> Self {
         let port = Rc::<Port<u64, ()>>::default();
-        let future = prober.classification(resolver, tag.to_owned(), with_item7, port.clone());
+        let future = prober.classification(resolver, port.clone());
         ProbeFlow {
             port,
             future: Box::pin(future),

@@ -5,7 +5,6 @@
 //! *Zeros Are Heroes* reproduction needs, faithfully:
 //!
 //! * [`name`] — domain names with RFC 4034 canonical form and ordering.
-//! * [`hash`] — the keyed word-at-a-time hasher of every name table.
 //! * [`base32`] / [`base64`] — the encodings NSEC3 and DNSSEC presentation
 //!   formats require (RFC 4648).
 //! * [`rrtype`] — RR types, classes, opcodes, RCODEs.
@@ -27,7 +26,6 @@ pub mod base32;
 pub mod base64;
 pub mod buf;
 pub mod edns;
-pub mod hash;
 pub mod message;
 pub mod name;
 pub mod rdata;

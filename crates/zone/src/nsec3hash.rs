@@ -22,10 +22,12 @@
 //!   and iteration counts).
 //!
 //! [`Nsec3HashCache`] memoizes results across a signing run or a resolver's
-//! closest-encloser search. Cache hits return the stored [`Nsec3Hash`]
-//! verbatim — *including* its `compressions` count — so the CVE-2023-50868
-//! cost model sees identical numbers whether or not a cache sat in front of
-//! the engine.
+//! closest-encloser search: `dns_crypto`'s one direct-mapped [`Memo`] with
+//! the admission rule that keeps compliant entries. Cache hits return the
+//! stored [`Nsec3Hash`] verbatim — *including* its `compressions` count —
+//! so the CVE-2023-50868 cost model sees identical numbers whether or not
+//! a cache sat in front of the engine. Each thread has one, emptied when a
+//! study shard starts ([`clear_thread_cache`]).
 //!
 //! # Entry points
 //!
@@ -35,8 +37,10 @@
 //! | [`nsec3_hash`] | the engine, uncached | benches, cold one-offs, and [`Nsec3HashCache::lookup`] on a miss |
 //! | [`nsec3_hash_reference`] | the RFC 5155 §5 recurrence as written | tests and the bench parity gate |
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
+use dns_crypto::hash::KeyedState;
+use dns_crypto::memo::Memo;
 use dns_crypto::sha1::{IteratedSha1, Sha1};
 #[cfg(test)]
 use dns_wire::base32;
@@ -168,52 +172,45 @@ pub fn nsec3_hash_reference(name: &Name, params: &Nsec3Params) -> Nsec3Hash {
     }
 }
 
-/// A bounded, seeded memo table for NSEC3 hashes, keyed by
-/// `(hash algorithm, canonical wire name, salt, iterations)`.
+/// A bounded, seeded memo of NSEC3 hashes, keyed by
+/// `(hash algorithm, canonical wire name, salt, iterations)`: a
+/// [`Memo`] (DESIGN.md §6, "One memo") with one admission rule.
 ///
-/// The table is direct-mapped with power-of-two capacity and
-/// **deterministic eviction**: a colliding insert overwrites the slot
-/// (newest wins), with one cost-aware carve-out — an entry computed under
-/// RFC 9276-compliant parameters (zero iterations, empty salt: one
-/// compression to recompute) is never evicted by a non-compliant insert.
-/// An adversarial flood of distinct max-iteration names therefore cannot
-/// purge the cheap entries legitimate traffic relies on; expensive entries
-/// compete only for slots cheap traffic is not using. The rule depends
-/// only on the insert sequence, so replays stay deterministic. Slot
-/// selection hashes the full key with an FNV-1a/
-/// SplitMix-style mix salted by `seed`, and a lookup compares the complete
-/// key bytes, so a hit can never return the hash of a different name — the
-/// byte-identity contract of `tests/determinism.rs` does not bend for cache
-/// collisions.
+/// A colliding store replaces the slot's entry (newest wins), with one
+/// cost-aware carve-out: an entry computed under RFC 9276-compliant
+/// parameters (zero iterations, empty salt: one compression to
+/// recompute) is never evicted by a non-compliant store. An adversarial
+/// flood of distinct max-iteration names therefore cannot purge the
+/// cheap entries legitimate traffic relies on; expensive entries compete
+/// only for slots cheap traffic is not using. The rule depends only on
+/// the store sequence, so replays stay deterministic, and a hit compares
+/// the complete key, so it can never return the hash of a different
+/// name — the byte-identity contract of `tests/determinism.rs` does not
+/// bend for slot collisions.
 ///
 /// A hit returns the stored [`Nsec3Hash`] verbatim, `compressions`
 /// included: the cost model (CVE-2023-50868) observes identical totals with
 /// or without the cache, which only ever changes wall-clock time.
 pub struct Nsec3HashCache {
-    slots: RefCell<Vec<Option<CacheEntry>>>,
-    mask: usize,
-    seed: u64,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
+    memo: RefCell<Memo<Entry>>,
 }
 
-struct CacheEntry {
-    /// `hash_alg || canonical wire || salt`. The wire form is
-    /// self-delimiting (it ends at its root label), so the concatenation is
-    /// unambiguous.
-    key: Box<[u8]>,
-    iterations: u16,
-    hash: Nsec3Hash,
-    /// Computed under RFC 9276-compliant parameters — protected from
-    /// eviction by non-compliant (expensive) inserts.
-    cheap: bool,
+/// A stored hash, and whether its parameters were RFC 9276-compliant.
+type Entry = (Nsec3Hash, bool);
+
+/// The admission rule: a compliant entry is displaced only by another.
+fn admit((_, held_cheap): &Entry, (_, cheap): &Entry) -> bool {
+    *cheap || !*held_cheap
 }
 
 /// Longest salt the one-octet length field of an NSEC3 record can carry.
 const MAX_SALT_LEN: usize = 255;
 
-/// Longest cacheable key: algorithm byte + maximal wire name + maximal salt.
-const MAX_KEY_LEN: usize = 1 + MAX_NAME_LEN + MAX_SALT_LEN;
+/// Longest key: the algorithm and iteration-count octets, a maximal wire
+/// name and a maximal salt. The head has a fixed width and the wire form
+/// is self-delimiting (it ends at its root label), so the concatenation
+/// is unambiguous.
+const MAX_KEY_LEN: usize = 3 + MAX_NAME_LEN + MAX_SALT_LEN;
 
 impl Nsec3HashCache {
     /// Default slot count (a power of two).
@@ -226,15 +223,15 @@ impl Nsec3HashCache {
     }
 
     /// A cache with `capacity` slots (rounded up to a power of two, minimum
-    /// 1) whose slot mapping is salted by `seed`.
+    /// 1) whose slot mapping is keyed by `seed`.
     pub fn with_capacity_and_seed(capacity: usize, seed: u64) -> Self {
-        let cap = capacity.max(1).next_power_of_two();
         Nsec3HashCache {
-            slots: RefCell::new((0..cap).map(|_| None).collect()),
-            mask: cap - 1,
-            seed,
-            hits: Cell::new(0),
-            misses: Cell::new(0),
+            memo: RefCell::new(Memo::new(
+                capacity,
+                KeyedState::new(seed),
+                MAX_KEY_LEN,
+                admit,
+            )),
         }
     }
 
@@ -255,71 +252,25 @@ impl Nsec3HashCache {
             // counting.
             return hash_wire(wire, params);
         }
-        let mut key_buf = [0u8; MAX_KEY_LEN];
-        key_buf[0] = params.hash_alg;
-        let wire_end = 1 + wire.len();
-        key_buf[1..wire_end].copy_from_slice(wire);
-        let key_len = wire_end + params.salt.len();
-        key_buf[wire_end..key_len].copy_from_slice(&params.salt);
-        let key = &key_buf[..key_len];
-        let idx = self.slot(key, params.iterations);
-        let mut slots = self.slots.borrow_mut();
-        if let Some(entry) = &slots[idx] {
-            if entry.iterations == params.iterations && entry.key.as_ref() == key {
-                self.hits.set(self.hits.get() + 1);
-                return entry.hash;
-            }
-        }
-        let hash = hash_wire(wire, params);
-        self.misses.set(self.misses.get() + 1);
-        let cheap = params.rfc9276_compliant();
-        if cheap || !slots[idx].as_ref().is_some_and(|e| e.cheap) {
-            slots[idx] = Some(CacheEntry {
-                key: key.into(),
-                iterations: params.iterations,
-                hash,
-                cheap,
-            });
-        }
-        hash
+        let [low, high] = params.iterations.to_le_bytes();
+        let key = [&[params.hash_alg, low, high][..], wire, &params.salt];
+        let compute = || (hash_wire(wire, params), params.rfc9276_compliant());
+        self.memo.borrow_mut().get_or_compute(&key, compute).0
     }
 
     /// Lookups answered from the table.
     pub(crate) fn hits(&self) -> u64 {
-        self.hits.get()
+        self.memo.borrow().stats().0
     }
 
-    /// Lookups that had to run the engine (and then populated a slot).
+    /// Lookups that ran the engine.
     pub(crate) fn misses(&self) -> u64 {
-        self.misses.get()
+        self.memo.borrow().stats().1
     }
 
-    /// Drop every entry and reset the hit/miss counters.
+    /// Drop every entry and zero the counters.
     pub(crate) fn clear(&self) {
-        for slot in self.slots.borrow_mut().iter_mut() {
-            *slot = None;
-        }
-        self.hits.set(0);
-        self.misses.set(0);
-    }
-
-    fn slot(&self, key: &[u8], iterations: u16) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        for &b in key {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(iterations);
-        // SplitMix-style avalanche so nearby keys spread across slots.
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        (h as usize) & self.mask
-    }
-}
-
-impl Default for Nsec3HashCache {
-    fn default() -> Self {
-        Self::new()
+        self.memo.borrow_mut().clear();
     }
 }
 
@@ -342,13 +293,14 @@ pub fn with_thread_cache<R>(f: impl FnOnce(&Nsec3HashCache) -> R) -> R {
     THREAD_CACHE.with(f)
 }
 
-/// `(hits, misses)` of this thread's shared cache — observability for
-/// benches and tests.
+/// `(hits, misses)` of this thread's shared cache since it was last
+/// emptied — observability for benches and tests.
 pub fn thread_cache_stats() -> (u64, u64) {
     THREAD_CACHE.with(|c| (c.hits(), c.misses()))
 }
 
-/// Empty this thread's shared cache (cold-path measurements).
+/// Empty this thread's shared cache and zero its counters: cold-path
+/// measurements start here, and so does every study shard.
 pub fn clear_thread_cache() {
     THREAD_CACHE.with(|c| c.clear());
 }

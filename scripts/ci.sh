@@ -133,6 +133,27 @@ if [ "$hash_fns" != "3" ]; then
     echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
     exit 1
 fi
+# One hash for every table (DESIGN.md §6 "One memo"): one Hasher and
+# one BuildHasher impl (KeyedState) in any file under crates/*/src or
+# src, both in crates/crypto/src/hash.rs, and no FNV-1a constant in a
+# file of a crate with a table. Whole files, not `non_test`: a
+# `#[cfg(test)]` import would hide the rest of a file from it. Exempt,
+# because they pick no table slot: netsim's `hash_mix` (it decides
+# faults, and the fault pins hold it), the seed mixes of sim-rng,
+# sim-check and popgen, and the resolver's 0x20 case bits.
+hasher_impls="$(grep -rE --include='*.rs' '^\s*impl\b.*\b(Build)?Hasher for ' crates/*/src src |
+    sed -E 's/^([^:]+):.*\b((Build)?Hasher) for .*/\1 \2/' | sort)"
+if [ "$hasher_impls" != $'crates/crypto/src/hash.rs BuildHasher\ncrates/crypto/src/hash.rs Hasher' ]; then
+    echo "error: Hasher/BuildHasher impls in [${hasher_impls//$'\n'/, }], expected one pair in crates/crypto/src/hash.rs" >&2
+    exit 1
+fi
+fnv="$(grep -rn --include='*.rs' '' crates/{crypto,wire,zone,auth,resolver}/src | tr -d _ |
+    grep -iE 'cbf29ce484222325|100000001b3' || true)"
+if [ -n "$fnv" ]; then
+    echo "error: an FNV-1a constant in a table crate (pick slots with dns_crypto::hash::KeyedState):" >&2
+    echo "$fnv" >&2
+    exit 1
+fi
 # One RFC 9276 decision (DESIGN.md §12): the resolver consults the limit
 # policy in one place, the gate in `Resolver::judge`.
 limit_gates="$(non_test $(ls crates/resolver/src/*.rs | grep -v '/policy.rs$') | grep -c 'action_for(' || true)"

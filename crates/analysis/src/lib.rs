@@ -14,7 +14,9 @@ pub(crate) mod svg;
 
 pub use domains::{operator_table, DomainRecord, DomainStats, DomainTally, OperatorRow};
 pub use render::{cdf_csv, figure3_csv, render_cdf, render_figure3_panel, render_table2};
-pub use resolvers::{figure3_series, Panel, RcodeShares, ResolverStats};
+pub use resolvers::{
+    figure3_series, Figure3Counts, Panel, RcodeShares, ResolverStats, ResolverTally,
+};
 pub use rfc9276::{Item, Keyword, ITEMS};
 pub use stats::{fmt_count, fmt_pct, ks_uniform, pct, Cdf};
 pub use svg::{cdf_svg, figure3_svg};

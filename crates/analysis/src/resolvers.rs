@@ -47,8 +47,12 @@ pub struct RcodeShares {
     pub servfail: f64,
 }
 
-/// Aggregated §5.2 statistics over one set of classifications.
-#[derive(Clone, Debug)]
+/// Aggregated §5.2 statistics over one set of classifications: a fold.
+/// [`ResolverStats::add`] takes one classification and
+/// [`ResolverStats::merge`] another fold's totals; every field is a count
+/// or a count map, so any split of a list merged in any order equals
+/// [`ResolverStats::compute`] over the whole.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Resolvers that answered probes at all (classified minus
     /// unreachable).
@@ -86,71 +90,96 @@ pub struct ResolverStats {
 }
 
 impl ResolverStats {
-    /// Aggregate a batch of classifications.
+    /// Aggregate a batch of classifications: [`ResolverStats::add`] over
+    /// each.
     pub fn compute(classifications: &[ResolverClassification]) -> Self {
-        let unreachable = classifications.iter().filter(|c| c.unreachable).count() as u64;
-        let partial = classifications.iter().filter(|c| c.partial).count() as u64;
-        let responsive = classifications.len() as u64 - unreachable;
-        let validators: Vec<&ResolverClassification> =
-            classifications.iter().filter(|c| c.is_validator).collect();
-        let mut stats = ResolverStats {
+        let mut stats = ResolverStats::default();
+        classifications.iter().for_each(|c| stats.add(c));
+        stats
+    }
+
+    /// Fold one classification in.
+    pub fn add(&mut self, c: &ResolverClassification) {
+        if c.unreachable {
+            self.unreachable += 1;
+        } else {
+            self.responsive += 1;
+        }
+        if c.partial {
+            self.partial += 1;
+        }
+        if !c.is_validator {
+            return;
+        }
+        self.validators += 1;
+        // The paper's 78.3 % headline is exactly item 6 + item 8
+        // (59.9 + 18.4): resolvers with a *clean* limit. Flaky
+        // resolvers show limits too but the paper counts them out.
+        if c.implements_item6() || c.implements_item8() {
+            self.limiting += 1;
+        }
+        if c.implements_item6() {
+            self.item6 += 1;
+            if let Some(l) = c.insecure_limit {
+                *self.insecure_limits.entry(l).or_default() += 1;
+            }
+        }
+        if c.implements_item8() {
+            self.item8 += 1;
+            if let Some(s) = c.servfail_start {
+                *self.servfail_starts.entry(s).or_default() += 1;
+            }
+        }
+        if let Some(violated) = c.item7_violation {
+            self.item7_tested += 1;
+            self.item7_violations += u64::from(violated);
+        }
+        self.ede27 += u64::from(c.ede27_on_limit);
+        self.item12_gaps += u64::from(c.item12_gap);
+        self.flaky += u64::from(c.flaky);
+        self.ra_missing += u64::from(c.ra_missing);
+    }
+
+    /// Combine another fold in (shard merge). Order-insensitive: every
+    /// field is a sum or a count map.
+    pub fn merge(&mut self, other: ResolverStats) {
+        // Destructured, so a new field cannot be left out of the merge.
+        let ResolverStats {
             responsive,
             unreachable,
             partial,
-            validators: validators.len() as u64,
-            limiting: 0,
-            item6: 0,
-            item8: 0,
-            insecure_limits: BTreeMap::new(),
-            servfail_starts: BTreeMap::new(),
-            ede27: 0,
-            item7_violations: 0,
-            item7_tested: 0,
-            item12_gaps: 0,
-            flaky: 0,
-            ra_missing: 0,
-        };
-        for c in &validators {
-            // The paper's 78.3 % headline is exactly item 6 + item 8
-            // (59.9 + 18.4): resolvers with a *clean* limit. Flaky
-            // resolvers show limits too but the paper counts them out.
-            if c.implements_item6() || c.implements_item8() {
-                stats.limiting += 1;
-            }
-            if c.implements_item6() {
-                stats.item6 += 1;
-                if let Some(l) = c.insecure_limit {
-                    *stats.insecure_limits.entry(l).or_default() += 1;
-                }
-            }
-            if c.implements_item8() {
-                stats.item8 += 1;
-                if let Some(s) = c.servfail_start {
-                    *stats.servfail_starts.entry(s).or_default() += 1;
-                }
-            }
-            if c.ede27_on_limit {
-                stats.ede27 += 1;
-            }
-            match c.item7_violation {
-                Some(true) => {
-                    stats.item7_tested += 1;
-                    stats.item7_violations += 1;
-                }
-                Some(false) => stats.item7_tested += 1,
-                None => {}
-            }
-            if c.item12_gap {
-                stats.item12_gaps += 1;
-            }
-            if c.flaky {
-                stats.flaky += 1;
-            }
-            if c.ra_missing {
-                stats.ra_missing += 1;
-            }
+            validators,
+            limiting,
+            item6,
+            item8,
+            insecure_limits,
+            servfail_starts,
+            ede27,
+            item7_violations,
+            item7_tested,
+            item12_gaps,
+            flaky,
+            ra_missing,
+        } = other;
+        self.responsive += responsive;
+        self.unreachable += unreachable;
+        self.partial += partial;
+        self.validators += validators;
+        self.limiting += limiting;
+        self.item6 += item6;
+        self.item8 += item8;
+        self.ede27 += ede27;
+        self.item7_violations += item7_violations;
+        self.item7_tested += item7_tested;
+        self.item12_gaps += item12_gaps;
+        self.flaky += flaky;
+        self.ra_missing += ra_missing;
+        for (limit, n) in insecure_limits {
+            *self.insecure_limits.entry(limit).or_default() += n;
         }
-        stats
+        for (start, n) in servfail_starts {
+            *self.servfail_starts.entry(start).or_default() += n;
+        }
     }
 
     /// Share of validators limiting iterations (paper: 78.3 %).
@@ -184,41 +213,99 @@ impl ResolverStats {
     }
 }
 
-/// Build one Figure 3 panel's series from validator classifications: for
-/// each probed N, the share of validators answering NXDOMAIN,
-/// AD+NXDOMAIN, and SERVFAIL.
-pub fn figure3_series(classifications: &[ResolverClassification]) -> Vec<RcodeShares> {
-    let validators: Vec<&ResolverClassification> =
-        classifications.iter().filter(|c| c.is_validator).collect();
-    let mut per_n: BTreeMap<u16, (u64, u64, u64, u64)> = BTreeMap::new();
-    for c in &validators {
+/// The fold behind [`figure3_series`]: for each probed N, how many
+/// validators answered NXDOMAIN, AD+NXDOMAIN and SERVFAIL there, of how
+/// many answered at all. Sums only, so folds merge in any order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Figure3Counts {
+    /// N → `[nxdomain, ad_nxdomain, servfail, answered]`.
+    per_n: BTreeMap<u16, [u64; 4]>,
+}
+
+impl Figure3Counts {
+    /// Fold one classification in; a non-validator adds nothing.
+    pub fn add(&mut self, c: &ResolverClassification) {
+        if !c.is_validator {
+            return;
+        }
         for (n, obs) in &c.responses {
-            let e = per_n.entry(*n).or_default();
-            e.3 += 1; // total
+            let [nx, adnx, sf, answered] = self.per_n.entry(*n).or_default();
+            *answered += 1;
             match (obs.rcode, obs.ad) {
-                (Rcode::NxDomain, true) => {
-                    e.0 += 1;
-                    e.1 += 1;
+                (Rcode::NxDomain, ad) => {
+                    *nx += 1;
+                    *adnx += u64::from(ad);
                 }
-                (Rcode::NxDomain, false) => {
-                    e.0 += 1;
-                }
-                (Rcode::ServFail, _) => {
-                    e.2 += 1;
-                }
+                (Rcode::ServFail, _) => *sf += 1,
                 _ => {}
             }
         }
     }
-    per_n
-        .into_iter()
-        .map(|(n, (nx, adnx, sf, total))| RcodeShares {
+
+    /// Combine another fold in (shard merge).
+    pub fn merge(&mut self, other: Figure3Counts) {
+        for (n, counts) in other.per_n {
+            let mine = self.per_n.entry(n).or_default();
+            for (mine, theirs) in mine.iter_mut().zip(counts) {
+                *mine += theirs;
+            }
+        }
+    }
+
+    /// The panel's series: the counts as shares, ascending by N.
+    pub fn series(&self) -> Vec<RcodeShares> {
+        let share = |(&n, &[nx, adnx, sf, answered]): (&u16, &[u64; 4])| RcodeShares {
             n,
-            nxdomain: pct(nx, total),
-            ad_nxdomain: pct(adnx, total),
-            servfail: pct(sf, total),
-        })
-        .collect()
+            nxdomain: pct(nx, answered),
+            ad_nxdomain: pct(adnx, answered),
+            servfail: pct(sf, answered),
+        };
+        self.per_n.iter().map(share).collect()
+    }
+}
+
+/// Build one Figure 3 panel's series from validator classifications: for
+/// each probed N, the share of validators answering NXDOMAIN,
+/// AD+NXDOMAIN, and SERVFAIL. A fold through [`Figure3Counts`].
+pub fn figure3_series(classifications: &[ResolverClassification]) -> Vec<RcodeShares> {
+    let mut counts = Figure3Counts::default();
+    classifications.iter().for_each(|c| counts.add(c));
+    counts.series()
+}
+
+/// The §5.2 study folded per Figure 3 panel: everything the report reads
+/// of the classifications, without keeping them. Folds merge in any order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ResolverTally {
+    /// Per panel, its statistics and its Figure 3 counts.
+    pub per_panel: BTreeMap<Panel, (ResolverStats, Figure3Counts)>,
+}
+
+impl ResolverTally {
+    /// Fold one classification of `panel` in.
+    pub fn add(&mut self, panel: Panel, c: &ResolverClassification) {
+        let (stats, figure3) = self.per_panel.entry(panel).or_default();
+        stats.add(c);
+        figure3.add(c);
+    }
+
+    /// Combine another fold in (shard merge).
+    pub fn merge(&mut self, other: ResolverTally) {
+        for (panel, (stats, figure3)) in other.per_panel {
+            let mine = self.per_panel.entry(panel).or_default();
+            mine.0.merge(stats);
+            mine.1.merge(figure3);
+        }
+    }
+
+    /// Statistics over every panel.
+    pub fn all(&self) -> ResolverStats {
+        let mut all = ResolverStats::default();
+        for (stats, _) in self.per_panel.values() {
+            all.merge(stats.clone());
+        }
+        all
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,56 @@
 //! Property-based tests for the statistics toolkit.
 
-use sim_check::{gens, props};
+use sim_check::{gens, props, Gen};
 
 use analysis::domains::{operator_table, DomainRecord, DomainStats};
+use analysis::resolvers::{figure3_series, Figure3Counts, Panel, ResolverStats, ResolverTally};
 use analysis::stats::{pct, Cdf};
+use dns_resolver::broken::ObservedResponse;
+use dns_scanner::prober::ResolverClassification;
+use dns_wire::rrtype::Rcode;
+
+/// A classification with every field the folds read drawn at random: a
+/// few iteration counts and limits, so per-N and histogram keys collide
+/// across resolvers.
+fn classification() -> impl Gen<ResolverClassification> {
+    let responses = gens::vec_of((gens::u16s(0..5), gens::u8s(0..3), gens::bools()), 0..6);
+    let shape = (
+        gens::u16s(..),
+        responses,
+        gens::u16s(0..4),
+        gens::u16s(0..4),
+    );
+    gens::map(shape, |(flags, responses, limit, start)| {
+        let bit = |i: u32| flags & (1 << i) != 0;
+        let mut c = ResolverClassification::empty("192.0.2.1".parse().unwrap());
+        c.is_validator = bit(0);
+        c.unreachable = bit(1);
+        c.partial = bit(2);
+        c.has_insecure_band = bit(3);
+        c.ede27_on_limit = bit(4);
+        c.item12_gap = bit(5);
+        c.flaky = bit(6);
+        c.ra_missing = bit(7);
+        c.item7_violation = bit(8).then_some(bit(9));
+        c.insecure_limit = (limit > 0).then_some(limit * 50);
+        c.servfail_start = (start > 0).then_some(start * 50 + 1);
+        c.responses = responses
+            .into_iter()
+            .map(|(n, rcode, ad)| {
+                let rcode = [Rcode::NxDomain, Rcode::ServFail, Rcode::NoError][rcode as usize];
+                let obs = ObservedResponse {
+                    rcode,
+                    ad,
+                    ra: true,
+                    ede: None,
+                    ede_has_text: false,
+                };
+                (n * 50, obs)
+            })
+            .collect();
+        c
+    })
+}
 
 props! {
     /// CDF fractions are monotone non-decreasing and bounded in [0, 1].
@@ -89,5 +136,44 @@ props! {
         }
         // Stats agree with raw counting.
         assert_eq!(stats.nsec3, records.len() as u64);
+    }
+
+    /// Any split of a classification list into parts, each folded on its
+    /// own and merged in any order, equals the fold of the whole list:
+    /// `ResolverStats::compute`, `figure3_series`, and per panel.
+    fn resolver_folds_merge_in_any_order(
+        parts in gens::vec_of((gens::u32s(..), gens::vec_of((gens::u8s(0..4), classification()), 0..8)), 0..6),
+    ) {
+        let panel = |p: u8| [Panel::OpenV4, Panel::OpenV6, Panel::ClosedV4, Panel::ClosedV6][p as usize];
+        let whole: Vec<ResolverClassification> =
+            parts.iter().flat_map(|(_, part)| part.iter().map(|(_, c)| c.clone())).collect();
+        let mut order: Vec<&(u32, Vec<(u8, ResolverClassification)>)> = parts.iter().collect();
+        order.sort_by_key(|(key, _)| *key);
+        let (mut stats, mut figure3, mut tally) =
+            (ResolverStats::default(), Figure3Counts::default(), ResolverTally::default());
+        for (_, part) in order {
+            let (mut s, mut f, mut t) =
+                (ResolverStats::default(), Figure3Counts::default(), ResolverTally::default());
+            for (p, c) in part {
+                s.add(c);
+                f.add(c);
+                t.add(panel(*p), c);
+            }
+            stats.merge(s);
+            figure3.merge(f);
+            tally.merge(t);
+        }
+        assert_eq!(stats, ResolverStats::compute(&whole));
+        assert_eq!(figure3.series(), figure3_series(&whole));
+        assert_eq!(tally.all(), stats);
+        for (p, (panel_stats, panel_figure3)) in &tally.per_panel {
+            let members: Vec<ResolverClassification> = parts
+                .iter()
+                .flat_map(|(_, part)| part.iter().filter(|(q, _)| panel(*q) == *p))
+                .map(|(_, c)| c.clone())
+                .collect();
+            assert_eq!(*panel_stats, ResolverStats::compute(&members));
+            assert_eq!(panel_figure3.series(), figure3_series(&members));
+        }
     }
 }

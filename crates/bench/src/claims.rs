@@ -22,13 +22,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use analysis::{
-    figure3_series, ks_uniform, operator_table, pct, Cdf, OperatorRow, Panel, RcodeShares,
-    ResolverStats,
+    ks_uniform, operator_table, pct, Cdf, Figure3Counts, OperatorRow, Panel, RcodeShares,
+    ResolverStats, ResolverTally,
 };
-use dns_scanner::ResolverClassification;
 use nsec3_core::experiments::{
-    run_tld_census_cfg, CvePoint, DriverConfig, ResolverStudy, StreamCensusReport, TldObservation,
-    Unreachability,
+    run_tld_census_cfg, CvePoint, DriverConfig, StreamCensusReport, TldObservation, Unreachability,
 };
 use nsec3_core::testbed::paper_subdomain_count;
 use nsec3_core::{AdversarialReport, ChainReport, ServingTally};
@@ -140,7 +138,8 @@ pub enum At {
     /// `paper_report`: domains at [`REPORT_DOMAINS`], fleet at
     /// [`REPORT_FLEET`].
     Report = 0,
-    /// `tests/paper_numbers.rs`: both at [`TEST_SCALE`].
+    /// `tests/paper_numbers.rs`: both at [`TEST_SCALE`]; and the
+    /// resolver rows of `paper_report --fleet-scale 2000`.
     Test = 1,
 }
 
@@ -659,15 +658,14 @@ pub struct ResolverReport {
 }
 
 impl ResolverReport {
-    /// Fold a finished study.
-    pub fn from_study(study: &ResolverStudy) -> ResolverReport {
-        let fold = |(panel, cls): (&Panel, &Vec<ResolverClassification>)| {
-            let validators = cls.iter().filter(|c| c.is_validator).count() as u64;
-            (*panel, (validators, figure3_series(cls)))
+    /// The tables' reading of a folded study.
+    pub fn from_tally(tally: &ResolverTally) -> ResolverReport {
+        let panel = |(&panel, (stats, figure3)): (&Panel, &(ResolverStats, Figure3Counts))| {
+            (panel, (stats.validators, figure3.series()))
         };
         ResolverReport {
-            all: ResolverStats::compute(&study.all()),
-            panels: study.per_panel.iter().map(fold).collect(),
+            all: tally.all(),
+            panels: tally.per_panel.iter().map(panel).collect(),
         }
     }
 

@@ -24,6 +24,9 @@ pub const EXPERIMENT_NOW: u32 = 1_710_000_000;
 pub struct Options {
     /// Registered-domain population scale.
     pub scale: Scale,
+    /// Resolver fleet scale of the §5.2 study (default:
+    /// [`claims::REPORT_FLEET`]).
+    pub fleet: Scale,
     /// RNG seed.
     pub seed: u64,
     /// Worker threads for the sharded experiment drivers (default: the
@@ -33,7 +36,8 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse `--scale 1/1000`, `--seed N`, `--threads N` from argv.
+    /// Parse `--scale 1/1000`, `--fleet-scale 200` (the fleet at 1/200),
+    /// `--seed N`, `--threads N` from argv.
     /// `--help` prints the usage line and exits 0; an unknown option or a
     /// value that does not parse prints it and exits 2 — a mistyped knob
     /// is never silently the default.
@@ -45,8 +49,9 @@ impl Options {
                 eprintln!("error: {complaint}");
             }
             eprintln!(
-                "options: --scale 1/N | --seed N | --threads N (defaults: scale {}, seed 42, threads from HEROES_THREADS else 1)",
-                fmt_scale(default_scale)
+                "options: --scale 1/N | --fleet-scale N (the fleet at 1/N) | --seed N | --threads N (defaults: scale {}, fleet scale {}, seed 42, threads from HEROES_THREADS else 1)",
+                fmt_scale(default_scale),
+                fmt_scale(claims::REPORT_FLEET)
             );
             std::process::exit(if complaint.is_some() { 2 } else { 0 })
         })
@@ -58,6 +63,7 @@ impl Options {
     fn parse_args(args: &[String], default_scale: Scale) -> Result<Options, Option<String>> {
         let mut opts = Options {
             scale: default_scale,
+            fleet: claims::REPORT_FLEET,
             seed: 42,
             threads: sim_par::default_threads(),
         };
@@ -65,6 +71,7 @@ impl Options {
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--scale" => opts.scale = value_of(flag, &mut args, parse_scale)?,
+                "--fleet-scale" => opts.fleet = value_of(flag, &mut args, parse_denominator)?,
                 "--seed" => opts.seed = value_of(flag, &mut args, |v| v.parse().ok())?,
                 "--threads" => {
                     let threads: usize = value_of(flag, &mut args, |v| v.parse().ok())?;
@@ -99,6 +106,12 @@ pub(crate) fn parse_scale(s: &str) -> Option<Scale> {
         return None;
     }
     s.trim().parse::<f64>().ok().map(Scale)
+}
+
+/// Parse a positive integer `N` as the scale 1/N.
+fn parse_denominator(s: &str) -> Option<Scale> {
+    let n: u32 = s.trim().parse().ok()?;
+    (n > 0).then(|| Scale(1.0 / f64::from(n)))
 }
 
 /// Format a scale as `1/N`.
@@ -154,6 +167,9 @@ mod tests {
     fn options_parse_what_they_are_given() {
         let opts = parse(&["--seed", "7", "--scale", "1/1000", "--threads", "999"]).unwrap();
         assert_eq!((opts.seed, opts.scale.0), (7, 0.001));
+        assert_eq!(opts.fleet.0, claims::REPORT_FLEET.0);
+        assert_eq!(parse(&["--fleet-scale", "1"]).unwrap().fleet.0, 1.0);
+        assert_eq!(parse(&["--fleet-scale", "20"]).unwrap().fleet.0, 0.05);
         assert_eq!(opts.threads, sim_par::MAX_THREADS, "clamped, not rejected");
         assert_eq!(parse(&[]).unwrap().scale.0, 0.5);
         assert_eq!(parse(&["--seed", "1", "-h"]).unwrap_err(), None);
@@ -163,6 +179,9 @@ mod tests {
     fn a_mistyped_option_is_an_error_not_the_default() {
         for bad in [
             &["--scale", "x"][..],
+            &["--fleet-scale", "0"],
+            &["--fleet-scale", "0.5"],
+            &["--fleet-scale", "1/20"],
             &["--seed", "abc"],
             &["--e2e-sample", "600"],
             &["--threads", "four"],

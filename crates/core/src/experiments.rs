@@ -45,7 +45,7 @@ use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use analysis::domains::{DomainRecord, DomainStats, DomainTally};
-use analysis::resolvers::Panel;
+use analysis::resolvers::{Panel, ResolverTally};
 use dns_resolver::lab::{LabBuilder, ZoneSpec};
 use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_resolver::Rfc9276Policy;
@@ -592,11 +592,18 @@ pub struct ResolverStudy {
 }
 
 impl ResolverStudy {
-    /// All classifications across panels.
+    /// All classifications across panels. This copies every one of them;
+    /// a report that reads only counts folds with
+    /// [`run_resolver_tally_cfg`] instead.
     pub fn all(&self) -> Vec<ResolverClassification> {
         self.per_panel.values().flatten().cloned().collect()
     }
 }
+
+/// Fleet members a resolver shard deploys and classifies at a time. A
+/// member is unregistered, and its caches freed, as soon as its batch is
+/// classified, so a shard's live resolvers never exceed this.
+const FLEET_BATCH: usize = 256;
 
 /// Lab addresses `deploy_fleet` consumes for `specs`, per family: one
 /// per open resolver, two per closed resolver (resolver + Atlas probe).
@@ -632,7 +639,9 @@ fn fleet_addr_consumption(specs: &[ResolverSpec]) -> (u32, u128) {
 /// [`ProbeStats`] ride along in [`ResolverStudy::stats`].
 pub fn run_resolver_study_cfg(specs: &[ResolverSpec], cfg: &DriverConfig) -> ResolverStudy {
     let run = run_study(specs.len(), cfg, |shard, range| {
-        resolver_shard(shard, specs, range)
+        let mut part = Vec::with_capacity(range.len());
+        resolver_shard(shard, specs, range, |panel, c| part.push((panel, c)));
+        part
     });
     let mut per_panel: BTreeMap<Panel, Vec<ResolverClassification>> = BTreeMap::new();
     for (panel, classification) in run.parts.into_iter().flatten() {
@@ -644,14 +653,38 @@ pub fn run_resolver_study_cfg(specs: &[ResolverSpec], cfg: &DriverConfig) -> Res
     }
 }
 
+/// [`run_resolver_study_cfg`] folded as it runs: each classification goes
+/// into its panel's [`ResolverTally`] the moment its flow finishes and is
+/// dropped, so the study's memory does not grow with the fleet. At every
+/// thread count it equals the collected study's classifications folded
+/// per panel.
+pub fn run_resolver_tally_cfg(
+    specs: &[ResolverSpec],
+    cfg: &DriverConfig,
+) -> (ResolverTally, ProbeStats) {
+    let run = run_study(specs.len(), cfg, |shard, range| {
+        let mut part = ResolverTally::default();
+        resolver_shard(shard, specs, range, |panel, c| part.add(panel, &c));
+        part
+    });
+    let mut tally = ResolverTally::default();
+    run.parts.into_iter().for_each(|part| tally.merge(part));
+    (tally, run.probe_stats)
+}
+
 /// One shard of the resolver study: classify `specs[range]` on a private
 /// testbed, every classification a [`ProbeFlow`] stepped through the
-/// event core at wire-attempt granularity.
+/// event core at wire-attempt granularity and handed to `sink` in index
+/// order. The slice is deployed [`FLEET_BATCH`] members at a time, and a
+/// batch leaves the network once it is classified; `deploy_fleet` draws
+/// from the shard's allocator in index order either way, so every
+/// address is what a whole-slice deployment would have given.
 fn resolver_shard(
     shard: &ShardRun<'_>,
     specs: &[ResolverSpec],
     range: Range<usize>,
-) -> Vec<(Panel, ResolverClassification)> {
+    mut sink: impl FnMut(Panel, ResolverClassification),
+) {
     let profile = &shard.cfg.profile;
     let mut tb = build_testbed_seeded(shard.cfg.now, shard.seed);
     tb.lab.net.set_schedule(profile.schedule.clone());
@@ -664,44 +697,50 @@ fn resolver_shard(
     let (consumed_v4, consumed_v6) = fleet_addr_consumption(&specs[..range.start]);
     tb.lab.alloc.skip_v4(consumed_v4);
     tb.lab.alloc.skip_v6(consumed_v6);
-    let deployed = deploy_fleet(&mut tb.lab, &specs[range]);
-    let net = &tb.lab.net;
-    shard.drive_indexed(
-        net,
-        deployed.len(),
-        |i| {
-            let d = &deployed[i];
-            Some(match &d.probe {
-                Some(probe) => classification_flow_via_probe(
-                    net,
-                    probe,
-                    &tb.plan,
-                    profile.retry,
-                    &shard.session,
-                ),
-                None => {
-                    let src = match d.spec.family {
-                        Family::V4 => scanner_v4,
-                        Family::V6 => scanner_v6,
-                    };
-                    Prober::new(net, src, &tb.plan)
-                        .with_session(&shard.session, profile.retry)
-                        .classification_flow(d.addr)
-                }
-            })
-        },
-        ProbeFlow::step,
-        |i, flow| {
-            let spec = &deployed[i].spec;
-            let panel = match (spec.access, spec.family) {
-                (Access::Open, Family::V4) => Panel::OpenV4,
-                (Access::Open, Family::V6) => Panel::OpenV6,
-                (Access::Closed, Family::V4) => Panel::ClosedV4,
-                (Access::Closed, Family::V6) => Panel::ClosedV6,
-            };
-            (panel, flow.into_classification())
-        },
-    )
+    for batch in specs[range].chunks(FLEET_BATCH) {
+        let deployed = deploy_fleet(&mut tb.lab, batch);
+        let net = &tb.lab.net;
+        let classified = shard.drive_indexed(
+            net,
+            deployed.len(),
+            |i| {
+                let d = &deployed[i];
+                Some(match &d.probe {
+                    Some(probe) => classification_flow_via_probe(
+                        net,
+                        probe,
+                        &tb.plan,
+                        profile.retry,
+                        &shard.session,
+                    ),
+                    None => {
+                        let src = match d.spec.family {
+                            Family::V4 => scanner_v4,
+                            Family::V6 => scanner_v6,
+                        };
+                        Prober::new(net, src, &tb.plan)
+                            .with_session(&shard.session, profile.retry)
+                            .classification_flow(d.addr)
+                    }
+                })
+            },
+            ProbeFlow::step,
+            |i, flow| {
+                let spec = &deployed[i].spec;
+                let panel = match (spec.access, spec.family) {
+                    (Access::Open, Family::V4) => Panel::OpenV4,
+                    (Access::Open, Family::V6) => Panel::OpenV6,
+                    (Access::Closed, Family::V4) => Panel::ClosedV4,
+                    (Access::Closed, Family::V6) => Panel::ClosedV6,
+                };
+                (panel, flow.into_classification())
+            },
+        );
+        deployed.iter().for_each(|d| net.unregister(d.addr));
+        for (panel, classification) in classified {
+            sink(panel, classification);
+        }
+    }
 }
 
 /// Result of the unreachability experiment (§5.2 / abstract: "as 418

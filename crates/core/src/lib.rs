@@ -23,12 +23,12 @@
 //! the environment. Output is byte-identical for every thread count.
 //!
 //! ```no_run
-//! use nsec3_core::experiments::{run_resolver_study_cfg, DriverConfig};
+//! use nsec3_core::experiments::{run_resolver_tally_cfg, DriverConfig};
 //! use popgen::{generate_fleet, Scale};
 //!
 //! let fleet = generate_fleet(Scale(1.0 / 10_000.0), 42);
-//! let study = run_resolver_study_cfg(&fleet, &DriverConfig::from_env(1_710_000_000));
-//! let stats = analysis::ResolverStats::compute(&study.all());
+//! let (tally, _) = run_resolver_tally_cfg(&fleet, &DriverConfig::from_env(1_710_000_000));
+//! let stats = tally.all();
 //! println!("item 6: {:.1} % (paper: 59.9 %)", stats.item6_pct());
 //! ```
 
@@ -48,9 +48,9 @@ pub use adversarial::{
 };
 pub use experiments::{
     cve_cost_sweep, records_from_specs, run_domain_census_cfg, run_domain_census_stream,
-    run_resolver_study_cfg, run_tld_census_cfg, run_unreachability_cfg, CvePoint, DriverConfig,
-    ResolverStudy, StreamCensusReport, TldObservation, Unreachability, DEFAULT_LAB_SEED,
-    DEFAULT_WINDOW,
+    run_resolver_study_cfg, run_resolver_tally_cfg, run_tld_census_cfg, run_unreachability_cfg,
+    CvePoint, DriverConfig, ResolverStudy, StreamCensusReport, TldObservation, Unreachability,
+    DEFAULT_LAB_SEED, DEFAULT_WINDOW,
 };
 pub use fleet::{deploy_fleet, policy_for, DeployedResolver};
 pub use hierarchy::{

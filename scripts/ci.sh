@@ -32,9 +32,10 @@ echo "== allocation counts (counting allocator, one test per binary)"
 # Printed, not only asserted: allocations per fresh-name NXDOMAIN reply
 # and secure referral, per forwarded NXDOMAIN resolve, per warm cache hit
 # and RFC 8198 synthesis, per zone a batch lab stands up (equal within
-# one at 64 and 2,048 zones), and per query the serving driver serves.
+# one at 64 and 2,048 zones), per query the serving driver serves, and
+# the resolver study's heap high-water at two fleets 4x apart.
 cargo test -q --offline -p dns-auth -p dns-resolver -p nsec3-core \
-    --test alloc_budget --test lab_alloc_budget -- --nocapture | grep '^allocations'
+    --test alloc_budget --test lab_alloc_budget --test study_heap -- --nocapture | grep '^allocations'
 
 if command -v rustfmt >/dev/null 2>&1; then
     echo "== rustfmt --check"
@@ -93,6 +94,10 @@ diff -u EXPERIMENTS.md "$REPORT_DIR/1.md" || {
     exit 1
 }
 rm -rf "$REPORT_DIR"
+# Another fleet scale runs too: at 1/2000 the resolver rows are held to
+# their test-scale tolerances and every row holds.
+target/release/paper_report --fleet-scale 2000 --threads 2 >/dev/null 2>&1 ||
+    { echo "error: paper_report --fleet-scale 2000 has rows outside their tolerances" >&2; exit 1; }
 # README's headline sentence quotes only numbers the document carries.
 grep -A2 'headline:' README.md | grep -oE '[0-9]+\.[0-9] %' | while IFS= read -r pct; do
     grep -qF "$pct" EXPERIMENTS.md || { echo "error: README's headline quotes $pct, EXPERIMENTS.md does not" >&2; exit 1; }

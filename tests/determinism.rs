@@ -12,12 +12,13 @@
 //! plumbing as well as the explicit [`DriverConfig`] paths exercised here.
 
 use analysis::domains::DomainStats;
-use analysis::ResolverStats;
+use analysis::{ResolverStats, ResolverTally};
 use dns_scanner::retry::BreakerConfig;
 use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
 use nsec3_core::experiments::{
-    run_domain_census_cfg, run_domain_census_stream, run_resolver_study_cfg, run_tld_census_cfg,
-    run_unreachability_cfg, DriverConfig, ScanProfile, DEFAULT_LAB_SEED,
+    run_domain_census_cfg, run_domain_census_stream, run_resolver_study_cfg,
+    run_resolver_tally_cfg, run_tld_census_cfg, run_unreachability_cfg, DriverConfig, ScanProfile,
+    DEFAULT_LAB_SEED,
 };
 use popgen::{generate_domains, generate_fleet, generate_tlds, Scale};
 
@@ -221,6 +222,28 @@ fn faulty_resolver_study_is_identical_across_thread_counts() {
         fleet.len(),
         "every resolver keeps a classification, reachable or not"
     );
+}
+
+#[test]
+fn resolver_tally_is_the_folded_study_at_every_thread_count() {
+    // Four fleet batches at one thread, two at two and one a shard at
+    // four, so the batch cuts differ across the thread counts too.
+    let fleet = generate_fleet(Scale(1.0 / 2_000.0), 42);
+    for profile in [ScanProfile::clean(), flow_keyed_lossy()] {
+        let cfg = |threads| {
+            DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone())
+        };
+        let study = run_resolver_study_cfg(&fleet, &cfg(1));
+        let mut folded = ResolverTally::default();
+        for (&panel, classifications) in &study.per_panel {
+            classifications.iter().for_each(|c| folded.add(panel, c));
+        }
+        for threads in [1, 2, 4] {
+            let (tally, stats) = run_resolver_tally_cfg(&fleet, &cfg(threads));
+            assert_eq!(tally, folded, "threads = {threads}");
+            assert_eq!(stats, study.stats, "threads = {threads}");
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@ use heroes_bench::claims::{
     TRANCO,
 };
 use nsec3_core::experiments::{
-    records_from_specs, run_resolver_study_cfg, DriverConfig, StreamCensusReport,
+    records_from_specs, run_resolver_tally_cfg, DriverConfig, StreamCensusReport,
 };
 use popgen::{generate_domains, generate_fleet, generate_tranco, Scale};
 
@@ -67,10 +67,8 @@ fn section_5_2_resolver_shares_end_to_end() {
     // as ten seconds of debug time hold.
     sweep(RESOLVERS, &[42, 1, 2, 3, 7], |seed| {
         let fleet = generate_fleet(TEST_SCALE, seed);
-        ResolverReport::from_study(&run_resolver_study_cfg(
-            &fleet,
-            &DriverConfig::from_env(NOW),
-        ))
+        let (tally, _) = run_resolver_tally_cfg(&fleet, &DriverConfig::from_env(NOW));
+        ResolverReport::from_tally(&tally)
     });
 }
 

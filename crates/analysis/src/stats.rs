@@ -103,17 +103,6 @@ impl Cdf {
         (self.len() as u64 - self.count_at_most(x)) as usize
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1), nearest-rank.
-    pub fn quantile(&self, q: f64) -> Option<u32> {
-        if self.is_empty() {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0)) * (self.len() - 1) as f64).round() as u64;
-        // The value whose cumulative count first covers the rank.
-        let i = self.cumulative.partition_point(|&c| c <= rank);
-        Some(self.values[i])
-    }
-
     /// Largest sample.
     pub fn max(&self) -> Option<u32> {
         self.values.last().copied()
@@ -191,15 +180,6 @@ mod tests {
         assert!((cdf.fraction_at_most(100) - 1.0).abs() < 1e-9);
         assert_eq!(cdf.count_over(5), 1);
         assert_eq!(cdf.max(), Some(10));
-    }
-
-    #[test]
-    fn cdf_quantiles() {
-        let cdf = Cdf::from_samples(0..=100);
-        assert_eq!(cdf.quantile(0.0), Some(0));
-        assert_eq!(cdf.quantile(0.5), Some(50));
-        assert_eq!(cdf.quantile(1.0), Some(100));
-        assert_eq!(Cdf::from_samples([]).quantile(0.5), None);
     }
 
     #[test]

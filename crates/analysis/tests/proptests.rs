@@ -87,16 +87,6 @@ props! {
         }
     }
 
-    /// Quantiles are actual samples and ordered.
-    fn cdf_quantiles_ordered(samples in gens::vec_of(gens::u32s(..), 1..100)) {
-        let cdf = Cdf::from_samples(samples.clone());
-        let q25 = cdf.quantile(0.25).unwrap();
-        let q75 = cdf.quantile(0.75).unwrap();
-        assert!(q25 <= q75);
-        assert!(samples.contains(&q25));
-        assert!(samples.contains(&q75));
-    }
-
     /// pct stays in range.
     fn pct_bounded(part in gens::u32s(..), whole in gens::u32s(..)) {
         let p = pct(part.min(whole) as u64, whole as u64);

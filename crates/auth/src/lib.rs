@@ -2,16 +2,15 @@
 //!
 //! [`AuthServer`] serves any number of signed zones, implements the
 //! RFC 4035/5155 answer algorithm (positive answers, referrals, NODATA,
-//! NXDOMAIN with NSEC/NSEC3 proofs, wildcard synthesis), and keeps the
-//! query log the paper's methodology uses to attribute forwarders
-//! ("We enable server-side logging to track source IP addresses
-//! interacting with our name server", §4.2).
+//! NXDOMAIN with NSEC/NSEC3 proofs, wildcard synthesis). It keeps no
+//! query log: the paper attributed forwarders through server-side logs
+//! (§4.2), but every driver here knows each resolver by construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::IpAddr;
 use std::rc::Rc;
 
@@ -27,25 +26,6 @@ use dns_zone::signer::SignedZone;
 use dns_zone::ZoneError;
 use netsim::{Network, Node};
 
-/// One logged query, as the paper's server-side logging captures it.
-#[derive(Clone, Debug)]
-pub struct QueryLogEntry {
-    /// Source address the query arrived from (the forwarder's egress, not
-    /// necessarily the original client).
-    pub src: IpAddr,
-    /// Queried name.
-    pub qname: Name,
-    /// Queried type.
-    pub qtype: RrType,
-    /// Whether the query had the DO bit.
-    pub dnssec_ok: bool,
-}
-
-/// Queries the log remembers: the most recent ones. The paper's
-/// attribution reads the handful a probe has just caused, so the bound is
-/// a constant, not a setting.
-pub(crate) const QUERY_LOG_LEN: usize = 256;
-
 /// The installed zones by apex.
 type ApexIndex = HashMap<SortKey, Rc<SignedZone>, KeyedState>;
 
@@ -56,8 +36,6 @@ pub struct AuthServer {
     /// hashed with the workspace's keyed word hasher: one probe per label
     /// of every answer.
     zones: RefCell<ApexIndex>,
-    /// The last [`QUERY_LOG_LEN`] queries, oldest first.
-    log: RefCell<VecDeque<QueryLogEntry>>,
     /// Apexes whose zones may be transferred (the CZDS/open-AXFR TLDs the
     /// paper counts: 1,105 of the 1,302 NSEC3-enabled TLDs share zone
     /// data).
@@ -69,7 +47,6 @@ impl AuthServer {
     pub fn new() -> Self {
         AuthServer {
             zones: RefCell::new(ApexIndex::default()),
-            log: RefCell::new(VecDeque::new()),
             axfr_allowed: RefCell::new(std::collections::HashSet::new()),
         }
     }
@@ -86,18 +63,6 @@ impl AuthServer {
         let zone = zone.into();
         let key = zone.zone.apex().sort_key();
         self.zones.borrow_mut().insert(key, zone);
-    }
-
-    /// The installed zone with exactly this apex — the shared copy, not a
-    /// clone of its records.
-    pub fn zone(&self, apex: &Name) -> Option<Rc<SignedZone>> {
-        apex.with_sort_key(|key| self.zones.borrow().get(key).cloned())
-    }
-
-    /// Snapshot of the query log: the most recent `QUERY_LOG_LEN`
-    /// queries in arrival order.
-    pub fn query_log(&self) -> Vec<QueryLogEntry> {
-        self.log.borrow().iter().cloned().collect()
     }
 
     /// Answer one question against the installed zones: the owned
@@ -311,7 +276,7 @@ impl Node for AuthServer {
     fn handle(
         &self,
         _net: &Network,
-        src: IpAddr,
+        _src: IpAddr,
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
@@ -379,21 +344,6 @@ impl Node for AuthServer {
                 head.encode_append::<&Record>(reply, &[], &[], &[]);
             }
         }
-        // Log last, once nothing borrows the query: the entry takes the
-        // decoded question's own name and the entry it displaces frees
-        // one, so logging allocates nothing once the ring is full.
-        if let Some(q) = query.questions.into_iter().next() {
-            let mut log = self.log.borrow_mut();
-            if log.len() == QUERY_LOG_LEN {
-                log.pop_front();
-            }
-            log.push_back(QueryLogEntry {
-                src,
-                qname: q.qname,
-                qtype: q.qtype,
-                dnssec_ok: dnssec,
-            });
-        }
         Some(())
     }
 }
@@ -404,8 +354,8 @@ mod tests {
     use dns_wire::name::name;
     use dns_zone::signer::{sign_zone, SignerConfig};
     use dns_zone::Zone;
+    use netsim::Outcome;
     use std::net::Ipv4Addr;
-    use std::rc::Rc;
 
     const NOW: u32 = 1_710_000_000;
 
@@ -478,14 +428,27 @@ mod tests {
         server.answer(&Message::query(1, name(qname), qtype))
     }
 
+    /// Records of type `t` in one section.
+    fn count(section: &[Record], t: RrType) -> usize {
+        section.iter().filter(|r| r.rrtype() == t).count()
+    }
+
+    /// No record of type `t` in the answer or authority section.
+    fn none_of(resp: &Message, t: RrType) -> bool {
+        resp.answers
+            .iter()
+            .chain(&resp.authorities)
+            .all(|r| r.rrtype() != t)
+    }
+
     #[test]
     fn positive_answer_with_rrsig() {
         let s = build_server();
         let resp = ask(&s, "www.example.", RrType::A);
         assert_eq!(resp.rcode, Rcode::NoError);
         assert!(resp.flags.aa);
-        assert_eq!(resp.records_of_type(RrType::A).count(), 1);
-        assert_eq!(resp.records_of_type(RrType::RRSIG).count(), 1);
+        assert_eq!(count(&resp.answers, RrType::A), 1);
+        assert_eq!(count(&resp.answers, RrType::RRSIG), 1);
     }
 
     #[test]
@@ -494,8 +457,8 @@ mod tests {
         let mut q = Message::query(1, name("www.example."), RrType::A);
         q.edns = None;
         let resp = s.answer(&q);
-        assert_eq!(resp.records_of_type(RrType::A).count(), 1);
-        assert!(resp.records_of_type(RrType::RRSIG).next().is_none());
+        assert_eq!(count(&resp.answers, RrType::A), 1);
+        assert!(none_of(&resp, RrType::RRSIG));
     }
 
     #[test]
@@ -507,7 +470,7 @@ mod tests {
             let mut q = Message::query(1, name(qname), RrType::TXT);
             q.edns = None;
             let resp = s.answer(&q);
-            assert!(resp.records_of_type(RrType::NSEC3).next().is_none());
+            assert!(none_of(&resp, RrType::NSEC3));
         }
         assert_eq!(thread_cache_stats(), lookups, "no DO, no NSEC3 hashing");
     }
@@ -517,8 +480,8 @@ mod tests {
         let s = build_server();
         let resp = ask(&s, "nx.example.", RrType::A);
         assert_eq!(resp.rcode, Rcode::NxDomain);
-        assert!(resp.records_of_type(RrType::SOA).next().is_some());
-        let nsec3 = resp.records_of_type(RrType::NSEC3).count();
+        assert_eq!(count(&resp.authorities, RrType::SOA), 1);
+        let nsec3 = count(&resp.authorities, RrType::NSEC3);
         assert!((1..=3).contains(&nsec3), "{nsec3} NSEC3s");
     }
 
@@ -528,16 +491,16 @@ mod tests {
         let resp = ask(&s, "www.example.", RrType::TXT);
         assert_eq!(resp.rcode, Rcode::NoError);
         assert!(resp.answers.is_empty());
-        assert!(resp.records_of_type(RrType::SOA).next().is_some());
-        assert_eq!(resp.records_of_type(RrType::NSEC3).count(), 1);
+        assert_eq!(count(&resp.authorities, RrType::SOA), 1);
+        assert_eq!(count(&resp.authorities, RrType::NSEC3), 1);
     }
 
     #[test]
     fn cname_returned_without_chasing() {
         let s = build_server();
         let resp = ask(&s, "alias.example.", RrType::A);
-        assert_eq!(resp.records_of_type(RrType::CNAME).count(), 1);
-        assert!(resp.records_of_type(RrType::A).next().is_none());
+        assert_eq!(count(&resp.answers, RrType::CNAME), 1);
+        assert!(none_of(&resp, RrType::A));
     }
 
     #[test]
@@ -545,11 +508,15 @@ mod tests {
         let s = build_server();
         let resp = ask(&s, "anything.wild.example.", RrType::A);
         assert_eq!(resp.rcode, Rcode::NoError);
-        let answers: Vec<_> = resp.records_of_type(RrType::A).collect();
+        let answers: Vec<_> = resp
+            .answers
+            .iter()
+            .filter(|r| r.rrtype() == RrType::A)
+            .collect();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].name, name("anything.wild.example."));
         // Expansion proof: NSEC3 covering the next closer.
-        assert!(resp.records_of_type(RrType::NSEC3).next().is_some());
+        assert!(count(&resp.authorities, RrType::NSEC3) > 0);
         // The RRSIG's labels field is smaller than the owner's label count.
         let sig = resp
             .answers
@@ -571,11 +538,11 @@ mod tests {
         assert_eq!(resp.rcode, Rcode::NoError);
         assert!(!resp.flags.aa);
         assert!(resp.answers.is_empty());
-        assert!(resp.records_of_type(RrType::NS).next().is_some());
+        assert!(count(&resp.authorities, RrType::NS) > 0);
         // Glue present.
-        assert!(resp.additionals.iter().any(|r| r.rrtype() == RrType::A));
+        assert!(count(&resp.additionals, RrType::A) > 0);
         // DS-absence proof (NSEC3) present since query had DO.
-        assert!(resp.records_of_type(RrType::NSEC3).next().is_some());
+        assert!(count(&resp.authorities, RrType::NSEC3) > 0);
     }
 
     #[test]
@@ -585,7 +552,7 @@ mod tests {
         // Insecure delegation: NODATA with proof, authoritative.
         assert!(resp.flags.aa);
         assert!(resp.answers.is_empty());
-        assert!(resp.records_of_type(RrType::SOA).next().is_some());
+        assert_eq!(count(&resp.authorities, RrType::SOA), 1);
     }
 
     #[test]
@@ -596,59 +563,12 @@ mod tests {
     }
 
     #[test]
-    fn query_log_records_sources() {
-        let s = build_server();
-        let net = Network::new(1);
-        let server = Rc::new(s);
-        let addr: IpAddr = "10.0.0.53".parse().unwrap();
-        let client: IpAddr = "10.9.9.9".parse().unwrap();
-        net.register(addr, server.clone());
-        let q = Message::query(7, name("www.example."), RrType::A).encode();
-        let out = net.send_query(client, addr, &q);
-        assert!(out.payload().is_some());
-        let log = server.query_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].src, client);
-        assert_eq!(log[0].qname, name("www.example."));
-        assert!(log[0].dnssec_ok);
-    }
-
-    #[test]
-    fn query_log_keeps_the_most_recent_queries_in_arrival_order() {
-        let s = build_server();
-        let net = Network::new(1);
-        let logged = |s: &AuthServer| -> Vec<u16> {
-            let ids = s.query_log().into_iter().map(|e| {
-                let label = e.qname.labels().next().expect("q<n>").to_vec();
-                String::from_utf8(label).unwrap()[1..].parse().unwrap()
-            });
-            ids.collect()
-        };
-        let ask_n = |s: &AuthServer, n: u16| {
-            let q = Message::query(n, name(&format!("q{n}.example.")), RrType::A);
-            handle_raw(s, &net, &q.encode()).unwrap();
-        };
-        for n in 0..QUERY_LOG_LEN as u16 {
-            ask_n(&s, n);
-        }
-        assert_eq!(logged(&s), (0..QUERY_LOG_LEN as u16).collect::<Vec<_>>());
-        // One more displaces the oldest; many more wrap the ring more
-        // than once and the order is still arrival order.
-        ask_n(&s, 256);
-        assert_eq!(logged(&s), (1..=256).collect::<Vec<_>>());
-        for n in 257..1000 {
-            ask_n(&s, n);
-        }
-        assert_eq!(logged(&s), (1000 - 256..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn dnskey_and_nsec3param_queries_answered() {
         let s = build_server();
         let dk = ask(&s, "example.", RrType::DNSKEY);
-        assert_eq!(dk.records_of_type(RrType::DNSKEY).count(), 2);
+        assert_eq!(count(&dk.answers, RrType::DNSKEY), 2);
         let np = ask(&s, "example.", RrType::NSEC3PARAM);
-        assert_eq!(np.records_of_type(RrType::NSEC3PARAM).count(), 1);
+        assert_eq!(count(&np.answers, RrType::NSEC3PARAM), 1);
     }
 
     #[test]
@@ -664,7 +584,7 @@ mod tests {
         let s = build_server();
         let resp = ask(&s, "WWW.EXAMPLE.", RrType::A);
         assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(resp.records_of_type(RrType::A).count(), 1);
+        assert_eq!(count(&resp.answers, RrType::A), 1);
     }
 
     #[test]
@@ -735,8 +655,8 @@ mod tests {
         s.add_zone(sign_zone(&z, &cfg).unwrap());
         let resp = s.answer(&Message::query(1, name("nope.plain.example."), RrType::A));
         assert_eq!(resp.rcode, Rcode::NxDomain);
-        assert!(resp.records_of_type(RrType::NSEC).next().is_some());
-        assert!(resp.records_of_type(RrType::NSEC3).next().is_none());
+        assert!(count(&resp.authorities, RrType::NSEC) > 0);
+        assert!(none_of(&resp, RrType::NSEC3));
     }
 
     #[test]
@@ -748,7 +668,7 @@ mod tests {
         let mut q = Message::query(5, name("www.example."), RrType::A);
         q.flags.qr = true; // a response, not a query
         let out = net.send_query("10.9.9.9".parse().unwrap(), addr, &q.encode());
-        assert!(out.payload().is_none(), "servers must not answer responses");
+        assert_eq!(out, Outcome::Timeout, "servers must not answer responses");
     }
 
     #[test]
@@ -803,7 +723,7 @@ mod tests {
         s.add_zone(sign_zone(&z, &SignerConfig::standard(&name("sub2.example."), NOW)).unwrap());
         let resp = ask(&s, "x.sub2.example.", RrType::A);
         assert_eq!(resp.rcode, Rcode::NoError);
-        assert_eq!(resp.records_of_type(RrType::A).count(), 1);
+        assert_eq!(count(&resp.answers, RrType::A), 1);
     }
 
     /// Drive the wire-level entry point directly.
@@ -845,7 +765,8 @@ mod tests {
         assert_eq!(reply, s.answer(&q).encode(), "answered raw, unframed");
         // Undecodable under either reading: dropped.
         assert!(handle_raw(&s, &net, &wire[..wire.len() - 1]).is_none());
-        let framed_junk = dns_wire::message::frame_tcp(&wire[..wire.len() - 1]);
+        let junk = &wire[..wire.len() - 1];
+        let framed_junk = [&(junk.len() as u16).to_be_bytes()[..], junk].concat();
         assert!(handle_raw(&s, &net, &framed_junk).is_none());
     }
 }

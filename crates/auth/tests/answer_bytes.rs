@@ -15,7 +15,7 @@ use sim_check::{gens, props, Gen};
 
 use dns_auth::AuthServer;
 use dns_wire::edns::Edns;
-use dns_wire::message::{frame_tcp, Message, Question};
+use dns_wire::message::{Message, Question};
 use dns_wire::name::{name, Name};
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
@@ -157,11 +157,12 @@ fn encode_query(id: u16, qname: Name, qtype: RrType, shape: Shape) -> Vec<u8> {
             })
         }
     }
-    let wire = q.encode();
+    let mut wire = Vec::new();
     match shape {
-        Shape::Tcp => frame_tcp(&wire),
-        _ => wire,
+        Shape::Tcp => q.encode_framed_append(&mut wire),
+        _ => q.encode_append(&mut wire),
     }
+    wire
 }
 
 fn handle(s: &AuthServer, net: &Network, payload: &[u8]) -> Option<Vec<u8>> {
@@ -300,10 +301,12 @@ fn expected(s: &AuthServer, payload: &[u8], tcp: bool) -> Vec<u8> {
     let datagram = if tcp { &payload[2..] } else { payload };
     let query = Message::decode(datagram).unwrap();
     let response = s.answer(&query);
-    let wire = response.encode();
     if tcp {
-        return frame_tcp(&wire);
+        let mut framed = Vec::new();
+        response.encode_framed_append(&mut framed);
+        return framed;
     }
+    let wire = response.encode();
     let limit = query
         .edns
         .as_ref()

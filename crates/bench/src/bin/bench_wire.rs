@@ -1,5 +1,5 @@
-//! Bench: message encode/decode throughput, the pooled-buffer encode
-//! path, the auth server answering a fresh name (NXDOMAIN and referral),
+//! Bench: message encode/decode throughput, the auth server answering a
+//! fresh name (NXDOMAIN and referral),
 //! and the name compression trade-off (DESIGN.md ablation 3). Writes
 //! `BENCH_wire.json`.
 
@@ -51,13 +51,6 @@ fn main() {
     let encoded = resp.encode();
     suite.bench("decode_response", || {
         Message::decode(black_box(&encoded)).unwrap()
-    });
-    // Encode through the thread-local buffer pool instead of a fresh Vec.
-    suite.bench("encode_pooled", || {
-        dns_wire::with_pooled(|buf| {
-            black_box(&resp).encode_into(buf);
-            black_box(buf.len())
-        })
     });
 
     // The auth server on a name it has never seen, which is every query
@@ -119,10 +112,10 @@ fn main() {
         .map(|i| name(&format!("host{i}.sub.department.example.com.")))
         .collect();
     let mut comp_out = Vec::new();
-    let mut comp_scratch = WireBuf::new();
+    let mut comp_table = WireBuf::default();
     suite.bench("write_names_compressing", || {
         comp_out.clear();
-        let mut w = Writer::compressing(&mut comp_out, &mut comp_scratch);
+        let mut w = Writer::compressing(&mut comp_out, &mut comp_table);
         for n in &names {
             w.name(black_box(n));
         }
@@ -138,9 +131,9 @@ fn main() {
         black_box(plain_out.len())
     });
     // Size comparison printed once for the record.
-    let (mut wc_out, mut wc_scratch, mut wp_out) = (Vec::new(), WireBuf::new(), Vec::new());
+    let (mut wc_out, mut wc_table, mut wp_out) = (Vec::new(), WireBuf::default(), Vec::new());
     {
-        let mut wc = Writer::compressing(&mut wc_out, &mut wc_scratch);
+        let mut wc = Writer::compressing(&mut wc_out, &mut wc_table);
         let mut wp = Writer::plain(&mut wp_out);
         for n in &names {
             wc.name(n);

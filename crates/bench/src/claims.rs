@@ -136,7 +136,7 @@ const EXACT: [f64; 2] = [0.0, 0.0];
 #[derive(Clone, Copy, Debug)]
 pub enum At {
     /// `paper_report`: domains at [`REPORT_DOMAINS`], fleet at
-    /// [`REPORT_FLEET`].
+    /// `REPORT_FLEET`.
     Report = 0,
     /// `tests/paper_numbers.rs`: both at [`TEST_SCALE`]; and the
     /// resolver rows of `paper_report --fleet-scale 2000`.
@@ -146,11 +146,11 @@ pub enum At {
 /// Registered domains in `paper_report`, of the paper's 302 M.
 pub const REPORT_DOMAINS: Scale = Scale(1.0 / 1_000.0);
 /// The resolver fleet in `paper_report`, of 1.9 M open + 2.5 K closed.
-pub const REPORT_FLEET: Scale = Scale(1.0 / 200.0);
+pub(crate) const REPORT_FLEET: Scale = Scale(1.0 / 200.0);
 /// Domains and fleet in a debug-build test.
 pub const TEST_SCALE: Scale = Scale(1.0 / 2_000.0);
 /// Registry contents inside each TLD zone (capped at 200 a zone).
-pub const TLD_CONTENTS: f64 = 1.0 / 1_000.0;
+pub(crate) const TLD_CONTENTS: f64 = 1.0 / 1_000.0;
 
 /// One claim over a driver report of type `R`.
 pub struct Claim<R: ?Sized> {
@@ -231,7 +231,7 @@ fn exactly_at(cdf: &Cdf, x: u32) -> u64 {
 }
 
 /// Table 2 off the census: the ten largest exclusive operators.
-pub fn table2(census: &StreamCensusReport) -> Vec<OperatorRow> {
+pub(crate) fn table2(census: &StreamCensusReport) -> Vec<OperatorRow> {
     operator_table(&census.stats, 10)
 }
 
@@ -403,7 +403,7 @@ pub struct TldReport {
 
 impl TldReport {
     /// Stand all 1,449 TLDs up as signed zones, registry contents scaled
-    /// by [`TLD_CONTENTS`], and scan them.
+    /// by `TLD_CONTENTS`, and scan them.
     pub fn run(cfg: &DriverConfig) -> TldReport {
         let declared = generate_tlds();
         TldReport {
@@ -584,7 +584,7 @@ impl TrancoStats {
     }
 
     /// The rank CDF of the NSEC3-enabled entries `keep` holds for.
-    pub fn ranks(&self, keep: fn(u16, u8) -> bool) -> Cdf {
+    pub(crate) fn ranks(&self, keep: fn(u16, u8) -> bool) -> Cdf {
         let kept = self.nsec3.iter().filter(|&&(_, it, salt)| keep(it, salt));
         Cdf::from_samples(kept.map(|&(rank, _, _)| rank))
     }
@@ -790,7 +790,7 @@ pub static RESOLVERS: &[Claim<ResolverReport>] = &[
 
 /// The abstract's claim: 13.6 M of 15.5 M NSEC3-enabled domains fail
 /// through a resolver that accepts no additional iteration.
-pub static UNREACHABILITY: &[Claim<Unreachability>] = &[Claim {
+pub(crate) static UNREACHABILITY: &[Claim<Unreachability>] = &[Claim {
     id: 15,
     label: "NSEC3-enabled domains unresolvable through a SERVFAIL-from-it-1 resolver",
     item: Some(8),
@@ -800,7 +800,7 @@ pub static UNREACHABILITY: &[Claim<Unreachability>] = &[Claim {
 
 /// `(iterations, salt bytes)` of the CVE-2023-50868 sweep: iterations at
 /// no salt, then salt lengths at 150 iterations.
-pub fn cve_points() -> Vec<(u16, u8)> {
+pub(crate) fn cve_points() -> Vec<(u16, u8)> {
     let unsalted = [0, 1, 10, 50, 100, 150, 500, 1000, 2500].map(|it| (it, 0));
     let salted = [8, 64, 128, 255].map(|salt| (150, salt));
     [&unsalted[..], &salted[..]].concat()
@@ -821,7 +821,7 @@ fn cost_ratio(sweep: &[CvePoint], of: (u16, u8), over: (u16, u8)) -> Value {
 /// one NXDOMAIN. Gruza et al. measured CPU instructions on production
 /// resolvers; the compression count is the same mechanism at the hash
 /// layer, which is a super-linear share of the instruction count.
-pub static CVE: &[Claim<[CvePoint]>] = &[
+pub(crate) static CVE: &[Claim<[CvePoint]>] = &[
     Claim {
         id: 12,
         label: "compressions at it-2500 against it-0 (no salt)",
@@ -867,7 +867,7 @@ impl Defense {
 /// validator, beside what the two attack papers measured undefended
 /// (theirs are CPU instructions on production resolvers; neither figure
 /// is reproduced).
-pub static ADVERSARIAL: &[Claim<Defense>] = &[
+pub(crate) static ADVERSARIAL: &[Claim<Defense>] = &[
     Claim {
         id: 18,
         label: "max-iterations (2,500 / 255 B): work per query undefended, per unit defended",
@@ -895,7 +895,7 @@ pub static ADVERSARIAL: &[Claim<Defense>] = &[
 ];
 
 /// Extension: a warm caching fleet under the browsing mix.
-pub static SERVING: &[Claim<ServingTally>] = &[
+pub(crate) static SERVING: &[Claim<ServingTally>] = &[
     Claim {
         id: 19,
         label: "answer-cache hit ratio",
@@ -931,7 +931,7 @@ fn expected_verdict_pct(chain: &ChainReport, scenario: ChainScenario) -> f64 {
 
 /// Extension: iterative recursion over a root→TLD→leaf graph with a
 /// fault injected at every third signed delegation.
-pub static CHAIN: &[Claim<ChainReport>] = &[
+pub(crate) static CHAIN: &[Claim<ChainReport>] = &[
     Claim {
         id: 20,
         label: "intact chains ending secure or (unsigned TLD) insecure",

@@ -25,7 +25,7 @@ pub struct Options {
     /// Registered-domain population scale.
     pub scale: Scale,
     /// Resolver fleet scale of the §5.2 study (default:
-    /// [`claims::REPORT_FLEET`]).
+    /// `claims::REPORT_FLEET`).
     pub fleet: Scale,
     /// RNG seed.
     pub seed: u64,
@@ -136,7 +136,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// Write `contents` to `target/experiments/<name>` and report the path
 /// on stderr (stdout is the report).
 #[allow(clippy::disallowed_methods)] // the harnesses' one file writer
-pub fn write_artifact(name: &str, contents: &str) {
+pub(crate) fn write_artifact(name: &str, contents: &str) {
     let dir = std::path::Path::new("target/experiments");
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join(name);

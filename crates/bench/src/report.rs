@@ -92,7 +92,7 @@ pub struct Measured {
     pub resolvers: ResolverReport,
     /// The abstract's unreachability claim.
     pub unreachability: Unreachability,
-    /// The CVE-2023-50868 cost sweep over [`cve_points`].
+    /// The CVE-2023-50868 cost sweep over `cve_points`.
     pub cve: Vec<CvePoint>,
     /// The adoption timeline: each era's fleet, classified.
     pub eras: Vec<(ResolverStats, Era)>,
@@ -116,18 +116,29 @@ impl Measured {
             (run_resolver_tally_cfg(&fleet, cfg).0.all(), era)
         };
         let eras = eras().into_iter().map(classified).collect();
-        step("adversarial, serving and chain drivers, CVE sweep");
+        step("adversarial driver");
         let attack = |defense| run_adversarial_cfg(&adversarial_scenario(defense), cfg);
         let defense = Defense {
             undefended: attack(DefenseProfile::undefended()),
             defended: attack(DefenseProfile::defended()),
         };
-        let warm = serving_scenario(64, 1_000, QueryMix::browsing());
-        let faulted = ChainStudy::new(HierarchyModel::intact(24, 2, 7).with_faults(3));
-        step("Tranco list, TLD census, unreachability");
+        step("unreachability");
         let sample = generate_domains(UNREACHABILITY_SAMPLE, seed);
         let unreachability = run_unreachability_cfg(&sample, CENSUS_BATCH, cfg).0;
+        step("serving driver");
+        let warm = serving_scenario(64, 1_000, QueryMix::browsing());
+        let serving = run_serving_cfg(&warm, cfg).tally;
+        step("chain study");
+        let faulted = ChainStudy::new(HierarchyModel::intact(24, 2, 7).with_faults(3));
+        let chain = run_chain_study_cfg(&faulted, cfg);
+        step("CVE sweep");
+        let cve = cve_cost_sweep(&cve_points(), cfg.now);
+        step("Tranco list");
+        let tranco = TrancoStats::compute(&generate_tranco(Scale(1.0), seed));
+        step("TLD census");
+        let tlds = TldReport::run(cfg);
         step("domain census");
+        let census = run_domain_census_stream(domains, seed, CENSUS_BATCH, cfg);
         Measured {
             domains,
             fleet,
@@ -135,13 +146,13 @@ impl Measured {
             resolvers: ResolverReport::from_tally(&resolvers),
             eras,
             defense,
-            serving: run_serving_cfg(&warm, cfg).tally,
-            chain: run_chain_study_cfg(&faulted, cfg),
-            cve: cve_cost_sweep(&cve_points(), cfg.now),
-            tranco: TrancoStats::compute(&generate_tranco(Scale(1.0), seed)),
-            tlds: TldReport::run(cfg),
+            serving,
+            chain,
+            cve,
+            tranco,
+            tlds,
             unreachability,
-            census: run_domain_census_stream(domains, seed, CENSUS_BATCH, cfg),
+            census,
         }
     }
 

@@ -46,7 +46,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hex_lower;
+    use crate::hex_parse;
 
     // RFC 4231 test case 1.
     #[test]
@@ -54,8 +54,8 @@ mod tests {
         let key = [0x0b; 20];
         let tag = hmac_sha256(&key, b"Hi There");
         assert_eq!(
-            hex_lower(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+            tag.to_vec(),
+            hex_parse("b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7").unwrap()
         );
     }
 
@@ -64,8 +64,8 @@ mod tests {
     fn rfc4231_case2_sha256() {
         let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
         assert_eq!(
-            hex_lower(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+            tag.to_vec(),
+            hex_parse("5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843").unwrap()
         );
     }
 
@@ -78,8 +78,8 @@ mod tests {
             b"Test Using Larger Than Block-Size Key - Hash Key First",
         );
         assert_eq!(
-            hex_lower(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            tag.to_vec(),
+            hex_parse("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54").unwrap()
         );
     }
 

@@ -75,17 +75,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
-/// Render bytes as lowercase hex (test helpers and presentation formats).
-pub fn hex_lower(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
 /// Parse lowercase/uppercase hex into bytes. Returns `None` on odd length or
 /// non-hex characters.
 pub fn hex_parse(s: &str) -> Option<Vec<u8>> {
@@ -115,11 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn hex_roundtrip() {
+    fn hex_parse_reads_both_cases() {
         let bytes = [0x00, 0x01, 0xab, 0xff, 0x7f];
-        let s = hex_lower(&bytes);
-        assert_eq!(s, "0001abff7f");
-        assert_eq!(hex_parse(&s).unwrap(), bytes);
+        assert_eq!(hex_parse("0001abff7f").unwrap(), bytes);
+        assert_eq!(hex_parse("0001ABFF7F").unwrap(), bytes);
     }
 
     #[test]

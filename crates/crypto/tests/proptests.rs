@@ -6,7 +6,7 @@ use dns_crypto::hmac::hmac_sha256;
 use dns_crypto::keytag::key_tag;
 use dns_crypto::sha1::{sha1, Sha1};
 use dns_crypto::simsig::{verify, verify_memo_stats, Context, KeyPair};
-use dns_crypto::{ct_eq, hex_lower, hex_parse};
+use dns_crypto::{ct_eq, hex_parse};
 
 props! {
     /// Streaming in arbitrary chunkings equals the one-shot digest.
@@ -85,7 +85,8 @@ props! {
 
     /// Hex round trip.
     fn hex_roundtrip(data in gens::vec_of(gens::u8s(..), 0..64)) {
-        assert_eq!(hex_parse(&hex_lower(&data)).unwrap(), data);
+        let hex: String = data.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_parse(&hex).unwrap(), data);
     }
 
     /// ct_eq agrees with ==.

@@ -388,16 +388,6 @@ pub enum Outcome {
     NoRoute,
 }
 
-impl Outcome {
-    /// The response payload, if any.
-    pub fn payload(&self) -> Option<&[u8]> {
-        match self {
-            Outcome::Response { payload, .. } => Some(payload),
-            _ => None,
-        }
-    }
-}
-
 /// One-way delivery time of a datagram: 5 ms at each end.
 const LEG_LATENCY_MICROS: u64 = 10_000;
 
@@ -444,11 +434,6 @@ impl Network {
             delivered: Cell::new(0),
             lost: Cell::new(0),
         }
-    }
-
-    /// Replace the fault configuration.
-    pub fn set_faults(&self, faults: FaultConfig) {
-        *self.faults.borrow_mut() = faults;
     }
 
     /// Install a full [`FaultSchedule`]: the base knobs replace the
@@ -936,7 +921,7 @@ mod tests {
             }),
         );
         let out = net.send_query(addr(1), addr(2), b"ab");
-        assert_eq!(out.payload().unwrap(), b"ba");
+        assert!(matches!(out, Outcome::Response { payload, .. } if payload == b"ba"));
     }
 
     #[test]
@@ -957,8 +942,11 @@ mod tests {
     fn full_drop_rate_loses_everything() {
         let net = Network::new(1);
         net.register(addr(2), Rc::new(Echo));
-        net.set_faults(FaultConfig {
-            drop_chance: 1.0,
+        net.set_schedule(FaultSchedule {
+            base: FaultConfig {
+                drop_chance: 1.0,
+                ..Default::default()
+            },
             ..Default::default()
         });
         assert_eq!(net.send_query(addr(1), addr(2), b"x"), Outcome::Timeout);
@@ -983,8 +971,11 @@ mod tests {
     fn retries_can_survive_partial_loss() {
         let net = Network::new(42);
         net.register(addr(2), Rc::new(Echo));
-        net.set_faults(FaultConfig {
-            drop_chance: 0.5,
+        net.set_schedule(FaultSchedule {
+            base: FaultConfig {
+                drop_chance: 0.5,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let mut got = 0;
@@ -1002,14 +993,19 @@ mod tests {
     fn corruption_changes_exactly_one_bit() {
         let net = Network::new(7);
         net.register(addr(2), Rc::new(Echo));
-        net.set_faults(FaultConfig {
-            corrupt_chance: 1.0,
+        net.set_schedule(FaultSchedule {
+            base: FaultConfig {
+                corrupt_chance: 1.0,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let out = net.send_query(addr(1), addr(2), b"aaaa");
         // Both legs corrupt one bit each; the reversed reply differs from
         // clean "aaaa" in at most 2 bits.
-        let payload = out.payload().unwrap().to_vec();
+        let Outcome::Response { payload, .. } = out else {
+            panic!("{out:?}");
+        };
         let diff: u32 = payload
             .iter()
             .zip(b"aaaa".iter())
@@ -1022,8 +1018,11 @@ mod tests {
     fn size_limit_drops_large_datagrams() {
         let net = Network::new(1);
         net.register(addr(2), Rc::new(Echo));
-        net.set_faults(FaultConfig {
-            size_limit: Some(4),
+        net.set_schedule(FaultSchedule {
+            base: FaultConfig {
+                size_limit: Some(4),
+                ..Default::default()
+            },
             ..Default::default()
         });
         assert_eq!(net.send_query(addr(1), addr(2), b"small"), Outcome::Timeout);
@@ -1227,8 +1226,11 @@ mod tests {
         let run_legacy = || {
             let net = Network::new(42);
             net.register(addr(2), Rc::new(Echo));
-            net.set_faults(FaultConfig {
-                drop_chance: 0.5,
+            net.set_schedule(FaultSchedule {
+                base: FaultConfig {
+                    drop_chance: 0.5,
+                    ..Default::default()
+                },
                 ..Default::default()
             });
             (0..30)
@@ -1248,8 +1250,11 @@ mod tests {
         let run_policy = || {
             let net = Network::new(42);
             net.register(addr(2), Rc::new(Echo));
-            net.set_faults(FaultConfig {
-                drop_chance: 0.5,
+            net.set_schedule(FaultSchedule {
+                base: FaultConfig {
+                    drop_chance: 0.5,
+                    ..Default::default()
+                },
                 ..Default::default()
             });
             let policy = RetryPolicy::fixed(4);
@@ -1377,8 +1382,11 @@ mod tests {
         let net = Network::new(3);
         let counter = Rc::new(Counter(std::cell::Cell::new(0)));
         net.register(addr(2), counter.clone());
-        net.set_faults(FaultConfig {
-            duplicate_chance: 1.0,
+        net.set_schedule(FaultSchedule {
+            base: FaultConfig {
+                duplicate_chance: 1.0,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let out = net.send_query(addr(1), addr(2), b"q");
@@ -1387,7 +1395,7 @@ mod tests {
             "sender still gets one reply"
         );
         assert_eq!(counter.0.get(), 2, "handler ran for both copies");
-        net.set_faults(FaultConfig::default());
+        net.set_schedule(FaultSchedule::default());
         let _ = net.send_query(addr(1), addr(2), b"q");
         assert_eq!(counter.0.get(), 3);
     }
@@ -1397,8 +1405,11 @@ mod tests {
         let run = |seed| {
             let net = Network::new(seed);
             net.register(addr(2), Rc::new(Echo));
-            net.set_faults(FaultConfig {
-                drop_chance: 0.3,
+            net.set_schedule(FaultSchedule {
+                base: FaultConfig {
+                    drop_chance: 0.3,
+                    ..Default::default()
+                },
                 ..Default::default()
             });
             (0..30)

@@ -4,7 +4,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 use std::rc::Rc;
 
-use netsim::{FaultConfig, Network, Node, Outcome};
+use netsim::{FaultConfig, FaultSchedule, Network, Node, Outcome};
 use sim_check::{gens, props};
 
 struct Echo;
@@ -37,7 +37,7 @@ props! {
         let run = || {
             let net = Network::new(seed);
             net.register(addr(2), Rc::new(Echo));
-            net.set_faults(FaultConfig { drop_chance: drop, corrupt_chance: corrupt, ..Default::default() });
+            net.set_schedule(FaultSchedule { base: FaultConfig { drop_chance: drop, corrupt_chance: corrupt, ..Default::default() }, ..Default::default() });
             let mut outcomes = Vec::new();
             let mut last_clock = 0;
             for _ in 0..n {
@@ -60,7 +60,7 @@ props! {
             let ok = matches!(net.send_query(addr(1), addr(2), b"x"), Outcome::Response { .. });
             assert!(ok);
         }
-        net.set_faults(FaultConfig { drop_chance: 1.0, ..Default::default() });
+        net.set_schedule(FaultSchedule { base: FaultConfig { drop_chance: 1.0, ..Default::default() }, ..Default::default() });
         for _ in 0..n {
             assert_eq!(net.send_query(addr(1), addr(2), b"x"), Outcome::Timeout);
         }
@@ -72,7 +72,7 @@ props! {
         let net = Network::new(seed);
         net.register(addr(2), Rc::new(Echo));
         let p = 0.2f64;
-        net.set_faults(FaultConfig { drop_chance: p, ..Default::default() });
+        net.set_schedule(FaultSchedule { base: FaultConfig { drop_chance: p, ..Default::default() }, ..Default::default() });
         let trials = 600;
         let mut ok = 0;
         for _ in 0..trials {
@@ -89,7 +89,7 @@ props! {
     fn corruption_is_single_bit_per_leg(seed in gens::u64s(..), len in gens::usizes(1..64)) {
         let net = Network::new(seed);
         net.register(addr(2), Rc::new(Echo));
-        net.set_faults(FaultConfig { corrupt_chance: 1.0, ..Default::default() });
+        net.set_schedule(FaultSchedule { base: FaultConfig { corrupt_chance: 1.0, ..Default::default() }, ..Default::default() });
         let payload = vec![0u8; len];
         if let Outcome::Response { payload: got, .. } = net.send_query(addr(1), addr(2), &payload) {
             assert_eq!(got.len(), len);

@@ -39,7 +39,4 @@ pub use resolvers::{
 pub use scale::{allocate, Scale};
 pub use timeline::{eras, Era};
 pub use tlds::{generate_tlds, generate_tlds_after_remediation, TldSpec};
-pub use traffic::{
-    diurnal_schedule, ClientQuery, QueryKind, QueryMix, TrafficGenerator, TrafficModel, ZipfAlias,
-};
 pub use tranco::{generate_tranco, TrancoEntry};

@@ -75,13 +75,6 @@ pub enum Behavior {
     },
 }
 
-impl Behavior {
-    /// Is this a validator at all?
-    pub fn validates(&self) -> bool {
-        !matches!(self, Behavior::NonValidator)
-    }
-}
-
 /// One resolver in the fleet.
 #[derive(Clone, Debug)]
 pub struct ResolverSpec {
@@ -319,7 +312,9 @@ mod tests {
         let v = f
             .iter()
             .filter(|r| {
-                r.family == Family::V4 && r.access == Access::Open && r.behavior.validates()
+                r.family == Family::V4
+                    && r.access == Access::Open
+                    && r.behavior != Behavior::NonValidator
             })
             .count() as u64;
         assert!(
@@ -331,7 +326,10 @@ mod tests {
     #[test]
     fn item6_item8_shares() {
         let f = fleet();
-        let validators: Vec<_> = f.iter().filter(|r| r.behavior.validates()).collect();
+        let validators: Vec<_> = f
+            .iter()
+            .filter(|r| r.behavior != Behavior::NonValidator)
+            .collect();
         let total = validators.len() as f64;
         let item6 = validators
             .iter()
@@ -407,13 +405,17 @@ mod tests {
         let closed_v4_val = f
             .iter()
             .filter(|r| {
-                r.access == Access::Closed && r.family == Family::V4 && r.behavior.validates()
+                r.access == Access::Closed
+                    && r.family == Family::V4
+                    && r.behavior != Behavior::NonValidator
             })
             .count() as u64;
         let closed_v6_val = f
             .iter()
             .filter(|r| {
-                r.access == Access::Closed && r.family == Family::V6 && r.behavior.validates()
+                r.access == Access::Closed
+                    && r.family == Family::V6
+                    && r.behavior != Behavior::NonValidator
             })
             .count() as u64;
         assert!((1..=2).contains(&closed_v4_val), "{closed_v4_val}");
@@ -427,7 +429,7 @@ mod tests {
             .iter()
             .filter(|r| {
                 r.access == Access::Open
-                    && r.behavior.validates()
+                    && r.behavior != Behavior::NonValidator
                     && !matches!(r.behavior, Behavior::ValidatorUnlimited)
             })
             .collect();

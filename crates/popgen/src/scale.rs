@@ -11,9 +11,6 @@
 pub struct Scale(pub f64);
 
 impl Scale {
-    /// Default benchmark scale.
-    pub const BENCH: Scale = Scale(1.0 / 1_000.0);
-
     /// Scale a bulk count.
     pub(crate) fn apply(&self, count: u64) -> u64 {
         (count as f64 * self.0).round() as u64

@@ -233,7 +233,10 @@ mod tests {
         for era in eras() {
             let fleet = generate_fleet_with_mix(Scale(1.0 / 2_000.0), 5, era.mix);
             assert!(!fleet.is_empty(), "{}", era.label);
-            let validators = fleet.iter().filter(|r| r.behavior.validates()).count();
+            let validators = fleet
+                .iter()
+                .filter(|r| r.behavior != Behavior::NonValidator)
+                .count();
             assert!(validators > 10, "{}: {validators}", era.label);
         }
     }

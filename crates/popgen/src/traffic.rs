@@ -11,7 +11,7 @@
 //!    every resolver in the fleet can regenerate its own slice.
 //! 2. **O(1) sampling.** Popularity follows a Zipf law (the observed
 //!    shape of resolver workloads — heavy head, long tail). The sampler
-//!    is a Vose alias table ([`ZipfAlias`]): O(n) to build once, two
+//!    is a Vose alias table (`ZipfAlias`): O(n) to build once, two
 //!    uniform draws per sample, no per-query CDF walk.
 //! 3. **Reusable burst machinery.** Diurnal load peaks are modelled as
 //!    time-windowed [`netsim`] fault episodes ([`diurnal_schedule`]):
@@ -172,7 +172,7 @@ impl ClientQuery {
 /// table is a pure function of `(n, skew)`, so two instances built with
 /// the same parameters sample identically from identical RNG streams.
 #[derive(Clone, Debug)]
-pub struct ZipfAlias {
+pub(crate) struct ZipfAlias {
     /// Acceptance probability per slot.
     prob: Vec<f64>,
     /// Overflow rank per slot.

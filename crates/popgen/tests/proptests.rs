@@ -2,6 +2,7 @@
 //! invariants must hold for every seed and a wide range of scales.
 
 use popgen::domains::{DnssecKind, TAIL_OPERATOR};
+use popgen::resolvers::Behavior;
 use popgen::{allocate, generate_domains, generate_fleet, generate_tranco, Scale};
 use sim_check::{gens, props};
 
@@ -61,7 +62,7 @@ props! {
     /// Fleet pools and behaviour groups survive every seed.
     fn fleet_invariants(seed in gens::u64s(..)) {
         let fleet = generate_fleet(Scale(1.0 / 2_000.0), seed);
-        let validators = fleet.iter().filter(|r| r.behavior.validates()).count() as f64;
+        let validators = fleet.iter().filter(|r| r.behavior != Behavior::NonValidator).count() as f64;
         assert!(validators > 40.0);
         // Validator share of open v4 near the paper's 7.5 %.
         let open_v4: Vec<_> = fleet
@@ -70,7 +71,7 @@ props! {
                 r.access == popgen::Access::Open && r.family == popgen::Family::V4
             })
             .collect();
-        let v = open_v4.iter().filter(|r| r.behavior.validates()).count() as f64;
+        let v = open_v4.iter().filter(|r| r.behavior != Behavior::NonValidator).count() as f64;
         let share = v / open_v4.len() as f64 * 100.0;
         assert!((share - 7.5).abs() < 2.0, "open v4 validator share {share}");
         // The copier class always survives.

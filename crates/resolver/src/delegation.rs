@@ -21,7 +21,7 @@ use crate::cache::TtlCache;
 /// One cached zone cut: where to send queries for names under `apex`,
 /// and the security state the walk established for it.
 #[derive(Clone, Debug)]
-pub struct Delegation {
+pub(crate) struct Delegation {
     /// Nameserver addresses (glue) for the zone.
     pub servers: Vec<IpAddr>,
     /// The chain state at the cut: `true` means the parent published a
@@ -38,7 +38,7 @@ pub struct Delegation {
 /// deepest-ancestor lookup and its own hit/miss accounting (the inner
 /// per-ancestor probes would otherwise overcount misses).
 #[derive(Debug)]
-pub struct DelegationCache {
+pub(crate) struct DelegationCache {
     entries: TtlCache<Box<[u8]>, Delegation>,
     hits: std::cell::Cell<u64>,
     misses: std::cell::Cell<u64>,

@@ -90,7 +90,7 @@ pub struct Lab {
     pub anchor: TrustAnchor,
     /// Per-zone server addresses `(v4, v6)`.
     pub servers: HashMap<Name, (IpAddr, IpAddr), KeyedState>,
-    /// Per-zone authoritative server handles (query logs etc.).
+    /// Per-zone authoritative server handles.
     pub auths: HashMap<Name, Rc<AuthServer>, KeyedState>,
     /// The signed zones, by apex — each the very copy its [`AuthServer`]
     /// answers from.

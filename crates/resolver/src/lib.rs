@@ -33,14 +33,12 @@ pub mod validator;
 pub use broken::{FlakyResolver, Forwarder, ObservedResponse, QueryCopier};
 pub use cache::TtlCache;
 pub use cost::{CostMeter, CostSnapshot};
-pub use delegation::{Delegation, DelegationCache};
 pub use lab::{Lab, LabBuilder, ZoneSpec};
 pub use policy::{LimitAction, Rfc9276Policy, WorkBudget};
 pub use profiles::VendorProfile;
 pub use resolver::{
     Recursion, RecursionStep, ResolveOutcome, Resolver, ResolverConfig, TrustAnchor,
 };
-pub use validator::ValidationError;
 
 #[cfg(test)]
 mod e2e {
@@ -291,7 +289,13 @@ mod e2e {
             ResolverConfig::validating(upstream_addr, lab.root_hints.clone(), lab.anchor.clone());
         cfg.now = lab.now;
         cfg.policy = Rfc9276Policy::servfail_above(150);
-        lab.net.register(upstream_addr, Rc::new(Resolver::new(cfg)));
+        // The upstream must hear from the forwarder and the authoritative
+        // from the upstream, never from the client — the paper's
+        // forwarder-identification trick.
+        let upstream = Recording::before(&lab.net, Rc::new(Resolver::new(cfg)), &[upstream_addr]);
+        let apex = name("it-200.example.com.");
+        let (v4, v6) = lab.servers[&apex];
+        let auth = Recording::before(&lab.net, lab.auths[&apex].clone(), &[v4, v6]);
         lab.net.register(
             fwd_addr,
             Rc::new(Forwarder {
@@ -304,10 +308,52 @@ mod e2e {
         let obs = dig(&lab.net, client, fwd_addr, &q);
         assert_eq!(obs.rcode, Rcode::ServFail);
         assert_eq!(obs.ede, None, "forwarder stripped the EDE");
-        // The authoritative logs must show the upstream's address, not the
-        // client's — the paper's forwarder-identification trick.
-        let log = lab.auths[&name("it-200.example.com.")].query_log();
-        assert!(log.iter().all(|e| e.src == upstream_addr));
+        assert_eq!(upstream.sources.take(), [fwd_addr]);
+        let seen = auth.sources.take();
+        assert!(
+            !seen.is_empty() && seen.iter().all(|&src| src == upstream_addr),
+            "{seen:?}"
+        );
+    }
+
+    /// A node that notes each query's source address and hands the query
+    /// to the node it displaced.
+    struct Recording {
+        inner: Rc<dyn netsim::Node>,
+        sources: std::cell::RefCell<Vec<IpAddr>>,
+    }
+
+    impl Recording {
+        /// Put one recorder in front of `inner` on every address in
+        /// `addrs` (a dual-stack server's two).
+        fn before(
+            net: &netsim::Network,
+            inner: Rc<dyn netsim::Node>,
+            addrs: &[IpAddr],
+        ) -> Rc<Recording> {
+            let recording = Rc::new(Recording {
+                inner,
+                sources: Default::default(),
+            });
+            for &addr in addrs {
+                net.unregister(addr);
+                net.register(addr, recording.clone());
+            }
+            recording
+        }
+    }
+
+    impl netsim::Node for Recording {
+        fn handle(
+            &self,
+            net: &netsim::Network,
+            src: IpAddr,
+            payload: &[u8],
+            reply: &mut Vec<u8>,
+        ) -> Option<()> {
+            self.sources.borrow_mut().push(src);
+            self.inner.handle(net, src, payload, reply)
+        }
     }
 
     #[test]

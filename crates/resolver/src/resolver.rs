@@ -84,7 +84,7 @@ pub struct ResolverConfig {
     /// from cached, verified denial chains (costs hashing per query; see
     /// `crate::aggressive`).
     pub aggressive_nsec3: bool,
-    /// Cache referral state per zone cut ([`DelegationCache`]) so warm
+    /// Cache referral state per zone cut (`DelegationCache`) so warm
     /// resolutions restart at the deepest known cut instead of the root
     /// hints. Off by default so every calibrated probe driver keeps its
     /// historical query pattern; the serving and chain-study drivers

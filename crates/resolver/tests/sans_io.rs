@@ -9,7 +9,7 @@ use std::net::IpAddr;
 
 use dns_resolver::resolver::{Exchanged, Reply, Transport, Want};
 use dns_resolver::{Resolver, ResolverConfig};
-use dns_wire::message::{frame_tcp, Message, Question};
+use dns_wire::message::{unframe_tcp, Message, Question};
 use dns_wire::name::name;
 use dns_wire::rdata::RData;
 use dns_wire::record::Record;
@@ -78,7 +78,7 @@ fn stub_resolves_from_hand_fed_bytes_and_retries_truncation_over_tcp() {
     let (server, transport, tcp) =
         expect_send(recursion.advance(40_000, reply(truncated.encode())));
     assert_eq!((server, transport), (leaf, Transport::Tcp));
-    assert_eq!(tcp, frame_tcp(&udp));
+    assert_eq!(unframe_tcp(&tcp), Some(&udp[..]));
     let mut answer = Message::response_to(&query);
     answer.flags.aa = true;
     answer.answers.push(Record::new(
@@ -87,7 +87,9 @@ fn stub_resolves_from_hand_fed_bytes_and_retries_truncation_over_tcp() {
         RData::A("192.0.2.80".parse().unwrap()),
     ));
 
-    let Want::Done(out) = recursion.advance(60_000, reply(frame_tcp(&answer.encode()))) else {
+    let mut framed = Vec::new();
+    answer.encode_framed_append(&mut framed);
+    let Want::Done(out) = recursion.advance(60_000, reply(framed)) else {
         panic!("the authoritative answer ends the resolution");
     };
     assert_eq!(out.rcode, Rcode::NoError);

@@ -14,11 +14,8 @@ pub mod retry;
 pub mod walk;
 
 pub use atlas::{classify_via_probe, AtlasProbe, ClosedResolver};
-pub use census::{Census, DomainClass, DomainObservation};
 pub use prober::{derive_limits, ProbePlan, Prober, ResolverClassification};
-pub use ratelimit::RateLimiter;
 pub use retry::{BreakerConfig, ProbeStats, ScanSession};
-pub use walk::{axfr, dictionary_attack, nsec3_collect, Nsec3Harvest};
 
 use dns_wire::message::Message;
 
@@ -34,6 +31,7 @@ pub(crate) fn reply_to(query: &Message, bytes: &[u8]) -> Option<Message> {
 #[cfg(test)]
 mod e2e {
     use super::*;
+    use crate::census::{Census, DomainClass};
     use dns_resolver::lab::LabBuilder;
     use dns_resolver::{Resolver, ResolverConfig, Rfc9276Policy};
     use dns_wire::name::name;

@@ -27,16 +27,13 @@ fn query(
     qtype: RrType,
 ) -> Option<Message> {
     let msg = Message::query(0x4a1d, qname.clone(), qtype);
-    dns_wire::with_pooled(|buf| {
-        msg.encode_into(buf);
-        match net
-            .send_query_with_policy(src, server, buf.as_slice(), &RetryPolicy::fixed(2))
-            .outcome
-        {
-            Outcome::Response { payload, .. } => reply_to(&msg, &payload),
-            _ => None,
-        }
-    })
+    match net
+        .send_query_with_policy(src, server, &msg.encode(), &RetryPolicy::fixed(2))
+        .outcome
+    {
+        Outcome::Response { payload, .. } => reply_to(&msg, &payload),
+        _ => None,
+    }
 }
 
 /// Request a full zone transfer. AXFR is a stream-transport operation

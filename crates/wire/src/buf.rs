@@ -1,6 +1,6 @@
 //! Wire-format reader/writer with DNS name compression support
-//! (RFC 1035 §4.1.4), plus the reusable encode buffer ([`WireBuf`]) and
-//! thread-local buffer pool that back the zero-copy message path.
+//! (RFC 1035 §4.1.4), plus the reusable compression table ([`WireBuf`])
+//! and the thread-local pool of them that every message encode draws on.
 
 use std::cell::RefCell;
 
@@ -117,12 +117,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The name-compression state of one message: every name suffix a later
+/// The name-compression table of one message: every name suffix a later
 /// name may point at. A reply has at most a few dozen, so the table is a
 /// list probed linearly — by length, then `memcmp` — with nothing hashed
-/// and nothing allocated per suffix.
+/// and nothing allocated per suffix. It keeps its capacity across
+/// messages; [`Writer::compressing`] clears it, so compression never
+/// spans messages.
 #[derive(Default)]
-struct Suffixes {
+pub struct WireBuf {
     /// One lowercased copy of each name that was written with a literal
     /// part; every suffix of that name is a tail of its copy.
     arena: Vec<u8>,
@@ -139,7 +141,7 @@ struct Suffix {
     at: u16,
 }
 
-impl Suffixes {
+impl WireBuf {
     fn clear(&mut self) {
         self.arena.clear();
         self.entries.clear();
@@ -165,83 +167,26 @@ impl Suffixes {
     }
 }
 
-/// A reusable encode buffer: output bytes plus the name-compression
-/// table, both of which keep their capacity across messages.
-///
-/// `WireBuf`s are plain values; [`with_pooled`] hands out thread-local
-/// pooled instances for the common encode-then-forget pattern.
-#[derive(Default)]
-pub struct WireBuf {
-    bytes: Vec<u8>,
-    suffixes: Suffixes,
-}
-
-impl WireBuf {
-    /// An empty buffer with a datagram-sized initial capacity.
-    pub fn new() -> Self {
-        WireBuf {
-            bytes: Vec::with_capacity(512),
-            suffixes: Suffixes::default(),
-        }
-    }
-
-    /// Drop contents, keep capacity.
-    pub(crate) fn clear(&mut self) {
-        self.bytes.clear();
-        self.suffixes.clear();
-    }
-
-    /// The encoded bytes so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Encoded length in bytes.
-    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Steal the encoded bytes as an owned `Vec`, leaving the buffer
-    /// empty (the compression table keeps its capacity for reuse).
-    pub fn take(&mut self) -> Vec<u8> {
-        self.suffixes.clear();
-        std::mem::take(&mut self.bytes)
-    }
-
-    /// A compressing writer that appends to this buffer.
-    pub fn writer(&mut self) -> Writer<'_> {
-        self.suffixes.clear();
-        let base = self.bytes.len();
-        Writer {
-            out: &mut self.bytes,
-            compress: Some(&mut self.suffixes),
-            base,
-        }
-    }
-}
-
 thread_local! {
-    /// Per-thread stack of spare encode buffers. A stack (rather than a
-    /// single slot) keeps re-entrant encodes — a handler encoding a reply
-    /// while a caller's encode is still borrowed — allocation-free too.
+    /// Per-thread stack of spare compression tables. A stack (rather than
+    /// a single slot) keeps re-entrant encodes — a handler encoding a
+    /// reply while a caller's encode is still borrowed — allocation-free
+    /// too.
     static ENCODE_POOL: RefCell<Vec<WireBuf>> = const { RefCell::new(Vec::new()) };
 }
 
-/// How many spare buffers a thread keeps. Deep re-entrancy beyond this
+/// How many spare tables a thread keeps. Deep re-entrancy beyond this
 /// falls back to plain allocation.
 const ENCODE_POOL_CAP: usize = 8;
 
-/// Run `f` with a pooled thread-local [`WireBuf`], returning the buffer to
-/// the pool afterwards. The pool only recycles allocations — it carries no
-/// data between calls (`f` always sees a cleared buffer) — so pooled
-/// encodes are byte-identical to fresh ones at any thread count, the same
-/// argument as the thread-local NSEC3 hash cache.
-pub fn with_pooled<R>(f: impl FnOnce(&mut WireBuf) -> R) -> R {
+/// Run `f` with a pooled thread-local [`WireBuf`], returning it to the
+/// pool afterwards. The pool only recycles allocations — the writer
+/// clears the table it is given — so pooled encodes are byte-identical to
+/// fresh ones at any thread count.
+pub(crate) fn with_pooled<R>(f: impl FnOnce(&mut WireBuf) -> R) -> R {
     let mut buf = ENCODE_POOL
         .with(|p| p.borrow_mut().pop())
         .unwrap_or_default();
-    buf.clear();
     let out = f(&mut buf);
     ENCODE_POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -255,16 +200,16 @@ pub fn with_pooled<R>(f: impl FnOnce(&mut WireBuf) -> R) -> R {
 /// Message writer with optional name compression.
 ///
 /// The writer borrows its output buffer (and, when compressing, the
-/// suffix table) so callers control allocation: stack `Vec`s, pooled
-/// [`WireBuf`]s, or a caller-provided reply buffer all encode through the
-/// same code. Compression offsets are relative to the buffer position at
+/// suffix table) so callers control allocation: a fresh `Vec` or a
+/// caller-provided reply buffer encode through the same code.
+/// Compression offsets are relative to the buffer position at
 /// construction (`base`), so a message can be appended after existing
 /// bytes — e.g. a reserved 2-byte TCP length prefix — and still emit
 /// message-relative pointers.
 pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
     /// The suffixes written so far, when compression is on.
-    compress: Option<&'a mut Suffixes>,
+    compress: Option<&'a mut WireBuf>,
     base: usize,
 }
 
@@ -281,14 +226,14 @@ impl<'a> Writer<'a> {
     }
 
     /// A writer that compresses names (normal responses), appending to
-    /// `out` and using `scratch`'s table for suffix tracking. The table
-    /// is cleared: compression never spans messages.
-    pub fn compressing(out: &'a mut Vec<u8>, scratch: &'a mut WireBuf) -> Self {
-        scratch.suffixes.clear();
+    /// `out` and using `table` for suffix tracking. The table is
+    /// cleared: compression never spans messages.
+    pub fn compressing(out: &'a mut Vec<u8>, table: &'a mut WireBuf) -> Self {
+        table.clear();
         let base = out.len();
         Writer {
             out,
-            compress: Some(&mut scratch.suffixes),
+            compress: Some(table),
             base,
         }
     }
@@ -418,12 +363,11 @@ mod tests {
 
     #[test]
     fn compression_shares_suffixes() {
-        let mut buf = WireBuf::new();
-        let mut w = buf.writer();
+        let (mut buf, mut table) = (Vec::new(), WireBuf::default());
+        let mut w = Writer::compressing(&mut buf, &mut table);
         w.name(&name("www.example.com"));
         let first_len = w.len();
         w.name(&name("mail.example.com"));
-        let buf = buf.take();
         // Second name: 1+4 for "mail" + 2-byte pointer = 7 bytes.
         assert_eq!(buf.len(), first_len + 7);
         let mut r = Reader::new(&buf);
@@ -433,12 +377,11 @@ mod tests {
 
     #[test]
     fn compression_is_case_insensitive() {
-        let mut buf = WireBuf::new();
-        let mut w = buf.writer();
+        let (mut buf, mut table) = (Vec::new(), WireBuf::default());
+        let mut w = Writer::compressing(&mut buf, &mut table);
         w.name(&name("EXAMPLE.com"));
         let first_len = w.len();
         w.name(&name("example.COM"));
-        let buf = buf.take();
         assert_eq!(buf.len(), first_len + 2, "full name should be a pointer");
         let mut r = Reader::new(&buf);
         let _ = r.name().unwrap();
@@ -449,11 +392,11 @@ mod tests {
 
     #[test]
     fn whole_name_pointer() {
-        let mut buf = WireBuf::new();
-        let mut w = buf.writer();
+        let (mut buf, mut table) = (Vec::new(), WireBuf::default());
+        let mut w = Writer::compressing(&mut buf, &mut table);
         w.name(&name("example.com"));
         w.name(&name("example.com"));
-        let buf = buf.take();
+        assert_eq!(buf.len(), 13 + 2, "the second name is one pointer");
         let mut r = Reader::new(&buf);
         assert_eq!(r.name().unwrap(), name("example.com"));
         assert_eq!(r.name().unwrap(), name("example.com"));
@@ -469,8 +412,8 @@ mod tests {
         w.name(&name("b.example.com"));
 
         let mut out = vec![0u8, 0u8]; // reserved prefix
-        let mut scratch = WireBuf::new();
-        let mut w = Writer::compressing(&mut out, &mut scratch);
+        let mut table = WireBuf::default();
+        let mut w = Writer::compressing(&mut out, &mut table);
         w.name(&name("a.example.com"));
         w.name(&name("b.example.com"));
         assert!(w.len() < plainbuf.len(), "second name should compress");
@@ -481,17 +424,19 @@ mod tests {
     }
 
     #[test]
-    fn pooled_buffers_are_cleared_between_uses() {
-        let first = with_pooled(|b| {
-            b.writer().name(&name("example.com"));
-            b.take()
-        });
-        let second = with_pooled(|b| {
-            assert_eq!(b.len(), 0, "pooled buffer must arrive empty");
-            b.writer().name(&name("example.com"));
-            b.take()
-        });
-        assert_eq!(first, second);
+    fn pooled_tables_carry_nothing_between_messages() {
+        let encode = || {
+            let mut out = Vec::new();
+            with_pooled(|table| Writer::compressing(&mut out, table).name(&name("example.com")));
+            out
+        };
+        let first = encode();
+        assert_eq!(first, b"\x07example\x03com\x00");
+        assert_eq!(
+            encode(),
+            first,
+            "a reused table must not point into the last message"
+        );
     }
 
     #[test]

@@ -24,20 +24,6 @@ impl EdeCode {
     pub const NSEC_MISSING: EdeCode = EdeCode(12);
     /// The code RFC 9276 items 10–11 are about.
     pub const UNSUPPORTED_NSEC3_ITERATIONS: EdeCode = EdeCode(27);
-
-    /// Registry name, for reports.
-    pub fn name(self) -> &'static str {
-        match self.0 {
-            0 => "Other",
-            5 => "DNSSEC Indeterminate",
-            6 => "DNSSEC Bogus",
-            7 => "Signature Expired",
-            9 => "DNSKEY Missing",
-            12 => "NSEC Missing",
-            27 => "Unsupported NSEC3 Iterations Value",
-            _ => "Unassigned",
-        }
-    }
 }
 
 /// A single EDNS option.
@@ -230,15 +216,6 @@ mod tests {
             let decoded = Edns::decode_body(&mut r, class, ttl).unwrap();
             assert_eq!(decoded.dnssec_ok, do_bit);
         }
-    }
-
-    #[test]
-    fn ede_names() {
-        assert_eq!(
-            EdeCode::UNSUPPORTED_NSEC3_ITERATIONS.name(),
-            "Unsupported NSEC3 Iterations Value"
-        );
-        assert_eq!(EdeCode(999).name(), "Unassigned");
     }
 
     #[test]

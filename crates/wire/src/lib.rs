@@ -12,9 +12,10 @@
 //!   DNSSEC family (DNSKEY, RRSIG, DS, NSEC, NSEC3, NSEC3PARAM).
 //! * [`typebitmap`] — NSEC/NSEC3 type bitmaps.
 //! * [`record`] — resource records and canonical RRset ordering.
-//! * [`message`] — full messages with name compression, encoded through
-//!   pooled reusable buffers ([`buf::WireBuf`], [`buf::with_pooled`]);
-//!   [`Message::decode`] is the only parser of received bytes.
+//! * [`message`] — full messages with name compression; every encode
+//!   appends to a caller's `Vec` ([`Message::encode_append`],
+//!   [`MessageHead::encode_append`]) and [`Message::decode`] is the only
+//!   parser of received bytes.
 //! * [`edns`] — EDNS(0) and Extended DNS Errors, including INFO-CODE 27.
 //!
 //! Everything round-trips: `decode(encode(x)) == x` is property-tested.
@@ -33,14 +34,9 @@ pub mod record;
 pub mod rrtype;
 pub mod typebitmap;
 
-pub use buf::{with_pooled, WireBuf};
-pub use edns::{EdeCode, Edns, EdnsOption};
 pub use message::{Flags, Message, MessageHead, Question};
-pub use name::Name;
 pub use rdata::{RData, NSEC3_FLAG_OPT_OUT, NSEC3_HASH_SHA1};
 pub use record::Record;
-pub use rrtype::{Class, Opcode, Rcode, RrType};
-pub use typebitmap::TypeBitmap;
 
 /// Errors arising from parsing or constructing wire-format data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

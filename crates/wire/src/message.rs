@@ -2,7 +2,7 @@
 
 use std::borrow::Borrow;
 
-use crate::buf::{with_pooled, Reader, WireBuf, Writer};
+use crate::buf::{with_pooled, Reader, Writer};
 use crate::edns::Edns;
 use crate::name::Name;
 use crate::rdata::RData;
@@ -122,37 +122,17 @@ impl Message {
         self.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false)
     }
 
-    /// All records in answer+authority matching a type, lazily.
-    pub fn records_of_type(&self, t: RrType) -> impl Iterator<Item = &Record> + '_ {
-        self.answers
-            .iter()
-            .chain(self.authorities.iter())
-            .filter(move |r| r.rrtype() == t)
-    }
-
     /// Serialize to wire format with name compression, into an owned
-    /// buffer. Thin wrapper over [`Message::encode_append`] — hot paths
-    /// should encode into a reused buffer instead.
+    /// buffer: [`Message::encode_append`] into a new `Vec`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
         self.encode_append(&mut out);
         out
     }
 
-    /// Serialize into a reusable [`WireBuf`], replacing its contents.
-    pub fn encode_into(&self, buf: &mut WireBuf) {
-        buf.clear();
-        self.head().encode(
-            &mut buf.writer(),
-            &self.answers,
-            &self.authorities,
-            &self.additionals,
-        );
-    }
-
-    /// Serialize to wire format, appending to `out`. Compression state
-    /// comes from a pooled thread-local scratch buffer, so this
-    /// allocates nothing beyond what `out` needs to grow.
+    /// Serialize to wire format, appending to `out`. The compression
+    /// table comes from a thread-local pool, so this allocates nothing
+    /// beyond what `out` needs to grow.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
         self.head()
             .encode_append(out, &self.answers, &self.authorities, &self.additionals);
@@ -339,7 +319,7 @@ impl MessageHead<'_> {
     }
 
     /// `MessageHead::encode` with name compression, appending to `out`;
-    /// compression state comes from a pooled thread-local scratch buffer.
+    /// the compression table comes from a thread-local pool.
     pub fn encode_append<R: Borrow<Record>>(
         &self,
         out: &mut Vec<u8>,
@@ -354,9 +334,11 @@ impl MessageHead<'_> {
     }
 
     /// [`MessageHead::encode_append`] behind the RFC 7766 two-octet
-    /// length prefix, reserved up front and patched, so — unlike
-    /// [`frame_tcp`] — the message bytes are written exactly once. The
-    /// prefix can state at most 65,535 octets: a longer message (an AXFR
+    /// length prefix (RFC 7766 §8), reserved up front and patched, so the
+    /// message bytes are written exactly once. The simulated network
+    /// carries datagrams either way; the framing is how endpoints tell
+    /// "TCP" exchanges (no size limit) from UDP ones. The prefix can
+    /// state at most 65,535 octets: a longer message (an AXFR
     /// of a large zone; multi-message transfers, RFC 5936 §2.2, are not
     /// modelled) is replaced by SERVFAIL with empty sections, so a frame
     /// whose prefix disagrees with its body never leaves here.
@@ -382,22 +364,6 @@ impl MessageHead<'_> {
             u16::try_from(out.len() - start - 2).expect("a message without records fits a frame");
         out[start..start + 2].copy_from_slice(&len.to_be_bytes());
     }
-}
-
-/// Frame a message for stream transport (RFC 7766 §8): a two-octet
-/// big-endian length prefix. The simulated network carries datagrams
-/// either way; the framing is how endpoints distinguish "TCP" exchanges
-/// (no size limit) from UDP ones.
-///
-/// # Panics
-///
-/// Panics if `message` is longer than the prefix can state.
-pub fn frame_tcp(message: &[u8]) -> Vec<u8> {
-    let len = u16::try_from(message.len()).expect("a stream frame holds at most 65,535 octets");
-    let mut out = Vec::with_capacity(message.len() + 2);
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(message);
-    out
 }
 
 /// Strip a stream-transport frame, returning the message when the length
@@ -523,8 +489,11 @@ mod tests {
 
     #[test]
     fn tcp_framing_roundtrip() {
-        let msg = Message::query(5, name("x.example."), RrType::A).encode();
-        let framed = frame_tcp(&msg);
+        let query = Message::query(5, name("x.example."), RrType::A);
+        let msg = query.encode();
+        let mut framed = Vec::new();
+        query.encode_framed_append(&mut framed);
+        assert_eq!(framed[..2], (msg.len() as u16).to_be_bytes());
         assert_eq!(unframe_tcp(&framed).unwrap(), msg.as_slice());
         // A plain datagram is (almost) never a valid frame.
         assert!(unframe_tcp(&msg).is_none() || msg[0] == 0);

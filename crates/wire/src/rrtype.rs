@@ -16,7 +16,7 @@ impl RrType {
     pub const MX: RrType = RrType(15);
     pub const TXT: RrType = RrType(16);
     pub const AAAA: RrType = RrType(28);
-    pub const OPT: RrType = RrType(41);
+    pub(crate) const OPT: RrType = RrType(41);
     pub const DS: RrType = RrType(43);
     pub const RRSIG: RrType = RrType(46);
     pub const NSEC: RrType = RrType(47);
@@ -26,7 +26,7 @@ impl RrType {
     /// Pseudo-type requesting a full zone transfer.
     pub const AXFR: RrType = RrType(252);
     /// Pseudo-type for queries requesting any type.
-    pub const ANY: RrType = RrType(255);
+    pub(crate) const ANY: RrType = RrType(255);
 
     /// Mnemonic if known, else `TYPE{n}` (RFC 3597 presentation).
     pub(crate) fn mnemonic(self) -> String {
@@ -95,7 +95,7 @@ pub struct Class(pub u16);
 impl Class {
     pub const IN: Class = Class(1);
     pub const CH: Class = Class(3);
-    pub const ANY: Class = Class(255);
+    pub(crate) const ANY: Class = Class(255);
 }
 
 impl fmt::Display for Class {

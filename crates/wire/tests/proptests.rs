@@ -258,12 +258,11 @@ props! {
     }
 
     fn name_compressed_roundtrip(names in gens::vec_of(name(), 1..6)) {
-        let mut wb = WireBuf::new();
-        let mut w = wb.writer();
+        let (mut buf, mut table) = (Vec::new(), WireBuf::default());
+        let mut w = Writer::compressing(&mut buf, &mut table);
         for n in &names {
             w.name(n);
         }
-        let buf = wb.take();
         let mut r = Reader::new(&buf);
         for n in &names {
             assert_eq!(&r.name().unwrap(), n);
@@ -276,8 +275,8 @@ props! {
     /// and what it writes decodes to the names written.
     fn compressed_names_equal_the_map_reference(ops in compressible_message(), framed in gens::bools()) {
         let prefix: &[u8] = if framed { &[0xAB, 0xCD] } else { &[] };
-        let (mut out, mut scratch) = (prefix.to_vec(), WireBuf::new());
-        let mut w = Writer::compressing(&mut out, &mut scratch);
+        let (mut out, mut table) = (prefix.to_vec(), WireBuf::default());
+        let mut w = Writer::compressing(&mut out, &mut table);
         let (mut want, mut map) = (Vec::new(), HashMap::new());
         for op in &ops {
             match op {
@@ -611,6 +610,5 @@ fn resolver_facing_ede_codes_roundtrip() {
         assert_decode_is_clean(&wire);
         let decoded = Message::decode(&wire).unwrap();
         assert_eq!(decoded.edns.as_ref().unwrap().ede(), Some((&code, text)));
-        assert!(!code.name().is_empty());
     }
 }

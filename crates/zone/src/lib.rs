@@ -23,11 +23,8 @@ pub mod signer;
 pub(crate) mod zone;
 pub mod zonefile;
 
-pub use denial::{nodata_proof, nxdomain_proof, wildcard_expansion_proof, DenialKind, DenialProof};
-pub use nsec3hash::{nsec3_hash, Nsec3Hash, Nsec3Params};
 pub use signer::{sign_zone, verify_rrsig, Denial, SignedZone, SignerConfig, SigningKey};
 pub use zone::{Zone, ZoneNode};
-pub use zonefile::{parse_zone, print_zone, ParseError};
 
 use dns_wire::name::Name;
 

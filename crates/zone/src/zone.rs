@@ -237,22 +237,10 @@ impl Zone {
             .and_then(|t| t.get_mut(&rrtype))
     }
 
-    /// Does any record exist at exactly `name`?
-    pub fn has_name(&self, name: &Name) -> bool {
-        self.node(name).is_some()
-    }
-
     /// RR types present at `name`, ascending.
     pub fn types_at(&self, name: &Name) -> Vec<RrType> {
         self.node(name)
             .map(|node| node.types.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// All records at `name` across types.
-    pub fn records_at(&self, name: &Name) -> Vec<&Record> {
-        self.node(name)
-            .map(|node| node.types.values().flatten().collect())
             .unwrap_or_default()
     }
 
@@ -280,24 +268,6 @@ impl Zone {
             .values()
             .map(|t| t.values().map(Vec::len).sum::<usize>())
             .sum()
-    }
-
-    /// The node at `name` if it is a delegation point (an NS RRset below
-    /// the apex).
-    pub(crate) fn delegation(&self, name: &Name) -> Option<ZoneNode<'_>> {
-        self.node(name)
-            .filter(|node| name != &self.apex && node.rrset(RrType::NS).is_some())
-    }
-
-    /// Is `name` a delegation point (NS RRset below the apex)?
-    pub fn is_delegation(&self, name: &Name) -> bool {
-        self.delegation(name).is_some()
-    }
-
-    /// Is `name` a *secure* delegation (has a DS RRset)?
-    pub fn is_signed_delegation(&self, name: &Name) -> bool {
-        self.delegation(name)
-            .is_some_and(|node| node.rrset(RrType::DS).is_some())
     }
 
     /// [`ZoneNode::with_sigs`] at `owner`; empty when nothing is stored
@@ -386,13 +356,8 @@ impl Zone {
         ents.into_values().collect()
     }
 
-    /// Does `name` "exist" in the zone in the RFC 4035 sense — it has
-    /// records, or it is an empty non-terminal?
-    pub fn name_exists(&self, name: &Name) -> bool {
-        name.with_sort_key(|key| self.name_exists_by_key(key))
-    }
-
-    /// [`Zone::name_exists`] by the name's sort key.
+    /// Does the name whose sort key is `key` "exist" in the zone in the
+    /// RFC 4035 sense — it has records, or it is an empty non-terminal?
     pub fn name_exists_by_key(&self, key: &[u8]) -> bool {
         // A name's descendants are the keys its own key is a prefix of,
         // one contiguous range starting at the name itself: the first
@@ -493,7 +458,7 @@ impl Zone {
     }
 
     /// The closest encloser of `qname`: the longest existing (per
-    /// [`Zone::name_exists`]) ancestor-or-self of `qname` inside the zone.
+    /// [`Zone::name_exists_by_key`]) ancestor-or-self of `qname` inside the zone.
     pub fn closest_encloser(&self, qname: &Name) -> Name {
         qname.with_sort_key(|key| {
             if key.len() > self.apex_key_len
@@ -586,9 +551,14 @@ mod tests {
     #[test]
     fn delegation_and_occlusion() {
         let z = sample_zone();
-        assert!(z.is_delegation(&name("sub.example.")));
-        assert!(!z.is_delegation(&name("example.")));
-        assert!(!z.is_signed_delegation(&name("sub.example.")));
+        let cut = |q: &str| {
+            let q = name(q);
+            let own = z.node(&q);
+            q.with_sort_key(|key| z.delegation_cut(&q, key, own).map(|n| n.owner().clone()))
+        };
+        assert_eq!(cut("sub.example."), Some(name("sub.example.")));
+        assert_eq!(cut("example."), None, "the apex is no cut");
+        assert!(z.rrset(&name("sub.example."), RrType::DS).is_none());
         assert!(z.is_occluded(&name("ns1.sub.example.")));
         assert!(!z.is_occluded(&name("www.example.")));
     }
@@ -603,11 +573,12 @@ mod tests {
     #[test]
     fn name_exists_includes_ents() {
         let z = sample_zone();
-        assert!(z.name_exists(&name("www.example.")));
-        assert!(z.name_exists(&name("b.c.example.")));
-        assert!(z.name_exists(&name("c.example.")));
-        assert!(!z.name_exists(&name("nx.example.")));
-        assert!(!z.name_exists(&name("z.b.c.example.")));
+        let exists = |q: &str| name(q).with_sort_key(|key| z.name_exists_by_key(key));
+        assert!(exists("www.example."));
+        assert!(exists("b.c.example."));
+        assert!(exists("c.example."));
+        assert!(!exists("nx.example."));
+        assert!(!exists("z.b.c.example."));
     }
 
     #[test]

@@ -44,11 +44,22 @@ else
     echo "== rustfmt not installed; skipping"
 fi
 
-echo "== public surface and size (scripts/pub_census.py recounts the callers)"
-# `pub` means something outside the crate calls it; drift shows here.
+echo "== public surface and size (scripts/pub_census.py recounts who names them)"
+# `pub` means something outside the crate names it; drift shows here.
+# Every `pub` item kind the census demotes, classified as it classifies.
+kinds=(fn struct enum trait type const static mod use)
+declares() {
+    case "$1" in
+        fn) echo '^\s*pub ((const|async|unsafe) )*fn ' ;;
+        const) echo '^\s*pub const \w+\s*:' ;;
+        *) echo "^\\s*pub $1 " ;;
+    esac
+}
+printf '%-18s' crate; printf '%7s' "${kinds[@]}"; printf '  non-test lines\n'
 for crate in crates/*/; do
-    printf '%-18s %4d pub fn %6d non-test lines\n' "$crate" \
-        "$(grep -rhE '^\s*pub (const |async )?fn ' "$crate"src | wc -l)" "$(non_test "$crate"src/*.rs | wc -l)"
+    printf '%-18s' "$crate"
+    for kind in "${kinds[@]}"; do printf '%7d' "$(grep -rhE "$(declares "$kind")" "$crate"src | wc -l)"; done
+    printf '  %d\n' "$(non_test "$crate"src/*.rs | wc -l)"
 done
 echo "workspace total: $(non_test crates/*/src/*.rs | wc -l) non-test lines under crates/*/src"
 echo "crates/bench/src/bin/bench_*.rs: $(cat crates/bench/src/bin/bench_*.rs | wc -l) lines"

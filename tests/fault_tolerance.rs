@@ -10,7 +10,7 @@ use dns_scanner::prober::{ProbePlan, Prober};
 use dns_wire::name::name;
 use dns_zone::nsec3hash::Nsec3Params;
 use dns_zone::signer::Denial;
-use netsim::{FaultConfig, RetryPolicy};
+use netsim::{FaultConfig, FaultSchedule, RetryPolicy};
 use std::rc::Rc;
 
 const NOW: u32 = 1_710_000_000;
@@ -27,8 +27,11 @@ fn census_survives_packet_loss_via_retries() {
             },
         )
         .build();
-    lab.net.set_faults(FaultConfig {
-        drop_chance: 0.15,
+    lab.net.set_schedule(FaultSchedule {
+        base: FaultConfig {
+            drop_chance: 0.15,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let raddr = lab.alloc.v4();
@@ -75,8 +78,11 @@ fn prober_classification_stable_under_duplication() {
         );
     }
     let mut lab = b.build();
-    lab.net.set_faults(FaultConfig {
-        duplicate_chance: 0.3,
+    lab.net.set_schedule(FaultSchedule {
+        base: FaultConfig {
+            duplicate_chance: 0.3,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let raddr = lab.alloc.v4();
@@ -120,8 +126,11 @@ fn corruption_leads_to_retries_not_misclassification() {
             },
         )
         .build();
-    lab.net.set_faults(FaultConfig {
-        corrupt_chance: 0.10,
+    lab.net.set_schedule(FaultSchedule {
+        base: FaultConfig {
+            corrupt_chance: 0.10,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let raddr = lab.alloc.v4();

@@ -81,8 +81,8 @@ impl std::fmt::Debug for DomainStats {
 /// stays O(distinct parameter values) no matter how many domains flow
 /// through: the CDFs and the per-operator parameter sets accumulate as
 /// count maps, never as per-domain sample vectors.
-/// [`DomainStats::compute`] folds through this same type, so the batch
-/// and streaming paths cannot drift.
+/// [`DomainStats::compute`] folds a record list through this same type,
+/// so statistics over declared specs and the census's count alike.
 #[derive(Clone, Debug, Default)]
 pub struct DomainTally {
     total: u64,

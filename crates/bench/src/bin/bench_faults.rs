@@ -22,8 +22,10 @@ use dns_scanner::retry::{BreakerConfig, ProbeStats};
 use heroes_bench::microbench::Suite;
 use heroes_bench::{fmt_scale, Options, EXPERIMENT_NOW};
 use netsim::{Episode, EpisodeKind, FaultSchedule, Network, Node, Outcome, RetryPolicy, Scope};
-use nsec3_core::experiments::{run_domain_census_cfg, DriverConfig, ScanProfile, DEFAULT_LAB_SEED};
-use popgen::{generate_domains, Scale};
+use nsec3_core::experiments::{
+    run_domain_census_stream, DriverConfig, ScanProfile, DEFAULT_LAB_SEED,
+};
+use popgen::{domain_count, Scale};
 
 const LOSS_SWEEP: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 const OUTAGES_MICROS: [u64; 3] = [1_000_000, 5_000_000, 15_000_000];
@@ -74,13 +76,10 @@ fn main() {
         fmt_scale(opts.scale),
         opts.seed,
     );
-    let specs = generate_domains(opts.scale, opts.seed);
-    println!(
-        "population: {} domains, batch size 200, adaptive retry + breaker",
-        specs.len()
-    );
+    let domains = domain_count(opts.scale);
+    println!("population: {domains} domains, batch size 200, adaptive retry + breaker");
     let mut suite = Suite::new("faults");
-    suite.record("domains", specs.len() as f64, "count");
+    suite.record("domains", domains as f64, "count");
 
     // Census under loss.
     for &drop in &LOSS_SWEEP {
@@ -91,7 +90,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             let cfg = DriverConfig::clean(EXPERIMENT_NOW, 1, DEFAULT_LAB_SEED)
                 .with_profile(profile.clone());
-            (_, stats) = run_domain_census_cfg(&specs, 200, &cfg);
+            stats = run_domain_census_stream(opts.scale, opts.seed, 200, &cfg).probe_stats;
             best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
             assert!(
                 stats.is_consistent(),

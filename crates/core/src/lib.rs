@@ -47,10 +47,10 @@ pub use adversarial::{
     run_adversarial_cfg, AdversarialReport, AdversarialScenario, DefenseProfile, FamilyTally,
 };
 pub use experiments::{
-    cve_cost_sweep, records_from_specs, run_domain_census_cfg, run_domain_census_stream,
-    run_resolver_study_cfg, run_resolver_tally_cfg, run_tld_census_cfg, run_unreachability_cfg,
-    CvePoint, DriverConfig, ResolverStudy, StreamCensusReport, TldObservation, Unreachability,
-    DEFAULT_LAB_SEED, DEFAULT_WINDOW,
+    cve_cost_sweep, records_from_specs, run_domain_census_stream, run_resolver_study_cfg,
+    run_resolver_tally_cfg, run_tld_census_cfg, run_unreachability_cfg, CvePoint, DriverConfig,
+    ResolverStudy, StreamCensusReport, TldObservation, Unreachability, DEFAULT_LAB_SEED,
+    DEFAULT_WINDOW,
 };
 pub use fleet::{deploy_fleet, policy_for, DeployedResolver};
 pub use hierarchy::{

@@ -6,15 +6,21 @@
 //! these properties pin that contract for arbitrary seeds, not just the
 //! one the unit tests happen to use.
 
+use analysis::operator_table;
 use dns_scanner::retry::BreakerConfig;
 use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
 use nsec3_core::experiments::{
-    run_domain_census_cfg, run_resolver_study_cfg, DriverConfig, ScanProfile, DEFAULT_LAB_SEED,
+    run_domain_census_stream, run_resolver_study_cfg, DriverConfig, ScanProfile, DEFAULT_LAB_SEED,
 };
-use popgen::{generate_domains, generate_fleet, Scale};
+use popgen::{domain_count, generate_fleet, Scale};
 use sim_check::{gens, props};
 
 const NOW: u32 = 1_710_000_000;
+
+/// The faulty census's population scale: every population carries
+/// `popgen`'s 213 unscaled tail domains, and this scale adds 50 scaled
+/// ones (263 in all; 46 without DNSSEC, 54 with a declared operator).
+const SCALE: Scale = Scale(1.0 / 6_000_000.0);
 
 /// Shorthand: a clean config at `threads` carrying `profile`.
 fn cfg_with(threads: usize, profile: &ScanProfile) -> DriverConfig {
@@ -51,28 +57,27 @@ props! {
     #![cases = 4]
 
     /// A faulty census replays identically across thread counts: the
-    /// records and the loss accounting are a pure function of the
-    /// population seed and the schedule seed. `batch_size = 1` gives
-    /// every domain a fresh lab whose virtual clock starts at zero, so
-    /// even time-sensitive fault state cannot leak across shards.
+    /// statistics, the operator attribution and the loss accounting are
+    /// a pure function of the population seed and the schedule seed.
+    /// `batch_size = 1` gives every domain a fresh lab whose virtual
+    /// clock starts at zero, so even time-sensitive fault state cannot
+    /// leak across shards.
     fn faulty_census_replays_across_threads(seed in gens::u64s(..)) {
-        let specs: Vec<_> = generate_domains(Scale(1.0 / 100_000.0), seed ^ 1)
-            .into_iter()
-            .take(24)
-            .collect();
         let profile = flow_keyed_profile(seed);
-        let (rec1, st1) =
-            run_domain_census_cfg(&specs, 1, &cfg_with(1, &profile));
-        let (rec4, st4) =
-            run_domain_census_cfg(&specs, 1, &cfg_with(4, &profile));
+        let census = |threads| {
+            run_domain_census_stream(SCALE, seed ^ 1, 1, &cfg_with(threads, &profile))
+        };
+        let (one, four) = (census(1), census(4));
+        let render = |stats| format!("{stats:?}\n{:?}", operator_table(stats, usize::MAX));
         assert_eq!(
-            format!("{rec1:?}"),
-            format!("{rec4:?}"),
-            "faulty census records must not depend on sharding"
+            render(&one.stats),
+            render(&four.stats),
+            "faulty census statistics must not depend on sharding"
         );
-        assert_eq!(st1, st4, "probe accounting must not depend on sharding");
-        assert!(st1.is_consistent(), "sent = answered + timed_out + skipped");
-        assert_eq!(rec1.len(), specs.len(), "no record is ever silently dropped");
+        let stats = one.probe_stats;
+        assert_eq!(stats, four.probe_stats, "probe accounting must not depend on sharding");
+        assert!(stats.is_consistent(), "sent = answered + timed_out + skipped");
+        assert_eq!(one.stats.total, domain_count(SCALE), "no record is ever silently dropped");
     }
 
     /// A faulty resolver study replays identically across thread counts

@@ -40,7 +40,7 @@ impl Resolver {
         loop {
             match query.advance(recursion.as_mut(), net.now_micros(), got.take()) {
                 Want::Done(outcome) => return outcome,
-                Want::Send { server, bytes, .. } => {
+                Want::Send { server, bytes } => {
                     got = Some(exchange(net, config.addr, server, &bytes, &config.retry));
                 }
             }
@@ -62,7 +62,7 @@ impl Recursion<'_> {
         let got = self.got.take();
         match self.advance(net.now_micros(), got) {
             Want::Done(outcome) => RecursionStep::Done(outcome),
-            Want::Send { server, bytes, .. } => {
+            Want::Send { server, bytes } => {
                 let config = &self.resolver.config;
                 self.got = Some(exchange(net, config.addr, server, &bytes, &config.retry));
                 RecursionStep::Pending

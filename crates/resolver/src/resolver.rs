@@ -194,19 +194,19 @@ pub enum Want {
     Send {
         /// The upstream server.
         server: IpAddr,
-        /// The query on the wire (length-prefixed over [`Transport::Tcp`]).
+        /// The query on the wire: one datagram, or RFC 7766
+        /// length-framed for a stream after a truncated datagram reply.
         bytes: Vec<u8>,
-        /// Datagram or stream.
-        transport: Transport,
     },
     /// The resolution finished with this outcome (already entered into
     /// the answer cache).
     Done(ResolveOutcome),
 }
 
-/// How a [`Want::Send`] travels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
+/// How a [`Want::Send`] travels: decides how its bytes are framed and
+/// how the reply's are unframed.
+#[derive(Clone, Copy)]
+enum Transport {
     /// One datagram: every question's first try.
     Udp,
     /// RFC 7766 length framing, no size limit: the same query again after
@@ -227,7 +227,7 @@ pub struct Exchanged {
 /// The end of one upstream exchange.
 #[derive(Debug)]
 pub enum Reply {
-    /// These bytes came back (length-prefixed over [`Transport::Tcp`]).
+    /// These bytes came back (length-framed when the query was).
     Bytes(Vec<u8>),
     /// Every attempt went unanswered: spent loss budget.
     TimedOut,
@@ -516,7 +516,7 @@ impl Resolver {
             Transport::Tcp => msg.encode_framed_append(&mut bytes),
         }
         query.meter.add_message();
-        let got = query.exchange(server, bytes, transport).await;
+        let got = query.exchange(server, bytes).await;
         query
             .meter
             .add_retries(u64::from(got.attempts.saturating_sub(1)));
@@ -1159,13 +1159,8 @@ impl Query {
     }
 
     /// Ask the caller to carry `bytes` to `server`; wait for what came back.
-    async fn exchange(&self, server: IpAddr, bytes: Vec<u8>, transport: Transport) -> Exchanged {
-        let send = Want::Send {
-            server,
-            bytes,
-            transport,
-        };
-        let got = self.port.wait(send).await;
+    async fn exchange(&self, server: IpAddr, bytes: Vec<u8>) -> Exchanged {
+        let got = self.port.wait(Want::Send { server, bytes }).await;
         got.expect("a Want::Send is answered with what came of it")
     }
 }

@@ -7,7 +7,7 @@
 
 use std::net::IpAddr;
 
-use dns_resolver::resolver::{Exchanged, Reply, Transport, Want};
+use dns_resolver::resolver::{Exchanged, Reply, Want};
 use dns_resolver::{Resolver, ResolverConfig};
 use dns_wire::message::{unframe_tcp, Message, Question};
 use dns_wire::name::name;
@@ -18,14 +18,10 @@ use dns_wire::rrtype::{Class, Rcode, RrType};
 const ROOT: &str = "198.41.0.4";
 const LEAF: &str = "192.0.2.53";
 
-/// The server, transport and bytes of a [`Want::Send`].
-fn expect_send(want: Want) -> (IpAddr, Transport, Vec<u8>) {
+/// The server and bytes of a [`Want::Send`].
+fn expect_send(want: Want) -> (IpAddr, Vec<u8>) {
     match want {
-        Want::Send {
-            server,
-            bytes,
-            transport,
-        } => (server, transport, bytes),
+        Want::Send { server, bytes } => (server, bytes),
         Want::Done(outcome) => panic!("finished early: {outcome:?}"),
     }
 }
@@ -50,8 +46,8 @@ fn stub_resolves_from_hand_fed_bytes_and_retries_truncation_over_tcp() {
     let mut recursion = resolver.recursion(0, &qname, RrType::A);
 
     // The root is asked first, by datagram; it refers to example. with glue.
-    let (server, transport, bytes) = expect_send(recursion.advance(0, None));
-    assert_eq!((server, transport), (root, Transport::Udp));
+    let (server, bytes) = expect_send(recursion.advance(0, None));
+    assert_eq!(server, root);
     let query = Message::decode(&bytes).unwrap();
     assert_eq!(query.question().unwrap().qname, qname);
     let mut referral = Message::response_to(&query);
@@ -67,17 +63,16 @@ fn stub_resolves_from_hand_fed_bytes_and_retries_truncation_over_tcp() {
     ));
 
     // The glue address is asked next; its datagram reply is truncated.
-    let (server, transport, udp) = expect_send(recursion.advance(20_000, reply(referral.encode())));
-    assert_eq!((server, transport), (leaf, Transport::Udp));
+    let (server, udp) = expect_send(recursion.advance(20_000, reply(referral.encode())));
+    assert_eq!(server, leaf);
     let query = Message::decode(&udp).unwrap();
     let mut truncated = Message::response_to(&query);
     truncated.flags.aa = true;
     truncated.flags.tc = true;
 
     // The same server again, over TCP, with the same query bytes framed.
-    let (server, transport, tcp) =
-        expect_send(recursion.advance(40_000, reply(truncated.encode())));
-    assert_eq!((server, transport), (leaf, Transport::Tcp));
+    let (server, tcp) = expect_send(recursion.advance(40_000, reply(truncated.encode())));
+    assert_eq!(server, leaf);
     assert_eq!(unframe_tcp(&tcp), Some(&udp[..]));
     let mut answer = Message::response_to(&query);
     answer.flags.aa = true;
@@ -123,7 +118,7 @@ fn silence_is_metered_and_ends_in_servfail() {
         vec![root],
     ));
     let mut recursion = resolver.recursion(0, &name("www.example."), RrType::A);
-    let (server, _, _) = expect_send(recursion.advance(0, None));
+    let (server, _) = expect_send(recursion.advance(0, None));
     assert_eq!(server, root);
     let silence = Exchanged {
         attempts: 2,
@@ -154,7 +149,7 @@ fn reply_echoing_another_question_type_or_class_is_rejected() {
         ));
         let qname = name("www.example.");
         let mut recursion = resolver.recursion(0, &qname, RrType::A);
-        let (_, _, bytes) = expect_send(recursion.advance(0, None));
+        let (_, bytes) = expect_send(recursion.advance(0, None));
         let query = Message::decode(&bytes).unwrap();
         let mut answer = Message::response_to(&query);
         answer.flags.aa = true;

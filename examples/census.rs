@@ -3,45 +3,42 @@
 //! them zdns-style through a validating resolver, and report RFC 9276
 //! compliance — the §4.1/§5.1 pipeline end to end.
 //!
-//! Two passes over the same pipeline:
-//!
-//! 1. a record-level census (`run_domain_census_cfg`) small enough to
-//!    hold every [`analysis::DomainRecord`], feeding the operator table;
-//! 2. a fully streaming census (`run_domain_census_stream`) over a 10×
-//!    larger population that never materialises a spec list — each shard
-//!    walks a `DomainGenerator` and folds records into a tally, so
-//!    memory stays flat no matter the population.
+//! The census (`run_domain_census_stream`) never materialises a spec
+//! list or a record list: each shard walks a `DomainGenerator` and folds
+//! every record into a tally, so memory stays flat no matter the
+//! population. The tally carries the §5.1 shares and the Table 2
+//! operator breakdown.
 //!
 //! ```sh
 //! cargo run --release --example census
 //! ```
 
 use analysis::{fmt_pct, operator_table, render_table2, DomainStats};
-use nsec3_core::experiments::{records_from_specs, run_domain_census_cfg, DriverConfig};
+use nsec3_core::experiments::{records_from_specs, DriverConfig};
 use nsec3_core::{run_domain_census_stream, DEFAULT_LAB_SEED};
-use popgen::{generate_domains, Scale};
+use popgen::{domain_count, generate_domains, Scale};
 
 const NOW: u32 = 1_710_000_000;
 
 fn main() {
-    let scale = Scale(1.0 / 200_000.0); // ~1.5 K domains: quick but meaningful
-    let specs = generate_domains(scale, 42);
+    let scale = Scale(1.0 / 200_000.0); // ~1.7 K domains: quick but meaningful
     println!(
         "population: {} registered domains (scale 1/200000)",
-        specs.len()
+        domain_count(scale)
     );
 
     let cfg = DriverConfig::clean(NOW, sim_par::default_threads(), DEFAULT_LAB_SEED);
     let t0 = std::time::Instant::now();
-    let (measured, probe_stats) = run_domain_census_cfg(&specs, 250, &cfg);
+    let report = run_domain_census_stream(scale, 42, 250, &cfg);
+    let stats = report.stats;
     println!(
-        "census: scanned {} domains over the simulated network in {:?} ({} queries sent)",
-        measured.len(),
+        "census: scanned {} domains over the simulated network in {:?} \
+         ({} queries sent, at most {} probes in flight per shard)",
+        stats.total,
         t0.elapsed(),
-        probe_stats.sent
+        report.probe_stats.sent,
+        report.in_flight_high_water
     );
-
-    let stats = DomainStats::compute(&measured);
     println!("\n--- measured (paper values in parentheses) ---");
     println!(
         "DNSSEC-enabled:      {} (8.8 %)",
@@ -72,25 +69,7 @@ fn main() {
     print!("{}", render_table2(&operator_table(&stats, 5)));
 
     // Closed loop: measured == declared?
-    let declared = DomainStats::compute(&records_from_specs(&specs));
+    let declared = DomainStats::compute(&records_from_specs(&generate_domains(scale, 42)));
     let drift = (stats.zero_iteration_pct() - declared.zero_iteration_pct()).abs();
     println!("\nclosed-loop drift on the it=0 share: {drift:.3} points (expect ~0)");
-
-    // The same pipeline, streaming: 10× the population, no spec list,
-    // no record list — shards pull domains from the O(1) generator and
-    // fold straight into a tally.
-    let stream_scale = Scale(1.0 / 20_000.0);
-    println!(
-        "\n--- streaming census (scale 1/20000, {} domains) ---",
-        popgen::domain_count(stream_scale)
-    );
-    let t1 = std::time::Instant::now();
-    let report = run_domain_census_stream(stream_scale, 42, 512, &cfg);
-    println!(
-        "streamed {} domains in {:?}: RFC 9276 violations {} , at most {} probes in flight per shard",
-        report.stats.total,
-        t1.elapsed(),
-        fmt_pct(report.stats.non_compliant_pct()),
-        report.in_flight_high_water
-    );
 }

@@ -149,6 +149,13 @@ if [ "$hash_fns" != "3" ]; then
     echo "error: nsec3hash.rs declares $hash_fns pub fn nsec3_hash*, expected 3 (nsec3_hash, nsec3_hash_cached, nsec3_hash_reference)" >&2
     exit 1
 fi
+# One census driver (DESIGN.md §8): the streaming pass the paper makes,
+# which keeps aggregates only.
+census_fns="$(grep -rhE '^\s*pub fn run_domain_census' crates/core/src | wc -l)"
+if [ "$census_fns" != "1" ]; then
+    echo "error: crates/core/src declares $census_fns pub fn run_domain_census*, expected 1 (run_domain_census_stream)" >&2
+    exit 1
+fi
 # One hash for every table (DESIGN.md §6 "One memo"): one Hasher and
 # one BuildHasher impl (KeyedState) in any file under crates/*/src or
 # src, both in crates/crypto/src/hash.rs, and no FNV-1a constant in a

@@ -272,28 +272,33 @@ pub(crate) fn apex_zone(apex: &Name, host: u8) -> Zone {
     zone
 }
 
-/// Turn a population spec into lab zone contents under its parsed name.
-fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
+/// Turn a population spec into lab zone contents under `apex`, a name
+/// [`lab_apex`] accepted: it leaves room for the `www` label, and the
+/// operator names are the population's static, short ones.
+fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> ZoneSpec {
     let mut zone = apex_zone(apex, 10);
+    let www = apex
+        .prepend(b"www")
+        .expect("a lab apex leaves room for www");
     zone.add(Record::new(
-        apex.prepend(b"www").ok()?,
+        www,
         300,
         RData::A(Ipv4Addr::new(192, 0, 2, 11)),
     ))
-    .ok()?;
+    .expect("www is inside its zone");
     // Operator attribution travels in the apex NS RRset (child side), as
     // the census reads it. Parent-side delegation NS records are wired by
     // the lab independently (mismatched parent/child NS is routine in the
     // wild).
     if let Some(op) = spec.operator {
-        let op = Name::parse(op).ok()?;
+        let op = Name::parse(op).expect("an operator name parses");
         for ns in [b"ns1", b"ns2"] {
-            let target = op.prepend(ns).ok()?;
+            let target = op.prepend(ns).expect("an operator name is short");
             zone.add(Record::new(apex.clone(), 3600, RData::Ns(target)))
-                .ok()?;
+                .expect("the apex is inside its zone");
         }
     }
-    Some(zone_spec(zone, &spec.dnssec))
+    zone_spec(zone, &spec.dnssec)
 }
 
 /// A lab builder holding `specs` as zones under their TLDs (RFC 9276
@@ -301,7 +306,7 @@ fn zone_spec_for_domain(spec: &DomainSpec, apex: &Name) -> Option<ZoneSpec> {
 /// the caller alike: `None` where the spec yields no zone (its name does
 /// not parse, or leaves no room for a 32-octet NSEC3 owner label).
 pub(crate) fn domain_lab(specs: &[DomainSpec], now: u32) -> (LabBuilder, Vec<Option<Name>>) {
-    let mut apexes: Vec<Option<Name>> = specs.iter().map(|s| lab_apex(&s.name)).collect();
+    let apexes: Vec<Option<Name>> = specs.iter().map(|s| lab_apex(&s.name)).collect();
     let tlds: BTreeSet<Name> = apexes
         .iter()
         .flatten()
@@ -312,10 +317,9 @@ pub(crate) fn domain_lab(specs: &[DomainSpec], now: u32) -> (LabBuilder, Vec<Opt
     for tld in &tlds {
         builder = builder.simple_zone(tld, Denial::nsec3_rfc9276());
     }
-    for (spec, apex) in specs.iter().zip(&mut apexes) {
-        match apex.as_ref().and_then(|a| zone_spec_for_domain(spec, a)) {
-            Some(zs) => builder = builder.zone(zs),
-            None => *apex = None,
+    for (spec, apex) in specs.iter().zip(&apexes) {
+        if let Some(apex) = apex {
+            builder = builder.zone(zone_spec_for_domain(spec, apex));
         }
     }
     (builder, apexes)

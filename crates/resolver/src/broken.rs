@@ -1,4 +1,4 @@
-//! The aberrant resolver behaviours §5.2 observed in the wild: forwarders,
+//! The aberrant resolver behaviours §5.2 observed in the wild:
 //! query-copying middleboxes that SERVFAIL from `it-1`, resolvers that skip
 //! NSEC3 RRSIG verification (item 7 violators), and flaky two-threshold
 //! resolvers (item 12).
@@ -8,53 +8,11 @@ use std::net::IpAddr;
 
 use dns_wire::message::Message;
 use dns_wire::rrtype::Rcode;
-use netsim::{Network, Node, RetryPolicy};
+use netsim::{Network, Node};
 
-use crate::net::{exchange, serve, ReplyShape};
+use crate::net::{serve, ReplyShape};
 use crate::policy::Rfc9276Policy;
-use crate::resolver::{Reply, Resolver};
-
-/// A forwarder: relays client queries to an upstream recursive resolver
-/// and relays the answer back. The paper's server-side logging identifies
-/// these because the authoritative sees the *upstream's* address.
-pub struct Forwarder {
-    /// Our own egress address.
-    pub addr: IpAddr,
-    /// The upstream recursive resolver.
-    pub upstream: IpAddr,
-    /// Strip EDNS EDE options from upstream answers (common middlebox
-    /// behaviour, depresses measured EDE support).
-    pub strip_ede: bool,
-}
-
-impl Node for Forwarder {
-    fn handle(
-        &self,
-        net: &Network,
-        _src: IpAddr,
-        payload: &[u8],
-        reply: &mut Vec<u8>,
-    ) -> Option<()> {
-        let once = RetryPolicy::fixed(1);
-        match exchange(net, self.addr, self.upstream, payload, &once).reply {
-            Reply::Bytes(upstream_reply) => {
-                if !self.strip_ede {
-                    // Relay verbatim: the upstream buffer becomes the reply.
-                    *reply = upstream_reply;
-                    return Some(());
-                }
-                let mut msg = Message::decode(&upstream_reply).ok()?;
-                if let Some(edns) = &mut msg.edns {
-                    edns.options
-                        .retain(|o| !matches!(o, dns_wire::edns::EdnsOption::Ede { .. }));
-                }
-                msg.encode_append(reply);
-                Some(())
-            }
-            _ => None,
-        }
-    }
-}
+use crate::resolver::Resolver;
 
 /// The "query copier" middlebox: claims to resolve, SERVFAILs any domain
 /// whose denial uses even one additional NSEC3 iteration, and — the

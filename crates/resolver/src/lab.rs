@@ -214,9 +214,10 @@ impl LabBuilder {
 
         // Sign (parents before children is irrelevant for signing itself).
         let mut zones = Vec::with_capacity(self.specs.len());
-        for spec in self.specs {
+        for mut spec in self.specs {
             let apex = spec.zone.apex().clone();
             let mut signed = if spec.unsigned {
+                spec.zone.shrink_to_fit();
                 SignedZone {
                     zone: spec.zone,
                     denial: spec.denial,
@@ -233,7 +234,7 @@ impl LabBuilder {
                     cfg.inception = now.saturating_sub(60 * 86_400);
                     cfg.expiration = now.saturating_sub(30 * 86_400);
                 }
-                sign_zone(&spec.zone, &cfg).expect("lab zone signs")
+                sign_zone(spec.zone, &cfg).expect("lab zone signs")
             };
             if let Some(post) = spec.post_sign {
                 post(&mut signed);

@@ -10,7 +10,7 @@
 //! * [`policy`] — the RFC 9276 items 6–12 knobs.
 //! * [`profiles`] — BIND/Unbound/Knot/PowerDNS/Google/Cloudflare/Quad9/
 //!   OpenDNS/Technitium behaviour presets.
-//! * [`broken`] — forwarders, query copiers, flaky resolvers.
+//! * [`broken`] — query copiers, flaky resolvers.
 //! * [`cost`] — compression-count cost model.
 //! * [`lab`] — a signed root→TLD→child hierarchy on the simulated network,
 //!   shared by tests, the testbed, and benches.
@@ -30,7 +30,7 @@ pub mod profiles;
 pub mod resolver;
 pub mod validator;
 
-pub use broken::{FlakyResolver, Forwarder, ObservedResponse, QueryCopier};
+pub use broken::{FlakyResolver, ObservedResponse, QueryCopier};
 pub use cache::TtlCache;
 pub use cost::{CostMeter, CostSnapshot};
 pub use lab::{Lab, LabBuilder, ZoneSpec};
@@ -277,83 +277,6 @@ mod e2e {
         let obs = dig(&lab.net, client, raddr, &q);
         assert_eq!(obs.rcode, Rcode::ServFail);
         assert!(!obs.ra, "copier mirrors the query's (unset) RA bit");
-    }
-
-    #[test]
-    fn forwarder_relays_and_strips_ede() {
-        let mut lab = lab_with_params(&[("it-200.example.com.", Nsec3Params::new(200, vec![]))]);
-        let upstream_addr = lab.alloc.v4();
-        let fwd_addr = lab.alloc.v4();
-        let client = lab.alloc.v4();
-        let mut cfg =
-            ResolverConfig::validating(upstream_addr, lab.root_hints.clone(), lab.anchor.clone());
-        cfg.now = lab.now;
-        cfg.policy = Rfc9276Policy::servfail_above(150);
-        // The upstream must hear from the forwarder and the authoritative
-        // from the upstream, never from the client — the paper's
-        // forwarder-identification trick.
-        let upstream = Recording::before(&lab.net, Rc::new(Resolver::new(cfg)), &[upstream_addr]);
-        let apex = name("it-200.example.com.");
-        let (v4, v6) = lab.servers[&apex];
-        let auth = Recording::before(&lab.net, lab.auths[&apex].clone(), &[v4, v6]);
-        lab.net.register(
-            fwd_addr,
-            Rc::new(Forwarder {
-                addr: fwd_addr,
-                upstream: upstream_addr,
-                strip_ede: true,
-            }),
-        );
-        let q = dns_wire::Message::query(5, name("x.it-200.example.com."), RrType::A).encode();
-        let obs = dig(&lab.net, client, fwd_addr, &q);
-        assert_eq!(obs.rcode, Rcode::ServFail);
-        assert_eq!(obs.ede, None, "forwarder stripped the EDE");
-        assert_eq!(upstream.sources.take(), [fwd_addr]);
-        let seen = auth.sources.take();
-        assert!(
-            !seen.is_empty() && seen.iter().all(|&src| src == upstream_addr),
-            "{seen:?}"
-        );
-    }
-
-    /// A node that notes each query's source address and hands the query
-    /// to the node it displaced.
-    struct Recording {
-        inner: Rc<dyn netsim::Node>,
-        sources: std::cell::RefCell<Vec<IpAddr>>,
-    }
-
-    impl Recording {
-        /// Put one recorder in front of `inner` on every address in
-        /// `addrs` (a dual-stack server's two).
-        fn before(
-            net: &netsim::Network,
-            inner: Rc<dyn netsim::Node>,
-            addrs: &[IpAddr],
-        ) -> Rc<Recording> {
-            let recording = Rc::new(Recording {
-                inner,
-                sources: Default::default(),
-            });
-            for &addr in addrs {
-                net.unregister(addr);
-                net.register(addr, recording.clone());
-            }
-            recording
-        }
-    }
-
-    impl netsim::Node for Recording {
-        fn handle(
-            &self,
-            net: &netsim::Network,
-            src: IpAddr,
-            payload: &[u8],
-            reply: &mut Vec<u8>,
-        ) -> Option<()> {
-            self.sources.borrow_mut().push(src);
-            self.inner.handle(net, src, payload, reply)
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dns_wire::rrtype::RrType;
 
 use crate::nsec3hash::nsec3_hash_cached;
 use crate::signer::{Denial, SignedZone};
-use crate::zone::TypeMap;
+use crate::zone::ZoneNode;
 use crate::ZoneError;
 
 /// What kind of negative answer the proof supports.
@@ -186,16 +186,20 @@ pub(crate) fn next_closer_name(qname: &Name, closest_encloser: &Name) -> Result<
 /// its predecessor among the NSEC owners, wrapping to the last one when
 /// `name` precedes them all.
 pub fn nsec_covering<'z>(z: &'z SignedZone, name: &Name) -> Option<&'z Name> {
-    let owners = z.zone.rrsets();
     // The owner is read off its NSEC record.
-    let nsec_owner = |(_, types): (_, &'z TypeMap)| Some(&types.get(&RrType::NSEC)?.first()?.name);
+    let nsec_owner = |node: ZoneNode<'z>| Some(&node.rrset(RrType::NSEC)?.first()?.name);
     let before = name.with_sort_key(|key| {
-        owners
-            .range::<[u8], _>((Bound::Unbounded, Bound::Excluded(key)))
+        z.zone
+            .nodes_in((Bound::Unbounded, Bound::Excluded(key)))
             .rev()
             .find_map(nsec_owner)
     });
-    let owner = before.or_else(|| owners.iter().rev().find_map(nsec_owner))?;
+    let owner = before.or_else(|| {
+        z.zone
+            .nodes_in((Bound::Unbounded, Bound::Unbounded))
+            .rev()
+            .find_map(nsec_owner)
+    })?;
     // The wrap can land on `name` itself: it exists, so it is matched,
     // not covered.
     (owner != name).then_some(owner)

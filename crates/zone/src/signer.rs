@@ -1,7 +1,7 @@
 //! Zone signing: DNSKEY publication, NSEC/NSEC3 chain construction, and
 //! RRSIG generation (RFC 4034/4035/5155), over the SimSig scheme.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 use dns_crypto::keytag::key_tag;
 use dns_crypto::sha256::sha256;
@@ -15,7 +15,7 @@ use dns_wire::rrtype::RrType;
 use dns_wire::typebitmap::TypeBitmap;
 
 use crate::nsec3hash::{nsec3_hash_cached, Nsec3Params};
-use crate::zone::{Zone, ZoneNode};
+use crate::zone::Zone;
 use crate::ZoneError;
 
 /// DNSKEY flags value for a zone-signing key.
@@ -401,16 +401,35 @@ pub fn verify_rrsig_with<R: Borrow<Record>>(
     signing_buffer(rrsig, owner, records).is_ok_and(|buffer| key.verify(&buffer, signature))
 }
 
-/// Sign `zone` according to `config`, producing a [`SignedZone`].
+/// A zone to sign, lent (signing works on a copy) or given (signing
+/// works on it in place).
+impl<'a> From<&'a Zone> for Cow<'a, Zone> {
+    fn from(zone: &'a Zone) -> Self {
+        Cow::Borrowed(zone)
+    }
+}
+
+impl From<Zone> for Cow<'_, Zone> {
+    fn from(zone: Zone) -> Self {
+        Cow::Owned(zone)
+    }
+}
+
+/// Sign `zone` according to `config`, producing a [`SignedZone`]. A zone
+/// passed by value is signed in place; a borrowed one is copied first.
 ///
 /// Runs on the calling thread and reads no environment: the drivers shard
 /// across zones, nothing shards inside one.
-pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneError> {
+pub fn sign_zone<'a>(
+    zone: impl Into<Cow<'a, Zone>>,
+    config: &SignerConfig,
+) -> Result<SignedZone, ZoneError> {
     if config.keys.is_empty() {
         return Err(ZoneError::NoKeys);
     }
-    let apex = zone.apex().clone();
-    let mut out = zone.clone();
+    let mut out = zone.into().into_owned();
+    let apex = out.apex().clone();
+    let negative_ttl = out.negative_ttl();
     let dnskey_ttl = 3600;
 
     // 1. Publish DNSKEYs — decoys first, so a tag-matching validator
@@ -423,7 +442,6 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
     }
 
     // 2. Build the denial chain.
-    let negative_ttl = zone.negative_ttl();
     let mut nsec3_index = Vec::new();
     match &config.denial {
         Denial::Nsec3 { params, opt_out } => {
@@ -518,22 +536,17 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
     // ancestor walk.
     let mut work: Vec<(RrType, &[Record])> = Vec::new();
     let mut cut: Option<&[u8]> = None;
-    for (key, types) in out.rrsets() {
-        let key = key.as_bytes();
+    for (key, node) in out.nodes() {
         if cut.is_some_and(|c| key.starts_with(c)) {
             continue; // occluded
         }
-        // Only a fault injector leaves an owner with no record to name it.
-        let owner = ZoneNode::of(types).ok_or(ZoneError::EmptyRrset)?.owner();
-        let is_delegation = owner != &apex && types.contains_key(&RrType::NS);
+        let is_delegation = node.owner() != &apex && node.rrset(RrType::NS).is_some();
         cut = is_delegation.then_some(key);
-        for (&rrtype, rrset) in types {
-            // At a delegation point only the DS RRset is signed.
-            if is_delegation && rrtype != RrType::DS {
-                continue;
-            }
-            work.push((rrtype, rrset.as_slice()));
-        }
+        // At a delegation point only the DS RRset is signed.
+        work.extend(
+            node.rrsets()
+                .filter(|&(rrtype, _)| !is_delegation || rrtype == RrType::DS),
+        );
     }
     // One RRSIG per (RRset, key) pair, in work order. The work list was
     // produced by an in-order scan of `out`, so the signature stream is
@@ -554,6 +567,7 @@ pub fn sign_zone(zone: &Zone, config: &SignerConfig) -> Result<SignedZone, ZoneE
         }
     }
     out.merge_in_order(sigs)?;
+    out.shrink_to_fit();
 
     Ok(SignedZone {
         zone: out,
@@ -617,7 +631,7 @@ mod tests {
 
     fn signed() -> SignedZone {
         sign_zone(
-            &build_zone(),
+            build_zone(),
             &SignerConfig::standard(&name("example."), NOW),
         )
         .unwrap()
@@ -662,7 +676,7 @@ mod tests {
             extra_dnskeys: decoys.clone(),
             ..SignerConfig::standard(&apex, NOW)
         };
-        let s = sign_zone(&build_zone(), &cfg).unwrap();
+        let s = sign_zone(build_zone(), &cfg).unwrap();
         let dnskeys = s.zone.rrset(&apex, RrType::DNSKEY).unwrap();
         assert_eq!(dnskeys.len(), 8 + 2);
         for (i, d) in decoys.iter().enumerate() {
@@ -795,7 +809,7 @@ mod tests {
             denial: Denial::Nsec,
             ..SignerConfig::standard(&name("example."), NOW)
         };
-        let s = sign_zone(&build_zone(), &cfg).unwrap();
+        let s = sign_zone(build_zone(), &cfg).unwrap();
         // Walk the chain from the apex; it must return to the apex after
         // covering every denial name.
         let start = name("example.");
@@ -849,6 +863,6 @@ mod tests {
             keys: vec![],
             ..SignerConfig::standard(&name("example."), NOW)
         };
-        assert!(sign_zone(&build_zone(), &cfg).is_err());
+        assert!(sign_zone(build_zone(), &cfg).is_err());
     }
 }

@@ -61,7 +61,7 @@ fn main() {
 
     // --- NSEC: full enumeration by following the chain. ---
     let nsec_signed = sign_zone(
-        &build_zone(),
+        build_zone(),
         &SignerConfig {
             denial: Denial::Nsec,
             ..SignerConfig::standard(&apex, now)
@@ -92,7 +92,7 @@ fn main() {
     );
 
     // --- NSEC3: the chain only leaks hashes… ---
-    let nsec3_signed = sign_zone(&build_zone(), &SignerConfig::standard(&apex, now)).unwrap();
+    let nsec3_signed = sign_zone(build_zone(), &SignerConfig::standard(&apex, now)).unwrap();
     println!("NSEC3 chain (hashes only):");
     for (hash, _) in &nsec3_signed.nsec3_index {
         println!("  {}", base32::encode(hash));

@@ -32,8 +32,9 @@ echo "== allocation counts (counting allocator, one test per binary)"
 # Printed, not only asserted: allocations per fresh-name NXDOMAIN reply
 # and secure referral, per forwarded NXDOMAIN resolve, per warm cache hit
 # and RFC 8198 synthesis, per zone a batch lab stands up (equal within
-# one at 64 and 2,048 zones), per query the serving driver serves, and
-# the resolver study's heap high-water at two fleets 4x apart.
+# one at 64 and 2,048 zones) and the live heap it holds per record, per
+# query the serving driver serves, and the resolver study's heap
+# high-water at two fleets 4x apart.
 cargo test -q --offline -p dns-auth -p dns-resolver -p nsec3-core \
     --test alloc_budget --test lab_alloc_budget --test study_heap -- --nocapture | grep '^allocations'
 

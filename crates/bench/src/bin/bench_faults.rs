@@ -60,7 +60,7 @@ fn loss_profile(drop_chance: f64) -> ScanProfile {
     }
     ScanProfile {
         schedule: FaultSchedule {
-            base: Default::default(),
+            size_limit: None,
             seed: DEFAULT_LAB_SEED,
             episodes,
         },
@@ -118,7 +118,7 @@ fn main() {
         let net = Network::new(DEFAULT_LAB_SEED);
         net.register(target, Rc::new(Echo));
         net.set_schedule(FaultSchedule {
-            base: Default::default(),
+            size_limit: None,
             seed: DEFAULT_LAB_SEED,
             episodes: vec![Episode::window(
                 0,

@@ -15,8 +15,9 @@
 //!
 //! 1. per-spec observations never depend on which other specs share a
 //!    batch or lab (each domain/TLD/resolver is probed in isolation);
-//! 2. fault-free lab networks never consume their RNG, so differing
-//!    per-shard lab seeds cannot influence observations;
+//! 2. no fault decision reads a lab's seed: each one hashes the fault
+//!    schedule's seed with the flow, so differing per-shard lab seeds
+//!    cannot influence observations;
 //! 3. anything address-valued in the output (resolver classifications)
 //!    is pinned by replaying the allocation offsets a shard's
 //!    predecessors would have consumed (see [`run_resolver_study_cfg`]).
@@ -32,13 +33,15 @@
 //! [`DriverConfig::from_env`] consults `HEROES_FAULTS`;
 //! [`DriverConfig::clean`] stays explicitly clean so golden outputs
 //! never move.
-//! Fault *episodes* key their decisions off the schedule seed and
-//! per-flow counters — never the lab RNG — so flow-keyed episodes
-//! (always-on [`EpisodeKind::Flap`], [`EpisodeKind::LatencySpike`],
-//! always-on [`EpisodeKind::Outage`]) replay identically across thread
-//! counts; time-windowed and rate-limit episodes additionally need
-//! `batch_size = 1` (census drivers) to be shard-invariant, because the
-//! virtual clock within a lab depends on batch composition.
+//! Every fault is an [`EpisodeKind`] whose decisions hash the schedule
+//! seed with the episode and the flow (source, destination, per-flow
+//! datagram counter), so always-on loss ([`EpisodeKind::Flap`]),
+//! corruption ([`EpisodeKind::Corrupt`]), duplication
+//! ([`EpisodeKind::Duplicate`]), latency ([`EpisodeKind::LatencySpike`])
+//! and outages replay identically across thread counts and lab seeds.
+//! The census drivers need `batch_size = 1` for that, because batch
+//! composition moves the flow counters and the virtual clock of a shared
+//! lab; time-windowed and rate-limit episodes read that clock too.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -114,7 +117,7 @@ impl ScanProfile {
     pub(crate) fn lossy(seed: u64) -> Self {
         ScanProfile {
             schedule: FaultSchedule {
-                base: Default::default(),
+                size_limit: None,
                 seed,
                 episodes: vec![
                     Episode::always(EpisodeKind::Flap {
@@ -153,7 +156,8 @@ pub struct DriverConfig {
     /// Worker count for the sharded pipelines; output is identical for
     /// every value.
     pub threads: usize,
-    /// Seed every lab network derives from.
+    /// Seed every lab network derives from. It decides no fault (the
+    /// profile's schedule seeds those), so no output depends on it.
     pub lab_seed: u64,
     /// Fault schedule + retry policy + breaker for every probe.
     pub profile: ScanProfile,
@@ -166,7 +170,9 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// Explicit parallelism on a clean network.
+    /// Explicit parallelism on a clean network. `lab_seed` reaches every
+    /// lab network and decides nothing there (see
+    /// [`DriverConfig::lab_seed`]).
     pub fn clean(now: u32, threads: usize, lab_seed: u64) -> Self {
         DriverConfig {
             now,
@@ -212,9 +218,9 @@ impl DriverConfig {
     /// per-flow counters *and* the virtual clock, and the clock's
     /// trajectory depends on interleaving; a window of 1 replays every
     /// [`RetryPolicy`] and [`FaultSchedule`] decision precisely as the
-    /// blocking pipeline made them. Fault-free networks never consume
-    /// fault randomness and produce no clock-dependent output, so the
-    /// wide window is output-invariant there.
+    /// blocking pipeline made them. An inert schedule makes no fault
+    /// decision and fault-free networks produce no clock-dependent
+    /// output, so the wide window is output-invariant there.
     pub fn effective_window(&self) -> usize {
         if self.profile.schedule.is_inert() {
             self.window.max(1)

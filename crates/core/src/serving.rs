@@ -245,8 +245,8 @@ impl ServingReport {
 }
 
 /// Run `scenario` under `cfg`. Fleet members shard across threads; each
-/// member's lab seed derives from `(lab_seed, member index)` — never the
-/// shard — so every thread count produces identical tallies.
+/// member deploys its own lab, whose faults are keyed by the member's
+/// flows, so every thread count produces identical tallies.
 pub fn run_serving_cfg(scenario: &ServingScenario, cfg: &DriverConfig) -> ServingReport {
     assert!(!scenario.domains.is_empty(), "serving needs zones");
     let fleet = scenario.fleet.max(1);
@@ -349,7 +349,8 @@ fn serving_unit(
         return;
     }
     // Per-member lab seed: a function of (lab_seed, member), never of
-    // the shard plan — thread counts must not move a member's stream.
+    // the shard plan. It decides no fault: a member's faults are keyed
+    // by the profile's schedule and the member's own flows.
     let member_seed =
         SplitMix64::new(shard.cfg.lab_seed ^ member.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
     let mut lab = signed.deploy(member_seed);

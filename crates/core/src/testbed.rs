@@ -88,9 +88,9 @@ pub fn build_testbed(now: u32) -> Testbed {
 }
 
 /// Build the full testbed at `now` with an explicit lab seed. The zone
-/// hierarchy and address allocation sequence are seed-independent; the
-/// seed only feeds the lab network's fault RNG, so parallel shards can
-/// each build a private testbed without sharing state.
+/// hierarchy and address allocation sequence are seed-independent, and
+/// the seed decides no fault (the installed `FaultSchedule` seeds those),
+/// so the testbed behaves the same under every seed.
 pub fn build_testbed_seeded(now: u32, seed: u64) -> Testbed {
     let parent = name(TEST_DOMAIN);
     let mut b = LabBuilder::new(now)

@@ -1,10 +1,10 @@
 //! Property tests for the fault-episode engine seen through the
 //! experiment drivers: a [`FaultSchedule`] is part of the experiment
 //! input, so a faulty run must replay byte for byte regardless of how
-//! the work is sharded across threads. Episode decisions are derived by
-//! hashing the schedule seed with the flow, never from the network RNG —
-//! these properties pin that contract for arbitrary seeds, not just the
-//! one the unit tests happen to use.
+//! the work is sharded across threads. Every fault decision is derived
+//! by hashing the schedule seed with the flow — these properties pin
+//! that contract for arbitrary seeds, not just the one the unit tests
+//! happen to use.
 
 use analysis::operator_table;
 use dns_scanner::retry::BreakerConfig;
@@ -34,7 +34,7 @@ fn cfg_with(threads: usize, profile: &ScanProfile) -> DriverConfig {
 fn flow_keyed_profile(seed: u64) -> ScanProfile {
     ScanProfile {
         schedule: FaultSchedule {
-            base: Default::default(),
+            size_limit: None,
             seed,
             episodes: vec![
                 Episode::always(EpisodeKind::Flap {

@@ -3,7 +3,9 @@
 //! This crate substitutes for the live network in the *Zeros Are Heroes*
 //! reproduction (DESIGN.md §2). It follows the smoltcp school of design:
 //! synchronous, explicit, no hidden concurrency, with first-class fault
-//! injection (`--drop-chance` / `--corrupt-chance` style knobs).
+//! injection: a [`FaultSchedule`] of episodes (loss, corruption,
+//! duplication, latency, outages, rate limits, partitions) whose every
+//! decision is keyed by the flow it falls on.
 //!
 //! # Model
 //!
@@ -16,7 +18,7 @@
 //!   servers). Cycles (a node querying itself) are detected and dropped.
 //! * Time is virtual: a monotonic microsecond clock advanced by a fixed
 //!   per-leg latency, fault episodes and timeouts. Runs are exactly
-//!   reproducible for a given seed.
+//!   reproducible for a given fault schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +29,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::pin::pin;
 use std::rc::Rc;
 
-use sim_rng::{Rng, SplitMix64, Xoshiro256pp};
+use sim_rng::SplitMix64;
 
 pub mod event;
 
@@ -48,35 +50,6 @@ pub trait Node {
     /// sender's perspective), and whatever was appended is discarded.
     fn handle(&self, net: &Network, src: IpAddr, payload: &[u8], reply: &mut Vec<u8>)
         -> Option<()>;
-}
-
-/// Fault-injection configuration, in the style of smoltcp's example knobs.
-#[derive(Clone, Debug)]
-pub struct FaultConfig {
-    /// Probability in `[0, 1]` that any datagram (either direction) is
-    /// silently dropped.
-    pub drop_chance: f64,
-    /// Probability in `[0, 1]` that one octet of a datagram is corrupted.
-    pub corrupt_chance: f64,
-    /// Probability in `[0, 1]` that a *request* is delivered twice (UDP
-    /// duplication); the receiver's handler runs for each copy, so side
-    /// effects (query logs, counters) double, while the sender keeps the
-    /// first reply — exactly the failure mode that makes cache-busting
-    /// probe names necessary.
-    pub duplicate_chance: f64,
-    /// Datagrams larger than this are dropped (MTU-ish limit).
-    pub size_limit: Option<usize>,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-            duplicate_chance: 0.0,
-            size_limit: None,
-        }
-    }
 }
 
 /// Which destinations a fault episode applies to.
@@ -129,13 +102,35 @@ pub enum EpisodeKind {
         scope: Scope,
     },
     /// Destinations in `scope` lose each datagram with `drop_chance`
-    /// probability, decided by a seeded hash of the flow (never the
-    /// network RNG, so observations elsewhere are unaffected).
+    /// probability. `Flap { scope: Scope::All, .. }` is plain random loss.
     Flap {
         /// Affected destinations.
         scope: Scope,
         /// Per-datagram loss probability in `[0, 1]`.
         drop_chance: f64,
+    },
+    /// A non-empty datagram toward `scope` arrives, with `chance`
+    /// probability, with one bit of one octet flipped; the octet and the
+    /// bit are hashed from the flow like the hit. A corrupted datagram
+    /// is still a delivered one, and a leg takes at most one flip (the
+    /// first matching `Corrupt` episode that hits).
+    Corrupt {
+        /// Affected destinations.
+        scope: Scope,
+        /// Per-datagram corruption probability in `[0, 1]`.
+        chance: f64,
+    },
+    /// A request toward `scope` is delivered twice with `chance`
+    /// probability (UDP duplication): the receiver's handler runs for
+    /// each copy, so its side effects (query logs, counters) double,
+    /// while the sender keeps the first reply — the failure mode that
+    /// makes cache-busting probe names necessary. Reply legs are never
+    /// duplicated.
+    Duplicate {
+        /// Affected destinations.
+        scope: Scope,
+        /// Per-request duplication probability in `[0, 1]`.
+        chance: f64,
     },
     /// Deliveries toward `scope` take `extra_micros` longer, plus a
     /// seeded jitter in `[0, jitter_micros]`.
@@ -206,37 +201,35 @@ impl Episode {
     }
 }
 
-/// A full fault plan: the global [`FaultConfig`] knobs layered under a
-/// list of time-scheduled [`Episode`]s, all reproducible from `seed`.
+/// A full fault plan: time-scheduled [`Episode`]s, every decision
+/// reproducible from `seed`, and one size rule.
 ///
-/// Episode decisions (flap losses, latency jitter) are derived by hashing
-/// `seed` with the episode index and the flow — **not** drawn from the
-/// network's RNG stream — so adding or removing an episode never perturbs
-/// fault decisions made elsewhere, and a schedule replays identically
-/// wherever the same flows occur.
+/// Every probabilistic decision — a flap loss, a corruption's hit, octet
+/// and bit, a duplicated request, latency jitter — hashes `seed` (salted
+/// per kind) with the episode index, the flow's source and destination
+/// and the flow's datagram counter. No decision depends on another
+/// flow's traffic, so adding or removing an episode never perturbs
+/// decisions made elsewhere, and a schedule replays identically wherever
+/// the same flows occur.
 #[derive(Clone, Debug, Default)]
 pub struct FaultSchedule {
-    /// The always-on global knobs (drop / corrupt / duplicate / MTU).
-    pub base: FaultConfig,
-    /// Seed for hash-derived episode decisions.
+    /// Seed for the hash-derived episode decisions.
     pub seed: u64,
     /// Time-scheduled fault episodes, evaluated in order.
     pub episodes: Vec<Episode>,
+    /// Datagrams larger than this are dropped (an MTU-like rule, no draw).
+    pub size_limit: Option<usize>,
 }
 
 impl FaultSchedule {
-    /// True when this schedule can never touch a datagram: no base-knob
-    /// probabilities, no size limit, no episodes. An inert schedule
-    /// consumes no network RNG and makes no flow-keyed decisions, so
-    /// probe flows sharing a lab may interleave in any order without
-    /// perturbing each other — the condition the event driver checks
-    /// before opening its in-flight window past 1 (DESIGN.md §8).
+    /// True when this schedule can never touch a datagram: no episodes
+    /// and no size limit. An inert schedule makes no flow-keyed
+    /// decisions, so probe flows sharing a lab may interleave in any
+    /// order without perturbing each other — the condition the event
+    /// driver checks before opening its in-flight window past 1
+    /// (DESIGN.md §8).
     pub fn is_inert(&self) -> bool {
-        self.base.drop_chance == 0.0
-            && self.base.corrupt_chance == 0.0
-            && self.base.duplicate_chance == 0.0
-            && self.base.size_limit.is_none()
-            && self.episodes.is_empty()
+        self.episodes.is_empty() && self.size_limit.is_none()
     }
 }
 
@@ -366,9 +359,9 @@ fn hash_mix(parts: &[u64]) -> u64 {
     acc
 }
 
-/// Map a hash word onto `[0, 1)` for probability decisions.
-fn hash_unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
+/// Does hash word `h`, read as a point of `[0, 1)`, fall under `chance`?
+fn hits(h: u64, chance: f64) -> bool {
+    ((h >> 11) as f64 / (1u64 << 53) as f64) < chance
 }
 
 /// Outcome of one query exchange.
@@ -394,17 +387,14 @@ const LEG_LATENCY_MICROS: u64 = 10_000;
 /// The simulated Internet.
 pub struct Network {
     nodes: RefCell<HashMap<IpAddr, Rc<dyn Node>>>,
-    faults: RefCell<FaultConfig>,
-    episodes: RefCell<Vec<Episode>>,
-    episode_seed: Cell<u64>,
-    /// Per-(src, dst) datagram counter; feeds the hash that decides flap
-    /// losses and latency jitter, so decisions replay identically for a
-    /// given flow regardless of what other flows exist.
+    schedule: RefCell<FaultSchedule>,
+    /// Per-(src, dst) datagram counter; feeds the hash behind every
+    /// episode decision, so decisions replay identically for a given
+    /// flow regardless of what other flows exist.
     flow_seq: RefCell<HashMap<(IpAddr, IpAddr), u64>>,
     /// Token buckets for `RateLimit` episodes, keyed by (episode index,
     /// destination).
     buckets: RefCell<HashMap<(usize, IpAddr), Bucket>>,
-    rng: RefCell<Xoshiro256pp>,
     clock: Cell<u64>,
     in_flight: RefCell<Vec<IpAddr>>,
     delivered: Cell<u64>,
@@ -418,17 +408,22 @@ struct Bucket {
     last_refill_micros: u64,
 }
 
+/// Salts of the per-kind decision hashes (`Flap` hashes the bare seed).
+const JITTER_SALT: u64 = 0x1a7e;
+const CORRUPT_SALT: u64 = 0xc0_4409;
+const DUPLICATE_SALT: u64 = 0xd0_0b1e;
+
 impl Network {
-    /// A fault-free network with the given RNG seed.
-    pub fn new(seed: u64) -> Self {
+    /// A fault-free network. The seed decides no fault: every fault
+    /// decision hashes the installed [`FaultSchedule`]'s own seed with the
+    /// flow, so two networks given different seeds carry the same traffic
+    /// identically.
+    pub fn new(_seed: u64) -> Self {
         Network {
             nodes: RefCell::new(HashMap::new()),
-            faults: RefCell::new(FaultConfig::default()),
-            episodes: RefCell::new(Vec::new()),
-            episode_seed: Cell::new(0),
+            schedule: RefCell::new(FaultSchedule::default()),
             flow_seq: RefCell::new(HashMap::new()),
             buckets: RefCell::new(HashMap::new()),
-            rng: RefCell::new(Xoshiro256pp::seed_from_u64(seed)),
             clock: Cell::new(0),
             in_flight: RefCell::new(Vec::new()),
             delivered: Cell::new(0),
@@ -436,13 +431,10 @@ impl Network {
         }
     }
 
-    /// Install a full [`FaultSchedule`]: the base knobs replace the
-    /// current [`FaultConfig`], the episodes replace any previous ones,
-    /// and flow counters / token buckets start fresh.
+    /// Install a full [`FaultSchedule`], replacing the previous one; flow
+    /// counters and token buckets start fresh.
     pub fn set_schedule(&self, schedule: FaultSchedule) {
-        *self.faults.borrow_mut() = schedule.base;
-        *self.episodes.borrow_mut() = schedule.episodes;
-        self.episode_seed.set(schedule.seed);
+        *self.schedule.borrow_mut() = schedule;
         self.flow_seq.borrow_mut().clear();
         self.buckets.borrow_mut().clear();
     }
@@ -505,80 +497,53 @@ impl Network {
     /// response.
     pub fn send_query(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Outcome {
         let start = self.clock.get();
-        // Request leg.
-        match self.transmit(src, dst, payload, true) {
-            Leg::Lost => {
-                self.advance_timeout();
-                Outcome::Timeout
+        let fate = match self.transmit(src, dst, payload, true) {
+            Leg::Delivered(fate) => fate,
+            Leg::Lost => return self.timeout(),
+            Leg::NoRoute => return Outcome::NoRoute,
+        };
+        let Some(node) = self.nodes.borrow().get(&dst).cloned() else {
+            return Outcome::NoRoute;
+        };
+        // The handler borrows the sender's payload directly; only a
+        // corrupted delivery needs its own copy.
+        let corrupted;
+        let datagram: &[u8] = match fate.corrupt {
+            Some((idx, mask)) => {
+                let mut v = payload.to_vec();
+                v[idx] ^= mask;
+                corrupted = v;
+                &corrupted
             }
-            Leg::NoRoute => Outcome::NoRoute,
-            Leg::LoopDrop => {
-                self.advance_timeout();
-                Outcome::Timeout
-            }
-            Leg::Delivered { corrupt } => {
-                let node = self.nodes.borrow().get(&dst).cloned();
-                let node = match node {
-                    Some(n) => n,
-                    None => return Outcome::NoRoute,
-                };
-                let duplicate = {
-                    let faults = self.faults.borrow();
-                    faults.duplicate_chance > 0.0
-                        && self
-                            .rng
-                            .borrow_mut()
-                            .gen_bool(faults.duplicate_chance.clamp(0.0, 1.0))
-                };
-                // The handler borrows the sender's payload directly; only
-                // the (rare) corrupted delivery needs its own copy.
-                let corrupted;
-                let datagram: &[u8] = match corrupt {
-                    Some((idx, mask)) => {
-                        let mut v = payload.to_vec();
-                        v[idx] ^= mask;
-                        corrupted = v;
-                        &corrupted
-                    }
-                    None => payload,
-                };
-                self.in_flight.borrow_mut().push(dst);
-                let mut reply_buf = Vec::with_capacity(512);
-                let reply = node.handle(self, src, datagram, &mut reply_buf);
-                if duplicate {
-                    // The duplicate's reply is dropped; its side effects
-                    // (logs, counters) are not.
-                    let mut scratch = Vec::with_capacity(512);
-                    let _ = node.handle(self, src, datagram, &mut scratch);
+            None => payload,
+        };
+        self.in_flight.borrow_mut().push(dst);
+        let mut reply = Vec::with_capacity(512);
+        let answered = node.handle(self, src, datagram, &mut reply);
+        if fate.duplicate {
+            // The duplicate's reply is dropped; its side effects (logs,
+            // counters) are not.
+            let _ = node.handle(self, src, datagram, &mut Vec::with_capacity(512));
+        }
+        self.in_flight.borrow_mut().pop();
+        if answered.is_none() {
+            return self.timeout();
+        }
+        // The response leg flows back to a waiting socket, not a
+        // registered node: no routing check.
+        match self.transmit(dst, src, &reply, false) {
+            Leg::Delivered(fate) => {
+                if let Some((idx, mask)) = fate.corrupt {
+                    reply[idx] ^= mask;
                 }
-                self.in_flight.borrow_mut().pop();
-                match reply {
-                    None => {
-                        self.advance_timeout();
-                        Outcome::Timeout
-                    }
-                    // The response leg flows back to a waiting socket, not a
-                    // registered node: no routing check.
-                    Some(()) => match self.transmit(dst, src, &reply_buf, false) {
-                        Leg::Delivered { corrupt } => {
-                            if let Some((idx, mask)) = corrupt {
-                                reply_buf[idx] ^= mask;
-                            }
-                            let rtt = self.clock.get() - start;
-                            // The reply buffer moves to the caller whole:
-                            // the handler's bytes are never copied per hop.
-                            Outcome::Response {
-                                payload: reply_buf,
-                                rtt_micros: rtt,
-                            }
-                        }
-                        _ => {
-                            self.advance_timeout();
-                            Outcome::Timeout
-                        }
-                    },
+                // The reply buffer moves to the caller whole: the
+                // handler's bytes are never copied per hop.
+                Outcome::Response {
+                    payload: reply,
+                    rtt_micros: self.clock.get() - start,
                 }
             }
+            _ => self.timeout(),
         }
     }
 
@@ -601,75 +566,60 @@ impl Network {
         }
     }
 
-    fn advance_timeout(&self) {
-        // A lost exchange costs the sender a timeout (2 s of virtual time —
-        // a typical stub retry interval).
+    /// A lost exchange costs the sender a timeout (2 s of virtual time —
+    /// a typical stub retry interval).
+    fn timeout(&self) -> Outcome {
         self.clock.set(self.clock.get() + 2_000_000);
+        Outcome::Timeout
     }
 
-    fn transmit(&self, src: IpAddr, dst: IpAddr, payload: &[u8], require_route: bool) -> Leg {
+    /// Put one leg on the wire. A request leg (`request_leg`) needs a
+    /// registered destination not already handling a datagram (a handler
+    /// loop is dropped); a reply leg returns to a waiting socket.
+    fn transmit(&self, src: IpAddr, dst: IpAddr, payload: &[u8], request_leg: bool) -> Leg {
         let at = self.clock.get();
-        let faults = self.faults.borrow().clone();
-        if let Some(limit) = faults.size_limit {
-            if payload.len() > limit {
-                self.lost.set(self.lost.get() + 1);
-                return Leg::Lost;
-            }
+        let schedule = self.schedule.borrow();
+        if schedule
+            .size_limit
+            .is_some_and(|limit| payload.len() > limit)
+        {
+            self.lost.set(self.lost.get() + 1);
+            return Leg::Lost;
         }
-        if require_route && !self.nodes.borrow().contains_key(&dst) {
+        if request_leg && !self.nodes.borrow().contains_key(&dst) {
             return Leg::NoRoute;
         }
-        // Re-entry protection only matters when we are about to invoke the
-        // destination's handler (request legs); responses flow back to a
-        // node that is legitimately on the stack awaiting them.
-        if require_route && self.in_flight.borrow().contains(&dst) {
-            self.lost.set(self.lost.get() + 1);
-            return Leg::LoopDrop;
-        }
-        let Some(episode_extra) = self.evaluate_episodes(src, dst, at, require_route) else {
+        let looped = request_leg && self.in_flight.borrow().contains(&dst);
+        let fate = if looped {
+            None
+        } else {
+            self.fate(&schedule, src, dst, at, request_leg, payload.len())
+        };
+        let Some(fate) = fate else {
             self.lost.set(self.lost.get() + 1);
             return Leg::Lost;
         };
-        let mut rng = self.rng.borrow_mut();
-        if faults.drop_chance > 0.0 && rng.gen_bool(faults.drop_chance.clamp(0.0, 1.0)) {
-            self.lost.set(self.lost.get() + 1);
-            return Leg::Lost;
-        }
-        // The datagram itself is not copied: corruption is decided here
-        // (preserving the historical RNG draw order exactly — one
-        // `gen_bool`, then byte index, then bit) but applied by the
-        // caller, which can flip the bit in place or borrow the payload
-        // untouched.
-        let mut corrupt = None;
-        if faults.corrupt_chance > 0.0
-            && !payload.is_empty()
-            && rng.gen_bool(faults.corrupt_chance.clamp(0.0, 1.0))
-        {
-            let idx = rng.gen_range(0..payload.len());
-            corrupt = Some((idx, 1u8 << rng.gen_range(0u32..8)));
-        }
-        drop(rng);
-        self.clock.set(at + LEG_LATENCY_MICROS + episode_extra);
+        self.clock.set(at + LEG_LATENCY_MICROS + fate.extra_micros);
         self.delivered.set(self.delivered.get() + 1);
-        Leg::Delivered { corrupt }
+        Leg::Delivered(fate)
     }
 
-    /// Evaluate the active fault episodes for one datagram. Returns the
-    /// extra one-way latency to apply, or `None` when an episode kills
-    /// the datagram. Decisions hash the schedule seed with the
-    /// episode index and the per-(src, dst) flow counter — the network
-    /// RNG is never consulted, so episode evaluation cannot perturb the
-    /// base fault stream or any observation made elsewhere.
-    fn evaluate_episodes(
+    /// What the active episodes of `schedule` do to one datagram of `len`
+    /// octets, or `None` when one of them kills it. Every probabilistic
+    /// decision hashes the schedule seed (salted per kind) with the
+    /// episode index, both endpoints and the per-(src, dst) flow counter.
+    fn fate(
         &self,
+        schedule: &FaultSchedule,
         src: IpAddr,
         dst: IpAddr,
         at: u64,
         request_leg: bool,
-    ) -> Option<u64> {
-        let episodes = self.episodes.borrow();
-        if episodes.is_empty() {
-            return Some(0);
+        len: usize,
+    ) -> Option<Fate> {
+        let mut fate = Fate::default();
+        if schedule.episodes.is_empty() {
+            return Some(fate);
         }
         let seq = {
             let mut flows = self.flow_seq.borrow_mut();
@@ -678,9 +628,16 @@ impl Network {
             *counter += 1;
             seq
         };
-        let seed = self.episode_seed.get();
-        let mut extra_latency = 0u64;
-        for (idx, episode) in episodes.iter().enumerate() {
+        let flow_hash = |salt: u64, idx: usize| {
+            hash_mix(&[
+                schedule.seed ^ salt,
+                idx as u64,
+                addr_key(src),
+                addr_key(dst),
+                seq,
+            ])
+        };
+        for (idx, episode) in schedule.episodes.iter().enumerate() {
             if !episode.active_at(at) {
                 continue;
             }
@@ -691,11 +648,27 @@ impl Network {
                     }
                 }
                 EpisodeKind::Flap { scope, drop_chance } => {
-                    if scope.matches(dst) {
-                        let h = hash_mix(&[seed, idx as u64, addr_key(src), addr_key(dst), seq]);
-                        if hash_unit(h) < drop_chance.clamp(0.0, 1.0) {
-                            return None;
+                    if scope.matches(dst) && hits(flow_hash(0, idx), *drop_chance) {
+                        return None;
+                    }
+                }
+                EpisodeKind::Corrupt { scope, chance } => {
+                    if fate.corrupt.is_none() && len > 0 && scope.matches(dst) {
+                        let h = flow_hash(CORRUPT_SALT, idx);
+                        if hits(h, *chance) {
+                            // The octet from `pick` modulo the length, the
+                            // bit from its top three bits.
+                            let pick = hash_mix(&[h]);
+                            fate.corrupt = Some(((pick % len as u64) as usize, 1 << (pick >> 61)));
                         }
+                    }
+                }
+                EpisodeKind::Duplicate { scope, chance } => {
+                    if request_leg
+                        && scope.matches(dst)
+                        && hits(flow_hash(DUPLICATE_SALT, idx), *chance)
+                    {
+                        fate.duplicate = true;
                     }
                 }
                 EpisodeKind::LatencySpike {
@@ -707,15 +680,9 @@ impl Network {
                         let jitter = if *jitter_micros == 0 {
                             0
                         } else {
-                            hash_mix(&[
-                                seed ^ 0x1a7e,
-                                idx as u64,
-                                addr_key(src),
-                                addr_key(dst),
-                                seq,
-                            ]) % (*jitter_micros + 1)
+                            flow_hash(JITTER_SALT, idx) % (*jitter_micros + 1)
                         };
-                        extra_latency = extra_latency.saturating_add(extra_micros + jitter);
+                        fate.extra_micros = fate.extra_micros.saturating_add(extra_micros + jitter);
                     }
                 }
                 EpisodeKind::RateLimit {
@@ -750,20 +717,25 @@ impl Network {
                 }
             }
         }
-        Some(extra_latency)
+        Some(fate)
     }
 }
 
+/// What the episodes did to one delivered datagram.
+#[derive(Default)]
+struct Fate {
+    /// Extra one-way latency in µs.
+    extra_micros: u64,
+    /// The receiver XORs `mask` into octet `idx`.
+    corrupt: Option<(usize, u8)>,
+    /// A request leg the receiver handles twice.
+    duplicate: bool,
+}
+
 enum Leg {
-    /// Delivered; if `corrupt` is set the receiver must XOR `mask` into
-    /// byte `idx` of the payload (decided centrally so the RNG stream
-    /// matches the historical copy-then-corrupt implementation).
-    Delivered {
-        corrupt: Option<(usize, u8)>,
-    },
+    Delivered(Fate),
     Lost,
     NoRoute,
-    LoopDrop,
 }
 
 /// Sequential allocator for unique simulation addresses.
@@ -876,6 +848,13 @@ mod tests {
         IpAddr::V4(Ipv4Addr::new(10, 0, 0, last))
     }
 
+    fn always(kind: EpisodeKind) -> FaultSchedule {
+        FaultSchedule {
+            episodes: vec![Episode::always(kind)],
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn echo_roundtrip_advances_clock() {
         let net = Network::new(1);
@@ -942,13 +921,10 @@ mod tests {
     fn full_drop_rate_loses_everything() {
         let net = Network::new(1);
         net.register(addr(2), Rc::new(Echo));
-        net.set_schedule(FaultSchedule {
-            base: FaultConfig {
-                drop_chance: 1.0,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        net.set_schedule(always(EpisodeKind::Flap {
+            scope: Scope::All,
+            drop_chance: 1.0,
+        }));
         assert_eq!(net.send_query(addr(1), addr(2), b"x"), Outcome::Timeout);
         assert_eq!(net.lost_count(), 1);
     }
@@ -971,13 +947,10 @@ mod tests {
     fn retries_can_survive_partial_loss() {
         let net = Network::new(42);
         net.register(addr(2), Rc::new(Echo));
-        net.set_schedule(FaultSchedule {
-            base: FaultConfig {
-                drop_chance: 0.5,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        net.set_schedule(always(EpisodeKind::Flap {
+            scope: Scope::All,
+            drop_chance: 0.5,
+        }));
         let mut got = 0;
         for _ in 0..50 {
             let report =
@@ -993,13 +966,10 @@ mod tests {
     fn corruption_changes_exactly_one_bit() {
         let net = Network::new(7);
         net.register(addr(2), Rc::new(Echo));
-        net.set_schedule(FaultSchedule {
-            base: FaultConfig {
-                corrupt_chance: 1.0,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        net.set_schedule(always(EpisodeKind::Corrupt {
+            scope: Scope::All,
+            chance: 1.0,
+        }));
         let out = net.send_query(addr(1), addr(2), b"aaaa");
         // Both legs corrupt one bit each; the reversed reply differs from
         // clean "aaaa" in at most 2 bits.
@@ -1019,10 +989,7 @@ mod tests {
         let net = Network::new(1);
         net.register(addr(2), Rc::new(Echo));
         net.set_schedule(FaultSchedule {
-            base: FaultConfig {
-                size_limit: Some(4),
-                ..Default::default()
-            },
+            size_limit: Some(4),
             ..Default::default()
         });
         assert_eq!(net.send_query(addr(1), addr(2), b"small"), Outcome::Timeout);
@@ -1066,9 +1033,38 @@ mod tests {
         ));
     }
 
+    /// What the flow from `addr(1)` to `addr(2)` sees over 40 exchanges
+    /// under `schedule` — each reply (`None` for a timeout) and the
+    /// handler runs behind them — with or without another flow's traffic
+    /// in between.
+    fn flow_view(
+        schedule: FaultSchedule,
+        net_seed: u64,
+        extra_traffic: bool,
+    ) -> (Vec<Option<Vec<u8>>>, u64) {
+        let net = Network::new(net_seed);
+        let counter = Rc::new(Counter(Cell::new(0)));
+        net.register(addr(2), counter.clone());
+        net.register(addr(3), Rc::new(Echo));
+        net.set_schedule(schedule);
+        let replies = (0..40)
+            .map(|i| {
+                if extra_traffic && i % 3 == 0 {
+                    // Unrelated flow: must not shift addr(2)'s decisions.
+                    let _ = net.send_query(addr(1), addr(3), b"noise");
+                }
+                match net.send_query(addr(1), addr(2), b"payload") {
+                    Outcome::Response { payload, .. } => Some(payload),
+                    _ => None,
+                }
+            })
+            .collect();
+        (replies, counter.0.get())
+    }
+
     #[test]
     fn flap_decisions_replay_per_flow_not_per_network_history() {
-        let schedule = || FaultSchedule {
+        let flap = || FaultSchedule {
             seed: 77,
             episodes: vec![Episode::always(EpisodeKind::Flap {
                 scope: Scope::Addr(addr(2)),
@@ -1076,43 +1072,43 @@ mod tests {
             })],
             ..Default::default()
         };
-        let run = |extra_traffic: bool| {
-            let net = Network::new(9);
-            net.register(addr(2), Rc::new(Echo));
-            net.register(addr(3), Rc::new(Echo));
-            net.set_schedule(schedule());
-            (0..40)
-                .map(|i| {
-                    if extra_traffic && i % 3 == 0 {
-                        // Unrelated flow: must not shift addr(2) decisions.
-                        let _ = net.send_query(addr(1), addr(3), b"noise");
-                    }
-                    matches!(
-                        net.send_query(addr(1), addr(2), b"x"),
-                        Outcome::Response { .. }
-                    )
-                })
-                .collect::<Vec<bool>>()
+        let seeded = |kind| FaultSchedule {
+            seed: 77,
+            ..always(kind)
         };
-        let quiet = run(false);
-        assert_eq!(quiet, run(true), "flap decisions are flow-keyed");
-        assert!(quiet.iter().any(|ok| *ok) && quiet.iter().any(|ok| !*ok));
+        let clean = flow_view(FaultSchedule::default(), 9, false);
+        for (kind, schedule) in [
+            ("flap", flap()),
+            (
+                "corrupt",
+                seeded(EpisodeKind::Corrupt {
+                    scope: Scope::All,
+                    chance: 0.5,
+                }),
+            ),
+            (
+                "duplicate",
+                seeded(EpisodeKind::Duplicate {
+                    scope: Scope::All,
+                    chance: 0.5,
+                }),
+            ),
+        ] {
+            let quiet = flow_view(schedule.clone(), 9, false);
+            assert_eq!(
+                quiet,
+                flow_view(schedule, 9, true),
+                "{kind} decisions are flow-keyed"
+            );
+            assert_ne!(quiet, clean, "{kind} touches some exchanges");
+        }
+        let (flapped, _) = flow_view(flap(), 9, false);
+        assert!(flapped.iter().any(Option::is_some) && flapped.iter().any(Option::is_none));
         // A different schedule seed flips some decisions.
-        let net = Network::new(9);
-        net.register(addr(2), Rc::new(Echo));
-        net.set_schedule(FaultSchedule {
-            seed: 78,
-            ..schedule()
-        });
-        let other: Vec<bool> = (0..40)
-            .map(|_| {
-                matches!(
-                    net.send_query(addr(1), addr(2), b"x"),
-                    Outcome::Response { .. }
-                )
-            })
-            .collect();
-        assert_ne!(quiet, other);
+        assert_ne!(
+            flow_view(flap(), 9, false),
+            flow_view(FaultSchedule { seed: 78, ..flap() }, 9, false)
+        );
     }
 
     #[test]
@@ -1226,13 +1222,10 @@ mod tests {
         let run_legacy = || {
             let net = Network::new(42);
             net.register(addr(2), Rc::new(Echo));
-            net.set_schedule(FaultSchedule {
-                base: FaultConfig {
-                    drop_chance: 0.5,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
+            net.set_schedule(always(EpisodeKind::Flap {
+                scope: Scope::All,
+                drop_chance: 0.5,
+            }));
             (0..30)
                 .map(|_| {
                     // The legacy loop, written out: up to four tries,
@@ -1250,13 +1243,10 @@ mod tests {
         let run_policy = || {
             let net = Network::new(42);
             net.register(addr(2), Rc::new(Echo));
-            net.set_schedule(FaultSchedule {
-                base: FaultConfig {
-                    drop_chance: 0.5,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
+            net.set_schedule(always(EpisodeKind::Flap {
+                scope: Scope::All,
+                drop_chance: 0.5,
+            }));
             let policy = RetryPolicy::fixed(4);
             (0..30)
                 .map(|_| {
@@ -1382,13 +1372,10 @@ mod tests {
         let net = Network::new(3);
         let counter = Rc::new(Counter(std::cell::Cell::new(0)));
         net.register(addr(2), counter.clone());
-        net.set_schedule(FaultSchedule {
-            base: FaultConfig {
-                duplicate_chance: 1.0,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        net.set_schedule(always(EpisodeKind::Duplicate {
+            scope: Scope::All,
+            chance: 1.0,
+        }));
         let out = net.send_query(addr(1), addr(2), b"q");
         assert!(
             matches!(out, Outcome::Response { .. }),
@@ -1401,28 +1388,28 @@ mod tests {
     }
 
     #[test]
-    fn determinism_same_seed_same_outcomes() {
-        let run = |seed| {
-            let net = Network::new(seed);
-            net.register(addr(2), Rc::new(Echo));
-            net.set_schedule(FaultSchedule {
-                base: FaultConfig {
+    fn network_seed_decides_no_fault() {
+        let schedule = FaultSchedule {
+            seed: 99,
+            episodes: vec![
+                Episode::always(EpisodeKind::Flap {
+                    scope: Scope::All,
                     drop_chance: 0.3,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
-            (0..30)
-                .map(|_| {
-                    matches!(
-                        net.send_query(addr(1), addr(2), b"x"),
-                        Outcome::Response { .. }
-                    )
-                })
-                .collect::<Vec<bool>>()
+                }),
+                Episode::always(EpisodeKind::Corrupt {
+                    scope: Scope::All,
+                    chance: 0.3,
+                }),
+                Episode::always(EpisodeKind::Duplicate {
+                    scope: Scope::All,
+                    chance: 0.3,
+                }),
+            ],
+            ..Default::default()
         };
-        assert_eq!(run(99), run(99));
-        assert_ne!(run(99), run(100)); // overwhelmingly likely
+        let faulty = flow_view(schedule.clone(), 99, false);
+        assert_ne!(faulty, flow_view(FaultSchedule::default(), 99, false));
+        assert_eq!(faulty, flow_view(schedule, 100, false));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr};
 use std::rc::Rc;
 
-use netsim::{Episode, EpisodeKind, FaultConfig, FaultSchedule, Network, Node, Outcome, Scope};
+use netsim::{Episode, EpisodeKind, FaultSchedule, Network, Node, Outcome, Scope};
 
 const EXCHANGES: u64 = 20;
 
@@ -75,13 +75,6 @@ fn always(kind: EpisodeKind) -> FaultSchedule {
     }
 }
 
-fn base(faults: FaultConfig) -> FaultSchedule {
-    FaultSchedule {
-        base: faults,
-        ..FaultSchedule::default()
-    }
-}
-
 fn run(kind: &str, schedule: FaultSchedule, register: bool, payload: &[u8], expect: Expect) {
     let net = Network::new(7);
     let node = Rc::new(CountingEcho::default());
@@ -132,9 +125,9 @@ fn accounting_closes_per_fault_kind() {
     );
     run(
         "drop",
-        base(FaultConfig {
+        always(EpisodeKind::Flap {
+            scope: Scope::All,
             drop_chance: 1.0,
-            ..FaultConfig::default()
         }),
         true,
         b"query",
@@ -143,9 +136,9 @@ fn accounting_closes_per_fault_kind() {
     // A corrupted datagram is still a delivered one.
     run(
         "corrupt",
-        base(FaultConfig {
-            corrupt_chance: 1.0,
-            ..FaultConfig::default()
+        always(EpisodeKind::Corrupt {
+            scope: Scope::All,
+            chance: 1.0,
         }),
         true,
         b"query",
@@ -159,9 +152,9 @@ fn accounting_closes_per_fault_kind() {
     // The duplicate term: twice the handler runs, the same legs.
     run(
         "duplicate",
-        base(FaultConfig {
-            duplicate_chance: 1.0,
-            ..FaultConfig::default()
+        always(EpisodeKind::Duplicate {
+            scope: Scope::All,
+            chance: 1.0,
         }),
         true,
         b"query",
@@ -175,10 +168,10 @@ fn accounting_closes_per_fault_kind() {
     );
     run(
         "size limit",
-        base(FaultConfig {
+        FaultSchedule {
             size_limit: Some(4),
-            ..FaultConfig::default()
-        }),
+            ..FaultSchedule::default()
+        },
         true,
         b"query",
         all_lost_on_request(),

@@ -4,7 +4,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 use std::rc::Rc;
 
-use netsim::{FaultConfig, FaultSchedule, Network, Node, Outcome};
+use netsim::{Episode, EpisodeKind, FaultSchedule, Network, Node, Outcome, Scope};
 use sim_check::{gens, props};
 
 struct Echo;
@@ -25,6 +25,25 @@ fn addr(last: u8) -> IpAddr {
     IpAddr::V4(Ipv4Addr::new(10, 0, 0, last))
 }
 
+/// Random loss at `drop` and corruption at `corrupt` on every leg, every
+/// decision keyed by `seed` and the flow.
+fn noisy(seed: u64, drop: f64, corrupt: f64) -> FaultSchedule {
+    FaultSchedule {
+        seed,
+        episodes: vec![
+            Episode::always(EpisodeKind::Flap {
+                scope: Scope::All,
+                drop_chance: drop,
+            }),
+            Episode::always(EpisodeKind::Corrupt {
+                scope: Scope::All,
+                chance: corrupt,
+            }),
+        ],
+        ..Default::default()
+    }
+}
+
 props! {
     /// Identical seeds and fault configs produce identical outcome
     /// sequences; the virtual clock never goes backwards.
@@ -37,7 +56,7 @@ props! {
         let run = || {
             let net = Network::new(seed);
             net.register(addr(2), Rc::new(Echo));
-            net.set_schedule(FaultSchedule { base: FaultConfig { drop_chance: drop, corrupt_chance: corrupt, ..Default::default() }, ..Default::default() });
+            net.set_schedule(noisy(seed, drop, corrupt));
             let mut outcomes = Vec::new();
             let mut last_clock = 0;
             for _ in 0..n {
@@ -60,7 +79,7 @@ props! {
             let ok = matches!(net.send_query(addr(1), addr(2), b"x"), Outcome::Response { .. });
             assert!(ok);
         }
-        net.set_schedule(FaultSchedule { base: FaultConfig { drop_chance: 1.0, ..Default::default() }, ..Default::default() });
+        net.set_schedule(noisy(seed, 1.0, 0.0));
         for _ in 0..n {
             assert_eq!(net.send_query(addr(1), addr(2), b"x"), Outcome::Timeout);
         }
@@ -72,7 +91,7 @@ props! {
         let net = Network::new(seed);
         net.register(addr(2), Rc::new(Echo));
         let p = 0.2f64;
-        net.set_schedule(FaultSchedule { base: FaultConfig { drop_chance: p, ..Default::default() }, ..Default::default() });
+        net.set_schedule(noisy(seed, p, 0.0));
         let trials = 600;
         let mut ok = 0;
         for _ in 0..trials {
@@ -89,7 +108,7 @@ props! {
     fn corruption_is_single_bit_per_leg(seed in gens::u64s(..), len in gens::usizes(1..64)) {
         let net = Network::new(seed);
         net.register(addr(2), Rc::new(Echo));
-        net.set_schedule(FaultSchedule { base: FaultConfig { corrupt_chance: 1.0, ..Default::default() }, ..Default::default() });
+        net.set_schedule(noisy(seed, 0.0, 1.0));
         let payload = vec![0u8; len];
         if let Outcome::Response { payload: got, .. } = net.send_query(addr(1), addr(2), &payload) {
             assert_eq!(got.len(), len);

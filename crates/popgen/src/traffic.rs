@@ -306,7 +306,7 @@ impl TrafficGenerator {
 pub fn diurnal_schedule(seed: u64, day_secs: u64, extra_micros: u64) -> FaultSchedule {
     let day = day_secs * 1_000_000;
     FaultSchedule {
-        base: Default::default(),
+        size_limit: None,
         seed,
         episodes: vec![
             Episode::window(

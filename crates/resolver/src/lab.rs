@@ -118,7 +118,8 @@ impl LabBuilder {
         }
     }
 
-    /// Network RNG seed (default 42).
+    /// Seed handed to [`Network::new`] (default 42). It decides no fault:
+    /// a network's faults are keyed by its `FaultSchedule` and its flows.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -279,8 +280,8 @@ pub struct SignedLab {
 }
 
 impl SignedLab {
-    /// A fresh [`Network`] seeded with `seed`, with one fresh
-    /// [`AuthServer`] per zone over the shared signed zones.
+    /// A fresh [`Network`] (given `seed`, which decides no fault), with
+    /// one fresh [`AuthServer`] per zone over the shared signed zones.
     pub fn deploy(&self, seed: u64) -> Lab {
         self.clone().into_lab(seed)
     }

@@ -162,9 +162,10 @@ fi
 # src, both in crates/crypto/src/hash.rs, and no FNV-1a constant in a
 # file of a crate with a table. Whole files, not `non_test`: a
 # `#[cfg(test)]` import would hide the rest of a file from it. Exempt,
-# because they pick no table slot: netsim's `hash_mix` (it decides
-# faults, and the fault pins hold it), the seed mixes of sim-rng,
-# sim-check and popgen, and the resolver's 0x20 case bits.
+# because they pick no table slot: netsim's `hash_mix` (it keys every
+# fault decision by the flow, and the fault pins hold it), the seed
+# mixes of sim-rng, sim-check and popgen, and the resolver's 0x20 case
+# bits.
 hasher_impls="$(grep -rE --include='*.rs' '^\s*impl\b.*\b(Build)?Hasher for ' crates/*/src src |
     sed -E 's/^([^:]+):.*\b((Build)?Hasher) for .*/\1 \2/' | sort)"
 if [ "$hasher_impls" != $'crates/crypto/src/hash.rs BuildHasher\ncrates/crypto/src/hash.rs Hasher' ]; then
@@ -191,6 +192,15 @@ fi
 noop_pollers="$(non_test $(find crates/*/src -name '*.rs') | grep 'Waker::noop' | cut -d: -f1 | sort -u || true)"
 if [ "$noop_pollers" != "crates/netsim/src/event.rs" ]; then
     echo "error: Waker::noop in [${noop_pollers//$'\n'/, }], expected only crates/netsim/src/event.rs (Port::resume)" >&2
+    exit 1
+fi
+# One fault model (DESIGN.md §5 "Fault model and graceful degradation"):
+# every netsim fault decision hashes the schedule seed with the flow
+# (`hash_mix`), so no sequential RNG may draw one.
+netsim_rng="$(non_test crates/netsim/src/*.rs | grep -E 'Xoshiro256pp|gen_bool|gen_range' || true)"
+if [ -n "$netsim_rng" ]; then
+    echo "error: a sequential RNG draw under crates/netsim/src (key the decision by the flow with hash_mix):" >&2
+    echo "$netsim_rng" >&2
     exit 1
 fi
 # `unsafe` lives in one file (DESIGN.md §6 "Hardware kernels"): the calls

@@ -112,13 +112,13 @@ fn resolver_study_is_identical_across_thread_counts() {
     );
 }
 
-/// Flow-keyed faults only (loss + jittered latency): shard-invariant for
-/// every driver, because decisions hash the schedule seed with the flow,
-/// never the shard-local clock or RNG.
+/// Loss and jittered latency, no time windows: shard-invariant for every
+/// driver, because decisions hash the schedule seed with the flow, never
+/// the shard-local clock.
 fn flow_keyed_lossy() -> ScanProfile {
     ScanProfile {
         schedule: FaultSchedule {
-            base: Default::default(),
+            size_limit: None,
             seed: 0x9276,
             episodes: vec![
                 Episode::always(EpisodeKind::Flap {
@@ -137,38 +137,75 @@ fn flow_keyed_lossy() -> ScanProfile {
     }
 }
 
+/// `tests/driver_equivalence.rs`'s corrupting profile: loss, jittered
+/// latency, corruption and duplication, every decision keyed by the
+/// flow, so also shard-invariant.
+fn corrupting_profile() -> ScanProfile {
+    ScanProfile {
+        schedule: FaultSchedule {
+            seed: 0x5155,
+            episodes: vec![
+                Episode::always(EpisodeKind::Flap {
+                    scope: Scope::All,
+                    drop_chance: 0.05,
+                }),
+                Episode::always(EpisodeKind::LatencySpike {
+                    scope: Scope::All,
+                    extra_micros: 1_500,
+                    jitter_micros: 700,
+                }),
+                Episode::always(EpisodeKind::Flap {
+                    scope: Scope::All,
+                    drop_chance: 0.02,
+                }),
+                Episode::always(EpisodeKind::Corrupt {
+                    scope: Scope::All,
+                    chance: 0.10,
+                }),
+                Episode::always(EpisodeKind::Duplicate {
+                    scope: Scope::All,
+                    chance: 0.05,
+                }),
+            ],
+            size_limit: None,
+        },
+        retry: RetryPolicy::adaptive(0x9276),
+        breaker: BreakerConfig::default(),
+    }
+}
+
 #[test]
 fn faulty_resolver_study_is_identical_across_thread_counts() {
     let fleet = generate_fleet(Scale(1.0 / 20_000.0), 42);
-    let profile = flow_keyed_lossy();
-    let cfg =
-        |threads| DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
-    let s1 = run_resolver_study_cfg(&fleet, &cfg(1));
-    let s2 = run_resolver_study_cfg(&fleet, &cfg(2));
-    let s4 = run_resolver_study_cfg(&fleet, &cfg(4));
-    assert_eq!(
-        format!("{:?}", s1.all()),
-        format!("{:?}", s2.all()),
-        "faulty study must render byte-identically at threads=1 and 2"
-    );
-    assert_eq!(
-        format!("{:?}", s1.all()),
-        format!("{:?}", s4.all()),
-        "faulty study must render byte-identically at threads=1 and 4"
-    );
-    assert_eq!(s1.stats, s2.stats);
-    assert_eq!(s1.stats, s4.stats);
-    assert!(s1.stats.is_consistent());
-    assert!(
-        s1.stats.retried > 0,
-        "a lossy profile must show retries: {:?}",
-        s1.stats
-    );
-    assert_eq!(
-        s1.all().len(),
-        fleet.len(),
-        "every resolver keeps a classification, reachable or not"
-    );
+    for (name, profile) in [
+        ("lossy", flow_keyed_lossy()),
+        ("corrupting", corrupting_profile()),
+    ] {
+        let cfg = |threads| {
+            DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone())
+        };
+        let s1 = run_resolver_study_cfg(&fleet, &cfg(1));
+        for threads in [2, 4] {
+            let sn = run_resolver_study_cfg(&fleet, &cfg(threads));
+            assert_eq!(
+                format!("{:?}", s1.all()),
+                format!("{:?}", sn.all()),
+                "{name} study must render byte-identically at threads=1 and {threads}"
+            );
+            assert_eq!(s1.stats, sn.stats, "{name} at threads = {threads}");
+        }
+        assert!(s1.stats.is_consistent());
+        assert!(
+            s1.stats.retried > 0,
+            "a {name} profile must show retries: {:?}",
+            s1.stats
+        );
+        assert_eq!(
+            s1.all().len(),
+            fleet.len(),
+            "every resolver keeps a classification, reachable or not"
+        );
+    }
 }
 
 #[test]
@@ -259,18 +296,43 @@ fn streaming_census_is_identical_across_thread_counts() {
 #[test]
 fn faulty_streaming_census_is_identical_across_thread_counts() {
     // Flow-keyed faults at batch_size = 1: every domain gets a fresh
-    // zero-clock lab, so the fault schedule replays identically however
-    // the index range is sharded.
+    // zero-clock lab, so the fault schedule — corruption and duplication
+    // included — replays identically however the index range is sharded.
     let scale = Scale(1.0 / 500_000.0);
-    let profile = flow_keyed_lossy();
-    let census = |threads| {
-        let cfg = DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
+    for (name, profile) in [
+        ("lossy", flow_keyed_lossy()),
+        ("corrupting", corrupting_profile()),
+    ] {
+        let census = |threads| {
+            let cfg =
+                DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
+            render(&run_domain_census_stream(scale, 42, 1, &cfg))
+        };
+        let one = census(1);
+        for threads in [2, 4] {
+            assert_eq!(
+                one,
+                census(threads),
+                "{name} streaming census must render byte-identically at threads=1 and {threads}"
+            );
+        }
+    }
+}
+
+/// The lab seed decides no fault: every fault decision hashes the
+/// schedule's seed with the flow, so the corrupting census at batch 1
+/// renders the same under any lab seed.
+#[test]
+fn corrupting_census_is_identical_under_two_lab_seeds() {
+    let scale = Scale(1.0 / 500_000.0);
+    let census = |lab_seed| {
+        let cfg = DriverConfig::clean(NOW, 2, lab_seed).with_profile(corrupting_profile());
         render(&run_domain_census_stream(scale, 42, 1, &cfg))
     };
     assert_eq!(
-        census(1),
-        census(4),
-        "faulty streaming census must render byte-identically at threads=1 and 4"
+        census(DEFAULT_LAB_SEED),
+        census(7),
+        "the corrupting census moved with the lab seed"
     );
 }
 

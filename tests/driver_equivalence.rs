@@ -21,7 +21,7 @@
 
 use analysis::{operator_table, ResolverStats};
 use dns_scanner::retry::BreakerConfig;
-use netsim::{Episode, EpisodeKind, FaultConfig, FaultSchedule, RetryPolicy, Scope};
+use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
 use nsec3_core::experiments::{
     run_domain_census_stream, run_resolver_study_cfg, run_tld_census_cfg, run_unreachability_cfg,
     DriverConfig, ScanProfile, StreamCensusReport, DEFAULT_LAB_SEED,
@@ -53,17 +53,14 @@ fn census_specs() -> Vec<DomainSpec> {
     generate_domains(CENSUS_SCALE, 42)
 }
 
-/// A profile that loses *and corrupts* datagrams: corrupted queries and
-/// responses probe the decoder-acceptance boundary on both ends.
+/// A profile that loses, corrupts *and duplicates* datagrams: corrupted
+/// queries and responses probe the decoder-acceptance boundary on both
+/// ends. The first two episodes are the loss and jittered latency
+/// [`LOSS_AND_LATENCY`] keeps; the last three add loss, corruption and
+/// duplication.
 fn corrupting_profile() -> ScanProfile {
     ScanProfile {
         schedule: FaultSchedule {
-            base: FaultConfig {
-                drop_chance: 0.02,
-                corrupt_chance: 0.10,
-                duplicate_chance: 0.05,
-                size_limit: None,
-            },
             seed: 0x5155,
             episodes: vec![
                 Episode::always(EpisodeKind::Flap {
@@ -75,12 +72,29 @@ fn corrupting_profile() -> ScanProfile {
                     extra_micros: 1_500,
                     jitter_micros: 700,
                 }),
+                Episode::always(EpisodeKind::Flap {
+                    scope: Scope::All,
+                    drop_chance: 0.02,
+                }),
+                Episode::always(EpisodeKind::Corrupt {
+                    scope: Scope::All,
+                    chance: 0.10,
+                }),
+                Episode::always(EpisodeKind::Duplicate {
+                    scope: Scope::All,
+                    chance: 0.05,
+                }),
             ],
+            size_limit: None,
         },
         retry: RetryPolicy::adaptive(0x9276),
         breaker: BreakerConfig::default(),
     }
 }
+
+/// How many of [`corrupting_profile`]'s episodes are its loss and
+/// jittered latency.
+const LOSS_AND_LATENCY: usize = 2;
 
 /// The census report rendered for a pin: the §5.1 statistics, the
 /// Table 2 attribution (`DomainStats`' `Debug` leaves the operators out)
@@ -126,10 +140,10 @@ fn streaming_census_matches_pinned_batch_path() {
 }
 
 /// Loss costs retries, never a measurement: with the corrupting
-/// profile's base faults off, only its flow-keyed episodes (loss and
-/// jittered latency) remain, and the census at batch 1 and at the pinned
-/// batch 64 measures exactly what the pinned clean run measures (no
-/// domain lost, the same statistics and operator table).
+/// profile's corruption, duplication and extra loss stripped, only its
+/// loss and jittered-latency episodes remain, and the census at batch 1
+/// and at the pinned batch 64 measures exactly what the pinned clean run
+/// measures (no domain lost, the same statistics and operator table).
 #[test]
 fn streaming_census_matches_batch_path_under_faults() {
     let measured = |r: &StreamCensusReport| {
@@ -139,7 +153,7 @@ fn streaming_census_matches_batch_path_under_faults() {
     let clean = run_domain_census_stream(CENSUS_SCALE, 42, 64, &cfg_with(ScanProfile::clean()));
     let (clean, clean_probes) = measured(&clean);
     let mut profile = corrupting_profile();
-    profile.schedule.base = FaultConfig::default();
+    profile.schedule.episodes.truncate(LOSS_AND_LATENCY);
     for batch in [1, 64] {
         let report = run_domain_census_stream(CENSUS_SCALE, 42, batch, &cfg_with(profile.clone()));
         let (lossy, probes) = measured(&report);
@@ -153,8 +167,11 @@ fn streaming_census_matches_batch_path_under_faults() {
 }
 
 /// The census under the corrupting profile at `batch_size = 1`, the
-/// shard-invariant geometry: losses, retries and breaker skips are part
-/// of the pinned bytes.
+/// shard-invariant geometry: every domain gets a fresh lab and every
+/// fault decision is keyed by the flow, so the report is the same at
+/// every thread count (`tests/determinism.rs`,
+/// `faulty_streaming_census_is_identical_across_thread_counts`). Losses,
+/// retries and breaker skips are part of the pinned bytes.
 #[test]
 fn faulty_domain_census_output_is_pinned() {
     let cfg = cfg_with(corrupting_profile());
@@ -164,7 +181,7 @@ fn faulty_domain_census_output_is_pinned() {
         "faulty_domain_census hash: {hash:#018x} over {} bytes",
         digest.len()
     );
-    assert_eq!(hash, 0x44a4_da52_796d_e41e, "faulty census output moved");
+    assert_eq!(hash, 0x76c3_3c81_f27c_d8ad, "faulty census output moved");
 }
 
 #[test]
@@ -198,7 +215,7 @@ fn faulty_resolver_study_output_is_pinned() {
         report.len()
     );
     assert_eq!(
-        hash, 0x76b4_38c1_65d0_6ee2,
+        hash, 0xec53_ff86_4228_dcb5,
         "faulty resolver study output moved"
     );
 }

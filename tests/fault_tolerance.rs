@@ -10,7 +10,7 @@ use dns_scanner::prober::{ProbePlan, Prober};
 use dns_wire::name::name;
 use dns_zone::nsec3hash::Nsec3Params;
 use dns_zone::signer::Denial;
-use netsim::{FaultConfig, FaultSchedule, RetryPolicy};
+use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
 use std::rc::Rc;
 
 const NOW: u32 = 1_710_000_000;
@@ -28,10 +28,10 @@ fn census_survives_packet_loss_via_retries() {
         )
         .build();
     lab.net.set_schedule(FaultSchedule {
-        base: FaultConfig {
+        episodes: vec![Episode::always(EpisodeKind::Flap {
+            scope: Scope::All,
             drop_chance: 0.15,
-            ..Default::default()
-        },
+        })],
         ..Default::default()
     });
     let raddr = lab.alloc.v4();
@@ -79,10 +79,10 @@ fn prober_classification_stable_under_duplication() {
     }
     let mut lab = b.build();
     lab.net.set_schedule(FaultSchedule {
-        base: FaultConfig {
-            duplicate_chance: 0.3,
-            ..Default::default()
-        },
+        episodes: vec![Episode::always(EpisodeKind::Duplicate {
+            scope: Scope::All,
+            chance: 0.3,
+        })],
         ..Default::default()
     });
     let raddr = lab.alloc.v4();
@@ -127,10 +127,10 @@ fn corruption_leads_to_retries_not_misclassification() {
         )
         .build();
     lab.net.set_schedule(FaultSchedule {
-        base: FaultConfig {
-            corrupt_chance: 0.10,
-            ..Default::default()
-        },
+        episodes: vec![Episode::always(EpisodeKind::Corrupt {
+            scope: Scope::All,
+            chance: 0.10,
+        })],
         ..Default::default()
     });
     let raddr = lab.alloc.v4();

@@ -1,14 +1,14 @@
 //! Deploying a `popgen` resolver fleet onto a lab network: every
-//! behavioural archetype becomes a real resolver node (or wrapper) with
-//! the corresponding RFC 9276 policy.
+//! behavioural archetype becomes a real resolver node whose
+//! configuration carries the corresponding RFC 9276 policy and, for the
+//! query copiers and flaky resolvers, its [`Quirk`].
 
 use std::net::IpAddr;
 use std::rc::Rc;
 
-use dns_resolver::broken::{FlakyResolver, QueryCopier};
 use dns_resolver::lab::Lab;
 use dns_resolver::policy::Rfc9276Policy;
-use dns_resolver::resolver::{Resolver, ResolverConfig};
+use dns_resolver::resolver::{Quirk, Resolver, ResolverConfig};
 use dns_scanner::atlas::{AtlasProbe, ClosedResolver};
 use dns_wire::edns::EdeCode;
 use popgen::resolvers::{Access, Behavior, Family, ResolverSpec};
@@ -47,7 +47,10 @@ pub fn policy_for(behavior: &Behavior, ede_visible: bool) -> Rfc9276Policy {
             }
             p
         }
-        Behavior::QueryCopier => Rfc9276Policy::servfail_above(0),
+        Behavior::QueryCopier => Rfc9276Policy {
+            emit_ede: false,
+            ..Rfc9276Policy::servfail_above(0)
+        },
         Behavior::FlakyGap { insecure, .. } => Rfc9276Policy::insecure_above(*insecure),
         Behavior::Item7Violator { limit } => {
             let mut p = Rfc9276Policy::insecure_above(*limit);
@@ -74,22 +77,24 @@ pub fn deploy_fleet(lab: &mut Lab, specs: &[ResolverSpec]) -> Vec<DeployedResolv
         let mut cfg = ResolverConfig::validating(addr, lab.root_hints.clone(), lab.anchor.clone());
         cfg.now = lab.now;
         cfg.policy = policy_for(&spec.behavior, spec.ede_visible);
-        if spec.behavior == Behavior::NonValidator {
-            cfg.validate = false;
-            cfg.trust_anchors.clear();
-        }
-        let node: Rc<dyn netsim::Node> = match spec.behavior {
-            Behavior::QueryCopier => Rc::new(QueryCopier::new(Resolver::new(cfg))),
+        match spec.behavior {
+            Behavior::NonValidator => {
+                cfg.validate = false;
+                cfg.trust_anchors.clear();
+            }
+            Behavior::QueryCopier => cfg.quirk = Quirk::QueryCopier,
             Behavior::FlakyGap {
                 insecure,
                 servfail_from,
-            } => Rc::new(FlakyResolver::with_gap(
-                Resolver::new(cfg),
-                insecure,
-                servfail_from.saturating_sub(1),
-            )),
-            _ => Rc::new(Resolver::new(cfg)),
-        };
+            } => {
+                cfg.quirk = Quirk::FlakyGap {
+                    insecure_above: insecure,
+                    servfail_above: servfail_from.saturating_sub(1),
+                };
+            }
+            _ => {}
+        }
+        let node = Rc::new(Resolver::new(cfg));
         let probe = match spec.access {
             Access::Open => {
                 lab.net.register(addr, node);
@@ -160,6 +165,10 @@ mod tests {
         );
         assert_eq!(p.servfail_above, Some(100));
         assert!(!p.ede_extra_text.is_empty());
+
+        let p = policy_for(&Behavior::QueryCopier, true);
+        assert_eq!(p.servfail_above, Some(0));
+        assert!(!p.emit_ede, "a copier relays no EDE, so it makes none");
 
         let p = policy_for(&Behavior::Item7Violator { limit: 150 }, true);
         assert!(!p.verify_nsec3_rrsig);

@@ -1,120 +1,46 @@
-//! The aberrant resolver behaviours §5.2 observed in the wild:
-//! query-copying middleboxes that SERVFAIL from `it-1`, resolvers that skip
-//! NSEC3 RRSIG verification (item 7 violators), and flaky two-threshold
-//! resolvers (item 12).
-
-use std::cell::Cell;
-use std::net::IpAddr;
+//! What the §5.2 classifier reads off a reply ([`ObservedResponse`]),
+//! and the names the frozen benchmark still builds the two rare fleet
+//! behaviours by. Both behaviours are a [`Quirk`] of the one resolver
+//! node.
 
 use dns_wire::message::Message;
 use dns_wire::rrtype::Rcode;
-use netsim::{Network, Node};
 
-use crate::net::{serve, ReplyShape};
 use crate::policy::Rfc9276Policy;
-use crate::resolver::Resolver;
+use crate::resolver::{Quirk, Resolver};
 
-/// The "query copier" middlebox: claims to resolve, SERVFAILs any domain
-/// whose denial uses even one additional NSEC3 iteration, and — the
-/// fingerprint the paper reports — builds its response by copying the query
-/// header, so RA is only set if the *query* carried RA.
-pub struct QueryCopier {
-    inner: Resolver,
-}
+/// The query-copying middlebox, as the frozen `benchmark/` replay names
+/// it: a [`Resolver`] with [`Quirk::QueryCopier`].
+pub enum QueryCopier {}
 
 impl QueryCopier {
-    /// Wrap a resolver; its policy is forced to SERVFAIL above 0
-    /// iterations.
-    pub fn new(mut inner: Resolver) -> Self {
-        inner.config.policy = Rfc9276Policy {
+    /// `resolver` as a query copier that SERVFAILs above 0 iterations and
+    /// attaches no EDE. The frozen `benchmark/` replay is the only caller.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(mut resolver: Resolver) -> Resolver {
+        resolver.config.quirk = Quirk::QueryCopier;
+        resolver.config.policy = Rfc9276Policy {
             emit_ede: false,
             ..Rfc9276Policy::servfail_above(0)
         };
-        QueryCopier { inner }
+        resolver
     }
 }
 
-impl Node for QueryCopier {
-    fn handle(
-        &self,
-        net: &Network,
-        _src: IpAddr,
-        payload: &[u8],
-        reply: &mut Vec<u8>,
-    ) -> Option<()> {
-        // The copier quirk: header flags are copied from the query, so RA
-        // mirrors whatever the client set (normally: nothing); no
-        // authorities and no EDE are relayed.
-        let shape = ReplyShape {
-            copy_ra: true,
-            authorities: false,
-            ede: false,
-        };
-        serve(payload, reply, shape, |qname, qtype| {
-            self.inner.resolve(net, qname, qtype)
-        })
-    }
-}
-
-/// A flaky resolver whose effective thresholds wobble between queries —
-/// the paper attributes the apparent item 12 violations (insecure at N,
-/// SERVFAIL at M > N, different on re-query) to such instability.
-pub struct FlakyResolver {
-    inner: Resolver,
-    /// Policies cycled per query.
-    pub phases: Vec<Rfc9276Policy>,
-    counter: Cell<usize>,
-}
+/// The flaky two-threshold resolver, as the frozen `benchmark/` replay
+/// names it: a [`Resolver`] with [`Quirk::FlakyGap`].
+pub enum FlakyResolver {}
 
 impl FlakyResolver {
-    /// Cycle through `phases` on successive queries.
-    pub(crate) fn new(inner: Resolver, phases: Vec<Rfc9276Policy>) -> Self {
-        assert!(!phases.is_empty());
-        FlakyResolver {
-            inner,
-            phases,
-            counter: Cell::new(0),
-        }
-    }
-
-    /// The classic gap: insecure above `n`, SERVFAIL above `m` (> n), with
-    /// the exact split drifting between queries.
-    pub fn with_gap(inner: Resolver, n: u16, m: u16) -> Self {
-        let a = Rfc9276Policy {
-            insecure_above: Some(n),
-            ..Rfc9276Policy::servfail_above(m)
+    /// `resolver` as a flaky resolver, insecure above `n` and SERVFAIL
+    /// above `m` in the phases that limit. The frozen `benchmark/` replay
+    /// is the only caller.
+    pub fn with_gap(mut resolver: Resolver, n: u16, m: u16) -> Resolver {
+        resolver.config.quirk = Quirk::FlakyGap {
+            insecure_above: n,
+            servfail_above: m,
         };
-        let b = Rfc9276Policy {
-            insecure_above: Some(n),
-            ..Rfc9276Policy::unlimited()
-        };
-        let c = Rfc9276Policy::servfail_above(m);
-        Self::new(inner, vec![a, b, c])
-    }
-}
-
-impl Node for FlakyResolver {
-    fn handle(
-        &self,
-        net: &Network,
-        _src: IpAddr,
-        payload: &[u8],
-        reply: &mut Vec<u8>,
-    ) -> Option<()> {
-        // RA and the EDE as a resolver sends them, but no authorities.
-        let shape = ReplyShape {
-            authorities: false,
-            ..ReplyShape::RESOLVER
-        };
-        serve(payload, reply, shape, |qname, qtype| {
-            let phase = self.counter.get();
-            self.counter.set(phase + 1);
-            let policy = self.phases[phase % self.phases.len()].clone();
-            // Re-run the inner resolver under the phase policy.
-            let mut cfg = self.inner.config.clone();
-            cfg.policy = policy;
-            Resolver::new(cfg).resolve(net, qname, qtype)
-        })
+        resolver
     }
 }
 

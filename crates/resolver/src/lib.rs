@@ -4,13 +4,16 @@
 //! * [`resolver`] — iterative resolution + DNSSEC chain validation, as a
 //!   recursion that yields at every upstream exchange.
 //! * `net` — the netsim adaptor that feeds the recursion from the
-//!   simulated network (`Resolver::resolve`, `Recursion::step`).
+//!   simulated network (`Resolver::resolve`, `Recursion::step`) and the
+//!   crate's one network node, the resolver, whose
+//!   [`ResolverConfig::quirk`] makes it a query copier or a flaky
+//!   resolver.
 //! * [`validator`] — RRset signature checks and NSEC/NSEC3 proof
 //!   verification (the CVE cost center).
 //! * [`policy`] — the RFC 9276 items 6–12 knobs.
 //! * [`profiles`] — BIND/Unbound/Knot/PowerDNS/Google/Cloudflare/Quad9/
 //!   OpenDNS/Technitium behaviour presets.
-//! * [`broken`] — query copiers, flaky resolvers.
+//! * [`broken`] — what the §5.2 classifier reads off a reply.
 //! * [`cost`] — compression-count cost model.
 //! * [`lab`] — a signed root→TLD→child hierarchy on the simulated network,
 //!   shared by tests, the testbed, and benches.
@@ -30,14 +33,14 @@ pub mod profiles;
 pub mod resolver;
 pub mod validator;
 
-pub use broken::{FlakyResolver, ObservedResponse, QueryCopier};
+pub use broken::ObservedResponse;
 pub use cache::TtlCache;
 pub use cost::{CostMeter, CostSnapshot};
 pub use lab::{Lab, LabBuilder, ZoneSpec};
 pub use policy::{LimitAction, Rfc9276Policy, WorkBudget};
 pub use profiles::VendorProfile;
 pub use resolver::{
-    Recursion, RecursionStep, ResolveOutcome, Resolver, ResolverConfig, TrustAnchor,
+    Quirk, Recursion, RecursionStep, ResolveOutcome, Resolver, ResolverConfig, TrustAnchor,
 };
 
 #[cfg(test)]
@@ -70,11 +73,14 @@ mod e2e {
 
     /// A client's one datagram to `server`, read the classifier's way.
     fn dig(net: &netsim::Network, client: IpAddr, server: IpAddr, q: &[u8]) -> ObservedResponse {
+        ObservedResponse::from_message(&ask(net, client, server, q))
+    }
+
+    /// A client's one datagram to `server`, decoded.
+    fn ask(net: &netsim::Network, client: IpAddr, server: IpAddr, q: &[u8]) -> dns_wire::Message {
         let once = netsim::RetryPolicy::fixed(1);
         match net::exchange(net, client, server, q, &once).reply {
-            resolver::Reply::Bytes(reply) => {
-                ObservedResponse::from_message(&dns_wire::Message::decode(&reply).unwrap())
-            }
+            resolver::Reply::Bytes(reply) => dns_wire::Message::decode(&reply).unwrap(),
             silence => panic!("{server} did not answer: {silence:?}"),
         }
     }
@@ -264,19 +270,62 @@ mod e2e {
         assert!(obs.ra);
     }
 
+    /// A resolver at the next free address, serving as `quirk` under
+    /// `policy`.
+    fn node_for(lab: &mut Lab, policy: Rfc9276Policy, quirk: Quirk) -> IpAddr {
+        let addr = lab.alloc.v4();
+        let mut cfg = ResolverConfig::validating(addr, lab.root_hints.clone(), lab.anchor.clone());
+        cfg.now = lab.now;
+        cfg.policy = policy;
+        cfg.quirk = quirk;
+        lab.net.register(addr, Rc::new(Resolver::new(cfg)));
+        addr
+    }
+
+    /// A DO query for `qname`/A, with RA set as `ra` says.
+    fn query_bytes(qname: &str, ra: bool) -> Vec<u8> {
+        let mut q = dns_wire::Message::query(5, name(qname), RrType::A);
+        q.flags.ra = ra;
+        q.encode()
+    }
+
     #[test]
     fn query_copier_servfails_any_iterations_and_copies_ra() {
-        let mut lab = lab_with_params(&[("it-1.example.com.", Nsec3Params::new(1, vec![]))]);
-        let raddr = lab.alloc.v4();
+        let mut lab = lab_with_params(&[
+            ("it-0.example.com.", Nsec3Params::new(0, vec![])),
+            ("it-1.example.com.", Nsec3Params::new(1, vec![])),
+        ]);
         let client = lab.alloc.v4();
-        let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-        cfg.now = lab.now;
-        lab.net
-            .register(raddr, Rc::new(QueryCopier::new(Resolver::new(cfg))));
-        let q = dns_wire::Message::query(5, name("probe.it-1.example.com."), RrType::A).encode();
-        let obs = dig(&lab.net, client, raddr, &q);
+        // The copier's policy with EDE left on: the outcome carries one,
+        // and only the reply shape keeps it from the client.
+        let policy = Rfc9276Policy::servfail_above(0);
+        let copier = node_for(&mut lab, policy.clone(), Quirk::QueryCopier);
+        let plain = node_for(&mut lab, policy, Quirk::Plain);
+        let net = &lab.net;
+        let obs = dig(
+            net,
+            client,
+            copier,
+            &query_bytes("p1.it-1.example.com.", false),
+        );
         assert_eq!(obs.rcode, Rcode::ServFail);
         assert!(!obs.ra, "copier mirrors the query's (unset) RA bit");
+        let q = query_bytes("p2.it-1.example.com.", true);
+        let reply = ask(net, client, copier, &q);
+        assert_eq!(reply.rcode, Rcode::ServFail);
+        assert!(reply.flags.ra, "copier mirrors the query's (set) RA bit");
+        assert!(reply.authorities.is_empty(), "{reply:?}");
+        assert!(reply.edns.unwrap().ede().is_none(), "copier relays no EDE");
+        assert!(ask(net, client, plain, &q).edns.unwrap().ede().is_some());
+        // A secure NXDOMAIN under DO: a resolver relays the proof, the
+        // copier drops it.
+        let q = query_bytes("nope.it-0.example.com.", false);
+        let control = ask(net, client, plain, &q);
+        assert_eq!(control.rcode, Rcode::NxDomain);
+        assert!(control.flags.ra && !control.authorities.is_empty());
+        let reply = ask(net, client, copier, &q);
+        assert_eq!(reply.rcode, Rcode::NxDomain);
+        assert!(!reply.flags.ra && reply.authorities.is_empty(), "{reply:?}");
     }
 
     #[test]
@@ -367,7 +416,7 @@ mod e2e {
             let query = dns_wire::Message::query(7, qname.clone(), RrType::A);
             let reply = |outcome| {
                 let mut bytes = Vec::new();
-                net::write_reply(&query, outcome, net::ReplyShape::RESOLVER, &mut bytes);
+                net::write_reply(&query, outcome, Quirk::Plain, &mut bytes);
                 bytes
             };
             assert_eq!(reply(&hit), reply(&miss), "{qname}: reply bytes");
@@ -614,23 +663,36 @@ mod e2e {
     #[test]
     fn flaky_resolver_varies_between_queries() {
         let mut lab = lab_with_params(&[("it-120.example.com.", Nsec3Params::new(120, vec![]))]);
-        let raddr = lab.alloc.v4();
         let client = lab.alloc.v4();
-        let mut cfg = ResolverConfig::validating(raddr, lab.root_hints.clone(), lab.anchor.clone());
-        cfg.now = lab.now;
-        let flaky = FlakyResolver::with_gap(Resolver::new(cfg), 100, 150);
-        lab.net.register(raddr, Rc::new(flaky));
-        let mut rcodes = std::collections::BTreeSet::new();
-        let mut ads = std::collections::BTreeSet::new();
-        for i in 0..3 {
-            let q =
-                dns_wire::Message::query(i, name(&format!("p{i}.it-120.example.com.")), RrType::A)
-                    .encode();
-            let obs = dig(&lab.net, client, raddr, &q);
-            rcodes.insert(obs.rcode.to_u16());
-            ads.insert(obs.ad);
+        let gap = Quirk::FlakyGap {
+            insecure_above: 100,
+            servfail_above: 150,
+        };
+        let flaky = node_for(&mut lab, Rfc9276Policy::insecure_above(100), gap);
+        let insecure = |ede| (Rcode::NxDomain, false, ede);
+        let ede27 = Some(EdeCode::UNSUPPORTED_NSEC3_ITERATIONS.0);
+        // Phase a (both limits) and b (the insecure limit alone) read
+        // it-120 as insecure, with and without EDE; phase c (SERVFAIL
+        // above 150 alone) validates it; then a again.
+        let expected = [
+            insecure(ede27),
+            insecure(None),
+            (Rcode::NxDomain, true, None),
+            insecure(ede27),
+        ];
+        for (i, want) in expected.into_iter().enumerate() {
+            let before = lab.net.delivered_count();
+            let q = query_bytes("p.it-120.example.com.", false);
+            let obs = dig(&lab.net, client, flaky, &q);
+            assert_eq!((obs.rcode, obs.ad, obs.ede), want, "query {i}");
+            // The same qname is resolved again, from the root: far more
+            // than the client's own query and reply cross the network.
+            let carried = lab.net.delivered_count() - before;
+            assert!(
+                carried > 2,
+                "query {i} answered from a cache ({carried} datagrams)"
+            );
         }
-        assert!(rcodes.len() > 1 || ads.len() > 1, "behaviour should wobble");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! [`Resolver::resolve`] runs a recursion pinned on its own stack frame
 //! to the answer, [`Recursion::step`] advances a boxed one by one
 //! upstream exchange per call — and both go through [`exchange`], the
-//! crate's one call into the network's retry loop.
+//! crate's one call into the network's retry loop. So does the crate's
+//! one network node, `impl Node for Resolver`, which serves stub
+//! clients as [`ResolverConfig::quirk`](crate::resolver::ResolverConfig::quirk) says: plainly, as a query
+//! copier or as a flaky resolver.
 
 use std::net::IpAddr;
 use std::pin::pin;
@@ -15,7 +18,8 @@ use dns_wire::record::Record;
 use dns_wire::rrtype::RrType;
 use netsim::{Network, Node, Outcome, RetryPolicy};
 
-use crate::resolver::{Exchanged, Query, Recursion, Reply, ResolveOutcome, Resolver, Want};
+use crate::policy::Rfc9276Policy;
+use crate::resolver::{Exchanged, Query, Quirk, Recursion, Reply, ResolveOutcome, Resolver, Want};
 
 /// What a [`Recursion::step`] left behind.
 #[derive(Debug)]
@@ -94,8 +98,9 @@ pub(crate) fn exchange(
 }
 
 impl Node for Resolver {
-    /// Serve a stub client: run recursion, translate the outcome into a
-    /// response message.
+    /// Serve a stub client: decode its query, resolve the question and
+    /// reply in the shape [`ResolverConfig::quirk`](crate::resolver::ResolverConfig::quirk) gives. Nothing
+    /// answers a response or a question-less query.
     fn handle(
         &self,
         net: &Network,
@@ -103,66 +108,64 @@ impl Node for Resolver {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Option<()> {
-        serve(payload, reply, ReplyShape::RESOLVER, |qname, qtype| {
-            self.resolve(net, qname, qtype)
-        })
+        let query = Message::decode(payload).ok()?;
+        if query.flags.qr {
+            return None;
+        }
+        let question = query.question()?;
+        let (qname, qtype) = (&question.qname, question.qtype);
+        let outcome = match self.config.quirk {
+            Quirk::Plain | Quirk::QueryCopier => self.resolve(net, qname, qtype),
+            Quirk::FlakyGap {
+                insecure_above,
+                servfail_above,
+            } => {
+                let mut config = self.config.clone();
+                config.policy = self.flaky_phase(insecure_above, servfail_above);
+                Resolver::new(config).resolve(net, qname, qtype)
+            }
+        };
+        write_reply(&query, &outcome, self.config.quirk, reply);
+        Some(())
     }
 }
 
-/// What a resolver-side node puts in its reply beyond the outcome's
-/// rcode, answers and AD bit (AD only under DO, always).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ReplyShape {
-    /// Mirror the query's RA bit instead of setting RA: the query
-    /// copier's fingerprint.
-    pub(crate) copy_ra: bool,
-    /// Relay the outcome's authority section, under DO only.
-    pub(crate) authorities: bool,
-    /// Relay the outcome's EDE, when it carries one.
-    pub(crate) ede: bool,
-}
-
-impl ReplyShape {
-    /// A recursive resolver's reply: RA set, everything relayed.
-    pub(crate) const RESOLVER: ReplyShape = ReplyShape {
-        copy_ra: false,
-        authorities: true,
-        ede: true,
-    };
-}
-
-/// The one front end of the resolver-side nodes ([`Resolver`] and
-/// `broken`'s copier and flaky resolver): decode the client's query,
-/// answer its question with `resolve`, and write the reply with
-/// [`write_reply`]. Nothing answers a response or a question-less query.
-pub(crate) fn serve(
-    payload: &[u8],
-    reply: &mut Vec<u8>,
-    shape: ReplyShape,
-    resolve: impl FnOnce(&Name, RrType) -> ResolveOutcome,
-) -> Option<()> {
-    let query = Message::decode(payload).ok()?;
-    if query.flags.qr {
-        return None;
+impl Resolver {
+    /// The policy a [`Quirk::FlakyGap`] node answers its next query
+    /// under. Three phases take turns by the served-query count — both
+    /// limits, the insecure limit alone, the SERVFAIL limit alone — so
+    /// where insecure ends and SERVFAIL begins drifts between queries.
+    fn flaky_phase(&self, insecure_above: u16, servfail_above: u16) -> Rfc9276Policy {
+        let served = self.served.get();
+        self.served.set(served + 1);
+        match served % 3 {
+            0 => Rfc9276Policy {
+                insecure_above: Some(insecure_above),
+                ..Rfc9276Policy::servfail_above(servfail_above)
+            },
+            1 => Rfc9276Policy {
+                insecure_above: Some(insecure_above),
+                ..Rfc9276Policy::unlimited()
+            },
+            _ => Rfc9276Policy::servfail_above(servfail_above),
+        }
     }
-    let question = query.question()?;
-    let outcome = resolve(&question.qname, question.qtype);
-    write_reply(&query, &outcome, shape, reply);
-    Some(())
 }
 
-/// Encode the reply to `query` carrying `outcome`, shaped by `shape`:
-/// the question is the query's own and the sections are the outcome's
+/// Encode the reply to `query` carrying `outcome` in the shape `quirk`
+/// gives (AD only under DO, always; authorities only under DO): the
+/// question is the query's own and the sections are the outcome's
 /// shared ones, so no record is copied.
 pub(crate) fn write_reply(
     query: &Message,
     outcome: &ResolveOutcome,
-    shape: ReplyShape,
+    quirk: Quirk,
     reply: &mut Vec<u8>,
 ) {
+    let copier = quirk == Quirk::QueryCopier;
     let dnssec_ok = query.dnssec_ok();
     let mut edns = query.edns.as_ref().map(|_| Edns::default());
-    if let (true, Some((code, text))) = (shape.ede, &outcome.ede) {
+    if let (false, Some((code, text))) = (copier, &outcome.ede) {
         edns.get_or_insert_with(Edns::default)
             .push_ede(*code, text.as_str());
     }
@@ -172,7 +175,7 @@ pub(crate) fn write_reply(
             qr: true,
             opcode: query.flags.opcode,
             rd: query.flags.rd,
-            ra: !shape.copy_ra || query.flags.ra,
+            ra: !copier || query.flags.ra,
             ad: outcome.authenticated && dnssec_ok,
             ..Flags::default()
         },
@@ -180,7 +183,7 @@ pub(crate) fn write_reply(
         questions: &query.questions,
         edns: edns.as_ref(),
     };
-    let authorities: &[Record] = if shape.authorities && dnssec_ok {
+    let authorities: &[Record] = if quirk == Quirk::Plain && dnssec_ok {
         &outcome.authorities
     } else {
         &[]

@@ -95,6 +95,34 @@ pub struct ResolverConfig {
     /// the whole recursion, CNAME chasing and key fetches included;
     /// unlimited by default so every calibrated experiment is untouched.
     pub budget: WorkBudget,
+    /// How the resolver serves a client as a network node: plainly, or
+    /// as one of the two rare behaviours §5.2 observed. Only the
+    /// `Node` impl reads it; [`Resolver::resolve`] does not.
+    pub quirk: Quirk,
+}
+
+/// A resolver node's serving behaviour (§5.2). The traffic has three
+/// shapes, so this has three values.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Quirk {
+    /// A recursive resolver's reply: RA set, authorities and EDE relayed.
+    #[default]
+    Plain,
+    /// The query-copying middlebox: it builds its reply from the query's
+    /// header, so RA is set only if the *query* carried RA, and it relays
+    /// no authority section and no EDE. The paper's copiers SERVFAIL
+    /// from `it-1`, which is their policy's business, not the quirk's.
+    QueryCopier,
+    /// A resolver whose thresholds wobble between queries (the apparent
+    /// item 12 violations): each query is resolved afresh, by a resolver
+    /// with empty caches, under the phase policy for the node's
+    /// served-query count, and the reply relays no authority section.
+    FlakyGap {
+        /// Insecure above this many iterations, in the phases that limit.
+        insecure_above: u16,
+        /// SERVFAIL above this many iterations, in the phases that limit.
+        servfail_above: u16,
+    },
 }
 
 impl ResolverConfig {
@@ -121,6 +149,7 @@ impl ResolverConfig {
             aggressive_nsec3: false,
             delegation_cache: false,
             budget: WorkBudget::unlimited(),
+            quirk: Quirk::Plain,
         }
     }
 }
@@ -245,6 +274,9 @@ pub struct Resolver {
     total: Cell<CostSnapshot>,
     /// Query counter for deterministic message ids.
     next_id: Cell<u16>,
+    /// Client queries served as a [`Quirk::FlakyGap`] node: the phase
+    /// clock.
+    pub(crate) served: Cell<usize>,
     /// Final-answer cache (RFC 2308-style negative caching included):
     /// outcomes with their cost zeroed — a hit costs nothing. Behind an
     /// `Rc` so the cache's tree nodes hold pointers, not whole outcomes
@@ -278,6 +310,7 @@ impl Resolver {
             config,
             total: Cell::default(),
             next_id: Cell::new(1),
+            served: Cell::new(0),
             answer_cache: TtlCache::new(cache_size, hasher),
             key_cache: TtlCache::new(zones, hasher),
             delegations: DelegationCache::new(delegation_capacity, hasher),

@@ -19,9 +19,7 @@ use std::net::IpAddr;
 use std::rc::Rc;
 
 use dns_resolver::lab::simple_zone_contents;
-use dns_resolver::{
-    FlakyResolver, Lab, LabBuilder, Resolver, ResolverConfig, Rfc9276Policy, ZoneSpec,
-};
+use dns_resolver::{Lab, LabBuilder, Quirk, Resolver, ResolverConfig, Rfc9276Policy, ZoneSpec};
 use dns_scanner::{BreakerConfig, ClosedResolver, ProbePlan, Prober, ScanSession};
 use dns_wire::name::{name, Name};
 use dns_wire::rrtype::RrType;
@@ -131,9 +129,12 @@ fn classification_flow_step_schedule_is_pinned() {
                     lab.net.register(addr, Rc::new(resolver));
                     targets.push(addr);
                 }
-                let (addr, inner) = validator(&mut lab, Rfc9276Policy::unlimited());
-                lab.net
-                    .register(addr, Rc::new(FlakyResolver::with_gap(inner, 100, 150)));
+                let (addr, mut flaky) = validator(&mut lab, Rfc9276Policy::unlimited());
+                flaky.config.quirk = Quirk::FlakyGap {
+                    insecure_above: 100,
+                    servfail_above: 150,
+                };
+                lab.net.register(addr, Rc::new(flaky));
                 targets.push(addr);
                 let silent = lab.alloc.v4();
                 lab.net.register(silent, Rc::new(Silent));

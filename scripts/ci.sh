@@ -203,6 +203,14 @@ if [ -n "$netsim_rng" ]; then
     echo "$netsim_rng" >&2
     exit 1
 fi
+# One resolver node (DESIGN.md §3): the query copier and the flaky
+# resolver are a `ResolverConfig::quirk` of `impl Node for Resolver`
+# (net.rs), not nodes of their own.
+resolver_nodes="$(non_test crates/resolver/src/*.rs | grep -E '^[^:]+:[0-9]+: *impl\b.*\bNode for ' | cut -d: -f1 || true)"
+if [ "$resolver_nodes" != "crates/resolver/src/net.rs" ]; then
+    echo "error: impl Node in [${resolver_nodes//$'\n'/, }] under crates/resolver/src, expected one (Resolver's, in net.rs)" >&2
+    exit 1
+fi
 # `unsafe` lives in one file (DESIGN.md §6 "Hardware kernels"): the calls
 # into dns-crypto's SHA-extension kernels, each under a `// SAFETY:` line;
 # every other crate forbids it.

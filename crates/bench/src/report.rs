@@ -426,10 +426,11 @@ const SECTIONS: &[Section] = &[
     (
         9,
         "§5.2 EDE 27",
-        "EDE visibility is drawn per resolver: over ten seeds the row read 15.3–18.9 % with 445 \
-         limiting validators (fleet 1/200) and 8.5–21.3 % with 47 (1/2000). The paper's bound is two \
-         standard errors from the generator's ≈ 16.8 % only from about 3,900 limiting validators \
-         (a fleet at about 1/23), so the row is held to the bound plus the sweep's excess over it.",
+        "EDE visibility is drawn per resolver: over seeds 1–10 the row read 11.0–14.8 % with 445 \
+         limiting validators (fleet 1/200) and 6.4–19.1 % with 47 (1/2000). The paper's bound is two \
+         standard errors from the 1/200 sweep's mean, ≈ 12.7 %, from about 150 limiting validators \
+         (a fleet at about 1/600), so a smaller fleet is held to the bound plus the sweep's excess \
+         over it.",
         None,
     ),
     (

@@ -662,31 +662,41 @@ mod e2e {
 
     #[test]
     fn flaky_resolver_varies_between_queries() {
-        let mut lab = lab_with_params(&[("it-120.example.com.", Nsec3Params::new(120, vec![]))]);
+        let mut lab = lab_with_params(&[
+            ("it-120.example.com.", Nsec3Params::new(120, vec![])),
+            ("it-200.example.com.", Nsec3Params::new(200, vec![])),
+        ]);
         let client = lab.alloc.v4();
         let gap = Quirk::FlakyGap {
             insecure_above: 100,
             servfail_above: 150,
         };
         let flaky = node_for(&mut lab, Rfc9276Policy::insecure_above(100), gap);
-        let insecure = |ede| (Rcode::NxDomain, false, ede);
         let ede27 = Some(EdeCode::UNSUPPORTED_NSEC3_ITERATIONS.0);
-        // Phase a (both limits) and b (the insecure limit alone) read
-        // it-120 as insecure, with and without EDE; phase c (SERVFAIL
-        // above 150 alone) validates it; then a again.
+        let insecure = (Rcode::NxDomain, false, ede27);
+        let servfail = (Rcode::ServFail, false, ede27);
+        // Phases a (both limits), b (insecure above 100 alone) and c
+        // (SERVFAIL above 150 alone) in turn, asked it-120 and it-200 by
+        // turns: only b answers it-200 insecure and only c validates
+        // it-120, so the replies pin the sequence a, b, c, a, b, c, a.
+        let validated = (Rcode::NxDomain, true, None);
         let expected = [
-            insecure(ede27),
-            insecure(None),
-            (Rcode::NxDomain, true, None),
-            insecure(ede27),
+            ("it-120", insecure),
+            ("it-200", insecure),
+            ("it-120", validated),
+            ("it-200", servfail),
+            ("it-120", insecure),
+            ("it-200", servfail),
+            ("it-120", insecure),
         ];
-        for (i, want) in expected.into_iter().enumerate() {
+        for (i, (zone, want)) in expected.into_iter().enumerate() {
             let before = lab.net.delivered_count();
-            let q = query_bytes("p.it-120.example.com.", false);
+            let q = query_bytes(&format!("p.{zone}.example.com."), false);
             let obs = dig(&lab.net, client, flaky, &q);
             assert_eq!((obs.rcode, obs.ad, obs.ede), want, "query {i}");
-            // The same qname is resolved again, from the root: far more
-            // than the client's own query and reply cross the network.
+            // Each qname repeats, also within a phase (queries 0 and 6),
+            // and is resolved again from the root: far more than the
+            // client's own query and reply cross the network.
             let carried = lab.net.delivered_count() - before;
             assert!(
                 carried > 2,

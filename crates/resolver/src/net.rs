@@ -132,22 +132,23 @@ impl Node for Resolver {
 
 impl Resolver {
     /// The policy a [`Quirk::FlakyGap`] node answers its next query
-    /// under. Three phases take turns by the served-query count — both
-    /// limits, the insecure limit alone, the SERVFAIL limit alone — so
-    /// where insecure ends and SERVFAIL begins drifts between queries.
+    /// under: the configured one with its limits swapped by the
+    /// served-query count. Three phases take turns — both limits, the
+    /// insecure limit alone, the SERVFAIL limit alone — so where insecure
+    /// ends and SERVFAIL begins drifts between queries; what the policy
+    /// attaches (EDE on or off, its code and text) does not.
     fn flaky_phase(&self, insecure_above: u16, servfail_above: u16) -> Rfc9276Policy {
         let served = self.served.get();
         self.served.set(served + 1);
-        match served % 3 {
-            0 => Rfc9276Policy {
-                insecure_above: Some(insecure_above),
-                ..Rfc9276Policy::servfail_above(servfail_above)
-            },
-            1 => Rfc9276Policy {
-                insecure_above: Some(insecure_above),
-                ..Rfc9276Policy::unlimited()
-            },
-            _ => Rfc9276Policy::servfail_above(servfail_above),
+        let (insecure_above, servfail_above) = match served % 3 {
+            0 => (Some(insecure_above), Some(servfail_above)),
+            1 => (Some(insecure_above), None),
+            _ => (None, Some(servfail_above)),
+        };
+        Rfc9276Policy {
+            insecure_above,
+            servfail_above,
+            ..self.config.policy.clone()
         }
     }
 }

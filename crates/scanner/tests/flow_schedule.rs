@@ -129,7 +129,9 @@ fn classification_flow_step_schedule_is_pinned() {
                     lab.net.register(addr, Rc::new(resolver));
                     targets.push(addr);
                 }
-                let (addr, mut flaky) = validator(&mut lab, Rfc9276Policy::unlimited());
+                // Configured the way `deploy_fleet` configures a flaky
+                // fleet member: its policy is the insecure limit.
+                let (addr, mut flaky) = validator(&mut lab, Rfc9276Policy::insecure_above(100));
                 flaky.config.quirk = Quirk::FlakyGap {
                     insecure_above: 100,
                     servfail_above: 150,
@@ -205,7 +207,7 @@ fn classification_flow_step_schedule_is_pinned() {
         }
     );
     assert_eq!(
-        digest, 0x6fae_5c22_28b5_90dc,
+        digest, 0x6a9f_a740_e5dd_3988,
         "the classification flow's schedule moved"
     );
 }

@@ -41,7 +41,9 @@
 //! and outages replay identically across thread counts and lab seeds.
 //! The census drivers need `batch_size = 1` for that, because batch
 //! composition moves the flow counters and the virtual clock of a shared
-//! lab; time-windowed and rate-limit episodes read that clock too.
+//! lab; time-windowed and rate-limit episodes read that clock too. Each
+//! census batch mixes its first population index into the schedule seed,
+//! so batches do not replay one another's faults.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -69,6 +71,7 @@ use popgen::domains::{DnssecKind, DomainGenerator, DomainSpec};
 use popgen::resolvers::{Access, Family, ResolverSpec};
 use popgen::tlds::TldSpec;
 use popgen::Scale;
+use sim_rng::SplitMix64;
 
 use crate::fleet::deploy_fleet;
 use crate::study::{run_study, ShardRun};
@@ -366,10 +369,18 @@ fn census_step(census: &Census<'_>, net: &Network, probe: &mut CensusProbe) -> F
 /// With a window of 1 the event queue degenerates to the exact
 /// sequential schedule of the historical blocking loop: admit one probe,
 /// step it to completion, admit the next.
-fn census_batch(shard: &ShardRun<'_>, batch: &[DomainSpec]) -> Vec<DomainRecord> {
+///
+/// `first` is the batch's first index in the population. It is mixed
+/// into the fault schedule's seed: every batch's lab hands out the same
+/// addresses and starts its flow counters at 0, so without it each batch
+/// would meet the same flow-keyed faults.
+fn census_batch(shard: &ShardRun<'_>, first: usize, batch: &[DomainSpec]) -> Vec<DomainRecord> {
     let (builder, mut apexes) = domain_lab(batch, shard.cfg.now);
     let mut lab = builder.seed(shard.seed).build();
     let resolver = shard.resolver(&mut lab, |_| {});
+    let mut schedule = shard.cfg.profile.schedule.clone();
+    schedule.seed = SplitMix64::new(schedule.seed.wrapping_add(first as u64)).next_u64();
+    lab.net.set_schedule(schedule);
     let census = Census::new(&lab.net, &resolver, "census").with_session(&shard.session);
     shard.drive_indexed(
         &lab.net,
@@ -438,7 +449,7 @@ pub fn run_domain_census_stream(
         for start in range.clone().step_by(batch_size.max(1)) {
             let end = (start + batch_size.max(1)).min(range.end);
             let batch: Vec<DomainSpec> = (start..end).map(|i| generator.get(i as u64)).collect();
-            for record in census_batch(shard, &batch) {
+            for record in census_batch(shard, start, &batch) {
                 tally.add(&record);
             }
         }
@@ -1037,7 +1048,7 @@ mod tests {
         let census = |specs: &[DomainSpec]| {
             let cfg = DriverConfig::clean(NOW, 1, DEFAULT_LAB_SEED);
             let run = run_study(specs.len(), &cfg, |shard, range| {
-                census_batch(shard, &specs[range])
+                census_batch(shard, range.start, &specs[range])
             });
             assert!(run.probe_stats.is_consistent(), "{:?}", run.probe_stats);
             let records = run.parts.into_iter().flatten();

@@ -302,12 +302,8 @@ mod e2e {
         let copier = node_for(&mut lab, policy.clone(), Quirk::QueryCopier);
         let plain = node_for(&mut lab, policy, Quirk::Plain);
         let net = &lab.net;
-        let obs = dig(
-            net,
-            client,
-            copier,
-            &query_bytes("p1.it-1.example.com.", false),
-        );
+        let q = query_bytes("p1.it-1.example.com.", false);
+        let obs = dig(net, client, copier, &q);
         assert_eq!(obs.rcode, Rcode::ServFail);
         assert!(!obs.ra, "copier mirrors the query's (unset) RA bit");
         let q = query_bytes("p2.it-1.example.com.", true);

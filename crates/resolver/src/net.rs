@@ -5,8 +5,10 @@
 //! upstream exchange per call — and both go through [`exchange`], the
 //! crate's one call into the network's retry loop. So does the crate's
 //! one network node, `impl Node for Resolver`, which serves stub
-//! clients as [`ResolverConfig::quirk`](crate::resolver::ResolverConfig::quirk) says: plainly, as a query
-//! copier or as a flaky resolver.
+//! clients as [`ResolverConfig::quirk`] says: plainly, as a query copier
+//! or as a flaky resolver.
+//!
+//! [`ResolverConfig::quirk`]: crate::resolver::ResolverConfig::quirk
 
 use std::net::IpAddr;
 use std::pin::pin;
@@ -99,8 +101,10 @@ pub(crate) fn exchange(
 
 impl Node for Resolver {
     /// Serve a stub client: decode its query, resolve the question and
-    /// reply in the shape [`ResolverConfig::quirk`](crate::resolver::ResolverConfig::quirk) gives. Nothing
+    /// reply in the shape [`ResolverConfig::quirk`] gives. Nothing
     /// answers a response or a question-less query.
+    ///
+    /// [`ResolverConfig::quirk`]: crate::resolver::ResolverConfig::quirk
     fn handle(
         &self,
         net: &Network,

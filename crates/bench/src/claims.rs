@@ -762,7 +762,7 @@ pub static RESOLVERS: &[Claim<ResolverReport>] = &[
         id: 9,
         label: "EDE 27 among limiting validators (sampled per resolver)",
         item: Some(10),
-        paper: Below(Pct(18.0), [1.0, 3.4]),
+        paper: Below(Pct(18.0), [1.0, 1.2]),
         measure: |r| Pct(r.all.ede27_of_limiting_pct()),
     },
     Claim {

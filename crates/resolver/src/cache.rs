@@ -3,18 +3,25 @@
 //! Real resolvers cache aggressively — that is why the paper's probing
 //! methodology uses a unique label per resolver and why its census
 //! expected "a fraction of our queries \[to\] be resolved from \[Cloudflare's\]
-//! internal cache" (Appendix A). The resolver keeps one [`TtlCache`] for
-//! final answers, one for validated zone keys, one for zone cuts and one
-//! for RFC 8198 denial sets, each keyed by a name's lowercase canonical
-//! wire form ([`dns_wire::name::Name::with_wire_key`]; the answer cache
-//! appends the type), so a probe is one key built on the stack, one hash
-//! and, on a hit, one `memcmp`.
+//! internal cache" (Appendix A). The resolver keeps:
+//!
+//! - one [`TtlCache`] each for final answers, validated zone keys, zone
+//!   cuts and RFC 8198 denial sets, each keyed by a name's lowercase
+//!   canonical wire form ([`dns_wire::name::Name::with_wire_key`]; the
+//!   answer cache appends the type), so a probe is one key built on the
+//!   stack, one hash and, on a hit, one `memcmp`;
+//! - one [`SectionStore`] under the answer cache, holding each distinct
+//!   record section its outcomes carry once — the split of Unbound's
+//!   message cache, whose entries point into its RRset cache.
 
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
-use std::hash::{BuildHasher, Hash};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::rc::Rc;
 
 use dns_crypto::hash::KeyedState;
+use dns_wire::record::Record;
 
 /// How many of the oldest live entries an at-capacity insert probes for
 /// an expired victim before it settles for the oldest.
@@ -317,9 +324,257 @@ impl<K: Hash + Eq, V: Clone> TtlCache<K, V> {
     }
 }
 
+thread_local! {
+    /// The one empty section every outcome without records shares.
+    static NO_RECORDS: Rc<[Record]> = Rc::from(Vec::new());
+}
+
+/// An empty record section: a reference count, no allocation.
+pub(crate) fn no_records() -> Rc<[Record]> {
+    NO_RECORDS.with(Rc::clone)
+}
+
+/// The size below which a [`SectionStore`] never sweeps.
+const FIRST_SWEEP: usize = 16;
+
+/// One allocation per distinct record section: the answer and authority
+/// sections of a resolver's outcomes, so the answer cache's entries
+/// point at shared records instead of each holding a decoded copy.
+/// Under NXDOMAIN-heavy traffic most outcomes carry one of a zone's few
+/// NSEC3 proofs, so most sections are found here already.
+///
+/// A section is filed under one 64-bit hash of its records' owner
+/// octets (case kept), TTLs and types, and a held section is handed out
+/// only if it equals the newcomer exactly ([`Record::eq_exact`]): the
+/// resolver asks dns-0x20 qnames and a wildcard answer echoes their
+/// case, so sections that `==` calls equal may differ in octets a client
+/// sees. A newcomer that meets a different section under its hash stays
+/// unshared — correct, only not deduplicated — unless nothing but the
+/// store holds that section, which it then replaces. The store decides
+/// no answer, only which allocation holds its records.
+///
+/// Sections only the store still holds are swept once it has doubled
+/// since the last sweep (and holds at least [`FIRST_SWEEP`]), so it
+/// holds at most twice what was still in use at the last sweep, and a
+/// sweep costs O(1) a store, amortized.
+#[derive(Debug)]
+pub(crate) struct SectionStore {
+    /// `None` for a resolver that caches nothing: every section is its
+    /// own allocation.
+    table: Option<RefCell<Sections>>,
+}
+
+#[derive(Debug)]
+struct Sections {
+    hasher: KeyedState,
+    held: HashMap<u64, Rc<[Record]>, KeyedState>,
+    /// The size at which the next store sweeps first.
+    sweep_at: usize,
+}
+
+impl SectionStore {
+    /// A store hashing under `hasher`, or none at all unless `enabled`.
+    pub(crate) fn new(enabled: bool, hasher: KeyedState) -> Self {
+        SectionStore {
+            table: enabled.then(|| {
+                RefCell::new(Sections {
+                    hasher,
+                    held: HashMap::with_hasher(hasher),
+                    sweep_at: FIRST_SWEEP,
+                })
+            }),
+        }
+    }
+
+    /// `records` as an outcome section: the held section equal to it,
+    /// else `records` moved into a new shared allocation (and held), or
+    /// the shared empty section.
+    pub(crate) fn share(&self, records: Vec<Record>) -> Rc<[Record]> {
+        if records.is_empty() {
+            return no_records();
+        }
+        let Some(table) = &self.table else {
+            return records.into();
+        };
+        let mut table = table.borrow_mut();
+        let hash = table.hash(&records);
+        if let Some(held) = table.held.get(&hash) {
+            let equal = held.len() == records.len()
+                && held.iter().zip(&records).all(|(a, b)| a.eq_exact(b));
+            if equal {
+                return Rc::clone(held);
+            }
+            if Rc::strong_count(held) > 1 {
+                return records.into();
+            }
+        }
+        if table.held.len() >= table.sweep_at {
+            table.sweep();
+        }
+        let section: Rc<[Record]> = records.into();
+        table.held.insert(hash, Rc::clone(&section));
+        section
+    }
+}
+
+impl Sections {
+    /// Each record's owner (case kept), TTL and type: what tells a
+    /// zone's sections apart, cheaply; the RDATA is left to the compare.
+    fn hash(&self, records: &[Record]) -> u64 {
+        let mut state = self.hasher.build_hasher();
+        for record in records {
+            record.name.wire_bytes().hash(&mut state);
+            state.write_u32(record.ttl);
+            state.write_u16(record.rrtype().0);
+        }
+        state.finish()
+    }
+
+    /// Drop the sections nothing outside the store holds.
+    fn sweep(&mut self) {
+        self.held.retain(|_, section| Rc::strong_count(section) > 1);
+        self.sweep_at = (2 * self.held.len()).max(FIRST_SWEEP);
+    }
+}
+
+#[cfg(test)]
+impl SectionStore {
+    /// Sections held, and how many of them something else holds too.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        self.table.as_ref().map_or((0, 0), |table| {
+            let held = &table.borrow().held;
+            let shared = held.values().filter(|s| Rc::strong_count(s) > 1);
+            (held.len(), shared.count())
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::name::name;
+    use dns_wire::rdata::RData;
+    use dns_wire::rrtype::RrType;
+    use dns_wire::typebitmap::TypeBitmap;
+
+    /// A signed NXDOMAIN proof as a leaf zone serves it: the SOA and one
+    /// NSEC3, each with its RRSIG. `owner` spells the NSEC3 owner (its
+    /// case kept) and `signer` the signer name of both signatures.
+    fn proof(owner: &str, signer: &str, ttl: u32, signature: u8) -> Vec<Record> {
+        let sig = |covered| RData::Rrsig {
+            type_covered: covered,
+            algorithm: 253,
+            labels: 2,
+            original_ttl: 300,
+            expiration: 1_720_000_000,
+            inception: 1_700_000_000,
+            key_tag: 4_711,
+            signer_name: name(signer),
+            signature: vec![signature; 32],
+        };
+        let soa = RData::Soa {
+            mname: name("ns1.example.com."),
+            rname: name("hostmaster.example.com."),
+            serial: 1,
+            refresh: 3_600,
+            retry: 600,
+            expire: 86_400,
+            minimum: 300,
+        };
+        let nsec3 = RData::Nsec3 {
+            hash_alg: 1,
+            flags: 0,
+            iterations: 0,
+            salt: Vec::new(),
+            next_hashed: vec![0x5A; 20],
+            types: TypeBitmap::from_types([RrType::A, RrType::RRSIG]),
+        };
+        vec![
+            Record::new(name("example.com."), ttl, soa),
+            Record::new(name("example.com."), ttl, sig(RrType::SOA)),
+            Record::new(name(owner), ttl, nsec3),
+            Record::new(name(owner), ttl, sig(RrType::NSEC3)),
+        ]
+    }
+
+    const OWNER: &str = "b4um86eghhds6nea196smvmlo4ors995.example.com.";
+    const SIGNER: &str = "example.com.";
+
+    fn store() -> SectionStore {
+        SectionStore::new(true, KeyedState::new(7))
+    }
+
+    /// `section` holds exactly `records`, octet for octet.
+    fn holds_exactly(section: &[Record], records: &[Record]) -> bool {
+        section.len() == records.len() && section.iter().zip(records).all(|(a, b)| a.eq_exact(b))
+    }
+
+    #[test]
+    fn equal_sections_share_one_allocation() {
+        let store = store();
+        let first = store.share(proof(OWNER, SIGNER, 300, 1));
+        let second = store.share(proof(OWNER, SIGNER, 300, 1));
+        assert!(Rc::ptr_eq(&first, &second));
+        assert!(holds_exactly(&second, &proof(OWNER, SIGNER, 300, 1)));
+        assert_eq!(store.counts(), (1, 1));
+        // Empty sections are the one shared empty section, never held.
+        assert!(Rc::ptr_eq(&store.share(Vec::new()), &no_records()));
+        assert_eq!(store.counts(), (1, 1));
+    }
+
+    #[test]
+    fn sections_differing_in_any_octet_stay_apart() {
+        let upper = OWNER.to_ascii_uppercase();
+        // The two case variants are equal under `==`, which ignores the
+        // case of names; the store must not be.
+        let variants = [
+            ("owner-name case", proof(&upper, SIGNER, 300, 1), true),
+            (
+                "RDATA-name case",
+                proof(OWNER, "Example.COM.", 300, 1),
+                true,
+            ),
+            ("TTL by one", proof(OWNER, SIGNER, 301, 1), false),
+            ("one signature octet", proof(OWNER, SIGNER, 300, 2), false),
+        ];
+        for (differs_in, variant, dns_equal) in variants {
+            let store = store();
+            let first = store.share(proof(OWNER, SIGNER, 300, 1));
+            assert_eq!(variant == proof(OWNER, SIGNER, 300, 1), dns_equal);
+            let other = store.share(variant.clone());
+            assert!(!Rc::ptr_eq(&first, &other), "{differs_in}: shared");
+            assert!(holds_exactly(&other, &variant), "{differs_in}: changed");
+            assert!(holds_exactly(&first, &proof(OWNER, SIGNER, 300, 1)));
+        }
+    }
+
+    #[test]
+    fn a_hash_collision_leaves_the_newcomer_unshared() {
+        // The hash reads owners, TTLs and types, not RDATA: two proofs
+        // that differ in a signature collide.
+        let store = store();
+        let held = store.share(proof(OWNER, SIGNER, 300, 1));
+        let newcomer = store.share(proof(OWNER, SIGNER, 300, 2));
+        assert!(holds_exactly(&newcomer, &proof(OWNER, SIGNER, 300, 2)));
+        assert!(!Rc::ptr_eq(&held, &newcomer));
+        assert_eq!(store.counts(), (1, 1), "the held section stays");
+        // Its twin still finds the held one; the newcomer's twin is as
+        // unshared as the newcomer was.
+        assert!(Rc::ptr_eq(
+            &held,
+            &store.share(proof(OWNER, SIGNER, 300, 1))
+        ));
+        let twin = store.share(proof(OWNER, SIGNER, 300, 2));
+        assert!(!Rc::ptr_eq(&newcomer, &twin));
+        // Once only the store holds a section, a newcomer takes its place.
+        drop(held);
+        let successor = store.share(proof(OWNER, SIGNER, 300, 2));
+        assert!(Rc::ptr_eq(
+            &successor,
+            &store.share(proof(OWNER, SIGNER, 300, 2))
+        ));
+        assert_eq!(store.counts(), (1, 1));
+    }
 
     fn cache<K: Hash + Eq>(capacity: usize) -> TtlCache<K, u32> {
         TtlCache::new(capacity, KeyedState::default())

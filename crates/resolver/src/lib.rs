@@ -638,6 +638,76 @@ mod e2e {
         let second = r.resolve(&lab.net, &q, RrType::A);
         assert_eq!(second.cost.messages_sent, first.cost.messages_sent);
         assert_eq!(r.cache_hits(), 0);
+        assert_eq!(r.section_counts(), (0, 0), "and no section store");
+    }
+
+    /// However many distinct proofs pass through, a caching resolver's
+    /// section store holds at most twice the sections its answer cache
+    /// still points at. The NXDOMAINs are fed by hand, sans-IO: a stub
+    /// asks the root, which answers each with a proof of its own.
+    #[test]
+    fn section_store_stays_within_twice_the_cached_sections() {
+        use resolver::{Exchanged, Reply, Want};
+        let root: IpAddr = "198.41.0.4".parse().unwrap();
+        let mut cfg = ResolverConfig::stub("10.0.0.1".parse().unwrap(), vec![root]);
+        cfg.cache_size = 16;
+        let r = Resolver::new(cfg);
+        let soa = Record::new(
+            name("example."),
+            300,
+            RData::Soa {
+                mname: name("ns.example."),
+                rname: name("hostmaster.example."),
+                serial: 1,
+                refresh: 3_600,
+                retry: 600,
+                expire: 86_400,
+                minimum: 300,
+            },
+        );
+        let mut most = 0;
+        for i in 0..1_000u32 {
+            let now = u64::from(i) * 1_000;
+            let mut recursion = r.recursion(now, &name(&format!("q{i}.example.")), RrType::A);
+            let Want::Send { bytes, .. } = recursion.advance(now, None) else {
+                panic!("a new name is asked upstream");
+            };
+            let query = dns_wire::Message::decode(&bytes).unwrap();
+            let mut nxdomain = dns_wire::Message::response_to(&query);
+            nxdomain.flags.aa = true;
+            nxdomain.rcode = Rcode::NxDomain;
+            let nsec3 = RData::Nsec3 {
+                hash_alg: 1,
+                flags: 0,
+                iterations: 0,
+                salt: Vec::new(),
+                next_hashed: i.to_be_bytes().repeat(5),
+                types: Default::default(),
+            };
+            let owner = name(&format!("h{i}.example."));
+            nxdomain.authorities = vec![soa.clone(), Record::new(owner, 300, nsec3)];
+            let fed = Exchanged {
+                attempts: 1,
+                reply: Reply::Bytes(nxdomain.encode()),
+            };
+            let Want::Done(out) = recursion.advance(now, Some(fed)) else {
+                panic!("the root's answer is final");
+            };
+            assert_eq!((out.rcode, out.authorities.len()), (Rcode::NxDomain, 2));
+            drop(out);
+            let (held, cached) = r.section_counts();
+            assert_eq!(
+                cached,
+                (i as usize + 1).min(16),
+                "one proof per cached NXDOMAIN"
+            );
+            assert!(
+                held <= 2 * cached,
+                "{held} sections held for {cached} cached"
+            );
+            most = most.max(held);
+        }
+        assert!(most > 16, "evicted proofs wait in the store for a sweep");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use netsim::event::Port;
 use netsim::RetryPolicy;
 
 use crate::aggressive::AggressiveCache;
-use crate::cache::TtlCache;
+use crate::cache::{no_records, SectionStore, TtlCache};
 use crate::cost::{CostMeter, CostSnapshot};
 use crate::delegation::{Delegation, DelegationCache};
 pub use crate::net::RecursionStep;
@@ -159,6 +159,8 @@ impl ResolverConfig {
 /// The record sections are immutable and shared: the answer cache and
 /// every caller handed the same answer hold the same records, so a clone
 /// of an outcome is two reference-count bumps, not a copy of a record.
+/// Two outcomes of one caching resolver whose sections are equal octet
+/// for octet share one allocation too.
 #[derive(Clone, Debug)]
 pub struct ResolveOutcome {
     /// Response code.
@@ -279,14 +281,18 @@ pub struct Resolver {
     pub(crate) served: Cell<usize>,
     /// Final-answer cache (RFC 2308-style negative caching included):
     /// outcomes with their cost zeroed — a hit costs nothing. Behind an
-    /// `Rc` so the cache's tree nodes hold pointers, not whole outcomes
-    /// (a resolver fleet's peak RSS is mostly these trees); the record
-    /// sections inside are the ones the miss handed its caller, so an
-    /// insert copies no record and a hit allocates nothing.
+    /// `Rc` so the table's entries hold pointers, not whole outcomes; the
+    /// record sections inside are the ones the miss handed its caller,
+    /// taken from `sections`, so an insert copies no record, a hit
+    /// allocates nothing, and the many NXDOMAINs that carry one proof
+    /// hold it once.
     ///
     /// Keyed by the qname's wire key with the type after it
     /// ([`Name::with_wire_key`]).
     answer_cache: TtlCache<Box<[u8]>, Rc<ResolveOutcome>>,
+    /// Every non-empty outcome section, held once: the records the
+    /// answer cache's outcomes point into (none when `cache_size` is 0).
+    sections: SectionStore,
     /// Validated DNSKEY sets per zone (the big recursion saver), keyed by
     /// the apex's wire key.
     key_cache: TtlCache<Box<[u8]>, Rc<ZoneKeys>>,
@@ -312,6 +318,7 @@ impl Resolver {
             next_id: Cell::new(1),
             served: Cell::new(0),
             answer_cache: TtlCache::new(cache_size, hasher),
+            sections: SectionStore::new(cache_size > 0, hasher),
             key_cache: TtlCache::new(zones, hasher),
             delegations: DelegationCache::new(delegation_capacity, hasher),
             aggressive: AggressiveCache::new(zones, hasher),
@@ -479,7 +486,7 @@ impl Resolver {
                 _ => {
                     chased.extend_from_slice(&outcome.answers);
                     break ResolveOutcome {
-                        answers: shared(chased),
+                        answers: self.sections.share(chased),
                         ..outcome
                     };
                 }
@@ -785,8 +792,8 @@ impl Resolver {
                 ResolveOutcome {
                     rcode: resp.rcode,
                     authenticated: relay.authenticated,
-                    answers: shared(answers),
-                    authorities: shared(resp.authorities),
+                    answers: self.sections.share(answers),
+                    authorities: self.sections.share(resp.authorities),
                     ede: relay.ede,
                     budget_exceeded: false,
                     cost: CostSnapshot::default(),
@@ -1078,26 +1085,6 @@ impl Resolver {
 /// The DS set of a zone whose trust anchor vouches for it instead.
 const NO_DS: &[Record] = &[];
 
-thread_local! {
-    /// The one empty section every outcome without records shares.
-    static NO_RECORDS: Rc<[Record]> = Rc::from(Vec::new());
-}
-
-/// An empty record section: a reference count, no allocation.
-fn no_records() -> Rc<[Record]> {
-    NO_RECORDS.with(Rc::clone)
-}
-
-/// `records` as an outcome section: moved, not deep-copied, into one
-/// shared allocation, or the shared empty section.
-fn shared(records: Vec<Record>) -> Rc<[Record]> {
-    if records.is_empty() {
-        no_records()
-    } else {
-        records.into()
-    }
-}
-
 /// An authoritative response accepted for relay to the client.
 struct Relay {
     /// Whether the AD bit is earned.
@@ -1289,5 +1276,11 @@ impl Resolver {
     /// Zones whose RFC 8198 denial sets are held.
     pub(crate) fn denial_sets(&self) -> usize {
         self.aggressive.zone_count()
+    }
+
+    /// Record sections the section store holds, and how many of them
+    /// something else (a cached outcome) holds too.
+    pub(crate) fn section_counts(&self) -> (usize, usize) {
+        self.sections.counts()
     }
 }

@@ -6,9 +6,11 @@
 //! [`Recursion::advance`]: dns_resolver::Recursion::advance
 
 use std::net::IpAddr;
+use std::rc::Rc;
 
 use dns_resolver::resolver::{Exchanged, Reply, Want};
-use dns_resolver::{Resolver, ResolverConfig};
+use dns_resolver::{ResolveOutcome, Resolver, ResolverConfig};
+use dns_wire::buf::Writer;
 use dns_wire::message::{unframe_tcp, Message, Question};
 use dns_wire::name::name;
 use dns_wire::rdata::RData;
@@ -164,5 +166,128 @@ fn reply_echoing_another_question_type_or_class_is_rejected() {
         };
         assert_eq!(out.rcode, Rcode::ServFail);
         assert!(out.answers.is_empty());
+    }
+}
+
+/// `records` on the wire, uncompressed and in their case.
+fn octets(records: &[Record]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut w = Writer::plain(&mut out);
+    for record in records {
+        record.encode(&mut w);
+    }
+    out
+}
+
+/// Ask `resolver` (a stub) for `qname`/A and have the root answer
+/// authoritatively with what `fill` puts into its reply. The outcome,
+/// and the reply as the resolver decoded it.
+fn answered(
+    resolver: &Resolver,
+    qname: &str,
+    fill: impl FnOnce(&mut Message),
+) -> (ResolveOutcome, Message) {
+    let mut recursion = resolver.recursion(0, &name(qname), RrType::A);
+    let (_, bytes) = expect_send(recursion.advance(0, None));
+    let query = Message::decode(&bytes).unwrap();
+    let mut answer = Message::response_to(&query);
+    answer.flags.aa = true;
+    fill(&mut answer);
+    let bytes = answer.encode();
+    let Want::Done(out) = recursion.advance(20_000, reply(bytes.clone())) else {
+        panic!("the root's answer is final");
+    };
+    (out, Message::decode(&bytes).unwrap())
+}
+
+/// The root's NXDOMAIN proof that a TLD does not exist: its SOA, an
+/// NSEC3 and their RRSIGs, with the NSEC3 owned by `hashed` and the SOA
+/// naming `mname`, each spelled in the case given. No name in it is a
+/// suffix of a question under a TLD, so name compression leaves its case
+/// alone.
+fn proof(hashed: &str, mname: &str) -> Vec<Record> {
+    let sig = |covered| RData::Rrsig {
+        type_covered: covered,
+        algorithm: 253,
+        labels: 1,
+        original_ttl: 86_400,
+        expiration: 1_720_000_000,
+        inception: 1_700_000_000,
+        key_tag: 4_711,
+        signer_name: name("."),
+        signature: vec![0xA5; 32],
+    };
+    let soa = RData::Soa {
+        mname: name(mname),
+        rname: name("nstld.verisign-grs.com."),
+        serial: 1,
+        refresh: 1_800,
+        retry: 900,
+        expire: 604_800,
+        minimum: 86_400,
+    };
+    let nsec3 = RData::Nsec3 {
+        hash_alg: 1,
+        flags: 0,
+        iterations: 0,
+        salt: Vec::new(),
+        next_hashed: vec![0x5A; 20],
+        types: Default::default(),
+    };
+    vec![
+        Record::new(name("."), 86_400, soa),
+        Record::new(name("."), 86_400, sig(RrType::SOA)),
+        Record::new(name(hashed), 86_400, nsec3),
+        Record::new(name(hashed), 86_400, sig(RrType::NSEC3)),
+    ]
+}
+
+const HASHED: &str = "b4um86eghhds6nea196smvmlo4ors995.";
+const MNAME: &str = "a.root-servers.net.";
+
+#[test]
+fn outcome_sections_are_the_reply_octets_and_equal_ones_are_one_allocation() {
+    let resolver = Resolver::new(ResolverConfig::stub(
+        "10.0.0.1".parse().unwrap(),
+        vec![ROOT.parse().unwrap()],
+    ));
+    let nxdomain = |authorities: Vec<Record>| {
+        move |reply: &mut Message| {
+            reply.rcode = Rcode::NxDomain;
+            reply.authorities = authorities;
+        }
+    };
+    let upper = HASHED.to_ascii_uppercase();
+    let asked = [
+        answered(&resolver, "a.example.", nxdomain(proof(HASHED, MNAME))),
+        answered(&resolver, "b.example.", nxdomain(proof(HASHED, MNAME))),
+        // Equal to the first under `==`, which ignores the case of names.
+        answered(&resolver, "c.example.", nxdomain(proof(&upper, MNAME))),
+        answered(
+            &resolver,
+            "d.example.",
+            nxdomain(proof(HASHED, "A.root-servers.NET.")),
+        ),
+        // The answer's owner echoes the qname as asked, dns-0x20 case
+        // and all.
+        answered(&resolver, "www.example.", |reply| {
+            let owner = reply.questions[0].qname.clone();
+            let a = RData::A("192.0.2.80".parse().unwrap());
+            reply.answers.push(Record::new(owner, 300, a));
+        }),
+    ];
+    for (out, reply) in &asked {
+        assert_eq!(octets(&out.answers), octets(&reply.answers), "{out:?}");
+        assert_eq!(
+            octets(&out.authorities),
+            octets(&reply.authorities),
+            "{out:?}"
+        );
+    }
+    let authorities = |i: usize| &asked[i].0.authorities;
+    assert!(Rc::ptr_eq(authorities(0), authorities(1)), "equal proofs");
+    for i in [2, 3] {
+        assert_eq!(authorities(i), authorities(0), "equal under `==`");
+        assert!(!Rc::ptr_eq(authorities(i), authorities(0)), "case {i}");
     }
 }

@@ -407,6 +407,85 @@ impl RData {
             _ => None,
         }
     }
+
+    /// `==` with the names inside compared octet for octet, case
+    /// included (see [`Record::eq_exact`](crate::Record::eq_exact)).
+    pub(crate) fn eq_exact(&self, other: &RData) -> bool {
+        let same = |a: &Name, b: &Name| a.wire_bytes() == b.wire_bytes();
+        match (self, other) {
+            (RData::Ns(a), RData::Ns(b))
+            | (RData::Cname(a), RData::Cname(b))
+            | (RData::Ptr(a), RData::Ptr(b)) => same(a, b),
+            (
+                RData::Mx {
+                    preference,
+                    exchange,
+                },
+                RData::Mx {
+                    preference: p,
+                    exchange: e,
+                },
+            ) => preference == p && same(exchange, e),
+            (
+                RData::Soa {
+                    mname,
+                    rname,
+                    serial,
+                    refresh,
+                    retry,
+                    expire,
+                    minimum,
+                },
+                RData::Soa {
+                    mname: m,
+                    rname: r,
+                    serial: s,
+                    refresh: f,
+                    retry: t,
+                    expire: x,
+                    minimum: n,
+                },
+            ) => {
+                (serial, refresh, retry, expire, minimum) == (s, f, t, x, n)
+                    && same(mname, m)
+                    && same(rname, r)
+            }
+            (
+                RData::Rrsig {
+                    type_covered,
+                    algorithm,
+                    labels,
+                    original_ttl,
+                    expiration,
+                    inception,
+                    key_tag,
+                    signer_name,
+                    signature,
+                },
+                RData::Rrsig {
+                    type_covered: c,
+                    algorithm: a,
+                    labels: l,
+                    original_ttl: o,
+                    expiration: x,
+                    inception: i,
+                    key_tag: k,
+                    signer_name: n,
+                    signature: s,
+                },
+            ) => {
+                (type_covered, algorithm, labels, original_ttl) == (c, a, l, o)
+                    && (expiration, inception, key_tag) == (x, i, k)
+                    && signature == s
+                    && same(signer_name, n)
+            }
+            (RData::Nsec { next, types }, RData::Nsec { next: n, types: t }) => {
+                types == t && same(next, n)
+            }
+            // Every other variant holds no name, so `==` is exact.
+            _ => self == other,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -538,6 +617,79 @@ mod tests {
         let rd = RData::Ns(name("NS1.Example.COM"));
         let canon = rd.canonical_bytes();
         assert_eq!(canon, b"\x03ns1\x07example\x03com\x00");
+    }
+
+    #[test]
+    fn eq_exact_is_eq_with_the_case_of_every_name() {
+        // Every name-bearing variant, then its names respelled: `==`
+        // still holds, `eq_exact` does not; the encodings tell them apart.
+        let spelled = |n: &str| {
+            [
+                RData::Ns(name(n)),
+                RData::Cname(name(n)),
+                RData::Ptr(name(n)),
+                RData::Mx {
+                    preference: 10,
+                    exchange: name(n),
+                },
+                RData::Soa {
+                    mname: name(n),
+                    rname: name("hostmaster.example."),
+                    serial: 1,
+                    refresh: 2,
+                    retry: 3,
+                    expire: 4,
+                    minimum: 5,
+                },
+                RData::Soa {
+                    mname: name("ns.example."),
+                    rname: name(n),
+                    serial: 1,
+                    refresh: 2,
+                    retry: 3,
+                    expire: 4,
+                    minimum: 5,
+                },
+                RData::Rrsig {
+                    type_covered: RrType::A,
+                    algorithm: 13,
+                    labels: 2,
+                    original_ttl: 300,
+                    expiration: 2,
+                    inception: 1,
+                    key_tag: 7,
+                    signer_name: name(n),
+                    signature: vec![1, 2, 3],
+                },
+                RData::Nsec {
+                    next: name(n),
+                    types: TypeBitmap::from_types([RrType::A]),
+                },
+            ]
+        };
+        let plain = spelled("ns.example.");
+        for (a, b) in plain.iter().zip(&spelled("NS.Example.")) {
+            assert!(a.eq_exact(a), "{a:?}");
+            assert_eq!(a, b);
+            assert!(!a.eq_exact(b), "{a:?} against {b:?}");
+            assert_ne!(encoded(a), encoded(b));
+        }
+        // No variant is exactly another, and a name-free one is its `==`.
+        for (i, a) in plain.iter().enumerate() {
+            for (j, b) in plain.iter().enumerate() {
+                assert_eq!(a.eq_exact(b), i == j, "{a:?} against {b:?}");
+            }
+        }
+        let txt = RData::Txt(vec![b"v=spf1".to_vec()]);
+        assert!(txt.eq_exact(&txt.clone()));
+        assert!(!txt.eq_exact(&RData::Txt(vec![b"V=spf1".to_vec()])));
+    }
+
+    /// `rd` on the wire as sent, names in their case.
+    fn encoded(rd: &RData) -> Vec<u8> {
+        let mut out = Vec::new();
+        rd.encode(&mut Writer::plain(&mut out), false);
+        out
     }
 
     #[test]

@@ -36,6 +36,17 @@ impl Record {
         self.rdata.rrtype()
     }
 
+    /// Whether `other` is this record octet for octet. `==` compares
+    /// names as DNS does, ignoring case; this compares the owner and
+    /// every name in the RDATA in their case too, so a relay that hands
+    /// out one record for the other changes no octet of a reply.
+    pub fn eq_exact(&self, other: &Record) -> bool {
+        self.name.wire_bytes() == other.name.wire_bytes()
+            && self.ttl == other.ttl
+            && self.class == other.class
+            && self.rdata.eq_exact(&other.rdata)
+    }
+
     /// Encode into `w` (whose compression setting governs the owner name).
     pub fn encode(&self, w: &mut Writer) {
         w.name(&self.name);

@@ -20,6 +20,7 @@
 //! the printed values — but do that only when the change is intended.
 
 use analysis::{operator_table, ResolverStats};
+use dns_scanner::prober::ResolverClassification;
 use dns_scanner::retry::BreakerConfig;
 use netsim::{Episode, EpisodeKind, FaultSchedule, RetryPolicy, Scope};
 use nsec3_core::experiments::{
@@ -27,6 +28,7 @@ use nsec3_core::experiments::{
     DriverConfig, ScanProfile, StreamCensusReport, DEFAULT_LAB_SEED,
 };
 use popgen::domains::DomainSpec;
+use popgen::resolvers::{Behavior, ResolverSpec};
 use popgen::{generate_domains, generate_fleet, generate_tlds, Scale};
 
 const NOW: u32 = 1_710_000_000;
@@ -202,6 +204,66 @@ fn resolver_study_output_is_pinned() {
         report.len()
     );
     assert_eq!(hash, 0x9f6a_1260_c582_fa6f, "resolver study output moved");
+}
+
+/// What the prober concluded about one resolver, in one line: its
+/// address, then each verdict that holds.
+fn verdicts(c: &ResolverClassification) -> String {
+    let mut line = c.resolver.to_string();
+    let flags = [
+        (c.is_validator, "validator"),
+        (c.unreachable, "unreachable"),
+        (c.has_insecure_band, "insecure band"),
+        (c.item12_gap, "item-12 gap"),
+        (c.flaky, "flaky"),
+        (c.ra_missing, "RA missing"),
+    ];
+    for (_, verdict) in flags.iter().filter(|(holds, _)| *holds) {
+        line += &format!(", {verdict}");
+    }
+    if let Some(limit) = c.insecure_limit {
+        line += &format!(", AD up to {limit}");
+    }
+    if let Some(first) = c.servfail_start {
+        line += &format!(", SERVFAIL from {first}");
+    }
+    if !c.limit_ede_codes.is_empty() {
+        line += &format!(", EDE {:?}", c.limit_ede_codes);
+    }
+    line
+}
+
+/// The two rare §5.2 behaviours, which the 1/100,000 fleets above do not
+/// hold: the one query copier and the seven flaky two-threshold members
+/// of the 1/800 fleet, each with the verdicts the prober reaches, and
+/// every response it saw hashed.
+#[test]
+fn rare_fleet_behaviours_are_pinned() {
+    let rare: Vec<ResolverSpec> = generate_fleet(Scale(1.0 / 800.0), 42)
+        .into_iter()
+        .filter(|s| {
+            matches!(
+                s.behavior,
+                Behavior::QueryCopier | Behavior::FlakyGap { .. }
+            )
+        })
+        .collect();
+    let copiers = rare.iter().filter(|s| s.behavior == Behavior::QueryCopier);
+    assert_eq!((rare.len(), copiers.count()), (8, 1));
+    let study = run_resolver_study_cfg(&rare, &cfg_with(ScanProfile::clean()));
+    let all = study.all();
+    let flaky = ", validator, insecure band, item-12 gap, flaky, SERVFAIL from 175";
+    let mut expected: Vec<String> = (55..=60).map(|i| format!("10.0.0.{i}{flaky}")).collect();
+    expected.push("10.0.0.61, validator, RA missing, SERVFAIL from 1".into());
+    expected.push(format!("fd00::37{flaky}, EDE [27]"));
+    assert_eq!(all.iter().map(verdicts).collect::<Vec<_>>(), expected);
+    let report = format!("{all:?}\n{:?}", study.stats);
+    let hash = fnv1a(&report);
+    eprintln!(
+        "rare fleet behaviours hash: {hash:#018x} over {} bytes",
+        report.len()
+    );
+    assert_eq!(hash, 0x1638_ccd9_0ca9_995a, "rare fleet behaviours moved");
 }
 
 #[test]

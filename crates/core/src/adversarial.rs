@@ -192,17 +192,16 @@ fn zone_spec_for_attack(spec: &AdversarialZoneSpec, apex: &Name) -> ZoneSpec {
     zs
 }
 
-/// Run `scenario` under `cfg`. Zones shard like every other driver; each
-/// zone gets its **own** lab (root + parent TLD + the attack zone), so
-/// no observation depends on which zones share a shard and every thread
+/// Run `scenario` under `cfg`. A zone is the unit: it gets its **own**
+/// lab (root + parent TLD + the attack zone) and faults, so every thread
 /// count produces identical tallies. Within a zone, queries run as
 /// single-step flows on the event core in issue order.
 pub fn run_adversarial_cfg(
     scenario: &AdversarialScenario,
     cfg: &DriverConfig,
 ) -> AdversarialReport {
-    let run = run_study(scenario.zones.len(), cfg, |shard, range| {
-        adversarial_shard(shard, &scenario.zones[range], scenario)
+    let run = run_study(scenario.zones.len(), 1, cfg, |shard, range| {
+        adversarial_shard(shard, range.start, &scenario.zones[range], scenario)
     });
     let mut per_family: BTreeMap<String, FamilyTally> = BTreeMap::new();
     for (label, tally) in run.parts.into_iter().flatten() {
@@ -214,14 +213,16 @@ pub fn run_adversarial_cfg(
     }
 }
 
-/// One shard: every zone in `slice`, each in a private lab.
+/// One shard: every zone in `slice`, the zones from index `first` on,
+/// each in a private lab.
 fn adversarial_shard(
     shard: &ShardRun<'_>,
+    first: usize,
     slice: &[AdversarialZoneSpec],
     scenario: &AdversarialScenario,
 ) -> BTreeMap<String, FamilyTally> {
     let mut tallies: BTreeMap<String, FamilyTally> = BTreeMap::new();
-    for spec in slice {
+    for (i, spec) in (first..).zip(slice) {
         let apex_and_parent = lab_apex(&spec.name).and_then(|a| a.parent().map(|p| (a, p)));
         let Some((apex, parent)) = apex_and_parent else {
             continue;
@@ -231,7 +232,7 @@ fn adversarial_shard(
             builder = builder.simple_zone(&parent, Denial::nsec3_rfc9276());
         }
         let mut lab = builder.zone(zone_spec_for_attack(spec, &apex)).build();
-        let resolver = shard.resolver(&mut lab, |rcfg| {
+        let resolver = shard.resolver(&mut lab, i, |rcfg| {
             rcfg.policy = scenario.defense.policy.clone();
             rcfg.budget = scenario.defense.budget;
         });

@@ -7,43 +7,30 @@
 //!
 //! Every driver is a `run_*_cfg` function taking an explicit
 //! [`DriverConfig`]; [`DriverConfig::from_env`] is the one place the
-//! environment (`HEROES_THREADS`, `HEROES_FAULTS`) is read. Work is split
-//! into contiguous index-range shards via [`sim_par`]; every shard builds
-//! its **own** lab (the `Rc`-based simulation is deliberately not `Send`)
-//! from a per-shard seed, and results merge strictly in spec-index order.
-//! Three invariants make `threads = 1` and `threads = N` byte-identical:
-//!
-//! 1. per-spec observations never depend on which other specs share a
-//!    batch or lab (each domain/TLD/resolver is probed in isolation);
-//! 2. no fault decision reads a lab's seed: each one hashes the fault
-//!    schedule's seed with the flow, so differing per-shard lab seeds
-//!    cannot influence observations;
-//! 3. anything address-valued in the output (resolver classifications)
-//!    is pinned by replaying the allocation offsets a shard's
-//!    predecessors would have consumed (see [`run_resolver_study_cfg`]).
+//! environment (`HEROES_THREADS`, `HEROES_FAULTS`) is read. Work is cut
+//! into units of fixed index ranges (a census batch, a fleet batch, one
+//! zone), each shard runs whole units on labs of its **own** (the
+//! `Rc`-based simulation is deliberately not `Send`), and results merge
+//! in index order. `threads = 1` and `threads = N` are byte-identical
+//! because a unit's observations never depend on the units beside it,
+//! no fault decision reads a lab's seed, and the resolver study pins
+//! every address (see [`run_resolver_study_cfg`]).
 //!
 //! # Faults and loss accounting
 //!
 //! Every [`DriverConfig`] carries a [`ScanProfile`]: a
 //! [`FaultSchedule`] layered onto each lab network, a [`RetryPolicy`]
 //! for every probe, and a circuit-breaker config. Probe traffic is
-//! accounted in a [`ProbeStats`] (merged shard-wise; plain sums, so
-//! order-independent) satisfying
-//! `sent = answered + timed_out + circuit_skipped`.
-//! [`DriverConfig::from_env`] consults `HEROES_FAULTS`;
-//! [`DriverConfig::clean`] stays explicitly clean so golden outputs
-//! never move.
+//! accounted in a [`ProbeStats`] (merged shard-wise by plain sums)
+//! satisfying `sent = answered + timed_out + circuit_skipped`.
 //! Every fault is an [`EpisodeKind`] whose decisions hash the schedule
-//! seed with the episode and the flow (source, destination, per-flow
-//! datagram counter), so always-on loss ([`EpisodeKind::Flap`]),
-//! corruption ([`EpisodeKind::Corrupt`]), duplication
-//! ([`EpisodeKind::Duplicate`]), latency ([`EpisodeKind::LatencySpike`])
-//! and outages replay identically across thread counts and lab seeds.
-//! The census drivers need `batch_size = 1` for that, because batch
-//! composition moves the flow counters and the virtual clock of a shared
-//! lab; time-windowed and rate-limit episodes read that clock too. Each
-//! census batch mixes its first population index into the schedule seed,
-//! so batches do not replay one another's faults.
+//! seed with the episode and the flow. A unit's lab starts its clock and
+//! flow counters at zero, and the unit's first index is mixed into its
+//! schedule seed, so loss, corruption, duplication, latency, outages and
+//! rate limits replay identically across thread counts and lab seeds at
+//! every batch size. The resolver study's one testbed per shard is the
+//! exception: under time windows its retry counts (never its
+//! classifications) follow the thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -71,7 +58,6 @@ use popgen::domains::{DnssecKind, DomainGenerator, DomainSpec};
 use popgen::resolvers::{Access, Family, ResolverSpec};
 use popgen::tlds::TldSpec;
 use popgen::Scale;
-use sim_rng::SplitMix64;
 
 use crate::fleet::deploy_fleet;
 use crate::study::{run_study, ShardRun};
@@ -114,9 +100,7 @@ impl ScanProfile {
 
     /// A reproducible lossy Internet: 5 % flow-keyed loss plus a small
     /// jittered latency spike everywhere, adaptive backoff, breaker on.
-    /// Episodes are flow-keyed (no time windows, no rate limits), so the
-    /// resolver study replays identically across thread counts; census
-    /// drivers additionally need `batch_size = 1` for that.
+    /// Every driver replays it identically across thread counts.
     pub(crate) fn lossy(seed: u64) -> Self {
         ScanProfile {
             schedule: FaultSchedule {
@@ -368,19 +352,12 @@ fn census_step(census: &Census<'_>, net: &Network, probe: &mut CensusProbe) -> F
 ///
 /// With a window of 1 the event queue degenerates to the exact
 /// sequential schedule of the historical blocking loop: admit one probe,
-/// step it to completion, admit the next.
-///
-/// `first` is the batch's first index in the population. It is mixed
-/// into the fault schedule's seed: every batch's lab hands out the same
-/// addresses and starts its flow counters at 0, so without it each batch
-/// would meet the same flow-keyed faults.
+/// step it to completion, admit the next. `first` is the batch's first
+/// index in the population, the key of its lab's faults.
 fn census_batch(shard: &ShardRun<'_>, first: usize, batch: &[DomainSpec]) -> Vec<DomainRecord> {
     let (builder, mut apexes) = domain_lab(batch, shard.cfg.now);
     let mut lab = builder.seed(shard.seed).build();
-    let resolver = shard.resolver(&mut lab, |_| {});
-    let mut schedule = shard.cfg.profile.schedule.clone();
-    schedule.seed = SplitMix64::new(schedule.seed.wrapping_add(first as u64)).next_u64();
-    lab.net.set_schedule(schedule);
+    let resolver = shard.resolver(&mut lab, first, |_| {});
     let census = Census::new(&lab.net, &resolver, "census").with_session(&shard.session);
     shard.drive_indexed(
         &lab.net,
@@ -432,10 +409,11 @@ pub struct StreamCensusReport {
 /// population size, so a million-domain census runs with the same
 /// footprint as a ten-thousand-domain one.
 ///
-/// Every record is tallied in batch order within its shard, and the
-/// tally merge is order-insensitive, so the report is the same at every
-/// thread count; a spec that yields no lab zone (its apex is too long to
-/// sign) gets no probe and no record.
+/// Batch `k` is population indices `[k·b, (k+1)·b)` with faults of its
+/// own at every thread count and the tally merge is order-insensitive, so
+/// at a given batch size the report is the same at every thread count
+/// under any fault profile; a spec that yields no lab zone (its apex is
+/// too long to sign) gets no probe and no record.
 pub fn run_domain_census_stream(
     scale: Scale,
     population_seed: u64,
@@ -443,13 +421,13 @@ pub fn run_domain_census_stream(
     cfg: &DriverConfig,
 ) -> StreamCensusReport {
     let total = usize::try_from(popgen::domain_count(scale)).expect("population fits in memory");
-    let run = run_study(total, cfg, |shard, range| {
+    let run = run_study(total, batch_size, cfg, |shard, _| {
         let generator = DomainGenerator::new(scale, population_seed);
         let mut tally = DomainTally::new();
-        for start in range.clone().step_by(batch_size.max(1)) {
-            let end = (start + batch_size.max(1)).min(range.end);
-            let batch: Vec<DomainSpec> = (start..end).map(|i| generator.get(i as u64)).collect();
-            for record in census_batch(shard, start, &batch) {
+        for batch in shard.units() {
+            let first = batch.start;
+            let batch: Vec<DomainSpec> = batch.map(|i| generator.get(i as u64)).collect();
+            for record in census_batch(shard, first, &batch) {
                 tally.add(&record);
             }
         }
@@ -487,20 +465,23 @@ pub struct TldObservation {
 /// zone under the root (with `domains_scale`-scaled delegations inside),
 /// scan each one, and attempt the paper's zone-file collection via AXFR
 /// for the TLDs that share zone data. Returns the merged per-shard
-/// [`ProbeStats`] alongside the observations. Each shard instantiates
-/// only its own TLDs (plus the root) in a private lab; a TLD's
-/// observation never depends on which siblings share the root, so the
-/// merged output equals the sequential one at every thread count.
+/// [`ProbeStats`] alongside the observations. Each batch of `TLD_BATCH`
+/// TLDs shares a private lab and root, the same batches at every thread
+/// count, so the output equals the sequential one under any faults.
 pub fn run_tld_census_cfg(
     tlds: &[TldSpec],
     domains_scale: f64,
     cfg: &DriverConfig,
 ) -> (Vec<TldObservation>, ProbeStats) {
-    let run = run_study(tlds.len(), cfg, |shard, range| {
-        tld_shard(shard, &tlds[range], domains_scale)
+    let run = run_study(tlds.len(), TLD_BATCH, cfg, |shard, _| {
+        let batch = |b: Range<usize>| tld_batch(shard, b.start, &tlds[b], domains_scale);
+        shard.units().flat_map(batch).collect::<Vec<_>>()
     });
     (run.parts.into_iter().flatten().collect(), run.probe_stats)
 }
+
+/// TLDs the TLD census stands up in one lab, under one root.
+const TLD_BATCH: usize = 8;
 
 /// Lab zone contents for one TLD under its parsed name: an apex address
 /// plus the scaled registry contents — insecure delegations, the bulk of
@@ -516,8 +497,14 @@ fn zone_spec_for_tld(tld: &TldSpec, apex: &Name, domains_scale: f64) -> Option<Z
     Some(zone_spec(zone, &tld.dnssec))
 }
 
-/// One shard of the TLD census: the event-driven pipeline over `tlds`.
-fn tld_shard(shard: &ShardRun<'_>, tlds: &[TldSpec], domains_scale: f64) -> Vec<TldObservation> {
+/// One batch of the TLD census, the TLDs from population index `first`
+/// on: the event-driven pipeline over `tlds` in a lab of their own.
+fn tld_batch(
+    shard: &ShardRun<'_>,
+    first: usize,
+    tlds: &[TldSpec],
+    domains_scale: f64,
+) -> Vec<TldObservation> {
     // Every TLD name is parsed once; a TLD that yields no zone gets no
     // probe either.
     let mut apexes: Vec<Option<Name>> = tlds.iter().map(|t| lab_apex(&t.name)).collect();
@@ -538,7 +525,7 @@ fn tld_shard(shard: &ShardRun<'_>, tlds: &[TldSpec], domains_scale: f64) -> Vec<
             lab.auths[apex].allow_axfr(apex);
         }
     }
-    let resolver = shard.resolver(&mut lab, |_| {});
+    let resolver = shard.resolver(&mut lab, first, |_| {});
     let census = Census::new(&lab.net, &resolver, "tlds").with_session(&shard.session);
     let xfer_src = lab.alloc.v4();
     // One flow per TLD: the census probe phases, then — preserving the
@@ -597,9 +584,9 @@ impl ResolverStudy {
     }
 }
 
-/// Fleet members a resolver shard deploys and classifies at a time. A
-/// member is unregistered, and its caches freed, as soon as its batch is
-/// classified, so a shard's live resolvers never exceed this.
+/// The resolver study's unit: fleet members a shard deploys and
+/// classifies at a time on its one testbed. A member is unregistered, and
+/// its caches freed, once its unit is classified.
 const FLEET_BATCH: usize = 256;
 
 /// Lab addresses `deploy_fleet` consumes for `specs`, per family: one
@@ -624,18 +611,14 @@ fn fleet_addr_consumption(specs: &[ResolverSpec]) -> (u32, u128) {
 
 /// Build a fresh `rfc9276-in-the-wild.com` testbed at `cfg.now`, deploy
 /// `specs` against it, and classify every resolver: open ones from the
-/// scanner's vantage, closed ones through their Atlas probes. Each
-/// shard builds its own testbed (identical zone hierarchy and address
-/// allocation), allocates the scanner vantage addresses, pre-skips the
-/// fleet addresses consumed by the specs before its range
-/// (`fleet_addr_consumption`), and deploys only its own slice — so a
-/// resolver's address, and therefore its cache-busting probe labels and
-/// classification, are independent of the thread count. Every
-/// classification is kept — resolvers whose probes were all lost come
-/// back `unreachable`, partially-covered ones `partial` — and the merged
-/// [`ProbeStats`] ride along in [`ResolverStudy::stats`].
+/// scanner's vantage, closed ones through their Atlas probes. A shard's
+/// one testbed hands each resolver the address a sequential run would,
+/// so its probe labels and classification do not depend on the thread
+/// count. Every classification is kept — resolvers whose probes were all
+/// lost come back `unreachable`, partially-covered ones `partial` — and
+/// the merged [`ProbeStats`] ride along in [`ResolverStudy::stats`].
 pub fn run_resolver_study_cfg(specs: &[ResolverSpec], cfg: &DriverConfig) -> ResolverStudy {
-    let run = run_study(specs.len(), cfg, |shard, range| {
+    let run = run_study(specs.len(), FLEET_BATCH, cfg, |shard, range| {
         let mut part = Vec::with_capacity(range.len());
         resolver_shard(shard, specs, range, |panel, c| part.push((panel, c)));
         part
@@ -659,7 +642,7 @@ pub fn run_resolver_tally_cfg(
     specs: &[ResolverSpec],
     cfg: &DriverConfig,
 ) -> (ResolverTally, ProbeStats) {
-    let run = run_study(specs.len(), cfg, |shard, range| {
+    let run = run_study(specs.len(), FLEET_BATCH, cfg, |shard, range| {
         let mut part = ResolverTally::default();
         resolver_shard(shard, specs, range, |panel, c| part.add(panel, &c));
         part
@@ -670,12 +653,10 @@ pub fn run_resolver_tally_cfg(
 }
 
 /// One shard of the resolver study: classify `specs[range]` on a private
-/// testbed, every classification a [`ProbeFlow`] stepped through the
-/// event core at wire-attempt granularity and handed to `sink` in index
-/// order. The slice is deployed [`FLEET_BATCH`] members at a time, and a
-/// batch leaves the network once it is classified; `deploy_fleet` draws
-/// from the shard's allocator in index order either way, so every
-/// address is what a whole-slice deployment would have given.
+/// testbed, a unit at a time, every classification a [`ProbeFlow`]
+/// stepped through the event core at wire-attempt granularity and handed
+/// to `sink` in index order. The testbed's faults are the profile's as
+/// they are: each resolver's traffic runs on flows of its own.
 fn resolver_shard(
     shard: &ShardRun<'_>,
     specs: &[ResolverSpec],
@@ -694,8 +675,8 @@ fn resolver_shard(
     let (consumed_v4, consumed_v6) = fleet_addr_consumption(&specs[..range.start]);
     tb.lab.alloc.skip_v4(consumed_v4);
     tb.lab.alloc.skip_v6(consumed_v6);
-    for batch in specs[range].chunks(FLEET_BATCH) {
-        let deployed = deploy_fleet(&mut tb.lab, batch);
+    for batch in shard.units() {
+        let deployed = deploy_fleet(&mut tb.lab, &specs[batch]);
         let net = &tb.lab.net;
         let classified = shard.drive_indexed(
             net,
@@ -767,23 +748,58 @@ impl Unreachability {
 /// Measure the abstract's unreachability claim end to end: instantiate a
 /// sample of NSEC3-enabled domains as real zones, resolve a nonexistent
 /// name under each through a SERVFAIL-from-it-1 resolver (the 418
-/// query-copier class), and count the failures. Lost probes land in
-/// [`Unreachability::lost`] instead of inflating the unreachable count,
-/// and the merged [`ProbeStats`] ride along. Shards return partial
-/// counts which sum to the sequential totals (addition is
-/// order-independent, so this driver needs no merge-order argument).
+/// query-copier class), `batch_size` domains to a lab, and count the
+/// failures. Lost probes land in [`Unreachability::lost`] instead of
+/// inflating the unreachable count, and the merged [`ProbeStats`] ride
+/// along. Shards return partial counts which sum to the sequential totals
+/// (addition is order-independent, so this driver needs no merge-order
+/// argument).
 pub fn run_unreachability_cfg(
     specs: &[DomainSpec],
     batch_size: usize,
     cfg: &DriverConfig,
 ) -> (Unreachability, ProbeStats) {
-    let nsec3_sample: Vec<DomainSpec> = specs
+    let sample: Vec<DomainSpec> = specs
         .iter()
         .filter(|s| s.nsec3().is_some())
         .cloned()
         .collect();
-    let run = run_study(nsec3_sample.len(), cfg, |shard, range| {
-        unreachability_shard(shard, &nsec3_sample[range], batch_size)
+    let run = run_study(sample.len(), batch_size, cfg, |shard, _| {
+        let mut result = Unreachability::default();
+        for batch in shard.units() {
+            let first = batch.start;
+            let (builder, apexes) = domain_lab(&sample[batch], shard.cfg.now);
+            let mut lab = builder.seed(shard.seed).build();
+            // The strict class: SERVFAIL for any NSEC3 iteration count > 0.
+            let strict = |rcfg: &mut ResolverConfig| rcfg.policy = Rfc9276Policy::servfail_above(0);
+            let resolver = shard.resolver(&mut lab, first, strict);
+            // One single-step flow per domain that got a zone: the whole
+            // strict-resolver lookup runs inside its first step, so any
+            // window yields the sequential order (all flows are due at
+            // admission time and the queue is FIFO at equal times) — the
+            // counts are plain sums regardless.
+            let mut probes = apexes
+                .iter()
+                .flatten()
+                .filter_map(|apex| apex.prepend(b"does-not-exist").ok());
+            shard.drive(
+                &lab.net,
+                || probes.next(),
+                |probe: &mut Name| {
+                    let out = resolver.resolve(&lab.net, probe, RrType::A);
+                    result.probed += 1;
+                    if shard.session.book(&out) {
+                        result.lost += 1;
+                    } else if out.rcode == Rcode::ServFail {
+                        result.unreachable += 1;
+                    } else {
+                        result.reachable += 1;
+                    }
+                    FlowStep::Done
+                },
+            );
+        }
+        result
     });
     let mut result = Unreachability::default();
     for part in run.parts {
@@ -793,49 +809,6 @@ pub fn run_unreachability_cfg(
         result.lost += part.lost;
     }
     (result, run.probe_stats)
-}
-
-/// One shard of the unreachability probe: the event-driven batched
-/// pipeline over `sample` (already filtered to NSEC3-enabled specs).
-fn unreachability_shard(
-    shard: &ShardRun<'_>,
-    sample: &[DomainSpec],
-    batch_size: usize,
-) -> Unreachability {
-    let mut result = Unreachability::default();
-    for batch in sample.chunks(batch_size.max(1)) {
-        let (builder, apexes) = domain_lab(batch, shard.cfg.now);
-        let mut lab = builder.seed(shard.seed).build();
-        // The strict class: SERVFAIL for any NSEC3 iteration count > 0.
-        let strict = |rcfg: &mut ResolverConfig| rcfg.policy = Rfc9276Policy::servfail_above(0);
-        let resolver = shard.resolver(&mut lab, strict);
-        // One single-step flow per domain that got a zone: the whole
-        // strict-resolver lookup runs inside its first step, so any
-        // window yields the sequential order (all flows are due at
-        // admission time and the queue is FIFO at equal times) — the
-        // counts are plain sums regardless.
-        let mut probes = apexes
-            .iter()
-            .flatten()
-            .filter_map(|apex| apex.prepend(b"does-not-exist").ok());
-        shard.drive(
-            &lab.net,
-            || probes.next(),
-            |probe: &mut Name| {
-                let out = resolver.resolve(&lab.net, probe, RrType::A);
-                result.probed += 1;
-                if shard.session.book(&out) {
-                    result.lost += 1;
-                } else if out.rcode == Rcode::ServFail {
-                    result.unreachable += 1;
-                } else {
-                    result.reachable += 1;
-                }
-                FlowStep::Done
-            },
-        );
-    }
-    result
 }
 
 /// One point of the CVE-2023-50868 cost sweep.
@@ -1047,7 +1020,7 @@ mod tests {
         };
         let census = |specs: &[DomainSpec]| {
             let cfg = DriverConfig::clean(NOW, 1, DEFAULT_LAB_SEED);
-            let run = run_study(specs.len(), &cfg, |shard, range| {
+            let run = run_study(specs.len(), specs.len(), &cfg, |shard, range| {
                 census_batch(shard, range.start, &specs[range])
             });
             assert!(run.probe_stats.is_consistent(), "{:?}", run.probe_stats);

@@ -217,18 +217,17 @@ fn probes_for(tld: &HierarchyTld, probe_nxdomain: bool) -> Vec<Name> {
     probes
 }
 
-/// Run `study` under `cfg`. TLDs shard like every other driver; each TLD
-/// gets its **own** private lab (root plus TLD plus leaves) and its own
-/// resolver, so no observation depends on which TLDs share a shard and
-/// every thread count produces identical tallies. Within a TLD, the
+/// Run `study` under `cfg`. A TLD is the unit: it gets its **own** lab
+/// (root plus TLD plus leaves), faults and resolver, so every thread
+/// count produces identical tallies. Within a TLD, the
 /// probes run as ONE multi-step flow that steps the resolver's
 /// [`dns_resolver::Recursion`] through the event core — one upstream
 /// exchange per event — so the walk itself is scheduled by the
 /// bounded window, not hidden inside a blocking call.
 pub fn run_chain_study_cfg(study: &ChainStudy, cfg: &DriverConfig) -> ChainReport {
     let tlds = HierarchyGenerator::new(study.model.clone()).tlds();
-    let run = run_study(tlds.len(), cfg, |shard, range| {
-        chain_shard(shard, &tlds[range], study)
+    let run = run_study(tlds.len(), 1, cfg, |shard, range| {
+        chain_shard(shard, range.start, &tlds[range], study)
     });
     let mut per_scenario: BTreeMap<String, ChainTally> = BTreeMap::new();
     for (key, tally) in run.parts.into_iter().flatten() {
@@ -240,18 +239,19 @@ pub fn run_chain_study_cfg(study: &ChainStudy, cfg: &DriverConfig) -> ChainRepor
     }
 }
 
-/// One shard: every TLD in `slice`, each in a private lab with its own
-/// recursing resolver.
+/// One shard: every TLD in `slice`, the TLDs from index `first` on, each
+/// in a private lab with its own recursing resolver.
 fn chain_shard(
     shard: &ShardRun<'_>,
+    first: usize,
     slice: &[HierarchyTld],
     study: &ChainStudy,
 ) -> BTreeMap<String, ChainTally> {
     let mut tallies: BTreeMap<String, ChainTally> = BTreeMap::new();
-    for tld in slice {
+    for (i, tld) in (first..).zip(slice) {
         let builder = LabBuilder::new(shard.cfg.now).seed(shard.seed);
         let mut lab = add_tld_to_lab(builder, tld).build();
-        let resolver = shard.resolver(&mut lab, |rcfg| {
+        let resolver = shard.resolver(&mut lab, i, |rcfg| {
             rcfg.delegation_cache = true;
             if tld.scenario == ChainScenario::MisAnchoredTld {
                 let apex = Name::parse(&tld.spec.name).expect("TLD apex parses");

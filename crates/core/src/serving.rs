@@ -14,11 +14,10 @@
 //!
 //! The unit of work is one **fleet member**, not one thread: clients
 //! partition contiguously across `fleet` resolver instances, each
-//! instance owns a private lab (every zone of the population, deployed
-//! from its shard's one signed copy) and serves its clients' queries in
-//! stream order on the event core. A tally
-//! depends only on its resolver's own query slice, so merging per-
-//! resolver tallies is order-free and the report is byte-identical for
+//! instance owns a private lab and faults (every zone of the population,
+//! deployed from its shard's one signed copy) and serves its clients'
+//! queries in stream order on the event core. A tally depends only on
+//! its resolver's own query slice, so the report is byte-identical for
 //! every `HEROES_THREADS` and every in-flight window (each query is a
 //! single-step flow; see the unreachability driver for the argument).
 //!
@@ -244,13 +243,13 @@ impl ServingReport {
     }
 }
 
-/// Run `scenario` under `cfg`. Fleet members shard across threads; each
-/// member deploys its own lab, whose faults are keyed by the member's
-/// flows, so every thread count produces identical tallies.
+/// Run `scenario` under `cfg`. A fleet member is the unit: it deploys
+/// its own lab with faults of its own, so every thread count produces
+/// identical tallies.
 pub fn run_serving_cfg(scenario: &ServingScenario, cfg: &DriverConfig) -> ServingReport {
     assert!(!scenario.domains.is_empty(), "serving needs zones");
     let fleet = scenario.fleet.max(1);
-    let run = run_study(fleet, cfg, |shard, range| {
+    let run = run_study(fleet, 1, cfg, |shard, range| {
         // Signed zones depend on the apexes and `now`, not on a member's
         // seed: the shard signs once, each member deploys. Apexes come
         // parsed once per shard, with the qnames their clients repeat; a
@@ -349,12 +348,12 @@ fn serving_unit(
         return;
     }
     // Per-member lab seed: a function of (lab_seed, member), never of
-    // the shard plan. It decides no fault: a member's faults are keyed
-    // by the profile's schedule and the member's own flows.
+    // the shard plan. It decides no fault: `shard.resolver` keys those
+    // by the member.
     let member_seed =
         SplitMix64::new(shard.cfg.lab_seed ^ member.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
     let mut lab = signed.deploy(member_seed);
-    let resolver = shard.resolver(&mut lab, |rcfg| {
+    let resolver = shard.resolver(&mut lab, member as usize, |rcfg| {
         rcfg.cache_size = scenario.cache_size;
         rcfg.aggressive_nsec3 = scenario.aggressive;
         rcfg.delegation_cache = scenario.delegation_cache;

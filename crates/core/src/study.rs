@@ -4,9 +4,10 @@
 //! A driver is [`run_study`] plus a closure that turns one shard's index
 //! range into that shard's part of the result. The closure gets a
 //! [`ShardRun`], which owns the pieces no driver should write for
-//! itself: the resolver stand-up on a fresh lab, the one call to the
-//! event core, the park-by-index/drain-in-order discipline, and the
-//! session whose [`ScanSession::book`] tells probe loss from a verdict.
+//! itself: the cut into units, the fault key of a unit's lab, the
+//! resolver stand-up on a fresh lab, the one call to the event core, the
+//! park-by-index/drain-in-order discipline, and the session whose
+//! [`ScanSession::book`] tells probe loss from a verdict.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -17,12 +18,13 @@ use dns_resolver::resolver::{Resolver, ResolverConfig};
 use dns_scanner::retry::{ProbeStats, ScanSession};
 use dns_zone::nsec3hash::clear_thread_cache;
 use netsim::event::{drive, FlowStep};
-use netsim::Network;
+use netsim::{FaultSchedule, Network};
+use sim_rng::SplitMix64;
 
 use crate::experiments::DriverConfig;
 
 /// One shard of one study: the run's configuration, the shard's lab
-/// seed, and the session every probe of the shard is booked in.
+/// seed and units, and the session every probe of the shard is booked in.
 pub(crate) struct ShardRun<'a> {
     /// The run's configuration.
     pub cfg: &'a DriverConfig,
@@ -30,6 +32,8 @@ pub(crate) struct ShardRun<'a> {
     pub seed: u64,
     /// Loss accounting (and breaker state) for this shard's probes.
     pub session: ScanSession,
+    range: Range<usize>,
+    unit: usize,
     high_water: Cell<usize>,
 }
 
@@ -44,28 +48,32 @@ pub(crate) struct StudyRun<P> {
     pub in_flight_high_water: usize,
 }
 
-/// Split `0..len` into contiguous shards over `cfg.threads` workers and
-/// run `work` on each with its own [`ShardRun`]. The cut is the one
-/// `sim_par` makes for a slice of the same length, so a driver over a
-/// materialised list indexes `items[range]`.
-///
+/// Cut `0..len` into units, unit `k` being `[k·unit, (k+1)·unit)` at
+/// every thread count, and run `work` on each of at most `cfg.threads`
+/// shards of whole units with the shard's index range and [`ShardRun`].
 /// A shard first empties its thread's NSEC3 hash cache and signature
 /// memo, so no study's speed depends on what ran on the thread before.
 pub(crate) fn run_study<P: Send>(
     len: usize,
+    unit: usize,
     cfg: &DriverConfig,
     work: impl Fn(&ShardRun<'_>, Range<usize>) -> P + Sync,
 ) -> StudyRun<P> {
-    let shards = sim_par::run_sharded_range(len as u64, cfg.threads, cfg.lab_seed, |shard| {
+    let unit = unit.max(1);
+    let units = len.div_ceil(unit) as u64;
+    let shards = sim_par::run_sharded_range(units, cfg.threads, cfg.lab_seed, |shard| {
         clear_thread_cache();
         clear_verify_memo();
+        let range = shard.start as usize * unit..len.min(shard.end as usize * unit);
         let run = ShardRun {
             cfg,
             seed: shard.seed,
             session: ScanSession::new(cfg.profile.breaker),
+            range: range.clone(),
+            unit,
             high_water: Cell::new(0),
         };
-        let part = work(&run, shard.start as usize..shard.end as usize);
+        let part = work(&run, range);
         (part, run.session.stats(), run.high_water.get())
     });
     let mut study = StudyRun {
@@ -82,16 +90,35 @@ pub(crate) fn run_study<P: Send>(
 }
 
 impl ShardRun<'_> {
-    /// Put the profile's fault schedule on `lab`'s network and stand a
+    /// The shard's units in index order, each as its population indices.
+    pub(crate) fn units(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let firsts = self.range.clone().step_by(self.unit);
+        firsts.map(|first| first..self.range.end.min(first + self.unit))
+    }
+
+    /// The profile's fault schedule for the unit starting at index
+    /// `first`, which one `SplitMix64` step mixes into the seed: every
+    /// unit's lab hands out the same addresses and flow counters, so
+    /// without it each unit would meet the same flow-keyed faults.
+    fn schedule(&self, first: usize) -> FaultSchedule {
+        debug_assert_eq!(first % self.unit, 0, "index {first} starts no unit");
+        let mut schedule = self.cfg.profile.schedule.clone();
+        schedule.seed = SplitMix64::new(schedule.seed.wrapping_add(first as u64)).next_u64();
+        schedule
+    }
+
+    /// Put the profile's fault schedule, keyed by the unit that starts
+    /// at population index `first`, on `lab`'s network and stand a
     /// validating resolver up in it: next free address, the lab's hints,
     /// anchor and epoch, the profile's retry policy, an unlimited
     /// RFC 9276 policy — then whatever `tune` changes.
     pub(crate) fn resolver(
         &self,
         lab: &mut Lab,
+        first: usize,
         tune: impl FnOnce(&mut ResolverConfig),
     ) -> Resolver {
-        lab.net.set_schedule(self.cfg.profile.schedule.clone());
+        lab.net.set_schedule(self.schedule(first));
         let addr = lab.alloc.v4();
         let mut rcfg = ResolverConfig::validating(addr, lab.root_hints.clone(), lab.anchor.clone());
         rcfg.now = lab.now;
@@ -167,7 +194,7 @@ mod tests {
         // every third index is never admitted.
         let admitted = [0usize, 2, 3, 5, 6, 8];
         for (window, high_water) in [(1, 1), (DEFAULT_WINDOW, admitted.len())] {
-            let run = run_study(1, &cfg(1).with_window(window), |shard, _| {
+            let run = run_study(1, 1, &cfg(1).with_window(window), |shard, _| {
                 let net = Network::new(shard.seed);
                 let mut completed = Vec::new();
                 let results = shard.drive_indexed(
@@ -202,16 +229,69 @@ mod tests {
 
     #[test]
     fn run_study_merges_parts_in_shard_order_and_sums_probe_stats() {
-        for threads in [1usize, 3, 64] {
-            let run = run_study(5, &cfg(threads), |shard, range| {
-                range.clone().for_each(|_| shard.session.note_answered(1));
-                range
-            });
-            assert_eq!(run.parts.len(), threads.min(5), "threads = {threads}");
-            let covered: Vec<usize> = run.parts.into_iter().flatten().collect();
-            assert_eq!(covered, [0, 1, 2, 3, 4], "threads = {threads}");
-            assert_eq!((run.probe_stats.sent, run.probe_stats.retried), (5, 5));
+        // 200 items: 200 units of 1, 29 of 7 (the last of 4), 4 of 64
+        // (the last of 8).
+        for unit in [1usize, 7, 64] {
+            let units = 200usize.div_ceil(unit);
+            for threads in [1usize, 3, 64] {
+                let run = run_study(200, unit, &cfg(threads), |shard, range| {
+                    range.clone().for_each(|_| shard.session.note_answered(1));
+                    let units: Vec<Range<usize>> = shard.units().collect();
+                    assert!(units.iter().cloned().flatten().eq(range.clone()));
+                    (range, units)
+                });
+                let at = format!("unit = {unit}, threads = {threads}");
+                assert_eq!(run.parts.len(), threads.min(units), "{at}");
+                let mut next = 0;
+                for (range, _) in &run.parts {
+                    assert_eq!(range.start, next, "{at}");
+                    assert!(range.end % unit == 0 || range.end == 200, "{at}: {range:?}");
+                    next = range.end;
+                }
+                assert_eq!(next, 200, "{at}");
+                let cut: Vec<Range<usize>> = run.parts.into_iter().flat_map(|(_, u)| u).collect();
+                let whole: Vec<Range<usize>> = (0..units)
+                    .map(|k| k * unit..200.min((k + 1) * unit))
+                    .collect();
+                assert_eq!(cut, whole, "{at}");
+                assert_eq!((run.probe_stats.sent, run.probe_stats.retried), (200, 200));
+            }
         }
-        assert!(run_study(0, &cfg(4), |_, _| ()).parts.is_empty());
+        assert!(run_study(0, 7, &cfg(4), |_, _| ()).parts.is_empty());
+    }
+
+    #[test]
+    fn a_units_fault_seed_is_its_own_whichever_shard_runs_it() {
+        let mut lossy = cfg(1).profile;
+        lossy.schedule.seed = 0x9276;
+        // Each unit's first index and fault seed, in index order.
+        let seeds = |threads| {
+            let cfg = cfg(threads).with_profile(lossy.clone());
+            let run = run_study(20, 7, &cfg, |shard, _| {
+                let firsts = shard.units().map(|unit| unit.start);
+                firsts
+                    .map(|first| (first, shard.schedule(first).seed))
+                    .collect::<Vec<_>>()
+            });
+            run.parts.concat()
+        };
+        let one = seeds(1);
+        assert_eq!(
+            one.iter().map(|(first, _)| *first).collect::<Vec<_>>(),
+            [0, 7, 14]
+        );
+        let distinct: std::collections::BTreeSet<u64> = one.iter().map(|(_, seed)| *seed).collect();
+        assert_eq!(
+            distinct.len(),
+            3,
+            "units of one shard share a fault seed: {one:?}"
+        );
+        assert!(
+            !distinct.contains(&0x9276),
+            "a unit runs under the bare profile seed"
+        );
+        for threads in [2, 3] {
+            assert_eq!(seeds(threads), one, "threads = {threads}");
+        }
     }
 }

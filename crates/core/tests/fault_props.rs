@@ -58,14 +58,13 @@ props! {
 
     /// A faulty census replays identically across thread counts: the
     /// statistics, the operator attribution and the loss accounting are
-    /// a pure function of the population seed and the schedule seed.
-    /// `batch_size = 1` gives every domain a fresh lab whose virtual
-    /// clock starts at zero, so even time-sensitive fault state cannot
-    /// leak across shards.
-    fn faulty_census_replays_across_threads(seed in gens::u64s(..)) {
+    /// a pure function of the population seed, the schedule seed and the
+    /// batch size. Batch `k` is the same domains on a fresh zero-clock
+    /// lab at every thread count, so no fault state leaks across shards.
+    fn faulty_census_replays_across_threads(seed in gens::u64s(..), batch in gens::usizes(1..=64)) {
         let profile = flow_keyed_profile(seed);
         let census = |threads| {
-            run_domain_census_stream(SCALE, seed ^ 1, 1, &cfg_with(threads, &profile))
+            run_domain_census_stream(SCALE, seed ^ 1, batch, &cfg_with(threads, &profile))
         };
         let (one, four) = (census(1), census(4));
         let render = |stats| format!("{stats:?}\n{:?}", operator_table(stats, usize::MAX));
@@ -84,7 +83,8 @@ props! {
     /// under flow-keyed episodes, and unreachable resolvers stay in the
     /// output instead of vanishing.
     fn faulty_resolver_study_replays_across_threads(seed in gens::u64s(..)) {
-        let fleet = generate_fleet(Scale(1.0 / 50_000.0), seed ^ 2);
+        // 320 resolvers: two 256-member units, so two shards at 4 threads.
+        let fleet = generate_fleet(Scale(1.0 / 6_000.0), seed ^ 2);
         let profile = flow_keyed_profile(seed);
         let s1 = run_resolver_study_cfg(&fleet, &cfg_with(1, &profile));
         let s4 = run_resolver_study_cfg(&fleet, &cfg_with(4, &profile));

@@ -211,6 +211,16 @@ if [ "$resolver_nodes" != "crates/resolver/src/net.rs" ]; then
     echo "error: impl Node in [${resolver_nodes//$'\n'/, }] under crates/resolver/src, expected one (Resolver's, in net.rs)" >&2
     exit 1
 fi
+# One unit cut and one fault key (DESIGN.md §8 "Driver skeleton"):
+# `run_study` cuts every driver's population into whole units and
+# `ShardRun::schedule` derives every lab's fault seed, so no other file
+# under crates/core/src cuts an index range or keys a schedule.
+unit_cuts="$(non_test $(ls crates/core/src/*.rs | grep -v '/study.rs$') | grep -E 'step_by\(|chunks\(|schedule\.seed' || true)"
+if [ -n "$unit_cuts" ]; then
+    echo "error: a unit cut or a schedule seed outside crates/core/src/study.rs (use ShardRun::units and ShardRun::resolver):" >&2
+    echo "$unit_cuts" >&2
+    exit 1
+fi
 # `unsafe` lives in one file (DESIGN.md §6 "Hardware kernels"): the calls
 # into dns-crypto's SHA-extension kernels, each under a `// SAFETY:` line;
 # every other crate forbids it.

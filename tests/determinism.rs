@@ -176,7 +176,9 @@ fn corrupting_profile() -> ScanProfile {
 
 #[test]
 fn faulty_resolver_study_is_identical_across_thread_counts() {
-    let fleet = generate_fleet(Scale(1.0 / 20_000.0), 42);
+    // 320 resolvers: two 256-member units, so two shards at 2 threads
+    // and at 4.
+    let fleet = generate_fleet(Scale(1.0 / 6_000.0), 42);
     for (name, profile) in [
         ("lossy", flow_keyed_lossy()),
         ("corrupting", corrupting_profile()),
@@ -210,8 +212,8 @@ fn faulty_resolver_study_is_identical_across_thread_counts() {
 
 #[test]
 fn resolver_tally_is_the_folded_study_at_every_thread_count() {
-    // Four fleet batches at one thread, two at two and one a shard at
-    // four, so the batch cuts differ across the thread counts too.
+    // Four 256-member units: one shard of four at one thread, two of two
+    // at two, four of one at four.
     let fleet = generate_fleet(Scale(1.0 / 2_000.0), 42);
     for profile in [ScanProfile::clean(), flow_keyed_lossy()] {
         let cfg = |threads| {
@@ -233,40 +235,80 @@ fn resolver_tally_is_the_folded_study_at_every_thread_count() {
 #[test]
 fn faulty_tld_census_and_unreachability_account_probes() {
     let profile = flow_keyed_lossy();
+    let cfg =
+        |threads| DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
 
-    // The TLD census shares one registry lab per shard, so under faults
-    // the slicing is part of the experiment input: a fixed thread count
-    // replays byte for byte, and the loss accounting always balances.
+    // The TLD census stands a lab up per fixed batch of TLDs, so under
+    // faults it renders the same at every thread count, and the loss
+    // accounting always balances.
     let tlds: Vec<_> = generate_tlds().into_iter().step_by(97).collect();
-    let cfg = DriverConfig::clean(NOW, 3, DEFAULT_LAB_SEED).with_profile(profile.clone());
-    let (obs_a, tld_st_a) = run_tld_census_cfg(&tlds, 1.0 / 100_000.0, &cfg);
-    let (obs_b, tld_st_b) = run_tld_census_cfg(&tlds, 1.0 / 100_000.0, &cfg);
-    assert_eq!(
-        format!("{obs_a:?}"),
-        format!("{obs_b:?}"),
-        "a faulty TLD census must replay byte for byte at a fixed thread count"
-    );
-    assert_eq!(tld_st_a, tld_st_b);
-    assert!(tld_st_a.is_consistent());
+    let (obs1, tld_st1) = run_tld_census_cfg(&tlds, 1.0 / 100_000.0, &cfg(1));
+    for threads in [2, 3] {
+        let (obs, tld_st) = run_tld_census_cfg(&tlds, 1.0 / 100_000.0, &cfg(threads));
+        assert_eq!(
+            format!("{obs1:?}"),
+            format!("{obs:?}"),
+            "a faulty TLD census must render the same at threads=1 and {threads}"
+        );
+        assert_eq!(tld_st1, tld_st, "threads = {threads}");
+    }
+    assert!(tld_st1.is_consistent());
 
-    // Unreachability at batch_size = 1 is shard-invariant like the
-    // census: every NSEC3 domain gets a fresh zero-clock lab.
+    // Unreachability likewise, at one domain per lab and at eight.
     let specs: Vec<_> = generate_domains(Scale(1.0 / 100_000.0), 42)
         .into_iter()
         .take(60)
         .collect();
-    let cfg =
-        |threads| DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
-    let (un1, un_st1) = run_unreachability_cfg(&specs, 1, &cfg(1));
-    let (un4, un_st4) = run_unreachability_cfg(&specs, 1, &cfg(4));
-    assert_eq!(format!("{un1:?}"), format!("{un4:?}"));
-    assert_eq!(un_st1, un_st4);
-    assert!(un_st1.is_consistent());
-    assert_eq!(
-        un1.reachable + un1.unreachable + un1.lost,
-        un1.probed,
-        "unreachability accounting must cover every probe"
-    );
+    for batch in [1, 8] {
+        let (un1, un_st1) = run_unreachability_cfg(&specs, batch, &cfg(1));
+        for threads in [2, 4] {
+            let (un, un_st) = run_unreachability_cfg(&specs, batch, &cfg(threads));
+            assert_eq!(
+                format!("{un1:?}"),
+                format!("{un:?}"),
+                "batch {batch}, threads {threads}"
+            );
+            assert_eq!(un_st1, un_st, "batch {batch}, threads {threads}");
+        }
+        assert!(un_st1.is_consistent());
+        assert_eq!(
+            un1.reachable + un1.unreachable + un1.lost,
+            un1.probed,
+            "unreachability accounting must cover every probe"
+        );
+    }
+}
+
+/// Each unit's lab meets faults of its own. Every one-domain lab hands
+/// out the same addresses and starts its flow counters at zero, so were
+/// the schedule seed not keyed by the unit, a drop-only profile would
+/// replay one pattern per lab: at some schedule seeds every domain lost,
+/// at others none.
+#[test]
+fn unreachability_loses_a_sample_of_domains_not_all_or_none() {
+    let specs: Vec<_> = generate_domains(Scale(1.0 / 100_000.0), 42)
+        .into_iter()
+        .filter(|s| s.nsec3().is_some())
+        .take(40)
+        .collect();
+    for seed in 1..=6 {
+        let mut profile = flow_keyed_lossy();
+        profile.schedule = FaultSchedule {
+            size_limit: None,
+            seed,
+            episodes: vec![Episode::always(EpisodeKind::Flap {
+                scope: Scope::All,
+                drop_chance: 0.5,
+            })],
+        };
+        let cfg = DriverConfig::clean(NOW, 1, DEFAULT_LAB_SEED).with_profile(profile);
+        let (result, _) = run_unreachability_cfg(&specs, 1, &cfg);
+        assert_eq!(result.probed, 40);
+        assert!(
+            0 < result.lost && result.lost < result.probed,
+            "schedule seed {seed}: {result:?}"
+        );
+    }
 }
 
 #[test]
@@ -295,26 +337,30 @@ fn streaming_census_is_identical_across_thread_counts() {
 
 #[test]
 fn faulty_streaming_census_is_identical_across_thread_counts() {
-    // Flow-keyed faults at batch_size = 1: every domain gets a fresh
-    // zero-clock lab, so the fault schedule — corruption and duplication
-    // included — replays identically however the index range is sharded.
+    // Flow-keyed faults at one domain per lab and at batches of 7 and 64:
+    // batch `k` is always domains `[k·b, (k+1)·b)` on a fresh zero-clock
+    // lab with faults keyed by its first index, so the fault schedule —
+    // corruption and duplication included — replays identically however
+    // the batches are sharded.
     let scale = Scale(1.0 / 500_000.0);
     for (name, profile) in [
         ("lossy", flow_keyed_lossy()),
         ("corrupting", corrupting_profile()),
     ] {
-        let census = |threads| {
-            let cfg =
-                DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
-            render(&run_domain_census_stream(scale, 42, 1, &cfg))
-        };
-        let one = census(1);
-        for threads in [2, 4] {
-            assert_eq!(
-                one,
-                census(threads),
-                "{name} streaming census must render byte-identically at threads=1 and {threads}"
-            );
+        for batch in [1, 7, 64] {
+            let census = |threads| {
+                let cfg = DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED)
+                    .with_profile(profile.clone());
+                render(&run_domain_census_stream(scale, 42, batch, &cfg))
+            };
+            let one = census(1);
+            for threads in [2, 4] {
+                assert_eq!(
+                    one,
+                    census(threads),
+                    "{name} streaming census at batch {batch} must render byte-identically at threads=1 and {threads}"
+                );
+            }
         }
     }
 }
@@ -339,10 +385,10 @@ fn corrupting_census_is_identical_under_two_lab_seeds() {
 #[test]
 fn faulty_census_is_identical_across_thread_counts() {
     // Time-windowed and stateful episodes (an outage window, token-bucket
-    // rate limiting) are clock-sensitive, so the census runs them at
-    // `batch_size = 1`: every domain gets a fresh lab whose virtual clock
-    // starts at zero, and the schedule replays identically however the
-    // index range is sharded.
+    // rate limiting) read the lab's virtual clock. Every batch gets a
+    // fresh lab whose clock starts at zero, the same batches at every
+    // thread count, so the schedule replays identically however the
+    // batches are sharded: at one domain per lab and at seven.
     let scale = Scale(1.0 / 500_000.0);
     let mut profile = flow_keyed_lossy();
     profile.schedule.episodes.push(Episode::window(
@@ -358,19 +404,21 @@ fn faulty_census_is_identical_across_thread_counts() {
             capacity: 6,
             refill_interval_micros: 40_000,
         }));
-    let census = |threads| {
+    let census = |threads, batch| {
         let cfg = DriverConfig::clean(NOW, threads, DEFAULT_LAB_SEED).with_profile(profile.clone());
-        run_domain_census_stream(scale, 42, 1, &cfg)
+        run_domain_census_stream(scale, 42, batch, &cfg)
     };
-    let one = census(1);
-    let rendered = render(&one);
-    for threads in [2, 4] {
-        assert_eq!(
-            rendered,
-            render(&census(threads)),
-            "faulty census must render byte-identically at threads=1 and {threads}"
-        );
-    }
+    let [one, _] = [1, 7].map(|batch| {
+        let base = census(1, batch);
+        for threads in [2, 4] {
+            assert_eq!(
+                render(&base),
+                render(&census(threads, batch)),
+                "faulty census at batch {batch} must render byte-identically at threads=1 and {threads}"
+            );
+        }
+        base
+    });
     let stats = one.probe_stats;
     assert!(
         stats.is_consistent(),

@@ -168,11 +168,11 @@ fn streaming_census_matches_batch_path_under_faults() {
     }
 }
 
-/// The census under the corrupting profile at `batch_size = 1`, the
-/// shard-invariant geometry: every domain gets a fresh lab, every fault
-/// decision is keyed by the flow and the schedule seed is mixed with the
-/// domain's index, so each domain meets faults of its own and the report
-/// is the same at every thread count (`tests/determinism.rs`,
+/// The census under the corrupting profile at `batch_size = 1`: every
+/// domain gets a fresh lab, every fault decision is keyed by the flow and
+/// the schedule seed is mixed with the domain's index, so each domain
+/// meets faults of its own. Like every batch size, it renders the same at
+/// every thread count (`tests/determinism.rs`,
 /// `faulty_streaming_census_is_identical_across_thread_counts`). Losses,
 /// retries, breaker skips and the domains corruption misreads (ROADMAP
 /// item 24) are part of the pinned bytes.
